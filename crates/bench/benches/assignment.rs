@@ -3,10 +3,11 @@
 //! number of skill levels, and measures the user-parallel variant.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use upskill_core::assign::{assign_all, assign_all_direct, assign_all_with_table, assign_sequence};
+use upskill_core::assign::assign_sequence;
 use upskill_core::emission::EmissionTable;
 use upskill_core::init::initialize_model;
-use upskill_core::parallel::{assign_all_parallel, ParallelConfig};
+use upskill_core::parallel::{assign_all_parallel, assign_all_parallel_with_table, ParallelConfig};
+use upskill_core::reference::assign_all_direct;
 use upskill_datasets::synthetic::{generate, SyntheticConfig};
 
 fn config(n_users: usize, len: f64, levels: usize) -> SyntheticConfig {
@@ -47,7 +48,10 @@ fn bench_skill_levels(c: &mut Criterion) {
         let data = generate(&config(50, 50.0, levels)).expect("generation");
         let model = initialize_model(&data.dataset, levels, 30, 0.01).expect("init");
         group.bench_with_input(BenchmarkId::from_parameter(levels), &levels, |b, _| {
-            b.iter(|| assign_all(&model, &data.dataset).expect("assignment"))
+            b.iter(|| {
+                assign_all_parallel(&model, &data.dataset, &ParallelConfig::sequential())
+                    .expect("assignment")
+            })
         });
     }
     group.finish();
@@ -88,7 +92,8 @@ fn bench_emission_table(c: &mut Criterion) {
     group.bench_function("table", |b| {
         b.iter(|| {
             let table = EmissionTable::build(&model, &data.dataset);
-            assign_all_with_table(&table, &data.dataset).expect("assignment")
+            assign_all_parallel_with_table(&table, &data.dataset, &ParallelConfig::sequential())
+                .expect("assignment")
         })
     });
     group.finish();

@@ -8,6 +8,7 @@ use upskill_core::baselines::to_id_dataset;
 use upskill_core::em::{train_em_with_parallelism, EmConfig};
 use upskill_core::init::initialize_model;
 use upskill_core::parallel::ParallelConfig;
+use upskill_core::reference::train_full_rescan;
 use upskill_core::train::{train, train_with_parallelism, TrainConfig};
 use upskill_core::transition::TransitionModel;
 use upskill_datasets::synthetic::{generate, SyntheticConfig};
@@ -52,15 +53,14 @@ fn bench_parallel_flags(c: &mut Criterion) {
         ("sequential", ParallelConfig::sequential()),
         ("users", ParallelConfig::sequential().with_users(true)),
         ("all@4", ParallelConfig::all(4)),
-        (
-            "full_rescan",
-            ParallelConfig::sequential().with_incremental(false),
-        ),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &pc, |b, pc| {
             b.iter(|| train_with_parallelism(&data.dataset, &cfg, pc).expect("training"))
         });
     }
+    group.bench_function("full_rescan", |b| {
+        b.iter(|| train_full_rescan(&data.dataset, &cfg).expect("training"))
+    });
     group.finish();
 }
 

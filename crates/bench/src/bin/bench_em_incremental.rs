@@ -1,8 +1,9 @@
 //! Incremental-EM benchmark — whole-training wall time of the
 //! responsibility-delta incremental EM path (persistent `SoftStatsGrid`,
 //! dirty-level weighted refits, column-refreshed emission table) vs. the
-//! legacy from-scratch EM accumulation, at the acceptance workload:
-//! 200 items, 500 users × 100 mean actions, S=5, mixed feature kinds.
+//! from-scratch EM reference (`reference::train_em_full`), at the
+//! acceptance workload: 200 items, 500 users × 100 mean actions, S=5,
+//! mixed feature kinds.
 //!
 //! Both paths run the identical forward–backward E-step; the incremental
 //! path replaces the `O(|A| · S · F)` per-action weighted accumulation of
@@ -21,6 +22,7 @@ use upskill_bench::{banner, write_report, Scale, TextTable};
 use upskill_core::em::{train_em_with_parallelism, EmConfig, EmResult};
 use upskill_core::init::initialize_model;
 use upskill_core::parallel::ParallelConfig;
+use upskill_core::reference::train_em_full;
 use upskill_core::transition::TransitionModel;
 use upskill_core::types::Dataset;
 use upskill_datasets::synthetic::{generate, SyntheticConfig};
@@ -93,7 +95,6 @@ fn main() {
         .with_max_iterations(max_iters)
         .with_tolerance(1e-9);
     let incremental_pc = ParallelConfig::sequential();
-    let full_pc = ParallelConfig::sequential().with_incremental(false);
     eprintln!(
         "workload: {} users, {} items, {} actions, S=5, {} EM iterations max",
         data.dataset.n_users(),
@@ -105,7 +106,7 @@ fn main() {
     // Warm-up plus the result-equality check.
     let incr_result =
         train_em_with_parallelism(&data.dataset, &em_cfg, &incremental_pc).expect("incremental");
-    let full_result = train_em_with_parallelism(&data.dataset, &em_cfg, &full_pc).expect("full");
+    let full_result = train_em_full(&data.dataset, &em_cfg).expect("full");
     let identical = results_identical(&incr_result, &full_result, &data.dataset);
     eprintln!(
         "trained: {} EM iterations, converged={}",
@@ -118,7 +119,7 @@ fn main() {
     let mut ratios = Vec::with_capacity(repeats);
     for _ in 0..repeats {
         let t0 = Instant::now();
-        train_em_with_parallelism(&data.dataset, &em_cfg, &full_pc).expect("full");
+        train_em_full(&data.dataset, &em_cfg).expect("full");
         let full_s = t0.elapsed().as_secs_f64();
         full_total.push(full_s);
 

@@ -2,7 +2,7 @@
 //!
 //! 1. **Columnar fill sweep** — wall time of one full table build with the
 //!    columnar batch kernels ([`EmissionTable::build`]) vs. the scalar
-//!    cell-by-cell fill ([`EmissionTable::build_scalar`]), swept over
+//!    cell-by-cell fill (`reference::build_scalar`), swept over
 //!    `n_items ∈ {200, 2_000, 20_000}` (the ROADMAP's 10–100× item-count
 //!    target). The two fills must agree **bitwise** at every scale; the
 //!    20k-item entry carries the 3× acceptance floor. Each entry also
@@ -16,9 +16,10 @@
 use serde::Serialize;
 use std::time::Instant;
 use upskill_bench::{banner, write_report, Scale, TextTable};
-use upskill_core::assign::{assign_all_direct, assign_all_with_table};
 use upskill_core::emission::{CompactEmissionTable, EmissionTable};
 use upskill_core::init::initialize_model;
+use upskill_core::parallel::{assign_all_parallel_with_table, ParallelConfig};
+use upskill_core::reference::{assign_all_direct, build_scalar};
 use upskill_datasets::synthetic::{generate, SyntheticConfig};
 
 /// One item-count scale of the columnar-vs-scalar fill sweep. Entries
@@ -122,7 +123,7 @@ fn main() {
         let model = initialize_model(&data.dataset, 5, 30, 0.01).expect("init");
 
         // Warm-up plus the bitwise identity check.
-        let scalar = EmissionTable::build_scalar(&model, &data.dataset);
+        let scalar = build_scalar(&model, &data.dataset);
         let columnar = EmissionTable::build(&model, &data.dataset);
         let identical = tables_bitwise_equal(&scalar, &columnar);
         let compact = CompactEmissionTable::build(&model, &data.dataset);
@@ -135,7 +136,7 @@ fn main() {
         let mut ratios = Vec::with_capacity(repeats);
         for _ in 0..repeats {
             let t0 = Instant::now();
-            let t = EmissionTable::build_scalar(&model, &data.dataset);
+            let t = build_scalar(&model, &data.dataset);
             let scalar_s = t0.elapsed().as_secs_f64();
             scalar_times.push(scalar_s);
             drop(t);
@@ -207,9 +208,11 @@ fn main() {
         data.dataset.n_actions()
     );
 
+    let sequential = ParallelConfig::sequential();
     let direct_result = assign_all_direct(&model, &data.dataset).expect("direct");
     let table = EmissionTable::build(&model, &data.dataset);
-    let table_result = assign_all_with_table(&table, &data.dataset).expect("table");
+    let table_result =
+        assign_all_parallel_with_table(&table, &data.dataset, &sequential).expect("table");
     let identical = direct_result == table_result;
 
     let mut direct_times = Vec::with_capacity(repeats);
@@ -223,7 +226,7 @@ fn main() {
         let t1 = Instant::now();
         let table = EmissionTable::build(&model, &data.dataset);
         build_times.push(t1.elapsed().as_secs_f64());
-        assign_all_with_table(&table, &data.dataset).expect("table");
+        assign_all_parallel_with_table(&table, &data.dataset, &sequential).expect("table");
         table_times.push(t1.elapsed().as_secs_f64());
     }
     let direct_s = median(&mut direct_times);

@@ -1,13 +1,14 @@
 //! Incremental-training benchmark — full coordinate-ascent training with
-//! the persistent `StatsGrid` delta path vs. the legacy full-rescan
-//! update, at the acceptance workload: 200 items, 500 users × 100 mean
-//! actions, S=5, mixed feature kinds (ID + categorical + gamma + count).
+//! the persistent `StatsGrid` delta path vs. the full-rescan reference
+//! trainer (`reference::train_full_rescan`), at the acceptance workload:
+//! 200 items, 500 users × 100 mean actions, S=5, mixed feature kinds (ID +
+//! categorical + gamma + count).
 //!
 //! The interesting number is the **post-first-iteration** portion: both
 //! paths pay the same first iteration (the grid must be built once), but
 //! from iteration 2 onward the incremental path applies `O(n_changed)`
 //! integer deltas and refits from the `O(S · n_items)` histogram, while
-//! the legacy path re-accumulates all `|A| · F` feature pushes. The
+//! the reference re-accumulates all `|A| · F` feature pushes. The
 //! per-iteration wall times come from `IterationStats::seconds`, so the
 //! split needs no instrumented re-runs. The report records medians over
 //! several training runs, the speedups, and a result-equality check
@@ -18,6 +19,7 @@ use serde::Serialize;
 use std::time::Instant;
 use upskill_bench::{banner, write_report, Scale, TextTable};
 use upskill_core::parallel::ParallelConfig;
+use upskill_core::reference::train_full_rescan;
 use upskill_core::train::{train_with_parallelism, TrainConfig, TrainResult};
 use upskill_datasets::synthetic::{generate, SyntheticConfig};
 
@@ -89,7 +91,6 @@ fn main() {
     let data = generate(&cfg).expect("generation");
     let train_cfg = TrainConfig::new(5).with_min_init_actions(30);
     let incremental_pc = ParallelConfig::sequential();
-    let full_pc = ParallelConfig::sequential().with_incremental(false);
     eprintln!(
         "workload: {} users, {} items, {} actions, S=5",
         data.dataset.n_users(),
@@ -100,7 +101,7 @@ fn main() {
     // Warm-up plus result-equality check.
     let incr_result =
         train_with_parallelism(&data.dataset, &train_cfg, &incremental_pc).expect("incremental");
-    let full_result = train_with_parallelism(&data.dataset, &train_cfg, &full_pc).expect("full");
+    let full_result = train_full_rescan(&data.dataset, &train_cfg).expect("full");
     let identical = results_identical(&incr_result, &full_result);
     eprintln!(
         "trained: {} iterations, converged={}",
@@ -114,7 +115,7 @@ fn main() {
     let mut incr_post = Vec::with_capacity(repeats);
     for _ in 0..repeats {
         let t0 = Instant::now();
-        let r = train_with_parallelism(&data.dataset, &train_cfg, &full_pc).expect("full");
+        let r = train_full_rescan(&data.dataset, &train_cfg).expect("full");
         full_total.push(t0.elapsed().as_secs_f64());
         full_post.push(post_first_seconds(&r));
 
@@ -146,7 +147,7 @@ fn main() {
 
     let mut out = TextTable::new(&["Path", "Train (s)", "Post-iter-1 (s)"]);
     out.row(vec![
-        "full rescan (legacy accumulate)".into(),
+        "full rescan (reference)".into(),
         format!("{full_total_s:.4}"),
         format!("{full_post_s:.4}"),
     ]);

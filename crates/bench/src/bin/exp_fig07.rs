@@ -26,9 +26,6 @@ struct Point {
     threads: usize,
     id_seconds: f64,
     multi_seconds: f64,
-    /// Multi-faceted with the shared emission table disabled — isolates
-    /// how much of the curve is the table vs thread-level parallelism.
-    multi_direct_seconds: f64,
 }
 
 fn main() {
@@ -44,10 +41,9 @@ fn main() {
     let train_cfg = TrainConfig::new(FILM_LEVELS).with_min_init_actions(50);
 
     let mut series = Vec::new();
-    let mut table = TextTable::new(&["Threads", "ID (s)", "Multi-faceted (s)", "MF direct (s)"]);
+    let mut table = TextTable::new(&["Threads", "ID (s)", "Multi-faceted (s)"]);
     for threads in 1..=5 {
         let pc = ParallelConfig::all(threads);
-        let pc_direct = pc.with_emission(false);
         eprintln!("  {threads} thread(s) ...");
         let t0 = Instant::now();
         train_with_parallelism(&id_view, &train_cfg, &pc).expect("ID");
@@ -55,20 +51,15 @@ fn main() {
         let t1 = Instant::now();
         train_with_parallelism(&data.dataset, &train_cfg, &pc).expect("multi");
         let multi_secs = t1.elapsed().as_secs_f64();
-        let t2 = Instant::now();
-        train_with_parallelism(&data.dataset, &train_cfg, &pc_direct).expect("multi direct");
-        let multi_direct_secs = t2.elapsed().as_secs_f64();
         table.row(vec![
             threads.to_string(),
             format!("{id_secs:.2}"),
             format!("{multi_secs:.2}"),
-            format!("{multi_direct_secs:.2}"),
         ]);
         series.push(Point {
             threads,
             id_seconds: id_secs,
             multi_seconds: multi_secs,
-            multi_direct_seconds: multi_direct_secs,
         });
     }
     table.print();

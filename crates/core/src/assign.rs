@@ -5,15 +5,20 @@
 //! `L(u, n, s) = max_{δ∈{0,1}} L(u, n−1, s−δ) + log P(i_n | s)` and
 //! backtracks the arg-max path, yielding the monotone non-decreasing skill
 //! assignment that maximizes the sequence log-likelihood under the current
-//! model parameters. Complexity: `O(|A_u| · F · S)`.
+//! model parameters. Complexity: `O(|A_u| · S)` reads of an emission table
+//! (`O(|A_u| · F · S)` distribution calls when scored straight from the
+//! model).
+//!
+//! There is one DP, [`assign_items_with_table_ws`], generic over the
+//! [`EmissionRows`] source it reads; [`assign_sequence`] is its
+//! model-direct convenience form, and the dataset-wide sweep is
+//! [`crate::parallel::assign_all_parallel_with_table`].
 
-use crate::emission::{CompactEmissionTable, EmissionTable};
+use crate::emission::{DirectEmissions, EmissionRows};
 use crate::error::{CoreError, Result};
 use crate::float_cmp::is_neg_infinity;
 use crate::model::SkillModel;
-use crate::types::{
-    skill_level_from_index, ActionSequence, Dataset, ItemId, SkillAssignments, SkillLevel,
-};
+use crate::types::{skill_level_from_index, ActionSequence, Dataset, ItemId, SkillLevel};
 
 /// Result of assigning one sequence: the per-action levels and the path
 /// log-likelihood.
@@ -28,8 +33,8 @@ pub struct SequenceAssignment {
 /// Reusable scratch memory for the assignment DP.
 ///
 /// One workspace holds the two rolling DP rows, the bit-packed backpointer
-/// matrix, and (for the direct, table-less path) the per-action emission
-/// buffer. Buffers grow to the largest sequence seen and are then reused,
+/// matrix, and one emission row for sources that cannot lend theirs in
+/// place. Buffers grow to the largest sequence seen and are then reused,
 /// so a sweep over a dataset performs **zero** per-sequence heap
 /// allocations for DP scratch — only the returned `levels` vector (which
 /// outlives the call) is allocated. Keep one workspace per worker thread;
@@ -43,8 +48,8 @@ pub struct AssignWorkspace {
     /// Bit-packed backpointers: bit `t·S + s` is set when the best path
     /// into `(t, s)` advanced from level `s-1`.
     advanced: Vec<u64>,
-    /// Emission buffer for the direct path (`emit[t·S + s]`).
-    emit: Vec<f64>,
+    /// Emission row scratch for [`EmissionRows::emission_row`].
+    row: Vec<f64>,
 }
 
 impl AssignWorkspace {
@@ -60,6 +65,7 @@ impl AssignWorkspace {
         if self.prev.len() < s_max {
             self.prev.resize(s_max, f64::NEG_INFINITY);
             self.curr.resize(s_max, f64::NEG_INFINITY);
+            self.row.resize(s_max, 0.0);
         }
         let words = (n * s_max).div_ceil(64);
         if self.advanced.len() < words {
@@ -70,36 +76,89 @@ impl AssignWorkspace {
     }
 }
 
-/// The monotone Viterbi DP over abstract emission rows.
+/// Assigns skill levels to the item sequence `items` via the monotone DP,
+/// reading emissions from `table`.
 ///
-/// `row_of(t)` yields the length-`s_max` emission vector of action `t`
-/// (`row[s - 1] = log P(i_t | s)`). Both the direct path (a per-sequence
-/// emission buffer) and the table-backed path (rows borrowed straight from
-/// an [`EmissionTable`], no per-action allocation) funnel through this one
-/// implementation, so their tie-breaking and backtracking are identical by
-/// construction. All scratch lives in the caller-provided
-/// [`AssignWorkspace`].
-fn dp_over_rows<'a, F>(
-    s_max: usize,
-    n: usize,
-    row_of: F,
+/// The initial skill is unconstrained (users may enter the data already
+/// skilled); between consecutive actions the level either stays or
+/// increments by one. An [`EmissionTable`](crate::emission::EmissionTable)
+/// lends its rows in place — no per-action emission buffer, no
+/// distribution call — so this is the hot path of training, chunked
+/// training and serving. Timestamps never enter the DP, which is why the
+/// item column alone suffices. All scratch lives in `ws`.
+pub fn assign_items_with_table_ws<R: EmissionRows + ?Sized>(
+    table: &R,
+    items: &[ItemId],
+    ws: &mut AssignWorkspace,
+) -> Result<SequenceAssignment> {
+    assign_with(table, items.iter().copied(), ws)
+}
+
+/// Assigns skill levels to one sequence, scoring emissions straight from
+/// the model (`O(n · F · S)` distribution calls). Bitwise identical to
+/// [`assign_items_with_table_ws`] over a table built from the same model;
+/// when assigning many sequences, build the table once instead.
+pub fn assign_sequence(
+    model: &SkillModel,
+    dataset: &Dataset,
+    sequence: &ActionSequence,
+) -> Result<SequenceAssignment> {
+    let rows = DirectEmissions { model, dataset };
+    let items = sequence.actions().iter().map(|a| a.item);
+    assign_with(&rows, items, &mut AssignWorkspace::new())
+}
+
+/// The monotone Viterbi DP over the item sequence `items`.
+///
+/// Every entry point funnels through this one implementation, so
+/// tie-breaking and backtracking are identical by construction.
+pub(crate) fn assign_with<R, I>(
+    rows: &R,
+    items: I,
     ws: &mut AssignWorkspace,
 ) -> Result<SequenceAssignment>
 where
-    F: Fn(usize) -> &'a [f64],
+    R: EmissionRows + ?Sized,
+    I: ExactSizeIterator<Item = ItemId> + Clone,
 {
-    debug_assert!(n > 0);
+    let n = items.len();
+    if n == 0 {
+        return Ok(SequenceAssignment {
+            levels: Vec::new(),
+            log_likelihood: 0.0,
+        });
+    }
+    let n_items = rows.n_items();
+    for item in items.clone() {
+        if item as usize >= n_items {
+            return Err(CoreError::FeatureIndexOutOfBounds {
+                index: item as usize,
+                len: n_items,
+            });
+        }
+    }
+    let s_max = rows.n_levels();
     ws.prepare(s_max, n);
-    let mut prev: &mut [f64] = &mut ws.prev[..s_max];
-    let mut curr: &mut [f64] = &mut ws.curr[..s_max];
-    let advanced: &mut [u64] = &mut ws.advanced;
+    let AssignWorkspace {
+        prev,
+        curr,
+        advanced,
+        row,
+    } = ws;
+    let mut prev: &mut [f64] = &mut prev[..s_max];
+    let mut curr: &mut [f64] = &mut curr[..s_max];
+    let scratch: &mut [f64] = &mut row[..s_max];
+    let advanced: &mut [u64] = advanced;
 
     // Forward pass. `prev[s]` = best score ending at level s+1; `below`
     // carries `prev[s-1]` into iteration `s` so the loop needs no
     // lookback indexing.
-    prev.copy_from_slice(row_of(0));
-    for t in 1..n {
-        let emit_t = row_of(t);
+    let mut items = items;
+    if let Some(first) = items.next() {
+        prev.copy_from_slice(rows.emission_row(first, scratch));
+    }
+    for (t, item) in (1..).zip(items) {
+        let emit_t = rows.emission_row(item, scratch);
         let mut below = f64::NEG_INFINITY;
         for (s, (cell, (&stay, &emit))) in curr.iter_mut().zip(prev.iter().zip(emit_t)).enumerate()
         {
@@ -130,7 +189,7 @@ where
     }
     if is_neg_infinity(best_ll) {
         // Every path impossible under the model (can only happen with
-        // unsmoothed distributions); fall back to the flattest valid path.
+        // unsmoothed distributions).
         return Err(CoreError::DegenerateFit {
             distribution: "skill DP",
             reason: "all paths have zero probability; enable smoothing",
@@ -154,269 +213,6 @@ where
         levels,
         log_likelihood: best_ll,
     })
-}
-
-/// Assigns skill levels to one sequence via the monotone DP.
-///
-/// The initial skill is unconstrained (users may enter the data already
-/// skilled); between consecutive actions the level either stays or
-/// increments by one.
-///
-/// Evaluates emissions directly (`O(n · F · S)` distribution calls). When
-/// assigning many sequences against one model, build an [`EmissionTable`]
-/// and use [`assign_sequence_with_table`] instead.
-pub fn assign_sequence(
-    model: &SkillModel,
-    dataset: &Dataset,
-    sequence: &ActionSequence,
-) -> Result<SequenceAssignment> {
-    assign_sequence_ws(model, dataset, sequence, &mut AssignWorkspace::new())
-}
-
-/// [`assign_sequence`] with caller-provided scratch; reuse the workspace
-/// across sequences to avoid per-sequence allocation.
-pub fn assign_sequence_ws(
-    model: &SkillModel,
-    dataset: &Dataset,
-    sequence: &ActionSequence,
-    ws: &mut AssignWorkspace,
-) -> Result<SequenceAssignment> {
-    let s_max = model.n_levels();
-    let n = sequence.len();
-    if n == 0 {
-        return Ok(SequenceAssignment {
-            levels: Vec::new(),
-            log_likelihood: 0.0,
-        });
-    }
-
-    // Per-action emission scores: emit[t * s_max + (s-1)]. The buffer is
-    // taken out of the workspace so the DP can borrow the rest mutably.
-    let mut emit = std::mem::take(&mut ws.emit);
-    if emit.len() < n * s_max {
-        emit.resize(n * s_max, 0.0);
-    }
-    for (row, action) in emit.chunks_mut(s_max).zip(sequence.actions()) {
-        let features = dataset.item_features(action.item);
-        for (s0, cell) in row.iter_mut().enumerate() {
-            *cell = model.item_log_likelihood(features, skill_level_from_index(s0));
-        }
-    }
-    let result = dp_over_rows(s_max, n, |t| &emit[t * s_max..(t + 1) * s_max], ws);
-    ws.emit = emit;
-    result
-}
-
-/// Assigns skill levels to one sequence, reading emissions from a
-/// precomputed [`EmissionTable`].
-///
-/// The DP inner loop walks table rows in place — no per-action emission
-/// buffer is allocated and no distribution is evaluated. Produces exactly
-/// the same assignment as [`assign_sequence`] with the model the table was
-/// built from.
-pub fn assign_sequence_with_table(
-    table: &EmissionTable,
-    sequence: &ActionSequence,
-) -> Result<SequenceAssignment> {
-    assign_sequence_with_table_ws(table, sequence, &mut AssignWorkspace::new())
-}
-
-/// [`assign_sequence_with_table`] with caller-provided scratch; reuse the
-/// workspace across sequences to avoid per-sequence allocation.
-pub fn assign_sequence_with_table_ws(
-    table: &EmissionTable,
-    sequence: &ActionSequence,
-    ws: &mut AssignWorkspace,
-) -> Result<SequenceAssignment> {
-    let n = sequence.len();
-    if n == 0 {
-        return Ok(SequenceAssignment {
-            levels: Vec::new(),
-            log_likelihood: 0.0,
-        });
-    }
-    let actions = sequence.actions();
-    for action in actions {
-        if action.item as usize >= table.n_items() {
-            return Err(CoreError::FeatureIndexOutOfBounds {
-                index: action.item as usize,
-                len: table.n_items(),
-            });
-        }
-    }
-    dp_over_rows(table.n_levels(), n, |t| table.row(actions[t].item), ws)
-}
-
-/// Table-backed assignment over a bare item-id slice (the columnar
-/// chunked layout of [`crate::chunked::DatasetChunk`]).
-///
-/// Identical DP to [`assign_sequence_with_table_ws`] — both funnel
-/// through `dp_over_rows` with rows borrowed from the table — so the
-/// levels and log-likelihood are bitwise identical to assigning the
-/// same actions through an [`ActionSequence`]. Timestamps never enter
-/// the DP, which is why the item column alone suffices.
-pub fn assign_items_with_table_ws(
-    table: &EmissionTable,
-    items: &[ItemId],
-    ws: &mut AssignWorkspace,
-) -> Result<SequenceAssignment> {
-    let n = items.len();
-    if n == 0 {
-        return Ok(SequenceAssignment {
-            levels: Vec::new(),
-            log_likelihood: 0.0,
-        });
-    }
-    for &item in items {
-        if item as usize >= table.n_items() {
-            return Err(CoreError::FeatureIndexOutOfBounds {
-                index: item as usize,
-                len: table.n_items(),
-            });
-        }
-    }
-    dp_over_rows(table.n_levels(), n, |t| table.row(items[t]), ws)
-}
-
-/// Assigns skill levels to one sequence, reading emissions from an
-/// f32-storage [`CompactEmissionTable`].
-///
-/// Unlike the f64 table path, rows cannot be borrowed in place — each
-/// action's row is widened back to `f64` into the workspace emission
-/// buffer, then the same `dp_over_rows` core runs over it. The DP
-/// therefore sees each table cell rounded to `f32` exactly once; paths
-/// whose scores are separated by more than the rounding error decode to
-/// the same levels as the f64 path.
-pub fn assign_sequence_with_compact_table(
-    table: &CompactEmissionTable,
-    sequence: &ActionSequence,
-) -> Result<SequenceAssignment> {
-    assign_sequence_with_compact_table_ws(table, sequence, &mut AssignWorkspace::new())
-}
-
-/// [`assign_sequence_with_compact_table`] with caller-provided scratch;
-/// reuse the workspace across sequences to avoid per-sequence allocation.
-pub fn assign_sequence_with_compact_table_ws(
-    table: &CompactEmissionTable,
-    sequence: &ActionSequence,
-    ws: &mut AssignWorkspace,
-) -> Result<SequenceAssignment> {
-    let n = sequence.len();
-    if n == 0 {
-        return Ok(SequenceAssignment {
-            levels: Vec::new(),
-            log_likelihood: 0.0,
-        });
-    }
-    let s_max = table.n_levels();
-    if s_max == 0 {
-        return Err(CoreError::DegenerateFit {
-            distribution: "skill DP",
-            reason: "compact emission table has zero levels",
-        });
-    }
-    let actions = sequence.actions();
-    for action in actions {
-        if action.item as usize >= table.n_items() {
-            return Err(CoreError::FeatureIndexOutOfBounds {
-                index: action.item as usize,
-                len: table.n_items(),
-            });
-        }
-    }
-
-    let mut emit = std::mem::take(&mut ws.emit);
-    if emit.len() < n * s_max {
-        emit.resize(n * s_max, 0.0);
-    }
-    for (row, action) in emit.chunks_mut(s_max).zip(actions) {
-        if !table.fill_row(action.item, row) {
-            ws.emit = emit;
-            return Err(CoreError::FeatureIndexOutOfBounds {
-                index: action.item as usize,
-                len: table.n_items(),
-            });
-        }
-    }
-    let result = dp_over_rows(s_max, n, |t| &emit[t * s_max..(t + 1) * s_max], ws);
-    ws.emit = emit;
-    result
-}
-
-/// Assigns every sequence in the dataset sequentially.
-///
-/// Returns the assignments plus the total data log-likelihood (Eq. 3
-/// evaluated at the optimum of the assignment step).
-///
-/// Builds a shared [`EmissionTable`] once and reuses it for every
-/// sequence — `O(n_items · F · S)` distribution evaluations instead of
-/// `O(Σ_u |A_u| · F · S)`. Use [`assign_all_direct`] to skip the table
-/// (e.g. when a model is consulted for a single pass over few actions).
-pub fn assign_all(model: &SkillModel, dataset: &Dataset) -> Result<(SkillAssignments, f64)> {
-    let table = EmissionTable::build(model, dataset);
-    assign_all_with_table(&table, dataset)
-}
-
-/// Assigns every sequence against an existing [`EmissionTable`].
-pub fn assign_all_with_table(
-    table: &EmissionTable,
-    dataset: &Dataset,
-) -> Result<(SkillAssignments, f64)> {
-    if table.n_items() < dataset.n_items() {
-        return Err(CoreError::LengthMismatch {
-            context: "emission table items vs dataset items",
-            left: table.n_items(),
-            right: dataset.n_items(),
-        });
-    }
-    let mut ws = AssignWorkspace::new();
-    let mut per_user = Vec::with_capacity(dataset.n_users());
-    let mut total_ll = 0.0;
-    for seq in dataset.sequences() {
-        let a = assign_sequence_with_table_ws(table, seq, &mut ws)?;
-        total_ll += a.log_likelihood;
-        per_user.push(a.levels);
-    }
-    Ok((SkillAssignments { per_user }, total_ll))
-}
-
-/// Assigns every sequence against an existing [`CompactEmissionTable`].
-pub fn assign_all_with_compact_table(
-    table: &CompactEmissionTable,
-    dataset: &Dataset,
-) -> Result<(SkillAssignments, f64)> {
-    if table.n_items() < dataset.n_items() {
-        return Err(CoreError::LengthMismatch {
-            context: "emission table items vs dataset items",
-            left: table.n_items(),
-            right: dataset.n_items(),
-        });
-    }
-    let mut ws = AssignWorkspace::new();
-    let mut per_user = Vec::with_capacity(dataset.n_users());
-    let mut total_ll = 0.0;
-    for seq in dataset.sequences() {
-        let a = assign_sequence_with_compact_table_ws(table, seq, &mut ws)?;
-        total_ll += a.log_likelihood;
-        per_user.push(a.levels);
-    }
-    Ok((SkillAssignments { per_user }, total_ll))
-}
-
-/// Assigns every sequence without the shared emission table, evaluating
-/// distributions per action. Kept as the measurable baseline for the
-/// table-backed path (see `ParallelConfig::emission` and the assignment
-/// benches); semantically identical to [`assign_all`].
-pub fn assign_all_direct(model: &SkillModel, dataset: &Dataset) -> Result<(SkillAssignments, f64)> {
-    let mut ws = AssignWorkspace::new();
-    let mut per_user = Vec::with_capacity(dataset.n_users());
-    let mut total_ll = 0.0;
-    for seq in dataset.sequences() {
-        let a = assign_sequence_ws(model, dataset, seq, &mut ws)?;
-        total_ll += a.log_likelihood;
-        per_user.push(a.levels);
-    }
-    Ok((SkillAssignments { per_user }, total_ll))
 }
 
 /// Exhaustive-search reference implementation used to validate the DP.
@@ -486,7 +282,9 @@ pub fn assign_sequence_bruteforce(
 mod tests {
     use super::*;
     use crate::dist::{Categorical, FeatureDistribution};
+    use crate::emission::{CompactEmissionTable, EmissionTable};
     use crate::feature::{FeatureKind, FeatureSchema, FeatureValue};
+    use crate::parallel::ParallelConfig;
     use crate::types::Action;
 
     /// Model with S levels over a single categorical feature of cardinality S,
@@ -618,12 +416,18 @@ mod tests {
         let s0 = ActionSequence::new(0, vec![Action::new(0, 0, 0), Action::new(1, 0, 1)]).unwrap();
         let s1 = ActionSequence::new(1, vec![Action::new(0, 1, 1)]).unwrap();
         let ds = Dataset::new(schema, items, vec![s0.clone(), s1.clone()]).unwrap();
-        let (assignments, total) = assign_all(&model, &ds).unwrap();
+        let (assignments, total) =
+            crate::parallel::assign_all_parallel(&model, &ds, &ParallelConfig::sequential())
+                .unwrap();
         let a0 = assign_sequence(&model, &ds, &s0).unwrap();
         let a1 = assign_sequence(&model, &ds, &s1).unwrap();
         assert!((total - (a0.log_likelihood + a1.log_likelihood)).abs() < 1e-12);
         assert!(assignments.is_monotone());
         assert_eq!(assignments.n_actions(), 3);
+    }
+
+    fn items_of(seq: &ActionSequence) -> Vec<ItemId> {
+        seq.actions().iter().map(|a| a.item).collect()
     }
 
     #[test]
@@ -632,35 +436,18 @@ mod tests {
         let (ds, seq) = dataset_for(4, &[0, 1, 1, 3, 2, 0, 3]);
         let table = EmissionTable::build(&model, &ds);
         let direct = assign_sequence(&model, &ds, &seq).unwrap();
-        let tabled = assign_sequence_with_table(&table, &seq).unwrap();
+        let tabled =
+            assign_items_with_table_ws(&table, &items_of(&seq), &mut AssignWorkspace::new())
+                .unwrap();
         assert_eq!(direct.levels, tabled.levels);
         assert_eq!(direct.log_likelihood, tabled.log_likelihood);
 
-        let (a_direct, ll_direct) = assign_all_direct(&model, &ds).unwrap();
-        let (a_table, ll_table) = assign_all(&model, &ds).unwrap();
+        let (a_direct, ll_direct) = crate::reference::assign_all_direct(&model, &ds).unwrap();
+        let (a_table, ll_table) =
+            crate::parallel::assign_all_parallel(&model, &ds, &ParallelConfig::sequential())
+                .unwrap();
         assert_eq!(a_direct, a_table);
         assert_eq!(ll_direct, ll_table);
-    }
-
-    #[test]
-    fn item_slice_assignment_is_bitwise_identical() {
-        let model = diagonal_model(4);
-        let (ds, seq) = dataset_for(4, &[0, 1, 1, 3, 2, 0, 3]);
-        let table = EmissionTable::build(&model, &ds);
-        let tabled = assign_sequence_with_table(&table, &seq).unwrap();
-        let items: Vec<ItemId> = seq.actions().iter().map(|a| a.item).collect();
-        let sliced =
-            assign_items_with_table_ws(&table, &items, &mut AssignWorkspace::new()).unwrap();
-        assert_eq!(tabled.levels, sliced.levels);
-        assert_eq!(tabled.log_likelihood, sliced.log_likelihood);
-
-        let empty = assign_items_with_table_ws(&table, &[], &mut AssignWorkspace::new()).unwrap();
-        assert!(empty.levels.is_empty());
-        assert_eq!(empty.log_likelihood, 0.0);
-        assert!(matches!(
-            assign_items_with_table_ws(&table, &[99], &mut AssignWorkspace::new()),
-            Err(CoreError::FeatureIndexOutOfBounds { index: 99, .. })
-        ));
     }
 
     #[test]
@@ -680,10 +467,14 @@ mod tests {
         for cats in &patterns {
             let (ds, seq) = dataset_for(4, cats);
             let fresh = assign_sequence(&model, &ds, &seq).unwrap();
-            let reused = assign_sequence_ws(&model, &ds, &seq, &mut ws).unwrap();
+            let direct = DirectEmissions {
+                model: &model,
+                dataset: &ds,
+            };
+            let reused = assign_items_with_table_ws(&direct, &items_of(&seq), &mut ws).unwrap();
             assert_eq!(fresh.levels, reused.levels);
             assert_eq!(fresh.log_likelihood, reused.log_likelihood);
-            let tabled = assign_sequence_with_table_ws(&table, &seq, &mut ws).unwrap();
+            let tabled = assign_items_with_table_ws(&table, &items_of(&seq), &mut ws).unwrap();
             assert_eq!(fresh.levels, tabled.levels);
             assert_eq!(fresh.log_likelihood, tabled.log_likelihood);
         }
@@ -695,8 +486,9 @@ mod tests {
         let (ds, seq) = dataset_for(4, &[0, 1, 1, 3, 2, 0, 3]);
         let table = EmissionTable::build(&model, &ds);
         let compact = CompactEmissionTable::from_table(&table);
-        let full = assign_sequence_with_table(&table, &seq).unwrap();
-        let small = assign_sequence_with_compact_table(&compact, &seq).unwrap();
+        let mut ws = AssignWorkspace::new();
+        let full = assign_items_with_table_ws(&table, &items_of(&seq), &mut ws).unwrap();
+        let small = assign_items_with_table_ws(&compact, &items_of(&seq), &mut ws).unwrap();
         // Level probabilities are well separated (0.9 vs ~0.033), so a
         // single f32 rounding per cell cannot flip any DP comparison.
         assert_eq!(full.levels, small.levels);
@@ -704,43 +496,45 @@ mod tests {
             (full.log_likelihood - small.log_likelihood).abs() / full.log_likelihood.abs().max(1.0);
         assert!(rel < 1e-6, "relative ll gap {rel}");
 
-        let (a_full, ll_full) = assign_all_with_table(&table, &ds).unwrap();
-        let (a_small, ll_small) = assign_all_with_compact_table(&compact, &ds).unwrap();
-        assert_eq!(a_full, a_small);
-        assert!((ll_full - ll_small).abs() / ll_full.abs().max(1.0) < 1e-6);
+        for threads in [1, 3] {
+            let config = ParallelConfig::all(threads);
+            let (a_full, ll_full) =
+                crate::parallel::assign_all_parallel_with_table(&table, &ds, &config).unwrap();
+            let (a_small, ll_small) =
+                crate::parallel::assign_all_parallel_with_table(&compact, &ds, &config).unwrap();
+            assert_eq!(a_full, a_small);
+            assert!((ll_full - ll_small).abs() / ll_full.abs().max(1.0) < 1e-6);
+        }
     }
 
     #[test]
-    fn compact_table_assignment_rejects_unknown_items() {
-        let model = diagonal_model(2);
-        let (ds, _) = dataset_for(2, &[0, 1]);
-        let compact = CompactEmissionTable::build(&model, &ds);
-        let rogue = ActionSequence::new(5, vec![Action::new(0, 5, 7)]).unwrap();
-        assert!(matches!(
-            assign_sequence_with_compact_table(&compact, &rogue),
-            Err(CoreError::FeatureIndexOutOfBounds { .. })
-        ));
-        let empty = ActionSequence::new(6, vec![]).unwrap();
-        let a = assign_sequence_with_compact_table(&compact, &empty).unwrap();
-        assert!(a.levels.is_empty());
-        assert_eq!(a.log_likelihood, 0.0);
-    }
-
-    #[test]
-    fn table_assignment_rejects_unknown_items() {
+    fn assignment_rejects_unknown_items_for_every_source() {
         let model = diagonal_model(2);
         let (ds, _) = dataset_for(2, &[0, 1]);
         let table = EmissionTable::build(&model, &ds);
-        // A sequence that references an item the table does not cover.
+        let compact = CompactEmissionTable::from_table(&table);
+        let direct = DirectEmissions {
+            model: &model,
+            dataset: &ds,
+        };
+        let sources: [&dyn EmissionRows; 3] = [&table, &compact, &direct];
+        let mut ws = AssignWorkspace::new();
+        for rows in sources {
+            // An item the source does not cover is a typed error, never
+            // an out-of-bounds read.
+            assert!(matches!(
+                assign_items_with_table_ws(rows, &[0, 7], &mut ws),
+                Err(CoreError::FeatureIndexOutOfBounds { index: 7, .. })
+            ));
+            // Empty sequences stay trivial.
+            let empty = assign_items_with_table_ws(rows, &[], &mut ws).unwrap();
+            assert!(empty.levels.is_empty());
+            assert_eq!(empty.log_likelihood, 0.0);
+        }
         let rogue = ActionSequence::new(5, vec![Action::new(0, 5, 7)]).unwrap();
         assert!(matches!(
-            assign_sequence_with_table(&table, &rogue),
+            assign_sequence(&model, &ds, &rogue),
             Err(CoreError::FeatureIndexOutOfBounds { .. })
         ));
-        // Empty sequences stay trivial through the table path too.
-        let empty = ActionSequence::new(6, vec![]).unwrap();
-        let a = assign_sequence_with_table(&table, &empty).unwrap();
-        assert!(a.levels.is_empty());
-        assert_eq!(a.log_likelihood, 0.0);
     }
 }

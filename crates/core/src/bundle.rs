@@ -368,6 +368,30 @@ mod tests {
     }
 
     #[test]
+    fn session_bundle_with_removed_parallel_switches_still_loads() {
+        let ds = session_dataset();
+        let config = TrainConfig::new(2).with_min_init_actions(4);
+        let result = crate::train::train(&ds, &config).unwrap();
+        let parallel = ParallelConfig::all(2);
+        let session =
+            StreamingSession::resume(ds, &result, config, parallel, RefitPolicy::EveryBatch)
+                .unwrap();
+        // A bundle written while `ParallelConfig` still carried the A/B
+        // switches: the extra keys are ignored on load.
+        let json = session.snapshot("old").to_json().unwrap();
+        let old = json.replace(
+            r#""parallel":{"#,
+            r#""parallel":{"emission":true,"emission_f32":false,"incremental":true,"#,
+        );
+        assert_ne!(old, json);
+        let back = SessionBundle::from_json(&old).unwrap();
+        assert_eq!(back.parallel, parallel);
+        let resumed = back.resume().unwrap();
+        assert_eq!(resumed.assignments(), session.assignments());
+        assert_eq!(resumed.model(), session.model());
+    }
+
+    #[test]
     fn session_bundle_rejects_inconsistencies() {
         let ds = session_dataset();
         let config = TrainConfig::new(2).with_min_init_actions(4);

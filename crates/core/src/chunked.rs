@@ -21,9 +21,8 @@
 //!   bitwise identical to the direct path (pinned in [`crate::assign`]).
 //! - Per-user log-likelihoods are folded in global user order (chunks in
 //!   index order, users in chunk order) regardless of worker count, so
-//!   the total matches the sequential fold exactly. (The in-memory
-//!   *parallel* path folds in work-stealing completion order, which is
-//!   why the sequential path is the canonical baseline.)
+//!   the total matches the sequential fold exactly — as the in-memory
+//!   fan-out does.
 //! - Sufficient statistics are integer [`StatsGrid`] counts, sharded per
 //!   worker and combined with the order-free additive
 //!   [`StatsGrid::merge`].
@@ -439,7 +438,7 @@ pub struct ChunkedTrainResult {
 ///
 /// Output is corpus-sized; this is the bridge from chunked training
 /// back to assignment-consuming APIs (difficulty, sessions, tests).
-/// Bitwise identical to [`crate::assign::assign_all_with_table`] on the
+/// Bitwise identical to [`crate::parallel::assign_all_parallel`] on the
 /// materialized dataset.
 pub fn assign_chunked<S: ChunkSource + ?Sized>(
     source: &S,
@@ -447,13 +446,7 @@ pub fn assign_chunked<S: ChunkSource + ?Sized>(
     parallel: &crate::parallel::ParallelConfig,
 ) -> Result<(SkillAssignments, f64)> {
     parallel.validate()?;
-    let view = source.item_view();
-    let table = if parallel.users && parallel.threads > 1 {
-        EmissionTable::build_parallel(model, view, parallel.threads)?
-    } else {
-        EmissionTable::build(model, view)
-    };
-    crate::invariants::InvariantCtx::new().check_emission_table(&table)?;
+    let table = EmissionTable::build_with_config(model, source.item_view(), parallel)?;
     let mut per_user: Vec<Vec<SkillLevel>> = Vec::with_capacity(source.n_users());
     let mut total_ll = 0.0;
     let mut chunk = DatasetChunk::new();
@@ -768,41 +761,6 @@ fn run_assignment_pass<S: ChunkSource + ?Sized>(
     })
 }
 
-/// Emission-table management mirroring the in-memory trainer's
-/// `assign_step`: refresh only refit levels' columns when a full dirty
-/// vector is known, rebuild otherwise.
-fn refresh_or_build_table<'a>(
-    model: &SkillModel,
-    view: &Dataset,
-    parallel: &ParallelConfig,
-    table: &'a mut Option<EmissionTable>,
-    refit_levels: &[bool],
-    ctx: InvariantCtx,
-) -> Result<&'a EmissionTable> {
-    let refresh = refit_levels.len() == model.n_levels() && table.is_some();
-    if !refresh {
-        let built = if parallel.users && parallel.threads > 1 {
-            EmissionTable::build_parallel(model, view, parallel.threads)?
-        } else {
-            EmissionTable::build(model, view)
-        };
-        *table = Some(built);
-    }
-    match table {
-        Some(t) => {
-            if refresh {
-                t.refresh_levels(model, view, refit_levels)?;
-            }
-            ctx.check_emission_table(t)?;
-            Ok(t)
-        }
-        None => Err(CoreError::InvariantViolation {
-            check: "chunked emission table",
-            detail: "table slot empty after build".to_string(),
-        }),
-    }
-}
-
 /// Resolves the previous-iteration view for a pass.
 fn prev_pass<'a>(
     prev_levels: &'a Option<Vec<Vec<SkillLevel>>>,
@@ -840,9 +798,7 @@ fn prev_pass<'a>(
 /// the direct DP), log-likelihoods fold in global user order, sufficient
 /// statistics are exact integer counts merged order-free, and a cell
 /// refit is a pure function of its histogram row — so reused rows equal
-/// refit rows bit for bit. `ParallelConfig::emission_f32` is ignored
-/// here: the compact `f32` table is *not* bitwise-equal and would break
-/// the contract.
+/// refit rows bit for bit.
 pub fn train_chunked<S: ChunkSource + ?Sized>(
     source: &S,
     config: &TrainConfig,
@@ -865,12 +821,11 @@ pub fn train_chunked<S: ChunkSource + ?Sized>(
     let mut prev_grid: Option<StatsGrid> = None;
     let mut table: Option<EmissionTable> = None;
     let mut refit_levels: Vec<bool> = Vec::new();
-    let ctx = InvariantCtx::new();
     let keep_levels = storage == AssignmentStorage::InMemory;
 
     for iteration in 1..=config.max_iterations {
         let iter_start = Instant::now();
-        let t = refresh_or_build_table(&model, view, parallel, &mut table, &refit_levels, ctx)?;
+        let t = EmissionTable::refresh_or_build(&mut table, &model, view, parallel, &refit_levels)?;
         let prev = prev_pass(&prev_levels, &prev_table, storage);
         let pass = run_assignment_pass(source, t, prev, n_levels, parallel, true, keep_levels)?;
         let ll = pass.total_ll;
@@ -895,9 +850,11 @@ pub fn train_chunked<S: ChunkSource + ?Sized>(
         if storage == AssignmentStorage::Recompute {
             prev_table = Some(t.clone());
         }
-        let pristine = grid.clone();
+        // The refit only clears dirty flags, and the next iteration's
+        // `mark_dirty_from` reads counts alone, so the fitted grid itself
+        // is the next baseline — no copy.
         model = grid.fit_model_incremental(view, config.lambda, parallel, Some(&model))?;
-        prev_grid = Some(pristine);
+        prev_grid = Some(grid);
         trace.push(IterationStats {
             iteration,
             log_likelihood: ll,
@@ -923,7 +880,7 @@ pub fn train_chunked<S: ChunkSource + ?Sized>(
     // so the reported objective matches the final model, mirroring the
     // in-memory trainer's trailing trace entry.
     let iter_start = Instant::now();
-    let t = refresh_or_build_table(&model, view, parallel, &mut table, &refit_levels, ctx)?;
+    let t = EmissionTable::refresh_or_build(&mut table, &model, view, parallel, &refit_levels)?;
     let prev = prev_pass(&prev_levels, &prev_table, storage);
     let pass = run_assignment_pass(source, t, prev, n_levels, parallel, false, false)?;
     trace.push(IterationStats {
@@ -982,9 +939,8 @@ fn process_chunk_em<S: ChunkSource + ?Sized>(
     })
 }
 
-/// Chunk-at-a-time EM: the out-of-core twin of the legacy from-scratch
-/// EM loop ([`crate::em::train_em_with_parallelism`] with
-/// `ParallelConfig::with_incremental(false)`).
+/// Chunk-at-a-time EM: the out-of-core twin of the from-scratch EM loop
+/// ([`crate::reference::train_em_full`]).
 ///
 /// Workers run the flat-buffer forward–backward per chunk; posterior
 /// rows are folded through the weighted accumulators sequentially **in
@@ -1031,12 +987,7 @@ pub fn train_em_chunked<S: ChunkSource + ?Sized>(
                     .collect()
             })
             .collect();
-        let table = if parallel.users && parallel.threads > 1 {
-            EmissionTable::build_parallel(&model, view, parallel.threads)?
-        } else {
-            EmissionTable::build(&model, view)
-        };
-        InvariantCtx::new().check_emission_table(&table)?;
+        let table = EmissionTable::build_with_config(&model, view, parallel)?;
         let mut evidence = 0.0;
 
         for wave_start in (0..n_chunks).step_by(n_workers.max(1)) {
@@ -1125,13 +1076,7 @@ pub fn level_histogram_chunked<S: ChunkSource + ?Sized>(
     parallel: &ParallelConfig,
 ) -> Result<(Vec<u64>, f64)> {
     parallel.validate()?;
-    let view = source.item_view();
-    let table = if parallel.users && parallel.threads > 1 {
-        EmissionTable::build_parallel(model, view, parallel.threads)?
-    } else {
-        EmissionTable::build(model, view)
-    };
-    crate::invariants::InvariantCtx::new().check_emission_table(&table)?;
+    let table = EmissionTable::build_with_config(model, source.item_view(), parallel)?;
     let pass = run_assignment_pass(
         source,
         &table,
@@ -1359,12 +1304,7 @@ mod tests {
         let em_cfg = EmConfig::new(initial, transitions)
             .with_lambda(0.05)
             .with_max_iterations(5);
-        let expect = crate::em::train_em_with_parallelism(
-            &ds,
-            &em_cfg,
-            &ParallelConfig::sequential().with_incremental(false),
-        )
-        .unwrap();
+        let expect = crate::reference::train_em_full(&ds, &em_cfg).unwrap();
         for chunk_size in [1, 5, 64] {
             for threads in [1, 3] {
                 let parallel = if threads == 1 {
@@ -1417,15 +1357,22 @@ mod tests {
             em.level_histogram.iter().sum::<u64>() as usize,
             ds.n_actions()
         );
-        // The EM decode must agree with fitting in-memory EM then hard
-        // decoding (both close with the same table DP).
-        let in_mem = crate::train::Trainer::from_config(train_cfg())
-            .with_parallelism(ParallelConfig::sequential().with_incremental(false))
-            .em()
-            .fit(&ds)
-            .unwrap();
+        // The EM decode must agree with fitting the from-scratch
+        // in-memory EM then hard decoding (both close with the same
+        // table DP).
+        let cfg = train_cfg();
+        let initial = crate::init::initialize_model(&ds, 3, 8, cfg.lambda).unwrap();
+        let transitions = crate::transition::TransitionModel::uninformative(3).unwrap();
+        let em_cfg = EmConfig::new(initial, transitions)
+            .with_lambda(cfg.lambda)
+            .with_max_iterations(cfg.max_iterations)
+            .with_tolerance(cfg.tolerance);
+        let in_mem = crate::reference::train_em_full(&ds, &em_cfg).unwrap();
+        let (_, in_mem_ll) =
+            crate::parallel::assign_all_parallel(&in_mem.model, &ds, &ParallelConfig::sequential())
+                .unwrap();
         assert_eq!(em.model, in_mem.model);
-        assert_eq!(em.log_likelihood, in_mem.log_likelihood);
+        assert_eq!(em.log_likelihood, in_mem_ll);
     }
 
     #[test]

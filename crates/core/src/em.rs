@@ -10,17 +10,20 @@
 //!
 //! ## Responsibility-delta incremental EM
 //!
-//! By default (`ParallelConfig::incremental`) the loop mirrors the hard
-//! trainer's persistent-histogram optimization: a
-//! [`SoftStatsGrid`] carries the
-//! per-`(level, item)` responsibility mass across iterations, each E-step
-//! applies only the *delta* of posteriors that moved past
-//! [`EmConfig::gamma_tolerance`], the M-step replays the grid item-major
-//! (`O(S · n_items · F)` weighted pushes instead of `O(|A| · S · F)`) and
-//! refits only dirty levels, and one persistent [`EmissionTable`] is
-//! column-refreshed instead of rebuilt. Disabling the flag runs the
-//! legacy from-scratch accumulation — the measurable baseline for
-//! `bench_em_incremental`.
+//! The loop mirrors the hard trainer's persistent-histogram
+//! optimization: a [`SoftStatsGrid`] carries the per-`(level, item)`
+//! responsibility mass across iterations, each E-step applies only the
+//! *delta* of posteriors that moved past [`EmConfig::gamma_tolerance`],
+//! the M-step replays the grid item-major (`O(S · n_items · F)` weighted
+//! pushes instead of `O(|A| · S · F)`) and refits only dirty levels, and
+//! one persistent [`EmissionTable`] is column-refreshed instead of
+//! rebuilt. The from-scratch accumulation, about 2× slower over a whole
+//! training run (`reports/BENCH_em_incremental.json`), survives only as
+//! [`crate::reference::train_em_full`]: the measurable baseline for
+//! `bench_em_incremental` and the bitwise oracle of
+//! [`crate::chunked::train_em_chunked`], which streams the same
+//! from-scratch loop because a responsibility grid stores one posterior
+//! row per corpus action.
 
 use crate::dist::{Categorical, FeatureDistribution, Gamma, LogNormal, Poisson, DEFAULT_SMOOTHING};
 use crate::emission::EmissionTable;
@@ -541,7 +544,7 @@ pub struct EmConfig {
     /// [`DEFAULT_GAMMA_TOLERANCE`]): an action's posterior row is
     /// reapplied to the [`SoftStatsGrid`] only when some level moved by
     /// more than this. `0.0` applies every change (exact up to summation
-    /// order); ignored when `ParallelConfig::incremental` is off.
+    /// order); the from-scratch paths ignore it.
     pub gamma_tolerance: f64,
 }
 
@@ -585,189 +588,42 @@ impl EmConfig {
 
 /// Trains a skill model by EM with soft assignments, with the same
 /// `(dataset, config, parallel)` argument order as
-/// [`crate::train::train_with_parallelism`].
+/// [`crate::train::train_with_parallelism`] — the responsibility-delta
+/// loop of the module docs.
 ///
-/// Parallelism applies to the per-iteration emission-table build (the
-/// `users`/`threads` flags); results are identical for any configuration.
+/// Parallelism applies to the initial emission-table build (the
+/// `users`/`threads` flags). Deltas and replay run sequentially on the
+/// calling thread and the parallel build is bitwise identical to the
+/// sequential one, so results are identical for any configuration.
+/// Relative to [`crate::reference::train_em_full`] the E-step is
+/// identical (same forward–backward over the same table values), so the
+/// evidence trace differs only through the slightly different models the
+/// gated M-step produces — bounded by `gamma_tolerance` per action per
+/// level.
 pub fn train_em_with_parallelism(
     dataset: &Dataset,
     config: &EmConfig,
     parallel: &ParallelConfig,
 ) -> Result<EmResult> {
     parallel.validate()?;
-    run_em(
-        dataset,
-        config.initial.clone(),
-        &config.transitions,
-        config.lambda,
-        config.max_iterations,
-        config.tolerance,
-        config.gamma_tolerance,
-        parallel,
-    )
-}
-
-/// The EM loop behind the public entry point: dispatches between the
-/// responsibility-delta incremental path (the default) and the legacy
-/// from-scratch accumulation, per `ParallelConfig::incremental`.
-#[allow(clippy::too_many_arguments)]
-fn run_em(
-    dataset: &Dataset,
-    initial: SkillModel,
-    transitions: &TransitionModel,
-    lambda: f64,
-    max_iterations: usize,
-    tolerance: f64,
-    gamma_tolerance: f64,
-    parallel: &ParallelConfig,
-) -> Result<EmResult> {
     if dataset.n_actions() == 0 {
         return Err(CoreError::EmptyDataset);
     }
-    if parallel.incremental {
-        run_em_incremental(
-            dataset,
-            initial,
-            transitions,
-            lambda,
-            max_iterations,
-            tolerance,
-            gamma_tolerance,
-            parallel,
-        )
-    } else {
-        run_em_full(
-            dataset,
-            initial,
-            transitions,
-            lambda,
-            max_iterations,
-            tolerance,
-            parallel,
-        )
-    }
-}
-
-/// Legacy from-scratch EM: rebuilds the emission table and re-accumulates
-/// every action's weighted statistics each iteration. Kept as the
-/// measurable baseline for `bench_em_incremental`.
-fn run_em_full(
-    dataset: &Dataset,
-    initial: SkillModel,
-    transitions: &TransitionModel,
-    lambda: f64,
-    max_iterations: usize,
-    tolerance: f64,
-    parallel: &ParallelConfig,
-) -> Result<EmResult> {
-    let n_levels = initial.n_levels();
+    let n_levels = config.initial.n_levels();
     let schema = dataset.schema().clone();
-    let mut model = initial;
-    let mut trace = Vec::new();
-    let mut converged = false;
-
-    for _ in 0..max_iterations {
-        // E-step: accumulate weighted stats over all sequences.
-        let mut grid: Vec<Vec<WeightedAcc>> = (0..n_levels)
-            .map(|_| {
-                schema
-                    .kinds()
-                    .iter()
-                    .map(|&k| WeightedAcc::new(k))
-                    .collect()
-            })
-            .collect();
-        // One emission table per iteration: the E-step revisits every
-        // action but only n_items × S distinct emission values exist.
-        let table = if parallel.users && parallel.threads > 1 {
-            EmissionTable::build_parallel(&model, dataset, parallel.threads)?
-        } else {
-            EmissionTable::build(&model, dataset)
-        };
-        crate::invariants::InvariantCtx::new().check_emission_table(&table)?;
-        let mut evidence = 0.0;
-        for seq in dataset.sequences() {
-            let (gammas, log_ev) = forward_backward_with_table(&table, transitions, seq)?;
-            evidence += log_ev;
-            for (action, gamma) in seq.actions().iter().zip(&gammas) {
-                let features = dataset.item_features(action.item);
-                for (s, &weight) in gamma.iter().enumerate() {
-                    if weight <= 0.0 {
-                        continue;
-                    }
-                    for (acc, value) in grid[s].iter_mut().zip(features) {
-                        acc.push(value, weight)?;
-                    }
-                }
-            }
-        }
-        trace.push(evidence);
-
-        // M-step.
-        let cells: Vec<Vec<FeatureDistribution>> = grid
-            .iter()
-            .map(|row| row.iter().map(|acc| acc.fit(lambda)).collect())
-            .collect::<Result<_>>()?;
-        model = SkillModel::new(schema.clone(), n_levels, cells)?;
-
-        if trace.len() >= 2 {
-            let prev = trace[trace.len() - 2];
-            let curr = trace[trace.len() - 1];
-            if (curr - prev).abs() <= tolerance * prev.abs().max(1.0) {
-                converged = true;
-                break;
-            }
-        }
-    }
-    Ok(EmResult {
-        model,
-        evidence_trace: trace,
-        converged,
-    })
-}
-
-/// Responsibility-delta incremental EM (module docs, "Responsibility-delta
-/// incremental EM").
-///
-/// Invariants relative to [`run_em_full`]:
-/// - The E-step is identical (same forward–backward over the same table
-///   values), so the evidence trace differs only through the slightly
-///   different models the gated M-step produces — bounded by
-///   `gamma_tolerance` per action per level.
-/// - Deltas and replay run sequentially on the calling thread and the
-///   parallel table build is bitwise identical to the sequential one, so
-///   results are deterministic and independent of `threads`.
-#[allow(clippy::too_many_arguments)]
-fn run_em_incremental(
-    dataset: &Dataset,
-    initial: SkillModel,
-    transitions: &TransitionModel,
-    lambda: f64,
-    max_iterations: usize,
-    tolerance: f64,
-    gamma_tolerance: f64,
-    parallel: &ParallelConfig,
-) -> Result<EmResult> {
-    let n_levels = initial.n_levels();
-    let schema = dataset.schema().clone();
-    let mut model = initial;
+    let mut model = config.initial.clone();
     let mut trace = Vec::new();
     let mut converged = false;
 
     // One persistent emission table for the whole run; after the first
     // build only the columns of refit (dirty) levels are recomputed.
-    let mut table = if parallel.users && parallel.threads > 1 {
-        EmissionTable::build_parallel(&model, dataset, parallel.threads)?
-    } else {
-        EmissionTable::build(&model, dataset)
-    };
-    crate::invariants::InvariantCtx::new().check_emission_table(&table)?;
+    let mut table = EmissionTable::build_with_config(&model, dataset, parallel)?;
 
     let mut grid = SoftStatsGrid::new(
         n_levels,
         dataset.n_items(),
         dataset.n_actions(),
-        gamma_tolerance,
+        config.gamma_tolerance,
     )?;
     // Working copy of the current cells: clean levels keep their previous
     // distributions bit for bit without re-reading the model.
@@ -782,9 +638,9 @@ fn run_em_incremental(
     // Flat forward–backward buffers reused across every sequence of every
     // iteration, with per-level transition log-probabilities hoisted once
     // for the whole run (the transition model is fixed under this EM).
-    let mut workspace = FbWorkspace::new(transitions);
+    let mut workspace = FbWorkspace::new(&config.transitions);
 
-    for _ in 0..max_iterations {
+    for _ in 0..config.max_iterations {
         // E-step: forward–backward per sequence, then apply only the
         // responsibility deltas of actions whose posterior moved.
         let mut evidence = 0.0;
@@ -817,7 +673,10 @@ fn run_em_incremental(
                     acc.push(value, w)?;
                 }
             }
-            *row = accs.iter().map(|a| a.fit(lambda)).collect::<Result<_>>()?;
+            *row = accs
+                .iter()
+                .map(|a| a.fit(config.lambda))
+                .collect::<Result<_>>()?;
         }
         model = SkillModel::new(schema.clone(), n_levels, cells.clone())?;
 
@@ -829,7 +688,7 @@ fn run_em_incremental(
         if trace.len() >= 2 {
             let prev = trace[trace.len() - 2];
             let curr = trace[trace.len() - 1];
-            if (curr - prev).abs() <= tolerance * prev.abs().max(1.0) {
+            if (curr - prev).abs() <= config.tolerance * prev.abs().max(1.0) {
                 converged = true;
                 break;
             }
@@ -1042,12 +901,7 @@ mod tests {
             .with_tolerance(1e-9);
         let incremental =
             train_em_with_parallelism(&ds, &cfg, &ParallelConfig::sequential()).unwrap();
-        let full = train_em_with_parallelism(
-            &ds,
-            &cfg,
-            &ParallelConfig::sequential().with_incremental(false),
-        )
-        .unwrap();
+        let full = crate::reference::train_em_full(&ds, &cfg).unwrap();
         assert_eq!(incremental.converged, full.converged);
         assert_eq!(
             incremental.evidence_trace.len(),
@@ -1086,12 +940,7 @@ mod tests {
             .with_gamma_tolerance(0.0);
         let incremental =
             train_em_with_parallelism(&ds, &cfg, &ParallelConfig::sequential()).unwrap();
-        let full = train_em_with_parallelism(
-            &ds,
-            &cfg,
-            &ParallelConfig::sequential().with_incremental(false),
-        )
-        .unwrap();
+        let full = crate::reference::train_em_full(&ds, &cfg).unwrap();
         // With a zero gate the weights equal the full sums up to
         // summation order; traces stay within tight relative tolerance.
         for (a, b) in incremental.evidence_trace.iter().zip(&full.evidence_trace) {

@@ -27,19 +27,70 @@
 //! operation order of [`SkillModel::item_log_likelihood`]'s feature sum —
 //! so the table agrees with the direct path *bitwise*, not approximately
 //! (pinned by `tests/properties_emission.rs`). The original cell-by-cell
-//! fill is kept as [`EmissionTable::build_scalar`], the reference baseline
-//! for tests and `bench_emission`.
+//! fill is kept as [`crate::reference::build_scalar`], the reference
+//! baseline for tests and `bench_emission`.
 //!
-//! For memory-bound deployments, [`CompactEmissionTable`] stores the same
-//! scores rounded once to `f32` (still accumulated in f64), halving the
-//! resident table behind the `ParallelConfig::with_emission_f32` flag.
+//! ## Emission rows
+//!
+//! The assignment DP reads scores through the [`EmissionRows`] trait.
+//! [`EmissionTable`] borrows its rows in place; [`CompactEmissionTable`]
+//! stores the same scores rounded once to `f32` (still accumulated in
+//! f64), halving the resident table, and widens a row per read; the
+//! model-direct source evaluates distributions per action.
 
 use crate::dist::special::ln_factorial;
 use crate::dist::{score_kind_mismatch, FeatureDistribution};
 use crate::error::{CoreError, Result};
 use crate::feature::{FeatureKind, FeatureSchema, FeatureValue};
+use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
+use crate::parallel::ParallelConfig;
 use crate::types::{skill_level_from_index, Dataset, ItemId, SkillLevel};
+
+/// A source of emission rows `log P(item | s)` for the assignment DP
+/// ([`crate::assign::assign_items_with_table_ws`]).
+pub trait EmissionRows {
+    /// Number of items with a row.
+    fn n_items(&self) -> usize;
+
+    /// Number of skill levels `S` (the row length).
+    fn n_levels(&self) -> usize;
+
+    /// The emission vector of `item` (`row[s - 1]`). `item` has already
+    /// been checked against [`EmissionRows::n_items`]. Sources storing
+    /// f64 rows borrow them in place; others fill `scratch` (`S` cells)
+    /// and return it.
+    fn emission_row<'a>(&'a self, item: ItemId, scratch: &'a mut [f64]) -> &'a [f64];
+}
+
+/// Emission rows evaluated straight from the model, one distribution call
+/// per action and level — no table. Bitwise equal to the table rows
+/// (the columnar fill keeps the per-cell operation order).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DirectEmissions<'a> {
+    pub(crate) model: &'a SkillModel,
+    pub(crate) dataset: &'a Dataset,
+}
+
+impl EmissionRows for DirectEmissions<'_> {
+    fn n_items(&self) -> usize {
+        self.dataset.n_items()
+    }
+
+    fn n_levels(&self) -> usize {
+        self.model.n_levels()
+    }
+
+    fn emission_row<'a>(&'a self, item: ItemId, scratch: &'a mut [f64]) -> &'a [f64] {
+        let features = self.dataset.item_features(item);
+        for (s0, cell) in scratch.iter_mut().enumerate() {
+            *cell = self
+                .model
+                .item_log_likelihood(features, skill_level_from_index(s0));
+        }
+        scratch
+    }
+}
 
 /// Minimum items per stolen work unit in [`EmissionTable::build_parallel`].
 const PARALLEL_CHUNK: usize = 64;
@@ -358,7 +409,7 @@ impl EmissionTable {
     /// that was just written. Each cell is a pure function of its own
     /// item's features and level row — tile boundaries change no
     /// operation order within a cell — so results are bitwise identical
-    /// to [`EmissionTable::build_scalar`], the direct assignment path,
+    /// to [`crate::reference::build_scalar`], the direct assignment path,
     /// and the pre-tiling whole-axis fill, for every tile size.
     pub fn build(model: &SkillModel, dataset: &Dataset) -> Self {
         let n_items = dataset.n_items();
@@ -387,27 +438,56 @@ impl EmissionTable {
         }
     }
 
-    /// Reference cell-by-cell fill: `n_items · S` calls to
-    /// [`SkillModel::item_log_likelihood`] through per-value enum
-    /// dispatch.
-    ///
-    /// Kept as the bitwise baseline the columnar [`EmissionTable::build`]
-    /// is pinned against (property tests) and as the speedup denominator
-    /// in `bench_emission`; production paths never call it.
-    pub fn build_scalar(model: &SkillModel, dataset: &Dataset) -> Self {
-        let n_items = dataset.n_items();
-        let n_levels = model.n_levels();
-        let mut data = Vec::with_capacity(n_items * n_levels);
-        for features in dataset.items() {
-            for s0 in 0..n_levels {
-                data.push(model.item_log_likelihood(features, skill_level_from_index(s0)));
-            }
-        }
+    /// Wraps row-major scores (`data[item * n_levels + (s - 1)]`) filled
+    /// elsewhere — the reference scalar fill.
+    pub(crate) fn from_scores(n_items: usize, n_levels: usize, data: Vec<f64>) -> Self {
+        debug_assert_eq!(data.len(), n_items * n_levels);
         EmissionTable {
             n_items,
             n_levels,
             data,
         }
+    }
+
+    /// Builds the table as `parallel` asks — item-parallel on `threads`
+    /// workers when user-level parallelism is on, sequential otherwise —
+    /// and runs the emission-table invariant check on the result. Both
+    /// fills are bitwise identical, so the choice changes no score.
+    pub fn build_with_config(
+        model: &SkillModel,
+        dataset: &Dataset,
+        parallel: &ParallelConfig,
+    ) -> Result<Self> {
+        let table = if parallel.users && parallel.threads > 1 {
+            Self::build_parallel(model, dataset, parallel.threads)?
+        } else {
+            Self::build(model, dataset)
+        };
+        InvariantCtx::new().check_emission_table(&table)?;
+        Ok(table)
+    }
+
+    /// The trainers' per-iteration table step: refreshes only the
+    /// `refit_levels` columns of the table carried in `slot` (levels the
+    /// last update left untouched reuse their distributions bit for bit,
+    /// so their cached scores are still exact), or builds a fresh table
+    /// when there is none or the flags do not cover every level.
+    pub(crate) fn refresh_or_build<'a>(
+        slot: &'a mut Option<EmissionTable>,
+        model: &SkillModel,
+        dataset: &Dataset,
+        parallel: &ParallelConfig,
+        refit_levels: &[bool],
+    ) -> Result<&'a EmissionTable> {
+        let table = match slot.take() {
+            Some(mut table) if refit_levels.len() == model.n_levels() => {
+                table.refresh_levels(model, dataset, refit_levels)?;
+                InvariantCtx::new().check_emission_table(&table)?;
+                table
+            }
+            _ => Self::build_with_config(model, dataset, parallel)?,
+        };
+        Ok(slot.insert(table))
     }
 
     /// Builds the table with `threads` workers stealing item chunks.
@@ -498,6 +578,7 @@ impl EmissionTable {
     /// # Panics
     /// Panics if `item` is out of range; use [`EmissionTable::checked_row`]
     /// when the item id is not already dataset-validated.
+    #[inline]
     pub fn row(&self, item: ItemId) -> &[f64] {
         let i = item as usize;
         &self.data[i * self.n_levels..(i + 1) * self.n_levels]
@@ -760,6 +841,24 @@ impl EmissionTable {
     }
 }
 
+impl EmissionRows for EmissionTable {
+    #[inline]
+    fn n_items(&self) -> usize {
+        self.n_items
+    }
+
+    #[inline]
+    fn n_levels(&self) -> usize {
+        self.n_levels
+    }
+
+    /// Borrows the row in place; `scratch` is never touched.
+    #[inline]
+    fn emission_row<'a>(&'a self, item: ItemId, _scratch: &'a mut [f64]) -> &'a [f64] {
+        self.row(item)
+    }
+}
+
 /// Half-width storage for the emission table.
 ///
 /// Scores are computed with the full f64 columnar pipeline, then rounded
@@ -768,9 +867,8 @@ impl EmissionTable {
 /// scale, where the f64 table stops fitting in L2. Reads widen back to
 /// f64 (exactly) before any DP accumulates them, so the only deviation
 /// from [`EmissionTable`] is the one rounding step per cell: ≤ half an
-/// f32 ulp, ~6e-8 relative. Gated behind
-/// `ParallelConfig::with_emission_f32`; the default f64 table keeps every
-/// result bitwise identical to the direct path.
+/// f32 ulp, ~6e-8 relative. No trainer uses it: the default f64 table
+/// keeps every result bitwise identical to the direct path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompactEmissionTable {
     n_items: usize,
@@ -807,10 +905,6 @@ impl CompactEmissionTable {
 
     /// Widens one item row into `out` (`out[s - 1]`), returning `false`
     /// when the item is out of range or `out` has the wrong length.
-    ///
-    /// The assignment DP borrows emission rows as `&[f64]`, so the
-    /// compact path fills a caller-owned workspace row instead of
-    /// handing out a reference.
     pub fn fill_row(&self, item: ItemId, out: &mut [f64]) -> bool {
         let i = item as usize;
         if i >= self.n_items || out.len() != self.n_levels {
@@ -844,6 +938,22 @@ impl CompactEmissionTable {
     }
 }
 
+impl EmissionRows for CompactEmissionTable {
+    fn n_items(&self) -> usize {
+        self.n_items
+    }
+
+    fn n_levels(&self) -> usize {
+        self.n_levels
+    }
+
+    /// Widens the row into `scratch`.
+    fn emission_row<'a>(&'a self, item: ItemId, scratch: &'a mut [f64]) -> &'a [f64] {
+        self.fill_row(item, scratch);
+        scratch
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,11 +961,9 @@ mod tests {
     use crate::feature::{FeatureKind, FeatureSchema, FeatureValue};
     use crate::types::{Action, ActionSequence};
 
-    #[test]
-    fn refresh_levels_recomputes_only_flagged_columns() {
-        let (model_a, ds) = mixed_setup();
-        // A second model differing only in the level-2 row.
-        let schema = ds.schema().clone();
+    /// A second model for `mixed_setup`'s dataset, differing from its
+    /// model only in the level-2 row.
+    fn level2_variant(ds: &Dataset) -> SkillModel {
         let cells = vec![
             vec![
                 FeatureDistribution::Categorical(Categorical::from_probs(vec![0.9, 0.1]).unwrap()),
@@ -866,7 +974,13 @@ mod tests {
                 FeatureDistribution::Poisson(Poisson::new(4.0).unwrap()),
             ],
         ];
-        let model_b = SkillModel::new(schema, 2, cells).unwrap();
+        SkillModel::new(ds.schema().clone(), 2, cells).unwrap()
+    }
+
+    #[test]
+    fn refresh_levels_recomputes_only_flagged_columns() {
+        let (model_a, ds) = mixed_setup();
+        let model_b = level2_variant(&ds);
 
         let mut table = EmissionTable::build(&model_a, &ds);
         // No flags set: a no-op.
@@ -925,10 +1039,48 @@ mod tests {
     }
 
     #[test]
+    fn build_with_config_matches_sequential_build() {
+        let (model, ds) = mixed_setup();
+        let expect = EmissionTable::build(&model, &ds);
+        for cfg in [
+            ParallelConfig::sequential(),
+            ParallelConfig::sequential().with_threads(4),
+            ParallelConfig::all(3),
+        ] {
+            let table = EmissionTable::build_with_config(&model, &ds, &cfg).unwrap();
+            assert_eq!(table, expect, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn refresh_or_build_refreshes_flagged_columns_or_rebuilds() {
+        let (model_a, ds) = mixed_setup();
+        let model_b = level2_variant(&ds);
+        let cfg = ParallelConfig::sequential();
+        let fresh_a = EmissionTable::build(&model_a, &ds);
+        let fresh_b = EmissionTable::build(&model_b, &ds);
+
+        // Empty slot: build.
+        let mut slot = None;
+        let t = EmissionTable::refresh_or_build(&mut slot, &model_a, &ds, &cfg, &[]).unwrap();
+        assert_eq!(t, &fresh_a);
+        // Flags for every level: only flagged columns move.
+        let t = EmissionTable::refresh_or_build(&mut slot, &model_b, &ds, &cfg, &[false, true])
+            .unwrap();
+        for item in 0..ds.n_items() as ItemId {
+            assert_eq!(t.row(item)[0].to_bits(), fresh_a.row(item)[0].to_bits());
+            assert_eq!(t.row(item)[1].to_bits(), fresh_b.row(item)[1].to_bits());
+        }
+        // Flags that do not cover every level: rebuild from scratch.
+        let t = EmissionTable::refresh_or_build(&mut slot, &model_b, &ds, &cfg, &[true]).unwrap();
+        assert_eq!(t, &fresh_b);
+    }
+
+    #[test]
     fn columnar_build_matches_scalar_build_bitwise() {
         let (model, ds) = mixed_setup();
         let columnar = EmissionTable::build(&model, &ds);
-        let scalar = EmissionTable::build_scalar(&model, &ds);
+        let scalar = crate::reference::build_scalar(&model, &ds);
         assert_eq!(columnar, scalar);
     }
 

@@ -34,10 +34,12 @@
 //! bitwise identical for the integer-summation families (categorical
 //! counts; Poisson/count sums, which are exact integer sums below `2^53`)
 //! and agree to summation-order rounding (ulps) for the real-valued
-//! gamma/log-normal moments. The trainer uses one path or the other for a
-//! whole run — toggled by `ParallelConfig::incremental` — so each run is
-//! internally consistent; `bench_incremental` checks end-to-end agreement
-//! of the two paths.
+//! gamma/log-normal moments. The trainer always takes the grid path; the
+//! action-order rescan survives only as
+//! [`crate::reference::train_full_rescan`], whose end-to-end agreement
+//! (same assignments and churn, objective to summation order) the
+//! property tests and `bench_incremental` check — the latter also times
+//! the two against each other.
 //!
 //! [`SoftStatsGrid`] carries the same idea over to the EM trainer
 //! (`crate::em`), where the statistic per `(level, item)` cell is a real
@@ -45,7 +47,7 @@
 //! is maintained by tolerance-gated responsibility deltas after every
 //! E-step, and dirty-level replay serves the weighted M-step —
 //! `bench_em_incremental` measures that path against the from-scratch EM
-//! accumulation.
+//! accumulation, [`crate::reference::train_em_full`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -575,7 +577,7 @@ impl StatsGrid {
         let schema = dataset.schema();
         let n_features = schema.len();
 
-        // Same cell partition as `parallel::fit_model_parallel`.
+        // Workers own whole levels and/or features.
         let level_parts = if config.skills {
             config.threads.min(n_levels)
         } else {

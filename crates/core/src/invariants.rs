@@ -26,7 +26,7 @@
 //! | [`InvariantCtx::check_sequence_monotone`] | `O( A_u )` scan |
 //! | [`InvariantCtx::check_extension`] | `O(1)` |
 //! | [`InvariantCtx::check_ll_non_decreasing`] | `O(1)` |
-//! | [`InvariantCtx::check_assign_step_optimal`] | `O(Σ_u A_u)` rescore (+ a table build on the rescan path) |
+//! | [`InvariantCtx::check_assign_step_optimal`] | `O(Σ_u A_u)` rescore |
 //! | [`InvariantCtx::check_grid`] | full grid rebuild + compare |
 //!
 //! [`StatsGrid`] refits carry no float
@@ -254,15 +254,11 @@ impl InvariantCtx {
     ///
     /// This is the form of likelihood non-decrease that hard-assignment
     /// training actually guarantees. `table` is the table the DP just
-    /// consumed when the incremental path maintained one; on the rescan
-    /// path (`None`) an equivalent table is built from `model` — checks
-    /// are compiled out in release builds, so the extra build is free
-    /// there. `incumbent` is `None` on the first iteration.
+    /// consumed; `incumbent` is `None` on the first iteration.
     pub fn check_assign_step_optimal(
         &self,
         check: &'static str,
-        model: &crate::model::SkillModel,
-        table: Option<&EmissionTable>,
+        table: &EmissionTable,
         dataset: &Dataset,
         incumbent: Option<&SkillAssignments>,
         new_ll: f64,
@@ -272,14 +268,6 @@ impl InvariantCtx {
         }
         let Some(incumbent) = incumbent else {
             return self.check_ll_non_decreasing(check, f64::NEG_INFINITY, new_ll);
-        };
-        let owned;
-        let table = match table {
-            Some(t) => t,
-            None => {
-                owned = EmissionTable::build(model, dataset);
-                &owned
-            }
         };
         let mut incumbent_ll = 0.0;
         for (seq, levels) in dataset.sequences().iter().zip(&incumbent.per_user) {
@@ -409,35 +397,18 @@ mod tests {
         let ctx = InvariantCtx::new();
         // No incumbent: only NaN is rejected.
         assert!(ctx
-            .check_assign_step_optimal("test", &model, None, &ds, None, -5.0)
+            .check_assign_step_optimal("test", &table, &ds, None, -5.0)
             .is_ok());
         assert!(ctx
-            .check_assign_step_optimal("test", &model, None, &ds, None, f64::NAN)
+            .check_assign_step_optimal("test", &table, &ds, None, f64::NAN)
             .is_err());
-        // Matching or better than the incumbent passes, with or without a
-        // caller-maintained table.
-        for table_arg in [Some(&table), None] {
-            assert!(ctx
-                .check_assign_step_optimal(
-                    "test",
-                    &model,
-                    table_arg,
-                    &ds,
-                    Some(&incumbent),
-                    incumbent_ll,
-                )
-                .is_ok());
-        }
+        // Matching or better than the incumbent passes.
+        assert!(ctx
+            .check_assign_step_optimal("test", &table, &ds, Some(&incumbent), incumbent_ll)
+            .is_ok());
         // A clear drop below the incumbent fails.
         let err = ctx
-            .check_assign_step_optimal(
-                "test",
-                &model,
-                Some(&table),
-                &ds,
-                Some(&incumbent),
-                incumbent_ll - 1.0,
-            )
+            .check_assign_step_optimal("test", &table, &ds, Some(&incumbent), incumbent_ll - 1.0)
             .unwrap_err();
         assert!(matches!(err, CoreError::InvariantViolation { .. }));
     }

@@ -128,6 +128,8 @@ pub mod pool;
 pub mod predict;
 pub mod prelude;
 pub mod recommend;
+#[doc(hidden)]
+pub mod reference;
 pub mod rng;
 pub mod streaming;
 pub mod sync;

@@ -4,38 +4,34 @@
 //! efficiency experiments (Table XIII, Fig. 7) can measure them separately:
 //!
 //! 1. **User-parallel assignment** — sequences are mutually independent, so
-//!    the DP of the assignment step fans out across worker threads.
+//!    the DP of the assignment step fans out across worker threads
+//!    ([`assign_all_parallel_with_table`]).
 //! 2. **Skill-parallel update** — parameters `θ_f(s)` and `θ_f(s')` are
 //!    independent for `s ≠ s'`; workers own disjoint level sets.
 //! 3. **Feature-parallel update** — our multi-faceted model additionally
 //!    decomposes by feature (not available to the ID baseline); workers own
 //!    disjoint feature sets.
 //!
-//! Orthogonally, [`ParallelConfig::emission`] toggles the shared
-//! [`EmissionTable`]: when enabled (the default) the assignment step reads
-//! precomputed `log P(i | s)` rows instead of re-evaluating distributions
-//! per action; when disabled it runs the direct per-action path, so the
-//! table's contribution can be measured in isolation. When the table is
-//! enabled, [`ParallelConfig::emission_f32`] additionally selects the
-//! compact `f32` storage mode ([`CompactEmissionTable`]): scores are still
-//! accumulated in `f64` at build time, then rounded once per cell, halving
-//! the table's memory at the cost of one `f32` rounding per DP read.
+//! The update-step partition lives in
+//! [`StatsGrid::fit_model_parallel`](crate::incremental::StatsGrid::fit_model_parallel).
+//! The shared emission table and the incremental statistics are always on:
+//! their from-scratch baselines (per-action emissions, full-rescan update)
+//! live in [`crate::reference`] as oracles and speedup denominators only.
+//! The direct path lost every measurement it was kept for — on a 200k-item
+//! catalog with ~9 actions per item it still ran a skill-count sweep about
+//! 4× slower than building the table.
 //!
-//! Workers are plain `std::thread::scope` threads; no shared mutable state,
-//! results are merged on the calling thread.
+//! Workers are plain scoped threads; no shared mutable state,
+//! results are merged on the calling thread in user order, so every
+//! thread count gives bitwise the sequential result.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::assign::{
-    assign_sequence_with_compact_table_ws, assign_sequence_with_table_ws, assign_sequence_ws,
-    AssignWorkspace, SequenceAssignment,
-};
-use crate::dist::{FeatureAccumulator, FeatureDistribution};
-use crate::emission::{CompactEmissionTable, EmissionTable};
+use crate::assign::{assign_with, AssignWorkspace, SequenceAssignment};
+use crate::emission::{EmissionRows, EmissionTable};
 use crate::error::{CoreError, Result};
 use crate::model::SkillModel;
-use crate::types::{Dataset, SkillAssignments, SkillLevel};
-use crate::update::accumulate;
+use crate::types::{Dataset, SkillAssignments};
 
 /// Which steps run in parallel, and on how many worker threads.
 ///
@@ -50,6 +46,9 @@ use crate::update::accumulate;
 /// The fields stay `pub` for one release so existing struct literals keep
 /// compiling, but they are considered a legacy surface: new code should go
 /// through the builders, which keep working if fields are ever privatized.
+/// Bundles written while the config still carried its A/B switches (the
+/// shared table, its f32 storage, incremental statistics) still load:
+/// serde ignores the extra keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ParallelConfig {
     /// Parallelize the assignment step across users.
@@ -60,38 +59,16 @@ pub struct ParallelConfig {
     pub features: bool,
     /// Number of worker threads (≥ 1).
     pub threads: usize,
-    /// Share one precomputed [`EmissionTable`] across the assignment step
-    /// (on by default). Disable to re-evaluate `log P(i | s)` per action —
-    /// the measurable baseline for the efficiency experiments.
-    pub emission: bool,
-    /// Store the shared emission table as `f32` ([`CompactEmissionTable`])
-    /// instead of `f64` (off by default). Cells are accumulated in `f64`
-    /// and rounded once, so scores differ from the full table by at most
-    /// one rounding per cell; assignments are identical whenever path
-    /// scores are separated by more than that. Only consulted when
-    /// [`ParallelConfig::emission`] is enabled. Absent in bundles written
-    /// by older releases, hence the serde default.
-    #[serde(default)]
-    pub emission_f32: bool,
-    /// Carry a persistent [`crate::incremental::StatsGrid`] across train
-    /// iterations and apply per-action deltas only where the assigned level
-    /// moved (on by default). Disable to re-accumulate sufficient
-    /// statistics from scratch every iteration — the measurable baseline
-    /// for `bench_incremental`.
-    pub incremental: bool,
 }
 
 impl ParallelConfig {
-    /// Fully sequential execution (emission table still enabled).
+    /// Fully sequential execution.
     pub fn sequential() -> Self {
         Self {
             users: false,
             skills: false,
             features: false,
             threads: 1,
-            emission: true,
-            emission_f32: false,
-            incremental: true,
         }
     }
 
@@ -102,9 +79,6 @@ impl ParallelConfig {
             skills: true,
             features: true,
             threads,
-            emission: true,
-            emission_f32: false,
-            incremental: true,
         }
     }
 
@@ -123,25 +97,6 @@ impl ParallelConfig {
     /// Returns `self` with feature-parallel updates toggled.
     pub fn with_features(mut self, features: bool) -> Self {
         self.features = features;
-        self
-    }
-
-    /// Returns `self` with the shared emission table toggled.
-    pub fn with_emission(mut self, emission: bool) -> Self {
-        self.emission = emission;
-        self
-    }
-
-    /// Returns `self` with the `f32` emission-table storage mode toggled.
-    pub fn with_emission_f32(mut self, emission_f32: bool) -> Self {
-        self.emission_f32 = emission_f32;
-        self
-    }
-
-    /// Returns `self` with the persistent incremental statistics grid
-    /// toggled.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
         self
     }
 
@@ -184,7 +139,8 @@ impl Default for ParallelConfig {
     }
 }
 
-/// Assignment step with optional user-level parallelism.
+/// Assignment step: builds the shared [`EmissionTable`] (item-parallel
+/// when user parallelism is on) and runs [`assign_all_parallel_with_table`].
 ///
 /// Returns the per-user assignments (in dataset order) and the total path
 /// log-likelihood.
@@ -194,324 +150,87 @@ pub fn assign_all_parallel(
     config: &ParallelConfig,
 ) -> Result<(SkillAssignments, f64)> {
     config.validate()?;
-    let n_users = dataset.n_users();
-    if !config.users || config.threads <= 1 || n_users <= 1 {
-        return if !config.emission {
-            crate::assign::assign_all_direct(model, dataset)
-        } else if config.emission_f32 {
-            let table = CompactEmissionTable::build(model, dataset);
-            crate::assign::assign_all_with_compact_table(&table, dataset)
-        } else {
-            crate::assign::assign_all(model, dataset)
-        };
-    }
-
-    if config.emission {
-        // The emission table is itself filled in parallel (partitioned
-        // over items), then shared read-only by every assignment worker.
-        let table = EmissionTable::build_parallel(model, dataset, config.threads)?;
-        if config.emission_f32 {
-            // Round once from the f64 build, then drop the wide table so
-            // peak memory during assignment is the compact one.
-            let compact = CompactEmissionTable::from_table(&table);
-            drop(table);
-            return assign_all_parallel_with_compact_table(&compact, dataset, config);
-        }
-        return assign_all_parallel_with_table(&table, dataset, config);
-    }
-
-    let n_workers = config.threads.min(n_users);
-    let next = AtomicUsize::new(0);
-    let sequences = dataset.sequences();
-
-    // Work-stealing over a shared index counter: sequences vary wildly in
-    // length, so static chunking would leave workers idle.
-    let results: Vec<Result<Vec<(usize, SequenceAssignment)>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_workers)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || -> Result<Vec<(usize, SequenceAssignment)>> {
-                    // One DP workspace per worker: scratch is reused for
-                    // every sequence this worker pulls off the queue.
-                    let mut ws = AssignWorkspace::new();
-                    let mut out = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n_users {
-                            break;
-                        }
-                        let a = assign_sequence_ws(model, dataset, &sequences[idx], &mut ws)?;
-                        out.push((idx, a));
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or(Err(CoreError::WorkerPanicked { step: "assignment" }))
-            })
-            .collect()
-    });
-
-    gather_assignments(results, n_users)
+    let table = EmissionTable::build_with_config(model, dataset, config)?;
+    assign_all_parallel_with_table(&table, dataset, config)
 }
 
-/// [`assign_all_parallel`] against a caller-provided emission table —
-/// already built, or carried over from the previous iteration and
-/// incrementally refreshed via
-/// [`EmissionTable::refresh_levels`](crate::emission::EmissionTable::refresh_levels).
-/// Same user-parallel work-stealing pattern; the sequential fallback reads
-/// the table too, so results are identical to building the table inline.
-pub fn assign_all_parallel_with_table(
-    table: &EmissionTable,
-    dataset: &Dataset,
-    config: &ParallelConfig,
-) -> Result<(SkillAssignments, f64)> {
-    config.validate()?;
-    let n_users = dataset.n_users();
-    if !config.users || config.threads <= 1 || n_users <= 1 {
-        return crate::assign::assign_all_with_table(table, dataset);
-    }
-
-    let n_workers = config.threads.min(n_users);
-    let next = AtomicUsize::new(0);
-    let sequences = dataset.sequences();
-
-    let results: Vec<Result<Vec<(usize, SequenceAssignment)>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_workers)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || -> Result<Vec<(usize, SequenceAssignment)>> {
-                    let mut ws = AssignWorkspace::new();
-                    let mut out = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n_users {
-                            break;
-                        }
-                        let a = assign_sequence_with_table_ws(table, &sequences[idx], &mut ws)?;
-                        out.push((idx, a));
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or(Err(CoreError::WorkerPanicked { step: "assignment" }))
-            })
-            .collect()
-    });
-
-    gather_assignments(results, n_users)
-}
-
-/// [`assign_all_parallel_with_table`] for the `f32` storage mode: the same
-/// user-parallel work-stealing over a shared read-only
-/// [`CompactEmissionTable`], each worker widening rows into its own DP
-/// workspace.
-pub fn assign_all_parallel_with_compact_table(
-    table: &CompactEmissionTable,
-    dataset: &Dataset,
-    config: &ParallelConfig,
-) -> Result<(SkillAssignments, f64)> {
-    config.validate()?;
-    let n_users = dataset.n_users();
-    if !config.users || config.threads <= 1 || n_users <= 1 {
-        return crate::assign::assign_all_with_compact_table(table, dataset);
-    }
-
-    let n_workers = config.threads.min(n_users);
-    let next = AtomicUsize::new(0);
-    let sequences = dataset.sequences();
-
-    let results: Vec<Result<Vec<(usize, SequenceAssignment)>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_workers)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || -> Result<Vec<(usize, SequenceAssignment)>> {
-                    let mut ws = AssignWorkspace::new();
-                    let mut out = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n_users {
-                            break;
-                        }
-                        let a =
-                            assign_sequence_with_compact_table_ws(table, &sequences[idx], &mut ws)?;
-                        out.push((idx, a));
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or(Err(CoreError::WorkerPanicked { step: "assignment" }))
-            })
-            .collect()
-    });
-
-    gather_assignments(results, n_users)
-}
-
-/// Merges per-worker `(user index, assignment)` chunks back into dataset
-/// order, summing path log-likelihoods.
-fn gather_assignments(
-    results: Vec<Result<Vec<(usize, SequenceAssignment)>>>,
-    n_users: usize,
-) -> Result<(SkillAssignments, f64)> {
-    let mut per_user: Vec<Vec<SkillLevel>> = vec![Vec::new(); n_users];
-    let mut total_ll = 0.0;
-    for chunk in results {
-        for (idx, a) in chunk? {
-            total_ll += a.log_likelihood;
-            per_user[idx] = a.levels;
-        }
-    }
-    Ok((SkillAssignments { per_user }, total_ll))
-}
-
-/// Update step with optional skill- and/or feature-level parallelism.
+/// Assigns every sequence of `dataset` against an emission-row source —
+/// an already built table, one carried over from the previous iteration
+/// and refreshed via
+/// [`EmissionTable::refresh_levels`](crate::emission::EmissionTable::refresh_levels),
+/// or any other [`EmissionRows`].
 ///
-/// Each worker owns a disjoint subset of the `S × F` cell grid (split by
-/// level, by feature, or by both, per the flags), scans the dataset
-/// accumulating only its cells, and fits them.
-pub fn fit_model_parallel(
+/// With user parallelism on, `min(threads, n_users)` workers steal users
+/// off a shared counter (sequences vary wildly in length, so static
+/// chunking would leave workers idle); otherwise the calling thread runs
+/// the same loop alone. Path log-likelihoods are summed in user order
+/// either way, so the total is bitwise the sequential one for every
+/// thread count.
+pub fn assign_all_parallel_with_table<R: EmissionRows + Sync + ?Sized>(
+    table: &R,
     dataset: &Dataset,
-    assignments: &SkillAssignments,
-    n_levels: usize,
-    lambda: f64,
     config: &ParallelConfig,
-) -> Result<SkillModel> {
+) -> Result<(SkillAssignments, f64)> {
     config.validate()?;
-    let n_features = dataset.schema().len();
-    if !config.update_parallel() {
-        return crate::update::fit_model(dataset, assignments, n_levels, lambda);
+    if table.n_items() < dataset.n_items() {
+        return Err(CoreError::LengthMismatch {
+            context: "emission table items vs dataset items",
+            left: table.n_items(),
+            right: dataset.n_items(),
+        });
     }
-
-    // Partition the cell grid. Workers own whole levels and/or features.
-    let level_parts = if config.skills {
-        config.threads.min(n_levels)
+    let sequences = dataset.sequences();
+    let n_users = sequences.len();
+    let next = AtomicUsize::new(0);
+    // One DP workspace per worker: scratch is reused for every sequence
+    // the worker pulls off the queue.
+    let work = || -> Result<Vec<(usize, SequenceAssignment)>> {
+        let mut ws = AssignWorkspace::new();
+        let mut out = Vec::new();
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(seq) = sequences.get(idx) else {
+                return Ok(out);
+            };
+            let items = seq.actions().iter().map(|a| a.item);
+            out.push((idx, assign_with(table, items, &mut ws)?));
+        }
+    };
+    let n_workers = if config.users {
+        config.threads.min(n_users)
     } else {
         1
     };
-    let feature_parts = if config.features {
-        (config.threads / level_parts).max(1).min(n_features)
+    let results: Vec<Result<Vec<(usize, SequenceAssignment)>>> = if n_workers <= 1 {
+        vec![work()]
     } else {
-        1
-    };
-    let owner =
-        |s: usize, f: usize| -> usize { (s % level_parts) * feature_parts + (f % feature_parts) };
-    let n_workers = level_parts * feature_parts;
-
-    let schema = dataset.schema();
-    let results: Vec<Result<Vec<(usize, usize, FeatureDistribution)>>> =
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|worker| {
-                    scope.spawn(
-                        move || -> Result<Vec<(usize, usize, FeatureDistribution)>> {
-                            // Accumulators only for owned cells.
-                            let mut cells: Vec<(usize, usize, FeatureAccumulator)> = Vec::new();
-                            let mut index = vec![usize::MAX; n_levels * n_features];
-                            for s in 0..n_levels {
-                                for f in 0..n_features {
-                                    if owner(s, f) == worker {
-                                        index[s * n_features + f] = cells.len();
-                                        cells.push((
-                                            s,
-                                            f,
-                                            FeatureAccumulator::new(schema.kind(f)?),
-                                        ));
-                                    }
-                                }
-                            }
-                            if cells.is_empty() {
-                                return Ok(Vec::new());
-                            }
-                            for (seq, levels) in
-                                dataset.sequences().iter().zip(&assignments.per_user)
-                            {
-                                if seq.len() != levels.len() {
-                                    return Err(CoreError::LengthMismatch {
-                                        context: "assignment vs sequence length",
-                                        left: levels.len(),
-                                        right: seq.len(),
-                                    });
-                                }
-                                for (action, &level) in seq.actions().iter().zip(levels) {
-                                    let s = level as usize - 1;
-                                    if s >= n_levels {
-                                        return Err(CoreError::InvalidSkillCount {
-                                            requested: level as usize,
-                                        });
-                                    }
-                                    let features = dataset.item_features(action.item);
-                                    for f in 0..n_features {
-                                        let slot = index[s * n_features + f];
-                                        if slot != usize::MAX {
-                                            cells[slot].2.push(&features[f])?;
-                                        }
-                                    }
-                                }
-                            }
-                            cells
-                                .into_iter()
-                                .map(|(s, f, acc)| Ok((s, f, acc.fit(lambda)?)))
-                                .collect()
-                        },
-                    )
-                })
-                .collect();
+            let handles: Vec<_> = (0..n_workers).map(|_| scope.spawn(work)).collect();
             handles
                 .into_iter()
                 .map(|h| {
                     h.join()
-                        .unwrap_or(Err(CoreError::WorkerPanicked { step: "update" }))
-                })
-                .collect()
-        });
-
-    // Assemble the grid.
-    let mut grid: Vec<Vec<Option<FeatureDistribution>>> =
-        (0..n_levels).map(|_| vec![None; n_features]).collect();
-    for chunk in results {
-        for (s, f, dist) in chunk? {
-            grid[s][f] = Some(dist);
-        }
-    }
-    let cells: Vec<Vec<FeatureDistribution>> = grid
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|c| {
-                    c.ok_or(CoreError::DegenerateFit {
-                        distribution: "parallel update",
-                        reason: "unowned cell in partition",
-                    })
+                        .unwrap_or(Err(CoreError::WorkerPanicked { step: "assignment" }))
                 })
                 .collect()
         })
-        .collect::<Result<_>>()?;
-    SkillModel::new(schema.clone(), n_levels, cells)
-}
+    };
 
-/// Reference helper exposing the sequential accumulate for equivalence tests.
-#[doc(hidden)]
-pub fn accumulate_sequential(
-    dataset: &Dataset,
-    assignments: &SkillAssignments,
-    n_levels: usize,
-) -> Result<Vec<Vec<FeatureAccumulator>>> {
-    accumulate(dataset, assignments, n_levels)
+    // Place results in dataset order, then fold the log-likelihoods in
+    // user order — not worker-completion order, which varies run to run.
+    let mut per_user = vec![Vec::new(); n_users];
+    let mut lls = vec![0.0; n_users];
+    for chunk in results {
+        for (idx, a) in chunk? {
+            per_user[idx] = a.levels;
+            lls[idx] = a.log_likelihood;
+        }
+    }
+    let mut total_ll = 0.0;
+    for ll in lls {
+        total_ll += ll;
+    }
+    Ok((SkillAssignments { per_user }, total_ll))
 }
 
 #[cfg(test)]
@@ -576,72 +295,47 @@ mod tests {
     }
 
     #[test]
-    fn parallel_assignment_matches_sequential() {
+    fn parallel_assignment_matches_sequential_bitwise() {
         let ds = build_dataset(7, 12);
         let model = initialize_model(&ds, 3, 4, 0.01).unwrap();
-        let (seq_a, seq_ll) = crate::assign::assign_all(&model, &ds).unwrap();
+        let (seq_a, seq_ll) =
+            assign_all_parallel(&model, &ds, &ParallelConfig::sequential()).unwrap();
         for threads in [2, 3, 5] {
-            for emission in [true, false] {
-                let cfg = ParallelConfig::sequential()
-                    .with_users(true)
-                    .with_threads(threads)
-                    .with_emission(emission);
-                let (par_a, par_ll) = assign_all_parallel(&model, &ds, &cfg).unwrap();
-                assert_eq!(seq_a, par_a, "threads={threads} emission={emission}");
-                assert!((seq_ll - par_ll).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn emission_toggle_is_bitwise_equivalent_sequentially() {
-        let ds = build_dataset(5, 9);
-        let model = initialize_model(&ds, 3, 4, 0.01).unwrap();
-        let with_table = ParallelConfig::sequential();
-        let direct = ParallelConfig::sequential().with_emission(false);
-        let (a_t, ll_t) = assign_all_parallel(&model, &ds, &with_table).unwrap();
-        let (a_d, ll_d) = assign_all_parallel(&model, &ds, &direct).unwrap();
-        assert_eq!(a_t, a_d);
-        assert_eq!(ll_t, ll_d);
-    }
-
-    #[test]
-    fn f32_emission_mode_matches_f64_assignments() {
-        let ds = build_dataset(7, 12);
-        let model = initialize_model(&ds, 3, 4, 0.01).unwrap();
-        let (full_a, full_ll) = crate::assign::assign_all(&model, &ds).unwrap();
-        // Sequential fallback and two thread counts all go through the
-        // compact table when the flag is set.
-        for threads in [1, 2, 5] {
             let cfg = ParallelConfig::sequential()
-                .with_users(threads > 1)
-                .with_threads(threads)
-                .with_emission_f32(true);
-            let (a, ll) = assign_all_parallel(&model, &ds, &cfg).unwrap();
-            assert_eq!(full_a, a, "threads={threads}");
-            let rel = (full_ll - ll).abs() / full_ll.abs().max(1.0);
-            assert!(rel < 1e-6, "threads={threads} relative ll gap {rel}");
+                .with_users(true)
+                .with_threads(threads);
+            let (par_a, par_ll) = assign_all_parallel(&model, &ds, &cfg).unwrap();
+            assert_eq!(seq_a, par_a, "threads={threads}");
+            assert_eq!(seq_ll.to_bits(), par_ll.to_bits(), "threads={threads}");
         }
+        // The model-direct oracle agrees bit for bit.
+        let (direct_a, direct_ll) = crate::reference::assign_all_direct(&model, &ds).unwrap();
+        assert_eq!(seq_a, direct_a);
+        assert_eq!(seq_ll.to_bits(), direct_ll.to_bits());
     }
 
     #[test]
-    fn emission_f32_defaults_off_and_deserializes_from_old_bundles() {
-        assert!(!ParallelConfig::sequential().emission_f32);
-        assert!(!ParallelConfig::all(4).emission_f32);
-        assert!(
-            ParallelConfig::sequential()
-                .with_emission_f32(true)
-                .emission_f32
-        );
-        // A config serialized before the field existed must round-trip.
-        let legacy = r#"{"users":true,"skills":false,"features":false,
-                         "threads":2,"emission":true,"incremental":true}"#;
-        let cfg: ParallelConfig = serde_json::from_str(legacy).unwrap();
-        assert!(!cfg.emission_f32);
-        assert_eq!(cfg.threads, 2);
-        let json = serde_json::to_string(&cfg.with_emission_f32(true)).unwrap();
+    fn old_configs_with_removed_switches_still_deserialize() {
+        // Configs serialized while the A/B switches existed (and before
+        // `emission_f32` did) must keep loading; the keys are ignored.
+        for legacy in [
+            r#"{"users":true,"skills":false,"features":false,
+                "threads":2,"emission":true,"incremental":true}"#,
+            r#"{"users":true,"skills":false,"features":false,"threads":2,
+                "emission":false,"emission_f32":true,"incremental":false}"#,
+        ] {
+            let cfg: ParallelConfig = serde_json::from_str(legacy).unwrap();
+            assert_eq!(
+                cfg,
+                ParallelConfig::sequential()
+                    .with_users(true)
+                    .with_threads(2)
+            );
+        }
+        let json = serde_json::to_string(&ParallelConfig::all(3)).unwrap();
+        assert!(!json.contains("emission") && !json.contains("incremental"));
         let back: ParallelConfig = serde_json::from_str(&json).unwrap();
-        assert!(back.emission_f32);
+        assert_eq!(back, ParallelConfig::all(3));
     }
 
     #[test]
@@ -654,43 +348,34 @@ mod tests {
     }
 
     #[test]
-    fn parallel_update_matches_sequential() {
-        let ds = build_dataset(6, 10);
-        let model = initialize_model(&ds, 3, 4, 0.01).unwrap();
-        let (assignments, _) = crate::assign::assign_all(&model, &ds).unwrap();
-        let sequential = crate::update::fit_model(&ds, &assignments, 3, 0.01).unwrap();
-        for (skills, features) in [(true, false), (false, true), (true, true)] {
-            for threads in [2, 3, 6] {
-                let cfg = ParallelConfig::sequential()
-                    .with_skills(skills)
-                    .with_features(features)
-                    .with_threads(threads);
-                let parallel = fit_model_parallel(&ds, &assignments, 3, 0.01, &cfg).unwrap();
-                // Compare via likelihood of every item at every level.
-                for item in 0..ds.n_items() {
-                    for s in 1..=3u8 {
-                        let a = sequential.item_log_likelihood(ds.item_features(item as u32), s);
-                        let b = parallel.item_log_likelihood(ds.item_features(item as u32), s);
-                        assert!(
-                            (a - b).abs() < 1e-12,
-                            "skills={skills} features={features} threads={threads}"
-                        );
-                    }
-                }
-            }
+    fn table_narrower_than_dataset_is_rejected() {
+        let ds = build_dataset(3, 8);
+        let model = initialize_model(&ds, 2, 4, 0.01).unwrap();
+        let narrow =
+            crate::types::Dataset::new(ds.schema().clone(), ds.items()[..2].to_vec(), Vec::new())
+                .unwrap();
+        let table = EmissionTable::build(&model, &narrow);
+        for cfg in [ParallelConfig::sequential(), ParallelConfig::all(2)] {
+            assert!(matches!(
+                assign_all_parallel_with_table(&table, &ds, &cfg),
+                Err(CoreError::LengthMismatch { .. })
+            ));
         }
     }
 
     #[test]
-    fn parallel_update_single_thread_falls_through() {
-        let ds = build_dataset(2, 6);
-        let model = initialize_model(&ds, 2, 4, 0.01).unwrap();
-        let (assignments, _) = crate::assign::assign_all(&model, &ds).unwrap();
-        let cfg = ParallelConfig::sequential()
-            .with_skills(true)
-            .with_features(true);
-        let m = fit_model_parallel(&ds, &assignments, 2, 0.01, &cfg).unwrap();
-        assert_eq!(m.n_levels(), 2);
+    fn worker_errors_surface_as_typed_errors() {
+        // Every path impossible: each worker's DP fails, and the fan-out
+        // reports the typed error whatever the thread count.
+        let ds = build_dataset(6, 5);
+        let table =
+            EmissionTable::from_scores(ds.n_items(), 2, vec![f64::NEG_INFINITY; ds.n_items() * 2]);
+        for cfg in [ParallelConfig::sequential(), ParallelConfig::all(3)] {
+            assert!(matches!(
+                assign_all_parallel_with_table(&table, &ds, &cfg),
+                Err(CoreError::DegenerateFit { .. })
+            ));
+        }
     }
 
     #[test]
@@ -699,7 +384,9 @@ mod tests {
         let model = initialize_model(&ds, 2, 4, 0.01).unwrap();
         let cfg = ParallelConfig::all(64);
         let (a, _) = assign_all_parallel(&model, &ds, &cfg).unwrap();
-        let m = fit_model_parallel(&ds, &a, 2, 0.01, &cfg).unwrap();
-        assert_eq!(m.n_features(), 2);
+        assert!(a.is_monotone());
+        let (empty, ll) = assign_all_parallel(&model, &build_dataset(0, 5), &cfg).unwrap();
+        assert!(empty.per_user.is_empty());
+        assert_eq!(ll, 0.0);
     }
 }

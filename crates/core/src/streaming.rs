@@ -220,12 +220,7 @@ impl StreamingSession {
         let mut grid =
             StatsGrid::build_with_config(&dataset, &assignments, config.n_levels, &parallel)?;
         let model = grid.fit_model_incremental(&dataset, config.lambda, &parallel, None)?;
-        let table = if parallel.users && parallel.threads > 1 {
-            EmissionTable::build_parallel(&model, &dataset, parallel.threads)?
-        } else {
-            EmissionTable::build(&model, &dataset)
-        };
-        InvariantCtx::new().check_emission_table(&table)?;
+        let table = EmissionTable::build_with_config(&model, &dataset, &parallel)?;
         let (trackers, user_index) = warm_trackers(&dataset, &table, config.n_levels)?;
         Ok(Self {
             dataset,
@@ -286,12 +281,7 @@ impl StreamingSession {
         let grid =
             StatsGrid::build_with_config(&dataset, &assignments, config.n_levels, &parallel)?;
         let model = result.model.clone();
-        let table = if parallel.users && parallel.threads > 1 {
-            EmissionTable::build_parallel(&model, &dataset, parallel.threads)?
-        } else {
-            EmissionTable::build(&model, &dataset)
-        };
-        InvariantCtx::new().check_emission_table(&table)?;
+        let table = EmissionTable::build_with_config(&model, &dataset, &parallel)?;
         let (trackers, user_index) = warm_trackers(&dataset, &table, config.n_levels)?;
         let mut soft_grid = SoftStatsGrid::new(
             config.n_levels,

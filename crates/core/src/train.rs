@@ -9,26 +9,31 @@
 //! the trainer also accepts an iteration cap and an assignment-stability
 //! stopping rule, which is what terminates in practice.
 //!
-//! Each assignment step builds one shared
-//! [`EmissionTable`] (inside
-//! [`assign_all_parallel`]) from the current parameters, so every iteration
-//! evaluates each item's emission vector once instead of once per action;
-//! see [`crate::parallel::ParallelConfig::emission`] to disable it.
+//! Each assignment step reads one shared [`EmissionTable`], so every
+//! iteration evaluates each item's emission vector once instead of once
+//! per action; after the first iteration only the columns of levels the
+//! update refit are recomputed. The update step maintains a persistent
+//! [`StatsGrid`] by per-action deltas instead of rescanning the dataset.
+//! The from-scratch baseline of both (rebuilt table, full rescan) is
+//! [`crate::reference::train_full_rescan`], kept for tests and
+//! `bench_incremental` only: it reaches the same assignments about 2×
+//! slower after the first iteration (`reports/BENCH_incremental.json`),
+//! so it is no runtime option.
 
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use crate::dist::DEFAULT_SMOOTHING;
+use crate::em::{EmConfig, EmResult};
 use crate::emission::EmissionTable;
 use crate::error::{CoreError, Result};
 use crate::incremental::StatsGrid;
 use crate::init::initialize_model;
 use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
-use crate::parallel::{
-    assign_all_parallel, assign_all_parallel_with_table, fit_model_parallel, ParallelConfig,
-};
+use crate::parallel::{assign_all_parallel, assign_all_parallel_with_table, ParallelConfig};
+use crate::transition::TransitionModel;
 use crate::types::{Dataset, SkillAssignments, SkillLevel};
 
 /// Training hyperparameters.
@@ -197,7 +202,7 @@ pub struct Trainer {
     parallel: ParallelConfig,
     mode: TrainMode,
     /// EM-mode transitions; `None` means uninformative.
-    transitions: Option<crate::transition::TransitionModel>,
+    transitions: Option<TransitionModel>,
 }
 
 impl Trainer {
@@ -262,7 +267,7 @@ impl Trainer {
     }
 
     /// Switches to EM training with explicit transition probabilities.
-    pub fn em_with_transitions(mut self, transitions: crate::transition::TransitionModel) -> Self {
+    pub fn em_with_transitions(mut self, transitions: TransitionModel) -> Self {
         self.mode = TrainMode::Em;
         self.transitions = Some(transitions);
         self
@@ -299,50 +304,29 @@ impl Trainer {
     /// so `assignments` and `log_likelihood` mean the same thing in both
     /// modes.
     pub fn fit(&self, dataset: &Dataset) -> Result<TrainResult> {
-        match self.mode {
-            TrainMode::Hard => train_with_parallelism(dataset, &self.config, &self.parallel),
-            TrainMode::Em => {
-                self.config.validate()?;
-                let initial = initialize_model(
-                    dataset,
-                    self.config.n_levels,
-                    self.config.min_init_actions,
-                    self.config.lambda,
-                )?;
-                let transitions = match &self.transitions {
-                    Some(t) => t.clone(),
-                    None => {
-                        crate::transition::TransitionModel::uninformative(self.config.n_levels)?
-                    }
-                };
-                let em_cfg = crate::em::EmConfig::new(initial, transitions)
-                    .with_lambda(self.config.lambda)
-                    .with_max_iterations(self.config.max_iterations)
-                    .with_tolerance(self.config.tolerance);
-                let em = crate::em::train_em_with_parallelism(dataset, &em_cfg, &self.parallel)?;
-                let (assignments, log_likelihood) =
-                    assign_all_parallel(&em.model, dataset, &self.parallel)?;
-                InvariantCtx::new().check_monotone("em decode", &assignments)?;
-                let trace = em
-                    .evidence_trace
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &ev)| IterationStats {
-                        iteration: i + 1,
-                        log_likelihood: ev,
-                        n_changed: None,
-                        seconds: 0.0,
-                    })
-                    .collect();
-                Ok(TrainResult {
-                    model: em.model,
-                    assignments,
-                    log_likelihood,
-                    trace,
-                    converged: em.converged,
-                })
-            }
+        if self.mode == TrainMode::Hard {
+            return train_with_parallelism(dataset, &self.config, &self.parallel);
         }
+        self.config.validate()?;
+        let initial = initialize_model(
+            dataset,
+            self.config.n_levels,
+            self.config.min_init_actions,
+            self.config.lambda,
+        )?;
+        let (em, trace) = self.fit_em(initial, |cfg| {
+            crate::em::train_em_with_parallelism(dataset, cfg, &self.parallel)
+        })?;
+        let (assignments, log_likelihood) =
+            assign_all_parallel(&em.model, dataset, &self.parallel)?;
+        InvariantCtx::new().check_monotone("em decode", &assignments)?;
+        Ok(TrainResult {
+            model: em.model,
+            assignments,
+            log_likelihood,
+            trace,
+            converged: em.converged,
+        })
     }
 
     /// Trains chunk-at-a-time from any [`crate::chunked::ChunkSource`] —
@@ -353,8 +337,9 @@ impl Trainer {
     /// the chunked initializer feeds
     /// [`crate::chunked::train_em_chunked`] and the soft fit is closed
     /// with one streamed hard decode, mirroring [`Trainer::fit`]'s EM
-    /// arm. Either way the result is bitwise identical to the matching
-    /// sequential in-memory path on the materialized dataset, and peak
+    /// arm. Hard mode is bitwise identical to the in-memory trainer on
+    /// the materialized dataset, EM mode to
+    /// [`crate::reference::train_em_full`] plus the same decode, and peak
     /// memory stays bounded by `chunk_size × workers` (plus the
     /// `InMemory` storage's byte per action, if selected).
     pub fn fit_chunked<S: crate::chunked::ChunkSource + ?Sized>(
@@ -362,53 +347,30 @@ impl Trainer {
         source: &S,
         storage: crate::chunked::AssignmentStorage,
     ) -> Result<crate::chunked::ChunkedTrainResult> {
-        match self.mode {
-            TrainMode::Hard => {
-                crate::chunked::train_chunked(source, &self.config, &self.parallel, storage)
-            }
-            TrainMode::Em => {
-                self.config.validate()?;
-                let initial = crate::chunked::initialize_model_chunked(
-                    source,
-                    self.config.n_levels,
-                    self.config.min_init_actions,
-                    self.config.lambda,
-                )?;
-                let transitions = match &self.transitions {
-                    Some(t) => t.clone(),
-                    None => {
-                        crate::transition::TransitionModel::uninformative(self.config.n_levels)?
-                    }
-                };
-                let em_cfg = crate::em::EmConfig::new(initial, transitions)
-                    .with_lambda(self.config.lambda)
-                    .with_max_iterations(self.config.max_iterations)
-                    .with_tolerance(self.config.tolerance);
-                let em = crate::chunked::train_em_chunked(source, &em_cfg, &self.parallel)?;
-                let (level_histogram, log_likelihood) =
-                    crate::chunked::level_histogram_chunked(source, &em.model, &self.parallel)?;
-                let trace = em
-                    .evidence_trace
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &ev)| IterationStats {
-                        iteration: i + 1,
-                        log_likelihood: ev,
-                        n_changed: None,
-                        seconds: 0.0,
-                    })
-                    .collect();
-                Ok(crate::chunked::ChunkedTrainResult {
-                    model: em.model,
-                    log_likelihood,
-                    trace,
-                    converged: em.converged,
-                    level_histogram,
-                    n_users: source.n_users(),
-                    n_actions: source.n_actions(),
-                })
-            }
+        if self.mode == TrainMode::Hard {
+            return crate::chunked::train_chunked(source, &self.config, &self.parallel, storage);
         }
+        self.config.validate()?;
+        let initial = crate::chunked::initialize_model_chunked(
+            source,
+            self.config.n_levels,
+            self.config.min_init_actions,
+            self.config.lambda,
+        )?;
+        let (em, trace) = self.fit_em(initial, |cfg| {
+            crate::chunked::train_em_chunked(source, cfg, &self.parallel)
+        })?;
+        let (level_histogram, log_likelihood) =
+            crate::chunked::level_histogram_chunked(source, &em.model, &self.parallel)?;
+        Ok(crate::chunked::ChunkedTrainResult {
+            model: em.model,
+            log_likelihood,
+            trace,
+            converged: em.converged,
+            level_histogram,
+            n_users: source.n_users(),
+            n_actions: source.n_actions(),
+        })
     }
 
     /// Trains on `dataset` and immediately resumes a live
@@ -433,27 +395,59 @@ impl Trainer {
                 self.parallel,
                 policy,
             ),
-            TrainMode::Em => {
-                let transitions = match &self.transitions {
-                    Some(t) => t.clone(),
-                    None => {
-                        crate::transition::TransitionModel::uninformative(self.config.n_levels)?
-                    }
-                };
-                crate::streaming::StreamingSession::resume_em(
-                    dataset,
-                    &result,
-                    transitions,
-                    self.config,
-                    self.parallel,
-                    policy,
-                )
-            }
+            TrainMode::Em => crate::streaming::StreamingSession::resume_em(
+                dataset,
+                &result,
+                self.em_transitions()?,
+                self.config,
+                self.parallel,
+                policy,
+            ),
         }
+    }
+
+    /// EM-mode transitions: the configured ones, else uninformative.
+    fn em_transitions(&self) -> Result<TransitionModel> {
+        match &self.transitions {
+            Some(t) => Ok(t.clone()),
+            None => TransitionModel::uninformative(self.config.n_levels),
+        }
+    }
+
+    /// The EM arms' shared core: runs `run` on an [`EmConfig`] seeded
+    /// from `initial` with this trainer's transitions and
+    /// hyperparameters, and exposes the evidence trace as
+    /// [`IterationStats`] (no churn, no per-iteration timing).
+    fn fit_em(
+        &self,
+        initial: SkillModel,
+        run: impl FnOnce(&EmConfig) -> Result<EmResult>,
+    ) -> Result<(EmResult, Vec<IterationStats>)> {
+        let em_cfg = EmConfig::new(initial, self.em_transitions()?)
+            .with_lambda(self.config.lambda)
+            .with_max_iterations(self.config.max_iterations)
+            .with_tolerance(self.config.tolerance);
+        let em = run(&em_cfg)?;
+        let trace = em
+            .evidence_trace
+            .iter()
+            .enumerate()
+            .map(|(i, &ev)| IterationStats {
+                iteration: i + 1,
+                log_likelihood: ev,
+                n_changed: None,
+                seconds: 0.0,
+            })
+            .collect();
+        Ok((em, trace))
     }
 }
 
 /// Trains a skill model with explicit parallelization flags (§IV-C).
+///
+/// Every thread count gives bitwise the sequential result: the table
+/// fills, the assignment fan-out and the statistics deltas all fold in a
+/// fixed order.
 pub fn train_with_parallelism(
     dataset: &Dataset,
     config: &TrainConfig,
@@ -474,82 +468,57 @@ pub fn train_with_parallelism(
     let mut prev_assignments: Option<SkillAssignments> = None;
     let mut prev_ll = f64::NEG_INFINITY;
     let mut trace = Vec::new();
-    let mut converged = false;
-    // Persistent sufficient statistics for the incremental update path:
-    // built from scratch on the first iteration, then maintained by
-    // per-action deltas wherever the assigned level moved.
+    // Persistent sufficient statistics: built from scratch on the first
+    // iteration, then maintained by per-action deltas wherever the
+    // assigned level moved.
     let mut grid: Option<StatsGrid> = None;
-    // Persistent emission table for the same path: the update step reuses
-    // the previous distributions for levels its delta never touched, so
-    // only the refit levels' table columns need recomputing.
+    // Persistent emission table: the update step reuses the previous
+    // distributions for levels its delta never touched, so only the refit
+    // levels' table columns need recomputing.
     let mut table: Option<EmissionTable> = None;
     let mut refit_levels: Vec<bool> = Vec::new();
     let ctx = InvariantCtx::new();
 
     for iteration in 1..=config.max_iterations {
         let iter_start = Instant::now();
-        let (assignments, ll) =
-            assign_step(&model, dataset, parallel, &mut table, &refit_levels, ctx)?;
-        ctx.check_monotone("training assignment", &assignments)?;
-        ctx.check_assign_step_optimal(
-            "training assignment step",
+        let (assignments, ll) = assign_step(
             &model,
-            table.as_ref(),
             dataset,
+            parallel,
+            &mut table,
+            &refit_levels,
             prev_assignments.as_ref(),
-            ll,
+            ctx,
         )?;
 
-        // Maintain the statistics and measure churn. On the incremental
-        // path the delta application *is* the churn count — no separate
-        // diff pass.
-        let n_changed: Option<usize> = if parallel.incremental {
-            match (grid.as_mut(), &prev_assignments) {
-                (Some(g), Some(prev)) => {
-                    Some(g.apply_delta_with_config(dataset, prev, &assignments, parallel)?)
-                }
-                _ => {
-                    grid = Some(StatsGrid::build_with_config(
-                        dataset,
-                        &assignments,
-                        config.n_levels,
-                        parallel,
-                    )?);
-                    None
-                }
+        // Maintain the statistics and measure churn: the delta
+        // application *is* the churn count — no separate diff pass.
+        let (stats, n_changed) = match (grid.take(), &prev_assignments) {
+            (Some(mut g), Some(prev)) => {
+                let n = g.apply_delta_with_config(dataset, prev, &assignments, parallel)?;
+                (g, Some(n))
             }
-        } else {
-            match &prev_assignments {
-                Some(prev) => Some(count_changed(prev, &assignments)?),
-                None => None,
-            }
+            _ => (
+                StatsGrid::build_with_config(dataset, &assignments, config.n_levels, parallel)?,
+                None,
+            ),
         };
+        let g = grid.insert(stats);
         // The incrementally maintained grid must match a from-scratch
         // accumulation of the current assignments (debug builds and
         // `strict-invariants`; see `crate::invariants`).
-        if let Some(g) = &grid {
-            ctx.check_grid(g, dataset, &assignments)?;
-        }
+        ctx.check_grid(g, dataset, &assignments)?;
 
         let stable = n_changed == Some(0);
         let small_gain = prev_ll.is_finite()
             && (ll - prev_ll).abs() <= config.tolerance * prev_ll.abs().max(1.0);
         // Refit parameters (on convergence: one last time, so Θ is optimal
-        // for the final Σ). The incremental path refits only the levels
-        // the delta touched, reusing the previous model's rows elsewhere;
-        // remember which levels those were so the next assignment step can
-        // refresh just their emission-table columns.
-        if let Some(g) = &grid {
-            refit_levels = g.dirty_levels().to_vec();
-        }
-        model = refit(
-            dataset,
-            &assignments,
-            grid.as_mut(),
-            &model,
-            config,
-            parallel,
-        )?;
+        // for the final Σ), only the levels the delta touched, reusing the
+        // previous model's rows elsewhere; remember which levels those
+        // were so the next assignment step refreshes just their
+        // emission-table columns.
+        refit_levels = g.dirty_levels().to_vec();
+        model = g.fit_model_incremental(dataset, config.lambda, parallel, Some(&model))?;
         trace.push(IterationStats {
             iteration,
             log_likelihood: ll,
@@ -557,13 +526,12 @@ pub fn train_with_parallelism(
             seconds: iter_start.elapsed().as_secs_f64(),
         });
         if stable || small_gain {
-            converged = true;
             return Ok(TrainResult {
                 model,
                 assignments,
                 log_likelihood: ll,
                 trace,
-                converged,
+                converged: true,
             });
         }
         prev_assignments = Some(assignments);
@@ -574,15 +542,14 @@ pub fn train_with_parallelism(
     // it in the trace so `log_likelihood` always agrees with
     // `trace.last()`.
     let iter_start = Instant::now();
-    let (assignments, ll) = assign_step(&model, dataset, parallel, &mut table, &refit_levels, ctx)?;
-    ctx.check_monotone("training assignment", &assignments)?;
-    ctx.check_assign_step_optimal(
-        "training assignment step",
+    let (assignments, ll) = assign_step(
         &model,
-        table.as_ref(),
         dataset,
+        parallel,
+        &mut table,
+        &refit_levels,
         prev_assignments.as_ref(),
-        ll,
+        ctx,
     )?;
     let n_changed = match &prev_assignments {
         Some(prev) => Some(count_changed(prev, &assignments)?),
@@ -599,70 +566,33 @@ pub fn train_with_parallelism(
         assignments,
         log_likelihood: ll,
         trace,
-        converged,
+        converged: false,
     })
 }
 
-/// Assignment step. On the incremental path the emission table persists
-/// across iterations: only the columns of levels the previous update
-/// actually refit are recomputed (untouched levels reuse the previous
-/// distributions bit for bit, so their cached scores are still exact).
-/// Elsewhere this defers to [`assign_all_parallel`], which rebuilds (or
-/// skips) the table per `config.emission`.
+/// Assignment step against the persistent table (refreshed or rebuilt by
+/// [`EmissionTable::refresh_or_build`]), with the invariant checks every
+/// committed assignment passes.
 fn assign_step(
     model: &SkillModel,
     dataset: &Dataset,
     parallel: &ParallelConfig,
     table: &mut Option<EmissionTable>,
     refit_levels: &[bool],
+    incumbent: Option<&SkillAssignments>,
     ctx: InvariantCtx,
 ) -> Result<(SkillAssignments, f64)> {
-    if !(parallel.emission && parallel.incremental) {
-        return assign_all_parallel(model, dataset, parallel);
-    }
-    if refit_levels.len() == model.n_levels() {
-        if let Some(t) = table.as_mut() {
-            t.refresh_levels(model, dataset, refit_levels)?;
-            ctx.check_emission_table(t)?;
-            return assign_all_parallel_with_table(t, dataset, parallel);
-        }
-    }
-    let built = if parallel.users && parallel.threads > 1 {
-        EmissionTable::build_parallel(model, dataset, parallel.threads)?
-    } else {
-        EmissionTable::build(model, dataset)
-    };
-    let t = table.insert(built);
-    ctx.check_emission_table(t)?;
-    assign_all_parallel_with_table(t, dataset, parallel)
-}
-
-/// Update step: fits from the persistent [`StatsGrid`] when the
-/// incremental path is active, otherwise re-accumulates from the dataset.
-fn refit(
-    dataset: &Dataset,
-    assignments: &SkillAssignments,
-    grid: Option<&mut StatsGrid>,
-    prev_model: &SkillModel,
-    config: &TrainConfig,
-    parallel: &ParallelConfig,
-) -> Result<SkillModel> {
-    match grid {
-        Some(g) => g.fit_model_incremental(dataset, config.lambda, parallel, Some(prev_model)),
-        None => fit_model_parallel(
-            dataset,
-            assignments,
-            config.n_levels,
-            config.lambda,
-            parallel,
-        ),
-    }
+    let t = EmissionTable::refresh_or_build(table, model, dataset, parallel, refit_levels)?;
+    let (assignments, ll) = assign_all_parallel_with_table(t, dataset, parallel)?;
+    ctx.check_monotone("training assignment", &assignments)?;
+    ctx.check_assign_step_optimal("training assignment step", t, dataset, incumbent, ll)?;
+    Ok((assignments, ll))
 }
 
 /// Counts actions whose assigned level differs between two assignments.
 /// Ragged inputs (different user counts or per-user lengths) are an error,
 /// never silently truncated.
-fn count_changed(a: &SkillAssignments, b: &SkillAssignments) -> Result<usize> {
+pub(crate) fn count_changed(a: &SkillAssignments, b: &SkillAssignments) -> Result<usize> {
     if a.per_user.len() != b.per_user.len() {
         return Err(CoreError::LengthMismatch {
             context: "previous vs next assignments",
@@ -777,9 +707,17 @@ mod tests {
         let ds = progression_dataset(6, 10, 3);
         let cfg = TrainConfig::new(3).with_min_init_actions(4);
         let seq = train(&ds, &cfg).unwrap();
-        let par = train_with_parallelism(&ds, &cfg, &ParallelConfig::all(3)).unwrap();
-        assert_eq!(seq.assignments, par.assignments);
-        assert!((seq.log_likelihood - par.log_likelihood).abs() < 1e-9);
+        for threads in [2, 3, 5] {
+            let par = train_with_parallelism(&ds, &cfg, &ParallelConfig::all(threads)).unwrap();
+            assert_eq!(seq.model, par.model, "threads={threads}");
+            assert_eq!(seq.assignments, par.assignments, "threads={threads}");
+            assert_eq!(seq.log_likelihood.to_bits(), par.log_likelihood.to_bits());
+            assert_eq!(seq.trace.len(), par.trace.len());
+            for (a, b) in seq.trace.iter().zip(&par.trace) {
+                assert_eq!(a.log_likelihood.to_bits(), b.log_likelihood.to_bits());
+                assert_eq!(a.n_changed, b.n_changed);
+            }
+        }
     }
 
     #[test]
@@ -815,27 +753,28 @@ mod tests {
     }
 
     #[test]
-    fn incremental_toggle_produces_identical_training() {
+    fn incremental_training_matches_full_rescan_reference() {
         let ds = progression_dataset(8, 14, 4);
-        let cfg = TrainConfig::new(4).with_min_init_actions(4);
-        let incremental = train_with_parallelism(&ds, &cfg, &ParallelConfig::sequential()).unwrap();
-        let full = train_with_parallelism(
-            &ds,
-            &cfg,
-            &ParallelConfig::sequential().with_incremental(false),
-        )
-        .unwrap();
-        assert_eq!(incremental.assignments, full.assignments);
-        assert_eq!(incremental.converged, full.converged);
-        assert_eq!(incremental.trace.len(), full.trace.len());
-        for (a, b) in incremental.trace.iter().zip(&full.trace) {
-            assert_eq!(a.iteration, b.iteration);
-            assert_eq!(a.n_changed, b.n_changed);
-            let scale = a.log_likelihood.abs().max(1.0);
-            assert!((a.log_likelihood - b.log_likelihood).abs() <= 1e-9 * scale);
+        // Converged run and a capped one (closing pass, no final update).
+        for max_iterations in [100, 1] {
+            let cfg = TrainConfig::new(4)
+                .with_min_init_actions(4)
+                .with_max_iterations(max_iterations);
+            let incremental =
+                train_with_parallelism(&ds, &cfg, &ParallelConfig::sequential()).unwrap();
+            let full = crate::reference::train_full_rescan(&ds, &cfg).unwrap();
+            assert_eq!(incremental.assignments, full.assignments);
+            assert_eq!(incremental.converged, full.converged);
+            assert_eq!(incremental.trace.len(), full.trace.len());
+            for (a, b) in incremental.trace.iter().zip(&full.trace) {
+                assert_eq!(a.iteration, b.iteration);
+                assert_eq!(a.n_changed, b.n_changed);
+                let scale = a.log_likelihood.abs().max(1.0);
+                assert!((a.log_likelihood - b.log_likelihood).abs() <= 1e-9 * scale);
+            }
+            let scale = incremental.log_likelihood.abs().max(1.0);
+            assert!((incremental.log_likelihood - full.log_likelihood).abs() <= 1e-9 * scale);
         }
-        let scale = incremental.log_likelihood.abs().max(1.0);
-        assert!((incremental.log_likelihood - full.log_likelihood).abs() <= 1e-9 * scale);
     }
 
     #[test]
@@ -875,6 +814,38 @@ mod tests {
             assign_all_parallel(&built.model, &ds, &ParallelConfig::sequential()).unwrap();
         assert_eq!(decoded, built.assignments);
         assert!((ll - built.log_likelihood).abs() < 1e-12);
+    }
+
+    #[test]
+    fn trainer_em_arms_use_configured_transitions() {
+        let ds = progression_dataset(6, 12, 3);
+        let cfg = TrainConfig::new(3)
+            .with_min_init_actions(6)
+            .with_max_iterations(6);
+        let sticky = TransitionModel::new(vec![0.95, 0.95, 1.0], vec![0.6, 0.3, 0.1]).unwrap();
+        let trainer = Trainer::from_config(cfg).em_with_transitions(sticky.clone());
+        let chunks = crate::chunked::DatasetChunks::new(&ds, 4).unwrap();
+        let chunked = trainer
+            .fit_chunked(&chunks, crate::chunked::AssignmentStorage::Recompute)
+            .unwrap();
+        // The chunked EM arm is the from-scratch loop on the same
+        // transitions and hyperparameters.
+        let initial = initialize_model(&ds, 3, 6, cfg.lambda).unwrap();
+        let em_cfg = EmConfig::new(initial.clone(), sticky)
+            .with_lambda(cfg.lambda)
+            .with_max_iterations(cfg.max_iterations)
+            .with_tolerance(cfg.tolerance);
+        let expect = crate::reference::train_em_full(&ds, &em_cfg).unwrap();
+        assert_eq!(chunked.model, expect.model);
+        let evidence: Vec<f64> = chunked.trace.iter().map(|s| s.log_likelihood).collect();
+        assert_eq!(evidence, expect.evidence_trace);
+        // The in-memory arm sees the same transitions: its first
+        // evidence (before any M-step) matches, and differs from the
+        // uninformative default's.
+        let fitted = trainer.fit(&ds).unwrap();
+        assert_eq!(fitted.trace[0].log_likelihood, expect.evidence_trace[0]);
+        let default = Trainer::from_config(cfg).em().fit(&ds).unwrap();
+        assert_ne!(default.trace[0].log_likelihood, expect.evidence_trace[0]);
     }
 
     #[test]

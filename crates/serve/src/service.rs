@@ -313,14 +313,7 @@ impl SkillService {
         let model = grid
             .fit_model_incremental(&dataset, config.lambda, &parallel, None)
             .map_err(ServeError::Core)?;
-        let table = if parallel.users && parallel.threads > 1 {
-            EmissionTable::build_parallel(&model, &dataset, parallel.threads)
-                .map_err(ServeError::Core)?
-        } else {
-            EmissionTable::build(&model, &dataset)
-        };
-        InvariantCtx::new()
-            .check_emission_table(&table)
+        let table = EmissionTable::build_with_config(&model, &dataset, &parallel)
             .map_err(ServeError::Core)?;
 
         let n_shards = serve.n_shards;

@@ -112,8 +112,12 @@ fn em_trainer_recovers_comparable_skill_structure() {
         .iter()
         .flat_map(|s| s.iter().map(|&x| x as f64))
         .collect();
-    let (soft_assignments, _) =
-        upskill_core::assign::assign_all(&soft.model, &data.dataset).expect("decode");
+    let (soft_assignments, _) = upskill_core::parallel::assign_all_parallel(
+        &soft.model,
+        &data.dataset,
+        &upskill_core::parallel::ParallelConfig::sequential(),
+    )
+    .expect("decode");
     let soft_pred: Vec<f64> = soft_assignments
         .per_user
         .iter()

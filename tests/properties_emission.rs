@@ -6,14 +6,14 @@
 //! stay within its documented half-ulp rounding bound.
 
 use proptest::prelude::*;
-use upskill_core::assign::{
-    assign_all_direct, assign_all_with_table, assign_sequence, assign_sequence_with_table,
-};
+use upskill_core::assign::{assign_items_with_table_ws, assign_sequence, AssignWorkspace};
 use upskill_core::difficulty::{generation_difficulty, generation_difficulty_all, SkillPrior};
 use upskill_core::dist::{Categorical, FeatureDistribution, Gamma, LogNormal, Poisson};
 use upskill_core::emission::{CompactEmissionTable, EmissionTable};
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveModel};
 use upskill_core::model::SkillModel;
+use upskill_core::parallel::{assign_all_parallel_with_table, ParallelConfig};
+use upskill_core::reference::{assign_all_direct, build_scalar};
 use upskill_core::types::{Action, ActionSequence, Dataset};
 
 /// Per-level parameters for a 4-feature mixed schema:
@@ -116,7 +116,9 @@ proptest! {
         let seq = &ds.sequences()[0];
         let direct = assign_sequence(&model, &ds, seq).unwrap();
         let table = EmissionTable::build(&model, &ds);
-        let cached = assign_sequence_with_table(&table, seq).unwrap();
+        let items: Vec<u32> = seq.actions().iter().map(|a| a.item).collect();
+        let cached =
+            assign_items_with_table_ws(&table, &items, &mut AssignWorkspace::new()).unwrap();
         prop_assert_eq!(&direct.levels, &cached.levels);
         prop_assert!(
             (direct.log_likelihood - cached.log_likelihood).abs() <= 1e-12,
@@ -125,7 +127,8 @@ proptest! {
 
         // The dataset-level wrappers agree as well (assignments + objective).
         let (a_direct, ll_direct) = assign_all_direct(&model, &ds).unwrap();
-        let (a_cached, ll_cached) = assign_all_with_table(&table, &ds).unwrap();
+        let (a_cached, ll_cached) =
+            assign_all_parallel_with_table(&table, &ds, &ParallelConfig::sequential()).unwrap();
         prop_assert_eq!(a_direct, a_cached);
         prop_assert!((ll_direct - ll_cached).abs() <= 1e-12);
     }
@@ -163,7 +166,7 @@ proptest! {
     ) {
         let model = mixed_model(&params);
         let ds = mixed_dataset(&item_draws, &[0]);
-        let scalar = EmissionTable::build_scalar(&model, &ds);
+        let scalar = build_scalar(&model, &ds);
         let columnar = EmissionTable::build(&model, &ds);
         let parallel = EmissionTable::build_parallel(&model, &ds, threads).unwrap();
         for item in 0..ds.n_items() as u32 {

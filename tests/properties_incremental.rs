@@ -12,6 +12,7 @@ use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveMo
 use upskill_core::incremental::StatsGrid;
 use upskill_core::init::initialize_model;
 use upskill_core::parallel::ParallelConfig;
+use upskill_core::reference::{train_em_full, train_full_rescan};
 use upskill_core::train::{train_with_parallelism, TrainConfig};
 use upskill_core::transition::TransitionModel;
 use upskill_core::types::{Action, ActionSequence, Dataset, SkillAssignments};
@@ -243,9 +244,9 @@ proptest! {
         }
     }
 
-    // Incremental and full-rescan training agree — same assignments,
-    // churn trace, and objective — across random schemas, skill counts,
-    // and thread counts.
+    // Incremental training (any thread count) and the full-rescan
+    // reference agree — same assignments, churn trace, and objective —
+    // across random schemas and skill counts.
     #[test]
     fn incremental_and_full_training_are_identical(
         mask in 0u8..8,
@@ -259,10 +260,9 @@ proptest! {
         let cfg = TrainConfig::new(n_levels)
             .with_min_init_actions(1)
             .with_max_iterations(12);
-        let base = ParallelConfig::all(threads);
-        let incremental = train_with_parallelism(&ds, &cfg, &base).unwrap();
-        let full =
-            train_with_parallelism(&ds, &cfg, &base.with_incremental(false)).unwrap();
+        let incremental =
+            train_with_parallelism(&ds, &cfg, &ParallelConfig::all(threads)).unwrap();
+        let full = train_full_rescan(&ds, &cfg).unwrap();
 
         prop_assert_eq!(&incremental.assignments, &full.assignments);
         prop_assert_eq!(incremental.converged, full.converged);
@@ -285,8 +285,8 @@ proptest! {
         );
     }
 
-    // Responsibility-delta incremental EM and the legacy from-scratch EM
-    // agree across random schemas, skill counts, and thread counts, with
+    // Responsibility-delta incremental EM and the from-scratch reference
+    // EM agree across random schemas, skill counts, and thread counts, with
     // the default responsibility gate and with the gate disabled:
     //
     // - The first iteration's evidence is **bitwise** equal — both paths
@@ -320,8 +320,7 @@ proptest! {
                 .with_tolerance(1e-9)
                 .with_gamma_tolerance(gamma_tolerance);
             let incremental = train_em_with_parallelism(&ds, &cfg, &base).unwrap();
-            let full = train_em_with_parallelism(
-                &ds, &cfg, &base.with_incremental(false)).unwrap();
+            let full = train_em_full(&ds, &cfg).unwrap();
 
             prop_assert_eq!(incremental.converged, full.converged);
             prop_assert_eq!(

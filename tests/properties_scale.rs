@@ -3,17 +3,19 @@
 //! **bitwise identical** to the in-memory sequential trainers across
 //! random schemas, skill counts, chunk sizes (including degenerate
 //! one-user chunks and a single giant chunk), thread counts, and both
-//! assignment storages.
+//! assignment storages — and so must in-memory training on any thread
+//! count.
 
 use proptest::prelude::*;
 use upskill_core::chunked::{
     assign_chunked, train_chunked, train_em_chunked, AssignmentStorage, DatasetChunks,
 };
-use upskill_core::em::{train_em_with_parallelism, EmConfig};
+use upskill_core::em::EmConfig;
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveModel};
 use upskill_core::init::initialize_model;
 use upskill_core::parallel::ParallelConfig;
-use upskill_core::train::{train_with_parallelism, TrainConfig};
+use upskill_core::reference::train_em_full;
+use upskill_core::train::{train_with_parallelism, TrainConfig, TrainResult};
 use upskill_core::transition::TransitionModel;
 use upskill_core::types::{Action, ActionSequence, Dataset};
 
@@ -92,8 +94,9 @@ proptest! {
 
     // Chunked hard training — every chunk size (one-user chunks, a
     // random mid size, one giant chunk), both assignment storages,
-    // sequential and parallel — reproduces the in-memory sequential
-    // trainer bit for bit: model, objective, trace, and histogram.
+    // sequential and parallel — and in-memory training on the same
+    // threads reproduce the in-memory sequential trainer bit for bit:
+    // model, objective, trace, and histogram.
     #[test]
     fn chunked_hard_training_matches_in_memory(
         mask in 0u8..8,
@@ -117,6 +120,16 @@ proptest! {
             .map(|&c| c as u64)
             .collect();
         let parallel = ParallelConfig::all(threads);
+
+        let in_memory: TrainResult = train_with_parallelism(&ds, &cfg, &parallel).unwrap();
+        prop_assert_eq!(&in_memory.model, &expect.model);
+        prop_assert_eq!(&in_memory.assignments, &expect.assignments);
+        prop_assert_eq!(in_memory.converged, expect.converged);
+        prop_assert_eq!(in_memory.trace.len(), expect.trace.len());
+        for (a, b) in in_memory.trace.iter().zip(&expect.trace) {
+            prop_assert_eq!(a.n_changed, b.n_changed);
+            prop_assert_eq!(a.log_likelihood.to_bits(), b.log_likelihood.to_bits());
+        }
 
         for chunk_size in [1, mid_chunk, ds.n_users()] {
             let source = DatasetChunks::new(&ds, chunk_size).unwrap();
@@ -165,13 +178,8 @@ proptest! {
             .with_max_iterations(6)
             .with_tolerance(1e-9);
         // The chunked E-step mirrors the from-scratch (non-incremental)
-        // in-memory path; that is the bitwise baseline.
-        let expect = train_em_with_parallelism(
-            &ds,
-            &cfg,
-            &ParallelConfig::sequential().with_incremental(false),
-        )
-        .unwrap();
+        // in-memory reference; that is the bitwise baseline.
+        let expect = train_em_full(&ds, &cfg).unwrap();
         let parallel = ParallelConfig::all(threads);
 
         for chunk_size in [1, mid_chunk, ds.n_users()] {
@@ -221,5 +229,60 @@ proptest! {
             assign_chunked(&source, &expect.model, &ParallelConfig::all(threads)).unwrap();
         prop_assert_eq!(&assignments, &expect.assignments);
         prop_assert_eq!(ll.to_bits(), expect.log_likelihood.to_bits());
+    }
+}
+
+// The proptest datasets are small enough that one worker usually drains
+// the whole user queue before the others start. Here enough users that
+// workers really interleave: the objective must still fold in user
+// order, so every thread count reproduces the sequential trainer bit for
+// bit.
+#[test]
+fn in_memory_parallel_training_is_bitwise_sequential_under_contention() {
+    let item_draws: Vec<ItemDraw> = (0..12u32)
+        .map(|i| {
+            (
+                i,
+                u64::from(i % 5) * 3,
+                0.5 + f64::from(i),
+                9.0 - 0.6 * f64::from(i),
+            )
+        })
+        .collect();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 1000) as usize
+    };
+    let users: Vec<Vec<usize>> = (0..800)
+        .map(|_| {
+            let len = 5 + next() % 40;
+            (0..len).map(|_| next()).collect()
+        })
+        .collect();
+    let ds = build_dataset(masked_schema(7), &item_draws, &users);
+    let cfg = TrainConfig::new(4)
+        .with_min_init_actions(1)
+        .with_max_iterations(6);
+    let expect = train_with_parallelism(&ds, &cfg, &ParallelConfig::sequential()).unwrap();
+    for threads in [2, 3, 4] {
+        for _ in 0..3 {
+            let got = train_with_parallelism(&ds, &cfg, &ParallelConfig::all(threads)).unwrap();
+            assert_eq!(got.model, expect.model, "threads={threads}");
+            assert_eq!(got.assignments, expect.assignments, "threads={threads}");
+            let got_ll: Vec<u64> = got
+                .trace
+                .iter()
+                .map(|s| s.log_likelihood.to_bits())
+                .collect();
+            let want_ll: Vec<u64> = expect
+                .trace
+                .iter()
+                .map(|s| s.log_likelihood.to_bits())
+                .collect();
+            assert_eq!(got_ll, want_ll, "threads={threads}");
+        }
     }
 }
