@@ -96,6 +96,17 @@ fn read_json<T: for<'de> Deserialize<'de>>(path: &str) -> Result<T, CliError> {
     })
 }
 
+/// Loads a dataset file and re-checks what deserialization skips: sorted,
+/// owner-consistent sequences whose items exist and match the schema.
+fn read_dataset(path: &str) -> Result<Dataset, CliError> {
+    let dataset: Dataset = read_json(path)?;
+    dataset.validate().map_err(|source| CliError::InvalidData {
+        path: path.to_string(),
+        source,
+    })?;
+    Ok(dataset)
+}
+
 fn write_json<T: Serialize>(path: &str, value: &T) -> Result<(), CliError> {
     let text = serde_json::to_string(value).map_err(|e| CliError::Serialize {
         path: path.to_string(),
@@ -169,7 +180,7 @@ fn generate(args: &Args) -> Result<(), CliError> {
 
 fn stats(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["data"])?;
-    let dataset: Dataset = read_json(args.required("data")?)?;
+    let dataset = read_dataset(args.required("data")?)?;
     let s = DatasetStats::of("dataset", &dataset);
     println!("users:   {}", s.n_users);
     println!("items:   {}", s.n_items);
@@ -188,7 +199,7 @@ fn train_cmd(args: &Args) -> Result<(), CliError> {
         return train_chunked_cmd(args);
     }
     args.reject_unknown(&["data", "levels", "min-init", "lambda", "out", "assignments"])?;
-    let dataset: Dataset = read_json(args.required("data")?)?;
+    let dataset = read_dataset(args.required("data")?)?;
     let levels: usize = args.parse_or("levels", 5)?;
     let min_init: usize = args.parse_or("min-init", 50)?;
     let lambda: f64 = args.parse_or("lambda", 0.01)?;
@@ -300,7 +311,7 @@ fn train_chunked_cmd(args: &Args) -> Result<(), CliError> {
 
 fn difficulty(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["data", "model", "assignments", "method", "out"])?;
-    let dataset: Dataset = read_json(args.required("data")?)?;
+    let dataset = read_dataset(args.required("data")?)?;
     let model: SkillModel = read_json(args.required("model")?)?;
     let method = args.optional("method").unwrap_or("empirical");
     let out = args.required("out")?;
@@ -344,7 +355,7 @@ fn difficulty(args: &Args) -> Result<(), CliError> {
 
 fn evaluate(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["data", "model", "assignments"])?;
-    let dataset: Dataset = read_json(args.required("data")?)?;
+    let dataset = read_dataset(args.required("data")?)?;
     let model: SkillModel = read_json(args.required("model")?)?;
     let assignments: SkillAssignments = read_json(args.required("assignments")?)?;
     let ll = upskill_core::update::log_likelihood(&dataset, &assignments, &model)?;
@@ -375,7 +386,7 @@ fn evaluate(args: &Args) -> Result<(), CliError> {
 
 fn sweep(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["data", "min", "max", "test-frac", "seed", "min-init"])?;
-    let dataset: Dataset = read_json(args.required("data")?)?;
+    let dataset = read_dataset(args.required("data")?)?;
     let lo: usize = args.parse_or("min", 2)?;
     let hi: usize = args.parse_or("max", 8)?;
     let frac: f64 = args.parse_or("test-frac", 0.1)?;
@@ -441,7 +452,7 @@ fn ingest(args: &Args) -> Result<(), CliError> {
             SessionBundle::from_json(&text)?.resume()?
         }
         None => {
-            let dataset: Dataset = read_json(args.required("data")?)?;
+            let dataset = read_dataset(args.required("data")?)?;
             let model: SkillModel = read_json(args.required("model")?)?;
             let assignments: SkillAssignments = read_json(args.required("assignments")?)?;
             let lambda: f64 = args.parse_or("lambda", 0.01)?;
@@ -694,7 +705,7 @@ fn policy_eval(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
         "data", "levels", "learners", "budget", "threads", "seed", "min-init", "out",
     ])?;
-    let dataset: Dataset = read_json(args.required("data")?)?;
+    let dataset = read_dataset(args.required("data")?)?;
     let levels: usize = args.parse_or("levels", 5)?;
     let learners: usize = args.parse_or("learners", 24)?;
     let budget: usize = args.parse_or("budget", 300)?;
@@ -737,7 +748,7 @@ fn policy_eval(args: &Args) -> Result<(), CliError> {
 
 fn recommend(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["data", "model", "difficulty", "level", "k"])?;
-    let dataset: Dataset = read_json(args.required("data")?)?;
+    let dataset = read_dataset(args.required("data")?)?;
     let model: SkillModel = read_json(args.required("model")?)?;
     let difficulty: Vec<Option<f64>> = read_json(args.required("difficulty")?)?;
     let level: u8 = args.parse_or("level", 1)?;

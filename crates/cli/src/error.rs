@@ -31,6 +31,14 @@ pub enum CliError {
         /// Parser diagnostic.
         detail: String,
     },
+    /// A dataset file parsed but breaks a dataset invariant (unsorted
+    /// sequence, unknown item, schema mismatch).
+    InvalidData {
+        /// The offending file.
+        path: String,
+        /// The violated invariant.
+        source: CoreError,
+    },
     /// An artifact failed to serialize (pre-write).
     Serialize {
         /// The output file the artifact was destined for.
@@ -59,6 +67,7 @@ impl fmt::Display for CliError {
         match self {
             CliError::Io { op, path, source } => write!(f, "cannot {op} {path}: {source}"),
             CliError::Parse { path, detail } => write!(f, "cannot parse {path}: {detail}"),
+            CliError::InvalidData { path, source } => write!(f, "invalid dataset {path}: {source}"),
             CliError::Serialize { path, detail } => {
                 write!(f, "cannot serialize {path}: {detail}")
             }
@@ -74,7 +83,7 @@ impl std::error::Error for CliError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CliError::Io { source, .. } => Some(source),
-            CliError::Core(e) => Some(e),
+            CliError::InvalidData { source, .. } | CliError::Core(source) => Some(source),
             CliError::Serve(e) => Some(e),
             CliError::Command { source, .. } => Some(source.as_ref()),
             _ => None,

@@ -209,3 +209,52 @@ fn sweep_selects_a_skill_count() {
         .expect("sweep bad range");
     assert!(!out.status.success());
 }
+
+/// Runs `upskill` with whitespace-separated arguments, under `tmp()`.
+fn upskill(args: &str) -> std::process::Output {
+    let dir = tmp("").to_str().unwrap().to_string();
+    let args = args.replace("@/", &dir);
+    bin().args(args.split_whitespace()).output().expect("run")
+}
+
+/// `text` with the number after the first `key` replaced by `value`.
+fn replace_first_number(text: &str, key: &str, value: &str) -> String {
+    let start = text.find(key).expect("key present") + key.len();
+    let len = text[start..]
+        .find(|c: char| !(c.is_ascii_digit() || c == '-'))
+        .expect("number ends");
+    format!("{}{value}{}", &text[..start], &text[start + len..])
+}
+
+#[test]
+fn invalid_datasets_are_typed_errors_not_panics() {
+    let out = upskill("generate --domain synthetic --scale quick --seed 7 --out @/valid.json");
+    assert!(out.status.success());
+    let out = upskill(
+        "train --data @/valid.json --levels 5 --min-init 20 --out @/valid_model.json \
+         --assignments @/valid_assign.json",
+    );
+    assert!(out.status.success());
+    // Serde loads both files; only `Dataset::validate` catches them.
+    let text = std::fs::read_to_string(tmp("valid.json")).expect("read data");
+    let dangling = replace_first_number(&text, "\"item\":", "4000000000");
+    let unsorted = replace_first_number(&text, "\"time\":", "9000000000000");
+    for (name, body) in [("dangling.json", dangling), ("unsorted.json", unsorted)] {
+        std::fs::write(tmp(name), body).expect("write bad data");
+        for run in [
+            "train --levels 5 --min-init 20 --out @/bad_model.json",
+            "evaluate --model @/valid_model.json --assignments @/valid_assign.json",
+            "difficulty --model @/valid_model.json --assignments @/valid_assign.json \
+             --out @/bad_difficulty.json",
+            "stats",
+        ] {
+            let out = upskill(&format!("{run} --data @/{name}"));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let tag = format!("{name} {run}");
+            assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+            assert!(stderr.starts_with("error: "), "{tag}: {stderr}");
+            assert!(stderr.contains("invalid dataset"), "{tag}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{tag}: {stderr}");
+        }
+    }
+}

@@ -77,7 +77,7 @@ impl AssignWorkspace {
 }
 
 /// Assigns skill levels to the item sequence `items` via the monotone DP,
-/// reading emissions from `table`.
+/// reading emissions from `rows`.
 ///
 /// The initial skill is unconstrained (users may enter the data already
 /// skilled); between consecutive actions the level either stays or
@@ -86,50 +86,38 @@ impl AssignWorkspace {
 /// distribution call — so this is the hot path of training, chunked
 /// training and serving. Timestamps never enter the DP, which is why the
 /// item column alone suffices. All scratch lives in `ws`.
-pub fn assign_items_with_table_ws<R: EmissionRows + ?Sized>(
-    table: &R,
-    items: &[ItemId],
-    ws: &mut AssignWorkspace,
-) -> Result<SequenceAssignment> {
-    assign_with(table, items.iter().copied(), ws)
-}
-
-/// Assigns skill levels to one sequence, scoring emissions straight from
-/// the model (`O(n · F · S)` distribution calls). Bitwise identical to
-/// [`assign_items_with_table_ws`] over a table built from the same model;
-/// when assigning many sequences, build the table once instead.
-pub fn assign_sequence(
-    model: &SkillModel,
-    dataset: &Dataset,
-    sequence: &ActionSequence,
-) -> Result<SequenceAssignment> {
-    let rows = DirectEmissions { model, dataset };
-    let items = sequence.actions().iter().map(|a| a.item);
-    assign_with(&rows, items, &mut AssignWorkspace::new())
-}
-
-/// The monotone Viterbi DP over the item sequence `items`.
 ///
 /// Every entry point funnels through this one implementation, so
 /// tie-breaking and backtracking are identical by construction.
-pub(crate) fn assign_with<R, I>(
+pub fn assign_items_with_table_ws<R: EmissionRows + ?Sized>(
     rows: &R,
-    items: I,
+    items: &[ItemId],
     ws: &mut AssignWorkspace,
-) -> Result<SequenceAssignment>
-where
-    R: EmissionRows + ?Sized,
-    I: ExactSizeIterator<Item = ItemId> + Clone,
-{
+) -> Result<SequenceAssignment> {
+    let mut levels = Vec::with_capacity(items.len());
+    let log_likelihood = assign_items_into(rows, items, ws, &mut levels)?;
+    Ok(SequenceAssignment {
+        levels,
+        log_likelihood,
+    })
+}
+
+/// [`assign_items_with_table_ws`] appending the levels to `out` instead of
+/// returning a fresh vector (nothing is appended on error); returns the
+/// path log-likelihood. Lets a chunk pass keep a chunk's levels in one
+/// buffer.
+pub(crate) fn assign_items_into<R: EmissionRows + ?Sized>(
+    rows: &R,
+    items: &[ItemId],
+    ws: &mut AssignWorkspace,
+    out: &mut Vec<SkillLevel>,
+) -> Result<f64> {
     let n = items.len();
     if n == 0 {
-        return Ok(SequenceAssignment {
-            levels: Vec::new(),
-            log_likelihood: 0.0,
-        });
+        return Ok(0.0);
     }
     let n_items = rows.n_items();
-    for item in items.clone() {
+    for &item in items {
         if item as usize >= n_items {
             return Err(CoreError::FeatureIndexOutOfBounds {
                 index: item as usize,
@@ -153,7 +141,7 @@ where
     // Forward pass. `prev[s]` = best score ending at level s+1; `below`
     // carries `prev[s-1]` into iteration `s` so the loop needs no
     // lookback indexing.
-    let mut items = items;
+    let mut items = items.iter().copied();
     if let Some(first) = items.next() {
         prev.copy_from_slice(rows.emission_row(first, scratch));
     }
@@ -197,7 +185,9 @@ where
     }
 
     // Backtrack.
-    let mut levels: Vec<SkillLevel> = vec![0; n];
+    let start = out.len();
+    out.resize(start + n, 0);
+    let levels = &mut out[start..];
     let mut s = best_s;
     for (t, level) in levels.iter_mut().enumerate().rev() {
         *level = skill_level_from_index(s);
@@ -209,10 +199,21 @@ where
         }
     }
     debug_assert!(levels.windows(2).all(|w| w[0] <= w[1]));
-    Ok(SequenceAssignment {
-        levels,
-        log_likelihood: best_ll,
-    })
+    Ok(best_ll)
+}
+
+/// Assigns skill levels to one sequence, scoring emissions straight from
+/// the model (`O(n · F · S)` distribution calls). Bitwise identical to
+/// [`assign_items_with_table_ws`] over a table built from the same model;
+/// when assigning many sequences, build the table once instead.
+pub fn assign_sequence(
+    model: &SkillModel,
+    dataset: &Dataset,
+    sequence: &ActionSequence,
+) -> Result<SequenceAssignment> {
+    let rows = DirectEmissions { model, dataset };
+    let items: Vec<ItemId> = sequence.actions().iter().map(|a| a.item).collect();
+    assign_items_with_table_ws(&rows, &items, &mut AssignWorkspace::new())
 }
 
 /// Exhaustive-search reference implementation used to validate the DP.

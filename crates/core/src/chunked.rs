@@ -5,40 +5,44 @@
 //! module provides the million-user path: a corpus is consumed as a
 //! stream of fixed-size **user-partition chunks** in a columnar layout
 //! ([`DatasetChunk`]), produced on demand by any [`ChunkSource`]. Both
-//! the in-memory dataset ([`DatasetChunks`]) and owned columnar storage
-//! ([`ChunkedDataset`]) implement the trait, as does the
+//! the in-memory dataset ([`DatasetChunks`]) and its once-copied columnar
+//! form ([`ChunkedDataset`]) implement the trait, as does the
 //! generate-and-fold synthetic source in `upskill-datasets`; training
 //! memory is bounded by `chunk_size × workers`, independent of the
 //! number of users.
 //!
-//! The chunked trainers ([`train_chunked`], [`train_em_chunked`])
-//! mirror their in-memory counterparts step for step and produce
-//! **bitwise-identical** models, log-likelihoods, and traces relative
-//! to the sequential in-memory paths (pinned by
+//! The chunk pass here is the one hard-training loop ([`train_chunked`],
+//! which [`crate::train::train_with_parallelism`] runs over the dataset's
+//! chunks, copied once) and the one fan-out (`for_each_chunk`) of every
+//! decode and of [`train_em_chunked`]. Outputs are **bitwise identical**
+//! for any chunk size and worker count (pinned by
 //! `tests/properties_scale.rs`):
 //!
-//! - Assignment always runs through the [`EmissionTable`] DP, which is
-//!   bitwise identical to the direct path (pinned in [`crate::assign`]).
+//! - Assignment always runs through one DP, generic over
+//!   [`EmissionRows`]; an [`EmissionTable`] is bitwise identical to the
+//!   direct path (pinned in [`crate::assign`]).
 //! - Per-user log-likelihoods are folded in global user order (chunks in
-//!   index order, users in chunk order) regardless of worker count, so
-//!   the total matches the sequential fold exactly — as the in-memory
-//!   fan-out does.
-//! - Sufficient statistics are integer [`StatsGrid`] counts, sharded per
-//!   worker and combined with the order-free additive
-//!   [`StatsGrid::merge`].
+//!   index order, users in chunk order) regardless of worker count or
+//!   which worker took which chunk, so the total matches the sequential
+//!   fold exactly.
+//! - Sufficient statistics are one integer [`StatsGrid`], moved each pass
+//!   by per-worker signed deltas (only the actions whose level changed)
+//!   that are added order-free.
 //! - Soft (EM) statistics are folded through the weighted accumulators
 //!   in global action order during a sequential apply phase, mirroring
-//!   the legacy from-scratch EM accumulation.
+//!   the from-scratch EM accumulation
+//!   ([`crate::reference::train_em_full`]).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use crate::assign::{assign_items_with_table_ws, AssignWorkspace};
+use crate::assign::{assign_items_into, AssignWorkspace};
 use crate::dist::{FeatureAccumulator, FeatureDistribution};
 use crate::em::{EmConfig, EmResult, FbWorkspace, WeightedAcc};
-use crate::emission::EmissionTable;
+use crate::emission::{EmissionRows, EmissionTable};
 use crate::error::{CoreError, Result};
 use crate::feature::FeatureSchema;
-use crate::incremental::StatsGrid;
+use crate::incremental::{GridDelta, StatsGrid};
 use crate::init::segment_uniform_times;
 use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
@@ -199,6 +203,29 @@ pub trait ChunkSource: Sync {
 
     /// Fills `out` with chunk `index`. Deterministic per index.
     fn load_chunk(&self, index: usize, out: &mut DatasetChunk) -> Result<()>;
+
+    /// Chunk `index` when the source already holds it in columnar form,
+    /// lent without a copy; passes read it in place of
+    /// [`Self::load_chunk`]. `None` (the default) means load it.
+    fn loaded_chunk(&self, _index: usize) -> Option<&DatasetChunk> {
+        None
+    }
+}
+
+/// Chunk `index` of `source`: lent by the source if it holds it, else
+/// loaded into `buffer`.
+fn chunk_at<'a, S: ChunkSource + ?Sized>(
+    source: &'a S,
+    index: usize,
+    buffer: &'a mut DatasetChunk,
+) -> Result<&'a DatasetChunk> {
+    match source.loaded_chunk(index) {
+        Some(chunk) => Ok(chunk),
+        None => {
+            source.load_chunk(index, buffer)?;
+            Ok(buffer)
+        }
+    }
 }
 
 /// Borrowed adapter presenting an in-memory [`Dataset`] as a chunk
@@ -252,84 +279,93 @@ impl ChunkSource for DatasetChunks<'_> {
         }
         let end = (start + self.chunk_size).min(n_users);
         out.reset(index, start);
-        for seq in &self.dataset.sequences()[start..end] {
-            out.begin_user(seq.user);
-            for a in seq.actions() {
-                out.push_action(a.time, a.item)?;
+        let sequences = &self.dataset.sequences()[start..end];
+        let n_actions: usize = sequences.iter().map(ActionSequence::len).sum();
+        out.items.reserve(n_actions);
+        out.times.reserve(n_actions);
+        for seq in sequences {
+            let (actions, start) = (seq.actions(), out.times.len());
+            out.times.extend(actions.iter().map(|a| a.time));
+            // A deserialized dataset skips `ActionSequence::new`, so time
+            // order is checked here — once per sequence, on the contiguous
+            // copy, with the error `push_action` would give.
+            if let Some(pos) = out.times[start..].windows(2).position(|w| w[1] < w[0]) {
+                return Err(CoreError::UnsortedSequence {
+                    user: seq.user,
+                    position: pos + 1,
+                });
             }
+            out.users.push(seq.user);
+            out.items.extend(actions.iter().map(|a| a.item));
+            out.offsets.push(out.items.len());
         }
         Ok(())
     }
 }
 
-/// Owned columnar storage of a whole corpus, pre-partitioned into
-/// fixed-size user chunks.
-///
-/// Unlike [`DatasetChunks`] this drops the Vec-of-sequences
-/// representation entirely: one contiguous item column, one timestamp
-/// column, and CSR offsets over users. `load_chunk` is a pair of
-/// `memcpy`s. Useful when the corpus fits in memory but the per-user
-/// `Vec<Action>` overhead (and 16-byte `Action` stride) does not.
-#[derive(Debug, Clone)]
-pub struct ChunkedDataset {
-    item_view: Dataset,
-    chunk_size: usize,
-    users: Vec<UserId>,
-    /// CSR extents over the full corpus: user `u` owns
-    /// `offsets[u]..offsets[u + 1]`.
-    offsets: Vec<usize>,
-    items: Vec<ItemId>,
-    times: Vec<Timestamp>,
+/// Most users per chunk of an in-memory dataset: small enough to keep a
+/// chunk's buffers small, large enough to amortize its bookkeeping.
+const IN_MEMORY_CHUNK_USERS: usize = 4096;
+
+/// Chunks a pass hands each worker, so that workers which free up early
+/// take more of the chunks: sequence lengths vary widely, and one static
+/// chunk per worker would leave workers idle behind the longest.
+const CHUNKS_PER_WORKER: usize = 8;
+
+/// Users per chunk when the trainer or a decode chunks an in-memory
+/// dataset: [`CHUNKS_PER_WORKER`] chunks per worker thread, at most
+/// [`IN_MEMORY_CHUNK_USERS`] users each. Chunking moves no output bit.
+pub(crate) fn in_memory_chunk_size(dataset: &Dataset, parallel: &ParallelConfig) -> usize {
+    dataset
+        .n_users()
+        .div_ceil(parallel.threads.max(1) * CHUNKS_PER_WORKER)
+        .clamp(1, IN_MEMORY_CHUNK_USERS)
 }
 
-impl ChunkedDataset {
-    /// Re-lays an in-memory dataset out columnar with `chunk_size`-user
-    /// partitions.
-    pub fn from_dataset(dataset: &Dataset, chunk_size: usize) -> Result<Self> {
-        if chunk_size == 0 {
-            return Err(CoreError::InvalidChunkSize { requested: 0 });
-        }
-        let item_view = Dataset::new(
-            dataset.schema().clone(),
-            dataset.items().to_vec(),
-            Vec::new(),
-        )?;
-        let n_actions = dataset.n_actions();
-        let mut users = Vec::with_capacity(dataset.n_users());
-        let mut offsets = Vec::with_capacity(dataset.n_users() + 1);
-        let mut items = Vec::with_capacity(n_actions);
-        let mut times = Vec::with_capacity(n_actions);
-        offsets.push(0);
-        for seq in dataset.sequences() {
-            users.push(seq.user);
-            for a in seq.actions() {
-                items.push(a.item);
-                times.push(a.time);
-            }
-            offsets.push(items.len());
-        }
+/// An in-memory dataset copied **once** into columnar user chunks, which
+/// every pass then borrows ([`ChunkSource::loaded_chunk`]) instead of
+/// copying them again: the in-memory trainer runs over one, since each
+/// of its passes reads every chunk. Costs one columnar copy of the
+/// sequences (12 bytes per action) for the life of the value; the item
+/// view is the borrowed dataset.
+#[derive(Debug, Clone)]
+pub struct ChunkedDataset<'a> {
+    dataset: &'a Dataset,
+    chunk_size: usize,
+    chunks: Vec<DatasetChunk>,
+}
+
+impl<'a> ChunkedDataset<'a> {
+    /// Copies `dataset` into `chunk_size`-user chunks through
+    /// [`DatasetChunks::load_chunk`], so it gets the same time-order check.
+    pub fn from_dataset(dataset: &'a Dataset, chunk_size: usize) -> Result<Self> {
+        let source = DatasetChunks::new(dataset, chunk_size)?;
+        let chunks = (0..source.n_chunks())
+            .map(|index| {
+                let mut chunk = DatasetChunk::new();
+                source.load_chunk(index, &mut chunk)?;
+                Ok(chunk)
+            })
+            .collect::<Result<_>>()?;
         Ok(Self {
-            item_view,
+            dataset,
             chunk_size,
-            users,
-            offsets,
-            items,
-            times,
+            chunks,
         })
     }
 }
 
-impl ChunkSource for ChunkedDataset {
+impl ChunkSource for ChunkedDataset<'_> {
     fn item_view(&self) -> &Dataset {
-        &self.item_view
+        self.dataset
     }
 
     fn n_users(&self) -> usize {
-        self.users.len()
+        self.dataset.n_users()
     }
 
     fn n_actions(&self) -> usize {
-        self.items.len()
+        self.dataset.n_actions()
     }
 
     fn chunk_size(&self) -> usize {
@@ -337,25 +373,17 @@ impl ChunkSource for ChunkedDataset {
     }
 
     fn load_chunk(&self, index: usize, out: &mut DatasetChunk) -> Result<()> {
-        let n_users = self.users.len();
-        let start = index * self.chunk_size;
-        if start >= n_users {
-            return Err(CoreError::LengthMismatch {
-                context: "chunk index vs chunk count",
-                left: index,
-                right: self.n_chunks(),
-            });
-        }
-        let end = (start + self.chunk_size).min(n_users);
-        out.reset(index, start);
-        out.users.extend_from_slice(&self.users[start..end]);
-        let (lo, hi) = (self.offsets[start], self.offsets[end]);
-        out.offsets.clear();
-        out.offsets
-            .extend(self.offsets[start..=end].iter().map(|&o| o - lo));
-        out.items.extend_from_slice(&self.items[lo..hi]);
-        out.times.extend_from_slice(&self.times[lo..hi]);
+        let chunk = self.loaded_chunk(index).ok_or(CoreError::LengthMismatch {
+            context: "chunk index vs chunk count",
+            left: index,
+            right: self.chunks.len(),
+        })?;
+        out.clone_from(chunk);
         Ok(())
+    }
+
+    fn loaded_chunk(&self, index: usize) -> Option<&DatasetChunk> {
+        self.chunks.get(index)
     }
 }
 
@@ -368,9 +396,9 @@ impl ChunkSource for ChunkedDataset {
 pub fn materialize<S: ChunkSource + ?Sized>(source: &S) -> Result<Dataset> {
     let view = source.item_view();
     let mut sequences = Vec::with_capacity(source.n_users());
-    let mut chunk = DatasetChunk::new();
+    let mut buffer = DatasetChunk::new();
     for index in 0..source.n_chunks() {
-        source.load_chunk(index, &mut chunk)?;
+        let chunk = chunk_at(source, index, &mut buffer)?;
         for u in 0..chunk.n_users() {
             let user = chunk.users()[u];
             let actions = chunk
@@ -438,28 +466,35 @@ pub struct ChunkedTrainResult {
 ///
 /// Output is corpus-sized; this is the bridge from chunked training
 /// back to assignment-consuming APIs (difficulty, sessions, tests).
-/// Bitwise identical to [`crate::parallel::assign_all_parallel`] on the
-/// materialized dataset.
+/// Runs the training pass's chunk fan-out, so it is bitwise identical to
+/// [`crate::parallel::assign_all_parallel`] on the materialized dataset
+/// for every worker count.
 pub fn assign_chunked<S: ChunkSource + ?Sized>(
     source: &S,
-    model: &crate::model::SkillModel,
-    parallel: &crate::parallel::ParallelConfig,
+    model: &SkillModel,
+    parallel: &ParallelConfig,
 ) -> Result<(SkillAssignments, f64)> {
     parallel.validate()?;
     let table = EmissionTable::build_with_config(model, source.item_view(), parallel)?;
-    let mut per_user: Vec<Vec<SkillLevel>> = Vec::with_capacity(source.n_users());
-    let mut total_ll = 0.0;
-    let mut chunk = DatasetChunk::new();
-    let mut ws = AssignWorkspace::new();
-    for index in 0..source.n_chunks() {
-        source.load_chunk(index, &mut chunk)?;
-        for u in 0..chunk.n_users() {
-            let a = assign_items_with_table_ws(&table, chunk.user_items(u), &mut ws)?;
-            total_ll += a.log_likelihood;
-            per_user.push(a.levels);
-        }
-    }
-    Ok((SkillAssignments { per_user }, total_ll))
+    decode_chunks(source, &table, parallel)
+}
+
+/// One decode pass of `source` against any emission-row source: the
+/// per-user levels in corpus order and the user-order total
+/// log-likelihood.
+pub(crate) fn decode_chunks<S, R>(
+    source: &S,
+    rows: &R,
+    parallel: &ParallelConfig,
+) -> Result<(SkillAssignments, f64)>
+where
+    S: ChunkSource + ?Sized,
+    R: EmissionRows + Sync + ?Sized,
+{
+    let mut states = worker_states(source, parallel);
+    let pass = run_assignment_pass(source, rows, &Incumbent::None, &mut states, None, true)?;
+    let per_user = pass.levels.per_user();
+    Ok((SkillAssignments { per_user }, pass.total_ll))
 }
 
 /// Chunked analogue of [`crate::init::initialize_model`]: uniform-in-time
@@ -493,9 +528,9 @@ pub fn initialize_model_chunked<S: ChunkSource + ?Sized>(
         })
         .collect();
     let mut qualifying_actions = 0usize;
-    let mut chunk = DatasetChunk::new();
+    let mut buffer = DatasetChunk::new();
     for index in 0..source.n_chunks() {
-        source.load_chunk(index, &mut chunk)?;
+        let chunk = chunk_at(source, index, &mut buffer)?;
         for u in 0..chunk.n_users() {
             let items = chunk.user_items(u);
             if items.len() < min_actions {
@@ -525,108 +560,212 @@ pub fn initialize_model_chunked<S: ChunkSource + ?Sized>(
     SkillModel::new(schema.clone(), n_levels, cells)
 }
 
-/// How one assignment pass recovers the *previous* iteration's levels for
-/// churn counting.
-#[derive(Clone, Copy)]
-enum PrevPass<'a> {
+/// The previous iteration's levels, as a pass recovers them for churn
+/// counting and the optimality check.
+enum Incumbent {
     /// First iteration: nothing to diff against.
     None,
-    /// [`AssignmentStorage::InMemory`]: stored flat levels per chunk.
-    Levels(&'a [Vec<SkillLevel>]),
+    /// [`AssignmentStorage::InMemory`]: one flat level vector per chunk,
+    /// in chunk action order.
+    Levels(Vec<Vec<SkillLevel>>),
     /// [`AssignmentStorage::Recompute`]: the previous iteration's emission
-    /// table; the deterministic DP is re-run per chunk.
-    Table(&'a EmissionTable),
+    /// table; the deterministic DP is re-run per user.
+    Table(EmissionTable),
+}
+
+/// Levels a pass kept: one flat vector per chunk (the form the
+/// `InMemory` store holds) and every user's action count, corpus order.
+#[derive(Default)]
+pub(crate) struct KeptLevels {
+    per_chunk: Vec<Vec<SkillLevel>>,
+    user_lens: Vec<usize>,
+}
+
+impl KeptLevels {
+    /// Splits the levels into one vector per user, corpus order.
+    pub(crate) fn per_user(self) -> Vec<Vec<SkillLevel>> {
+        let mut chunks = self.per_chunk.iter().map(Vec::as_slice);
+        let mut rest: &[SkillLevel] = &[];
+        self.user_lens
+            .iter()
+            .map(|&len| {
+                // A user never spans two chunks.
+                while rest.len() < len {
+                    match chunks.next() {
+                        Some(chunk) => rest = chunk,
+                        None => break,
+                    }
+                }
+                let (user, tail) = rest.split_at(len.min(rest.len()));
+                rest = tail;
+                user.to_vec()
+            })
+            .collect()
+    }
 }
 
 /// Per-worker reusable state for the hard assignment pass. One worker owns
-/// one chunk buffer, two DP workspaces, and (when statistics are being
-/// built) a partial [`StatsGrid`] sharded by the user partitions it
-/// processed.
+/// one chunk buffer, two DP workspaces, and (when the pass maintains a
+/// [`StatsGrid`]) the grid changes of the chunks it processed.
 struct WorkerState {
     chunk: DatasetChunk,
     ws: AssignWorkspace,
     prev_ws: AssignWorkspace,
-    grid: Option<StatsGrid>,
+    /// A user's incumbent levels replayed under `Recompute` storage.
+    recomputed: Vec<SkillLevel>,
+    /// Per cell: actions that moved in minus actions that moved out.
+    delta: Option<GridDelta>,
+    /// Per cell: actions now there — the invariant layer's recount of the
+    /// grid (only when checks are compiled in).
+    recount: Option<GridDelta>,
+    /// Actions per level, counted when no grid is maintained (a grid
+    /// holds the same totals).
     histogram: Vec<u64>,
 }
 
-/// What one worker hands back per chunk (worker-local accumulations —
-/// grid, histogram — stay in [`WorkerState`] and merge once per pass).
+/// One state per worker a pass over `source` runs on; a trainer keeps
+/// them for all its passes.
+fn worker_states<S: ChunkSource + ?Sized>(
+    source: &S,
+    parallel: &ParallelConfig,
+) -> Vec<WorkerState> {
+    (0..parallel.workers_for_chunks(source.n_chunks()))
+        .map(|_| WorkerState {
+            chunk: DatasetChunk::new(),
+            ws: AssignWorkspace::new(),
+            prev_ws: AssignWorkspace::new(),
+            recomputed: Vec::new(),
+            delta: None,
+            recount: None,
+            histogram: Vec::new(),
+        })
+        .collect()
+}
+
+/// What one worker hands back per chunk (the worker-local grid delta
+/// stays in [`WorkerState`] and is added once per pass).
 struct ChunkOutcome {
     /// Per-user log-likelihoods, in chunk user order.
     user_lls: Vec<f64>,
-    /// Flat assigned levels over the chunk's action column.
+    /// The chunk's levels, flat in chunk action order, and its users'
+    /// action counts (both empty unless the pass keeps them).
     levels: Vec<SkillLevel>,
+    user_lens: Vec<usize>,
     /// Actions whose level moved vs. the previous iteration.
-    n_changed: Option<usize>,
+    n_changed: usize,
 }
 
-/// DP + statistics + churn for one chunk.
-fn process_chunk<S: ChunkSource + ?Sized>(
+/// DP + statistics + churn for one chunk, with the per-sequence checks of
+/// [`crate::invariants`]: every new path is monotone and scores at least
+/// its incumbent under the same rows.
+///
+/// With a grid delta in `state`, the chunk's grid changes go into it: on
+/// the first pass every action, afterwards only the actions whose level
+/// moved off the incumbent — the churn, which falls fast, so later passes
+/// touch few cells. Without one, actions are counted per level.
+fn process_chunk<S, R>(
     source: &S,
-    table: &EmissionTable,
-    prev: PrevPass<'_>,
+    rows: &R,
+    prev: &Incumbent,
     chunk_index: usize,
+    keep_levels: bool,
     state: &mut WorkerState,
-    ctx: InvariantCtx,
-) -> Result<ChunkOutcome> {
-    source.load_chunk(chunk_index, &mut state.chunk)?;
-    let chunk = &state.chunk;
+) -> Result<ChunkOutcome>
+where
+    S: ChunkSource + ?Sized,
+    R: EmissionRows + ?Sized,
+{
+    let ctx = InvariantCtx::new();
+    let WorkerState {
+        chunk,
+        ws,
+        prev_ws,
+        recomputed,
+        delta,
+        recount,
+        histogram,
+    } = state;
+    let chunk = chunk_at(source, chunk_index, chunk)?;
     let mut user_lls = Vec::with_capacity(chunk.n_users());
-    let mut levels: Vec<SkillLevel> = Vec::with_capacity(chunk.n_actions());
+    let mut levels = Vec::with_capacity(chunk.n_actions());
     for u in 0..chunk.n_users() {
-        let a = assign_items_with_table_ws(table, chunk.user_items(u), &mut state.ws)?;
-        ctx.check_sequence_monotone("chunked training assignment", &a.levels)?;
-        user_lls.push(a.log_likelihood);
-        levels.extend_from_slice(&a.levels);
+        let ll = assign_items_into(rows, chunk.user_items(u), ws, &mut levels)?;
+        let new = &levels[chunk.offsets[u]..];
+        ctx.check_sequence_monotone("chunked training assignment", new)?;
+        user_lls.push(ll);
     }
-    if let Some(g) = state.grid.as_mut() {
-        for (&item, &level) in chunk.items().iter().zip(&levels) {
-            g.add_action(item, level)?;
+    if delta.is_none() {
+        levels
+            .iter()
+            .for_each(|&level| histogram[level as usize - 1] += 1);
+    }
+    if let Some(r) = recount.as_mut() {
+        for (&item, &now) in chunk.items().iter().zip(&levels) {
+            r.shift(item, now, 1)?;
         }
     }
-    for &level in &levels {
-        state.histogram[level as usize - 1] += 1;
-    }
-    let n_changed = match prev {
-        PrevPass::None => None,
-        PrevPass::Levels(all) => {
-            let prev_levels = &all[chunk_index];
-            if prev_levels.len() != levels.len() {
+    let stored = match prev {
+        Incumbent::Levels(all) => {
+            let stored = all.get(chunk_index).map_or(&[][..], Vec::as_slice);
+            if stored.len() != levels.len() {
                 return Err(CoreError::LengthMismatch {
                     context: "previous vs next assignment lengths",
-                    left: prev_levels.len(),
+                    left: stored.len(),
                     right: levels.len(),
                 });
             }
-            Some(
-                prev_levels
-                    .iter()
-                    .zip(&levels)
-                    .filter(|(a, b)| a != b)
-                    .count(),
-            )
+            stored
         }
-        PrevPass::Table(prev_table) => {
-            let mut changed = 0usize;
-            let mut offset = 0usize;
-            for u in 0..chunk.n_users() {
-                let items = chunk.user_items(u);
-                let p = assign_items_with_table_ws(prev_table, items, &mut state.prev_ws)?;
-                changed += p
-                    .levels
-                    .iter()
-                    .zip(&levels[offset..offset + items.len()])
-                    .filter(|(a, b)| a != b)
-                    .count();
-                offset += items.len();
+        _ => &[],
+    };
+    // Incumbents in a second sweep, so a `Recompute` replay streams one
+    // emission table at a time.
+    let mut n_changed = 0usize;
+    for (u, &new_ll) in user_lls.iter().enumerate() {
+        let span = chunk.offsets[u]..chunk.offsets[u + 1];
+        let (items, new) = (chunk.user_items(u), &levels[span.clone()]);
+        let incumbent = match prev {
+            Incumbent::None => None,
+            Incumbent::Levels(_) => Some(&stored[span]),
+            Incumbent::Table(prev_table) => {
+                recomputed.clear();
+                assign_items_into(prev_table, items, prev_ws, recomputed)?;
+                Some(recomputed.as_slice())
             }
-            Some(changed)
+        };
+        match (incumbent, delta.as_mut()) {
+            (Some(old), _) if old == new => {}
+            (Some(old), mut delta) => {
+                for ((&item, &was), &now) in items.iter().zip(old).zip(new) {
+                    if was != now {
+                        n_changed += 1;
+                        if let Some(d) = delta.as_deref_mut() {
+                            d.shift(item, was, -1)?;
+                            d.shift(item, now, 1)?;
+                        }
+                    }
+                }
+            }
+            (None, Some(d)) => {
+                for (&item, &now) in items.iter().zip(new) {
+                    d.shift(item, now, 1)?;
+                }
+            }
+            (None, None) => {}
+        }
+        ctx.check_sequence_optimal("training assignment step", rows, items, incumbent, new_ll)?;
+    }
+    let user_lens = match keep_levels {
+        true => chunk.offsets.windows(2).map(|w| w[1] - w[0]).collect(),
+        false => {
+            levels = Vec::new();
+            Vec::new()
         }
     };
     Ok(ChunkOutcome {
         user_lls,
         levels,
+        user_lens,
         n_changed,
     })
 }
@@ -637,224 +776,246 @@ struct PassResult {
     total_ll: f64,
     /// Total churn vs. the previous iteration (`None` on the first pass).
     n_changed: Option<usize>,
-    /// Actions per level under the new assignments.
+    /// Actions per level, when the pass maintained no grid.
     histogram: Vec<u64>,
-    /// Merged sufficient statistics (when requested).
-    grid: Option<StatsGrid>,
-    /// Flat new levels per chunk (when requested, i.e. `InMemory`).
-    levels_by_chunk: Option<Vec<Vec<SkillLevel>>>,
+    /// The new levels (empty unless requested).
+    levels: KeptLevels,
 }
 
-/// One sharded assignment pass: chunks are processed in waves of
-/// `workers_for_chunks` scoped threads, each worker owning its buffers
-/// and a partial grid; results are applied sequentially **in chunk
-/// order**, so the log-likelihood fold is the global user-order fold
-/// whatever the worker count.
-fn run_assignment_pass<S: ChunkSource + ?Sized>(
+/// Actions per level (`totals[s - 1]`) counted in `grid`.
+fn level_totals(grid: &StatsGrid) -> Vec<u64> {
+    let row = |s| (0..grid.n_items()).map(|i| grid.count(s, i)).sum();
+    (0..grid.n_levels()).map(row).collect()
+}
+
+/// The one user fan-out: runs `work` on every chunk index on
+/// `states.len()` scoped workers, `wave` chunks at a time, and hands the
+/// outcomes to `apply` **in chunk order**, whatever the worker count or
+/// schedule. Inside a wave each worker takes the next unclaimed chunk as
+/// it frees up, so no worker idles while chunks remain; the wave bounds
+/// how many outcomes wait to be applied. One worker runs on the calling
+/// thread. Generic, so the DP's row source is never `dyn`.
+fn for_each_chunk<W, O>(
+    n_chunks: usize,
+    wave: usize,
+    states: &mut [W],
+    step: &'static str,
+    work: impl Fn(usize, &mut W) -> Result<O> + Sync,
+    mut apply: impl FnMut(O) -> Result<()>,
+) -> Result<()>
+where
+    W: Send,
+    O: Send,
+{
+    if let [state] = states {
+        for index in 0..n_chunks {
+            apply(work(index, state)?)?;
+        }
+        return Ok(());
+    }
+    for start in (0..n_chunks).step_by(wave.max(states.len()).max(1)) {
+        let end = n_chunks.min(start + wave.max(states.len()));
+        let next = AtomicUsize::new(start);
+        let mut outcomes: Vec<(usize, Result<O>)> = std::thread::scope(|scope| {
+            let (work, next) = (&work, &next);
+            let handles: Vec<_> = states
+                .iter_mut()
+                .map(|state| {
+                    scope.spawn(move || {
+                        let mut done = Vec::new();
+                        loop {
+                            let index = next.fetch_add(1, Ordering::Relaxed);
+                            if index >= end {
+                                return done;
+                            }
+                            done.push((index, work(index, state)));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| {
+                    h.join()
+                        .unwrap_or_else(|_| vec![(start, Err(CoreError::WorkerPanicked { step }))])
+                })
+                .collect()
+        });
+        outcomes.sort_by_key(|&(index, _)| index);
+        for (_, outcome) in outcomes {
+            apply(outcome?)?;
+        }
+    }
+    Ok(())
+}
+
+/// One sharded assignment pass: chunks are processed by
+/// [`for_each_chunk`] on the given workers, each owning its buffers and a
+/// grid delta; results are applied **in chunk order**, so the
+/// log-likelihood fold is the global user-order fold whatever the worker
+/// count.
+///
+/// With a `grid` — empty on the first pass, holding the incumbent levels
+/// after — the pass moves it to the new levels; without one it counts
+/// actions per level into [`PassResult::histogram`].
+fn run_assignment_pass<S, R>(
     source: &S,
-    table: &EmissionTable,
-    prev: PrevPass<'_>,
-    n_levels: usize,
-    parallel: &ParallelConfig,
-    build_grid: bool,
+    rows: &R,
+    prev: &Incumbent,
+    states: &mut [WorkerState],
+    mut grid: Option<&mut StatsGrid>,
     keep_levels: bool,
-) -> Result<PassResult> {
-    let n_chunks = source.n_chunks();
-    let n_workers = parallel.workers_for_chunks(n_chunks);
-    let n_items = source.item_view().n_items();
+) -> Result<PassResult>
+where
+    S: ChunkSource + ?Sized,
+    R: EmissionRows + Sync + ?Sized,
+{
+    let (n_levels, n_items) = (rows.n_levels(), source.item_view().n_items());
     let ctx = InvariantCtx::new();
-    let mut states: Vec<WorkerState> = (0..n_workers)
-        .map(|_| -> Result<WorkerState> {
-            Ok(WorkerState {
-                chunk: DatasetChunk::new(),
-                ws: AssignWorkspace::new(),
-                prev_ws: AssignWorkspace::new(),
-                grid: if build_grid {
-                    Some(StatsGrid::new(n_levels, n_items)?)
-                } else {
-                    None
-                },
-                histogram: vec![0; n_levels],
-            })
-        })
-        .collect::<Result<_>>()?;
+    for state in states.iter_mut() {
+        match grid {
+            Some(_) => {
+                // Kept across passes: `add_delta` zeroes them.
+                state
+                    .delta
+                    .get_or_insert_with(|| GridDelta::new(n_levels, n_items));
+                if ctx.enabled() {
+                    state
+                        .recount
+                        .get_or_insert_with(|| GridDelta::new(n_levels, n_items));
+                }
+            }
+            None => (state.delta, state.recount) = (None, None),
+        }
+        state.histogram.clear();
+        state.histogram.resize(n_levels, 0);
+    }
 
     let mut total_ll = 0.0;
     let mut n_changed_total = 0usize;
-    let mut levels_by_chunk = if keep_levels {
-        Some(Vec::with_capacity(n_chunks))
-    } else {
-        None
-    };
-
-    for wave_start in (0..n_chunks).step_by(n_workers.max(1)) {
-        let wave_len = n_workers.min(n_chunks - wave_start);
-        let outcomes: Vec<Result<ChunkOutcome>> = if wave_len == 1 {
-            vec![process_chunk(
-                source,
-                table,
-                prev,
-                wave_start,
-                &mut states[0],
-                ctx,
-            )]
-        } else {
-            let wave_states = &mut states[..wave_len];
-            let mut joined = Vec::with_capacity(wave_len);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = wave_states
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(w, state)| {
-                        scope.spawn(move || {
-                            process_chunk(source, table, prev, wave_start + w, state, ctx)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    joined.push(handle.join().unwrap_or(Err(CoreError::WorkerPanicked {
-                        step: "chunked assignment",
-                    })));
-                }
-            });
-            joined
-        };
-        // Sequential apply, in chunk order: the f64 fold is order-
-        // sensitive, the rest is integer bookkeeping.
-        for outcome in outcomes {
-            let outcome = outcome?;
+    let mut levels = KeptLevels::default();
+    for_each_chunk(
+        source.n_chunks(),
+        states.len() * CHUNKS_PER_WORKER,
+        states,
+        "chunked assignment",
+        |index, state| process_chunk(source, rows, prev, index, keep_levels, state),
+        |outcome| {
+            // The f64 fold is order-sensitive, the rest is integer
+            // bookkeeping.
             for ll in &outcome.user_lls {
                 total_ll += ll;
             }
-            if let Some(n) = outcome.n_changed {
-                n_changed_total += n;
+            n_changed_total += outcome.n_changed;
+            if keep_levels {
+                levels.per_chunk.push(outcome.levels);
+                levels.user_lens.extend(outcome.user_lens);
             }
-            if let Some(store) = levels_by_chunk.as_mut() {
-                store.push(outcome.levels);
-            }
-        }
-    }
+            Ok(())
+        },
+    )?;
 
-    // Merge the per-worker partials. Integer counts: order-free, exact.
+    // Add up the per-worker partials. Integer counts: order-free, exact.
     let mut histogram = vec![0u64; n_levels];
-    let mut grid: Option<StatsGrid> = None;
-    for state in states {
+    for state in states.iter_mut() {
         for (h, &p) in histogram.iter_mut().zip(&state.histogram) {
             *h += p;
         }
-        if let Some(partial) = state.grid {
-            match grid.as_mut() {
-                Some(g) => g.merge(&partial)?,
-                None => grid = Some(partial),
-            }
+        if let (Some(g), Some(delta)) = (grid.as_deref_mut(), state.delta.as_mut()) {
+            g.add_delta(delta)?;
         }
+    }
+    if let Some(g) = grid {
+        let recounts = states.iter_mut().filter_map(|s| s.recount.as_mut());
+        ctx.check_grid_recount("chunked training grid", g, recounts)?;
     }
     Ok(PassResult {
         total_ll,
         n_changed: match prev {
-            PrevPass::None => None,
+            Incumbent::None => None,
             _ => Some(n_changed_total),
         },
         histogram,
-        grid,
-        levels_by_chunk,
+        levels,
     })
 }
 
-/// Resolves the previous-iteration view for a pass.
-fn prev_pass<'a>(
-    prev_levels: &'a Option<Vec<Vec<SkillLevel>>>,
-    prev_table: &'a Option<EmissionTable>,
-    storage: AssignmentStorage,
-) -> PrevPass<'a> {
-    match storage {
-        AssignmentStorage::InMemory => match prev_levels {
-            Some(levels) => PrevPass::Levels(levels),
-            None => PrevPass::None,
-        },
-        AssignmentStorage::Recompute => match prev_table {
-            Some(table) => PrevPass::Table(table),
-            None => PrevPass::None,
-        },
-    }
-}
-
-/// Chunk-at-a-time hard trainer: the out-of-core twin of
-/// [`crate::train::train_with_parallelism`].
+/// The hard trainer (paper §IV-B/C), chunk at a time; it is also
+/// [`crate::train::train_with_parallelism`]'s loop, over [`DatasetChunks`].
 ///
 /// Every stage streams the corpus through fixed-size chunks — the only
 /// corpus-sized state is the optional [`AssignmentStorage::InMemory`]
-/// level store (one byte per action); with
+/// level store (one byte per action, one flat vector per chunk); with
 /// [`AssignmentStorage::Recompute`] peak memory is bounded by
 /// `chunk_size × workers` plus the `n_items × S` emission table and
 /// histogram.
 ///
 /// **Bitwise contract**: the model, log-likelihood, per-iteration trace
 /// (`log_likelihood` / `n_changed`), and convergence decision are
-/// bitwise identical to the in-memory trainer under
-/// [`ParallelConfig::sequential`] on the materialized dataset — for any
-/// `chunk_size`, worker count, and either storage mode. This holds
-/// because assignment always runs the table-backed DP (bitwise equal to
-/// the direct DP), log-likelihoods fold in global user order, sufficient
-/// statistics are exact integer counts merged order-free, and a cell
-/// refit is a pure function of its histogram row — so reused rows equal
-/// refit rows bit for bit.
+/// bitwise identical for any `chunk_size`, worker count, and either
+/// storage mode, and equal to [`crate::reference::train_full_rescan`]'s
+/// assignments and churn. This holds because log-likelihoods fold in
+/// global user order, sufficient statistics are exact integer counts
+/// added order-free, and a cell refit is a pure function of its
+/// histogram row — so reused rows equal refit rows bit for bit.
 pub fn train_chunked<S: ChunkSource + ?Sized>(
     source: &S,
     config: &TrainConfig,
     parallel: &ParallelConfig,
     storage: AssignmentStorage,
 ) -> Result<ChunkedTrainResult> {
+    Ok(train_chunked_keeping(source, config, parallel, storage)?.0)
+}
+
+/// [`train_chunked`], also returning the final levels under
+/// [`AssignmentStorage::InMemory`] storage, which holds them anyway
+/// (empty under `Recompute`) — output [`ChunkedTrainResult`] leaves out
+/// to stay flat in memory.
+pub(crate) fn train_chunked_keeping<S: ChunkSource + ?Sized>(
+    source: &S,
+    config: &TrainConfig,
+    parallel: &ParallelConfig,
+    storage: AssignmentStorage,
+) -> Result<(ChunkedTrainResult, KeptLevels)> {
     config.validate()?;
     parallel.validate()?;
     if source.n_actions() == 0 {
         return Err(CoreError::EmptyDataset);
     }
     let view = source.item_view();
-    let n_levels = config.n_levels;
-    let mut model =
-        initialize_model_chunked(source, n_levels, config.min_init_actions, config.lambda)?;
-    let mut prev_levels: Option<Vec<Vec<SkillLevel>>> = None;
-    let mut prev_table: Option<EmissionTable> = None;
+    let (n, min, lambda) = (config.n_levels, config.min_init_actions, config.lambda);
+    let mut model = initialize_model_chunked(source, n, min, lambda)?;
+    let mut incumbent = Incumbent::None;
     let mut prev_ll = f64::NEG_INFINITY;
     let mut trace = Vec::new();
-    let mut prev_grid: Option<StatsGrid> = None;
+    // Moved pass by pass from the incumbent levels to the new ones, so it
+    // always holds the statistics of the latest levels.
+    let mut grid = StatsGrid::new(n, view.n_items())?;
     let mut table: Option<EmissionTable> = None;
     let mut refit_levels: Vec<bool> = Vec::new();
     let keep_levels = storage == AssignmentStorage::InMemory;
+    let mut states = worker_states(source, parallel);
 
     for iteration in 1..=config.max_iterations {
         let iter_start = Instant::now();
         let t = EmissionTable::refresh_or_build(&mut table, &model, view, parallel, &refit_levels)?;
-        let prev = prev_pass(&prev_levels, &prev_table, storage);
-        let pass = run_assignment_pass(source, t, prev, n_levels, parallel, true, keep_levels)?;
+        let pass = run_assignment_pass(
+            source,
+            t,
+            &incumbent,
+            &mut states,
+            Some(&mut grid),
+            keep_levels,
+        )?;
         let ll = pass.total_ll;
-        // lint:allow(core-panic): run_assignment_pass(build_grid=true)
-        // always returns a grid; its absence is a bug worth a loud panic.
-        let mut grid = pass.grid.expect("grid requested");
-        // Recover the in-memory trainer's dirty flags by diffing against
-        // the previous iteration's pristine grid. The flags may differ
-        // when opposing level moves cancel a row exactly — bitwise
-        // harmless either way, since an unchanged row refits to the same
-        // distributions it had.
-        if let Some(pg) = &prev_grid {
-            grid.mark_dirty_from(pg)?;
-        }
-
         let stable = pass.n_changed == Some(0);
         let small_gain = prev_ll.is_finite()
             && (ll - prev_ll).abs() <= config.tolerance * prev_ll.abs().max(1.0);
+        // The pass marked the levels whose counts moved (moves that cancel
+        // out leave a row clean, which is bitwise harmless: an unchanged
+        // row refits to the distributions it already has).
         refit_levels = grid.dirty_levels().to_vec();
-        // The Recompute storage replays *this* iteration's DP next time
-        // around, so snapshot the table before the refit refreshes it.
-        if storage == AssignmentStorage::Recompute {
-            prev_table = Some(t.clone());
-        }
-        // The refit only clears dirty flags, and the next iteration's
-        // `mark_dirty_from` reads counts alone, so the fitted grid itself
-        // is the next baseline — no copy.
         model = grid.fit_model_incremental(view, config.lambda, parallel, Some(&model))?;
-        prev_grid = Some(grid);
         trace.push(IterationStats {
             iteration,
             log_likelihood: ll,
@@ -862,42 +1023,55 @@ pub fn train_chunked<S: ChunkSource + ?Sized>(
             seconds: iter_start.elapsed().as_secs_f64(),
         });
         if stable || small_gain {
-            return Ok(ChunkedTrainResult {
+            let result = ChunkedTrainResult {
                 model,
                 log_likelihood: ll,
                 trace,
                 converged: true,
-                level_histogram: pass.histogram,
+                level_histogram: level_totals(&grid),
                 n_users: source.n_users(),
                 n_actions: source.n_actions(),
-            });
+            };
+            return Ok((result, pass.levels));
         }
-        prev_levels = pass.levels_by_chunk;
+        // The next pass diffs against this one: its levels, or this
+        // iteration's table, snapshotted before the next refresh rewrites it.
+        incumbent = match storage {
+            AssignmentStorage::InMemory => Incumbent::Levels(pass.levels.per_chunk),
+            AssignmentStorage::Recompute => Incumbent::Table(t.clone()),
+        };
         prev_ll = ll;
     }
 
     // Iteration cap reached: one closing assignment pass (no update step)
-    // so the reported objective matches the final model, mirroring the
-    // in-memory trainer's trailing trace entry.
+    // so the reported objective matches the final model, recorded as a
+    // trailing trace entry.
     let iter_start = Instant::now();
     let t = EmissionTable::refresh_or_build(&mut table, &model, view, parallel, &refit_levels)?;
-    let prev = prev_pass(&prev_levels, &prev_table, storage);
-    let pass = run_assignment_pass(source, t, prev, n_levels, parallel, false, false)?;
+    let pass = run_assignment_pass(
+        source,
+        t,
+        &incumbent,
+        &mut states,
+        Some(&mut grid),
+        keep_levels,
+    )?;
     trace.push(IterationStats {
         iteration: config.max_iterations + 1,
         log_likelihood: pass.total_ll,
         n_changed: pass.n_changed,
         seconds: iter_start.elapsed().as_secs_f64(),
     });
-    Ok(ChunkedTrainResult {
+    let result = ChunkedTrainResult {
         model,
         log_likelihood: pass.total_ll,
         trace,
         converged: false,
-        level_histogram: pass.histogram,
+        level_histogram: level_totals(&grid),
         n_users: source.n_users(),
         n_actions: source.n_actions(),
-    })
+    };
+    Ok((result, pass.levels))
 }
 
 /// Per-worker reusable state for the EM E-step pass.
@@ -922,8 +1096,7 @@ fn process_chunk_em<S: ChunkSource + ?Sized>(
     chunk_index: usize,
     state: &mut EmWorkerState,
 ) -> Result<EmChunkOutcome> {
-    source.load_chunk(chunk_index, &mut state.chunk)?;
-    let chunk = &state.chunk;
+    let chunk = chunk_at(source, chunk_index, &mut state.chunk)?;
     let mut user_evidences = Vec::with_capacity(chunk.n_users());
     let mut gammas = Vec::with_capacity(chunk.n_actions() * n_levels);
     for u in 0..chunk.n_users() {
@@ -989,44 +1162,19 @@ pub fn train_em_chunked<S: ChunkSource + ?Sized>(
             .collect();
         let table = EmissionTable::build_with_config(&model, view, parallel)?;
         let mut evidence = 0.0;
-
-        for wave_start in (0..n_chunks).step_by(n_workers.max(1)) {
-            let wave_len = n_workers.min(n_chunks - wave_start);
-            let outcomes: Vec<Result<EmChunkOutcome>> = if wave_len == 1 {
-                vec![process_chunk_em(
-                    source,
-                    &table,
-                    n_levels,
-                    wave_start,
-                    &mut states[0],
-                )]
-            } else {
-                let wave_states = &mut states[..wave_len];
-                let mut joined = Vec::with_capacity(wave_len);
-                std::thread::scope(|scope| {
-                    let table = &table;
-                    let handles: Vec<_> = wave_states
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(w, state)| {
-                            scope.spawn(move || {
-                                process_chunk_em(source, table, n_levels, wave_start + w, state)
-                            })
-                        })
-                        .collect();
-                    for handle in handles {
-                        joined.push(handle.join().unwrap_or(Err(CoreError::WorkerPanicked {
-                            step: "chunked forward-backward",
-                        })));
-                    }
-                });
-                joined
-            };
-            // Sequential apply in chunk order: evidence folds in user
-            // order, accumulator pushes in global action order — exactly
-            // the from-scratch loop's operation sequence.
-            for outcome in outcomes {
-                let outcome = outcome?;
+        // Apply in chunk order: evidence folds in user order, accumulator
+        // pushes in global action order — exactly the from-scratch loop's
+        // operation sequence.
+        // One chunk per worker per wave keeps the posterior buffers at
+        // `chunk_size × workers × S`.
+        let wave = states.len();
+        for_each_chunk(
+            n_chunks,
+            wave,
+            &mut states,
+            "chunked forward-backward",
+            |index, state| process_chunk_em(source, &table, n_levels, index, state),
+            |outcome| {
                 for &ev in &outcome.user_evidences {
                     evidence += ev;
                 }
@@ -1041,8 +1189,9 @@ pub fn train_em_chunked<S: ChunkSource + ?Sized>(
                         }
                     }
                 }
-            }
-        }
+                Ok(())
+            },
+        )?;
         trace.push(evidence);
 
         let cells: Vec<Vec<FeatureDistribution>> = grid
@@ -1077,15 +1226,8 @@ pub fn level_histogram_chunked<S: ChunkSource + ?Sized>(
 ) -> Result<(Vec<u64>, f64)> {
     parallel.validate()?;
     let table = EmissionTable::build_with_config(model, source.item_view(), parallel)?;
-    let pass = run_assignment_pass(
-        source,
-        &table,
-        PrevPass::None,
-        model.n_levels(),
-        parallel,
-        false,
-        false,
-    )?;
+    let mut states = worker_states(source, parallel);
+    let pass = run_assignment_pass(source, &table, &Incumbent::None, &mut states, None, false)?;
     Ok((pass.histogram, pass.total_ll))
 }
 
@@ -1148,18 +1290,26 @@ mod tests {
     #[test]
     fn adapter_and_owned_layouts_agree() {
         let ds = small_dataset();
-        let adapter = DatasetChunks::new(&ds, 2).unwrap();
-        let owned = ChunkedDataset::from_dataset(&ds, 2).unwrap();
-        let mut a = DatasetChunk::new();
-        let mut b = DatasetChunk::new();
-        for i in 0..adapter.n_chunks() {
-            adapter.load_chunk(i, &mut a).unwrap();
-            owned.load_chunk(i, &mut b).unwrap();
-            assert_eq!(a.users(), b.users());
-            assert_eq!(a.items(), b.items());
-            assert_eq!(a.offsets, b.offsets);
-            assert_eq!(a.times, b.times);
+        for size in [1, 2, in_memory_chunk_size(&ds, &ParallelConfig::all(2))] {
+            let adapter = DatasetChunks::new(&ds, size).unwrap();
+            let owned = ChunkedDataset::from_dataset(&ds, size).unwrap();
+            assert_eq!(owned.n_chunks(), adapter.n_chunks());
+            let mut a = DatasetChunk::new();
+            let mut b = DatasetChunk::new();
+            for i in 0..adapter.n_chunks() {
+                adapter.load_chunk(i, &mut a).unwrap();
+                owned.load_chunk(i, &mut b).unwrap();
+                for c in [&b, owned.loaded_chunk(i).unwrap()] {
+                    assert_eq!((c.index(), c.user_offset()), (a.index(), a.user_offset()));
+                    assert_eq!((c.users(), c.items()), (a.users(), a.items()));
+                    assert_eq!((&c.offsets, &c.times), (&a.offsets, &a.times));
+                }
+            }
+            assert!(owned.loaded_chunk(adapter.n_chunks()).is_none());
+            assert!(owned.load_chunk(adapter.n_chunks(), &mut b).is_err());
         }
+        // Two workers get several chunks each.
+        assert_eq!(in_memory_chunk_size(&ds, &ParallelConfig::all(2)), 1);
     }
 
     #[test]
@@ -1390,6 +1540,25 @@ mod tests {
             ),
             Err(CoreError::EmptyDataset)
         ));
+    }
+
+    #[test]
+    fn dataset_chunks_reject_deserialized_backwards_time() {
+        // Serde skips `ActionSequence::new`, so an unsorted sequence
+        // reaches the adapter. User 3's actions sit at times 0..7; move
+        // its third one back to 0.
+        let json = serde_json::to_string(&small_dataset()).unwrap();
+        let json = json.replace(r#"{"time":2,"user":3,"#, r#"{"time":0,"user":3,"#);
+        let bad: Dataset = serde_json::from_str(&json).unwrap();
+        let chunks = DatasetChunks::new(&bad, 2).unwrap();
+        let mut buf = DatasetChunk::new();
+        chunks.load_chunk(0, &mut buf).unwrap();
+        let err = chunks.load_chunk(1, &mut buf).unwrap_err();
+        let expect = CoreError::UnsortedSequence {
+            user: 3,
+            position: 2,
+        };
+        assert_eq!(err, expect);
     }
 
     #[test]

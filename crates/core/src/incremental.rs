@@ -182,12 +182,12 @@ impl StatsGrid {
     /// Recomputes the dirty flags by comparing this grid's histogram
     /// rows against `prev`'s: a level is dirty iff its row changed.
     ///
-    /// This is how the chunked trainer recovers incremental-refit dirty
-    /// tracking from per-iteration rebuilt grids: the delta path marks
-    /// levels an action moved in or out of, which is always a superset
-    /// of the rows that actually changed — and refitting an
-    /// unchanged-row level reproduces the reused distributions bit for
-    /// bit, so the two dirty sets produce identical models.
+    /// This recovers incremental-refit dirty tracking for a grid rebuilt
+    /// from scratch: [`StatsGrid::apply_delta`] marks levels an action
+    /// moved in or out of, which is always a superset of the rows that
+    /// actually changed — and refitting an unchanged-row level reproduces
+    /// the reused distributions bit for bit, so the two dirty sets
+    /// produce identical models.
     pub fn mark_dirty_from(&mut self, prev: &StatsGrid) -> Result<()> {
         if prev.n_levels != self.n_levels || prev.n_items != self.n_items {
             return Err(CoreError::LengthMismatch {
@@ -390,14 +390,14 @@ impl StatsGrid {
         let sequences = dataset.sequences();
 
         let next_idx = AtomicUsize::new(0);
-        let partials: Vec<Result<(usize, Vec<i64>)>> = std::thread::scope(|scope| {
+        let partials: Vec<Result<(usize, GridDelta)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n_workers)
                 .map(|_| {
                     let next_idx = &next_idx;
                     let prev = &prev.per_user;
                     let next = &next.per_user;
-                    scope.spawn(move || -> Result<(usize, Vec<i64>)> {
-                        let mut delta = vec![0i64; n_levels * n_items];
+                    scope.spawn(move || -> Result<(usize, GridDelta)> {
+                        let mut delta = GridDelta::new(n_levels, n_items);
                         let mut changed = 0usize;
                         loop {
                             let u = next_idx.fetch_add(1, Ordering::Relaxed);
@@ -415,11 +415,8 @@ impl StatsGrid {
                                 if old == new {
                                     continue;
                                 }
-                                let s_old = level_index(old, n_levels)?;
-                                let s_new = level_index(new, n_levels)?;
-                                let item = action.item as usize;
-                                shift(&mut delta, n_items, s_old, item, -1)?;
-                                shift(&mut delta, n_items, s_new, item, 1)?;
+                                delta.shift(action.item, old, -1)?;
+                                delta.shift(action.item, new, 1)?;
                                 changed += 1;
                             }
                         }
@@ -438,33 +435,10 @@ impl StatsGrid {
         });
 
         let mut changed = 0usize;
-        let (counts, dirty) = (&mut self.counts, &mut self.dirty);
         for partial in partials {
-            let (n, delta) = partial?;
+            let (n, mut delta) = partial?;
             changed += n;
-            if n_items == 0 {
-                continue; // no cells to merge (and `chunks` needs a width)
-            }
-            for ((row, delta_row), flag) in counts
-                .chunks_mut(n_items)
-                .zip(delta.chunks(n_items))
-                .zip(dirty.iter_mut())
-            {
-                for (cell, &d) in row.iter_mut().zip(delta_row) {
-                    if d == 0 {
-                        continue;
-                    }
-                    *flag = true;
-                    let updated = *cell as i128 + d as i128;
-                    if updated < 0 {
-                        return Err(CoreError::DegenerateFit {
-                            distribution: "stats grid",
-                            reason: "delta removes an action the grid never observed",
-                        });
-                    }
-                    *cell = updated as u64;
-                }
-            }
+            self.add_delta(&mut delta)?;
         }
         Ok(changed)
     }
@@ -504,6 +478,41 @@ impl StatsGrid {
         }
         self.counts[s * self.n_items + item] += 1;
         self.dirty[s] = true;
+        Ok(())
+    }
+
+    /// Adds `delta` into the histogram and zeroes it for reuse, visiting
+    /// only the cells it touched — `O(changes)`, not `O(S · n_items)`. A
+    /// level is marked dirty iff one of its cells changed. A shape
+    /// mismatch, or a delta taking a cell below zero (removing an action
+    /// the grid never observed), is an error.
+    pub(crate) fn add_delta(&mut self, delta: &mut GridDelta) -> Result<()> {
+        if delta.n_levels != self.n_levels || delta.n_items != self.n_items {
+            return Err(CoreError::LengthMismatch {
+                context: "grid delta shape",
+                left: delta.cells.len(),
+                right: self.counts.len(),
+            });
+        }
+        for index in delta.touched.drain(..) {
+            let (Some(d), Some(cell)) = (delta.cells.get_mut(index), self.counts.get_mut(index))
+            else {
+                continue; // same shape: every touched index is in range
+            };
+            let d = std::mem::take(d);
+            if d == 0 {
+                continue; // cancelled out, or listed twice
+            }
+            mark_dirty(&mut self.dirty, index / self.n_items);
+            let updated = *cell as i128 + d as i128;
+            if updated < 0 {
+                return Err(CoreError::DegenerateFit {
+                    distribution: "stats grid",
+                    reason: "delta removes an action the grid never observed",
+                });
+            }
+            *cell = updated as u64;
+        }
         Ok(())
     }
 
@@ -1119,17 +1128,55 @@ fn decrement(counts: &mut [u64], n_items: usize, s: usize, item: usize) -> Resul
     Ok(())
 }
 
-/// Adds `by` to the `(level s, item)` cell of a signed delta grid.
-#[inline]
-fn shift(delta: &mut [i64], n_items: usize, s: usize, item: usize, by: i64) -> Result<()> {
-    let cell = delta
-        .get_mut(s * n_items + item)
-        .ok_or(CoreError::FeatureIndexOutOfBounds {
+/// Signed per-cell changes to a [`StatsGrid`], accumulated apart from it
+/// (one per worker) and added with [`StatsGrid::add_delta`]. Integer
+/// addition is exact and order-free, so any split of the changes over
+/// deltas gives the same grid.
+#[derive(Debug, Clone)]
+pub(crate) struct GridDelta {
+    n_levels: usize,
+    n_items: usize,
+    cells: Vec<i64>,
+    /// Cells that may be nonzero: a cell is listed each time it leaves
+    /// zero, so adding the delta visits only these.
+    touched: Vec<usize>,
+}
+
+impl GridDelta {
+    /// An all-zero delta for an `n_levels × n_items` grid.
+    pub(crate) fn new(n_levels: usize, n_items: usize) -> Self {
+        Self {
+            n_levels,
+            n_items,
+            cells: vec![0; n_levels * n_items],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Adds `by` to the `(level, item)` cell.
+    #[inline]
+    pub(crate) fn shift(
+        &mut self,
+        item: crate::types::ItemId,
+        level: crate::types::SkillLevel,
+        by: i64,
+    ) -> Result<()> {
+        let (s, item) = (level_index(level, self.n_levels)?, item as usize);
+        let index = s * self.n_items + item;
+        let cell = match item < self.n_items {
+            true => self.cells.get_mut(index),
+            false => None,
+        };
+        let cell = cell.ok_or(CoreError::FeatureIndexOutOfBounds {
             index: item,
-            len: n_items,
+            len: self.n_items,
         })?;
-    *cell += by;
-    Ok(())
+        if *cell == 0 {
+            self.touched.push(index);
+        }
+        *cell += by;
+        Ok(())
+    }
 }
 
 /// Sets the dirty flag of level row `s` (no-op out of range; callers
@@ -1435,6 +1482,49 @@ mod tests {
             assert_eq!(seq_changed, par_changed);
             assert_eq!(seq_grid, par_grid, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn grid_delta_marks_changed_rows_and_zeroes_itself() {
+        let mut grid = StatsGrid::new(3, 4).unwrap();
+        let mut delta = GridDelta::new(3, 4);
+        delta.shift(0, 1, 1).unwrap();
+        delta.shift(0, 1, 1).unwrap();
+        delta.shift(1, 2, 1).unwrap();
+        grid.add_delta(&mut delta).unwrap();
+        assert_eq!((grid.count(0, 0), grid.count(1, 1)), (2, 1));
+        assert!(delta.cells.iter().all(|&d| d == 0) && delta.touched.is_empty());
+        grid.dirty.fill(false);
+        let expect = grid.clone();
+        // Item 0 moves 1 -> 2; item 1 moves 2 -> 1 and back: rows 1 and 2
+        // change, row 3 stays clean.
+        delta.shift(0, 1, -1).unwrap();
+        delta.shift(0, 2, 1).unwrap();
+        delta.shift(1, 2, -1).unwrap();
+        delta.shift(1, 1, 1).unwrap();
+        delta.shift(1, 1, -1).unwrap();
+        delta.shift(1, 2, 1).unwrap();
+        grid.add_delta(&mut delta).unwrap();
+        assert_eq!(grid.dirty_levels(), &[true, true, false]);
+        assert_eq!((grid.count(0, 0), grid.count(1, 0)), (1, 1));
+        // Moving back restores the counts exactly.
+        delta.shift(0, 2, -1).unwrap();
+        delta.shift(0, 1, 1).unwrap();
+        grid.add_delta(&mut delta).unwrap();
+        assert_eq!(grid, expect);
+        // Out-of-range coordinates, removals below zero and shape
+        // mismatches are errors.
+        assert!(delta.shift(4, 1, 1).is_err());
+        assert!(delta.shift(0, 4, 1).is_err());
+        delta.shift(3, 3, -1).unwrap();
+        assert!(matches!(
+            grid.add_delta(&mut delta),
+            Err(CoreError::DegenerateFit { .. })
+        ));
+        assert!(matches!(
+            grid.add_delta(&mut GridDelta::new(2, 4)),
+            Err(CoreError::LengthMismatch { .. })
+        ));
     }
 
     #[test]

@@ -26,8 +26,15 @@
 //! | [`InvariantCtx::check_sequence_monotone`] | `O( A_u )` scan |
 //! | [`InvariantCtx::check_extension`] | `O(1)` |
 //! | [`InvariantCtx::check_ll_non_decreasing`] | `O(1)` |
-//! | [`InvariantCtx::check_assign_step_optimal`] | `O(Σ_u A_u)` rescore |
+//! | [`InvariantCtx::check_sequence_optimal`] | `O( A_u )` rescore |
 //! | [`InvariantCtx::check_grid`] | full grid rebuild + compare |
+//! | `InvariantCtx::check_grid_recount` | `O(S · n_items)` compare per worker |
+//!
+//! Training runs the per-sequence checks for every user in its chunk
+//! pass ([`crate::chunked`]), and after each pass checks its
+//! delta-maintained grid against a recount of the new levels
+//! (`InvariantCtx::check_grid_recount`); [`InvariantCtx::check_grid`]
+//! guards the streaming session's incrementally maintained grid.
 //!
 //! [`StatsGrid`] refits carry no float
 //! state of their own (the grid is an integer histogram), so NaN poison
@@ -42,10 +49,10 @@
 //! long-lived services can surface the corruption without dying, and the
 //! proptest suite can assert rejection.
 
-use crate::emission::EmissionTable;
+use crate::emission::{EmissionRows, EmissionTable};
 use crate::error::{CoreError, Result};
-use crate::incremental::StatsGrid;
-use crate::types::{Dataset, SkillAssignments, SkillLevel};
+use crate::incremental::{GridDelta, StatsGrid};
+use crate::types::{Dataset, ItemId, SkillAssignments, SkillLevel};
 
 /// Whether invariant checks are compiled in. True in debug builds and
 /// under the `strict-invariants` feature; constant-false otherwise, so
@@ -181,6 +188,36 @@ impl InvariantCtx {
         grid.cross_check(dataset, assignments)
     }
 
+    /// Verifies the chunked trainer's delta-maintained [`StatsGrid`]
+    /// against `recounts`: per-worker counts of every action at its new
+    /// level, taken during the same pass (the chunk-stream form of
+    /// [`Self::check_grid`]). Zeroes the recounts.
+    pub(crate) fn check_grid_recount<'a>(
+        &self,
+        check: &'static str,
+        grid: &StatsGrid,
+        recounts: impl IntoIterator<Item = &'a mut GridDelta>,
+    ) -> Result<()> {
+        if !ENABLED {
+            return Ok(());
+        }
+        let mut recounted = StatsGrid::new(grid.n_levels(), grid.n_items())?;
+        for recount in recounts {
+            recounted.add_delta(recount)?;
+        }
+        if recounted != *grid {
+            return Err(CoreError::InvariantViolation {
+                check,
+                detail: format!(
+                    "grid holds {} actions, a recount of the new levels {}, or cells differ",
+                    grid.total_actions(),
+                    recounted.total_actions()
+                ),
+            });
+        }
+        Ok(())
+    }
+
     /// Rejects merging two item-range shards whose declared item ranges
     /// overlap.
     ///
@@ -248,19 +285,23 @@ impl InvariantCtx {
         Ok(())
     }
 
-    /// Verifies the assignment step's optimality guarantee: the DP's new
-    /// path must score at least as well as the incumbent assignments
-    /// *under the same emission model*.
+    /// Verifies the assignment step's optimality guarantee for one
+    /// sequence: the DP's new path (score `new_ll`) must score at least as
+    /// well as the incumbent levels *under the same emission rows*.
     ///
     /// This is the form of likelihood non-decrease that hard-assignment
-    /// training actually guarantees. `table` is the table the DP just
-    /// consumed; `incumbent` is `None` on the first iteration.
-    pub fn check_assign_step_optimal(
+    /// training actually guarantees, and it holds per sequence. `rows` is
+    /// the source the DP just consumed and `items` the sequence's item
+    /// column; `incumbent` is `None` on the first iteration, when only a
+    /// NaN score fails. An incumbent that scores `-inf` (stranded on a
+    /// now-forbidden cell) always passes; one whose length, items or
+    /// levels do not fit `rows` is itself a violation.
+    pub fn check_sequence_optimal<R: EmissionRows + ?Sized>(
         &self,
         check: &'static str,
-        table: &EmissionTable,
-        dataset: &Dataset,
-        incumbent: Option<&SkillAssignments>,
+        rows: &R,
+        items: &[ItemId],
+        incumbent: Option<&[SkillLevel]>,
         new_ll: f64,
     ) -> Result<()> {
         if !ENABLED {
@@ -269,11 +310,21 @@ impl InvariantCtx {
         let Some(incumbent) = incumbent else {
             return self.check_ll_non_decreasing(check, f64::NEG_INFINITY, new_ll);
         };
+        let misfit = |n: usize| CoreError::InvariantViolation {
+            check,
+            detail: format!("incumbent action {n} does not fit the emission rows"),
+        };
+        if incumbent.len() != items.len() {
+            return Err(misfit(incumbent.len().min(items.len())));
+        }
+        let mut scratch = vec![0.0; rows.n_levels()];
         let mut incumbent_ll = 0.0;
-        for (seq, levels) in dataset.sequences().iter().zip(&incumbent.per_user) {
-            for (action, &level) in seq.actions().iter().zip(levels) {
-                incumbent_ll += table.log_likelihood(action.item, level);
-            }
+        for (n, (&item, &level)) in items.iter().zip(incumbent).enumerate() {
+            let s = usize::from(level).checked_sub(1);
+            let score = s
+                .filter(|_| (item as usize) < rows.n_items())
+                .and_then(|s| rows.emission_row(item, &mut scratch).get(s).copied());
+            incumbent_ll += score.ok_or_else(|| misfit(n))?;
         }
         self.check_ll_non_decreasing(check, incumbent_ll, new_ll)
     }
@@ -365,51 +416,36 @@ mod tests {
     }
 
     #[test]
-    fn assign_step_check_scores_incumbent_under_same_model() {
-        use crate::dist::{Categorical, FeatureDistribution};
-        use crate::feature::{FeatureKind, FeatureSchema, FeatureValue};
-        use crate::model::SkillModel;
-        use crate::types::{Action, ActionSequence};
-
-        let schema = FeatureSchema::new(vec![FeatureKind::Categorical { cardinality: 2 }]).unwrap();
-        let cells = vec![
-            vec![FeatureDistribution::Categorical(
-                Categorical::from_probs(vec![0.9, 0.1]).unwrap(),
-            )],
-            vec![FeatureDistribution::Categorical(
-                Categorical::from_probs(vec![0.1, 0.9]).unwrap(),
-            )],
-        ];
-        let model = SkillModel::new(schema.clone(), 2, cells).unwrap();
-        let items = vec![
-            vec![FeatureValue::Categorical(0)],
-            vec![FeatureValue::Categorical(1)],
-        ];
-        let seq = ActionSequence::new(0, vec![Action::new(0, 0, 0), Action::new(1, 0, 1)]).unwrap();
-        let ds = Dataset::new(schema, items, vec![seq]).unwrap();
-
-        let incumbent = SkillAssignments {
-            per_user: vec![vec![1, 2]],
-        };
-        let table = EmissionTable::build(&model, &ds);
-        let incumbent_ll = table.log_likelihood(0, 1) + table.log_likelihood(1, 2);
-
+    fn sequence_optimality_check_scores_incumbent_under_same_rows() {
+        // Two items, two levels: item 0 favors level 1, item 1 level 2;
+        // item 1 can never be at level 1.
+        let table = EmissionTable::from_scores(2, 2, vec![-0.1, -2.0, f64::NEG_INFINITY, -0.2]);
+        let items = [0, 1];
+        let incumbent: &[SkillLevel] = &[1, 2];
+        let incumbent_ll = -0.1 + -0.2;
         let ctx = InvariantCtx::new();
+        let check = |incumbent, new_ll| {
+            ctx.check_sequence_optimal("test", &table, &items, incumbent, new_ll)
+        };
+
         // No incumbent: only NaN is rejected.
-        assert!(ctx
-            .check_assign_step_optimal("test", &table, &ds, None, -5.0)
-            .is_ok());
-        assert!(ctx
-            .check_assign_step_optimal("test", &table, &ds, None, f64::NAN)
-            .is_err());
-        // Matching or better than the incumbent passes.
-        assert!(ctx
-            .check_assign_step_optimal("test", &table, &ds, Some(&incumbent), incumbent_ll)
-            .is_ok());
-        // A clear drop below the incumbent fails.
-        let err = ctx
-            .check_assign_step_optimal("test", &table, &ds, Some(&incumbent), incumbent_ll - 1.0)
-            .unwrap_err();
+        assert!(check(None, -5.0).is_ok());
+        assert!(check(None, f64::NAN).is_err());
+        // Accept: matching the incumbent, or a rounding dip below it.
+        assert!(check(Some(incumbent), incumbent_ll).is_ok());
+        assert!(check(Some(incumbent), incumbent_ll - 1e-9).is_ok());
+        // Reject: a clear drop below the incumbent, and NaN.
+        let err = check(Some(incumbent), incumbent_ll - 1.0).unwrap_err();
         assert!(matches!(err, CoreError::InvariantViolation { .. }));
+        assert!(check(Some(incumbent), f64::NAN).is_err());
+        // An incumbent stranded on a forbidden cell scores -inf: any
+        // finite new path passes, NaN still fails.
+        let stranded: &[SkillLevel] = &[1, 1];
+        assert!(check(Some(stranded), -1e300).is_ok());
+        assert!(check(Some(stranded), f64::NAN).is_err());
+        // An incumbent that does not fit the rows is a violation.
+        assert!(check(Some(&[1]), 0.0).is_err());
+        assert!(check(Some(&[1, 3]), 0.0).is_err());
+        assert!(check(Some(&[0, 1]), 0.0).is_err());
     }
 }

@@ -4,8 +4,9 @@
 //! efficiency experiments (Table XIII, Fig. 7) can measure them separately:
 //!
 //! 1. **User-parallel assignment** — sequences are mutually independent, so
-//!    the DP of the assignment step fans out across worker threads
-//!    ([`assign_all_parallel_with_table`]).
+//!    the DP of the assignment step fans out across worker threads. The
+//!    fan-out is the chunk pass of [`crate::chunked`], which training and
+//!    every decode ([`assign_all_parallel_with_table`]) share.
 //! 2. **Skill-parallel update** — parameters `θ_f(s)` and `θ_f(s')` are
 //!    independent for `s ≠ s'`; workers own disjoint level sets.
 //! 3. **Feature-parallel update** — our multi-faceted model additionally
@@ -21,13 +22,11 @@
 //! catalog with ~9 actions per item it still ran a skill-count sweep about
 //! 4× slower than building the table.
 //!
-//! Workers are plain scoped threads; no shared mutable state,
+//! Workers are plain scoped threads with no shared mutable state, and
 //! results are merged on the calling thread in user order, so every
 //! thread count gives bitwise the sequential result.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crate::assign::{assign_with, AssignWorkspace, SequenceAssignment};
+use crate::chunked::{decode_chunks, in_memory_chunk_size, DatasetChunks};
 use crate::emission::{EmissionRows, EmissionTable};
 use crate::error::{CoreError, Result};
 use crate::model::SkillModel;
@@ -160,12 +159,12 @@ pub fn assign_all_parallel(
 /// [`EmissionTable::refresh_levels`](crate::emission::EmissionTable::refresh_levels),
 /// or any other [`EmissionRows`].
 ///
-/// With user parallelism on, `min(threads, n_users)` workers steal users
-/// off a shared counter (sequences vary wildly in length, so static
-/// chunking would leave workers idle); otherwise the calling thread runs
-/// the same loop alone. Path log-likelihoods are summed in user order
-/// either way, so the total is bitwise the sequential one for every
-/// thread count.
+/// Runs the trainer's chunk pass ([`crate::chunked`]) over the dataset:
+/// with user parallelism on, `threads` workers each take the next
+/// unclaimed user chunk as they free up; otherwise the calling thread
+/// walks them alone. Path log-likelihoods
+/// are summed in user order either way, so the total is bitwise the
+/// sequential one for every thread count.
 pub fn assign_all_parallel_with_table<R: EmissionRows + Sync + ?Sized>(
     table: &R,
     dataset: &Dataset,
@@ -179,58 +178,8 @@ pub fn assign_all_parallel_with_table<R: EmissionRows + Sync + ?Sized>(
             right: dataset.n_items(),
         });
     }
-    let sequences = dataset.sequences();
-    let n_users = sequences.len();
-    let next = AtomicUsize::new(0);
-    // One DP workspace per worker: scratch is reused for every sequence
-    // the worker pulls off the queue.
-    let work = || -> Result<Vec<(usize, SequenceAssignment)>> {
-        let mut ws = AssignWorkspace::new();
-        let mut out = Vec::new();
-        loop {
-            let idx = next.fetch_add(1, Ordering::Relaxed);
-            let Some(seq) = sequences.get(idx) else {
-                return Ok(out);
-            };
-            let items = seq.actions().iter().map(|a| a.item);
-            out.push((idx, assign_with(table, items, &mut ws)?));
-        }
-    };
-    let n_workers = if config.users {
-        config.threads.min(n_users)
-    } else {
-        1
-    };
-    let results: Vec<Result<Vec<(usize, SequenceAssignment)>>> = if n_workers <= 1 {
-        vec![work()]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers).map(|_| scope.spawn(work)).collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or(Err(CoreError::WorkerPanicked { step: "assignment" }))
-                })
-                .collect()
-        })
-    };
-
-    // Place results in dataset order, then fold the log-likelihoods in
-    // user order — not worker-completion order, which varies run to run.
-    let mut per_user = vec![Vec::new(); n_users];
-    let mut lls = vec![0.0; n_users];
-    for chunk in results {
-        for (idx, a) in chunk? {
-            per_user[idx] = a.levels;
-            lls[idx] = a.log_likelihood;
-        }
-    }
-    let mut total_ll = 0.0;
-    for ll in lls {
-        total_ll += ll;
-    }
-    Ok((SkillAssignments { per_user }, total_ll))
+    let chunks = DatasetChunks::new(dataset, in_memory_chunk_size(dataset, config))?;
+    decode_chunks(&chunks, table, config)
 }
 
 #[cfg(test)]

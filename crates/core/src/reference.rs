@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`build_scalar`] | [`EmissionTable::build`] (columnar, tiled) | bitwise |
 //! | [`assign_all_direct`] | [`assign_all_parallel`](crate::parallel::assign_all_parallel) (shared table) | bitwise |
-//! | [`train_full_rescan`] | [`train_with_parallelism`](crate::train::train_with_parallelism) (incremental `StatsGrid`) | same assignments and churn; objective to summation order |
+//! | [`train_full_rescan`] | [`train_with_parallelism`](crate::train::train_with_parallelism) (the chunk pass of [`train_chunked`](crate::chunked::train_chunked): integer `StatsGrid`, dirty-level refits) | same assignments and churn; objective to summation order |
 //! | [`train_em_full`] | [`train_em_with_parallelism`](crate::em::train_em_with_parallelism) (responsibility deltas) | within the gate tolerance; bitwise equal to [`train_em_chunked`](crate::chunked::train_em_chunked) |
 //!
 //! They used to be runtime switches on
@@ -28,7 +28,7 @@ use crate::init::initialize_model;
 use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
 use crate::parallel::{assign_all_parallel_with_table, ParallelConfig};
-use crate::train::{count_changed, IterationStats, TrainConfig, TrainResult};
+use crate::train::{IterationStats, TrainConfig, TrainResult};
 use crate::types::{skill_level_from_index, Dataset, SkillAssignments};
 use crate::update::fit_model;
 
@@ -115,6 +115,31 @@ pub fn train_full_rescan(dataset: &Dataset, config: &TrainConfig) -> Result<Trai
     }
 }
 
+/// Counts actions whose assigned level differs between two assignments.
+/// Ragged inputs (different user counts or per-user lengths) are an error,
+/// never silently truncated.
+fn count_changed(a: &SkillAssignments, b: &SkillAssignments) -> Result<usize> {
+    if a.per_user.len() != b.per_user.len() {
+        return Err(CoreError::LengthMismatch {
+            context: "previous vs next assignments",
+            left: a.per_user.len(),
+            right: b.per_user.len(),
+        });
+    }
+    let mut total = 0usize;
+    for (x, y) in a.per_user.iter().zip(&b.per_user) {
+        if x.len() != y.len() {
+            return Err(CoreError::LengthMismatch {
+                context: "previous vs next assignment lengths",
+                left: x.len(),
+                right: y.len(),
+            });
+        }
+        total += x.iter().zip(y).filter(|(l, r)| l != r).count();
+    }
+    Ok(total)
+}
+
 /// EM without responsibility deltas, sequentially: every iteration
 /// rebuilds the emission table and folds every action's posterior row
 /// through the weighted accumulators, in action order. The bitwise
@@ -181,4 +206,42 @@ pub fn train_em_full(dataset: &Dataset, config: &EmConfig) -> Result<EmResult> {
         evidence_trace: trace,
         converged,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn count_changed_counts_pointwise() {
+        let a = SkillAssignments {
+            per_user: vec![vec![1, 1, 2], vec![3]],
+        };
+        let b = SkillAssignments {
+            per_user: vec![vec![1, 2, 2], vec![3]],
+        };
+        assert_eq!(count_changed(&a, &b).unwrap(), 1);
+        assert_eq!(count_changed(&a, &a).unwrap(), 0);
+    }
+
+    #[test]
+    fn count_changed_rejects_ragged_inputs() {
+        let a = SkillAssignments {
+            per_user: vec![vec![1, 1, 2], vec![3]],
+        };
+        let fewer_users = SkillAssignments {
+            per_user: vec![vec![1, 1, 2]],
+        };
+        assert!(matches!(
+            count_changed(&a, &fewer_users),
+            Err(CoreError::LengthMismatch { .. })
+        ));
+        let short_user = SkillAssignments {
+            per_user: vec![vec![1, 1], vec![3]],
+        };
+        assert!(matches!(
+            count_changed(&a, &short_user),
+            Err(CoreError::LengthMismatch { .. })
+        ));
+    }
 }

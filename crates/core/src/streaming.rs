@@ -412,17 +412,7 @@ impl StreamingSession {
         } else {
             self.assignments.per_user[u].last().copied()
         };
-        let level = match last {
-            None => skill_level_from_index(argmax_low(row)),
-            Some(last) => {
-                let li = last as usize - 1;
-                if li + 1 < row.len() && row[li + 1] > row[li] {
-                    last + 1
-                } else {
-                    last
-                }
-            }
-        };
+        let level = commit_level(row, last);
         // O(1) extension check: the committed path must stay monotone.
         InvariantCtx::new().check_extension("streaming ingest", last, level)?;
         // Soft mode: the action's filtering posterior over its admissible
@@ -733,6 +723,22 @@ fn extension_posterior(
     post
 }
 
+/// The level a committed monotone path ending at `last` gives its next
+/// action, whose emission row is `row` (`row[s - 1]`): advance one level
+/// only if that scores strictly higher (ties stay); on an empty path, the
+/// best level outright, lowest on ties. Streaming ingest and the serving
+/// layer both commit through this one rule.
+pub fn commit_level(row: &[f64], last: Option<SkillLevel>) -> SkillLevel {
+    let Some(last) = last else {
+        return skill_level_from_index(argmax_low(row));
+    };
+    let stay = usize::from(last).saturating_sub(1);
+    match (row.get(stay), row.get(stay + 1)) {
+        (Some(stay), Some(advance)) if advance > stay => last + 1,
+        _ => last,
+    }
+}
+
 /// Index of the maximum value, lowest index on ties.
 fn argmax_low(row: &[f64]) -> usize {
     let (mut best, mut best_v) = match row.first() {
@@ -753,6 +759,22 @@ mod tests {
     use super::*;
     use crate::feature::{FeatureKind, FeatureSchema, FeatureValue};
     use crate::train::train;
+
+    #[test]
+    fn commit_level_tie_rules() {
+        // A first action that ties goes to the lowest tied level.
+        assert_eq!(commit_level(&[-1.0, -1.0, -2.0], None), 1);
+        assert_eq!(commit_level(&[-3.0, -1.0, -1.0], None), 2);
+        assert_eq!(commit_level(&[-3.0, -2.0, -1.0], None), 3);
+        // Equal stay and advance scores mean stay; strictly better
+        // advance moves one level, never more.
+        assert_eq!(commit_level(&[-5.0, -1.0, -1.0], Some(2)), 2);
+        assert_eq!(commit_level(&[-5.0, -2.0, -1.0], Some(2)), 3);
+        assert_eq!(commit_level(&[-5.0, -3.0, -2.0], Some(1)), 2);
+        // Never down, never past the top level.
+        assert_eq!(commit_level(&[0.0, -9.0, -9.0], Some(2)), 2);
+        assert_eq!(commit_level(&[0.0, 0.0, -9.0], Some(3)), 3);
+    }
 
     /// Progression dataset: users move through item categories over time.
     fn progression_dataset(n_users: usize, len: usize, n_cats: u32) -> Dataset {

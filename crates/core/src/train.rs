@@ -9,30 +9,30 @@
 //! the trainer also accepts an iteration cap and an assignment-stability
 //! stopping rule, which is what terminates in practice.
 //!
-//! Each assignment step reads one shared [`EmissionTable`], so every
-//! iteration evaluates each item's emission vector once instead of once
-//! per action; after the first iteration only the columns of levels the
-//! update refit are recomputed. The update step maintains a persistent
-//! [`StatsGrid`] by per-action deltas instead of rescanning the dataset.
-//! The from-scratch baseline of both (rebuilt table, full rescan) is
+//! There is one iteration loop, [`crate::chunked::train_chunked`]:
+//! [`train_with_parallelism`] runs it over the dataset's users, copied
+//! once into columnar chunks, and keeps the final levels. Each assignment
+//! step reads one shared
+//! [`EmissionTable`](crate::emission::EmissionTable), so every iteration
+//! evaluates each item's emission vector once instead of once per action;
+//! after the first iteration only the columns of levels the update refit
+//! are recomputed. The assignment pass moves one integer
+//! [`StatsGrid`](crate::incremental::StatsGrid) by the actions whose level
+//! changed, and the update step refits only the levels whose counts moved. The
+//! from-scratch baseline (rebuilt table, full float rescan) is
 //! [`crate::reference::train_full_rescan`], kept for tests and
-//! `bench_incremental` only: it reaches the same assignments about 2×
-//! slower after the first iteration (`reports/BENCH_incremental.json`),
-//! so it is no runtime option.
-
-use std::time::Instant;
+//! `bench_incremental` only, so it is no runtime option.
 
 use serde::{Deserialize, Serialize};
 
+use crate::chunked::AssignmentStorage::InMemory;
+use crate::chunked::{in_memory_chunk_size, train_chunked_keeping, ChunkedDataset};
 use crate::dist::DEFAULT_SMOOTHING;
 use crate::em::{EmConfig, EmResult};
-use crate::emission::EmissionTable;
 use crate::error::{CoreError, Result};
-use crate::incremental::StatsGrid;
 use crate::init::initialize_model;
-use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
-use crate::parallel::{assign_all_parallel, assign_all_parallel_with_table, ParallelConfig};
+use crate::parallel::{assign_all_parallel, ParallelConfig};
 use crate::transition::TransitionModel;
 use crate::types::{Dataset, SkillAssignments, SkillLevel};
 
@@ -319,7 +319,6 @@ impl Trainer {
         })?;
         let (assignments, log_likelihood) =
             assign_all_parallel(&em.model, dataset, &self.parallel)?;
-        InvariantCtx::new().check_monotone("em decode", &assignments)?;
         Ok(TrainResult {
             model: em.model,
             assignments,
@@ -445,173 +444,26 @@ impl Trainer {
 
 /// Trains a skill model with explicit parallelization flags (§IV-C).
 ///
-/// Every thread count gives bitwise the sequential result: the table
-/// fills, the assignment fan-out and the statistics deltas all fold in a
-/// fixed order.
+/// This is [`train_chunked`](crate::chunked::train_chunked) with
+/// `InMemory` storage over the dataset copied once into columnar chunks,
+/// the final levels kept. Every thread count gives bitwise the sequential
+/// result.
 pub fn train_with_parallelism(
     dataset: &Dataset,
     config: &TrainConfig,
     parallel: &ParallelConfig,
 ) -> Result<TrainResult> {
-    config.validate()?;
-    parallel.validate()?;
-    if dataset.n_actions() == 0 {
-        return Err(CoreError::EmptyDataset);
-    }
-
-    let mut model = initialize_model(
-        dataset,
-        config.n_levels,
-        config.min_init_actions,
-        config.lambda,
-    )?;
-    let mut prev_assignments: Option<SkillAssignments> = None;
-    let mut prev_ll = f64::NEG_INFINITY;
-    let mut trace = Vec::new();
-    // Persistent sufficient statistics: built from scratch on the first
-    // iteration, then maintained by per-action deltas wherever the
-    // assigned level moved.
-    let mut grid: Option<StatsGrid> = None;
-    // Persistent emission table: the update step reuses the previous
-    // distributions for levels its delta never touched, so only the refit
-    // levels' table columns need recomputing.
-    let mut table: Option<EmissionTable> = None;
-    let mut refit_levels: Vec<bool> = Vec::new();
-    let ctx = InvariantCtx::new();
-
-    for iteration in 1..=config.max_iterations {
-        let iter_start = Instant::now();
-        let (assignments, ll) = assign_step(
-            &model,
-            dataset,
-            parallel,
-            &mut table,
-            &refit_levels,
-            prev_assignments.as_ref(),
-            ctx,
-        )?;
-
-        // Maintain the statistics and measure churn: the delta
-        // application *is* the churn count — no separate diff pass.
-        let (stats, n_changed) = match (grid.take(), &prev_assignments) {
-            (Some(mut g), Some(prev)) => {
-                let n = g.apply_delta_with_config(dataset, prev, &assignments, parallel)?;
-                (g, Some(n))
-            }
-            _ => (
-                StatsGrid::build_with_config(dataset, &assignments, config.n_levels, parallel)?,
-                None,
-            ),
-        };
-        let g = grid.insert(stats);
-        // The incrementally maintained grid must match a from-scratch
-        // accumulation of the current assignments (debug builds and
-        // `strict-invariants`; see `crate::invariants`).
-        ctx.check_grid(g, dataset, &assignments)?;
-
-        let stable = n_changed == Some(0);
-        let small_gain = prev_ll.is_finite()
-            && (ll - prev_ll).abs() <= config.tolerance * prev_ll.abs().max(1.0);
-        // Refit parameters (on convergence: one last time, so Θ is optimal
-        // for the final Σ), only the levels the delta touched, reusing the
-        // previous model's rows elsewhere; remember which levels those
-        // were so the next assignment step refreshes just their
-        // emission-table columns.
-        refit_levels = g.dirty_levels().to_vec();
-        model = g.fit_model_incremental(dataset, config.lambda, parallel, Some(&model))?;
-        trace.push(IterationStats {
-            iteration,
-            log_likelihood: ll,
-            n_changed,
-            seconds: iter_start.elapsed().as_secs_f64(),
-        });
-        if stable || small_gain {
-            return Ok(TrainResult {
-                model,
-                assignments,
-                log_likelihood: ll,
-                trace,
-                converged: true,
-            });
-        }
-        prev_assignments = Some(assignments);
-        prev_ll = ll;
-    }
-
-    // Iteration cap reached; produce a consistent final state and record
-    // it in the trace so `log_likelihood` always agrees with
-    // `trace.last()`.
-    let iter_start = Instant::now();
-    let (assignments, ll) = assign_step(
-        &model,
-        dataset,
-        parallel,
-        &mut table,
-        &refit_levels,
-        prev_assignments.as_ref(),
-        ctx,
-    )?;
-    let n_changed = match &prev_assignments {
-        Some(prev) => Some(count_changed(prev, &assignments)?),
-        None => None,
-    };
-    trace.push(IterationStats {
-        iteration: config.max_iterations + 1,
-        log_likelihood: ll,
-        n_changed,
-        seconds: iter_start.elapsed().as_secs_f64(),
-    });
+    let chunks = ChunkedDataset::from_dataset(dataset, in_memory_chunk_size(dataset, parallel))?;
+    let (result, levels) = train_chunked_keeping(&chunks, config, parallel, InMemory)?;
     Ok(TrainResult {
-        model,
-        assignments,
-        log_likelihood: ll,
-        trace,
-        converged: false,
+        model: result.model,
+        assignments: SkillAssignments {
+            per_user: levels.per_user(),
+        },
+        log_likelihood: result.log_likelihood,
+        trace: result.trace,
+        converged: result.converged,
     })
-}
-
-/// Assignment step against the persistent table (refreshed or rebuilt by
-/// [`EmissionTable::refresh_or_build`]), with the invariant checks every
-/// committed assignment passes.
-fn assign_step(
-    model: &SkillModel,
-    dataset: &Dataset,
-    parallel: &ParallelConfig,
-    table: &mut Option<EmissionTable>,
-    refit_levels: &[bool],
-    incumbent: Option<&SkillAssignments>,
-    ctx: InvariantCtx,
-) -> Result<(SkillAssignments, f64)> {
-    let t = EmissionTable::refresh_or_build(table, model, dataset, parallel, refit_levels)?;
-    let (assignments, ll) = assign_all_parallel_with_table(t, dataset, parallel)?;
-    ctx.check_monotone("training assignment", &assignments)?;
-    ctx.check_assign_step_optimal("training assignment step", t, dataset, incumbent, ll)?;
-    Ok((assignments, ll))
-}
-
-/// Counts actions whose assigned level differs between two assignments.
-/// Ragged inputs (different user counts or per-user lengths) are an error,
-/// never silently truncated.
-pub(crate) fn count_changed(a: &SkillAssignments, b: &SkillAssignments) -> Result<usize> {
-    if a.per_user.len() != b.per_user.len() {
-        return Err(CoreError::LengthMismatch {
-            context: "previous vs next assignments",
-            left: a.per_user.len(),
-            right: b.per_user.len(),
-        });
-    }
-    let mut total = 0usize;
-    for (x, y) in a.per_user.iter().zip(&b.per_user) {
-        if x.len() != y.len() {
-            return Err(CoreError::LengthMismatch {
-                context: "previous vs next assignment lengths",
-                left: x.len(),
-                right: y.len(),
-            });
-        }
-        total += x.iter().zip(y).filter(|(l, r)| l != r).count();
-    }
-    Ok(total)
 }
 
 #[cfg(test)]
@@ -899,38 +751,5 @@ mod tests {
             .fit_session(ds, crate::streaming::RefitPolicy::Manual)
             .unwrap();
         assert!(soft.is_em());
-    }
-
-    #[test]
-    fn count_changed_counts_pointwise() {
-        let a = SkillAssignments {
-            per_user: vec![vec![1, 1, 2], vec![3]],
-        };
-        let b = SkillAssignments {
-            per_user: vec![vec![1, 2, 2], vec![3]],
-        };
-        assert_eq!(count_changed(&a, &b).unwrap(), 1);
-        assert_eq!(count_changed(&a, &a).unwrap(), 0);
-    }
-
-    #[test]
-    fn count_changed_rejects_ragged_inputs() {
-        let a = SkillAssignments {
-            per_user: vec![vec![1, 1, 2], vec![3]],
-        };
-        let fewer_users = SkillAssignments {
-            per_user: vec![vec![1, 1, 2]],
-        };
-        assert!(matches!(
-            count_changed(&a, &fewer_users),
-            Err(CoreError::LengthMismatch { .. })
-        ));
-        let short_user = SkillAssignments {
-            per_user: vec![vec![1, 1], vec![3]],
-        };
-        assert!(matches!(
-            count_changed(&a, &short_user),
-            Err(CoreError::LengthMismatch { .. })
-        ));
     }
 }

@@ -59,13 +59,12 @@ use upskill_core::pool::WorkspacePool;
 use upskill_core::recommend::{
     build_level_band, recommend_from_band, LevelBand, RecommendConfig, Recommendation,
 };
-use upskill_core::streaming::{RefitPolicy, RefitTuner};
+use upskill_core::streaming::{commit_level, RefitPolicy, RefitTuner};
 use upskill_core::sync::{LockId, TracedMutex};
 use upskill_core::train::{TrainConfig, TrainResult};
 use upskill_core::transition::TransitionModel;
 use upskill_core::types::{
-    skill_level_from_index, Action, ActionSequence, Dataset, ItemId, SkillAssignments, SkillLevel,
-    UserId,
+    Action, ActionSequence, Dataset, ItemId, SkillAssignments, SkillLevel, UserId,
 };
 
 use crate::api::{
@@ -265,22 +264,6 @@ fn shard_of(user: UserId, n_shards: usize) -> usize {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     (x ^ (x >> 31)) as usize % n_shards
-}
-
-/// Index of the maximum value, lowest index on ties — the same
-/// first-action tie-break the streaming session uses.
-fn argmax_low(row: &[f64]) -> usize {
-    let (mut best, mut best_v) = match row.first() {
-        Some(&v) => (0, v),
-        None => return 0,
-    };
-    for (i, &v) in row.iter().enumerate().skip(1) {
-        if v > best_v {
-            best = i;
-            best_v = v;
-        }
-    }
-    best
 }
 
 impl SkillService {
@@ -505,23 +488,10 @@ impl SkillService {
                 }
             }
         }
-        // Constrained extension of the committed monotone path — the
-        // identical rule to the streaming session: a first action takes
-        // the best level outright (ties low); otherwise a two-way choice
-        // between staying and advancing one level, by emission score
-        // (ties stay).
+        // Constrained extension of the committed monotone path, by the
+        // streaming session's own rule.
         let last = known.and_then(|s| s.levels.last().copied());
-        let level = match last {
-            None => skill_level_from_index(argmax_low(row)),
-            Some(last) => {
-                let li = last as usize - 1;
-                if li + 1 < row.len() && row[li + 1] > row[li] {
-                    last + 1
-                } else {
-                    last
-                }
-            }
-        };
+        let level = commit_level(row, last);
         InvariantCtx::new()
             .check_extension("serving ingest", last, level)
             .map_err(ServeError::Core)?;
@@ -690,10 +660,8 @@ impl SkillService {
                 ws.run_items(&ep.table, &items).map_err(ServeError::Core)?;
                 let s = ep.table.n_levels();
                 let last_row = &ws.gamma()[(items.len() - 1) * s..items.len() * s];
-                (
-                    skill_level_from_index(argmax_low(last_row)),
-                    Some(last_row.to_vec()),
-                )
+                // The most probable level, lowest on ties.
+                (commit_level(last_row, None), Some(last_row.to_vec()))
             }
         };
         Ok(Prediction {

@@ -1,0 +1,69 @@
+//! Absolute pin of the hard trainer's output.
+//!
+//! Every other hard-training cross-check compares two routes through the
+//! same chunked pass (thread counts, chunk sizes, storage modes), so this
+//! is the one test that catches a change moving *all* of them at once.
+//! The numbers were recorded from the trainer before its in-memory loop
+//! was folded into the chunked pass. The setup is the dataset of
+//! `upskill generate --domain synthetic --scale quick --seed 7`, trained
+//! with `--levels 5 --min-init 20`.
+
+use upskill_core::parallel::ParallelConfig;
+use upskill_core::train::{train_with_parallelism, TrainConfig};
+use upskill_datasets::synthetic::{generate, SyntheticConfig};
+
+/// FNV-1a: a stable digest of a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn quick_seed7_hard_training_is_pinned() {
+    let data = generate(&SyntheticConfig::scaled(50, false, 7)).expect("generate");
+    let cfg = TrainConfig::new(5).with_min_init_actions(20);
+    let lls: [u64; 7] = [
+        0xc103b8386f5d5972,
+        0xc102ece148c42d3c,
+        0xc102cdd4a4a127d0,
+        0xc102c6e9e0ca56cb,
+        0xc102c3e481c024dd,
+        0xc102c1ea37c20e3e,
+        0xc102c1a29c54ea20,
+    ];
+    // Actions whose level moved, per iteration (none to diff on the first).
+    let churn = [usize::MAX, 864, 206, 93, 59, 14, 0];
+    // (iteration cap, trace length, converged, model digest, assignment
+    // digest); the capped run ends with its closing assignment pass.
+    let runs = [
+        (100, 7, true, 0xffa876f97f8f7117, 0x8a6f7187328004dd),
+        (3, 4, false, 0x53bd4e421224114a, 0x91b116d961c09a07),
+    ];
+    for (cap, len, converged, model_digest, assignment_digest) in runs {
+        for pc in [ParallelConfig::sequential(), ParallelConfig::all(2)] {
+            let cfg = cfg.with_max_iterations(cap);
+            let result = train_with_parallelism(&data.dataset, &cfg, &pc).expect("train");
+            let tag = format!("cap={cap} threads={}", pc.threads);
+            let trace = result.trace.iter();
+            let trace: Vec<_> = trace
+                .map(|s| {
+                    (
+                        s.log_likelihood.to_bits(),
+                        s.n_changed.unwrap_or(usize::MAX),
+                    )
+                })
+                .collect();
+            let pinned: Vec<_> = lls.into_iter().zip(churn).take(len).collect();
+            assert_eq!(trace, pinned, "{tag}");
+            assert_eq!(result.log_likelihood.to_bits(), lls[len - 1], "{tag}");
+            assert_eq!(result.converged, converged, "{tag}");
+            let json = serde_json::to_string(&result.model).expect("model json");
+            assert_eq!(fnv1a(json.bytes()), model_digest, "{tag}");
+            let levels = result.assignments.per_user.iter().flatten().copied();
+            assert_eq!(fnv1a(levels), assignment_digest, "{tag}");
+        }
+    }
+    // The CLI prints the objective to one decimal.
+    assert_eq!(format!("{:.1}", f64::from_bits(lls[6])), "-153652.3");
+}
