@@ -257,4 +257,28 @@ fn invalid_datasets_are_typed_errors_not_panics() {
             assert!(!stderr.contains("panicked"), "{tag}: {stderr}");
         }
     }
+    // A session bundle carries a dataset too: `ingest --session` must
+    // reject one whose first action was moved past the rest.
+    std::fs::write(
+        tmp("new_actions.json"),
+        r#"[{"time":0,"user":4000000,"item":0}]"#,
+    )
+    .expect("write actions");
+    let ingest = "ingest --actions @/new_actions.json --out @/sess_model.json";
+    let out = upskill(&format!(
+        "{ingest} --data @/valid.json --model @/valid_model.json \
+         --assignments @/valid_assign.json --session-out @/sess.json"
+    ));
+    assert!(out.status.success());
+    assert!(upskill(&format!("{ingest} --session @/sess.json"))
+        .status
+        .success());
+    let text = std::fs::read_to_string(tmp("sess.json")).expect("read bundle");
+    let unsorted = replace_first_number(&text, "\"time\":", "9000000000000");
+    std::fs::write(tmp("sess_unsorted.json"), unsorted).expect("write bad bundle");
+    let out = upskill(&format!("{ingest} --session @/sess_unsorted.json"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

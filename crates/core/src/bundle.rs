@@ -163,8 +163,10 @@ impl SessionBundle {
         Ok(bundle)
     }
 
-    /// Internal consistency checks: version, model/config level agreement,
-    /// monotone assignments covering exactly the dataset's users.
+    /// Internal consistency checks: version, a valid dataset (see
+    /// [`Dataset::validate`]; serde bypasses its constructor checks),
+    /// model/config level agreement, monotone assignments covering
+    /// exactly the dataset's users.
     pub fn validate(&self) -> Result<()> {
         if self.version == 0 || self.version > SESSION_BUNDLE_VERSION {
             return Err(CoreError::NoConvergence {
@@ -172,6 +174,7 @@ impl SessionBundle {
                 iterations: self.version as usize,
             });
         }
+        self.dataset.validate()?;
         if self.model.n_levels() != self.config.n_levels {
             return Err(CoreError::LengthMismatch {
                 context: "session bundle model levels vs config",
@@ -422,5 +425,18 @@ mod tests {
         nonmonotone.assignments.per_user[0][0] = 2;
         nonmonotone.assignments.per_user[0][1] = 1;
         assert!(nonmonotone.validate().is_err());
+
+        // Serde bypasses the dataset's constructor checks: move user 0's
+        // first action past the rest of their sequence.
+        let json = session.snapshot("x").to_json().unwrap();
+        let tampered = json.replacen(r#""time":0"#, r#""time":100"#, 1);
+        assert_ne!(tampered, json);
+        assert!(matches!(
+            SessionBundle::from_json(&tampered),
+            Err(CoreError::UnsortedSequence {
+                user: 0,
+                position: 1
+            })
+        ));
     }
 }

@@ -33,7 +33,7 @@ use crate::incremental::SoftStatsGrid;
 use crate::model::SkillModel;
 use crate::parallel::ParallelConfig;
 use crate::transition::TransitionModel;
-use crate::types::{skill_level_from_index, ActionSequence, Dataset, ItemId, SkillLevel};
+use crate::types::{ActionSequence, Dataset, ItemId, SkillLevel};
 
 /// Default gate for responsibility deltas: posterior rows that move less
 /// than this between iterations keep their previous contribution. Small
@@ -610,7 +610,6 @@ pub fn train_em_with_parallelism(
         return Err(CoreError::EmptyDataset);
     }
     let n_levels = config.initial.n_levels();
-    let schema = dataset.schema().clone();
     let mut model = config.initial.clone();
     let mut trace = Vec::new();
     let mut converged = false;
@@ -625,15 +624,6 @@ pub fn train_em_with_parallelism(
         dataset.n_actions(),
         config.gamma_tolerance,
     )?;
-    // Working copy of the current cells: clean levels keep their previous
-    // distributions bit for bit without re-reading the model.
-    let mut cells: Vec<Vec<FeatureDistribution>> = (0..n_levels)
-        .map(|s| {
-            model
-                .level_row(skill_level_from_index(s))
-                .map(<[FeatureDistribution]>::to_vec)
-        })
-        .collect::<Result<_>>()?;
 
     // Flat forward–backward buffers reused across every sequence of every
     // iteration, with per-level transition log-probabilities hoisted once
@@ -654,36 +644,15 @@ pub fn train_em_with_parallelism(
         }
         trace.push(evidence);
 
-        // M-step: replay only dirty levels, item-major through the
-        // weighted accumulators — O(S_dirty · n_items · F).
-        for (row, (s, &is_dirty)) in cells.iter_mut().zip(grid.dirty_levels().iter().enumerate()) {
-            if !is_dirty {
-                continue;
-            }
-            let mut accs: Vec<WeightedAcc> = schema
-                .kinds()
-                .iter()
-                .map(|&k| WeightedAcc::new(k))
-                .collect();
-            for (features, &w) in dataset.items().iter().zip(grid.level_weights(s)) {
-                if w <= 0.0 {
-                    continue;
-                }
-                for (acc, value) in accs.iter_mut().zip(features) {
-                    acc.push(value, w)?;
-                }
-            }
-            *row = accs
-                .iter()
-                .map(|a| a.fit(config.lambda))
-                .collect::<Result<_>>()?;
-        }
-        model = SkillModel::new(schema.clone(), n_levels, cells.clone())?;
-
-        // Refresh only the emission columns of refit levels.
-        table.refresh_levels(&model, dataset, grid.dirty_levels())?;
+        // M-step: replay only dirty levels through the weighted
+        // accumulators — O(S_dirty · n_items · F); clean levels keep their
+        // previous distributions bit for bit. The fit clears the dirty
+        // flags, so capture them first: they are exactly the emission
+        // columns to refresh.
+        let dirty = grid.dirty_levels().to_vec();
+        model = grid.fit_model_incremental(dataset, config.lambda, Some(&model))?;
+        table.refresh_levels(&model, dataset, &dirty)?;
         crate::invariants::InvariantCtx::new().check_emission_table(&table)?;
-        grid.clear_dirty();
 
         if trace.len() >= 2 {
             let prev = trace[trace.len() - 2];

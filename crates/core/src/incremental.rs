@@ -76,10 +76,6 @@ pub struct StatsGrid {
     /// Levels whose histogram changed since the last incremental fit;
     /// all-true until [`StatsGrid::fit_model_incremental`] first runs.
     dirty: Vec<bool>,
-    /// When the grid is an item-range shard, the half-open slice of the
-    /// item axis it accumulated; `None` for whole-axis grids (including
-    /// user-partition partials). Checked for disjointness on merge.
-    item_range: Option<(usize, usize)>,
 }
 
 /// Equality compares the histogram only — the dirty bookkeeping is an
@@ -106,35 +102,7 @@ impl StatsGrid {
             n_items,
             counts: vec![0; n_levels * n_items],
             dirty: vec![true; n_levels],
-            item_range: None,
         })
-    }
-
-    /// Creates an all-zero **item-range shard**: a full-shape grid that
-    /// promises to accumulate statistics only for items in
-    /// `start..end`. The declared range is checked for disjointness
-    /// when shards are merged (debug / `strict-invariants` builds).
-    pub fn shard_for_items(
-        n_levels: usize,
-        n_items: usize,
-        start: usize,
-        end: usize,
-    ) -> Result<Self> {
-        if start > end || end > n_items {
-            return Err(CoreError::LengthMismatch {
-                context: "shard item range vs item count",
-                left: end,
-                right: n_items,
-            });
-        }
-        let mut grid = Self::new(n_levels, n_items)?;
-        grid.item_range = Some((start, end));
-        Ok(grid)
-    }
-
-    /// The declared item range when this grid is an item-range shard.
-    pub fn item_range(&self) -> Option<(usize, usize)> {
-        self.item_range
     }
 
     /// Adds `other`'s histogram into this grid cell by cell.
@@ -142,10 +110,7 @@ impl StatsGrid {
     /// Integer addition is exact and order-free, so merging per-worker
     /// partials in any order reproduces the sequential build bit for
     /// bit. Dirty flags are OR-ed. Shape mismatches return a typed
-    /// [`CoreError::LengthMismatch`]; merging two shards with
-    /// overlapping declared item ranges (a double count) is rejected in
-    /// debug / `strict-invariants` builds. When both operands declare
-    /// ranges, the result's range is their convex hull.
+    /// [`CoreError::LengthMismatch`].
     pub fn merge(&mut self, other: &StatsGrid) -> Result<()> {
         if other.n_levels != self.n_levels {
             return Err(CoreError::LengthMismatch {
@@ -161,21 +126,12 @@ impl StatsGrid {
                 right: other.n_items,
             });
         }
-        crate::invariants::InvariantCtx::new().check_disjoint_shards(
-            "stats grid merge",
-            self.item_range,
-            other.item_range,
-        )?;
         for (c, &o) in self.counts.iter_mut().zip(&other.counts) {
             *c += o;
         }
         for (d, &o) in self.dirty.iter_mut().zip(&other.dirty) {
             *d |= o;
         }
-        self.item_range = match (self.item_range, other.item_range) {
-            (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
-            _ => None,
-        };
         Ok(())
     }
 
@@ -794,9 +750,6 @@ pub struct SoftStatsGrid {
     tolerance: f64,
     /// Levels whose weights changed since [`SoftStatsGrid::clear_dirty`].
     dirty: Vec<bool>,
-    /// Declared item-axis slice when this grid is an item-range shard;
-    /// `None` for whole-axis grids. See [`StatsGrid::shard_for_items`].
-    item_range: Option<(usize, usize)>,
 }
 
 impl SoftStatsGrid {
@@ -821,90 +774,7 @@ impl SoftStatsGrid {
             gammas: vec![0.0; n_actions * n_levels],
             tolerance,
             dirty: vec![false; n_levels],
-            item_range: None,
         })
-    }
-
-    /// Creates an all-zero **item-range shard** promising to accumulate
-    /// responsibility mass only for items in `start..end`. The soft
-    /// analogue of [`StatsGrid::shard_for_items`]; the declared range
-    /// is checked for disjointness on merge.
-    pub fn shard_for_items(
-        n_levels: usize,
-        n_items: usize,
-        n_actions: usize,
-        tolerance: f64,
-        start: usize,
-        end: usize,
-    ) -> Result<Self> {
-        if start > end || end > n_items {
-            return Err(CoreError::LengthMismatch {
-                context: "shard item range vs item count",
-                left: end,
-                right: n_items,
-            });
-        }
-        let mut grid = Self::new(n_levels, n_items, n_actions, tolerance)?;
-        grid.item_range = Some((start, end));
-        Ok(grid)
-    }
-
-    /// The declared item range when this grid is an item-range shard.
-    pub fn item_range(&self) -> Option<(usize, usize)> {
-        self.item_range
-    }
-
-    /// Adds `other`'s responsibility mass (and stored posteriors) into
-    /// this grid elementwise, OR-ing the dirty flags.
-    ///
-    /// Unlike the integer [`StatsGrid::merge`] this is a floating-point
-    /// sum, so the merged weights depend on merge order at the ulp
-    /// level — shards must partition their contributions (disjoint item
-    /// ranges, or disjoint action sets for the stored posteriors) for
-    /// the merge to be meaningful. Shape mismatches return a typed
-    /// [`CoreError::LengthMismatch`]; overlapping declared item ranges
-    /// are rejected in debug / `strict-invariants` builds.
-    pub fn merge(&mut self, other: &SoftStatsGrid) -> Result<()> {
-        if other.n_levels != self.n_levels {
-            return Err(CoreError::LengthMismatch {
-                context: "merged grid levels",
-                left: self.n_levels,
-                right: other.n_levels,
-            });
-        }
-        if other.n_items != self.n_items {
-            return Err(CoreError::LengthMismatch {
-                context: "merged grid items",
-                left: self.n_items,
-                right: other.n_items,
-            });
-        }
-        if other.gammas.len() != self.gammas.len() {
-            return Err(CoreError::LengthMismatch {
-                context: "merged grid stored posteriors",
-                left: self.gammas.len(),
-                right: other.gammas.len(),
-            });
-        }
-        crate::invariants::InvariantCtx::new().check_disjoint_shards(
-            "soft stats grid merge",
-            self.item_range,
-            other.item_range,
-        )?;
-        for (w, &o) in self.weights.iter_mut().zip(&other.weights) {
-            *w += o;
-        }
-        for (g, &o) in self.gammas.iter_mut().zip(&other.gammas) {
-            *g += o;
-        }
-        for (d, &o) in self.dirty.iter_mut().zip(&other.dirty) {
-            *d |= o;
-        }
-        self.item_range = match (self.item_range, other.item_range) {
-            (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
-            _ => None,
-        };
-        Ok(())
     }
 
     /// Number of skill levels `S`.
@@ -1307,63 +1177,6 @@ mod tests {
             merged.merge(&wrong_items),
             Err(CoreError::LengthMismatch {
                 context: "merged grid items",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn item_range_shards_merge_disjoint_but_not_overlapping() {
-        let mut left = StatsGrid::shard_for_items(2, 10, 0, 5).unwrap();
-        let right = StatsGrid::shard_for_items(2, 10, 5, 10).unwrap();
-        left.merge(&right).unwrap();
-        assert_eq!(left.item_range(), Some((0, 10)));
-
-        let overlapping = StatsGrid::shard_for_items(2, 10, 3, 8).unwrap();
-        // Tests run with debug assertions, so the invariant layer is on.
-        assert!(matches!(
-            left.merge(&overlapping),
-            Err(CoreError::InvariantViolation {
-                check: "stats grid merge",
-                ..
-            })
-        ));
-        // A whole-axis partial merges into a shard freely.
-        let whole = StatsGrid::new(2, 10).unwrap();
-        left.merge(&whole).unwrap();
-        assert_eq!(left.item_range(), None);
-
-        assert!(matches!(
-            StatsGrid::shard_for_items(2, 10, 4, 20),
-            Err(CoreError::LengthMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn soft_merge_adds_mass_and_guards_ranges() {
-        let mut a = SoftStatsGrid::shard_for_items(2, 4, 3, 0.0, 0, 2).unwrap();
-        let mut b = SoftStatsGrid::shard_for_items(2, 4, 3, 0.0, 2, 4).unwrap();
-        a.update_action(0, 0, &[0.25, 0.75]).unwrap();
-        b.update_action(1, 3, &[0.5, 0.5]).unwrap();
-        a.merge(&b).unwrap();
-        assert_eq!(a.weight(1, 0), 0.75);
-        assert_eq!(a.weight(0, 3), 0.5);
-        assert_eq!(a.item_range(), Some((0, 4)));
-        assert!(a.dirty_levels().iter().all(|&d| d));
-
-        let overlapping = SoftStatsGrid::shard_for_items(2, 4, 3, 0.0, 1, 3).unwrap();
-        assert!(matches!(
-            a.merge(&overlapping),
-            Err(CoreError::InvariantViolation {
-                check: "soft stats grid merge",
-                ..
-            })
-        ));
-        let wrong_actions = SoftStatsGrid::new(2, 4, 99, 0.0).unwrap();
-        assert!(matches!(
-            a.merge(&wrong_actions),
-            Err(CoreError::LengthMismatch {
-                context: "merged grid stored posteriors",
                 ..
             })
         ));

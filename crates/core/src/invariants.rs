@@ -218,37 +218,6 @@ impl InvariantCtx {
         Ok(())
     }
 
-    /// Rejects merging two item-range shards whose declared item ranges
-    /// overlap.
-    ///
-    /// Item-range sharding (see [`StatsGrid::shard_for_items`]) promises
-    /// each shard accumulated statistics for a disjoint slice of the
-    /// item axis, which is what makes the additive merge exact. Two
-    /// overlapping ranges mean some item was counted by both workers —
-    /// the merge would silently double-count it. `None` marks a grid
-    /// that covers the whole axis (e.g. a user-partition partial), for
-    /// which overlap is legitimate; the check only fires when **both**
-    /// operands declare a range.
-    pub fn check_disjoint_shards(
-        &self,
-        check: &'static str,
-        left: Option<(usize, usize)>,
-        right: Option<(usize, usize)>,
-    ) -> Result<()> {
-        if !ENABLED {
-            return Ok(());
-        }
-        if let (Some((ls, le)), Some((rs, re))) = (left, right) {
-            if ls < re && rs < le {
-                return Err(CoreError::InvariantViolation {
-                    check,
-                    detail: format!("item ranges {ls}..{le} and {rs}..{re} overlap"),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Rejects a log-likelihood that dropped below an incumbent value by
     /// more than a small relative slack.
     ///
@@ -362,28 +331,6 @@ mod tests {
         assert!(ctx.check_sequence_monotone("test", &[1, 2, 2]).is_ok());
         assert!(ctx.check_sequence_monotone("test", &[2, 1]).is_err());
         assert!(ctx.check_sequence_monotone("test", &[]).is_ok());
-    }
-
-    #[test]
-    fn disjoint_shard_check_fires_only_on_double_ranges() {
-        let ctx = InvariantCtx::new();
-        // Whole-axis partials (user partition) merge freely.
-        assert!(ctx.check_disjoint_shards("test", None, None).is_ok());
-        assert!(ctx
-            .check_disjoint_shards("test", Some((0, 10)), None)
-            .is_ok());
-        // Disjoint and touching ranges pass.
-        assert!(ctx
-            .check_disjoint_shards("test", Some((0, 10)), Some((10, 20)))
-            .is_ok());
-        assert!(ctx
-            .check_disjoint_shards("test", Some((10, 20)), Some((0, 10)))
-            .is_ok());
-        // Overlap is rejected with the offending coordinates.
-        let err = ctx
-            .check_disjoint_shards("test", Some((0, 10)), Some((5, 20)))
-            .unwrap_err();
-        assert!(err.to_string().contains("0..10"), "{err}");
     }
 
     #[test]

@@ -10,17 +10,31 @@
 //!    committed monotone level path. Because the prefix is committed, the
 //!    monotone-DP recurrence collapses to a two-way choice (`stay` at the
 //!    last level or `advance` by one), decided by the cached emission
-//!    scores — exactly the constrained forward-DP step, in `O(1)` per
-//!    action.
+//!    scores ([`commit_level`]) — exactly the constrained forward-DP step,
+//!    in `O(1)` per action.
 //! 2. **Exact statistics deltas** — every appended action is a single `+1`
 //!    on the persistent [`StatsGrid`] cell `(level, item)`
-//!    ([`StatsGrid::add_action`]), so the sufficient statistics stay
-//!    bit-exact with a from-scratch accumulation at all times.
-//! 3. **Dirty-level refits** — a refit ([`StreamingSession::refit`], run
-//!    per the session's [`RefitPolicy`]) refits only the levels whose
-//!    histogram changed, reuses the previous model rows elsewhere
+//!    ([`LiveFit::record`]), so the sufficient statistics stay bit-exact
+//!    with a from-scratch accumulation at all times.
+//! 3. **Dirty-level refits** — a refit ([`LiveFit::refit`], run per the
+//!    [`RefitPolicy`]) refits only the levels whose histogram changed,
+//!    reuses the previous model rows elsewhere
 //!    ([`StatsGrid::fit_model_incremental`]), and refreshes only those
 //!    levels' [`EmissionTable`] columns.
+//!
+//! ## One live-fitting state
+//!
+//! Steps 2 and 3 belong to [`LiveFit`]: the statistics grid, the model,
+//! the refit policy and its [`RefitTuner`], the pending and lifetime
+//! counters, and the soft (EM) state. It has one construction pipeline
+//! ([`LiveFit::new`]), one `+1` record and one refit rule. A
+//! [`StreamingSession`] owns one next to the sequences, assignments,
+//! emission table and per-user trackers; the serving layer keeps one
+//! behind its global lock and shards the per-user state. Both therefore
+//! fit the same model from the same traffic by construction. A refit
+//! reads only the feature *catalog* (schema + item tuples), never the
+//! sequences, so the serving layer can refit against a sequence-less
+//! catalog dataset.
 //!
 //! ## Filtering, not smoothing
 //!
@@ -37,11 +51,9 @@
 //!
 //! ## Soft (EM) continuation
 //!
-//! An EM-trained model ([`Trainer::em`](crate::train::Trainer::em)) used
-//! to have no incremental continuation: resuming through the hard
-//! constructor refit the model from hard-assignment counts, silently
-//! discarding the soft fit. [`StreamingSession::resume_em`] keeps the
-//! EM-fitted model **bit for bit** and carries a
+//! [`StreamingSession::resume_em`] keeps an EM-fitted model
+//! ([`Trainer::em`](crate::train::Trainer::em)) **bit for bit** instead of
+//! refitting it from hard-assignment counts, and gives its [`LiveFit`] a
 //! [`SoftStatsGrid`] of responsibility mass alongside the hard histogram:
 //! construction seeds the grid with one forward–backward smoothing pass
 //! under the converged model, each ingested action contributes its
@@ -53,6 +65,7 @@
 //! [`StatsGrid`] are still maintained — they back the invariant checks and
 //! keep every accessor meaningful in both modes.
 
+use std::borrow::BorrowMut;
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
@@ -68,11 +81,12 @@ use crate::parallel::ParallelConfig;
 use crate::train::{TrainConfig, TrainResult};
 use crate::transition::TransitionModel;
 use crate::types::{
-    skill_level_from_index, Action, ActionSequence, Dataset, SkillAssignments, SkillLevel, UserId,
+    skill_level_from_index, Action, ActionSequence, Dataset, ItemId, SkillAssignments, SkillLevel,
+    UserId,
 };
 
-/// When a [`StreamingSession`] refits model parameters from its
-/// accumulated statistics.
+/// When a [`LiveFit`] refits model parameters from its accumulated
+/// statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RefitPolicy {
     /// Refit at the end of every [`StreamingSession::ingest_batch`] call
@@ -145,46 +159,33 @@ impl RefitTuner {
     }
 }
 
-/// A live continuation of a trained model: owns the dataset, the model,
-/// the committed assignments, the persistent [`StatsGrid`] and
-/// [`EmissionTable`], and one filtering [`OnlineTracker`] per user.
+/// The model-fitting state of a live deployment and its one refit rule:
+/// the exact [`StatsGrid`], the current [`SkillModel`], the
+/// [`RefitPolicy`] and optional [`RefitTuner`], the pending and lifetime
+/// action counters, and — for EM continuations — the soft statistics.
 ///
-/// Construct with [`StreamingSession::resume`] from a
-/// [`TrainResult`] (or [`StreamingSession::new`] from raw parts), then
-/// feed actions with [`StreamingSession::ingest`] /
-/// [`StreamingSession::ingest_batch`]. Unknown users are admitted
-/// automatically with a fresh sequence and tracker.
-///
-/// The session's model is always the parameter fit of its current
-/// statistics (established by a fit at construction; for a converged,
-/// grid-trained [`TrainResult`] this reproduces `result.model` bit for
-/// bit). Between refits the model and emission table lag the statistics
-/// by design — that lag is what the [`RefitPolicy`] trades against cost.
+/// [`StreamingSession`] owns one; the serving layer keeps one behind its
+/// global lock. The model is always the parameter fit of the statistics
+/// as of the last refit; between refits it lags them by design — that
+/// lag is what the policy trades against cost.
 #[derive(Debug, Clone)]
-pub struct StreamingSession {
-    dataset: Dataset,
-    model: SkillModel,
-    assignments: SkillAssignments,
-    config: TrainConfig,
-    parallel: ParallelConfig,
-    policy: RefitPolicy,
+pub struct LiveFit {
     grid: StatsGrid,
-    table: EmissionTable,
-    trackers: Vec<OnlineTracker>,
-    user_index: HashMap<UserId, usize>,
-    /// Actions ingested since the last refit.
-    pending: usize,
-    /// Actions ingested over the session's lifetime.
-    total_ingested: usize,
+    model: SkillModel,
+    policy: RefitPolicy,
     /// Auto-tuner adjusting an [`RefitPolicy::EveryNActions`] interval
     /// after each refit; `None` leaves the policy fixed.
     tuner: Option<RefitTuner>,
-    /// Soft (EM) continuation state; `None` for hard-mode sessions.
+    /// Actions recorded since the last refit.
+    pending: usize,
+    /// Actions recorded over the fit's lifetime.
+    total_ingested: usize,
+    /// Soft (EM) continuation state; `None` for hard-mode fits.
     soft: Option<SoftState>,
 }
 
-/// Responsibility statistics of an EM-resumed session: the soft grid the
-/// refits replay, and the transition model weighting each ingested
+/// Responsibility statistics of an EM continuation: the soft grid the
+/// refits replay, and the transition model weighting each recorded
 /// action's stay/advance posterior.
 #[derive(Debug, Clone)]
 struct SoftState {
@@ -192,14 +193,189 @@ struct SoftState {
     transitions: TransitionModel,
 }
 
-impl StreamingSession {
-    /// Builds a session from a dataset and its committed assignments.
+impl LiveFit {
+    /// The one construction pipeline: validates `config` and `parallel`,
+    /// checks the assignments are monotone, builds the grid from them,
+    /// fits the model (the update step of the coordinate ascent) and
+    /// builds its emission table. Shape validation (user count, per-user
+    /// lengths) happens inside the grid build.
     ///
-    /// The model is fit from the assignments' statistics (the update step
-    /// of the coordinate ascent), which establishes the exact
-    /// grid-model invariant every later dirty-level refit relies on. The
-    /// per-user trackers are warmed by replaying each sequence through the
-    /// emission table.
+    /// The fit establishes the exact grid-model invariant every later
+    /// dirty-level refit relies on; for a converged, grid-trained
+    /// [`TrainResult`] it reproduces `result.model` bit for bit.
+    pub fn new(
+        dataset: &Dataset,
+        assignments: &SkillAssignments,
+        config: TrainConfig,
+        parallel: ParallelConfig,
+        policy: RefitPolicy,
+        tuner: Option<RefitTuner>,
+    ) -> Result<(Self, EmissionTable)> {
+        check_inputs(assignments, &config, &parallel)?;
+        let mut grid =
+            StatsGrid::build_with_config(dataset, assignments, config.n_levels, &parallel)?;
+        let model = grid.fit_model_incremental(dataset, config.lambda, &parallel, None)?;
+        let table = EmissionTable::build_with_config(&model, dataset, &parallel)?;
+        let fit = Self {
+            grid,
+            model,
+            policy,
+            tuner,
+            pending: 0,
+            total_ingested: 0,
+            soft: None,
+        };
+        Ok((fit, table))
+    }
+
+    /// Records one committed action: the `+1` delta on the `(level, item)`
+    /// cell, in EM mode the action's filtering posterior over its
+    /// admissible extension (from its emission `row` and the user's
+    /// previous level `last`), and the counters.
+    pub fn record(
+        &mut self,
+        item: ItemId,
+        level: SkillLevel,
+        row: &[f64],
+        last: Option<SkillLevel>,
+    ) -> Result<()> {
+        self.grid.add_action(item, level)?;
+        if let Some(soft) = self.soft.as_mut() {
+            let gamma = extension_posterior(&soft.transitions, row, last, level);
+            soft.grid.push_action(item, &gamma)?;
+        }
+        self.pending += 1;
+        self.total_ingested += 1;
+        Ok(())
+    }
+
+    /// Whether the policy calls for a refit now (checked at the end of
+    /// each ingest call).
+    pub fn refit_due(&self) -> bool {
+        match self.policy {
+            RefitPolicy::EveryBatch => true,
+            RefitPolicy::EveryNActions(n) => self.pending >= n,
+            RefitPolicy::Manual => false,
+        }
+    }
+
+    /// Refits model parameters from the accumulated statistics, touching
+    /// only dirty levels. In order: captures the dirty levels of the
+    /// active grid (the [`SoftStatsGrid`] in EM mode, the exact
+    /// [`StatsGrid`] otherwise), fits them incrementally from `catalog`
+    /// (only its schema and item tuples are read), refreshes exactly those
+    /// columns of the table `table` hands over, checks the table, resets
+    /// the pending count and steps the tuner. The tuner steps on clean
+    /// refits too.
+    ///
+    /// `table` is called only when some level is dirty, so a caller can
+    /// hand over a clone of a published table lazily, or its own table by
+    /// `&mut`. Returns the number of levels refit and the refreshed table
+    /// (`None` on a clean refit).
+    pub fn refit<T: BorrowMut<EmissionTable>>(
+        &mut self,
+        catalog: &Dataset,
+        lambda: f64,
+        parallel: &ParallelConfig,
+        table: impl FnOnce() -> T,
+    ) -> Result<(usize, Option<T>)> {
+        // The fit clears the dirty flags; capture them first — they are
+        // exactly the emission columns to refresh.
+        let dirty = match &self.soft {
+            Some(soft) => soft.grid.dirty_levels().to_vec(),
+            None => self.grid.dirty_levels().to_vec(),
+        };
+        let n_dirty = dirty.iter().filter(|&&d| d).count();
+        let mut refreshed = None;
+        if n_dirty > 0 {
+            let prev = Some(&self.model);
+            self.model = match self.soft.as_mut() {
+                Some(soft) => soft.grid.fit_model_incremental(catalog, lambda, prev)?,
+                None => self
+                    .grid
+                    .fit_model_incremental(catalog, lambda, parallel, prev)?,
+            };
+            let mut table = table();
+            table
+                .borrow_mut()
+                .refresh_levels(&self.model, catalog, &dirty)?;
+            InvariantCtx::new().check_emission_table(table.borrow())?;
+            refreshed = Some(table);
+        }
+        self.pending = 0;
+        // Auto-tune: each refit's dirty count steers the next interval.
+        // A pure function of the observed count, so replayed traffic
+        // evolves the policy identically (see [`RefitTuner`]).
+        if let (RefitPolicy::EveryNActions(n), Some(tuner)) = (self.policy, self.tuner) {
+            self.policy = RefitPolicy::EveryNActions(tuner.next_interval(n, n_dirty));
+        }
+        Ok((n_dirty, refreshed))
+    }
+
+    /// The current model (last refit; lags the statistics between refits).
+    pub fn model(&self) -> &SkillModel {
+        &self.model
+    }
+
+    /// The current refit policy (auto-tuning may move its interval).
+    pub fn policy(&self) -> RefitPolicy {
+        self.policy
+    }
+
+    /// Number of actions recorded since the last refit.
+    pub fn pending_actions(&self) -> usize {
+        self.pending
+    }
+
+    /// Number of actions recorded over the fit's lifetime.
+    pub fn total_ingested(&self) -> usize {
+        self.total_ingested
+    }
+}
+
+/// Input checks shared by every live-fit constructor: valid
+/// configurations and a monotone committed path.
+fn check_inputs(
+    assignments: &SkillAssignments,
+    config: &TrainConfig,
+    parallel: &ParallelConfig,
+) -> Result<()> {
+    config.validate()?;
+    parallel.validate()?;
+    if !assignments.is_monotone() {
+        return Err(CoreError::DegenerateFit {
+            distribution: "streaming session",
+            reason: "assignments violate the monotone level constraint",
+        });
+    }
+    Ok(())
+}
+
+/// A live continuation of a trained model: owns the dataset, the committed
+/// assignments, the [`EmissionTable`], one filtering [`OnlineTracker`] per
+/// user, and the [`LiveFit`] holding the statistics and the model.
+///
+/// Construct with [`StreamingSession::resume`] from a
+/// [`TrainResult`] (or [`StreamingSession::new`] from raw parts), then
+/// feed actions with [`StreamingSession::ingest`] /
+/// [`StreamingSession::ingest_batch`]. Unknown users are admitted
+/// automatically with a fresh sequence and tracker.
+#[derive(Debug, Clone)]
+pub struct StreamingSession {
+    dataset: Dataset,
+    assignments: SkillAssignments,
+    config: TrainConfig,
+    parallel: ParallelConfig,
+    table: EmissionTable,
+    trackers: Vec<OnlineTracker>,
+    user_index: HashMap<UserId, usize>,
+    fit: LiveFit,
+}
+
+impl StreamingSession {
+    /// Builds a session from a dataset and its committed assignments
+    /// ([`LiveFit::new`]), warming the per-user trackers by replaying each
+    /// sequence through the emission table.
     pub fn new(
         dataset: Dataset,
         assignments: SkillAssignments,
@@ -207,37 +383,8 @@ impl StreamingSession {
         parallel: ParallelConfig,
         policy: RefitPolicy,
     ) -> Result<Self> {
-        config.validate()?;
-        parallel.validate()?;
-        if !assignments.is_monotone() {
-            return Err(CoreError::DegenerateFit {
-                distribution: "streaming session",
-                reason: "assignments violate the monotone level constraint",
-            });
-        }
-        // Shape validation (user count, per-user lengths) happens inside
-        // the grid build.
-        let mut grid =
-            StatsGrid::build_with_config(&dataset, &assignments, config.n_levels, &parallel)?;
-        let model = grid.fit_model_incremental(&dataset, config.lambda, &parallel, None)?;
-        let table = EmissionTable::build_with_config(&model, &dataset, &parallel)?;
-        let (trackers, user_index) = warm_trackers(&dataset, &table, config.n_levels)?;
-        Ok(Self {
-            dataset,
-            model,
-            assignments,
-            config,
-            parallel,
-            policy,
-            grid,
-            table,
-            trackers,
-            user_index,
-            pending: 0,
-            total_ingested: 0,
-            tuner: None,
-            soft: None,
-        })
+        let (fit, table) = LiveFit::new(&dataset, &assignments, config, parallel, policy, None)?;
+        Self::assemble(dataset, assignments, config, parallel, table, fit)
     }
 
     /// Builds a **soft (EM) continuation** of a trained result: the
@@ -259,8 +406,7 @@ impl StreamingSession {
         parallel: ParallelConfig,
         policy: RefitPolicy,
     ) -> Result<Self> {
-        config.validate()?;
-        parallel.validate()?;
+        check_inputs(&result.assignments, &config, &parallel)?;
         if transitions.n_levels() != config.n_levels {
             return Err(CoreError::LengthMismatch {
                 context: "transitions vs session levels",
@@ -269,12 +415,6 @@ impl StreamingSession {
             });
         }
         let assignments = result.assignments.clone();
-        if !assignments.is_monotone() {
-            return Err(CoreError::DegenerateFit {
-                distribution: "streaming session",
-                reason: "assignments violate the monotone level constraint",
-            });
-        }
         // The hard histogram is still maintained — it backs the
         // `check_grid` invariant and the committed-path bookkeeping —
         // but the model is NOT refit from it: the EM fit survives.
@@ -282,7 +422,6 @@ impl StreamingSession {
             StatsGrid::build_with_config(&dataset, &assignments, config.n_levels, &parallel)?;
         let model = result.model.clone();
         let table = EmissionTable::build_with_config(&model, &dataset, &parallel)?;
-        let (trackers, user_index) = warm_trackers(&dataset, &table, config.n_levels)?;
         let mut soft_grid = SoftStatsGrid::new(
             config.n_levels,
             dataset.n_items(),
@@ -300,24 +439,56 @@ impl StreamingSession {
         // Seeding is not a model change: start clean so only levels the
         // streamed suffix touches ever get refit.
         soft_grid.clear_dirty();
-        Ok(Self {
-            dataset,
-            model,
-            assignments,
-            config,
-            parallel,
-            policy,
+        let fit = LiveFit {
             grid,
-            table,
-            trackers,
-            user_index,
+            model,
+            policy,
+            tuner: None,
             pending: 0,
             total_ingested: 0,
-            tuner: None,
             soft: Some(SoftState {
                 grid: soft_grid,
                 transitions,
             }),
+        };
+        Self::assemble(dataset, assignments, config, parallel, table, fit)
+    }
+
+    /// Completes a session around its fit and emission table: warms one
+    /// filtering [`OnlineTracker`] per user by replaying its sequence
+    /// through the table, and indexes users by id.
+    fn assemble(
+        dataset: Dataset,
+        assignments: SkillAssignments,
+        config: TrainConfig,
+        parallel: ParallelConfig,
+        table: EmissionTable,
+        fit: LiveFit,
+    ) -> Result<Self> {
+        let mut trackers = Vec::with_capacity(dataset.n_users());
+        let mut user_index = HashMap::with_capacity(dataset.n_users());
+        for (u, seq) in dataset.sequences().iter().enumerate() {
+            if user_index.insert(seq.user, u).is_some() {
+                return Err(CoreError::DegenerateFit {
+                    distribution: "streaming session",
+                    reason: "dataset contains two sequences for one user id",
+                });
+            }
+            let mut tracker = OnlineTracker::new(config.n_levels)?;
+            for action in seq.actions() {
+                tracker.observe_item(&table, action.item)?;
+            }
+            trackers.push(tracker);
+        }
+        Ok(Self {
+            dataset,
+            assignments,
+            config,
+            parallel,
+            table,
+            trackers,
+            user_index,
+            fit,
         })
     }
 
@@ -415,12 +586,6 @@ impl StreamingSession {
         let level = commit_level(row, last);
         // O(1) extension check: the committed path must stay monotone.
         InvariantCtx::new().check_extension("streaming ingest", last, level)?;
-        // Soft mode: the action's filtering posterior over its admissible
-        // extension, computed while the emission row is at hand.
-        let soft_gamma = self
-            .soft
-            .as_ref()
-            .map(|soft| extension_posterior(&soft.transitions, row, last, level));
 
         // Mutations, fallible first so errors leave the session unchanged.
         if is_new_user {
@@ -433,113 +598,45 @@ impl StreamingSession {
         } else {
             self.dataset.append_action(u, action)?;
         }
-        self.grid.add_action(action.item, level)?;
-        if let (Some(gamma), Some(soft)) = (soft_gamma, self.soft.as_mut()) {
-            soft.grid.push_action(action.item, &gamma)?;
-        }
+        self.fit.record(action.item, level, row, last)?;
         self.assignments.per_user[u].push(level);
         self.trackers[u].observe_item(&self.table, action.item)?;
-        self.pending += 1;
-        self.total_ingested += 1;
         Ok(level)
     }
 
     /// Refits the dirty levels now if the policy says so.
     fn refit_per_policy(&mut self) -> Result<usize> {
-        let due = match self.policy {
-            RefitPolicy::EveryBatch => true,
-            RefitPolicy::EveryNActions(n) => self.pending >= n,
-            RefitPolicy::Manual => false,
-        };
-        if due {
+        if self.fit.refit_due() {
             self.refit()
         } else {
             Ok(0)
         }
     }
 
-    /// Refits model parameters from the accumulated statistics, touching
-    /// only dirty levels, and refreshes exactly those emission-table
-    /// columns. Returns the number of levels refit (0 when nothing was
-    /// pending). Callable at any time, whatever the policy.
+    /// Refits model parameters from the accumulated statistics by the
+    /// [`LiveFit::refit`] rule, touching only dirty levels and refreshing
+    /// exactly those emission-table columns. Returns the number of levels
+    /// refit (0 when nothing was pending). Callable at any time, whatever
+    /// the policy.
     ///
     /// Hard-mode sessions refit from the exact [`StatsGrid`] histogram;
     /// EM-resumed sessions ([`StreamingSession::resume_em`]) replay the
     /// [`SoftStatsGrid`]'s responsibility mass through the weighted
     /// M-step instead.
     pub fn refit(&mut self) -> Result<usize> {
-        let n_dirty = if self.soft.is_some() {
-            self.refit_soft()?
-        } else {
-            self.refit_hard()?
-        };
-        // Auto-tune: each refit's dirty count steers the next interval.
-        // A pure function of the observed count, so replayed traffic
-        // evolves the policy identically (see [`RefitTuner`]).
-        if let (RefitPolicy::EveryNActions(n), Some(tuner)) = (self.policy, self.tuner) {
-            self.policy = RefitPolicy::EveryNActions(tuner.next_interval(n, n_dirty));
+        let (n_dirty, _) =
+            self.fit
+                .refit(&self.dataset, self.config.lambda, &self.parallel, || {
+                    &mut self.table
+                })?;
+        if n_dirty > 0 {
+            // The fit checked the table; the checks that need the
+            // sequences run here: a monotone committed path and a grid
+            // that matches a from-scratch accumulation.
+            let ctx = InvariantCtx::new();
+            ctx.check_monotone("streaming refit", &self.assignments)?;
+            ctx.check_grid(&self.fit.grid, &self.dataset, &self.assignments)?;
         }
-        Ok(n_dirty)
-    }
-
-    /// Hard-mode refit: dirty levels from the exact integer histogram.
-    fn refit_hard(&mut self) -> Result<usize> {
-        // `fit_model_incremental` clears the dirty flags; capture them
-        // first — they are exactly the emission columns to refresh.
-        let dirty = self.grid.dirty_levels().to_vec();
-        let n_dirty = dirty.iter().filter(|&&d| d).count();
-        if n_dirty == 0 {
-            self.pending = 0;
-            return Ok(0);
-        }
-        self.model = self.grid.fit_model_incremental(
-            &self.dataset,
-            self.config.lambda,
-            &self.parallel,
-            Some(&self.model),
-        )?;
-        self.table
-            .refresh_levels(&self.model, &self.dataset, &dirty)?;
-        // A refit commits new model state; verify everything it depends
-        // on: finite emission scores, a monotone committed path, and a
-        // grid that matches a from-scratch accumulation.
-        let ctx = InvariantCtx::new();
-        ctx.check_emission_table(&self.table)?;
-        ctx.check_monotone("streaming refit", &self.assignments)?;
-        ctx.check_grid(&self.grid, &self.dataset, &self.assignments)?;
-        self.pending = 0;
-        Ok(n_dirty)
-    }
-
-    /// Soft-mode refit: dirty levels from the responsibility grid,
-    /// refit through the weighted M-step. The hard histogram stays the
-    /// exact count accumulation it always is, so its invariant check
-    /// still applies.
-    fn refit_soft(&mut self) -> Result<usize> {
-        let soft = match self.soft.as_mut() {
-            Some(soft) => soft,
-            None => return Ok(0),
-        };
-        // `fit_model_incremental` clears the dirty flags; capture them
-        // first — they are exactly the emission columns to refresh.
-        let dirty = soft.grid.dirty_levels().to_vec();
-        let n_dirty = dirty.iter().filter(|&&d| d).count();
-        if n_dirty == 0 {
-            self.pending = 0;
-            return Ok(0);
-        }
-        self.model = soft.grid.fit_model_incremental(
-            &self.dataset,
-            self.config.lambda,
-            Some(&self.model),
-        )?;
-        self.table
-            .refresh_levels(&self.model, &self.dataset, &dirty)?;
-        let ctx = InvariantCtx::new();
-        ctx.check_emission_table(&self.table)?;
-        ctx.check_monotone("streaming refit", &self.assignments)?;
-        ctx.check_grid(&self.grid, &self.dataset, &self.assignments)?;
-        self.pending = 0;
         Ok(n_dirty)
     }
 
@@ -556,11 +653,11 @@ impl StreamingSession {
         crate::bundle::SessionBundle {
             version: crate::bundle::SESSION_BUNDLE_VERSION,
             dataset: self.dataset.clone(),
-            model: self.model.clone(),
+            model: self.fit.model.clone(),
             assignments: self.assignments.clone(),
             config: self.config,
             parallel: self.parallel,
-            policy: self.policy,
+            policy: self.fit.policy,
             note: note.to_string(),
         }
     }
@@ -572,7 +669,7 @@ impl StreamingSession {
 
     /// The current model (last refit; lags the statistics between refits).
     pub fn model(&self) -> &SkillModel {
-        &self.model
+        &self.fit.model
     }
 
     /// The committed per-action level assignments, including the streamed
@@ -593,40 +690,40 @@ impl StreamingSession {
 
     /// The current refit policy.
     pub fn policy(&self) -> RefitPolicy {
-        self.policy
+        self.fit.policy
     }
 
     /// Whether this is a soft (EM) continuation
     /// ([`StreamingSession::resume_em`]) rather than a hard-mode session.
     pub fn is_em(&self) -> bool {
-        self.soft.is_some()
+        self.fit.soft.is_some()
     }
 
     /// Replaces the refit policy (takes effect from the next ingest).
     pub fn set_policy(&mut self, policy: RefitPolicy) {
-        self.policy = policy;
+        self.fit.policy = policy;
     }
 
     /// The auto-tuner adjusting an [`RefitPolicy::EveryNActions`]
     /// interval, if one is installed.
     pub fn tuner(&self) -> Option<RefitTuner> {
-        self.tuner
+        self.fit.tuner
     }
 
     /// Installs (or removes) the refit-interval auto-tuner. Only
     /// meaningful under [`RefitPolicy::EveryNActions`]; inert otherwise.
     pub fn set_tuner(&mut self, tuner: Option<RefitTuner>) {
-        self.tuner = tuner;
+        self.fit.tuner = tuner;
     }
 
     /// Number of actions ingested since the last refit.
     pub fn pending_actions(&self) -> usize {
-        self.pending
+        self.fit.pending
     }
 
     /// Number of actions ingested over the session's lifetime.
     pub fn total_ingested(&self) -> usize {
-        self.total_ingested
+        self.fit.total_ingested
     }
 
     /// Number of users the session tracks (including streamed-in users).
@@ -646,31 +743,6 @@ impl StreamingSession {
         let &u = self.user_index.get(&user)?;
         self.trackers[u].current_level().ok()
     }
-}
-
-/// Warms one filtering [`OnlineTracker`] per dataset user by replaying its
-/// sequence through the emission table, and indexes users by id.
-fn warm_trackers(
-    dataset: &Dataset,
-    table: &EmissionTable,
-    n_levels: usize,
-) -> Result<(Vec<OnlineTracker>, HashMap<UserId, usize>)> {
-    let mut trackers = Vec::with_capacity(dataset.n_users());
-    let mut user_index = HashMap::with_capacity(dataset.n_users());
-    for (u, seq) in dataset.sequences().iter().enumerate() {
-        if user_index.insert(seq.user, u).is_some() {
-            return Err(CoreError::DegenerateFit {
-                distribution: "streaming session",
-                reason: "dataset contains two sequences for one user id",
-            });
-        }
-        let mut tracker = OnlineTracker::new(n_levels)?;
-        for action in seq.actions() {
-            tracker.observe_item(table, action.item)?;
-        }
-        trackers.push(tracker);
-    }
-    Ok((trackers, user_index))
 }
 
 /// Filtering posterior of one ingested action over its admissible levels:

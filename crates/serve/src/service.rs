@@ -2,7 +2,7 @@
 //!
 //! # Architecture
 //!
-//! A [`SkillService`] splits the state a [`StreamingSession`](upskill_core::streaming::StreamingSession) keeps in one
+//! A [`SkillService`] splits the state a [`StreamingSession`] keeps in one
 //! place into three concurrency domains, chosen so the hot read path
 //! (predict, recommend) never waits on a refit:
 //!
@@ -10,9 +10,10 @@
 //!   tracker) lives in `N` *shards*, each behind its own mutex. A user's
 //!   shard is a stable hash of their id, so two requests contend only
 //!   when they touch users that hash together.
-//! - **Model-fitting state** (the statistics grid, the current
-//!   [`SkillModel`], refit policy and counters) lives behind one *global*
-//!   mutex that only ingestion and refits ever take.
+//! - **Model-fitting state** — one [`LiveFit`] (statistics grid, current
+//!   model, refit policy and counters) plus the running level counts —
+//!   lives behind one *global* mutex that only ingestion and refits ever
+//!   take.
 //! - **The read-mostly model** (the [`EmissionTable`] plus the per-item
 //!   difficulty vector) lives in an [`EpochCell`]: readers clone an `Arc`
 //!   to the current epoch and compute against it lock-free; a refit
@@ -28,15 +29,16 @@
 //! # Bitwise equivalence with a single-owner session
 //!
 //! Driven single-threaded, a service is *bit-for-bit* the same model as a
-//! [`StreamingSession`](upskill_core::streaming::StreamingSession) fed the identical traffic (see
-//! `tests/properties_serve.rs`): the level-commitment rule, the `+1`
-//! statistics deltas, the dirty-level refit, and the [`RefitTuner`]
-//! adjustment are all replicated exactly, and the refit paths
-//! ([`StatsGrid::fit_model_incremental`],
-//! [`EmissionTable::refresh_levels`]) read only the feature *catalog*
-//! (schema + item tuples), never the sequences — which is why the service
-//! can refit against a sequence-less catalog dataset while the histories
-//! live sharded.
+//! [`StreamingSession`] fed the identical traffic (see
+//! `tests/properties_serve.rs`). Both commit levels by [`commit_level`]
+//! and fit through a [`LiveFit`]: the same construction
+//! ([`LiveFit::new`]), the same `+1` record ([`LiveFit::record`]) and the
+//! same dirty-level refit and tuner step ([`LiveFit::refit`]). A refit
+//! reads only the feature *catalog* (schema + item tuples), never the
+//! sequences, which is why the service refits against a sequence-less
+//! catalog dataset while the histories live sharded.
+//!
+//! [`StreamingSession`]: upskill_core::streaming::StreamingSession
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -47,9 +49,7 @@ use upskill_core::em::FbWorkspace;
 use upskill_core::emission::EmissionTable;
 use upskill_core::epoch::EpochCell;
 use upskill_core::error::CoreError;
-use upskill_core::incremental::StatsGrid;
 use upskill_core::invariants::InvariantCtx;
-use upskill_core::model::SkillModel;
 use upskill_core::online::OnlineTracker;
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::policy::{
@@ -59,7 +59,7 @@ use upskill_core::pool::WorkspacePool;
 use upskill_core::recommend::{
     build_level_band, recommend_from_band, LevelBand, RecommendConfig, Recommendation,
 };
-use upskill_core::streaming::{commit_level, RefitPolicy, RefitTuner};
+use upskill_core::streaming::{commit_level, LiveFit, RefitPolicy, RefitTuner};
 use upskill_core::sync::{LockId, TracedMutex};
 use upskill_core::train::{TrainConfig, TrainResult};
 use upskill_core::transition::TransitionModel;
@@ -212,14 +212,7 @@ struct Shard {
 /// Model-fitting state; only ingestion and refits lock this.
 #[derive(Debug)]
 struct Global {
-    grid: StatsGrid,
-    model: SkillModel,
-    policy: RefitPolicy,
-    tuner: Option<RefitTuner>,
-    /// Actions ingested since the last refit.
-    pending: usize,
-    /// Actions ingested over the service's lifetime.
-    total_ingested: usize,
+    fit: LiveFit,
     /// Refits that rewrote model state (clean refits don't count).
     refits: u64,
     /// Committed actions per level (1-indexed levels at index `s-1`) —
@@ -238,7 +231,8 @@ struct Global {
 /// trained upskill model.
 ///
 /// See the [module docs](self) for the concurrency architecture and the
-/// bitwise-equivalence contract with [`StreamingSession`](upskill_core::streaming::StreamingSession). All methods
+/// bitwise-equivalence contract with
+/// [`StreamingSession`](upskill_core::streaming::StreamingSession). All methods
 /// take `&self`; the service is `Send + Sync` and meant to be shared
 /// across request threads behind an `Arc`.
 #[derive(Debug)]
@@ -278,26 +272,17 @@ impl SkillService {
         serve: ServeConfig,
     ) -> Result<Self> {
         serve.validate()?;
-        config.validate().map_err(ServeError::Core)?;
-        parallel.validate().map_err(ServeError::Core)?;
-        if !assignments.is_monotone() {
-            return Err(ServeError::Core(CoreError::DegenerateFit {
-                distribution: "skill service",
-                reason: "assignments violate the monotone level constraint",
-            }));
-        }
-        // Identical construction pipeline to the streaming session: fit
-        // from the assignment statistics, build the table, warm one
-        // tracker per user by replay. Shape validation (user counts,
-        // per-user lengths) happens inside the grid build.
-        let mut grid =
-            StatsGrid::build_with_config(&dataset, &assignments, config.n_levels, &parallel)
-                .map_err(ServeError::Core)?;
-        let model = grid
-            .fit_model_incremental(&dataset, config.lambda, &parallel, None)
-            .map_err(ServeError::Core)?;
-        let table = EmissionTable::build_with_config(&model, &dataset, &parallel)
-            .map_err(ServeError::Core)?;
+        // The session's own construction pipeline, then one tracker per
+        // user warmed by replay.
+        let (fit, table) = LiveFit::new(
+            &dataset,
+            &assignments,
+            config,
+            parallel,
+            serve.policy,
+            serve.tuner,
+        )
+        .map_err(ServeError::Core)?;
 
         let n_shards = serve.n_shards;
         let mut shards: Vec<Shard> = (0..n_shards).map(|_| Shard::default()).collect();
@@ -349,12 +334,7 @@ impl SkillService {
             global: TracedMutex::new(
                 LockId::Global,
                 Global {
-                    grid,
-                    model,
-                    policy: serve.policy,
-                    tuner: serve.tuner,
-                    pending: 0,
-                    total_ingested: 0,
+                    fit,
                     refits: 0,
                     level_counts,
                     admission,
@@ -538,12 +518,10 @@ impl SkillService {
         if is_new_user {
             g.admission.push(action.user);
         }
-        g.grid
-            .add_action(action.item, level)
+        g.fit
+            .record(action.item, level, row, last)
             .map_err(ServeError::Core)?;
         g.level_counts[level as usize - 1] += 1;
-        g.pending += 1;
-        g.total_ingested += 1;
         Ok(IngestOutcome {
             user: action.user,
             level,
@@ -554,12 +532,7 @@ impl SkillService {
     /// Refits the dirty levels now if the policy says so.
     fn refit_per_policy(&self) -> Result<usize> {
         let mut g = self.global.lock();
-        let due = match g.policy {
-            RefitPolicy::EveryBatch => true,
-            RefitPolicy::EveryNActions(n) => g.pending >= n,
-            RefitPolicy::Manual => false,
-        };
-        if due {
+        if g.fit.refit_due() {
             self.refit_locked(&mut g)
         } else {
             Ok(0)
@@ -577,45 +550,22 @@ impl SkillService {
         self.refit_locked(&mut g)
     }
 
-    /// The dirty-level refit under the held global lock. Mirrors
-    /// `StreamingSession::refit_hard` + the tuner step of
-    /// `StreamingSession::refit` exactly — including running the tuner
-    /// on clean (0-dirty) refits — so replayed traffic evolves the
-    /// policy identically.
+    /// The [`LiveFit::refit`] rule under the held global lock. The
+    /// replacement table is built off to the side — a clone of the
+    /// published epoch's table, taken only when some level is dirty —
+    /// and readers keep scoring against the old epoch until the atomic
+    /// publish below. A clean refit publishes nothing.
     fn refit_locked(&self, g: &mut Global) -> Result<usize> {
-        // `fit_model_incremental` clears the dirty flags; capture them
-        // first — they are exactly the emission columns to refresh.
-        let dirty = g.grid.dirty_levels().to_vec();
-        let n_dirty = dirty.iter().filter(|&&d| d).count();
-        if n_dirty > 0 {
-            g.model = g
-                .grid
-                .fit_model_incremental(
-                    &self.catalog,
-                    self.config.lambda,
-                    &self.parallel,
-                    Some(&g.model),
-                )
-                .map_err(ServeError::Core)?;
-            // Build the replacement table off to the side: clone the
-            // published epoch's table, refresh only the dirty columns.
-            // Readers keep scoring against the old epoch until the
-            // atomic publish below.
-            let (_, current) = self.epoch.load();
-            let mut table = current.table.clone();
-            table
-                .refresh_levels(&g.model, &self.catalog, &dirty)
-                .map_err(ServeError::Core)?;
-            InvariantCtx::new()
-                .check_emission_table(&table)
-                .map_err(ServeError::Core)?;
+        let (n_dirty, table) = g
+            .fit
+            .refit(&self.catalog, self.config.lambda, &self.parallel, || {
+                self.epoch.load().1.table.clone()
+            })
+            .map_err(ServeError::Core)?;
+        if let Some(table) = table {
             let difficulty = difficulty_from_counts(&table, &g.level_counts)?;
             self.epoch.publish(ModelEpoch::new(table, difficulty));
             g.refits += 1;
-        }
-        g.pending = 0;
-        if let (RefitPolicy::EveryNActions(n), Some(tuner)) = (g.policy, g.tuner) {
-            g.policy = RefitPolicy::EveryNActions(tuner.next_interval(n, n_dirty));
         }
         Ok(n_dirty)
     }
@@ -828,11 +778,11 @@ impl SkillService {
         Ok(SessionBundle {
             version: SESSION_BUNDLE_VERSION,
             dataset,
-            model: g.model.clone(),
+            model: g.fit.model().clone(),
             assignments: SkillAssignments { per_user },
             config: self.config,
             parallel: self.parallel,
-            policy: g.policy,
+            policy: g.fit.policy(),
             note: note.to_string(),
         })
     }
@@ -842,12 +792,12 @@ impl SkillService {
         let g = self.global.lock();
         ServeStats {
             n_users: g.admission.len(),
-            total_ingested: g.total_ingested,
-            pending_actions: g.pending,
+            total_ingested: g.fit.total_ingested(),
+            pending_actions: g.fit.pending_actions(),
             epoch: self.epoch.epoch(),
             refits: g.refits,
             n_shards: self.shards.len(),
-            policy: g.policy,
+            policy: g.fit.policy(),
             policy_mode: self.adaptive.map(|c| c.mode),
             pooled_assign_workspaces: self.assign_pool.available(),
             pooled_fb_workspaces: self.fb_pool.available(),
@@ -861,7 +811,7 @@ impl SkillService {
 
     /// The current refit policy (auto-tuning may move its interval).
     pub fn policy(&self) -> RefitPolicy {
-        self.global.lock().policy
+        self.global.lock().fit.policy()
     }
 
     /// Training hyperparameters refits run with.

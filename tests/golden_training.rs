@@ -1,4 +1,4 @@
-//! Absolute pin of the hard trainer's output.
+//! Absolute pins of the hard and EM trainers' output.
 //!
 //! Every other hard-training cross-check compares two routes through the
 //! same chunked pass (thread counts, chunk sizes, storage modes), so this
@@ -6,10 +6,14 @@
 //! The numbers were recorded from the trainer before its in-memory loop
 //! was folded into the chunked pass. The setup is the dataset of
 //! `upskill generate --domain synthetic --scale quick --seed 7`, trained
-//! with `--levels 5 --min-init 20`.
+//! with `--levels 5 --min-init 20`. The EM pin was recorded before its
+//! M-step was routed through `SoftStatsGrid::fit_model_incremental`.
 
+use upskill_core::em::{train_em_with_parallelism, EmConfig};
+use upskill_core::init::initialize_model;
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::train::{train_with_parallelism, TrainConfig};
+use upskill_core::transition::TransitionModel;
 use upskill_datasets::synthetic::{generate, SyntheticConfig};
 
 /// FNV-1a: a stable digest of a byte stream.
@@ -66,4 +70,27 @@ fn quick_seed7_hard_training_is_pinned() {
     }
     // The CLI prints the objective to one decimal.
     assert_eq!(format!("{:.1}", f64::from_bits(lls[6])), "-153652.3");
+}
+
+/// The in-memory EM trainer on the same dataset, seeded by
+/// `initialize_model(ds, 5, 20, 0.01)` under uninformative transitions.
+/// The other EM checks compare against `reference::train_em_full` within
+/// a tolerance; this one pins the exact bits.
+#[test]
+fn quick_seed7_em_training_is_pinned() {
+    let data = generate(&SyntheticConfig::scaled(50, false, 7)).expect("generate");
+    let initial = initialize_model(&data.dataset, 5, 20, 0.01).expect("init");
+    let transitions = TransitionModel::uninformative(5).expect("transitions");
+    let cfg = EmConfig::new(initial, transitions);
+    let result = train_em_with_parallelism(&data.dataset, &cfg, &ParallelConfig::sequential())
+        .expect("train em");
+    let trace: Vec<u64> = result.evidence_trace.iter().map(|e| e.to_bits()).collect();
+    assert_eq!(trace.len(), 53);
+    assert_eq!(trace[0], 0xc10433abbbd905d5);
+    assert_eq!(trace[52], 0xc102e9a74f4c4717);
+    let trace_digest = fnv1a(trace.iter().flat_map(|b| b.to_le_bytes()));
+    assert_eq!(trace_digest, 0xee70ae99100c9594);
+    assert!(result.converged);
+    let json = serde_json::to_string(&result.model).expect("model json");
+    assert_eq!(fnv1a(json.bytes()), 0x059c78f9d34f6097);
 }
