@@ -30,12 +30,18 @@
 //! back. Failures at a difficulty reset the streaks at every band at
 //! or above it.
 //!
+//! A re-rank is one O(band) scan that keeps each stratum's best `k` in
+//! a bounded heap (O(band · log k)); only those ≤ 3k survivors are
+//! sorted, never the band, so a `k = 3` query over a 5,000-item band
+//! costs the scan, not a sort.
+//!
 //! Everything here is deterministic: re-ranking is a pure function of
 //! `(band, state, config)`, ties break by item id, and no randomness
 //! or clock is consulted — the property the serving layer's bitwise
 //! replay tests rely on.
 
-use std::collections::HashSet;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -358,8 +364,17 @@ impl PolicyState {
 
     /// Laplace-smoothed success rate at the band `difficulty` falls in.
     pub fn success_rate(&self, difficulty: f64) -> f64 {
-        let b = self.band_index(difficulty);
+        self.band_rate(self.band_index(difficulty))
+    }
+
+    /// Laplace-smoothed success rate of band `b`.
+    fn band_rate(&self, b: usize) -> f64 {
         (self.successes[b] + 1) as f64 / (self.attempts[b] + 2) as f64
+    }
+
+    /// [`Self::success_rate`] of every band, indexed by band.
+    fn success_rates(&self) -> Vec<f64> {
+        (0..self.n_levels).map(|b| self.band_rate(b)).collect()
     }
 
     /// Recently failed difficulties, oldest first.
@@ -413,12 +428,42 @@ pub struct PolicyRecommendation {
 /// Total order: blended score descending, then item id ascending —
 /// mirrors the static recommender's tie-break so re-ranking stays
 /// deterministic.
-fn policy_order(a: &PolicyRecommendation, b: &PolicyRecommendation) -> std::cmp::Ordering {
-    b.score
-        .partial_cmp(&a.score)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.item.cmp(&b.item))
+pub(crate) fn policy_order(a: &PolicyRecommendation, b: &PolicyRecommendation) -> Ordering {
+    rank_order(a.score, a.item, b.score, b.item)
 }
+
+/// [`policy_order`] on the `(score, item)` key alone, so a candidate
+/// can be ranked before its record is built.
+fn rank_order(a_score: f64, a_item: ItemId, b_score: f64, b_item: ItemId) -> Ordering {
+    b_score
+        .partial_cmp(&a_score)
+        .unwrap_or(Ordering::Equal)
+        .then(a_item.cmp(&b_item))
+}
+
+/// A kept candidate, ordered by [`policy_order`]: in a max-heap the top
+/// is the worst item kept.
+struct Kept(PolicyRecommendation);
+
+impl Ord for Kept {
+    fn cmp(&self, other: &Self) -> Ordering {
+        policy_order(&self.0, &other.0)
+    }
+}
+
+impl PartialOrd for Kept {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Kept {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Kept {}
 
 /// Re-ranks a prebuilt [`LevelBand`] for one user: scores every
 /// non-excluded candidate against the policy objectives at the user's
@@ -427,9 +472,24 @@ fn policy_order(a: &PolicyRecommendation, b: &PolicyRecommendation) -> std::cmp:
 /// each stratum, leftover slots filled globally). The returned list is
 /// sorted by blended score (ties by item id).
 ///
-/// O(band) per query against the band's full prebuilt ranking; never
-/// rescans the catalog and never touches model state, so policy reads
-/// stay epoch-pinned exactly like the static path.
+/// One O(band) scan over the band's prebuilt ranking keeps the best `k`
+/// candidates of each stratum in a bounded heap (O(band · log k)); only
+/// those ≤ 3k survivors are sorted, and the band itself never is.
+/// `exclude` is consulted only for a candidate that would enter its
+/// heap. The output is exactly that of sorting the whole band
+/// ([`crate::reference::rerank_band_full_sort`]):
+///
+/// - each quota is `floor(k'·frac) ≤ k' ≤ k`, and each stratum's top `k`
+///   survives, so the reservation pass sees the same items;
+/// - the fill pass takes only items of the global top `k'`, which lies
+///   inside the union of the per-stratum top `k`s;
+/// - if any heap is full, at least `k` candidates are non-excluded, so
+///   `k' = min(k, survivors)` equals `min(k, non-excluded count)`.
+///
+/// Never rescans the catalog and never touches model state, so policy
+/// reads stay epoch-pinned exactly like the static path. Scores are
+/// assumed non-NaN (finite band difficulties and scores), as the total
+/// order requires.
 pub fn rerank_band(
     band: &LevelBand,
     state: &PolicyState,
@@ -446,19 +506,31 @@ pub fn rerank_band(
     let upper = band.config().upper_slack.max(1e-9);
     let span = (band.config().lower_slack + band.config().upper_slack).max(1e-9);
     let w_total = config.w_aptitude + config.w_expected + config.w_gap;
+    let policy_weight = 1.0 - config.static_weight;
+    let rates = state.success_rates();
 
-    let mut scored: Vec<PolicyRecommendation> = Vec::new();
+    // Best `k` per stratum (review, practice, challenge): a plain list
+    // until it holds `k` items, then a heap — non-empty exactly when the
+    // stratum is full — whose top is the worst item kept. Both grow by
+    // push, so no allocation is sized from `k`, and a stratum that never
+    // reaches `k` never pays for heap order.
+    let mut filling: [Vec<Kept>; 3] = Default::default();
+    let mut heaps: [BinaryHeap<Kept>; 3] = Default::default();
     for r in band.ranked() {
-        if exclude(r.item) {
-            continue;
-        }
         let stretch = r.difficulty - s_eff;
+        let stratum = if stretch > config.practice_halfwidth {
+            Stratum::Challenge
+        } else if stretch < -config.practice_halfwidth {
+            Stratum::Review
+        } else {
+            Stratum::Practice
+        };
         let reach = if stretch > 0.0 {
             (stretch / upper).min(1.0)
         } else {
             0.0
         };
-        let rate = state.success_rate(r.difficulty);
+        let rate = rates[state.band_index(r.difficulty)];
         // Success-rate weighting is what makes the ranking *adaptive*:
         // an unweighted reach term would score the top of the band
         // identically whether the user lands those items or drowns in
@@ -478,14 +550,18 @@ pub fn rerank_band(
         let policy_score =
             (config.w_aptitude * aptitude + config.w_expected * expected + config.w_gap * gap)
                 / w_total;
-        let stratum = if stretch > config.practice_halfwidth {
-            Stratum::Challenge
-        } else if stretch < -config.practice_halfwidth {
-            Stratum::Review
-        } else {
-            Stratum::Practice
-        };
-        scored.push(PolicyRecommendation {
+        let score = policy_weight * policy_score + config.static_weight * r.score;
+        let slot = stratum_slot(stratum);
+        if heaps[slot]
+            .peek()
+            .is_some_and(|top| rank_order(score, r.item, top.0.score, top.0.item) != Ordering::Less)
+        {
+            continue;
+        }
+        if exclude(r.item) {
+            continue;
+        }
+        let rec = Kept(PolicyRecommendation {
             item: r.item,
             difficulty: r.difficulty,
             stratum,
@@ -494,11 +570,23 @@ pub fn rerank_band(
             gap,
             policy_score,
             static_score: r.score,
-            score: (1.0 - config.static_weight) * policy_score + config.static_weight * r.score,
+            score,
         });
+        match heaps[slot].peek_mut() {
+            Some(mut top) => *top = rec,
+            None => filling[slot].push(rec),
+        }
+        if filling[slot].len() == k {
+            heaps[slot] = BinaryHeap::from(std::mem::take(&mut filling[slot]));
+        }
     }
+    let mut scored: Vec<PolicyRecommendation> = filling
+        .into_iter()
+        .chain(heaps.map(BinaryHeap::into_vec))
+        .flatten()
+        .map(|Kept(r)| r)
+        .collect();
     scored.sort_by(policy_order);
-
     // Reserved slots per stratum; the remainder is unreserved.
     let k = k.min(scored.len());
     let reserve = |frac: f64| ((k as f64) * frac).floor() as usize;
@@ -507,11 +595,6 @@ pub fn rerank_band(
         reserve(config.mix.practice),
         reserve(config.mix.challenge),
     ];
-    let stratum_slot = |s: Stratum| match s {
-        Stratum::Review => 0usize,
-        Stratum::Practice => 1,
-        Stratum::Challenge => 2,
-    };
     let mut picked = vec![false; scored.len()];
     let mut n_picked = 0usize;
     // Pass 1: fill each stratum's reservation best-first.
@@ -542,6 +625,16 @@ pub fn rerank_band(
         .zip(picked)
         .filter_map(|(r, p)| p.then_some(r))
         .collect())
+}
+
+/// The stratum's index in the per-stratum arrays (review, practice,
+/// challenge).
+fn stratum_slot(s: Stratum) -> usize {
+    match s {
+        Stratum::Review => 0,
+        Stratum::Practice => 1,
+        Stratum::Challenge => 2,
+    }
 }
 
 #[cfg(test)]

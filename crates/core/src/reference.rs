@@ -10,6 +10,7 @@
 //! | [`assign_all_direct`] | [`assign_all_parallel`](crate::parallel::assign_all_parallel) (shared table) | bitwise |
 //! | [`train_full_rescan`] | [`train_with_parallelism`](crate::train::train_with_parallelism) (the chunk pass of [`train_chunked`](crate::chunked::train_chunked): integer `StatsGrid`, dirty-level refits) | same assignments and churn; objective to summation order |
 //! | [`train_em_full`] | [`train_em_with_parallelism`](crate::em::train_em_with_parallelism) (responsibility deltas) | within the gate tolerance; bitwise equal to [`train_em_chunked`](crate::chunked::train_em_chunked) |
+//! | [`rerank_band_full_sort`] | [`rerank_band`](crate::policy::rerank_band) (bounded per-stratum top-k) | bitwise |
 //!
 //! They used to be runtime switches on
 //! [`ParallelConfig`](crate::parallel::ParallelConfig). None earned a
@@ -28,8 +29,10 @@ use crate::init::initialize_model;
 use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
 use crate::parallel::{assign_all_parallel_with_table, ParallelConfig};
+use crate::policy::{policy_order, PolicyConfig, PolicyRecommendation, PolicyState, Stratum};
+use crate::recommend::LevelBand;
 use crate::train::{IterationStats, TrainConfig, TrainResult};
-use crate::types::{skill_level_from_index, Dataset, SkillAssignments};
+use crate::types::{skill_level_from_index, Dataset, ItemId, SkillAssignments, SkillLevel};
 use crate::update::fit_model;
 
 /// Cell-by-cell emission fill: `n_items · S` calls to
@@ -206,6 +209,125 @@ pub fn train_em_full(dataset: &Dataset, config: &EmConfig) -> Result<EmResult> {
         evidence_trace: trace,
         converged,
     })
+}
+
+/// The policy re-rank by sorting the whole scored band, then running
+/// the reservation and fill passes over it: O(band · log band) per
+/// query. The bitwise baseline of
+/// [`rerank_band`](crate::policy::rerank_band), which keeps only
+/// each stratum's best `k`.
+pub fn rerank_band_full_sort(
+    band: &LevelBand,
+    state: &PolicyState,
+    committed: SkillLevel,
+    exclude: &dyn Fn(ItemId) -> bool,
+    config: &PolicyConfig,
+    k: usize,
+) -> Result<Vec<PolicyRecommendation>> {
+    config.validate()?;
+    if k == 0 {
+        return Err(CoreError::InvalidSkillCount { requested: 0 });
+    }
+    let s_eff = state.effective_level(committed, config);
+    let upper = band.config().upper_slack.max(1e-9);
+    let span = (band.config().lower_slack + band.config().upper_slack).max(1e-9);
+    let w_total = config.w_aptitude + config.w_expected + config.w_gap;
+
+    let mut scored: Vec<PolicyRecommendation> = Vec::new();
+    for r in band.ranked() {
+        if exclude(r.item) {
+            continue;
+        }
+        let stretch = r.difficulty - s_eff;
+        let reach = if stretch > 0.0 {
+            (stretch / upper).min(1.0)
+        } else {
+            0.0
+        };
+        let rate = state.success_rate(r.difficulty);
+        // Success-rate weighting is what makes the ranking *adaptive*:
+        // an unweighted reach term would score the top of the band
+        // identically whether the user lands those items or drowns in
+        // them, so failures could never demote an overreaching pick.
+        let aptitude = rate * reach;
+        let expected = rate * (1.0 - reach);
+        let gap = if state.recent_failures().is_empty() {
+            0.0
+        } else {
+            let nearest = state
+                .recent_failures()
+                .iter()
+                .map(|f| (r.difficulty - f).abs())
+                .fold(f64::INFINITY, f64::min);
+            (1.0 - nearest / span).clamp(0.0, 1.0)
+        };
+        let policy_score =
+            (config.w_aptitude * aptitude + config.w_expected * expected + config.w_gap * gap)
+                / w_total;
+        let stratum = if stretch > config.practice_halfwidth {
+            Stratum::Challenge
+        } else if stretch < -config.practice_halfwidth {
+            Stratum::Review
+        } else {
+            Stratum::Practice
+        };
+        scored.push(PolicyRecommendation {
+            item: r.item,
+            difficulty: r.difficulty,
+            stratum,
+            aptitude,
+            expected,
+            gap,
+            policy_score,
+            static_score: r.score,
+            score: (1.0 - config.static_weight) * policy_score + config.static_weight * r.score,
+        });
+    }
+    scored.sort_by(policy_order);
+
+    // Reserved slots per stratum; the remainder is unreserved.
+    let k = k.min(scored.len());
+    let reserve = |frac: f64| ((k as f64) * frac).floor() as usize;
+    let mut quota = [
+        reserve(config.mix.review),
+        reserve(config.mix.practice),
+        reserve(config.mix.challenge),
+    ];
+    let stratum_slot = |s: Stratum| match s {
+        Stratum::Review => 0usize,
+        Stratum::Practice => 1,
+        Stratum::Challenge => 2,
+    };
+    let mut picked = vec![false; scored.len()];
+    let mut n_picked = 0usize;
+    // Pass 1: fill each stratum's reservation best-first.
+    for (i, rec) in scored.iter().enumerate() {
+        if n_picked == k {
+            break;
+        }
+        let slot = stratum_slot(rec.stratum);
+        if quota[slot] > 0 {
+            quota[slot] -= 1;
+            picked[i] = true;
+            n_picked += 1;
+        }
+    }
+    // Pass 2: release unfilled reservations to the global ranking.
+    for (i, _) in scored.iter().enumerate() {
+        if n_picked == k {
+            break;
+        }
+        if !picked[i] {
+            picked[i] = true;
+            n_picked += 1;
+        }
+    }
+    // `scored` is already in output order; keep the picks' order.
+    Ok(scored
+        .into_iter()
+        .zip(picked)
+        .filter_map(|(r, p)| p.then_some(r))
+        .collect())
 }
 
 #[cfg(test)]

@@ -361,23 +361,23 @@ pub fn evaluate_upskilling_traced(
         adaptive: Some(cfg.policy),
         ..serve_static
     };
-    let static_svc = SkillService::resume(
-        dataset.clone(),
-        &result,
-        cfg.train,
-        ParallelConfig::default(),
-        serve_static,
+    let service = |serve: ServeConfig| {
+        SkillService::resume(
+            dataset.clone(),
+            &result,
+            cfg.train,
+            ParallelConfig::default(),
+            serve,
+        )
+    };
+    // One arm's service at a time: each holds its own copy of the
+    // dataset, so building both up front doubles the peak.
+    let static_traces = run_arm(&service(serve_static)?, Arm::Static, cfg)?;
+    let adaptive_traces = run_arm(
+        &service(serve_adaptive)?,
+        Arm::Adaptive(cfg.policy.mode),
+        cfg,
     )?;
-    let adaptive_svc = SkillService::resume(
-        dataset.clone(),
-        &result,
-        cfg.train,
-        ParallelConfig::default(),
-        serve_adaptive,
-    )?;
-
-    let static_traces = run_arm(&static_svc, Arm::Static, cfg)?;
-    let adaptive_traces = run_arm(&adaptive_svc, Arm::Adaptive(cfg.policy.mode), cfg)?;
     let budget = cfg.learner.max_actions;
     let static_arm = summarize(&static_traces, budget);
     let adaptive_arm = summarize(&adaptive_traces, budget);

@@ -1200,6 +1200,26 @@ mod tests {
     }
 
     #[test]
+    fn huge_k_is_served_as_the_whole_band() {
+        // A hostile `k` must cost what the band costs, never an
+        // allocation sized from the request.
+        let service = adaptive_service(PolicyConfig::hybrid());
+        service.ingest(Action::new(500, 77, 0)).unwrap();
+        let level = service.predict(77, PredictMode::Committed).unwrap().level;
+        let (_, ep) = service.current_epoch();
+        let band_len = ep.band(level, &service.recommend).unwrap().len();
+        let huge = service
+            .recommend_policy(77, Some(usize::MAX), PolicyMode::Hybrid)
+            .unwrap();
+        let whole = service
+            .recommend_policy(77, Some(band_len), PolicyMode::Hybrid)
+            .unwrap();
+        assert_eq!(huge, whole);
+        let huge = service.recommend(77, Some(usize::MAX)).unwrap();
+        assert_eq!(huge, service.recommend(77, Some(band_len)).unwrap());
+    }
+
+    #[test]
     fn policy_requests_are_rejected_with_typed_errors() {
         // Disabled service: both policy entry points refuse.
         let (plain, _) = service_and_session(RefitPolicy::Manual, 2);
