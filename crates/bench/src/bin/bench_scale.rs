@@ -1,9 +1,9 @@
 //! Out-of-core scale benchmark — the million-user path.
 //!
 //! Trains the hard coordinate-ascent model over the generate-and-fold
-//! synthetic stream (`ChunkedSyntheticSource` + `train_chunked` with
-//! `Recompute` storage) at a scale whose materialized corpus would not
-//! fit comfortably in memory, and records:
+//! synthetic stream (`ChunkedSyntheticSource` + `train_chunked`, which
+//! keeps the previous pass's levels as breakpoints) at a scale whose
+//! materialized corpus would not fit comfortably in memory, and records:
 //!
 //! - **throughput** (actions × iterations / wall seconds) with an
 //!   enforceable `acceptance_floor`;
@@ -106,7 +106,7 @@ fn main() {
     };
 
     // Small-scale bitwise cross-check first: same generator family, a
-    // size where materializing is cheap. Chunked (parallel, Recompute)
+    // size where materializing is cheap. Chunked (parallel)
     // must equal in-memory sequential exactly.
     let crosscheck_users = if scale == Scale::Quick { 1_000 } else { 2_000 };
     let small = synth(crosscheck_users, n_items.min(2_500), 40.0, 17);

@@ -30,8 +30,8 @@ commands:
               --out model.json [--assignments assignments.json]
               | --chunked --users N [--items M] [--levels S] [--mean-len F]
                 [--chunk-size K] [--seed N] [--threads T]
-                [--storage recompute|inmemory] [--min-init N] [--lambda L]
-                [--max-iterations N] --out model.json
+                [--min-init N] [--lambda L] [--max-iterations N]
+                --out model.json
   difficulty  --data data.json --model model.json
               [--assignments assignments.json]
               [--method assignment|uniform|empirical] --out difficulty.json
@@ -236,7 +236,6 @@ fn train_chunked_cmd(args: &Args) -> Result<(), CliError> {
         "chunk-size",
         "seed",
         "threads",
-        "storage",
         "min-init",
         "lambda",
         "max-iterations",
@@ -255,15 +254,6 @@ fn train_chunked_cmd(args: &Args) -> Result<(), CliError> {
     let min_init: usize = args.parse_or("min-init", 50)?;
     let lambda: f64 = args.parse_or("lambda", 0.01)?;
     let out = args.required("out")?;
-    let storage = match args.optional("storage") {
-        None | Some("recompute") => AssignmentStorage::Recompute,
-        Some("inmemory") => AssignmentStorage::InMemory,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "unknown storage {other:?} (expected recompute|inmemory)"
-            )))
-        }
-    };
     let synth = upskill_datasets::synthetic::SyntheticConfig {
         n_users: users,
         n_items: items,
@@ -286,7 +276,7 @@ fn train_chunked_cmd(args: &Args) -> Result<(), CliError> {
     } else {
         ParallelConfig::sequential()
     };
-    let result = train_chunked(&source, &config, &parallel, storage)?;
+    let result = train_chunked(&source, &config, &parallel, AssignmentStorage::default())?;
     write_json(out, &result.model)?;
     let total: u64 = result.level_histogram.iter().sum();
     println!(

@@ -28,11 +28,18 @@
 //! - Sufficient statistics are one integer [`StatsGrid`], moved each pass
 //!   by per-worker signed deltas (only the actions whose level changed)
 //!   that are added order-free.
+//! - Each pass keeps its levels as **breakpoints**: Eq. 4 allows only
+//!   stay or +1, so a user's path is its first level plus at most `S − 1`
+//!   advance positions (about `4·S` bytes per user, flat per chunk). The
+//!   next pass reads them back: churn and the grid delta come from a
+//!   merge of old and new breakpoints that visits only the actions
+//!   between moved ones, so the DP runs once per action per pass.
 //! - Soft (EM) statistics are folded through the weighted accumulators
 //!   in global action order during a sequential apply phase, mirroring
 //!   the from-scratch EM accumulation
 //!   ([`crate::reference::train_em_full`]).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -179,8 +186,9 @@ impl DatasetChunk {
 /// and its bitwise behavior — with the in-memory path.
 ///
 /// `load_chunk` must be deterministic: loading the same index twice
-/// yields the same chunk (the `Recompute` assignment storage relies on
-/// replaying chunks). Chunk `i` covers global users
+/// yields the same chunk (every training pass reloads each chunk and
+/// reads the previous pass's breakpoints against it). Chunk `i` covers
+/// global users
 /// `i * chunk_size .. min((i + 1) * chunk_size, n_users)` in corpus
 /// order.
 pub trait ChunkSource: Sync {
@@ -420,17 +428,17 @@ pub fn source_schema<S: ChunkSource + ?Sized>(source: &S) -> &FeatureSchema {
 }
 
 /// How the chunked hard trainer remembers the previous iteration's
-/// skill assignments, which it needs for churn counting and convergence.
+/// skill assignments. Both variants select the same store: each user's
+/// path as breakpoints (`O(n_users · S)` memory, one DP per action per
+/// pass). The enum and the [`train_chunked`] parameter stay only so that
+/// existing callers — the `benchmark/` harness among them — keep
+/// compiling; they select nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AssignmentStorage {
-    /// Keep one `SkillLevel` byte per action across iterations
-    /// (`O(n_actions)` memory — fastest, but linear in corpus size).
+    /// The breakpoint store.
     #[default]
     InMemory,
-    /// Keep only the previous iteration's emission table and re-run the
-    /// (deterministic) DP per chunk to recover the previous levels —
-    /// memory stays bounded by `chunk_size × workers` at the cost of a
-    /// second DP pass per action.
+    /// The breakpoint store.
     Recompute,
 }
 
@@ -492,8 +500,8 @@ where
     R: EmissionRows + Sync + ?Sized,
 {
     let mut states = worker_states(source, parallel);
-    let pass = run_assignment_pass(source, rows, &Incumbent::None, &mut states, None, true)?;
-    let per_user = pass.levels.per_user();
+    let pass = run_assignment_pass(source, rows, None, &mut states, None)?;
+    let per_user = pass.paths.per_user();
     Ok((SkillAssignments { per_user }, pass.total_ll))
 }
 
@@ -560,59 +568,202 @@ pub fn initialize_model_chunked<S: ChunkSource + ?Sized>(
     SkillModel::new(schema.clone(), n_levels, cells)
 }
 
-/// The previous iteration's levels, as a pass recovers them for churn
-/// counting and the optimality check.
-enum Incumbent {
-    /// First iteration: nothing to diff against.
-    None,
-    /// [`AssignmentStorage::InMemory`]: one flat level vector per chunk,
-    /// in chunk action order.
-    Levels(Vec<Vec<SkillLevel>>),
-    /// [`AssignmentStorage::Recompute`]: the previous iteration's emission
-    /// table; the deterministic DP is re-run per user.
-    Table(EmissionTable),
+/// One user's monotone path as breakpoints. Eq. 4 allows only stay or +1
+/// between consecutive actions, so the path is its first level plus the
+/// positions where it advances.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Path<'a> {
+    /// Actions on the path.
+    len: usize,
+    /// Level of the first action (0 for an empty path).
+    start: SkillLevel,
+    /// Ascending positions `t` in `1..len` with `level[t] = level[t − 1] + 1`.
+    advances: &'a [u32],
 }
 
-/// Levels a pass kept: one flat vector per chunk (the form the
-/// `InMemory` store holds) and every user's action count, corpus order.
-#[derive(Default)]
-pub(crate) struct KeptLevels {
-    per_chunk: Vec<Vec<SkillLevel>>,
-    user_lens: Vec<usize>,
+impl Path<'_> {
+    /// Appends the path's per-action levels to `out`.
+    fn expand_into(self, out: &mut Vec<SkillLevel>) {
+        let (mut level, mut from) = (self.start, 0);
+        for &t in self.advances {
+            out.resize(out.len() + (t as usize - from), level);
+            (level, from) = (level + 1, t as usize);
+        }
+        out.resize(out.len() + (self.len - from), level);
+    }
 }
 
-impl KeptLevels {
-    /// Splits the levels into one vector per user, corpus order.
-    pub(crate) fn per_user(self) -> Vec<Vec<SkillLevel>> {
-        let mut chunks = self.per_chunk.iter().map(Vec::as_slice);
-        let mut rest: &[SkillLevel] = &[];
-        self.user_lens
-            .iter()
-            .map(|&len| {
-                // A user never spans two chunks.
-                while rest.len() < len {
-                    match chunks.next() {
-                        Some(chunk) => rest = chunk,
-                        None => break,
-                    }
+/// Walks the breakpoints of two paths over the same actions in step and
+/// calls `moved(run, was, now)` for every maximal run of actions whose
+/// level moved from `was` to `now`, in action order. Runs where the paths
+/// agree are skipped without visiting their actions, so the walk costs
+/// `O(S)` plus the moved runs.
+fn for_each_moved_run(
+    old: Path<'_>,
+    new: Path<'_>,
+    mut moved: impl FnMut(Range<usize>, SkillLevel, SkillLevel) -> Result<()>,
+) -> Result<()> {
+    let len = old.len;
+    let at = |advances: &[u32], k: usize| advances.get(k).map_or(len, |&t| t as usize);
+    let (mut i, mut j, mut from) = (0, 0, 0);
+    let (mut was, mut now) = (old.start, new.start);
+    while from < len {
+        let (next_old, next_new) = (at(old.advances, i), at(new.advances, j));
+        let to = next_old.min(next_new);
+        if was != now {
+            moved(from..to, was, now)?;
+        }
+        if to < len && next_old == to {
+            (was, i) = (was + 1, i + 1);
+        }
+        if to < len && next_new == to {
+            (now, j) = (now + 1, j + 1);
+        }
+        from = to;
+    }
+    Ok(())
+}
+
+/// Per-user header of a stored path.
+#[derive(Debug)]
+struct PathHead {
+    len: u32,
+    start: SkillLevel,
+    n_advances: SkillLevel,
+}
+
+/// One chunk's paths, in chunk user order, as breakpoints in a flat
+/// layout: about `4·S` bytes per user, where a level per action costs a
+/// byte per action.
+#[derive(Debug, Default)]
+struct ChunkPaths {
+    heads: Vec<PathHead>,
+    /// Every user's advance positions, concatenated in user order.
+    advances: Vec<u32>,
+}
+
+impl ChunkPaths {
+    /// Appends the path `levels`, whose steps must be stay or +1 (the
+    /// DP's paths are). Each advance is found by binary search over the
+    /// sorted levels, so the cost is `O(S · log len)`, not `O(len)`.
+    fn push(&mut self, levels: &[SkillLevel]) -> Result<()> {
+        let len = u32::try_from(levels.len()).map_err(|_| CoreError::LengthMismatch {
+            context: "sequence length vs stored path limit",
+            left: levels.len(),
+            right: u32::MAX as usize,
+        })?;
+        let before = self.advances.len();
+        let mut from = 0;
+        while let Some(&level) = levels.get(from) {
+            from += levels[from..].partition_point(|&l| l == level);
+            if from < levels.len() {
+                self.advances.push(from as u32);
+            }
+        }
+        let n_advances = self.advances.len() - before;
+        self.heads.push(PathHead {
+            len,
+            start: levels.first().copied().unwrap_or(0),
+            n_advances: SkillLevel::try_from(n_advances).map_err(|_| {
+                CoreError::InvalidSkillCount {
+                    requested: n_advances + 1,
                 }
-                let (user, tail) = rest.split_at(len.min(rest.len()));
-                rest = tail;
-                user.to_vec()
+            })?,
+        });
+        Ok(())
+    }
+
+    /// The stored paths, in user order.
+    fn paths(&self) -> impl Iterator<Item = Path<'_>> {
+        let mut rest = self.advances.as_slice();
+        self.heads.iter().map(move |head| {
+            let (advances, tail) = rest.split_at(usize::from(head.n_advances).min(rest.len()));
+            rest = tail;
+            Path {
+                len: head.len as usize,
+                start: head.start,
+                advances,
+            }
+        })
+    }
+}
+
+/// The levels of one pass as the next pass reads them: one
+/// [`ChunkPaths`] per chunk, in chunk order.
+#[derive(Debug, Default)]
+pub(crate) struct PathStore {
+    chunks: Vec<ChunkPaths>,
+}
+
+impl PathStore {
+    /// Chunk `index`'s paths, which must hold one path per user of
+    /// `chunk`.
+    fn chunk(&self, index: usize, chunk: &DatasetChunk) -> Result<&ChunkPaths> {
+        let paths = self.chunks.get(index).ok_or(CoreError::LengthMismatch {
+            context: "chunk index vs stored chunks",
+            left: index,
+            right: self.chunks.len(),
+        })?;
+        if paths.heads.len() != chunk.n_users() {
+            return Err(CoreError::LengthMismatch {
+                context: "stored paths vs chunk users",
+                left: paths.heads.len(),
+                right: chunk.n_users(),
+            });
+        }
+        Ok(paths)
+    }
+
+    /// Every stored path's levels, one vector per user in corpus order.
+    pub(crate) fn per_user(&self) -> Vec<Vec<SkillLevel>> {
+        let paths = self.chunks.iter().flat_map(ChunkPaths::paths);
+        paths
+            .map(|path| {
+                let mut levels = Vec::with_capacity(path.len);
+                path.expand_into(&mut levels);
+                levels
             })
             .collect()
+    }
+
+    /// [`Self::per_user`] for a corpus whose users have `user_lens`
+    /// actions, corpus order. A store holding another number of paths, or
+    /// a path of another length, is a [`CoreError::LengthMismatch`].
+    pub(crate) fn expand(
+        &self,
+        user_lens: impl ExactSizeIterator<Item = usize>,
+    ) -> Result<Vec<Vec<SkillLevel>>> {
+        let stored: usize = self.chunks.iter().map(|c| c.heads.len()).sum();
+        if stored != user_lens.len() {
+            return Err(CoreError::LengthMismatch {
+                context: "stored paths vs users",
+                left: stored,
+                right: user_lens.len(),
+            });
+        }
+        let heads = self.chunks.iter().flat_map(|c| &c.heads);
+        if let Some((head, len)) = heads.zip(user_lens).find(|(h, len)| h.len as usize != *len) {
+            return Err(CoreError::LengthMismatch {
+                context: "stored path vs sequence length",
+                left: head.len as usize,
+                right: len,
+            });
+        }
+        Ok(self.per_user())
     }
 }
 
 /// Per-worker reusable state for the hard assignment pass. One worker owns
-/// one chunk buffer, two DP workspaces, and (when the pass maintains a
+/// one chunk buffer, one DP workspace, and (when the pass maintains a
 /// [`StatsGrid`]) the grid changes of the chunks it processed.
 struct WorkerState {
     chunk: DatasetChunk,
     ws: AssignWorkspace,
-    prev_ws: AssignWorkspace,
-    /// A user's incumbent levels replayed under `Recompute` storage.
-    recomputed: Vec<SkillLevel>,
+    /// The current chunk's new levels, flat in chunk action order.
+    levels: Vec<SkillLevel>,
+    /// A user's incumbent levels, expanded for the optimality check (only
+    /// when checks are compiled in).
+    incumbent: Vec<SkillLevel>,
     /// Per cell: actions that moved in minus actions that moved out.
     delta: Option<GridDelta>,
     /// Per cell: actions now there — the invariant layer's recount of the
@@ -633,8 +784,8 @@ fn worker_states<S: ChunkSource + ?Sized>(
         .map(|_| WorkerState {
             chunk: DatasetChunk::new(),
             ws: AssignWorkspace::new(),
-            prev_ws: AssignWorkspace::new(),
-            recomputed: Vec::new(),
+            levels: Vec::new(),
+            incumbent: Vec::new(),
             delta: None,
             recount: None,
             histogram: Vec::new(),
@@ -647,10 +798,8 @@ fn worker_states<S: ChunkSource + ?Sized>(
 struct ChunkOutcome {
     /// Per-user log-likelihoods, in chunk user order.
     user_lls: Vec<f64>,
-    /// The chunk's levels, flat in chunk action order, and its users'
-    /// action counts (both empty unless the pass keeps them).
-    levels: Vec<SkillLevel>,
-    user_lens: Vec<usize>,
+    /// The chunk's new paths.
+    paths: ChunkPaths,
     /// Actions whose level moved vs. the previous iteration.
     n_changed: usize,
 }
@@ -661,14 +810,14 @@ struct ChunkOutcome {
 ///
 /// With a grid delta in `state`, the chunk's grid changes go into it: on
 /// the first pass every action, afterwards only the actions whose level
-/// moved off the incumbent — the churn, which falls fast, so later passes
-/// touch few cells. Without one, actions are counted per level.
+/// moved off the incumbent in `prev` — the churn, which falls fast, so
+/// later passes touch few cells. Without one, actions are counted per
+/// level.
 fn process_chunk<S, R>(
     source: &S,
     rows: &R,
-    prev: &Incumbent,
+    prev: Option<&PathStore>,
     chunk_index: usize,
-    keep_levels: bool,
     state: &mut WorkerState,
 ) -> Result<ChunkOutcome>
 where
@@ -679,19 +828,24 @@ where
     let WorkerState {
         chunk,
         ws,
-        prev_ws,
-        recomputed,
+        levels,
+        incumbent,
         delta,
         recount,
         histogram,
     } = state;
     let chunk = chunk_at(source, chunk_index, chunk)?;
     let mut user_lls = Vec::with_capacity(chunk.n_users());
-    let mut levels = Vec::with_capacity(chunk.n_actions());
+    let mut paths = ChunkPaths {
+        heads: Vec::with_capacity(chunk.n_users()),
+        advances: Vec::new(),
+    };
+    levels.clear();
     for u in 0..chunk.n_users() {
-        let ll = assign_items_into(rows, chunk.user_items(u), ws, &mut levels)?;
+        let ll = assign_items_into(rows, chunk.user_items(u), ws, levels)?;
         let new = &levels[chunk.offsets[u]..];
         ctx.check_sequence_monotone("chunked training assignment", new)?;
+        paths.push(new)?;
         user_lls.push(ll);
     }
     if delta.is_none() {
@@ -700,72 +854,64 @@ where
             .for_each(|&level| histogram[level as usize - 1] += 1);
     }
     if let Some(r) = recount.as_mut() {
-        for (&item, &now) in chunk.items().iter().zip(&levels) {
+        for (&item, &now) in chunk.items().iter().zip(levels.iter()) {
             r.shift(item, now, 1)?;
         }
     }
-    let stored = match prev {
-        Incumbent::Levels(all) => {
-            let stored = all.get(chunk_index).map_or(&[][..], Vec::as_slice);
-            if stored.len() != levels.len() {
-                return Err(CoreError::LengthMismatch {
-                    context: "previous vs next assignment lengths",
-                    left: stored.len(),
-                    right: levels.len(),
-                });
-            }
-            stored
-        }
-        _ => &[],
-    };
-    // Incumbents in a second sweep, so a `Recompute` replay streams one
-    // emission table at a time.
+    // Empty on the first pass, so every `old` below is `None`.
+    let mut olds = prev
+        .map(|store| store.chunk(chunk_index, chunk))
+        .transpose()?
+        .into_iter()
+        .flat_map(ChunkPaths::paths);
     let mut n_changed = 0usize;
-    for (u, &new_ll) in user_lls.iter().enumerate() {
-        let span = chunk.offsets[u]..chunk.offsets[u + 1];
-        let (items, new) = (chunk.user_items(u), &levels[span.clone()]);
-        let incumbent = match prev {
-            Incumbent::None => None,
-            Incumbent::Levels(_) => Some(&stored[span]),
-            Incumbent::Table(prev_table) => {
-                recomputed.clear();
-                assign_items_into(prev_table, items, prev_ws, recomputed)?;
-                Some(recomputed.as_slice())
-            }
-        };
-        match (incumbent, delta.as_mut()) {
+    for (u, (new, &new_ll)) in paths.paths().zip(&user_lls).enumerate() {
+        let items = chunk.user_items(u);
+        let old = olds.next();
+        match (old, delta.as_mut()) {
             (Some(old), _) if old == new => {}
             (Some(old), mut delta) => {
-                for ((&item, &was), &now) in items.iter().zip(old).zip(new) {
-                    if was != now {
-                        n_changed += 1;
-                        if let Some(d) = delta.as_deref_mut() {
+                if old.len != new.len {
+                    return Err(CoreError::LengthMismatch {
+                        context: "previous vs next assignment lengths",
+                        left: old.len,
+                        right: new.len,
+                    });
+                }
+                for_each_moved_run(old, new, |run, was, now| {
+                    n_changed += run.len();
+                    if let Some(d) = delta.as_deref_mut() {
+                        for &item in &items[run] {
                             d.shift(item, was, -1)?;
                             d.shift(item, now, 1)?;
                         }
                     }
-                }
+                    Ok(())
+                })?;
             }
             (None, Some(d)) => {
-                for (&item, &now) in items.iter().zip(new) {
+                let span = chunk.offsets[u]..chunk.offsets[u + 1];
+                for (&item, &now) in items.iter().zip(&levels[span]) {
                     d.shift(item, now, 1)?;
                 }
             }
             (None, None) => {}
         }
+        let incumbent = match old.filter(|_| ctx.enabled()) {
+            Some(old) => {
+                incumbent.clear();
+                old.expand_into(incumbent);
+                Some(incumbent.as_slice())
+            }
+            None => None,
+        };
         ctx.check_sequence_optimal("training assignment step", rows, items, incumbent, new_ll)?;
     }
-    let user_lens = match keep_levels {
-        true => chunk.offsets.windows(2).map(|w| w[1] - w[0]).collect(),
-        false => {
-            levels = Vec::new();
-            Vec::new()
-        }
-    };
+    // The store outlives the pass: drop the growth slack.
+    paths.advances.shrink_to_fit();
     Ok(ChunkOutcome {
         user_lls,
-        levels,
-        user_lens,
+        paths,
         n_changed,
     })
 }
@@ -778,8 +924,8 @@ struct PassResult {
     n_changed: Option<usize>,
     /// Actions per level, when the pass maintained no grid.
     histogram: Vec<u64>,
-    /// The new levels (empty unless requested).
-    levels: KeptLevels,
+    /// The new levels, as breakpoints.
+    paths: PathStore,
 }
 
 /// Actions per level (`totals[s - 1]`) counted in `grid`.
@@ -856,15 +1002,14 @@ where
 /// count.
 ///
 /// With a `grid` — empty on the first pass, holding the incumbent levels
-/// after — the pass moves it to the new levels; without one it counts
-/// actions per level into [`PassResult::histogram`].
+/// `prev` after — the pass moves it to the new levels; without one it
+/// counts actions per level into [`PassResult::histogram`].
 fn run_assignment_pass<S, R>(
     source: &S,
     rows: &R,
-    prev: &Incumbent,
+    prev: Option<&PathStore>,
     states: &mut [WorkerState],
     mut grid: Option<&mut StatsGrid>,
-    keep_levels: bool,
 ) -> Result<PassResult>
 where
     S: ChunkSource + ?Sized,
@@ -893,13 +1038,13 @@ where
 
     let mut total_ll = 0.0;
     let mut n_changed_total = 0usize;
-    let mut levels = KeptLevels::default();
+    let mut paths = PathStore::default();
     for_each_chunk(
         source.n_chunks(),
         states.len() * CHUNKS_PER_WORKER,
         states,
         "chunked assignment",
-        |index, state| process_chunk(source, rows, prev, index, keep_levels, state),
+        |index, state| process_chunk(source, rows, prev, index, state),
         |outcome| {
             // The f64 fold is order-sensitive, the rest is integer
             // bookkeeping.
@@ -907,10 +1052,7 @@ where
                 total_ll += ll;
             }
             n_changed_total += outcome.n_changed;
-            if keep_levels {
-                levels.per_chunk.push(outcome.levels);
-                levels.user_lens.extend(outcome.user_lens);
-            }
+            paths.chunks.push(outcome.paths);
             Ok(())
         },
     )?;
@@ -931,52 +1073,45 @@ where
     }
     Ok(PassResult {
         total_ll,
-        n_changed: match prev {
-            Incumbent::None => None,
-            _ => Some(n_changed_total),
-        },
+        n_changed: prev.map(|_| n_changed_total),
         histogram,
-        levels,
+        paths,
     })
 }
 
 /// The hard trainer (paper §IV-B/C), chunk at a time; it is also
 /// [`crate::train::train_with_parallelism`]'s loop, over [`DatasetChunks`].
 ///
-/// Every stage streams the corpus through fixed-size chunks — the only
-/// corpus-sized state is the optional [`AssignmentStorage::InMemory`]
-/// level store (one byte per action, one flat vector per chunk); with
-/// [`AssignmentStorage::Recompute`] peak memory is bounded by
-/// `chunk_size × workers` plus the `n_items × S` emission table and
-/// histogram.
+/// Every stage streams the corpus through fixed-size chunks. Besides
+/// `chunk_size × workers` of chunk buffers and the `n_items × S`
+/// emission table and grid, the only state is the previous pass's levels
+/// as breakpoints, `O(n_users · S)` — never one entry per action.
+/// `storage` selects nothing: see [`AssignmentStorage`].
 ///
 /// **Bitwise contract**: the model, log-likelihood, per-iteration trace
 /// (`log_likelihood` / `n_changed`), and convergence decision are
-/// bitwise identical for any `chunk_size`, worker count, and either
-/// storage mode, and equal to [`crate::reference::train_full_rescan`]'s
-/// assignments and churn. This holds because log-likelihoods fold in
-/// global user order, sufficient statistics are exact integer counts
-/// added order-free, and a cell refit is a pure function of its
-/// histogram row — so reused rows equal refit rows bit for bit.
+/// bitwise identical for any `chunk_size` and worker count, and equal to
+/// [`crate::reference::train_full_rescan`]'s assignments and churn. This
+/// holds because log-likelihoods fold in global user order, sufficient
+/// statistics are exact integer counts added order-free, and a cell
+/// refit is a pure function of its histogram row — so reused rows equal
+/// refit rows bit for bit.
 pub fn train_chunked<S: ChunkSource + ?Sized>(
     source: &S,
     config: &TrainConfig,
     parallel: &ParallelConfig,
-    storage: AssignmentStorage,
+    _storage: AssignmentStorage,
 ) -> Result<ChunkedTrainResult> {
-    Ok(train_chunked_keeping(source, config, parallel, storage)?.0)
+    Ok(train_chunked_keeping(source, config, parallel)?.0)
 }
 
-/// [`train_chunked`], also returning the final levels under
-/// [`AssignmentStorage::InMemory`] storage, which holds them anyway
-/// (empty under `Recompute`) — output [`ChunkedTrainResult`] leaves out
-/// to stay flat in memory.
+/// [`train_chunked`], also returning the final pass's levels as
+/// breakpoints, which [`ChunkedTrainResult`] leaves out.
 pub(crate) fn train_chunked_keeping<S: ChunkSource + ?Sized>(
     source: &S,
     config: &TrainConfig,
     parallel: &ParallelConfig,
-    storage: AssignmentStorage,
-) -> Result<(ChunkedTrainResult, KeptLevels)> {
+) -> Result<(ChunkedTrainResult, PathStore)> {
     config.validate()?;
     parallel.validate()?;
     if source.n_actions() == 0 {
@@ -985,7 +1120,7 @@ pub(crate) fn train_chunked_keeping<S: ChunkSource + ?Sized>(
     let view = source.item_view();
     let (n, min, lambda) = (config.n_levels, config.min_init_actions, config.lambda);
     let mut model = initialize_model_chunked(source, n, min, lambda)?;
-    let mut incumbent = Incumbent::None;
+    let mut incumbent: Option<PathStore> = None;
     let mut prev_ll = f64::NEG_INFINITY;
     let mut trace = Vec::new();
     // Moved pass by pass from the incumbent levels to the new ones, so it
@@ -993,20 +1128,13 @@ pub(crate) fn train_chunked_keeping<S: ChunkSource + ?Sized>(
     let mut grid = StatsGrid::new(n, view.n_items())?;
     let mut table: Option<EmissionTable> = None;
     let mut refit_levels: Vec<bool> = Vec::new();
-    let keep_levels = storage == AssignmentStorage::InMemory;
     let mut states = worker_states(source, parallel);
 
     for iteration in 1..=config.max_iterations {
         let iter_start = Instant::now();
         let t = EmissionTable::refresh_or_build(&mut table, &model, view, parallel, &refit_levels)?;
-        let pass = run_assignment_pass(
-            source,
-            t,
-            &incumbent,
-            &mut states,
-            Some(&mut grid),
-            keep_levels,
-        )?;
+        let pass =
+            run_assignment_pass(source, t, incumbent.as_ref(), &mut states, Some(&mut grid))?;
         let ll = pass.total_ll;
         let stable = pass.n_changed == Some(0);
         let small_gain = prev_ll.is_finite()
@@ -1032,14 +1160,10 @@ pub(crate) fn train_chunked_keeping<S: ChunkSource + ?Sized>(
                 n_users: source.n_users(),
                 n_actions: source.n_actions(),
             };
-            return Ok((result, pass.levels));
+            return Ok((result, pass.paths));
         }
-        // The next pass diffs against this one: its levels, or this
-        // iteration's table, snapshotted before the next refresh rewrites it.
-        incumbent = match storage {
-            AssignmentStorage::InMemory => Incumbent::Levels(pass.levels.per_chunk),
-            AssignmentStorage::Recompute => Incumbent::Table(t.clone()),
-        };
+        // The next pass diffs against this one's levels.
+        incumbent = Some(pass.paths);
         prev_ll = ll;
     }
 
@@ -1048,14 +1172,7 @@ pub(crate) fn train_chunked_keeping<S: ChunkSource + ?Sized>(
     // trailing trace entry.
     let iter_start = Instant::now();
     let t = EmissionTable::refresh_or_build(&mut table, &model, view, parallel, &refit_levels)?;
-    let pass = run_assignment_pass(
-        source,
-        t,
-        &incumbent,
-        &mut states,
-        Some(&mut grid),
-        keep_levels,
-    )?;
+    let pass = run_assignment_pass(source, t, incumbent.as_ref(), &mut states, Some(&mut grid))?;
     trace.push(IterationStats {
         iteration: config.max_iterations + 1,
         log_likelihood: pass.total_ll,
@@ -1071,7 +1188,7 @@ pub(crate) fn train_chunked_keeping<S: ChunkSource + ?Sized>(
         n_users: source.n_users(),
         n_actions: source.n_actions(),
     };
-    Ok((result, pass.levels))
+    Ok((result, pass.paths))
 }
 
 /// Per-worker reusable state for the EM E-step pass.
@@ -1227,7 +1344,7 @@ pub fn level_histogram_chunked<S: ChunkSource + ?Sized>(
     parallel.validate()?;
     let table = EmissionTable::build_with_config(model, source.item_view(), parallel)?;
     let mut states = worker_states(source, parallel);
-    let pass = run_assignment_pass(source, &table, &Incumbent::None, &mut states, None, false)?;
+    let pass = run_assignment_pass(source, &table, None, &mut states, None)?;
     Ok((pass.histogram, pass.total_ll))
 }
 
@@ -1414,34 +1531,33 @@ mod tests {
                 .unwrap();
         for chunk_size in [1, 4, 64] {
             for threads in [1, 3] {
-                for storage in [AssignmentStorage::InMemory, AssignmentStorage::Recompute] {
-                    let parallel = if threads == 1 {
-                        ParallelConfig::sequential()
-                    } else {
-                        ParallelConfig::all(threads)
-                    };
-                    let chunks = DatasetChunks::new(&ds, chunk_size).unwrap();
-                    let got = train_chunked(&chunks, &config, &parallel, storage).unwrap();
-                    let tag = format!("chunk_size={chunk_size} threads={threads} {storage:?}");
-                    assert_eq!(got.model, expect.model, "{tag}");
-                    assert_eq!(got.log_likelihood, expect.log_likelihood, "{tag}");
-                    assert_eq!(got.converged, expect.converged, "{tag}");
-                    assert_eq!(got.trace.len(), expect.trace.len(), "{tag}");
-                    for (a, b) in got.trace.iter().zip(&expect.trace) {
-                        assert_eq!(a.iteration, b.iteration, "{tag}");
-                        assert_eq!(a.log_likelihood, b.log_likelihood, "{tag}");
-                        assert_eq!(a.n_changed, b.n_changed, "{tag}");
-                    }
-                    let histogram: Vec<u64> = expect
-                        .assignments
-                        .level_histogram(3)
-                        .iter()
-                        .map(|&c| c as u64)
-                        .collect();
-                    assert_eq!(got.level_histogram, histogram, "{tag}");
-                    assert_eq!(got.n_users, ds.n_users(), "{tag}");
-                    assert_eq!(got.n_actions, ds.n_actions(), "{tag}");
+                let parallel = if threads == 1 {
+                    ParallelConfig::sequential()
+                } else {
+                    ParallelConfig::all(threads)
+                };
+                let chunks = DatasetChunks::new(&ds, chunk_size).unwrap();
+                let storage = AssignmentStorage::Recompute;
+                let got = train_chunked(&chunks, &config, &parallel, storage).unwrap();
+                let tag = format!("chunk_size={chunk_size} threads={threads}");
+                assert_eq!(got.model, expect.model, "{tag}");
+                assert_eq!(got.log_likelihood, expect.log_likelihood, "{tag}");
+                assert_eq!(got.converged, expect.converged, "{tag}");
+                assert_eq!(got.trace.len(), expect.trace.len(), "{tag}");
+                for (a, b) in got.trace.iter().zip(&expect.trace) {
+                    assert_eq!(a.iteration, b.iteration, "{tag}");
+                    assert_eq!(a.log_likelihood, b.log_likelihood, "{tag}");
+                    assert_eq!(a.n_changed, b.n_changed, "{tag}");
                 }
+                let histogram: Vec<u64> = expect
+                    .assignments
+                    .level_histogram(3)
+                    .iter()
+                    .map(|&c| c as u64)
+                    .collect();
+                assert_eq!(got.level_histogram, histogram, "{tag}");
+                assert_eq!(got.n_users, ds.n_users(), "{tag}");
+                assert_eq!(got.n_actions, ds.n_actions(), "{tag}");
             }
         }
     }
@@ -1496,12 +1612,12 @@ mod tests {
         let ds = trainer_dataset();
         let chunks = DatasetChunks::new(&ds, 4).unwrap();
         let hard = crate::train::Trainer::from_config(train_cfg())
-            .fit_chunked(&chunks, AssignmentStorage::Recompute)
+            .fit_chunked(&chunks)
             .unwrap();
         assert_eq!(hard.n_users, ds.n_users());
         let em = crate::train::Trainer::from_config(train_cfg())
             .em()
-            .fit_chunked(&chunks, AssignmentStorage::InMemory)
+            .fit_chunked(&chunks)
             .unwrap();
         assert_eq!(
             em.level_histogram.iter().sum::<u64>() as usize,
@@ -1575,5 +1691,174 @@ mod tests {
         chunk.begin_user(4);
         chunk.push_action(0, 1).unwrap();
         assert_eq!(chunk.user_items(1), &[1]);
+    }
+
+    fn encode(levels: &[SkillLevel]) -> ChunkPaths {
+        let mut paths = ChunkPaths::default();
+        paths.push(levels).unwrap();
+        paths
+    }
+
+    fn expand(path: Path<'_>) -> Vec<SkillLevel> {
+        let mut levels = Vec::new();
+        path.expand_into(&mut levels);
+        levels
+    }
+
+    /// A sorted list of signed `(item, level)` shifts.
+    type Shifts = Vec<(ItemId, SkillLevel, i64)>;
+
+    /// Churn and sorted shifts of moving `items` from `old` to `new`
+    /// levels, by the breakpoint merge the training pass runs.
+    fn merged_moves(items: &[ItemId], old: &[SkillLevel], new: &[SkillLevel]) -> (usize, Shifts) {
+        let (old, new) = (encode(old), encode(new));
+        let (old, new) = (old.paths().next().unwrap(), new.paths().next().unwrap());
+        let (mut churn, mut shifts) = (0, Vec::new());
+        if old != new {
+            for_each_moved_run(old, new, |run, was, now| {
+                churn += run.len();
+                for &item in &items[run] {
+                    shifts.extend([(item, was, -1), (item, now, 1)]);
+                }
+                Ok(())
+            })
+            .unwrap();
+        }
+        shifts.sort_unstable();
+        (churn, shifts)
+    }
+
+    /// The same by comparing every action.
+    fn compared_moves(items: &[ItemId], old: &[SkillLevel], new: &[SkillLevel]) -> (usize, Shifts) {
+        let (mut churn, mut shifts) = (0, Vec::new());
+        for ((&item, &was), &now) in items.iter().zip(old).zip(new) {
+            if was != now {
+                churn += 1;
+                shifts.extend([(item, was, -1), (item, now, 1)]);
+            }
+        }
+        shifts.sort_unstable();
+        (churn, shifts)
+    }
+
+    #[test]
+    fn breakpoints_round_trip_edge_paths() {
+        // Empty, one action, all-stay, start above 1, S − 1 advances.
+        let paths: [&[SkillLevel]; 6] = [
+            &[],
+            &[3],
+            &[1, 1, 1, 1],
+            &[3, 3, 4, 4],
+            &[1, 2, 3, 4, 5],
+            &[2, 2, 3, 3, 3, 4, 5],
+        ];
+        let mut chunk = ChunkPaths::default();
+        for levels in paths {
+            chunk.push(levels).unwrap();
+        }
+        assert_eq!(encode(&[1, 2, 3, 4, 5]).advances, [1, 2, 3, 4]);
+        assert!(encode(&[1, 1, 1, 1]).advances.is_empty());
+        let back: Vec<Vec<SkillLevel>> = chunk.paths().map(expand).collect();
+        assert_eq!(back, paths.map(<[SkillLevel]>::to_vec));
+        // Every pair of equal-length edge paths merges like the compare.
+        let items = [4, 0, 4, 1, 2, 0, 3];
+        for old in paths {
+            for new in paths.iter().filter(|p| p.len() == old.len()) {
+                let items = &items[..old.len()];
+                let merged = merged_moves(items, old, new);
+                assert_eq!(merged, compared_moves(items, old, new));
+            }
+        }
+    }
+
+    /// A stay/+1 path over `draws.len()` actions: it starts at `start`
+    /// and advances at action `t > 0` when `draws[t] < p_advance`, up to
+    /// level `n_levels`.
+    fn stay_or_advance(
+        n_levels: SkillLevel,
+        start: SkillLevel,
+        p_advance: f64,
+        draws: &[f64],
+    ) -> Vec<SkillLevel> {
+        let mut level = start;
+        let step = |(t, &draw): (usize, &f64)| {
+            if t > 0 && draw < p_advance && level < n_levels {
+                level += 1;
+            }
+            level
+        };
+        draws.iter().enumerate().map(step).collect()
+    }
+
+    /// The advance probability of path mode `mode`: all-stay and
+    /// always-advance paths are drawn as often as mixed ones.
+    fn p_advance(mode: u8, draw: f64) -> f64 {
+        match mode {
+            0 => 0.0,
+            1 => 1.0,
+            _ => draw,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn breakpoint_merge_matches_per_action_compare(
+            n_levels in 1..=6 as SkillLevel,
+            (old_start, new_start) in (1..=6 as SkillLevel, 1..=6 as SkillLevel),
+            (old_mode, new_mode, same) in (0..4u8, 0..4u8, 0..4u8),
+            (old_p, new_p) in (0.0..1.0f64, 0.0..1.0f64),
+            actions in proptest::collection::vec((0..8 as ItemId, 0.0..1.0f64, 0.0..1.0f64), 0..40),
+        ) {
+            let items: Vec<ItemId> = actions.iter().map(|a| a.0).collect();
+            let old_draws: Vec<f64> = actions.iter().map(|a| a.1).collect();
+            let new_draws: Vec<f64> = actions.iter().map(|a| a.2).collect();
+            let (old_start, new_start) = (old_start.min(n_levels), new_start.min(n_levels));
+            let old = stay_or_advance(n_levels, old_start, p_advance(old_mode, old_p), &old_draws);
+            let new = match same {
+                0 => old.clone(),
+                _ => stay_or_advance(n_levels, new_start, p_advance(new_mode, new_p), &new_draws),
+            };
+            for levels in [&old, &new] {
+                let paths = encode(levels);
+                let path = paths.paths().next().unwrap();
+                proptest::prop_assert!(path.advances.len() < usize::from(n_levels));
+                proptest::prop_assert_eq!(&expand(path), levels);
+            }
+            proptest::prop_assert_eq!(
+                merged_moves(&items, &old, &new),
+                compared_moves(&items, &old, &new)
+            );
+        }
+    }
+
+    #[test]
+    fn expanding_a_mismatched_store_is_typed_error() {
+        let mut chunk = ChunkPaths::default();
+        chunk.push(&[1, 1, 2]).unwrap();
+        chunk.push(&[2]).unwrap();
+        let store = PathStore {
+            chunks: vec![chunk, ChunkPaths::default()],
+        };
+        assert_eq!(
+            store.expand([3, 1].into_iter()).unwrap(),
+            [vec![1, 1, 2], vec![2]]
+        );
+        let mismatch = |context, left, right| CoreError::LengthMismatch {
+            context,
+            left,
+            right,
+        };
+        assert_eq!(
+            store.expand([3].into_iter()).unwrap_err(),
+            mismatch("stored paths vs users", 2, 1)
+        );
+        assert_eq!(
+            store.expand([3, 1, 4].into_iter()).unwrap_err(),
+            mismatch("stored paths vs users", 2, 3)
+        );
+        assert_eq!(
+            store.expand([3, 2].into_iter()).unwrap_err(),
+            mismatch("stored path vs sequence length", 1, 2)
+        );
     }
 }

@@ -25,7 +25,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::chunked::AssignmentStorage::InMemory;
 use crate::chunked::{in_memory_chunk_size, train_chunked_keeping, ChunkedDataset};
 use crate::dist::DEFAULT_SMOOTHING;
 use crate::em::{EmConfig, EmResult};
@@ -34,7 +33,7 @@ use crate::init::initialize_model;
 use crate::model::SkillModel;
 use crate::parallel::{assign_all_parallel, ParallelConfig};
 use crate::transition::TransitionModel;
-use crate::types::{Dataset, SkillAssignments, SkillLevel};
+use crate::types::{ActionSequence, Dataset, SkillAssignments, SkillLevel};
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -339,14 +338,14 @@ impl Trainer {
     /// arm. Hard mode is bitwise identical to the in-memory trainer on
     /// the materialized dataset, EM mode to
     /// [`crate::reference::train_em_full`] plus the same decode, and peak
-    /// memory stays bounded by `chunk_size × workers` (plus the
-    /// `InMemory` storage's byte per action, if selected).
+    /// memory stays bounded by `chunk_size × workers` plus the hard
+    /// trainer's `O(n_users · S)` breakpoint store.
     pub fn fit_chunked<S: crate::chunked::ChunkSource + ?Sized>(
         &self,
         source: &S,
-        storage: crate::chunked::AssignmentStorage,
     ) -> Result<crate::chunked::ChunkedTrainResult> {
         if self.mode == TrainMode::Hard {
+            let storage = crate::chunked::AssignmentStorage::default();
             return crate::chunked::train_chunked(source, &self.config, &self.parallel, storage);
         }
         self.config.validate()?;
@@ -444,21 +443,22 @@ impl Trainer {
 
 /// Trains a skill model with explicit parallelization flags (§IV-C).
 ///
-/// This is [`train_chunked`](crate::chunked::train_chunked) with
-/// `InMemory` storage over the dataset copied once into columnar chunks,
-/// the final levels kept. Every thread count gives bitwise the sequential
-/// result.
+/// This is [`train_chunked`](crate::chunked::train_chunked) over the
+/// dataset copied once into columnar chunks; the assignments are the
+/// final pass's breakpoints expanded. Every thread count gives bitwise
+/// the sequential result.
 pub fn train_with_parallelism(
     dataset: &Dataset,
     config: &TrainConfig,
     parallel: &ParallelConfig,
 ) -> Result<TrainResult> {
     let chunks = ChunkedDataset::from_dataset(dataset, in_memory_chunk_size(dataset, parallel))?;
-    let (result, levels) = train_chunked_keeping(&chunks, config, parallel, InMemory)?;
+    let (result, paths) = train_chunked_keeping(&chunks, config, parallel)?;
+    let user_lens = dataset.sequences().iter().map(ActionSequence::len);
     Ok(TrainResult {
         model: result.model,
         assignments: SkillAssignments {
-            per_user: levels.per_user(),
+            per_user: paths.expand(user_lens)?,
         },
         log_likelihood: result.log_likelihood,
         trace: result.trace,
@@ -677,9 +677,7 @@ mod tests {
         let sticky = TransitionModel::new(vec![0.95, 0.95, 1.0], vec![0.6, 0.3, 0.1]).unwrap();
         let trainer = Trainer::from_config(cfg).em_with_transitions(sticky.clone());
         let chunks = crate::chunked::DatasetChunks::new(&ds, 4).unwrap();
-        let chunked = trainer
-            .fit_chunked(&chunks, crate::chunked::AssignmentStorage::Recompute)
-            .unwrap();
+        let chunked = trainer.fit_chunked(&chunks).unwrap();
         // The chunked EM arm is the from-scratch loop on the same
         // transitions and hyperparameters.
         let initial = initialize_model(&ds, 3, 6, cfg.lambda).unwrap();

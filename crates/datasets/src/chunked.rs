@@ -8,8 +8,9 @@
 //! 1. **Per-user RNG streams.** Every user owns an independent RNG seeded
 //!    from a splitmix64 mix of `(seed, user index)`, so `load_chunk(i)`
 //!    regenerates exactly the same sequences regardless of chunk size,
-//!    load order, or how many times a chunk is revisited (the
-//!    `Recompute` assignment storage replays chunks every iteration).
+//!    load order, or how many times a chunk is revisited (every training
+//!    pass reloads each chunk and reads the previous pass's breakpoints
+//!    against it).
 //! 2. **Level-major item layout.** Items are generated once (they are
 //!    `n_items × F`, not corpus-sized) with level `l` owning the dense
 //!    id range `l·per_level .. (l+1)·per_level`, so the skill-capped
