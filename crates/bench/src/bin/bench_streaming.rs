@@ -125,7 +125,12 @@ fn main() {
     let monotone = session.assignments().is_monotone();
     let fresh_model = StatsGrid::build(session.dataset(), session.assignments(), 5)
         .expect("grid")
-        .fit_model(session.dataset(), train_cfg.lambda)
+        .fit_model_incremental(
+            session.dataset(),
+            train_cfg.lambda,
+            &ParallelConfig::sequential(),
+            None,
+        )
         .expect("fit");
     // Bitwise parameter equality shows itself as emission-table equality.
     let refit_exact = EmissionTable::build(session.model(), session.dataset())

@@ -44,7 +44,10 @@ fn main() {
         }
     }
     if failures.is_empty() {
-        println!("\nAll experiments completed; reports are in reports/.");
+        println!(
+            "\nAll experiments completed; reports are in {}.",
+            upskill_bench::report_dir().display()
+        );
     } else {
         eprintln!("\nFailed experiments: {failures:?}");
         std::process::exit(1);

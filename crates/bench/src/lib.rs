@@ -47,18 +47,23 @@ impl Scale {
     }
 }
 
-/// Directory where experiment reports are written (`reports/` under the
-/// workspace root, falling back to the current directory).
+/// Directory where experiment reports are written: `reports/` under the
+/// workspace root (falling back to the current directory), or
+/// `target/quick-reports/` at [`Scale::Quick`], so smoke runs never
+/// overwrite the committed default-scale reports.
 pub fn report_dir() -> PathBuf {
     // The bench binaries are run via `cargo run` from the workspace, where
     // CARGO_MANIFEST_DIR points at crates/bench.
     let base = std::env::var("CARGO_MANIFEST_DIR")
         .map(|m| PathBuf::from(m).join("../.."))
         .unwrap_or_else(|_| PathBuf::from("."));
-    base.join("reports")
+    match Scale::from_env() {
+        Scale::Quick => base.join("target").join("quick-reports"),
+        Scale::Default | Scale::Paper => base.join("reports"),
+    }
 }
 
-/// Serializes a report as pretty JSON under `reports/<name>.json`.
+/// Serializes a report as pretty JSON as `<name>.json` in [`report_dir`].
 pub fn write_report<T: Serialize>(name: &str, value: &T) {
     let dir = report_dir();
     if let Err(e) = fs::create_dir_all(&dir) {

@@ -81,12 +81,19 @@ pub fn assignment_difficulty(
 
 /// The empirical skill prior: the fraction of actions assigned each level.
 pub fn empirical_prior(assignments: &SkillAssignments, n_levels: usize) -> Result<Vec<f64>> {
-    let hist = assignments.level_histogram(n_levels);
-    let total: usize = hist.iter().sum();
+    prior_from_counts(&assignments.level_histogram(n_levels))
+}
+
+/// The empirical skill prior from per-level action counts: `count /
+/// total` per level, [`CoreError::EmptyDataset`] when no action is
+/// counted. Callers that keep running level counts (the serving layer)
+/// get the same prior as [`empirical_prior`] without the assignments.
+pub fn prior_from_counts(counts: &[usize]) -> Result<Vec<f64>> {
+    let total: usize = counts.iter().sum();
     if total == 0 {
         return Err(CoreError::EmptyDataset);
     }
-    Ok(hist.into_iter().map(|c| c as f64 / total as f64).collect())
+    Ok(counts.iter().map(|&c| c as f64 / total as f64).collect())
 }
 
 /// Difficulty of an arbitrary feature tuple via the generation-based
@@ -259,6 +266,14 @@ mod tests {
         // 2 actions at level 1, 2 at level 2.
         assert!((prior[0] - 0.5).abs() < 1e-12);
         assert!((prior[1] - 0.5).abs() < 1e-12);
+        // The counts helper is the same rule, bit for bit.
+        let counts = a.level_histogram(2);
+        assert_eq!(prior_from_counts(&counts).unwrap(), prior);
+        assert_eq!(prior_from_counts(&[1, 3]).unwrap(), vec![0.25, 0.75]);
+        assert!(matches!(
+            prior_from_counts(&[0, 0]),
+            Err(CoreError::EmptyDataset)
+        ));
     }
 
     #[test]

@@ -592,9 +592,12 @@ impl EmConfig {
 /// loop of the module docs.
 ///
 /// Parallelism applies to the initial emission-table build (the
-/// `users`/`threads` flags). Deltas and replay run sequentially on the
-/// calling thread and the parallel build is bitwise identical to the
-/// sequential one, so results are identical for any configuration.
+/// `users`/`threads` flags) and to the M-step, which splits the dirty
+/// levels' cells per `skills`/`features`/`threads`
+/// ([`SoftStatsGrid::fit_model_incremental`]). The E-step and the
+/// responsibility deltas run sequentially on the calling thread. Both
+/// parallel steps are bitwise identical to their sequential runs, so
+/// results are identical for any configuration.
 /// Relative to [`crate::reference::train_em_full`] the E-step is
 /// identical (same forward–backward over the same table values), so the
 /// evidence trace differs only through the slightly different models the
@@ -650,7 +653,7 @@ pub fn train_em_with_parallelism(
         // flags, so capture them first: they are exactly the emission
         // columns to refresh.
         let dirty = grid.dirty_levels().to_vec();
-        model = grid.fit_model_incremental(dataset, config.lambda, Some(&model))?;
+        model = grid.fit_model_incremental(dataset, config.lambda, parallel, Some(&model))?;
         table.refresh_levels(&model, dataset, &dirty)?;
         crate::invariants::InvariantCtx::new().check_emission_table(&table)?;
 

@@ -1,58 +1,46 @@
 //! Incremental sufficient statistics for the coordinate-ascent trainer.
 //!
-//! The update step of the paper's trainer (§IV-B) refits every
-//! `(skill, feature)` cell from scratch each iteration — `O(|A| · F)`
-//! accumulator pushes — even though the convergence trace shows assignment
-//! churn collapsing after the first few iterations. Because all of our
-//! per-cell sufficient statistics are **additive over actions**, and every
-//! action's feature values are a pure function of its item, the statistics
-//! of a whole level can be represented exactly as an integer histogram
-//! *"how many actions of item `i` are currently assigned level `s`"*.
+//! The update step (§IV-B, Eqs. 5–7) fits each `(skill, feature)` cell in
+//! closed form from the feature values of the actions assigned to that
+//! level. The statistics are **additive over actions**, and an action's
+//! feature values depend only on its item, so a level's statistics are
+//! exactly the integer histogram *"how many actions of item `i` are
+//! assigned level `s`"*. [`StatsGrid`] is that `S × n_items` histogram:
+//! built once, then maintained by per-action deltas (`−1` on the old
+//! level, `+1` on the new) only where the assigned level moved —
+//! `O(n_changed)` integer updates instead of an `O(|A| · F)` rescan.
+//! [`SoftStatsGrid`] is the EM analogue: a real *responsibility mass*
+//! `Σ γ(a, s)` per cell, maintained by tolerance-gated posterior deltas.
 //!
-//! [`StatsGrid`] is that histogram: an `S × n_items` grid of `u64` counts,
-//! built once on the first iteration and then maintained by applying
-//! per-action deltas (`−1` on the old level, `+1` on the new one) only
-//! where the assigned level actually moved — `O(n_changed)` integer
-//! updates instead of an `O(|A| · F)` rescan. Refitting replays the
-//! histogram through the regular [`FeatureAccumulator`]s in ascending item
-//! order with weighted pushes (`O(S · n_items · F)`, independent of
-//! `|A|`), then fits cells with the unchanged closed-form estimators. The
-//! grid additionally tracks *which levels* the deltas touched, so
-//! [`StatsGrid::fit_model_incremental`] replays only dirty rows and
-//! reuses the previous model's distributions for untouched levels — also
-//! exact, because a cell fit is a pure function of its histogram row and
-//! the smoothing constant.
+//! Both grids track which levels their deltas touched and share one
+//! M-step, `fit_levels`: it replays each dirty level row through the
+//! accumulators in ascending item order (`O(n_items · F)` pushes per
+//! level, independent of `|A|`), reuses the previous model's rows for
+//! clean levels, and splits the refit cells over workers per
+//! [`ParallelConfig`]'s `skills`/`features`/`threads` (§IV-C). A cell fit
+//! is a pure function of its row and the smoothing constant, so reuse
+//! and every split are bitwise exact.
 //!
 //! ## Exactness
 //!
-//! Integer histogram deltas are *exact*: an add followed by a remove
-//! restores the previous grid bit for bit, so incremental training is
-//! deterministic and independent of thread count or delta order. Replay
-//! order (ascending item id) is itself canonical, which means incremental
-//! results cannot drift across iterations. Relative to the legacy
-//! action-order [`crate::update::accumulate`], replayed statistics are
-//! bitwise identical for the integer-summation families (categorical
-//! counts; Poisson/count sums, which are exact integer sums below `2^53`)
-//! and agree to summation-order rounding (ulps) for the real-valued
-//! gamma/log-normal moments. The trainer always takes the grid path; the
-//! action-order rescan survives only as
-//! [`crate::reference::train_full_rescan`], whose end-to-end agreement
-//! (same assignments and churn, objective to summation order) the
-//! property tests and `bench_incremental` check — the latter also times
-//! the two against each other.
-//!
-//! [`SoftStatsGrid`] carries the same idea over to the EM trainer
-//! (`crate::em`), where the statistic per `(level, item)` cell is a real
-//! *responsibility mass* `Σ γ(a, s)` instead of an integer count. The grid
-//! is maintained by tolerance-gated responsibility deltas after every
-//! E-step, and dirty-level replay serves the weighted M-step —
-//! `bench_em_incremental` measures that path against the from-scratch EM
-//! accumulation, [`crate::reference::train_em_full`].
+//! Integer deltas are exact: an add followed by a remove restores the
+//! grid bit for bit, so incremental training is deterministic and
+//! independent of thread count or delta order, and the canonical replay
+//! order keeps refits from drifting across iterations. Relative to the
+//! action-order [`crate::update::fit_model`], the fitted cells are
+//! bitwise identical for the integer-summation families (categorical,
+//! Poisson) and agree to summation-order rounding for gamma/log-normal.
+//! The action-order trainers survive as oracles and speedup denominators
+//! only: [`crate::reference::train_full_rescan`] (checked by the property
+//! tests and `bench_incremental`) and [`crate::reference::train_em_full`]
+//! (`bench_em_incremental`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::dist::{FeatureAccumulator, FeatureDistribution};
+use crate::em::WeightedAcc;
 use crate::error::{CoreError, Result};
+use crate::feature::{FeatureKind, FeatureValue};
 use crate::model::SkillModel;
 use crate::parallel::ParallelConfig;
 use crate::types::{item_id_from_index, skill_level_from_index, Dataset, SkillAssignments};
@@ -206,62 +194,30 @@ impl StatsGrid {
     }
 
     /// Builds the grid with `threads` workers over disjoint user ranges,
-    /// merging per-worker partial grids by integer addition — exact, so
-    /// the result is identical to [`StatsGrid::build`] for any thread
-    /// count.
+    /// adding per-worker deltas by integer addition — exact, so the
+    /// result is identical to [`StatsGrid::build`] for any thread count.
     pub fn build_parallel(
         dataset: &Dataset,
         assignments: &SkillAssignments,
         n_levels: usize,
         threads: usize,
     ) -> Result<Self> {
-        let n_users = dataset.n_users();
-        let n_workers = threads.min(n_users / MIN_USERS_PER_WORKER).max(1);
+        let n_workers = threads.min(dataset.n_users() / MIN_USERS_PER_WORKER).max(1);
         if n_workers <= 1 {
             return Self::build(dataset, assignments, n_levels);
         }
         validate_shape(dataset, assignments)?;
         let mut grid = Self::new(n_levels, dataset.n_items())?;
-        let n_items = grid.n_items;
-        let sequences = dataset.sequences();
-        let per_user = &assignments.per_user;
-
-        let next = AtomicUsize::new(0);
-        let partials: Vec<Result<Vec<u64>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || -> Result<Vec<u64>> {
-                        let mut local = vec![0u64; n_levels * n_items];
-                        loop {
-                            let u = next.fetch_add(1, Ordering::Relaxed);
-                            let (Some(seq), Some(levels)) = (sequences.get(u), per_user.get(u))
-                            else {
-                                break;
-                            };
-                            for (action, &level) in seq.actions().iter().zip(levels) {
-                                let s = level_index(level, n_levels)?;
-                                bump(&mut local, n_items, s, action.item as usize)?;
-                            }
-                        }
-                        Ok(local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or(Err(CoreError::WorkerPanicked {
-                        step: "stats build",
-                    }))
-                })
-                .collect()
-        });
-        for partial in partials {
-            for (dst, src) in grid.counts.iter_mut().zip(partial?) {
-                *dst += src;
+        let (sequences, per_user) = (dataset.sequences(), &assignments.per_user);
+        grid.add_user_deltas(n_workers, sequences.len(), "stats build", |u, delta| {
+            let (Some(seq), Some(levels)) = (sequences.get(u), per_user.get(u)) else {
+                return Ok(0);
+            };
+            for (action, &level) in seq.actions().iter().zip(levels) {
+                delta.shift(action.item, level, 1)?;
             }
-        }
+            Ok(0)
+        })?;
         Ok(grid)
     }
 
@@ -323,8 +279,7 @@ impl StatsGrid {
     }
 
     /// [`StatsGrid::apply_delta`] with `threads` workers over disjoint user
-    /// ranges. Each worker accumulates a signed per-worker delta grid;
-    /// the deltas are merged into the histogram by integer addition, so
+    /// ranges, adding per-worker deltas by integer addition — exact, so
     /// the result is identical to the sequential path for any thread
     /// count.
     pub fn apply_delta_parallel(
@@ -334,63 +289,70 @@ impl StatsGrid {
         next: &SkillAssignments,
         threads: usize,
     ) -> Result<usize> {
-        let n_users = dataset.n_users();
-        let n_workers = threads.min(n_users / MIN_USERS_PER_WORKER).max(1);
+        let n_workers = threads.min(dataset.n_users() / MIN_USERS_PER_WORKER).max(1);
         if n_workers <= 1 {
             return self.apply_delta(dataset, prev, next);
         }
         validate_shape(dataset, next)?;
         validate_delta_shape(prev, next)?;
-        let n_levels = self.n_levels;
-        let n_items = self.n_items;
         let sequences = dataset.sequences();
+        self.add_user_deltas(n_workers, sequences.len(), "stats delta", |u, delta| {
+            let (Some(seq), Some(prev_u), Some(next_u)) =
+                (sequences.get(u), prev.per_user.get(u), next.per_user.get(u))
+            else {
+                return Ok(0);
+            };
+            let mut changed = 0;
+            if prev_u != next_u {
+                for ((action, &old), &new) in seq.actions().iter().zip(prev_u).zip(next_u) {
+                    if old != new {
+                        delta.shift(action.item, old, -1)?;
+                        delta.shift(action.item, new, 1)?;
+                        changed += 1;
+                    }
+                }
+            }
+            Ok(changed)
+        })
+    }
 
-        let next_idx = AtomicUsize::new(0);
+    /// Runs `n_workers` scoped workers that claim users one at a time and
+    /// record each claimed user's changes into their own [`GridDelta`]
+    /// through `visit` (which returns how many actions it moved), then
+    /// adds the deltas into the grid. Integer addition is exact, so any
+    /// worker count gives the same grid. Returns the summed `visit`
+    /// counts.
+    fn add_user_deltas(
+        &mut self,
+        n_workers: usize,
+        n_users: usize,
+        step: &'static str,
+        visit: impl Fn(usize, &mut GridDelta) -> Result<usize> + Sync,
+    ) -> Result<usize> {
+        let (n_levels, n_items) = (self.n_levels, self.n_items);
+        let (next, visit) = (&AtomicUsize::new(0), &visit);
         let partials: Vec<Result<(usize, GridDelta)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n_workers)
                 .map(|_| {
-                    let next_idx = &next_idx;
-                    let prev = &prev.per_user;
-                    let next = &next.per_user;
-                    scope.spawn(move || -> Result<(usize, GridDelta)> {
+                    scope.spawn(move || {
                         let mut delta = GridDelta::new(n_levels, n_items);
-                        let mut changed = 0usize;
+                        let mut changed = 0;
                         loop {
-                            let u = next_idx.fetch_add(1, Ordering::Relaxed);
-                            let (Some(seq), Some(prev_u), Some(next_u)) =
-                                (sequences.get(u), prev.get(u), next.get(u))
-                            else {
-                                break;
-                            };
-                            if prev_u == next_u {
-                                continue;
+                            let u = next.fetch_add(1, Ordering::Relaxed);
+                            if u >= n_users {
+                                return Ok((changed, delta));
                             }
-                            for ((action, &old), &new) in
-                                seq.actions().iter().zip(prev_u).zip(next_u)
-                            {
-                                if old == new {
-                                    continue;
-                                }
-                                delta.shift(action.item, old, -1)?;
-                                delta.shift(action.item, new, 1)?;
-                                changed += 1;
-                            }
+                            changed += visit(u, &mut delta)?;
                         }
-                        Ok((changed, delta))
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or(Err(CoreError::WorkerPanicked {
-                        step: "stats delta",
-                    }))
-                })
+                .map(|h| h.join().unwrap_or(Err(CoreError::WorkerPanicked { step })))
                 .collect()
         });
-
-        let mut changed = 0usize;
+        let mut changed = 0;
         for partial in partials {
             let (n, mut delta) = partial?;
             changed += n;
@@ -472,164 +434,6 @@ impl StatsGrid {
         Ok(())
     }
 
-    /// Replays the histogram into per-(skill, feature) accumulators —
-    /// ascending item order, weighted pushes. `O(S · n_items · F)`,
-    /// independent of the number of actions.
-    pub fn accumulators(&self, dataset: &Dataset) -> Result<Vec<Vec<FeatureAccumulator>>> {
-        if dataset.n_items() != self.n_items {
-            return Err(CoreError::LengthMismatch {
-                context: "stats grid items vs dataset items",
-                left: self.n_items,
-                right: dataset.n_items(),
-            });
-        }
-        let schema = dataset.schema();
-        let mut grid: Vec<Vec<FeatureAccumulator>> = (0..self.n_levels)
-            .map(|_| {
-                schema
-                    .kinds()
-                    .iter()
-                    .map(|&k| FeatureAccumulator::new(k))
-                    .collect()
-            })
-            .collect();
-        for (s, row) in grid.iter_mut().enumerate() {
-            let counts = &self.counts[s * self.n_items..(s + 1) * self.n_items];
-            for (item, &k) in counts.iter().enumerate() {
-                if k == 0 {
-                    continue;
-                }
-                let features = dataset.item_features(item_id_from_index(item));
-                for (acc, value) in row.iter_mut().zip(features) {
-                    acc.push_n(value, k)?;
-                }
-            }
-        }
-        Ok(grid)
-    }
-
-    /// Fits a full [`SkillModel`] from the grid (sequential replay).
-    pub fn fit_model(&self, dataset: &Dataset, lambda: f64) -> Result<SkillModel> {
-        let grid = self.accumulators(dataset)?;
-        let cells = crate::update::fit_cells(&grid, lambda)?;
-        SkillModel::new(dataset.schema().clone(), self.n_levels, cells)
-    }
-
-    /// Fits a full [`SkillModel`] with the update-step parallelism of
-    /// `config`: workers own disjoint `(skill, feature)` cells and replay
-    /// only their own histogram rows (`O(n_items)` per cell — no dataset
-    /// rescan). Per-cell arithmetic is identical to the sequential replay,
-    /// so the fitted model matches [`StatsGrid::fit_model`] bit for bit.
-    pub fn fit_model_parallel(
-        &self,
-        dataset: &Dataset,
-        lambda: f64,
-        config: &ParallelConfig,
-    ) -> Result<SkillModel> {
-        config.validate()?;
-        if !config.update_parallel() {
-            return self.fit_model(dataset, lambda);
-        }
-        if dataset.n_items() != self.n_items {
-            return Err(CoreError::LengthMismatch {
-                context: "stats grid items vs dataset items",
-                left: self.n_items,
-                right: dataset.n_items(),
-            });
-        }
-        let n_levels = self.n_levels;
-        let n_items = self.n_items;
-        let schema = dataset.schema();
-        let n_features = schema.len();
-
-        // Workers own whole levels and/or features.
-        let level_parts = if config.skills {
-            config.threads.min(n_levels)
-        } else {
-            1
-        };
-        let feature_parts = if config.features {
-            (config.threads / level_parts).max(1).min(n_features)
-        } else {
-            1
-        };
-        let owner = |s: usize, f: usize| -> usize {
-            (s % level_parts) * feature_parts + (f % feature_parts)
-        };
-        let n_workers = level_parts * feature_parts;
-
-        let results: Vec<Result<Vec<(usize, usize, FeatureDistribution)>>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n_workers)
-                    .map(|worker| {
-                        scope.spawn(
-                            move || -> Result<Vec<(usize, usize, FeatureDistribution)>> {
-                                let mut out = Vec::new();
-                                for s in 0..n_levels {
-                                    for f in 0..n_features {
-                                        if owner(s, f) != worker {
-                                            continue;
-                                        }
-                                        let mut acc = FeatureAccumulator::new(schema.kind(f)?);
-                                        let counts = &self.counts[s * n_items..(s + 1) * n_items];
-                                        for (item, &k) in counts.iter().enumerate() {
-                                            if k == 0 {
-                                                continue;
-                                            }
-                                            let features =
-                                                dataset.item_features(item_id_from_index(item));
-                                            let value = features.get(f).ok_or(
-                                                CoreError::FeatureIndexOutOfBounds {
-                                                    index: f,
-                                                    len: features.len(),
-                                                },
-                                            )?;
-                                            acc.push_n(value, k)?;
-                                        }
-                                        out.push((s, f, acc.fit(lambda)?));
-                                    }
-                                }
-                                Ok(out)
-                            },
-                        )
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or(Err(CoreError::WorkerPanicked { step: "update" }))
-                    })
-                    .collect()
-            });
-
-        let mut grid: Vec<Vec<Option<FeatureDistribution>>> =
-            (0..n_levels).map(|_| vec![None; n_features]).collect();
-        for chunk in results {
-            for (s, f, dist) in chunk? {
-                // An out-of-partition pair cannot happen; if it ever did,
-                // the "unowned cell" check below reports the gap.
-                if let Some(slot) = grid.get_mut(s).and_then(|row| row.get_mut(f)) {
-                    *slot = Some(dist);
-                }
-            }
-        }
-        let cells: Vec<Vec<FeatureDistribution>> = grid
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|c| {
-                        c.ok_or(CoreError::DegenerateFit {
-                            distribution: "parallel update",
-                            reason: "unowned cell in partition",
-                        })
-                    })
-                    .collect()
-            })
-            .collect::<Result<_>>()?;
-        SkillModel::new(schema.clone(), n_levels, cells)
-    }
-
     /// Per-level dirty flags: `true` for levels whose histogram changed
     /// since the last [`StatsGrid::fit_model_incremental`] call (all
     /// `true` on a freshly built grid).
@@ -644,9 +448,11 @@ impl StatsGrid {
     /// identical to what a refit would produce — `prev` must therefore be
     /// the model produced by the previous fit of *this* grid with the
     /// same `lambda` (the trainer maintains exactly that invariant).
-    /// Falls back to a full [`StatsGrid::fit_model_parallel`] when `prev`
-    /// is absent, shaped differently, or every level is dirty. Clears the
-    /// dirty flags on success.
+    /// Refits every level when `prev` is absent or shaped differently.
+    /// The refit `(level, feature)` cells are split over workers by the
+    /// `skills`/`features`/`threads` partition of `parallel` (module
+    /// docs); every split gives the same bits. Clears the dirty flags on
+    /// success; `threads == 0` is [`CoreError::InvalidParallelism`].
     pub fn fit_model_incremental(
         &mut self,
         dataset: &Dataset,
@@ -654,50 +460,14 @@ impl StatsGrid {
         parallel: &ParallelConfig,
         prev: Option<&SkillModel>,
     ) -> Result<SkillModel> {
-        let schema = dataset.schema();
-        let reusable = prev.filter(|m| {
-            m.n_levels() == self.n_levels
-                && m.n_features() == schema.len()
-                && !self.dirty.iter().all(|&d| d)
-        });
-        let model = match reusable {
-            None => self.fit_model_parallel(dataset, lambda, parallel)?,
-            Some(prev) => {
-                if dataset.n_items() != self.n_items {
-                    return Err(CoreError::LengthMismatch {
-                        context: "stats grid items vs dataset items",
-                        left: self.n_items,
-                        right: dataset.n_items(),
-                    });
-                }
-                let mut cells: Vec<Vec<FeatureDistribution>> = Vec::with_capacity(self.n_levels);
-                for (s, &is_dirty) in self.dirty.iter().enumerate() {
-                    if !is_dirty {
-                        cells.push(prev.level_row(skill_level_from_index(s))?.to_vec());
-                        continue;
-                    }
-                    let mut accs: Vec<FeatureAccumulator> = schema
-                        .kinds()
-                        .iter()
-                        .map(|&k| FeatureAccumulator::new(k))
-                        .collect();
-                    let counts = &self.counts[s * self.n_items..(s + 1) * self.n_items];
-                    for (item, &k) in counts.iter().enumerate() {
-                        if k == 0 {
-                            continue;
-                        }
-                        let features = dataset.item_features(item_id_from_index(item));
-                        for (acc, value) in accs.iter_mut().zip(features) {
-                            acc.push_n(value, k)?;
-                        }
-                    }
-                    cells.push(accs.iter().map(|a| a.fit(lambda)).collect::<Result<_>>()?);
-                }
-                SkillModel::new(schema.clone(), self.n_levels, cells)?
-            }
-        };
-        self.dirty.fill(false);
-        Ok(model)
+        fit_levels(
+            &self.counts,
+            &mut self.dirty,
+            dataset,
+            lambda,
+            parallel,
+            prev,
+        )
     }
 
     /// Debug-mode cross-check: rebuilds the histogram from scratch for
@@ -800,11 +570,6 @@ impl SoftStatsGrid {
     /// Responsibility mass of item `item` at zero-based level `s`.
     pub fn weight(&self, s: usize, item: usize) -> f64 {
         self.weights[s * self.n_items + item]
-    }
-
-    /// The responsibility mass of every item at zero-based level `s`.
-    pub fn level_weights(&self, s: usize) -> &[f64] {
-        &self.weights[s * self.n_items..(s + 1) * self.n_items]
     }
 
     /// Per-level dirty flags: `true` for levels whose weights changed
@@ -910,11 +675,9 @@ impl SoftStatsGrid {
     /// Fits a model refitting **only the levels whose responsibility mass
     /// changed** since the last [`SoftStatsGrid::clear_dirty`], reusing
     /// `prev`'s distributions for untouched levels — the weighted (EM)
-    /// analogue of [`StatsGrid::fit_model_incremental`]. Each dirty level
-    /// is replayed item-major through the weighted accumulators
-    /// (`O(n_items · F)` pushes, independent of `|A|`). Falls back to
-    /// refitting every level when `prev` is absent or shaped differently.
-    /// Clears the dirty flags on success.
+    /// analogue of [`StatsGrid::fit_model_incremental`], run by the same
+    /// M-step with the same worker split. Refits every level when `prev`
+    /// is absent or shaped differently. Clears the dirty flags on success.
     ///
     /// A weighted cell fit is a deterministic pure function of the level's
     /// weight row and `lambda`, so `prev` must be the model produced by
@@ -925,45 +688,182 @@ impl SoftStatsGrid {
         &mut self,
         dataset: &Dataset,
         lambda: f64,
+        parallel: &ParallelConfig,
         prev: Option<&SkillModel>,
     ) -> Result<SkillModel> {
-        let schema = dataset.schema();
-        if dataset.n_items() != self.n_items {
-            return Err(CoreError::LengthMismatch {
-                context: "soft stats grid items vs dataset items",
-                left: self.n_items,
-                right: dataset.n_items(),
-            });
-        }
-        let reusable =
-            prev.filter(|m| m.n_levels() == self.n_levels && m.n_features() == schema.len());
-        let mut cells: Vec<Vec<FeatureDistribution>> = Vec::with_capacity(self.n_levels);
-        for (s, &is_dirty) in self.dirty.iter().enumerate() {
-            if let Some(prev) = reusable {
-                if !is_dirty {
-                    cells.push(prev.level_row(skill_level_from_index(s))?.to_vec());
-                    continue;
-                }
-            }
-            let mut accs: Vec<crate::em::WeightedAcc> = schema
-                .kinds()
-                .iter()
-                .map(|&k| crate::em::WeightedAcc::new(k))
-                .collect();
-            for (features, &w) in dataset.items().iter().zip(self.level_weights(s)) {
-                if w <= 0.0 {
-                    continue;
-                }
-                for (acc, value) in accs.iter_mut().zip(features) {
-                    acc.push(value, w)?;
-                }
-            }
-            cells.push(accs.iter().map(|a| a.fit(lambda)).collect::<Result<_>>()?);
-        }
-        let model = SkillModel::new(schema.clone(), self.n_levels, cells)?;
-        self.dirty.fill(false);
-        Ok(model)
+        fit_levels(
+            &self.weights,
+            &mut self.dirty,
+            dataset,
+            lambda,
+            parallel,
+            prev,
+        )
     }
+}
+
+/// One `(level, item)` cell of a grid and the accumulator [`fit_levels`]
+/// replays it into: a [`StatsGrid`] count pushes `k` copies of the item's
+/// values, a [`SoftStatsGrid`] mass pushes them with that weight.
+trait GridCell: Copy + Sync {
+    type Acc;
+    fn acc(kind: FeatureKind) -> Self::Acc;
+    /// Whether the replay skips this cell.
+    fn is_empty(self) -> bool;
+    fn push(self, acc: &mut Self::Acc, value: &FeatureValue) -> Result<()>;
+    fn fit(acc: &Self::Acc, lambda: f64) -> Result<FeatureDistribution>;
+}
+
+impl GridCell for u64 {
+    type Acc = FeatureAccumulator;
+    fn acc(kind: FeatureKind) -> FeatureAccumulator {
+        FeatureAccumulator::new(kind)
+    }
+    fn is_empty(self) -> bool {
+        self == 0
+    }
+    fn push(self, acc: &mut FeatureAccumulator, value: &FeatureValue) -> Result<()> {
+        acc.push_n(value, self)
+    }
+    fn fit(acc: &FeatureAccumulator, lambda: f64) -> Result<FeatureDistribution> {
+        acc.fit(lambda)
+    }
+}
+
+impl GridCell for f64 {
+    type Acc = WeightedAcc;
+    fn acc(kind: FeatureKind) -> WeightedAcc {
+        WeightedAcc::new(kind)
+    }
+    fn is_empty(self) -> bool {
+        self <= 0.0
+    }
+    fn push(self, acc: &mut WeightedAcc, value: &FeatureValue) -> Result<()> {
+        acc.push(value, self)
+    }
+    fn fit(acc: &WeightedAcc, lambda: f64) -> Result<FeatureDistribution> {
+        acc.fit(lambda)
+    }
+}
+
+/// The one M-step (§IV-B, Eqs. 5–7) of both grids: refits some levels of
+/// the level-major `S × n_items` grid `cells`, keeps `prev`'s rows bit
+/// for bit for the rest, and clears `dirty` on success.
+///
+/// It refits the `dirty` levels when `prev` has the grid's shape, every
+/// level otherwise. The refit `(level, feature)` cells are independent
+/// (§IV-C), so `parallel` splits them: the refit levels go round-robin
+/// to up to `threads` level parts (`skills`), each part's features to
+/// the threads left over (`features`). A lone worker runs on the calling
+/// thread, unspawned. A worker replays each of its level rows once, in
+/// ascending item order, skipping empty cells and pushing only into the
+/// features it owns — every accumulator sees the pushes of the
+/// sequential replay, so every split gives the same bits.
+fn fit_levels<W: GridCell>(
+    cells: &[W],
+    dirty: &mut [bool],
+    dataset: &Dataset,
+    lambda: f64,
+    parallel: &ParallelConfig,
+    prev: Option<&SkillModel>,
+) -> Result<SkillModel> {
+    parallel.validate()?;
+    let (schema, n_items, n_levels) = (dataset.schema(), dataset.n_items(), dirty.len());
+    if cells.len() != n_levels * n_items {
+        return Err(CoreError::LengthMismatch {
+            context: "stats grid cells vs levels × dataset items",
+            left: cells.len(),
+            right: n_levels * n_items,
+        });
+    }
+    let n_features = schema.len();
+    let prev = prev.filter(|m| m.n_levels() == n_levels && m.n_features() == n_features);
+    let levels: Vec<usize> = (0..n_levels)
+        .filter(|&s| prev.is_none() || dirty[s])
+        .collect();
+    let split = parallel.update_parallel() && !levels.is_empty();
+    let level_parts = match split && parallel.skills {
+        true => parallel.threads.min(levels.len()),
+        false => 1,
+    };
+    let feature_parts = match split && parallel.features {
+        true => (parallel.threads / level_parts).clamp(1, n_features.max(1)),
+        false => 1,
+    };
+
+    let work = |worker: usize| -> Result<Vec<(usize, usize, FeatureDistribution)>> {
+        let (level_part, feature_part) = (worker / feature_parts, worker % feature_parts);
+        let mut out = Vec::new();
+        for &s in levels.iter().skip(level_part).step_by(level_parts) {
+            let kinds = schema.kinds().iter().enumerate();
+            let mut accs: Vec<(usize, W::Acc)> = kinds
+                .skip(feature_part)
+                .step_by(feature_parts)
+                .map(|(f, &kind)| (f, W::acc(kind)))
+                .collect();
+            for (item, &weight) in cells[s * n_items..(s + 1) * n_items].iter().enumerate() {
+                if weight.is_empty() {
+                    continue;
+                }
+                let values = dataset.item_features(item_id_from_index(item));
+                let owned = values.iter().skip(feature_part).step_by(feature_parts);
+                for ((_, acc), value) in accs.iter_mut().zip(owned) {
+                    weight.push(acc, value)?;
+                }
+            }
+            for (f, acc) in &accs {
+                out.push((s, *f, W::fit(acc, lambda)?));
+            }
+        }
+        Ok(out)
+    };
+    let n_workers = level_parts * feature_parts;
+    let parts: Vec<Result<Vec<(usize, usize, FeatureDistribution)>>> = if n_workers == 1 {
+        vec![work(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n_workers)
+                .map(|worker| scope.spawn(move || work(worker)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or(Err(CoreError::WorkerPanicked { step: "update" }))
+                })
+                .collect()
+        })
+    };
+
+    let mut grid: Vec<Vec<Option<FeatureDistribution>>> = (0..n_levels)
+        .map(|s| match prev.filter(|_| !dirty[s]) {
+            Some(prev) => Ok(prev
+                .level_row(skill_level_from_index(s))?
+                .iter()
+                .cloned()
+                .map(Some)
+                .collect()),
+            None => Ok(vec![None; n_features]),
+        })
+        .collect::<Result<_>>()?;
+    for part in parts {
+        for (s, f, dist) in part? {
+            if let Some(slot) = grid.get_mut(s).and_then(|row| row.get_mut(f)) {
+                *slot = Some(dist);
+            }
+        }
+    }
+    let grid = grid
+        .into_iter()
+        .map(|row| row.into_iter().collect::<Option<Vec<_>>>())
+        .collect::<Option<Vec<_>>>()
+        .ok_or(CoreError::DegenerateFit {
+            distribution: "update",
+            reason: "unowned cell in partition",
+        })?;
+    let model = SkillModel::new(schema.clone(), n_levels, grid)?;
+    dirty.fill(false);
+    Ok(model)
 }
 
 /// Increments the `(level s, item)` cell of a flat `S × n_items` grid,
@@ -1380,48 +1280,41 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn replayed_accumulators_match_accumulate_for_integer_stats() {
-        let ds = build_dataset(5, 9);
-        let a = staircase_assignments(&ds, 3);
-        let grid = StatsGrid::build(&ds, &a, 3).unwrap();
-        let replayed = grid.accumulators(&ds).unwrap();
-        let scanned = crate::update::accumulate(&ds, &a, 3).unwrap();
-        for (rrow, srow) in replayed.iter().zip(&scanned) {
-            for (r, s) in rrow.iter().zip(srow) {
-                match (r, s) {
-                    (
-                        FeatureAccumulator::Categorical { counts: rc },
-                        FeatureAccumulator::Categorical { counts: sc },
-                    ) => assert_eq!(rc, sc),
-                    (
-                        FeatureAccumulator::Count { sum: rs, n: rn },
-                        FeatureAccumulator::Count { sum: ss, n: sn },
-                    ) => {
-                        // Integer-valued f64 sums: exact in either order.
-                        assert_eq!(rs, ss);
-                        assert_eq!(rn, sn);
-                    }
-                    _ => panic!("unexpected accumulator kinds"),
-                }
+    /// Bit-exact model fingerprint: `{:?}` prints every `f64` in its
+    /// shortest round-trip form, so equal strings mean equal bits.
+    fn bits(model: &SkillModel) -> String {
+        format!("{model:?}")
+    }
+
+    /// Every split shape of the update step: sequential, skills-only,
+    /// features-only and both, over several thread counts.
+    fn update_configs() -> Vec<ParallelConfig> {
+        let mut configs = vec![ParallelConfig::sequential()];
+        for (skills, features) in [(true, false), (false, true), (true, true)] {
+            for threads in [2, 3, 6] {
+                configs.push(
+                    ParallelConfig::sequential()
+                        .with_skills(skills)
+                        .with_features(features)
+                        .with_threads(threads),
+                );
             }
         }
+        configs
     }
 
     #[test]
     fn fit_model_matches_update_fit_model() {
+        // Categorical and count statistics are integer sums, exact in
+        // either order: the grid replay and the action-order scan agree
+        // bit for bit.
         let ds = build_dataset(6, 10);
         let a = staircase_assignments(&ds, 3);
-        let grid = StatsGrid::build(&ds, &a, 3).unwrap();
-        let from_grid = grid.fit_model(&ds, 0.01).unwrap();
+        let mut grid = StatsGrid::build(&ds, &a, 3).unwrap();
+        let pc = ParallelConfig::sequential();
+        let from_grid = grid.fit_model_incremental(&ds, 0.01, &pc, None).unwrap();
         let from_scan = crate::update::fit_model(&ds, &a, 3, 0.01).unwrap();
-        for item in 0..ds.n_items() {
-            for s in 1..=3u8 {
-                let g = from_grid.item_log_likelihood(ds.item_features(item as u32), s);
-                let f = from_scan.item_log_likelihood(ds.item_features(item as u32), s);
-                assert!((g - f).abs() < 1e-12, "item {item} level {s}: {g} vs {f}");
-            }
-        }
+        assert_eq!(bits(&from_grid), bits(&from_scan));
     }
 
     #[test]
@@ -1453,7 +1346,7 @@ mod tests {
         assert!(grid.dirty_levels().iter().all(|&d| !d));
         let full = StatsGrid::build(&ds, &after, 4)
             .unwrap()
-            .fit_model(&ds, 0.01)
+            .fit_model_incremental(&ds, 0.01, &pc, None)
             .unwrap();
         for item in 0..ds.n_items() {
             for s in 1..=4u8 {
@@ -1493,31 +1386,61 @@ mod tests {
     }
 
     #[test]
-    fn fit_model_parallel_is_bitwise_identical_to_sequential_replay() {
+    fn parallel_refit_is_bitwise_identical_to_sequential() {
         let ds = build_dataset(6, 10);
-        let a = staircase_assignments(&ds, 3);
-        let grid = StatsGrid::build(&ds, &a, 3).unwrap();
-        let sequential = grid.fit_model(&ds, 0.01).unwrap();
-        for (skills, features) in [(true, false), (false, true), (true, true)] {
-            for threads in [2, 3, 6] {
-                let cfg = ParallelConfig::sequential()
-                    .with_skills(skills)
-                    .with_features(features)
-                    .with_threads(threads);
-                let parallel = grid.fit_model_parallel(&ds, 0.01, &cfg).unwrap();
-                for item in 0..ds.n_items() {
-                    for s in 1..=3u8 {
-                        let a = sequential.item_log_likelihood(ds.item_features(item as u32), s);
-                        let b = parallel.item_log_likelihood(ds.item_features(item as u32), s);
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "skills={skills} features={features} threads={threads}"
-                        );
-                    }
-                }
+        let before = staircase_assignments(&ds, 3);
+        let mut after = before.clone();
+        for levels in &mut after.per_user {
+            if let Some(l) = levels.iter_mut().find(|l| **l == 1) {
+                *l = 2;
             }
         }
+        let seq = ParallelConfig::sequential();
+        let mut grid = StatsGrid::build(&ds, &before, 3).unwrap();
+        let base = grid.fit_model_incremental(&ds, 0.01, &seq, None).unwrap();
+        grid.apply_delta(&ds, &before, &after).unwrap();
+        assert_eq!(grid.dirty_levels(), &[true, true, false]);
+        let full = StatsGrid::build(&ds, &after, 3)
+            .unwrap()
+            .fit_model_incremental(&ds, 0.01, &seq, None)
+            .unwrap();
+        for cfg in update_configs() {
+            // Full refit (no previous model) and partial dirty refit.
+            for prev in [None, Some(&base)] {
+                let mut g = grid.clone();
+                let model = g.fit_model_incremental(&ds, 0.01, &cfg, prev).unwrap();
+                assert_eq!(bits(&model), bits(&full), "{cfg:?} prev={}", prev.is_some());
+                assert!(g.dirty_levels().iter().all(|&d| !d));
+            }
+        }
+    }
+
+    #[test]
+    fn zero_threads_is_a_typed_error_on_every_fit_path() {
+        let ds = build_dataset(4, 8);
+        let a = staircase_assignments(&ds, 3);
+        let mut grid = StatsGrid::build(&ds, &a, 3).unwrap();
+        let pc = ParallelConfig::sequential();
+        let model = grid.fit_model_incremental(&ds, 0.01, &pc, None).unwrap();
+        grid.add_action(1, 2).unwrap();
+        let mut soft = SoftStatsGrid::new(3, ds.n_items(), 0, 0.0).unwrap();
+        soft.push_action(1, &[0.2, 0.3, 0.5]).unwrap();
+        for cfg in [ParallelConfig::sequential(), ParallelConfig::all(2)] {
+            let zero = cfg.with_threads(0);
+            for prev in [None, Some(&model)] {
+                assert!(matches!(
+                    grid.fit_model_incremental(&ds, 0.01, &zero, prev),
+                    Err(CoreError::InvalidParallelism { threads: 0 })
+                ));
+                assert!(matches!(
+                    soft.fit_model_incremental(&ds, 0.01, &zero, prev),
+                    Err(CoreError::InvalidParallelism { threads: 0 })
+                ));
+            }
+        }
+        // A failed fit leaves the dirty flags for the next attempt.
+        assert_eq!(grid.dirty_levels(), &[false, true, false]);
+        assert!(soft.dirty_levels().iter().all(|&d| d));
     }
 
     #[test]
@@ -1616,7 +1539,8 @@ mod tests {
                 a_idx += 1;
             }
         }
-        let base = g.fit_model_incremental(&ds, 0.01, None).unwrap();
+        let pc = ParallelConfig::sequential();
+        let base = g.fit_model_incremental(&ds, 0.01, &pc, None).unwrap();
         assert!(g.dirty_levels().iter().all(|&d| !d));
         // Touch only level 1 (zero-based 0): push mass for one action.
         g.push_action(0, &[1.0, 0.0, 0.0]).unwrap();
@@ -1625,7 +1549,9 @@ mod tests {
             &[true, false, false],
             "only the pushed level should be dirty"
         );
-        let refit = g.fit_model_incremental(&ds, 0.01, Some(&base)).unwrap();
+        let refit = g
+            .fit_model_incremental(&ds, 0.01, &pc, Some(&base))
+            .unwrap();
         // Clean levels are reused bit for bit; the dirty one moved.
         for (features, _) in ds.items().iter().zip(0..) {
             for s in 2..=3u8 {
@@ -1637,13 +1563,47 @@ mod tests {
         }
         // And the dirty level's refit equals a full from-scratch fit.
         let mut fresh = g.clone();
-        let scratch = fresh.fit_model_incremental(&ds, 0.01, None).unwrap();
+        let scratch = fresh.fit_model_incremental(&ds, 0.01, &pc, None).unwrap();
         for (features, _) in ds.items().iter().zip(0..) {
             for s in 1..=3u8 {
                 assert_eq!(
                     scratch.item_log_likelihood(features, s).to_bits(),
                     refit.item_log_likelihood(features, s).to_bits()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn soft_parallel_refit_is_bitwise_identical_to_sequential() {
+        let ds = build_dataset(4, 12);
+        let mut g = SoftStatsGrid::new(3, ds.n_items(), ds.n_actions(), 0.0).unwrap();
+        let mut a_idx = 0usize;
+        for seq in ds.sequences() {
+            for action in seq.actions() {
+                let mut gamma = vec![0.1, 0.2, 0.3];
+                gamma[(action.item % 3) as usize] += 0.4;
+                g.update_action(a_idx, action.item, &gamma).unwrap();
+                a_idx += 1;
+            }
+        }
+        let seq = ParallelConfig::sequential();
+        let base = g.fit_model_incremental(&ds, 0.01, &seq, None).unwrap();
+        // A partial dirty mask (levels 1 and 3), then a full one.
+        for gamma in [[0.6, 0.0, 0.4], [0.2, 0.5, 0.3]] {
+            g.push_action(2, &gamma).unwrap();
+            let dirty: Vec<bool> = gamma.iter().map(|&x| x > 0.0).collect();
+            assert_eq!(g.dirty_levels(), dirty.as_slice());
+            let expect = g
+                .clone()
+                .fit_model_incremental(&ds, 0.01, &seq, Some(&base))
+                .unwrap();
+            for cfg in update_configs() {
+                let model = g
+                    .clone()
+                    .fit_model_incremental(&ds, 0.01, &cfg, Some(&base))
+                    .unwrap();
+                assert_eq!(bits(&model), bits(&expect), "{cfg:?} dirty={dirty:?}");
             }
         }
     }

@@ -13,8 +13,13 @@
 //!    decomposes by feature (not available to the ID baseline); workers own
 //!    disjoint feature sets.
 //!
-//! The update-step partition lives in
-//! [`StatsGrid::fit_model_parallel`](crate::incremental::StatsGrid::fit_model_parallel).
+//! The update-step partition lives in the one M-step of
+//! [`crate::incremental`], which both
+//! [`StatsGrid::fit_model_incremental`](crate::incremental::StatsGrid::fit_model_incremental)
+//! and
+//! [`SoftStatsGrid::fit_model_incremental`](crate::incremental::SoftStatsGrid::fit_model_incremental)
+//! run: it splits only the cells being refit, so a refit of one dirty
+//! level still spreads its features over the workers.
 //! The shared emission table and the incremental statistics are always on:
 //! their from-scratch baselines (per-action emissions, full-rescan update)
 //! live in [`crate::reference`] as oracles and speedup denominators only.

@@ -263,7 +263,10 @@ impl LiveFit {
     /// only dirty levels. In order: captures the dirty levels of the
     /// active grid (the [`SoftStatsGrid`] in EM mode, the exact
     /// [`StatsGrid`] otherwise), fits them incrementally from `catalog`
-    /// (only its schema and item tuples are read), refreshes exactly those
+    /// (only its schema and item tuples are read) with the refit cells
+    /// split over workers per `parallel` (either grid's
+    /// `fit_model_incremental`; bitwise the sequential fit for every
+    /// split), refreshes exactly those
     /// columns of the table `table` hands over, checks the table, resets
     /// the pending count and steps the tuner. The tuner steps on clean
     /// refits too.
@@ -290,7 +293,9 @@ impl LiveFit {
         if n_dirty > 0 {
             let prev = Some(&self.model);
             self.model = match self.soft.as_mut() {
-                Some(soft) => soft.grid.fit_model_incremental(catalog, lambda, prev)?,
+                Some(soft) => soft
+                    .grid
+                    .fit_model_incremental(catalog, lambda, parallel, prev)?,
                 None => self
                     .grid
                     .fit_model_incremental(catalog, lambda, parallel, prev)?,
@@ -933,7 +938,12 @@ mod tests {
         // grown dataset under the session's assignments, bit for bit.
         let fresh = StatsGrid::build(session.dataset(), session.assignments(), 3)
             .unwrap()
-            .fit_model(session.dataset(), session.config().lambda)
+            .fit_model_incremental(
+                session.dataset(),
+                session.config().lambda,
+                &ParallelConfig::sequential(),
+                None,
+            )
             .unwrap();
         assert!(models_identical(session.model(), &fresh, session.dataset()));
 

@@ -45,6 +45,7 @@ use std::sync::{Arc, OnceLock};
 
 use upskill_core::assign::{assign_items_with_table_ws, AssignWorkspace};
 use upskill_core::bundle::{SessionBundle, SESSION_BUNDLE_VERSION};
+use upskill_core::difficulty::prior_from_counts;
 use upskill_core::em::FbWorkspace;
 use upskill_core::emission::EmissionTable;
 use upskill_core::epoch::EpochCell;
@@ -843,16 +844,12 @@ impl SkillService {
 }
 
 /// Per-item generation difficulty under the empirical level prior
-/// rebuilt from the running level counts — computes exactly what
+/// ([`prior_from_counts`]) of the running level counts — computes exactly what
 /// [`upskill_core::difficulty::generation_difficulty_all_with_table`]
 /// with [`SkillPrior::Empirical`](upskill_core::difficulty::SkillPrior)
 /// computes from full assignments, without needing them contiguous.
 fn difficulty_from_counts(table: &EmissionTable, counts: &[usize]) -> Result<Vec<f64>> {
-    let total: usize = counts.iter().sum();
-    if total == 0 {
-        return Err(ServeError::Core(CoreError::EmptyDataset));
-    }
-    let prior: Vec<f64> = counts.iter().map(|&c| c as f64 / total as f64).collect();
+    let prior = prior_from_counts(counts)?;
     (0..table.n_items())
         .map(|item| {
             table

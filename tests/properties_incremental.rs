@@ -6,11 +6,13 @@
 //! counts.
 
 use proptest::prelude::*;
-use upskill_core::dist::FeatureAccumulator;
+use upskill_core::dist::special::digamma;
+use upskill_core::dist::FeatureDistribution;
 use upskill_core::em::{train_em_with_parallelism, EmConfig};
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveModel};
 use upskill_core::incremental::StatsGrid;
 use upskill_core::init::initialize_model;
+use upskill_core::model::SkillModel;
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::reference::{train_em_full, train_full_rescan};
 use upskill_core::train::{train_with_parallelism, TrainConfig};
@@ -26,6 +28,7 @@ type ActionDraw = (usize, (u8, u8, u8, u8));
 
 const CARDINALITY: u32 = 4;
 const N_VERSIONS: usize = 4;
+const LAMBDA: f64 = 0.01;
 
 /// Mixed four-feature schema: categorical + count + gamma + log-normal.
 fn mixed_schema() -> FeatureSchema {
@@ -125,57 +128,61 @@ fn assignment_version(users: &[Vec<ActionDraw>], v: usize, n_levels: usize) -> S
     SkillAssignments { per_user }
 }
 
-/// Cell-by-cell accumulator comparison: exact for the integer-statistic
-/// families, tight relative tolerance for the continuous sums (replay is
-/// item-ordered, the scan action-ordered, so they differ by ulps only).
-fn assert_accumulators_match(
-    replayed: &[Vec<FeatureAccumulator>],
-    scanned: &[Vec<FeatureAccumulator>],
+/// Cell-by-cell fit comparison: exact for the integer-statistic families
+/// (categorical, Poisson), a tight tolerance on the continuous ones (the
+/// grid replay is item-ordered, the scan action-ordered, so their moment
+/// sums differ by ulps only).
+///
+/// A gamma cell is compared through the two statistics its fit reads: the
+/// mean `k·θ`, and the log-moment gap `ln m − mean(ln x)` that the shape
+/// solves `ln k − ψ(k) = gap` for. The shape itself is ill-conditioned
+/// for near-constant samples (the gap cancels to about `1/(2k)`, so one
+/// ulp of `ln m` moves `k` by a relative `~k·ε`), and comparing it
+/// directly at `1e-10` fails on such cells.
+fn assert_fits_match(
+    replayed: &SkillModel,
+    scanned: &SkillModel,
+    n_levels: usize,
 ) -> proptest::TestCaseResult {
-    prop_assert_eq!(replayed.len(), scanned.len());
-    for (rrow, srow) in replayed.iter().zip(scanned) {
-        prop_assert_eq!(rrow.len(), srow.len());
-        for (r, s) in rrow.iter().zip(srow) {
-            match (r, s) {
-                (
-                    FeatureAccumulator::Categorical { counts: rc },
-                    FeatureAccumulator::Categorical { counts: sc },
-                ) => prop_assert_eq!(rc, sc),
-                (
-                    FeatureAccumulator::Count { sum: rs, n: rn },
-                    FeatureAccumulator::Count { sum: ss, n: sn },
-                ) => {
-                    // Integer-valued f64 sums are exact in any order.
-                    prop_assert_eq!(rs, ss);
-                    prop_assert_eq!(rn, sn);
+    for s in 1..=n_levels as u8 {
+        for f in 0..replayed.n_features() {
+            let log_gap = |k: f64| k.ln() - digamma(k);
+            let close = |a: f64, b: f64| {
+                let scale = a.abs().max(b.abs()).max(1.0);
+                (a - b).abs() <= 1e-10 * scale
+            };
+            match (replayed.cell(s, f).unwrap(), scanned.cell(s, f).unwrap()) {
+                (FeatureDistribution::Categorical(r), FeatureDistribution::Categorical(c)) => {
+                    prop_assert_eq!(r.probs(), c.probs())
                 }
-                (
-                    FeatureAccumulator::Positive { stats: rs, .. },
-                    FeatureAccumulator::Positive { stats: ss, .. },
-                ) => {
-                    prop_assert_eq!(rs.count(), ss.count());
-                    if rs.count() > 0.0 {
-                        for (a, b) in [
-                            (rs.mean(), ss.mean()),
-                            (rs.mean_ln(), ss.mean_ln()),
-                            (rs.variance(), ss.variance()),
-                            (rs.variance_ln(), ss.variance_ln()),
-                        ] {
-                            let scale = a.abs().max(b.abs()).max(1.0);
-                            prop_assert!(
-                                (a - b).abs() <= 1e-10 * scale,
-                                "continuous stat mismatch: {} vs {}",
-                                a,
-                                b
-                            );
-                        }
-                    }
+                (FeatureDistribution::Poisson(r), FeatureDistribution::Poisson(c)) => {
+                    prop_assert_eq!(r.rate().to_bits(), c.rate().to_bits())
                 }
-                _ => prop_assert!(false, "accumulator kinds diverged"),
+                (FeatureDistribution::Gamma(r), FeatureDistribution::Gamma(c)) => prop_assert!(
+                    close(r.mean(), c.mean()) && close(log_gap(r.shape()), log_gap(c.shape())),
+                    "gamma mismatch: {:?} vs {:?}",
+                    r,
+                    c
+                ),
+                (FeatureDistribution::LogNormal(r), FeatureDistribution::LogNormal(c)) => {
+                    prop_assert!(
+                        close(r.mu(), c.mu()) && close(r.sigma(), c.sigma()),
+                        "log-normal mismatch: {:?} vs {:?}",
+                        r,
+                        c
+                    )
+                }
+                _ => prop_assert!(false, "cell families diverged"),
             }
         }
     }
     Ok(())
+}
+
+/// Bit-exact model fingerprint: `{:?}` prints every `f64` in its
+/// shortest round-trip form, so equal strings mean equal bits.
+fn bits(model: &SkillModel) -> String {
+    format!("{model:?}")
 }
 
 fn users_strategy(max_users: usize, max_len: usize) -> impl Strategy<Value = Vec<Vec<ActionDraw>>> {
@@ -192,9 +199,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     // A grid stepped through a chain of random assignment churns equals
-    // the from-scratch build at every step, its replayed accumulators
-    // match `update::accumulate` cell by cell, and the parallel delta
-    // path matches the sequential one exactly for any thread count.
+    // the from-scratch build at every step, its fitted cells match
+    // `update::fit_model` cell by cell, the parallel delta path matches
+    // the sequential one exactly for any thread count, and the
+    // dirty-level refit under every update-step split equals a
+    // sequential full fit of a fresh build bit for bit.
     #[test]
     fn churned_grid_matches_from_scratch(
         item_draws in proptest::collection::vec(
@@ -206,6 +215,14 @@ proptest! {
         let mut current = assignment_version(&users, 0, n_levels);
         let mut grid = StatsGrid::build(&ds, &current, n_levels).unwrap();
         prop_assert_eq!(grid.total_actions() as usize, ds.n_actions());
+        let sequential = ParallelConfig::sequential();
+        let mut model = grid.fit_model_incremental(&ds, LAMBDA, &sequential, None).unwrap();
+        let mut configs = vec![
+            sequential,
+            sequential.with_skills(true).with_threads(3),
+            sequential.with_features(true).with_threads(3),
+        ];
+        configs.extend((2..=5).map(ParallelConfig::all));
 
         for v in 1..N_VERSIONS {
             let next = assignment_version(&users, v, n_levels);
@@ -232,14 +249,21 @@ proptest! {
 
             let changed = grid.apply_delta(&ds, &current, &next).unwrap();
             prop_assert_eq!(changed, expected_changed);
-            let fresh = StatsGrid::build(&ds, &next, n_levels).unwrap();
+            let mut fresh = StatsGrid::build(&ds, &next, n_levels).unwrap();
             prop_assert_eq!(&grid, &fresh);
             grid.cross_check(&ds, &next).unwrap();
 
-            let replayed = grid.accumulators(&ds).unwrap();
-            let scanned =
-                upskill_core::update::accumulate(&ds, &next, n_levels).unwrap();
-            assert_accumulators_match(&replayed, &scanned)?;
+            let expect = fresh.fit_model_incremental(&ds, LAMBDA, &sequential, None).unwrap();
+            for cfg in &configs {
+                let refit = grid
+                    .clone()
+                    .fit_model_incremental(&ds, LAMBDA, cfg, Some(&model))
+                    .unwrap();
+                prop_assert!(bits(&refit) == bits(&expect), "refit diverged under {:?}", cfg);
+            }
+            model = grid.fit_model_incremental(&ds, LAMBDA, &sequential, Some(&model)).unwrap();
+            let scanned = upskill_core::update::fit_model(&ds, &next, n_levels, LAMBDA).unwrap();
+            assert_fits_match(&model, &scanned, n_levels)?;
             current = next;
         }
     }

@@ -173,7 +173,7 @@ proptest! {
 
         let fresh = StatsGrid::build(session.dataset(), session.assignments(), n_levels)
             .unwrap()
-            .fit_model(session.dataset(), cfg.lambda)
+            .fit_model_incremental(session.dataset(), cfg.lambda, &ParallelConfig::sequential(), None)
             .unwrap();
         assert_models_bitwise_equal(session.model(), &fresh, session.dataset())?;
     }
