@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::emission::EmissionTable;
+use crate::emission::{expected_of, EmissionTable};
 use crate::error::{CoreError, Result};
 use crate::feature::FeatureValue;
 use crate::model::SkillModel;
@@ -106,12 +106,7 @@ pub fn generation_difficulty_with_prior(
     features: &[FeatureValue],
     prior: &[f64],
 ) -> Result<f64> {
-    let posterior = model.skill_posterior(features, prior)?;
-    Ok(posterior
-        .iter()
-        .enumerate()
-        .map(|(idx, &p)| (idx + 1) as f64 * p)
-        .sum())
+    Ok(expected_of(&model.skill_posterior(features, prior)?))
 }
 
 /// Generation-based difficulty for one feature tuple under the chosen prior
@@ -150,6 +145,8 @@ pub fn generation_difficulty_all(
 
 /// Generation-based difficulty of every table item from an existing
 /// [`EmissionTable`] — e.g. the one the final training iteration built.
+/// One [`EmissionTable::expected_levels`] pass: the shared row-posterior
+/// kernel takes `ln P(s)` once and reuses one row buffer for every item.
 pub fn generation_difficulty_all_with_table(
     table: &EmissionTable,
     prior: SkillPrior,
@@ -163,9 +160,7 @@ pub fn generation_difficulty_all_with_table(
             empirical_prior(assignments, s)?
         }
     };
-    (0..table.n_items())
-        .map(|item| table.expected_level(item as ItemId, &prior_vec))
-        .collect()
+    table.expected_levels(&prior_vec)
 }
 
 #[cfg(test)]

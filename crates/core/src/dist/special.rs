@@ -4,7 +4,9 @@
 //! - [`ln_gamma`] — Lanczos approximation, ~15 significant digits;
 //! - [`digamma`] — recurrence + asymptotic series;
 //! - [`trigamma`] — recurrence + asymptotic series;
-//! - [`ln_factorial`] — exact table for small `n`, `ln_gamma` beyond.
+//! - [`ln_factorial`] — prefix table for small `n`, `ln_gamma` beyond.
+
+use std::sync::OnceLock;
 
 /// Lanczos coefficients for `g = 7`, `n = 9` (Godfrey).
 const LANCZOS_G: f64 = 7.0;
@@ -80,19 +82,33 @@ pub fn trigamma(x: f64) -> f64 {
                     + inv * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0)))))
 }
 
-/// Exact `ln(n!)` for small `n`; `ln_gamma(n + 1)` otherwise.
+/// Entries of the [`ln_factorial`] prefix table: `ln n!` for `n < 32`.
+const LN_FACT_LEN: usize = 32;
+
+/// `ln n!` for `n < LN_FACT_LEN`, built once on first use. Entry `n` is
+/// the running sum `ln 2 + … + ln n` accumulated from `0.0` in that
+/// order, so every value is computed at runtime on the platform's `ln`
+/// and is bitwise the summation loop's result.
+fn ln_fact_table() -> &'static [f64; LN_FACT_LEN] {
+    static TABLE: OnceLock<[f64; LN_FACT_LEN]> = OnceLock::new();
+    TABLE.get_or_init(fill_ln_fact_table)
+}
+
+fn fill_ln_fact_table() -> [f64; LN_FACT_LEN] {
+    let mut table = [0.0f64; LN_FACT_LEN];
+    let mut acc = 0.0f64;
+    for (n, slot) in table.iter_mut().enumerate().skip(2) {
+        acc += (n as f64).ln();
+        *slot = acc;
+    }
+    table
+}
+
+/// `ln(n!)`: a prefix-table read for `n < 32`, `ln_gamma(n + 1)` beyond.
 pub fn ln_factorial(n: u64) -> f64 {
-    const TABLE_LEN: usize = 32;
-    // Thread-safe lazily computed table would need sync; a const-time loop
-    // at first call per thread is cheap enough to recompute inline instead.
-    if (n as usize) < TABLE_LEN {
-        let mut acc = 0.0f64;
-        for k in 2..=n {
-            acc += (k as f64).ln();
-        }
-        acc
-    } else {
-        ln_gamma(n as f64 + 1.0)
+    match usize::try_from(n).ok().and_then(|i| ln_fact_table().get(i)) {
+        Some(&v) => v,
+        None => ln_gamma(n as f64 + 1.0),
     }
 }
 
@@ -187,5 +203,61 @@ mod tests {
         assert_close(ln_factorial(31), ln_gamma(32.0), 1e-12);
         assert_close(ln_factorial(32), ln_gamma(33.0), 1e-12);
         assert_close(ln_factorial(170), ln_gamma(171.0), 1e-12);
+    }
+
+    /// The summation loop the prefix table replaced: `ln 2 + … + ln n`
+    /// accumulated from `0.0`.
+    fn ln_factorial_loop(n: u64) -> f64 {
+        let mut acc = 0.0f64;
+        for k in 2..=n {
+            acc += (k as f64).ln();
+        }
+        acc
+    }
+
+    #[test]
+    fn ln_factorial_table_matches_summation_loop_bitwise() {
+        for n in 0..LN_FACT_LEN as u64 {
+            assert_eq!(
+                ln_factorial(n).to_bits(),
+                ln_factorial_loop(n).to_bits(),
+                "n = {n}"
+            );
+        }
+        assert_eq!(
+            ln_factorial(LN_FACT_LEN as u64).to_bits(),
+            ln_gamma(LN_FACT_LEN as f64 + 1.0).to_bits()
+        );
+    }
+
+    #[test]
+    fn ln_factorial_concurrent_first_use_agrees() {
+        // A fresh lock, so the race below really is the first use; the
+        // threads then read the process-wide table as well.
+        let fresh: OnceLock<[f64; LN_FACT_LEN]> = OnceLock::new();
+        let barrier = std::sync::Barrier::new(4);
+        let runs: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let local = fresh.get_or_init(fill_ln_fact_table);
+                        let local: Vec<u64> = local.iter().map(|v| v.to_bits()).collect();
+                        let global = (0..LN_FACT_LEN as u64)
+                            .map(|n| ln_factorial(n).to_bits())
+                            .collect();
+                        (local, global)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let want: Vec<u64> = (0..LN_FACT_LEN as u64)
+            .map(|n| ln_factorial_loop(n).to_bits())
+            .collect();
+        for (local, global) in &runs {
+            assert_eq!(local, &want);
+            assert_eq!(global, &want);
+        }
     }
 }

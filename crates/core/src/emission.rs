@@ -380,6 +380,88 @@ fn fill_rows_columnar(
     }
 }
 
+/// The row-posterior kernel of Eq. 10: combines a row of `log P(i | s)`
+/// with a prior `P(s)` into `P(s | i)`. The prior's terms (`ln P(s)` and
+/// its sum) are taken once, however many rows the kernel then weighs.
+///
+/// [`EmissionTable::posterior`], [`EmissionTable::expected_level`],
+/// [`EmissionTable::expected_levels`] and [`SkillModel::skill_posterior`]
+/// all run it, so their distributions agree bitwise.
+pub(crate) struct RowPosterior<'a> {
+    prior: &'a [f64],
+    /// `ln P(s)`; read only where `P(s) > 0`.
+    ln_prior: Vec<f64>,
+    /// `Σ_s P(s)`, the fallback normalizer.
+    total: f64,
+}
+
+impl<'a> RowPosterior<'a> {
+    /// Checks the prior's length against `n_levels` and takes its terms.
+    pub(crate) fn new(prior: &'a [f64], n_levels: usize) -> Result<Self> {
+        if prior.len() != n_levels {
+            return Err(CoreError::LengthMismatch {
+                context: "skill prior vs levels",
+                left: prior.len(),
+                right: n_levels,
+            });
+        }
+        Ok(Self {
+            prior,
+            ln_prior: prior.iter().map(|p| p.ln()).collect(),
+            total: prior.iter().sum(),
+        })
+    }
+
+    /// Writes `P(s | i)` for one row into `out` (both `S` long).
+    ///
+    /// Computed in log space with the max trick. A row impossible under
+    /// every level with prior mass falls back to the normalized prior;
+    /// [`CoreError::InvalidProbability`] if the prior sums to ≤ 0 there.
+    pub(crate) fn posterior_into(&self, row: &[f64], out: &mut [f64]) -> Result<()> {
+        for (((cell, &ll), &p), &ln_p) in
+            out.iter_mut().zip(row).zip(self.prior).zip(&self.ln_prior)
+        {
+            *cell = if p > 0.0 {
+                ll + ln_p
+            } else {
+                f64::NEG_INFINITY
+            };
+        }
+        let max = out.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        if !max.is_finite() {
+            // The item is impossible under every level; fall back to the
+            // prior itself so downstream code still gets a distribution.
+            if self.total <= 0.0 {
+                return Err(CoreError::InvalidProbability {
+                    context: "skill prior sum",
+                    value: self.total,
+                });
+            }
+            for (cell, &p) in out.iter_mut().zip(self.prior) {
+                *cell = p / self.total;
+            }
+            return Ok(());
+        }
+        let mut total = 0.0;
+        for cell in out.iter_mut() {
+            *cell = (*cell - max).exp();
+            total += *cell;
+        }
+        for cell in out.iter_mut() {
+            *cell /= total;
+        }
+        Ok(())
+    }
+}
+
+/// Expected level `Σ_s s · P(s)` of a posterior (`post[s - 1]`).
+pub(crate) fn expected_of(post: &[f64]) -> f64 {
+    post.iter()
+        .enumerate()
+        .map(|(idx, &p)| (idx + 1) as f64 * p)
+        .sum()
+}
+
 /// Precomputed `n_items × S` matrix of emission log-likelihoods.
 ///
 /// Build it once per training iteration (the table is a pure function of
@@ -772,67 +854,44 @@ impl EmissionTable {
     }
 
     /// Posterior `P(s | item)` under a prior `P(s)` (Eq. 10), read from the
-    /// table row. Replicates [`SkillModel::skill_posterior`] step for step
-    /// (same log-space max trick, same impossible-item fallback to the
-    /// normalized prior) so both paths produce identical distributions.
+    /// table row by the row-posterior kernel [`SkillModel::skill_posterior`]
+    /// also runs (log-space max trick, impossible-item fallback to the
+    /// normalized prior), so both paths produce identical distributions.
     pub fn posterior(&self, item: ItemId, prior: &[f64]) -> Result<Vec<f64>> {
-        if prior.len() != self.n_levels {
-            return Err(CoreError::LengthMismatch {
-                context: "skill prior vs levels",
-                left: prior.len(),
-                right: self.n_levels,
-            });
-        }
+        let prior = RowPosterior::new(prior, self.n_levels)?;
         let row = self
             .checked_row(item)
             .ok_or(CoreError::FeatureIndexOutOfBounds {
                 index: item as usize,
                 len: self.n_items,
             })?;
-        let mut log_post: Vec<f64> = row
-            .iter()
-            .zip(prior)
-            .map(|(&ll, &p)| {
-                if p > 0.0 {
-                    ll + p.ln()
-                } else {
-                    f64::NEG_INFINITY
-                }
-            })
-            .collect();
-        let max = log_post.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        if !max.is_finite() {
-            // The item is impossible under every level; fall back to the
-            // prior itself so downstream code still gets a distribution.
-            let total: f64 = prior.iter().sum();
-            if total <= 0.0 {
-                return Err(CoreError::InvalidProbability {
-                    context: "skill prior sum",
-                    value: total,
-                });
-            }
-            return Ok(prior.iter().map(|&p| p / total).collect());
-        }
-        let mut total = 0.0;
-        for lp in log_post.iter_mut() {
-            *lp = (*lp - max).exp();
-            total += *lp;
-        }
-        for lp in log_post.iter_mut() {
-            *lp /= total;
-        }
-        Ok(log_post)
+        let mut post = vec![0.0; self.n_levels];
+        prior.posterior_into(row, &mut post)?;
+        Ok(post)
     }
 
     /// Expected skill level `Σ_s s · P(s | item)` — the generation-based
     /// difficulty of Eq. 11, evaluated from one table row.
     pub fn expected_level(&self, item: ItemId, prior: &[f64]) -> Result<f64> {
-        let post = self.posterior(item, prior)?;
-        Ok(post
-            .iter()
-            .enumerate()
-            .map(|(idx, &p)| (idx + 1) as f64 * p)
-            .sum())
+        Ok(expected_of(&self.posterior(item, prior)?))
+    }
+
+    /// [`EmissionTable::expected_level`] of every item, in item order, in
+    /// one pass: the row-posterior kernel takes `ln P(s)` once per call
+    /// and reuses one row buffer, so each item costs a normalization and
+    /// a weighted sum. Bitwise the per-item results; the first failing
+    /// item's error is returned.
+    pub fn expected_levels(&self, prior: &[f64]) -> Result<Vec<f64>> {
+        let prior = RowPosterior::new(prior, self.n_levels)?;
+        let mut post = vec![0.0; self.n_levels];
+        let mut out = Vec::with_capacity(self.n_items);
+        // `n_levels ≥ 1` for every model-built table; `max` only keeps a
+        // degenerate zero-level table from panicking the chunking.
+        for row in self.data.chunks_exact(self.n_levels.max(1)) {
+            prior.posterior_into(row, &mut post)?;
+            out.push(expected_of(&post));
+        }
+        Ok(out)
     }
 
     /// Resident bytes of the score storage.
@@ -1182,15 +1241,71 @@ mod tests {
         let (model, ds) = mixed_setup();
         let table = EmissionTable::build(&model, &ds);
         let prior = [0.3, 0.7];
-        for item in 0..3u32 {
+        let batched = table.expected_levels(&prior).unwrap();
+        assert_eq!(batched.len(), ds.n_items());
+        for (item, &e) in (0..ds.n_items() as u32).zip(&batched) {
             let direct = model
                 .skill_posterior(ds.item_features(item), &prior)
                 .unwrap();
             let tabled = table.posterior(item, &prior).unwrap();
-            assert_eq!(direct, tabled);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&direct), bits(&tabled), "item {item}");
+            let single = table.expected_level(item, &prior).unwrap();
+            assert_eq!(e.to_bits(), single.to_bits(), "item {item}");
         }
         assert!(table.posterior(0, &[1.0]).is_err());
         assert!(table.posterior(42, &prior).is_err());
+    }
+
+    #[test]
+    fn expected_levels_falls_back_to_prior_on_impossible_row() {
+        let table = EmissionTable::from_scores(
+            2,
+            2,
+            vec![-0.1, -2.0, f64::NEG_INFINITY, f64::NEG_INFINITY],
+        );
+        // Sums to 0.5, so the normalized prior is exact: [0.25, 0.75].
+        let prior = [0.125, 0.375];
+        let all = table.expected_levels(&prior).unwrap();
+        assert_eq!(table.posterior(1, &prior).unwrap(), vec![0.25, 0.75]);
+        assert_eq!(all[1].to_bits(), 1.75f64.to_bits());
+        assert_eq!(
+            all[0].to_bits(),
+            table.expected_level(0, &prior).unwrap().to_bits()
+        );
+    }
+
+    #[test]
+    fn expected_levels_rejects_wrong_length_prior() {
+        let (model, ds) = mixed_setup();
+        let table = EmissionTable::build(&model, &ds);
+        assert_eq!(
+            table.expected_levels(&[1.0]),
+            Err(CoreError::LengthMismatch {
+                context: "skill prior vs levels",
+                left: 1,
+                right: 2,
+            })
+        );
+    }
+
+    #[test]
+    fn expected_levels_rejects_zero_sum_prior_on_impossible_row() {
+        let table = EmissionTable::from_scores(
+            2,
+            2,
+            vec![-0.1, -2.0, f64::NEG_INFINITY, f64::NEG_INFINITY],
+        );
+        // Item 0 has a finite cell under the positive entry; item 1 is
+        // impossible, and the prior it falls back to sums to zero.
+        let prior = [1.0, -1.0];
+        assert!(table.expected_level(0, &prior).is_ok());
+        let want = CoreError::InvalidProbability {
+            context: "skill prior sum",
+            value: 0.0,
+        };
+        assert_eq!(table.expected_level(1, &prior), Err(want.clone()));
+        assert_eq!(table.expected_levels(&prior), Err(want));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::dist::FeatureDistribution;
+use crate::emission::RowPosterior;
 use crate::error::{CoreError, Result};
 use crate::feature::{FeatureSchema, FeatureValue};
 use crate::types::SkillLevel;
@@ -118,49 +119,16 @@ impl SkillModel {
     /// Posterior `P(s | i)` over skill levels for an item (Eq. 10), under a
     /// given prior `P(s)` (`prior[s-1]`, must sum to ~1).
     ///
-    /// Computed in log space with the max trick for stability.
+    /// Computed in log space with the max trick for stability, by the
+    /// row-posterior kernel [`EmissionTable::posterior`] also runs.
+    ///
+    /// [`EmissionTable::posterior`]: crate::emission::EmissionTable::posterior
     pub fn skill_posterior(&self, features: &[FeatureValue], prior: &[f64]) -> Result<Vec<f64>> {
-        if prior.len() != self.n_levels {
-            return Err(CoreError::LengthMismatch {
-                context: "skill prior vs levels",
-                left: prior.len(),
-                right: self.n_levels,
-            });
-        }
-        let mut log_post: Vec<f64> = self
-            .item_log_likelihoods(features)
-            .into_iter()
-            .zip(prior)
-            .map(|(ll, &p)| {
-                if p > 0.0 {
-                    ll + p.ln()
-                } else {
-                    f64::NEG_INFINITY
-                }
-            })
-            .collect();
-        let max = log_post.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        if !max.is_finite() {
-            // The item is impossible under every level; fall back to the
-            // prior itself so downstream code still gets a distribution.
-            let total: f64 = prior.iter().sum();
-            if total <= 0.0 {
-                return Err(CoreError::InvalidProbability {
-                    context: "skill prior sum",
-                    value: total,
-                });
-            }
-            return Ok(prior.iter().map(|&p| p / total).collect());
-        }
-        let mut total = 0.0;
-        for lp in log_post.iter_mut() {
-            *lp = (*lp - max).exp();
-            total += *lp;
-        }
-        for lp in log_post.iter_mut() {
-            *lp /= total;
-        }
-        Ok(log_post)
+        let prior = RowPosterior::new(prior, self.n_levels)?;
+        let row = self.item_log_likelihoods(features);
+        let mut post = vec![0.0; self.n_levels];
+        prior.posterior_into(&row, &mut post)?;
+        Ok(post)
     }
 
     /// Convenience: the distribution row for a level (all features).

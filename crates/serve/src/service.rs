@@ -847,16 +847,12 @@ impl SkillService {
 /// ([`prior_from_counts`]) of the running level counts — computes exactly what
 /// [`upskill_core::difficulty::generation_difficulty_all_with_table`]
 /// with [`SkillPrior::Empirical`](upskill_core::difficulty::SkillPrior)
-/// computes from full assignments, without needing them contiguous.
+/// computes from full assignments, without needing them contiguous. Both
+/// run one [`EmissionTable::expected_levels`] pass over the shared
+/// row-posterior kernel.
 fn difficulty_from_counts(table: &EmissionTable, counts: &[usize]) -> Result<Vec<f64>> {
     let prior = prior_from_counts(counts)?;
-    (0..table.n_items())
-        .map(|item| {
-            table
-                .expected_level(item as ItemId, &prior)
-                .map_err(ServeError::Core)
-        })
-        .collect()
+    table.expected_levels(&prior).map_err(ServeError::Core)
 }
 
 #[cfg(test)]

@@ -256,4 +256,41 @@ proptest! {
             prop_assert!((1.0..=params.len() as f64).contains(&via_table));
         }
     }
+
+    #[test]
+    fn expected_levels_match_per_item_bitwise(
+        params in level_params_strategy(3),
+        item_draws in proptest::collection::vec(
+            (0u32..8, 0u64..48, 0.1f64..10.0, 0.1f64..10.0), 2..10),
+        picks in proptest::collection::vec(0usize..1000, 1..15),
+        draws in proptest::collection::vec((0u8..3, 0.01f64..1.0), 3),
+    ) {
+        let model = mixed_model(&params);
+        let ds = mixed_dataset(&item_draws, &picks);
+        let table = EmissionTable::build(&model, &ds);
+        // About a third of the entries are zero. Try the raw weights and,
+        // when they have mass, the normalized prior.
+        let weights: Vec<f64> = draws
+            .iter()
+            .map(|&(zero, w)| if zero == 0 { 0.0 } else { w })
+            .collect();
+        let total: f64 = weights.iter().sum();
+        let mut priors = vec![weights.clone()];
+        if total > 0.0 {
+            priors.push(weights.iter().map(|w| w / total).collect());
+        }
+        for prior in &priors {
+            let per_item: Result<Vec<f64>, _> = (0..ds.n_items() as u32)
+                .map(|item| table.expected_level(item, prior))
+                .collect();
+            let batched = table.expected_levels(prior);
+            match (per_item, batched) {
+                (Ok(want), Ok(got)) => {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&want), bits(&got));
+                }
+                (want, got) => prop_assert_eq!(want, got),
+            }
+        }
+    }
 }
