@@ -418,7 +418,7 @@ pub fn materialize<S: ChunkSource + ?Sized>(source: &S) -> Result<Dataset> {
             sequences.push(ActionSequence::new(user, actions)?);
         }
     }
-    Dataset::new(view.schema().clone(), view.items().to_vec(), sequences)
+    view.with_sequences(sequences)
 }
 
 /// Returns the schema of a source's item view (convenience for callers
@@ -526,6 +526,7 @@ pub fn initialize_model_chunked<S: ChunkSource + ?Sized>(
     }
     let view = source.item_view();
     let schema = view.schema();
+    let catalog = view.catalog();
     let mut grid: Vec<Vec<FeatureAccumulator>> = (0..n_levels)
         .map(|_| {
             schema
@@ -547,14 +548,14 @@ pub fn initialize_model_chunked<S: ChunkSource + ?Sized>(
             qualifying_actions += items.len();
             let levels = segment_uniform_times(chunk.user_times(u), n_levels);
             for (&item, &level) in items.iter().zip(&levels) {
-                let features = view.item_features(item);
+                let slots = catalog.item(item as usize)?;
                 let row = grid
                     .get_mut(level as usize - 1)
                     .ok_or(CoreError::InvalidSkillCount {
                         requested: level as usize,
                     })?;
-                for (acc, value) in row.iter_mut().zip(features) {
-                    acc.push(value)?;
+                for (acc, slot) in row.iter_mut().zip(slots) {
+                    acc.push_slot(slot, 1)?;
                 }
             }
         }
@@ -1253,6 +1254,7 @@ pub fn train_em_chunked<S: ChunkSource + ?Sized>(
         return Err(CoreError::EmptyDataset);
     }
     let view = source.item_view();
+    let catalog = view.catalog();
     let n_levels = config.initial.n_levels();
     let schema = view.schema().clone();
     let mut model = config.initial.clone();
@@ -1296,13 +1298,13 @@ pub fn train_em_chunked<S: ChunkSource + ?Sized>(
                     evidence += ev;
                 }
                 for (item, gamma) in outcome.items.iter().zip(outcome.gammas.chunks(n_levels)) {
-                    let features = view.item_features(*item);
+                    let slots = catalog.item(*item as usize)?;
                     for (s, &weight) in gamma.iter().enumerate() {
                         if weight <= 0.0 {
                             continue;
                         }
-                        for (acc, value) in grid[s].iter_mut().zip(features) {
-                            acc.push(value, weight)?;
+                        for (acc, slot) in grid[s].iter_mut().zip(slots.clone()) {
+                            acc.push_slot(slot, weight)?;
                         }
                     }
                 }

@@ -205,17 +205,22 @@ impl SufficientStats {
                 value: x,
             });
         }
+        self.push_ln_n(x, x.ln(), n);
+        Ok(())
+    }
+
+    /// [`SufficientStats::push_n`] for a valid `x` whose `ln x` the
+    /// caller already holds (the catalog's column store caches it).
+    pub(crate) fn push_ln_n(&mut self, x: f64, lx: f64, n: u64) {
         if n == 0 {
-            return Ok(());
+            return;
         }
         let w = n as f64;
-        let lx = x.ln();
         self.sum += w * x;
         self.sum_ln += w * lx;
         self.sum_sq += w * x * x;
         self.sum_ln_sq += w * lx * lx;
         self.count += w;
-        Ok(())
     }
 
     /// Removes one previously pushed observation (the inverse of

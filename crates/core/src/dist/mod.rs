@@ -19,6 +19,7 @@ pub use gamma::{Gamma, SufficientStats};
 pub use lognormal::LogNormal;
 pub use poisson::Poisson;
 
+use crate::catalog::FeatureSlot;
 use crate::error::{CoreError, Result};
 use crate::feature::{FeatureKind, FeatureValue, PositiveModel};
 
@@ -154,31 +155,46 @@ impl FeatureAccumulator {
     ///
     /// [`push`]: FeatureAccumulator::push
     pub fn push_n(&mut self, value: &FeatureValue, weight: u64) -> Result<()> {
-        match (self, value) {
-            (FeatureAccumulator::Categorical { counts }, FeatureValue::Categorical(c)) => {
-                let idx = *c as usize;
-                if idx >= counts.len() {
-                    return Err(CoreError::CategoryOutOfBounds {
-                        feature: usize::MAX,
-                        value: *c,
-                        cardinality: counts.len() as u32,
-                    });
-                }
-                counts[idx] += weight;
-                Ok(())
-            }
-            (FeatureAccumulator::Count { sum, n }, FeatureValue::Count(k)) => {
-                *sum += weight as f64 * *k as f64;
-                *n += weight as f64;
-                Ok(())
-            }
+        match (&mut *self, value) {
             (FeatureAccumulator::Positive { stats, .. }, FeatureValue::Real(x)) => {
                 stats.push_n(*x, weight)
             }
-            (acc, value) => Err(CoreError::FeatureKindMismatch {
+            _ => self.push_slot(FeatureSlot::of(value), weight),
+        }
+    }
+
+    /// [`FeatureAccumulator::push_n`] of one catalog slot: the one
+    /// arithmetic body both the row path and the column path run. A
+    /// [`FeatureSlot::Row`] goes through `push_n`, so it returns the
+    /// row path's error.
+    pub(crate) fn push_slot(&mut self, slot: FeatureSlot<'_>, weight: u64) -> Result<()> {
+        match (self, slot) {
+            (acc, FeatureSlot::Row(value)) => value.map_or(Ok(()), |v| acc.push_n(v, weight)),
+            (FeatureAccumulator::Categorical { counts }, FeatureSlot::Categorical(c)) => {
+                let cardinality = counts.len() as u32;
+                let cell = counts
+                    .get_mut(c as usize)
+                    .ok_or(CoreError::CategoryOutOfBounds {
+                        feature: usize::MAX,
+                        value: c,
+                        cardinality,
+                    })?;
+                *cell += weight;
+                Ok(())
+            }
+            (FeatureAccumulator::Count { sum, n }, FeatureSlot::Count(k)) => {
+                *sum += weight as f64 * k;
+                *n += weight as f64;
+                Ok(())
+            }
+            (FeatureAccumulator::Positive { stats, .. }, FeatureSlot::Real { x, ln_x }) => {
+                stats.push_ln_n(x, ln_x, weight);
+                Ok(())
+            }
+            (acc, slot) => Err(CoreError::FeatureKindMismatch {
                 feature: usize::MAX,
                 expected: acc.kind_name(),
-                got: value.name(),
+                got: slot.name(),
             }),
         }
     }

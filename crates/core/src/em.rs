@@ -25,6 +25,7 @@
 //! from-scratch loop because a responsibility grid stores one posterior
 //! row per corpus action.
 
+use crate::catalog::FeatureSlot;
 use crate::dist::{Categorical, FeatureDistribution, Gamma, LogNormal, Poisson, DEFAULT_SMOOTHING};
 use crate::emission::EmissionTable;
 use crate::error::{CoreError, Result};
@@ -395,22 +396,31 @@ impl WeightedAcc {
         }
     }
 
+    /// Adds one observation with `weight`; `ln x` is taken unchecked.
     pub(crate) fn push(&mut self, value: &FeatureValue, weight: f64) -> Result<()> {
-        match (self, value) {
-            (WeightedAcc::Categorical { weights }, FeatureValue::Categorical(c)) => {
-                let idx = *c as usize;
-                if idx >= weights.len() {
-                    return Err(CoreError::CategoryOutOfBounds {
+        self.push_slot(FeatureSlot::of(value), weight)
+    }
+
+    /// [`WeightedAcc::push`] of one catalog slot: the one arithmetic
+    /// body both the row path and the column path run. A
+    /// [`FeatureSlot::Row`] goes through `push`.
+    pub(crate) fn push_slot(&mut self, slot: FeatureSlot<'_>, weight: f64) -> Result<()> {
+        match (self, slot) {
+            (acc, FeatureSlot::Row(value)) => value.map_or(Ok(()), |v| acc.push(v, weight)),
+            (WeightedAcc::Categorical { weights }, FeatureSlot::Categorical(c)) => {
+                let cardinality = weights.len() as u32;
+                let cell = weights
+                    .get_mut(c as usize)
+                    .ok_or(CoreError::CategoryOutOfBounds {
                         feature: usize::MAX,
-                        value: *c,
-                        cardinality: weights.len() as u32,
-                    });
-                }
-                weights[idx] += weight;
+                        value: c,
+                        cardinality,
+                    })?;
+                *cell += weight;
                 Ok(())
             }
-            (WeightedAcc::Count { sum, weight: w }, FeatureValue::Count(k)) => {
-                *sum += weight * *k as f64;
+            (WeightedAcc::Count { sum, weight: w }, FeatureSlot::Count(k)) => {
+                *sum += weight * k;
                 *w += weight;
                 Ok(())
             }
@@ -418,9 +428,8 @@ impl WeightedAcc {
                 WeightedAcc::Positive {
                     w, wx, wlnx, wlnx2, ..
                 },
-                FeatureValue::Real(x),
+                FeatureSlot::Real { x, ln_x: lx },
             ) => {
-                let lx = x.ln();
                 *w += weight;
                 *wx += weight * x;
                 *wlnx += weight * lx;

@@ -17,9 +17,11 @@
 //! ## Columnar fill
 //!
 //! The fill itself is *columnar*: item feature values are gathered once
-//! per feature into flat columns (`FeatureColumn`), hoisting the enum
-//! dispatch and the per-item transcendentals (`ln x`, `ln k!`, integer →
-//! float widening) out of the `S × n_items` loop, and each
+//! per catalog into flat typed columns (the dataset's column store,
+//! `crate::catalog`, shared by every dataset over the same items and
+//! kept for the catalog's lifetime), hoisting the enum dispatch and the
+//! per-item transcendentals (`ln x`, `ln k!`, integer → float widening)
+//! out of every fill, and each
 //! (feature, level) pair is then evaluated by one batch kernel
 //! (`log_prob_batch` / `log_pmf_batch` / `log_pdf_batch`) over a
 //! contiguous unit-stride run of cells. Every cell accumulates its
@@ -38,10 +40,11 @@
 //! f64), halving the resident table, and widens a row per read; the
 //! model-direct source evaluates distributions per action.
 
-use crate::dist::special::ln_factorial;
+use std::ops::Range;
+
+use crate::catalog::{flagged, mask_range, CatalogColumns, Column};
 use crate::dist::{score_kind_mismatch, FeatureDistribution};
 use crate::error::{CoreError, Result};
-use crate::feature::{FeatureKind, FeatureSchema, FeatureValue};
 use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
 use crate::parallel::ParallelConfig;
@@ -98,214 +101,39 @@ const PARALLEL_CHUNK: usize = 64;
 /// Item-tile width of the cache-blocked sequential fill
 /// ([`EmissionTable::build`] and [`EmissionTable::refresh_levels`]).
 ///
-/// Per tile the fill touches the gathered columns (≈ `3 × 8` bytes per
-/// item per feature), the level-major scratch (`tile × S` f64), and the
-/// output window (`tile × S` f64) — ~200 kB at 2048 items, S = 5,
-/// F = 3, comfortably inside a per-core L2 — where the whole-axis fill
-/// streams `n_items × S` buffers (2 MB at 50 k items) through every
-/// kernel pass. Tile size changes no per-cell operation order, so every
-/// choice is bitwise identical; 2048 is flat-optimal on this host
-/// (within noise from 1024 to 4096).
+/// The fill reads the catalog's columns, gathered once per dataset (see
+/// `crate::catalog`). Per tile it touches a `tile`-item window of them
+/// (4–24 bytes per item per feature), the level-major scratch
+/// (`tile × S` f64), and the output window (`tile × S` f64) — ~200 kB
+/// at 2048 items, S = 5, F = 3, comfortably inside a per-core L2 —
+/// where the whole-axis fill streams `n_items × S` buffers (2 MB at
+/// 50 k items) through every kernel pass. Tile size changes no per-cell
+/// operation order, so every choice is bitwise identical; 2048 is
+/// flat-optimal on a 2-core x86 VM (within noise from 1024 to 4096).
 const ITEM_TILE: usize = 2048;
 
-/// One gathered feature column: the values of a single feature for a run
-/// of items, with the per-item transforms the scalar path recomputes for
-/// every level (integer → float widening, `ln k!`, `ln x`) hoisted out so
-/// they are paid once across all `S` level kernels.
-enum FeatureColumn {
-    /// Category codes for [`crate::dist::Categorical::log_prob_batch`].
-    Categorical(Vec<u32>),
-    /// Counts widened to `f64` plus `ln k!` for
-    /// [`crate::dist::Poisson::log_pmf_batch`].
-    Count {
-        /// `k` as `f64`, one slot per item.
-        ks: Vec<f64>,
-        /// `ln k!`, one slot per item.
-        ln_facts: Vec<f64>,
-    },
-    /// Positive reals plus `ln x` for the gamma / log-normal kernels.
-    /// Items failing the scalar density guard (`x ≤ 0` or non-finite)
-    /// carry the placeholder pair `(1.0, 0.0)` and are flagged in
-    /// `guard`, so the kernels never see invalid inputs and
-    /// [`apply_guard`] rewrites those cells to `-inf` afterwards —
-    /// exactly the scalar guard result.
-    Real {
-        /// Sample values (placeholder `1.0` for guarded slots).
-        xs: Vec<f64>,
-        /// `ln x` (placeholder `0.0` for guarded slots).
-        ln_xs: Vec<f64>,
-        /// Which slots failed the density guard.
-        guard: Vec<bool>,
-        /// Fast path: skip the guard walk when nothing is flagged.
-        any_guarded: bool,
-    },
-}
-
-impl FeatureColumn {
-    fn with_capacity(kind: FeatureKind, capacity: usize) -> Self {
-        match kind {
-            FeatureKind::Categorical { .. } => {
-                FeatureColumn::Categorical(Vec::with_capacity(capacity))
-            }
-            FeatureKind::Count => FeatureColumn::Count {
-                ks: Vec::with_capacity(capacity),
-                ln_facts: Vec::with_capacity(capacity),
-            },
-            FeatureKind::Positive { .. } => FeatureColumn::Real {
-                xs: Vec::with_capacity(capacity),
-                ln_xs: Vec::with_capacity(capacity),
-                guard: Vec::with_capacity(capacity),
-                any_guarded: false,
-            },
-        }
-    }
-
-    /// Appends one value; `false` signals a value whose kind does not
-    /// match the column (impossible for schema-validated datasets — the
-    /// slot is kept aligned with a neutral placeholder and the caller
-    /// poisons the whole item row).
-    fn push(&mut self, value: &FeatureValue) -> bool {
-        match (self, value) {
-            (FeatureColumn::Categorical(cats), FeatureValue::Categorical(c)) => {
-                cats.push(*c);
-                true
-            }
-            (FeatureColumn::Count { ks, ln_facts }, FeatureValue::Count(k)) => {
-                ks.push(*k as f64);
-                ln_facts.push(ln_factorial(*k));
-                true
-            }
-            (
-                FeatureColumn::Real {
-                    xs,
-                    ln_xs,
-                    guard,
-                    any_guarded,
-                },
-                FeatureValue::Real(x),
-            ) => {
-                if *x > 0.0 && x.is_finite() {
-                    xs.push(*x);
-                    ln_xs.push(x.ln());
-                    guard.push(false);
-                } else {
-                    xs.push(1.0);
-                    ln_xs.push(0.0);
-                    guard.push(true);
-                    *any_guarded = true;
-                }
-                true
-            }
-            (column, _) => {
-                column.push_placeholder();
-                false
-            }
-        }
-    }
-
-    /// Appends a neutral slot so column lengths stay aligned after a
-    /// gather-time kind mismatch.
-    fn push_placeholder(&mut self) {
-        match self {
-            FeatureColumn::Categorical(cats) => cats.push(u32::MAX),
-            FeatureColumn::Count { ks, ln_facts } => {
-                ks.push(0.0);
-                ln_facts.push(0.0);
-            }
-            FeatureColumn::Real {
-                xs, ln_xs, guard, ..
-            } => {
-                xs.push(1.0);
-                ln_xs.push(0.0);
-                guard.push(false);
-            }
-        }
-    }
-
-    fn kind_name(&self) -> &'static str {
-        match self {
-            FeatureColumn::Categorical(_) => "categorical",
-            FeatureColumn::Count { .. } => "count",
-            FeatureColumn::Real { .. } => "positive real",
-        }
-    }
-}
-
-/// Gathered columns for a run of items, plus the mask of items whose
-/// value tuple failed schema dispatch entirely (dead code for
-/// [`Dataset`]-validated items, which are checked at construction): those
-/// rows are forced to `-inf` at every level, the release contract of
-/// [`score_kind_mismatch`].
-struct GatheredColumns {
-    columns: Vec<FeatureColumn>,
-    hard_poison: Vec<bool>,
-    any_hard: bool,
-    n_rows: usize,
-}
-
-/// Gathers feature columns for `n_rows` item feature tuples.
-fn gather_columns<'a>(
-    schema: &FeatureSchema,
-    items: impl Iterator<Item = &'a [FeatureValue]>,
-    n_rows: usize,
-) -> GatheredColumns {
-    let mut columns: Vec<FeatureColumn> = schema
-        .kinds()
-        .iter()
-        .map(|&kind| FeatureColumn::with_capacity(kind, n_rows))
-        .collect();
-    let mut hard_poison = vec![false; n_rows];
-    let mut any_hard = false;
-    for (features, bad) in items.zip(hard_poison.iter_mut()) {
-        for (column, value) in columns.iter_mut().zip(features) {
-            if !column.push(value) {
-                let _ = score_kind_mismatch(column.kind_name(), value.name());
-                *bad = true;
-                any_hard = true;
-            }
-        }
-    }
-    GatheredColumns {
-        columns,
-        hard_poison,
-        any_hard,
-        n_rows,
-    }
-}
-
-/// Applies one level's distribution to one gathered column, accumulating
-/// into a level-major slice of `n_rows` cells.
-fn evaluate_column(dist: &FeatureDistribution, column: &FeatureColumn, out: &mut [f64]) {
+/// Applies one level's distribution to the `range` items of one catalog
+/// column, accumulating into a level-major slice of `range.len()` cells.
+fn evaluate_column(
+    dist: &FeatureDistribution,
+    column: &Column,
+    range: Range<usize>,
+    out: &mut [f64],
+) {
     match (dist, column) {
-        (FeatureDistribution::Categorical(d), FeatureColumn::Categorical(cats)) => {
-            d.log_prob_batch(cats, out);
+        (FeatureDistribution::Categorical(d), Column::Categorical(cats)) => {
+            d.log_prob_batch(&cats[range], out);
         }
-        (FeatureDistribution::Poisson(d), FeatureColumn::Count { ks, ln_facts }) => {
-            d.log_pmf_batch(ks, ln_facts, out);
+        (FeatureDistribution::Poisson(d), Column::Count { ks, ln_facts }) => {
+            d.log_pmf_batch(&ks[range.clone()], &ln_facts[range], out);
         }
-        (
-            FeatureDistribution::Gamma(d),
-            FeatureColumn::Real {
-                xs,
-                ln_xs,
-                guard,
-                any_guarded,
-            },
-        ) => {
-            d.log_pdf_batch(xs, ln_xs, out);
-            apply_guard(out, guard, *any_guarded);
+        (FeatureDistribution::Gamma(d), Column::Real { xs, ln_xs, guard }) => {
+            d.log_pdf_batch(&xs[range.clone()], &ln_xs[range.clone()], out);
+            apply_guard(out, mask_range(guard, range));
         }
-        (
-            FeatureDistribution::LogNormal(d),
-            FeatureColumn::Real {
-                ln_xs,
-                guard,
-                any_guarded,
-                ..
-            },
-        ) => {
-            d.log_pdf_batch(ln_xs, out);
-            apply_guard(out, guard, *any_guarded);
+        (FeatureDistribution::LogNormal(d), Column::Real { ln_xs, guard, .. }) => {
+            d.log_pdf_batch(&ln_xs[range.clone()], out);
+            apply_guard(out, mask_range(guard, range));
         }
         (dist, column) => {
             // Distribution / column kind mismatch: loud under debug or
@@ -319,10 +147,7 @@ fn evaluate_column(dist: &FeatureDistribution, column: &FeatureColumn, out: &mut
 
 /// Rewrites guard-flagged cells to `-inf`, the scalar density-guard
 /// result for non-positive or non-finite samples.
-fn apply_guard(out: &mut [f64], guard: &[bool], any_guarded: bool) {
-    if !any_guarded {
-        return;
-    }
+fn apply_guard(out: &mut [f64], guard: &[bool]) {
     for (cell, &bad) in out.iter_mut().zip(guard) {
         if bad {
             *cell = f64::NEG_INFINITY;
@@ -330,8 +155,21 @@ fn apply_guard(out: &mut [f64], guard: &[bool], any_guarded: bool) {
     }
 }
 
-/// Fills `out` — item-major rows, `out[j·S + s₀]` for the `j`-th gathered
-/// item — from the columnar kernels.
+/// The hard-poison flags of the `range` items — rows whose value tuple
+/// failed schema dispatch, forced to `-inf` at every level. Reports the
+/// mismatch when the range holds one: loud under debug or strict
+/// invariants, silent in release (the [`score_kind_mismatch`] contract).
+fn poisoned_rows(columns: &CatalogColumns, range: Range<usize>) -> &[bool] {
+    let poison = mask_range(columns.hard_poison(), range);
+    if poison.contains(&true) {
+        let (expected, got) = columns.mismatch();
+        let _ = score_kind_mismatch(expected, got);
+    }
+    poison
+}
+
+/// Fills `out` — item-major rows, `out[j·S + s₀]` for item
+/// `range.start + j` — from the columnar kernels.
 ///
 /// The scratch buffer is level-major (`scratch[s₀·m + j]`), so every
 /// kernel call writes one contiguous unit-stride run of `m` cells; rows
@@ -341,11 +179,12 @@ fn apply_guard(out: &mut [f64], guard: &[bool], any_guarded: bool) {
 /// results are bitwise identical to the scalar path.
 fn fill_rows_columnar(
     model: &SkillModel,
-    gathered: &GatheredColumns,
+    columns: &CatalogColumns,
+    range: Range<usize>,
     scratch: &mut Vec<f64>,
     out: &mut [f64],
 ) {
-    let m = gathered.n_rows;
+    let m = range.len();
     let n_levels = model.n_levels();
     debug_assert_eq!(out.len(), m * n_levels);
     if m == 0 || n_levels == 0 {
@@ -356,8 +195,8 @@ fn fill_rows_columnar(
     for (s0, level_out) in scratch.chunks_mut(m).enumerate() {
         match model.level_row(skill_level_from_index(s0)) {
             Ok(row) => {
-                for (dist, column) in row.iter().zip(&gathered.columns) {
-                    evaluate_column(dist, column, level_out);
+                for (dist, column) in row.iter().zip(columns.columns()) {
+                    evaluate_column(dist, column, range.clone(), level_out);
                 }
             }
             // Unreachable for `s₀ < S`, but the scalar path scores a
@@ -365,12 +204,9 @@ fn fill_rows_columnar(
             Err(_) => level_out.fill(f64::NEG_INFINITY),
         }
     }
-    for ((j, row), &bad) in out
-        .chunks_mut(n_levels)
-        .enumerate()
-        .zip(&gathered.hard_poison)
-    {
-        if bad {
+    let poison = poisoned_rows(columns, range);
+    for (j, row) in out.chunks_mut(n_levels).enumerate() {
+        if flagged(poison, j) {
             row.fill(f64::NEG_INFINITY);
             continue;
         }
@@ -481,11 +317,12 @@ impl EmissionTable {
     /// Builds the full table sequentially with the columnar kernels,
     /// cache-blocked over item tiles.
     ///
-    /// Feature values are gathered into columns per tile (hoisting enum
-    /// dispatch and per-item transcendentals out of the `S`-level loop),
-    /// then each (feature, level) pair runs one batch kernel over a
-    /// contiguous run of cells. Blocking over `ITEM_TILE`-item tiles
-    /// keeps each tile's gathered columns plus its level-major scratch
+    /// Each tile reads a window of the catalog's columns (gathered once
+    /// per dataset, with enum dispatch and per-item transcendentals
+    /// already hoisted), then each (feature, level) pair runs one batch
+    /// kernel over a contiguous run of cells. Blocking over
+    /// `ITEM_TILE`-item tiles keeps each tile's column window plus its
+    /// level-major scratch
     /// (`ITEM_TILE × S` f64) resident in L2 even when the full
     /// `n_items × S` table is megabytes: every kernel streams a buffer
     /// that was just written. Each cell is a pure function of its own
@@ -498,17 +335,13 @@ impl EmissionTable {
         let n_levels = model.n_levels();
         let mut data = vec![0.0f64; n_items * n_levels];
         let mut scratch = Vec::new();
-        let items = dataset.items();
+        let columns = dataset.catalog().columns();
         for start in (0..n_items).step_by(ITEM_TILE.max(1)) {
             let end = (start + ITEM_TILE).min(n_items);
-            let gathered = gather_columns(
-                dataset.schema(),
-                items[start..end].iter().map(Vec::as_slice),
-                end - start,
-            );
             fill_rows_columnar(
                 model,
-                &gathered,
+                columns,
+                start..end,
                 &mut scratch,
                 &mut data[start * n_levels..end * n_levels],
             );
@@ -592,6 +425,8 @@ impl EmissionTable {
         }
 
         let n_workers = threads.min(n_chunks);
+        // Built here on first use, so workers only ever read the columns.
+        let columns = dataset.catalog().columns();
         let mut data = vec![0.0f64; n_items * n_levels];
         let worker_results: Vec<Result<()>> = {
             // Ownership of disjoint output windows moves through the
@@ -615,12 +450,13 @@ impl EmissionTable {
                                 };
                                 let start = chunk * PARALLEL_CHUNK;
                                 let end = start + window.len() / n_levels;
-                                let gathered = gather_columns(
-                                    dataset.schema(),
-                                    dataset.items()[start..end].iter().map(Vec::as_slice),
-                                    end - start,
+                                fill_rows_columnar(
+                                    model,
+                                    columns,
+                                    start..end,
+                                    &mut scratch,
+                                    window,
                                 );
-                                fill_rows_columnar(model, &gathered, &mut scratch, window);
                             }
                         })
                     })
@@ -730,14 +566,14 @@ impl EmissionTable {
             return Ok(());
         }
         let n_levels = self.n_levels;
-        let gathered = gather_columns(
+        // A handful of rows: gather just those, not the catalog.
+        let gathered = CatalogColumns::gather(
             dataset.schema(),
             items.iter().map(|&item| dataset.item_features(item)),
-            items.len(),
         );
         let mut scratch = Vec::new();
         let mut rows = vec![0.0f64; items.len() * n_levels];
-        fill_rows_columnar(model, &gathered, &mut scratch, &mut rows);
+        fill_rows_columnar(model, &gathered, 0..items.len(), &mut scratch, &mut rows);
         for (&item, row) in items.iter().zip(rows.chunks(n_levels.max(1))) {
             let i = item as usize;
             self.data[i * n_levels..(i + 1) * n_levels].copy_from_slice(row);
@@ -786,37 +622,31 @@ impl EmissionTable {
             return Ok(());
         }
         let n_levels = self.n_levels;
-        // Cache-blocked like `build`: gather one item tile, evaluate each
-        // dirty level into a tile-sized contiguous scratch column, then
+        // Cache-blocked like `build`: evaluate each dirty level over one
+        // item tile into a tile-sized contiguous scratch column, then
         // scatter into column `s₀` of the tile's rows. Per-cell values
         // are independent of the tile size, so this is bitwise identical
         // to the whole-axis refresh for every tile width.
+        let columns = dataset.catalog().columns();
         let mut column = vec![0.0f64; ITEM_TILE.min(self.n_items)];
-        let items = dataset.items();
         for start in (0..self.n_items).step_by(ITEM_TILE.max(1)) {
             let end = (start + ITEM_TILE).min(self.n_items);
-            let gathered = gather_columns(
-                dataset.schema(),
-                items[start..end].iter().map(Vec::as_slice),
-                end - start,
-            );
             let column = &mut column[..end - start];
             let window = &mut self.data[start * n_levels..end * n_levels];
+            let poison = poisoned_rows(columns, start..end);
             for (s0, _) in levels.iter().enumerate().filter(|&(_, &dirty)| dirty) {
                 column.fill(0.0);
                 match model.level_row(skill_level_from_index(s0)) {
                     Ok(row) => {
-                        for (dist, feature_column) in row.iter().zip(&gathered.columns) {
-                            evaluate_column(dist, feature_column, column);
+                        for (dist, feature_column) in row.iter().zip(columns.columns()) {
+                            evaluate_column(dist, feature_column, start..end, column);
                         }
                     }
                     Err(_) => column.fill(f64::NEG_INFINITY),
                 }
-                if gathered.any_hard {
-                    for (cell, &bad) in column.iter_mut().zip(&gathered.hard_poison) {
-                        if bad {
-                            *cell = f64::NEG_INFINITY;
-                        }
+                for (cell, &bad) in column.iter_mut().zip(poison) {
+                    if bad {
+                        *cell = f64::NEG_INFINITY;
                     }
                 }
                 for (row, &v) in window.chunks_mut(n_levels).zip(column.iter()) {

@@ -37,13 +37,14 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use crate::catalog::{FeatureColumn, FeatureSlot};
 use crate::dist::{FeatureAccumulator, FeatureDistribution};
 use crate::em::WeightedAcc;
 use crate::error::{CoreError, Result};
-use crate::feature::{FeatureKind, FeatureValue};
+use crate::feature::FeatureKind;
 use crate::model::SkillModel;
 use crate::parallel::ParallelConfig;
-use crate::types::{item_id_from_index, skill_level_from_index, Dataset, SkillAssignments};
+use crate::types::{skill_level_from_index, Dataset, SkillAssignments};
 
 /// Minimum number of users per worker before parallel build/delta paths
 /// engage; below this the coordination cost exceeds the scan cost.
@@ -710,7 +711,7 @@ trait GridCell: Copy + Sync {
     fn acc(kind: FeatureKind) -> Self::Acc;
     /// Whether the replay skips this cell.
     fn is_empty(self) -> bool;
-    fn push(self, acc: &mut Self::Acc, value: &FeatureValue) -> Result<()>;
+    fn push(self, acc: &mut Self::Acc, slot: FeatureSlot<'_>) -> Result<()>;
     fn fit(acc: &Self::Acc, lambda: f64) -> Result<FeatureDistribution>;
 }
 
@@ -722,8 +723,8 @@ impl GridCell for u64 {
     fn is_empty(self) -> bool {
         self == 0
     }
-    fn push(self, acc: &mut FeatureAccumulator, value: &FeatureValue) -> Result<()> {
-        acc.push_n(value, self)
+    fn push(self, acc: &mut FeatureAccumulator, slot: FeatureSlot<'_>) -> Result<()> {
+        acc.push_slot(slot, self)
     }
     fn fit(acc: &FeatureAccumulator, lambda: f64) -> Result<FeatureDistribution> {
         acc.fit(lambda)
@@ -738,8 +739,8 @@ impl GridCell for f64 {
     fn is_empty(self) -> bool {
         self <= 0.0
     }
-    fn push(self, acc: &mut WeightedAcc, value: &FeatureValue) -> Result<()> {
-        acc.push(value, self)
+    fn push(self, acc: &mut WeightedAcc, slot: FeatureSlot<'_>) -> Result<()> {
+        acc.push_slot(slot, self)
     }
     fn fit(acc: &WeightedAcc, lambda: f64) -> Result<FeatureDistribution> {
         acc.fit(lambda)
@@ -758,7 +759,10 @@ impl GridCell for f64 {
 /// thread, unspawned. A worker replays each of its level rows once, in
 /// ascending item order, skipping empty cells and pushing only into the
 /// features it owns — every accumulator sees the pushes of the
-/// sequential replay, so every split gives the same bits.
+/// sequential replay, so every split gives the same bits. Values come
+/// from the owned features' catalog columns, read beside the level row
+/// (`ln x` and the widened counts are computed once per catalog, not
+/// once per cell and fit).
 fn fit_levels<W: GridCell>(
     cells: &[W],
     dirty: &mut [bool],
@@ -777,6 +781,7 @@ fn fit_levels<W: GridCell>(
         });
     }
     let n_features = schema.len();
+    let catalog = dataset.catalog();
     let prev = prev.filter(|m| m.n_levels() == n_levels && m.n_features() == n_features);
     let levels: Vec<usize> = (0..n_levels)
         .filter(|&s| prev.is_none() || dirty[s])
@@ -796,23 +801,21 @@ fn fit_levels<W: GridCell>(
         let mut out = Vec::new();
         for &s in levels.iter().skip(level_part).step_by(level_parts) {
             let kinds = schema.kinds().iter().enumerate();
-            let mut accs: Vec<(usize, W::Acc)> = kinds
+            let mut accs: Vec<(FeatureColumn<'_>, W::Acc)> = kinds
                 .skip(feature_part)
                 .step_by(feature_parts)
-                .map(|(f, &kind)| (f, W::acc(kind)))
+                .map(|(f, &kind)| (catalog.feature(f), W::acc(kind)))
                 .collect();
             for (item, &weight) in cells[s * n_items..(s + 1) * n_items].iter().enumerate() {
                 if weight.is_empty() {
                     continue;
                 }
-                let values = dataset.item_features(item_id_from_index(item));
-                let owned = values.iter().skip(feature_part).step_by(feature_parts);
-                for ((_, acc), value) in accs.iter_mut().zip(owned) {
-                    weight.push(acc, value)?;
+                for (column, acc) in accs.iter_mut() {
+                    weight.push(acc, column.slot(item))?;
                 }
             }
-            for (f, acc) in &accs {
-                out.push((s, *f, W::fit(acc, lambda)?));
+            for (column, acc) in &accs {
+                out.push((s, column.index(), W::fit(acc, lambda)?));
             }
         }
         Ok(out)

@@ -105,6 +105,7 @@ pub mod analysis;
 pub mod assign;
 pub mod baselines;
 pub mod bundle;
+mod catalog;
 pub mod chunked;
 pub mod diagnostics;
 pub mod difficulty;

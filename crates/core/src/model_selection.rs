@@ -59,11 +59,7 @@ pub fn split_actions(dataset: &Dataset, test_fraction: f64, seed: u64) -> Result
         train_seqs.push(ActionSequence::new(seq.user, train_actions)?);
         test.push(test_actions);
     }
-    let train = Dataset::new(
-        dataset.schema().clone(),
-        dataset.items().to_vec(),
-        train_seqs,
-    )?;
+    let train = dataset.with_sequences(train_seqs)?;
     Ok(ActionSplit { train, test })
 }
 

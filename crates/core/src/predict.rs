@@ -60,11 +60,7 @@ pub fn holdout_split(dataset: &Dataset, position: HoldoutPosition) -> Result<Pre
         train_seqs.push(ActionSequence::new(seq.user, actions)?);
         test.push((u, held));
     }
-    let train = Dataset::new(
-        dataset.schema().clone(),
-        dataset.items().to_vec(),
-        train_seqs,
-    )?;
+    let train = dataset.with_sequences(train_seqs)?;
     Ok(PredictionSplit { train, test })
 }
 

@@ -11,6 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::catalog::{Catalog, ItemTable};
 use crate::error::{CoreError, Result};
 use crate::feature::{FeatureSchema, FeatureValue};
 
@@ -149,11 +150,16 @@ impl ActionSequence {
 /// - every sequence is chronologically sorted;
 /// - every action references an item present in the feature table;
 /// - every item's feature tuple matches the [`FeatureSchema`].
+///
+/// The item table never changes once built. It is shared, not copied,
+/// by the datasets [`Dataset::with_sequences`] derives (and by clones),
+/// together with its typed feature columns, which are gathered once on
+/// first use. Serialization writes the item rows only.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dataset {
     schema: FeatureSchema,
-    /// `items[i]` is the feature tuple of item `i`.
-    items: Vec<Vec<FeatureValue>>,
+    /// `items.rows()[i]` is the feature tuple of item `i`.
+    items: ItemTable,
     /// One entry per user, indexed by position (user ids may be sparse but
     /// each sequence knows its own id).
     sequences: Vec<ActionSequence>,
@@ -171,22 +177,29 @@ impl Dataset {
         for features in &items {
             schema.validate_item(features)?;
         }
-        let n_items = items.len() as u32;
-        let mut n_actions = 0usize;
-        for seq in &sequences {
-            for a in seq.actions() {
-                if a.item >= n_items {
-                    return Err(CoreError::FeatureIndexOutOfBounds {
-                        index: a.item as usize,
-                        len: items.len(),
-                    });
-                }
-            }
-            n_actions += seq.len();
-        }
+        let n_actions = count_actions(&sequences, items.len())?;
         Ok(Self {
             schema,
-            items,
+            items: ItemTable::checked(items),
+            sequences,
+            n_actions,
+        })
+    }
+
+    /// A dataset over this one's schema and item table with other
+    /// sequences — [`Dataset::new`] without copying or re-checking the
+    /// items. The new dataset shares the table, and its feature
+    /// columns, with this one. Only the new sequences are checked
+    /// (every action must reference an existing item); the items are
+    /// checked once per table, so a table that bypassed
+    /// [`Dataset::new`] (deserialized) reports the same error here as
+    /// [`Dataset::new`] would.
+    pub fn with_sequences(&self, sequences: Vec<ActionSequence>) -> Result<Self> {
+        self.items.check(&self.schema)?;
+        let n_actions = count_actions(&sequences, self.n_items())?;
+        Ok(Self {
+            schema: self.schema.clone(),
+            items: self.items.clone(),
             sequences,
             n_actions,
         })
@@ -199,17 +212,33 @@ impl Dataset {
 
     /// Feature tuple of an item.
     pub fn item_features(&self, item: ItemId) -> &[FeatureValue] {
-        &self.items[item as usize]
+        &self.items.rows()[item as usize]
     }
 
     /// The full item feature table.
     pub fn items(&self) -> &[Vec<FeatureValue>] {
+        self.items.rows()
+    }
+
+    /// The item rows with their typed feature columns, gathering the
+    /// columns on the table's first call.
+    pub(crate) fn catalog(&self) -> Catalog<'_> {
+        self.items.catalog(&self.schema)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn item_table(&self) -> &ItemTable {
         &self.items
+    }
+
+    #[cfg(test)]
+    pub(crate) fn item_table_mut(&mut self) -> &mut ItemTable {
+        &mut self.items
     }
 
     /// Number of distinct items.
     pub fn n_items(&self) -> usize {
-        self.items.len()
+        self.items.rows().len()
     }
 
     /// All user sequences.
@@ -257,13 +286,13 @@ impl Dataset {
     /// poisoning the emission table later. (Counts cannot go negative: the
     /// `u64` representation rejects them at the type level.)
     fn check_item_features(&self, item: ItemId) -> Result<()> {
-        let features = self
-            .items
-            .get(item as usize)
-            .ok_or(CoreError::FeatureIndexOutOfBounds {
-                index: item as usize,
-                len: self.items.len(),
-            })?;
+        let features =
+            self.items()
+                .get(item as usize)
+                .ok_or(CoreError::FeatureIndexOutOfBounds {
+                    index: item as usize,
+                    len: self.n_items(),
+                })?;
         self.schema.validate_item(features)
     }
 
@@ -310,18 +339,16 @@ impl Dataset {
     /// them; callers loading a dataset from untrusted storage should run
     /// this before training on it.
     pub fn validate(&self) -> Result<()> {
-        for features in &self.items {
-            self.schema.validate_item(features)?;
-        }
+        self.items.check(&self.schema)?;
         let mut n_actions = 0usize;
         for seq in &self.sequences {
             // Re-run the sequence-level checks (sortedness + ownership).
             ActionSequence::new(seq.user, seq.actions.clone())?;
             for a in seq.actions() {
-                if a.item as usize >= self.items.len() {
+                if a.item as usize >= self.n_items() {
                     return Err(CoreError::FeatureIndexOutOfBounds {
                         index: a.item as usize,
-                        len: self.items.len(),
+                        len: self.n_items(),
                     });
                 }
             }
@@ -337,14 +364,32 @@ impl Dataset {
         Ok(())
     }
 
-    /// Splits off a shallow view with only the selected users, preserving
-    /// item table and schema. Used by the initialization step, which trains
-    /// on long sequences only.
+    /// Splits off a view with only the selected users, sharing the item
+    /// table and schema ([`Dataset::with_sequences`]). Used by the
+    /// initialization step, which trains on long sequences only.
     pub fn subset_users(&self, keep: impl Fn(&ActionSequence) -> bool) -> Result<Self> {
         let sequences: Vec<ActionSequence> =
             self.sequences.iter().filter(|s| keep(s)).cloned().collect();
-        Dataset::new(self.schema.clone(), self.items.clone(), sequences)
+        self.with_sequences(sequences)
     }
+}
+
+/// Total actions of `sequences`, checking that each references one of
+/// `n_items` items.
+fn count_actions(sequences: &[ActionSequence], n_items: usize) -> Result<usize> {
+    let mut n_actions = 0usize;
+    for seq in sequences {
+        for a in seq.actions() {
+            if a.item as usize >= n_items {
+                return Err(CoreError::FeatureIndexOutOfBounds {
+                    index: a.item as usize,
+                    len: n_items,
+                });
+            }
+        }
+        n_actions += seq.len();
+    }
+    Ok(n_actions)
 }
 
 /// A flat per-action skill assignment, parallel to [`Dataset::sequences`]:
@@ -536,7 +581,8 @@ mod tests {
         let mut ds = Dataset::new(schema, vec![vec![FeatureValue::Real(2.5)]], vec![s0]).unwrap();
         // Corrupt the item table the way a hand-edited JSON file would
         // (serde bypasses Dataset::new, so fields arrive unchecked).
-        ds.items[0][0] = FeatureValue::Real(f64::NAN);
+        ds.items
+            .edit_rows(|rows| rows[0][0] = FeatureValue::Real(f64::NAN));
         assert!(matches!(
             ds.append_action(0, Action::new(1, 0, 0)),
             Err(CoreError::InvalidFeatureValue { feature: 0, .. })
@@ -560,7 +606,8 @@ mod tests {
 
         // Out-of-range category.
         let mut bad = ds.clone();
-        bad.items[0][0] = FeatureValue::Categorical(99);
+        bad.items
+            .edit_rows(|rows| rows[0][0] = FeatureValue::Categorical(99));
         assert!(matches!(
             bad.validate(),
             Err(CoreError::CategoryOutOfBounds { value: 99, .. })

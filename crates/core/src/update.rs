@@ -4,7 +4,8 @@
 //! (feature, skill) cell: each cell's MLE depends only on the feature values
 //! of actions assigned to that skill level. This module accumulates the
 //! per-cell sufficient statistics in one pass over the data
-//! (`O(|A| · F)`), then fits each cell (`O(F·S)` fits).
+//! (`O(|A| · F)`, reading the dataset's catalog columns), then fits each
+//! cell (`O(F·S)` fits).
 
 use crate::dist::{FeatureAccumulator, FeatureDistribution};
 use crate::error::{CoreError, Result};
@@ -37,6 +38,7 @@ pub fn accumulate(
         })
         .collect();
 
+    let catalog = dataset.catalog();
     for (seq, levels) in dataset.sequences().iter().zip(&assignments.per_user) {
         if seq.len() != levels.len() {
             return Err(CoreError::LengthMismatch {
@@ -51,9 +53,8 @@ pub fn accumulate(
                 .ok_or(CoreError::InvalidSkillCount {
                     requested: s as usize,
                 })?;
-            let features = dataset.item_features(action.item);
-            for (acc, value) in row.iter_mut().zip(features) {
-                acc.push(value)?;
+            for (acc, slot) in row.iter_mut().zip(catalog.item(action.item as usize)?) {
+                acc.push_slot(slot, 1)?;
             }
         }
     }

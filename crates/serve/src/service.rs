@@ -319,12 +319,9 @@ impl SkillService {
 
         let level_counts = assignments.level_histogram(config.n_levels);
         let difficulty = difficulty_from_counts(&table, &level_counts)?;
-        let catalog = Dataset::new(
-            dataset.schema().clone(),
-            dataset.items().to_vec(),
-            Vec::new(),
-        )
-        .map_err(ServeError::Core)?;
+        let catalog = dataset
+            .with_sequences(Vec::new())
+            .map_err(ServeError::Core)?;
         let n_levels = config.n_levels;
         Ok(Self {
             shards: shards
@@ -770,12 +767,10 @@ impl SkillService {
                 .push(ActionSequence::new(user, state.actions.clone()).map_err(ServeError::Core)?);
             per_user.push(state.levels.clone());
         }
-        let dataset = Dataset::new(
-            self.catalog.schema().clone(),
-            self.catalog.items().to_vec(),
-            sequences,
-        )
-        .map_err(ServeError::Core)?;
+        let dataset = self
+            .catalog
+            .with_sequences(sequences)
+            .map_err(ServeError::Core)?;
         Ok(SessionBundle {
             version: SESSION_BUNDLE_VERSION,
             dataset,
