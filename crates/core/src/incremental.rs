@@ -461,14 +461,21 @@ impl StatsGrid {
         parallel: &ParallelConfig,
         prev: Option<&SkillModel>,
     ) -> Result<SkillModel> {
-        fit_levels(
-            &self.counts,
-            &mut self.dirty,
-            dataset,
-            lambda,
-            parallel,
-            prev,
-        )
+        let model = fit_levels(&self.counts, &self.dirty, dataset, lambda, parallel, prev)?;
+        self.dirty.fill(false);
+        Ok(model)
+    }
+
+    /// Cuts the dirty rows out for a refit run apart from the grid (see
+    /// [`GridCut`]) and clears the dirty flags.
+    pub(crate) fn cut(&mut self) -> GridCut<u64> {
+        GridCut::take(&self.counts, &mut self.dirty, self.n_items)
+    }
+
+    /// Marks dirty again every level `cut` carried — the undo of
+    /// [`StatsGrid::cut`] for a refit that never installed its model.
+    pub(crate) fn reopen(&mut self, cut: &GridCut<u64>) {
+        reopen(&mut self.dirty, cut);
     }
 
     /// Debug-mode cross-check: rebuilds the histogram from scratch for
@@ -692,21 +699,103 @@ impl SoftStatsGrid {
         parallel: &ParallelConfig,
         prev: Option<&SkillModel>,
     ) -> Result<SkillModel> {
+        let model = fit_levels(&self.weights, &self.dirty, dataset, lambda, parallel, prev)?;
+        self.dirty.fill(false);
+        Ok(model)
+    }
+
+    /// Cuts the dirty weight rows out for a refit run apart from the
+    /// grid (see [`GridCut`]) and clears the dirty flags. The per-action
+    /// posteriors are never copied: the M-step reads only the weights.
+    pub(crate) fn cut(&mut self) -> GridCut<f64> {
+        GridCut::take(&self.weights, &mut self.dirty, self.n_items)
+    }
+
+    /// Marks dirty again every level `cut` carried — the undo of
+    /// [`SoftStatsGrid::cut`].
+    pub(crate) fn reopen(&mut self, cut: &GridCut<f64>) {
+        reopen(&mut self.dirty, cut);
+    }
+}
+
+/// The rows one refit reads, copied out of a grid so the fit can run
+/// while the grid keeps taking deltas: the dirty level rows (clean rows
+/// stay zero and are never read) and the dirty flags, which the grid
+/// clears at the cut.
+///
+/// A fit of the cut reuses the previous model for the clean levels, so
+/// it is bitwise the [`StatsGrid::fit_model_incremental`] (or soft)
+/// fit of the grid as it stood at the cut. Deltas landing after the cut
+/// mark their levels dirty in the grid again, for the next cut.
+#[derive(Debug, Clone)]
+pub(crate) struct GridCut<W> {
+    /// Level-major `S × n_items` cells; only the dirty rows are filled.
+    cells: Vec<W>,
+    dirty: Vec<bool>,
+}
+
+impl<W: GridCell> GridCut<W> {
+    /// Copies the rows `dirty` flags out of `cells` and clears the flags.
+    fn take(cells: &[W], dirty: &mut [bool], n_items: usize) -> Self {
+        let mut copy = vec![W::default(); cells.len()];
+        let rows = copy
+            .chunks_mut(n_items.max(1))
+            .zip(cells.chunks(n_items.max(1)));
+        for ((to, from), _) in rows.zip(dirty.iter()).filter(|&(_, &d)| d) {
+            to.copy_from_slice(from);
+        }
+        let flags = dirty.to_vec();
+        dirty.fill(false);
+        Self {
+            cells: copy,
+            dirty: flags,
+        }
+    }
+
+    /// Per-level flags: the levels this cut refits.
+    pub(crate) fn dirty_levels(&self) -> &[bool] {
+        &self.dirty
+    }
+
+    /// Fits the cut's dirty levels and keeps `prev`'s rows for the rest
+    /// (the one M-step, `fit_levels`). `prev` must be the model the grid
+    /// was last fit to: the cut holds no clean rows, so a `prev` of
+    /// another shape is an error instead of a full refit.
+    pub(crate) fn fit_model(
+        &self,
+        dataset: &Dataset,
+        lambda: f64,
+        parallel: &ParallelConfig,
+        prev: &SkillModel,
+    ) -> Result<SkillModel> {
+        if prev.n_levels() != self.dirty.len() || prev.n_features() != dataset.schema().len() {
+            return Err(CoreError::DegenerateFit {
+                distribution: "refit cut",
+                reason: "previous model is shaped unlike the grid; a cut holds only dirty rows",
+            });
+        }
         fit_levels(
-            &self.weights,
-            &mut self.dirty,
+            &self.cells,
+            &self.dirty,
             dataset,
             lambda,
             parallel,
-            prev,
+            Some(prev),
         )
+    }
+}
+
+/// ORs a cut's dirty flags back into a grid's.
+fn reopen<W>(dirty: &mut [bool], cut: &GridCut<W>) {
+    for (d, &c) in dirty.iter_mut().zip(&cut.dirty) {
+        *d |= c;
     }
 }
 
 /// One `(level, item)` cell of a grid and the accumulator [`fit_levels`]
 /// replays it into: a [`StatsGrid`] count pushes `k` copies of the item's
 /// values, a [`SoftStatsGrid`] mass pushes them with that weight.
-trait GridCell: Copy + Sync {
+pub(crate) trait GridCell: Copy + Default + Sync {
     type Acc;
     fn acc(kind: FeatureKind) -> Self::Acc;
     /// Whether the replay skips this cell.
@@ -747,9 +836,10 @@ impl GridCell for f64 {
     }
 }
 
-/// The one M-step (§IV-B, Eqs. 5–7) of both grids: refits some levels of
-/// the level-major `S × n_items` grid `cells`, keeps `prev`'s rows bit
-/// for bit for the rest, and clears `dirty` on success.
+/// The one M-step (§IV-B, Eqs. 5–7) of both grids and of their cuts:
+/// refits some levels of the level-major `S × n_items` grid `cells` and
+/// keeps `prev`'s rows bit for bit for the rest. Callers clear their
+/// dirty flags on success.
 ///
 /// It refits the `dirty` levels when `prev` has the grid's shape, every
 /// level otherwise. The refit `(level, feature)` cells are independent
@@ -765,7 +855,7 @@ impl GridCell for f64 {
 /// once per cell and fit).
 fn fit_levels<W: GridCell>(
     cells: &[W],
-    dirty: &mut [bool],
+    dirty: &[bool],
     dataset: &Dataset,
     lambda: f64,
     parallel: &ParallelConfig,
@@ -864,9 +954,7 @@ fn fit_levels<W: GridCell>(
             distribution: "update",
             reason: "unowned cell in partition",
         })?;
-    let model = SkillModel::new(schema.clone(), n_levels, grid)?;
-    dirty.fill(false);
-    Ok(model)
+    SkillModel::new(schema.clone(), n_levels, grid)
 }
 
 /// Increments the `(level s, item)` cell of a flat `S × n_items` grid,

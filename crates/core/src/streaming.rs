@@ -16,10 +16,10 @@
 //!    on the persistent [`StatsGrid`] cell `(level, item)`
 //!    ([`LiveFit::record`]), so the sufficient statistics stay bit-exact
 //!    with a from-scratch accumulation at all times.
-//! 3. **Dirty-level refits** — a refit ([`LiveFit::refit`], run per the
-//!    [`RefitPolicy`]) refits only the levels whose histogram changed,
-//!    reuses the previous model rows elsewhere
-//!    ([`StatsGrid::fit_model_incremental`]), and refreshes only those
+//! 3. **Dirty-level refits** — a refit (run per the [`RefitPolicy`])
+//!    refits only the levels whose histogram changed, reuses the
+//!    previous model rows elsewhere (the M-step of
+//!    [`StatsGrid::fit_model_incremental`]), and refreshes only those
 //!    levels' [`EmissionTable`] columns.
 //!
 //! ## One live-fitting state
@@ -35,6 +35,30 @@
 //! reads only the feature *catalog* (schema + item tuples), never the
 //! sequences, so the serving layer can refit against a sequence-less
 //! catalog dataset.
+//!
+//! ## Cut, fit, install
+//!
+//! The refit rule runs in three steps, so its owner need not hold its
+//! lock while the M-step runs:
+//!
+//! 1. **Cut** ([`LiveFit::cut`]) only copies: the dirty rows of the
+//!    active grid (counts, or soft weights — never the per-action
+//!    posteriors) and the model the fit reuses clean rows from. It
+//!    clears the dirty flags, resets the pending count and steps the
+//!    tuner, a pure function of the dirty count.
+//! 2. **Fit** ([`RefitCut::fit`]) reads only the cut and the catalog:
+//!    the dirty-level M-step, then those columns refreshed into a clone
+//!    of the current table, then the table check.
+//! 3. **Install** ([`LiveFit::install`]) stores the new model. A refit
+//!    that fails after its cut instead hands the cut to
+//!    [`LiveFit::abandon`], which marks its levels dirty again and
+//!    restores the pending count and the policy, so the next refit
+//!    covers the same levels and fits the same bits.
+//!
+//! The rule is *computed from the cut, visible at install*: an action
+//! recorded between cut and install is not in the new model; it marks
+//! its level dirty for the next cut. A [`StreamingSession`] runs the
+//! three steps back to back, so nothing lands in between.
 //!
 //! ## Filtering, not smoothing
 //!
@@ -65,15 +89,15 @@
 //! [`StatsGrid`] are still maintained — they back the invariant checks and
 //! keep every accessor meaningful in both modes.
 
-use std::borrow::BorrowMut;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::em::forward_backward_with_table;
 use crate::emission::EmissionTable;
 use crate::error::{CoreError, Result};
-use crate::incremental::{SoftStatsGrid, StatsGrid};
+use crate::incremental::{GridCut, SoftStatsGrid, StatsGrid};
 use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
 use crate::online::OnlineTracker;
@@ -171,7 +195,8 @@ impl RefitTuner {
 #[derive(Debug, Clone)]
 pub struct LiveFit {
     grid: StatsGrid,
-    model: SkillModel,
+    /// Shared with every [`RefitCut`] taken since the last install.
+    model: Arc<SkillModel>,
     policy: RefitPolicy,
     /// Auto-tuner adjusting an [`RefitPolicy::EveryNActions`] interval
     /// after each refit; `None` leaves the policy fixed.
@@ -218,7 +243,7 @@ impl LiveFit {
         let table = EmissionTable::build_with_config(&model, dataset, &parallel)?;
         let fit = Self {
             grid,
-            model,
+            model: Arc::new(model),
             policy,
             tuner,
             pending: 0,
@@ -259,62 +284,57 @@ impl LiveFit {
         }
     }
 
-    /// Refits model parameters from the accumulated statistics, touching
-    /// only dirty levels. In order: captures the dirty levels of the
-    /// active grid (the [`SoftStatsGrid`] in EM mode, the exact
-    /// [`StatsGrid`] otherwise), fits them incrementally from `catalog`
-    /// (only its schema and item tuples are read) with the refit cells
-    /// split over workers per `parallel` (either grid's
-    /// `fit_model_incremental`; bitwise the sequential fit for every
-    /// split), refreshes exactly those
-    /// columns of the table `table` hands over, checks the table, resets
-    /// the pending count and steps the tuner. The tuner steps on clean
-    /// refits too.
+    /// The cut step of a refit: copies out what the fit step reads —
+    /// the dirty rows of the active grid (the [`SoftStatsGrid`]'s
+    /// weights in EM mode, the exact [`StatsGrid`]'s counts otherwise)
+    /// and a handle on the current model — then clears the dirty flags,
+    /// resets the pending count and steps the tuner. The tuner steps on
+    /// clean cuts too.
     ///
-    /// `table` is called only when some level is dirty, so a caller can
-    /// hand over a clone of a published table lazily, or its own table by
-    /// `&mut`. Returns the number of levels refit and the refreshed table
-    /// (`None` on a clean refit).
-    pub fn refit<T: BorrowMut<EmissionTable>>(
-        &mut self,
-        catalog: &Dataset,
-        lambda: f64,
-        parallel: &ParallelConfig,
-        table: impl FnOnce() -> T,
-    ) -> Result<(usize, Option<T>)> {
-        // The fit clears the dirty flags; capture them first — they are
-        // exactly the emission columns to refresh.
-        let dirty = match &self.soft {
-            Some(soft) => soft.grid.dirty_levels().to_vec(),
-            None => self.grid.dirty_levels().to_vec(),
+    /// Run [`RefitCut::fit`] on the result, then [`LiveFit::install`]
+    /// its model, or [`LiveFit::abandon`] the cut if anything fails. A
+    /// clean cut (no dirty level) needs neither.
+    pub fn cut(&mut self) -> RefitCut {
+        let rows = match self.soft.as_mut() {
+            Some(soft) => CutRows::Soft(soft.grid.cut()),
+            None => CutRows::Hard(self.grid.cut()),
         };
-        let n_dirty = dirty.iter().filter(|&&d| d).count();
-        let mut refreshed = None;
-        if n_dirty > 0 {
-            let prev = Some(&self.model);
-            self.model = match self.soft.as_mut() {
-                Some(soft) => soft
-                    .grid
-                    .fit_model_incremental(catalog, lambda, parallel, prev)?,
-                None => self
-                    .grid
-                    .fit_model_incremental(catalog, lambda, parallel, prev)?,
-            };
-            let mut table = table();
-            table
-                .borrow_mut()
-                .refresh_levels(&self.model, catalog, &dirty)?;
-            InvariantCtx::new().check_emission_table(table.borrow())?;
-            refreshed = Some(table);
-        }
+        let cut = RefitCut {
+            rows,
+            model: Arc::clone(&self.model),
+            pending: self.pending,
+            policy: self.policy,
+        };
         self.pending = 0;
         // Auto-tune: each refit's dirty count steers the next interval.
         // A pure function of the observed count, so replayed traffic
         // evolves the policy identically (see [`RefitTuner`]).
         if let (RefitPolicy::EveryNActions(n), Some(tuner)) = (self.policy, self.tuner) {
-            self.policy = RefitPolicy::EveryNActions(tuner.next_interval(n, n_dirty));
+            self.policy = RefitPolicy::EveryNActions(tuner.next_interval(n, cut.n_dirty()));
         }
-        Ok((n_dirty, refreshed))
+        cut
+    }
+
+    /// The install step of a refit: `model` (from [`RefitCut::fit`])
+    /// becomes the current model.
+    pub fn install(&mut self, model: SkillModel) {
+        self.model = Arc::new(model);
+    }
+
+    /// Undoes a cut whose model will never be installed: marks its
+    /// levels dirty again and restores the pending count (plus whatever
+    /// was recorded since) and the pre-cut policy. The next refit then
+    /// covers the same levels and, since a cell fit is a pure function
+    /// of its row, fits the same bits as if the cut had never been
+    /// taken.
+    pub fn abandon(&mut self, cut: &RefitCut) {
+        match (&cut.rows, self.soft.as_mut()) {
+            (CutRows::Soft(rows), Some(soft)) => soft.grid.reopen(rows),
+            (CutRows::Hard(rows), _) => self.grid.reopen(rows),
+            (CutRows::Soft(_), None) => {}
+        }
+        self.pending += cut.pending;
+        self.policy = cut.policy;
     }
 
     /// The current model (last refit; lags the statistics between refits).
@@ -335,6 +355,68 @@ impl LiveFit {
     /// Number of actions recorded over the fit's lifetime.
     pub fn total_ingested(&self) -> usize {
         self.total_ingested
+    }
+}
+
+/// The statistics one refit reads, cut from a [`LiveFit`] by
+/// [`LiveFit::cut`]: the dirty grid rows and the model whose clean
+/// levels the fit keeps. It owns copies, so [`RefitCut::fit`] runs
+/// without access to the [`LiveFit`] — in the serving layer, without its
+/// lock.
+#[derive(Debug, Clone)]
+pub struct RefitCut {
+    rows: CutRows,
+    model: Arc<SkillModel>,
+    /// The pending count and policy the cut replaced, restored by
+    /// [`LiveFit::abandon`].
+    pending: usize,
+    policy: RefitPolicy,
+}
+
+/// The active grid's cut rows: exact counts, or soft weights in EM mode.
+#[derive(Debug, Clone)]
+enum CutRows {
+    Hard(GridCut<u64>),
+    Soft(GridCut<f64>),
+}
+
+impl RefitCut {
+    /// Per-level flags: the levels this refit fits and refreshes.
+    fn dirty_levels(&self) -> &[bool] {
+        match &self.rows {
+            CutRows::Hard(rows) => rows.dirty_levels(),
+            CutRows::Soft(rows) => rows.dirty_levels(),
+        }
+    }
+
+    /// Number of levels this refit fits; 0 for a clean cut.
+    pub fn n_dirty(&self) -> usize {
+        self.dirty_levels().iter().filter(|&&d| d).count()
+    }
+
+    /// The fit step of a refit: fits the cut's dirty levels from
+    /// `catalog` (only its schema and item tuples are read), with the
+    /// refit cells split over workers per `parallel` — bitwise the
+    /// sequential fit for every split — and keeps the cut model's rows
+    /// elsewhere. Then refreshes exactly the dirty columns of a clone of
+    /// `table`, which must be the table of the cut's model, and checks
+    /// the result. Returns the new model and table; touches no shared
+    /// state.
+    pub fn fit(
+        &self,
+        catalog: &Dataset,
+        lambda: f64,
+        parallel: &ParallelConfig,
+        table: &EmissionTable,
+    ) -> Result<(SkillModel, EmissionTable)> {
+        let model = match &self.rows {
+            CutRows::Hard(rows) => rows.fit_model(catalog, lambda, parallel, &self.model)?,
+            CutRows::Soft(rows) => rows.fit_model(catalog, lambda, parallel, &self.model)?,
+        };
+        let mut table = table.clone();
+        table.refresh_levels(&model, catalog, self.dirty_levels())?;
+        InvariantCtx::new().check_emission_table(&table)?;
+        Ok((model, table))
     }
 }
 
@@ -446,7 +528,7 @@ impl StreamingSession {
         soft_grid.clear_dirty();
         let fit = LiveFit {
             grid,
-            model,
+            model: Arc::new(model),
             policy,
             tuner: None,
             pending: 0,
@@ -619,30 +701,50 @@ impl StreamingSession {
     }
 
     /// Refits model parameters from the accumulated statistics by the
-    /// [`LiveFit::refit`] rule, touching only dirty levels and refreshing
-    /// exactly those emission-table columns. Returns the number of levels
-    /// refit (0 when nothing was pending). Callable at any time, whatever
-    /// the policy.
+    /// [`LiveFit`] refit rule — cut, fit, install, back to back —
+    /// touching only dirty levels and refreshing exactly those
+    /// emission-table columns. Returns the number of levels refit (0
+    /// when nothing was pending). Callable at any time, whatever the
+    /// policy. On error the cut is abandoned ([`LiveFit::abandon`]): the
+    /// model and table are unchanged and the next refit covers the same
+    /// levels.
     ///
     /// Hard-mode sessions refit from the exact [`StatsGrid`] histogram;
     /// EM-resumed sessions ([`StreamingSession::resume_em`]) replay the
     /// [`SoftStatsGrid`]'s responsibility mass through the weighted
     /// M-step instead.
     pub fn refit(&mut self) -> Result<usize> {
-        let (n_dirty, _) =
-            self.fit
-                .refit(&self.dataset, self.config.lambda, &self.parallel, || {
-                    &mut self.table
-                })?;
-        if n_dirty > 0 {
-            // The fit checked the table; the checks that need the
-            // sequences run here: a monotone committed path and a grid
-            // that matches a from-scratch accumulation.
-            let ctx = InvariantCtx::new();
-            ctx.check_monotone("streaming refit", &self.assignments)?;
-            ctx.check_grid(&self.fit.grid, &self.dataset, &self.assignments)?;
+        let cut = self.fit.cut();
+        if cut.n_dirty() == 0 {
+            return Ok(0);
         }
-        Ok(n_dirty)
+        match self.fit_cut(&cut) {
+            Ok((model, table)) => {
+                self.fit.install(model);
+                self.table = table;
+                Ok(cut.n_dirty())
+            }
+            Err(err) => {
+                self.fit.abandon(&cut);
+                Err(err)
+            }
+        }
+    }
+
+    /// The fit step of [`StreamingSession::refit`], plus the checks
+    /// that need the sequences: a monotone committed path and a grid
+    /// that matches a from-scratch accumulation.
+    fn fit_cut(&self, cut: &RefitCut) -> Result<(SkillModel, EmissionTable)> {
+        let fitted = cut.fit(
+            &self.dataset,
+            self.config.lambda,
+            &self.parallel,
+            &self.table,
+        )?;
+        let ctx = InvariantCtx::new();
+        ctx.check_monotone("streaming refit", &self.assignments)?;
+        ctx.check_grid(&self.fit.grid, &self.dataset, &self.assignments)?;
+        Ok(fitted)
     }
 
     /// Snapshots the session into a serializable
@@ -658,7 +760,7 @@ impl StreamingSession {
         crate::bundle::SessionBundle {
             version: crate::bundle::SESSION_BUNDLE_VERSION,
             dataset: self.dataset.clone(),
-            model: self.fit.model.clone(),
+            model: SkillModel::clone(&self.fit.model),
             assignments: self.assignments.clone(),
             config: self.config,
             parallel: self.parallel,
@@ -1007,6 +1109,100 @@ mod tests {
         assert_eq!(session.pending_actions(), 0);
         // Refitting again with nothing pending is a no-op.
         assert_eq!(session.refit().unwrap(), 0);
+    }
+
+    #[test]
+    fn abandoned_cut_refits_the_same_levels_bitwise() {
+        let actions: Vec<Action> = (0..6)
+            .map(|k| Action::new(100 + k, (k % 3) as UserId, (k % 3) as ItemId))
+            .collect();
+        let mut failed = trained_session(RefitPolicy::EveryNActions(4));
+        failed.set_tuner(Some(RefitTuner::new(1, 1, 64).unwrap()));
+        let mut clean = failed.clone();
+        // Below the interval, so neither session refits on its own.
+        for &a in &actions[..3] {
+            failed.ingest(a).unwrap();
+            clean.ingest(a).unwrap();
+        }
+        let policy = failed.policy();
+
+        // A refit that fails after its cut: fitting against a table of
+        // the wrong shape is a typed error, and the cut is handed back.
+        let cut = failed.fit.cut();
+        assert!(cut.n_dirty() >= 1);
+        assert_eq!(failed.pending_actions(), 0);
+        let wrong = EmissionTable::build(failed.model(), &progression_dataset(2, 3, 2));
+        let lambda = failed.config.lambda;
+        assert!(cut
+            .fit(
+                failed.dataset(),
+                lambda,
+                &ParallelConfig::sequential(),
+                &wrong
+            )
+            .is_err());
+        failed.fit.abandon(&cut);
+        assert_eq!(failed.pending_actions(), 3);
+        assert_eq!(failed.policy(), policy);
+
+        // The next refit covers the same levels and fits the same bits
+        // as a refit that never failed.
+        let n_failed = failed.refit().unwrap();
+        let n_clean = clean.refit().unwrap();
+        assert_eq!(n_failed, cut.n_dirty());
+        assert_eq!(n_failed, n_clean);
+        assert!(models_identical(
+            failed.model(),
+            clean.model(),
+            clean.dataset()
+        ));
+        assert_eq!(failed.table, clean.table);
+        assert_eq!(failed.policy(), clean.policy());
+        assert_eq!(failed.pending_actions(), 0);
+
+        // And the two stay in step afterwards.
+        for &a in &actions[3..] {
+            assert_eq!(failed.ingest(a).unwrap(), clean.ingest(a).unwrap());
+        }
+        assert_eq!(failed.refit().unwrap(), clean.refit().unwrap());
+        assert!(models_identical(
+            failed.model(),
+            clean.model(),
+            clean.dataset()
+        ));
+    }
+
+    #[test]
+    fn actions_recorded_after_a_cut_wait_for_the_next_refit() {
+        let mut session = trained_session(RefitPolicy::Manual);
+        session.ingest(Action::new(100, 0, 2)).unwrap();
+        let cut = session.fit.cut();
+        // An action recorded between cut and install: not in this fit.
+        session.ingest(Action::new(101, 1, 2)).unwrap();
+        let lambda = session.config.lambda;
+        let (model, table) = cut
+            .fit(
+                session.dataset(),
+                lambda,
+                &ParallelConfig::sequential(),
+                &session.table,
+            )
+            .unwrap();
+        session.fit.install(model);
+        session.table = table;
+        assert_eq!(session.pending_actions(), 1);
+        assert!(session.refit().unwrap() >= 1);
+        // Once refit, the model is the exact fit of every recorded action.
+        let fresh = StatsGrid::build(session.dataset(), session.assignments(), 3)
+            .unwrap()
+            .fit_model_incremental(
+                session.dataset(),
+                lambda,
+                &ParallelConfig::sequential(),
+                None,
+            )
+            .unwrap();
+        assert!(models_identical(session.model(), &fresh, session.dataset()));
     }
 
     #[test]

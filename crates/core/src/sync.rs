@@ -27,7 +27,7 @@
 //! publishes). The scheduler enumerates schedules bounded-exhaustively
 //! (DFS over the choice tree) or samples them from a seeded RNG, records
 //! every acquisition/release/publish event, checks the serving lock
-//! protocol at runtime (shard-before-global order, no shard guard across
+//! protocol at runtime (shard-before-global order, no lock guard across
 //! an epoch publish, stale-epoch reads via vector-clock happens-before),
 //! and attaches a replayable `explore::Schedule` to every violation.
 
@@ -786,18 +786,15 @@ pub mod explore {
     }
 
     /// Called by `EpochCell::publish` before the swap: a schedule point,
-    /// plus the no-shard-guard-across-publish check (holding the global
-    /// lock across a publish is legitimate — refits do).
+    /// plus the no-guard-across-publish check — the runtime twin of the
+    /// static `lock-across-publish` rule. Refits publish after dropping
+    /// the global guard they installed under.
     pub(crate) fn on_publish_point() {
         let Some(ctx) = current_ctx() else { return };
         schedule_point(&ctx.sched, ctx.tid, None);
         let mut st = super::lock(&ctx.sched.state);
-        let shards: Vec<LockId> = st.held[ctx.tid]
-            .iter()
-            .copied()
-            .filter(|h| matches!(h, LockId::Shard(_)))
-            .collect();
-        for h in shards {
+        let held = st.held[ctx.tid].clone();
+        for h in held {
             st.violations.push((
                 "lock-across-publish",
                 ctx.tid,
@@ -1023,6 +1020,22 @@ mod explore_tests {
                 let s = shard.lock();
                 cell.publish(1);
                 drop(s);
+            });
+            run.join();
+        });
+        assert_eq!(report.violations.len(), 1);
+        assert_eq!(report.violations[0].rule, "lock-across-publish");
+    }
+
+    #[test]
+    fn publish_under_global_guard_is_caught() {
+        let report = Explorer::exhaustive(10).explore(|run| {
+            let global = Arc::new(TracedMutex::new(LockId::Global, ()));
+            let cell = Arc::new(EpochCell::new(0u8));
+            run.thread(move || {
+                let g = global.lock();
+                cell.publish(1);
+                drop(g);
             });
             run.join();
         });

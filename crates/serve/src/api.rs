@@ -156,6 +156,11 @@ pub struct ServeStats {
     pub epoch: u64,
     /// Refits that actually rewrote model state.
     pub refits: u64,
+    /// Refits that were due (by policy or an explicit
+    /// [`SkillService::refit`](crate::SkillService::refit)) but deferred
+    /// because another was in flight.
+    #[serde(default)]
+    pub refits_deferred: u64,
     /// How many session shards requests hash onto.
     pub n_shards: usize,
     /// The current refit policy (auto-tuning may move its interval).

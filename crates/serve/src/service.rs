@@ -12,19 +12,48 @@
 //!   when they touch users that hash together.
 //! - **Model-fitting state** — one [`LiveFit`] (statistics grid, current
 //!   model, refit policy and counters) plus the running level counts —
-//!   lives behind one *global* mutex that only ingestion and refits ever
-//!   take.
+//!   lives behind one *global* mutex that ingestion and the two short
+//!   steps of a refit take.
 //! - **The read-mostly model** (the [`EmissionTable`] plus the per-item
 //!   difficulty vector) lives in an [`EpochCell`]: readers clone an `Arc`
 //!   to the current epoch and compute against it lock-free; a refit
-//!   builds the replacement table *off to the side* (cloning the current
-//!   one and refreshing only dirty columns) and publishes it atomically.
-//!   A prediction in flight keeps its epoch alive through the `Arc` even
-//!   if a refit publishes mid-request.
+//!   publishes a replacement atomically. A prediction in flight keeps its
+//!   epoch alive through the `Arc` even if a refit publishes mid-request.
 //!
 //! Lock order is `shard (ascending index) → global`; refits take only the
 //! global lock; reads take only their one shard. No code path acquires
 //! locks against that order, so the service cannot deadlock.
+//!
+//! # Refits: cut, fit, install
+//!
+//! A refit runs on the thread whose ingest tripped it (or that called
+//! [`SkillService::refit`]) in the three steps of the [`LiveFit`] rule:
+//!
+//! 1. **Cut**, under the global lock, only copies: [`LiveFit::cut`]
+//!    takes the dirty grid rows and resets the pending count and the
+//!    tuner; the running level counts are copied beside it.
+//! 2. **Fit**, with no lock held: [`RefitCut::fit`] runs the dirty-level
+//!    M-step and refreshes those columns into a clone of the published
+//!    table, then the difficulty vector is rebuilt from the cut's level
+//!    counts.
+//! 3. **Install** re-takes the global lock only to store the model and
+//!    count the refit, drops it, then publishes the new [`ModelEpoch`].
+//!
+//! So ingests keep committing while the M-step runs. The rule is
+//! *computed from the cut, visible at publish*: an ingest that lands
+//! between cut and publish commits against the old epoch, as reads
+//! already do, and counts toward the next refit.
+//!
+//! A flag in the global state marks a refit in flight from its cut until
+//! after its publish, so at most one refit is in flight and epochs
+//! publish in order. While it is set a due refit is deferred (counted in
+//! [`ServeStats::refits_deferred`]) and an explicit
+//! [`SkillService::refit`] returns `Ok(0)` without cutting; the thread
+//! whose refit is in flight runs one more refit right after its publish
+//! if any was deferred to it. A drop guard clears the flag on every
+//! exit; if the refit failed or panicked after its cut, it first hands
+//! the cut back ([`LiveFit::abandon`]), so the next refit covers the
+//! same levels.
 //!
 //! # Bitwise equivalence with a single-owner session
 //!
@@ -33,10 +62,11 @@
 //! `tests/properties_serve.rs`). Both commit levels by [`commit_level`]
 //! and fit through a [`LiveFit`]: the same construction
 //! ([`LiveFit::new`]), the same `+1` record ([`LiveFit::record`]) and the
-//! same dirty-level refit and tuner step ([`LiveFit::refit`]). A refit
-//! reads only the feature *catalog* (schema + item tuples), never the
-//! sequences, which is why the service refits against a sequence-less
-//! catalog dataset while the histories live sharded.
+//! same cut, fit and install, with the same tuner step. Single-threaded,
+//! nothing lands between cut and publish. A refit reads only the feature
+//! *catalog* (schema + item tuples), never the sequences, which is why
+//! the service refits against a sequence-less catalog dataset while the
+//! histories live sharded.
 //!
 //! [`StreamingSession`]: upskill_core::streaming::StreamingSession
 
@@ -60,7 +90,7 @@ use upskill_core::pool::WorkspacePool;
 use upskill_core::recommend::{
     build_level_band, recommend_from_band, LevelBand, RecommendConfig, Recommendation,
 };
-use upskill_core::streaming::{commit_level, LiveFit, RefitPolicy, RefitTuner};
+use upskill_core::streaming::{commit_level, LiveFit, RefitCut, RefitPolicy, RefitTuner};
 use upskill_core::sync::{LockId, TracedMutex};
 use upskill_core::train::{TrainConfig, TrainResult};
 use upskill_core::transition::TransitionModel;
@@ -216,6 +246,13 @@ struct Global {
     fit: LiveFit,
     /// Refits that rewrote model state (clean refits don't count).
     refits: u64,
+    /// Set from a refit's cut until after its publish; while set, due
+    /// refits are deferred. Cleared when the refit lands
+    /// ([`RefitInFlight::land`]).
+    refit_in_flight: bool,
+    /// Refits due (by policy or explicit call) but deferred because one
+    /// was in flight.
+    refits_deferred: u64,
     /// Committed actions per level (1-indexed levels at index `s-1`) —
     /// the running [`SkillAssignments::level_histogram`], maintained
     /// incrementally so refits can rebuild the empirical difficulty
@@ -334,6 +371,8 @@ impl SkillService {
                 Global {
                     fit,
                     refits: 0,
+                    refit_in_flight: false,
+                    refits_deferred: 0,
                     level_counts,
                     admission,
                 },
@@ -529,12 +568,7 @@ impl SkillService {
 
     /// Refits the dirty levels now if the policy says so.
     fn refit_per_policy(&self) -> Result<usize> {
-        let mut g = self.global.lock();
-        if g.fit.refit_due() {
-            self.refit_locked(&mut g)
-        } else {
-            Ok(0)
-        }
+        self.run_refit(false)
     }
 
     /// Refits model parameters from the accumulated statistics now,
@@ -543,29 +577,77 @@ impl SkillService {
     /// a new [`ModelEpoch`] (predictions in flight keep reading the old
     /// one), and applies the auto-tuner adjustment if one is installed.
     /// Returns the number of levels refit.
+    ///
+    /// Does not wait for a refit already in flight on another thread:
+    /// it returns `Ok(0)` without cutting and counts the request in
+    /// [`ServeStats::refits_deferred`]; the thread running that refit
+    /// runs one more as soon as it has published.
     pub fn refit(&self) -> Result<usize> {
-        let mut g = self.global.lock();
-        self.refit_locked(&mut g)
+        self.run_refit(true)
     }
 
-    /// The [`LiveFit::refit`] rule under the held global lock. The
-    /// replacement table is built off to the side — a clone of the
-    /// published epoch's table, taken only when some level is dirty —
-    /// and readers keep scoring against the old epoch until the atomic
-    /// publish below. A clean refit publishes nothing.
-    fn refit_locked(&self, g: &mut Global) -> Result<usize> {
-        let (n_dirty, table) = g
-            .fit
-            .refit(&self.catalog, self.config.lambda, &self.parallel, || {
-                self.epoch.load().1.table.clone()
-            })
-            .map_err(ServeError::Core)?;
-        if let Some(table) = table {
-            let difficulty = difficulty_from_counts(&table, &g.level_counts)?;
-            self.epoch.publish(ModelEpoch::new(table, difficulty));
-            g.refits += 1;
+    /// Runs a refit when `forced` or when the policy says one is due,
+    /// then — on the same thread — one more for as long as a refit was
+    /// deferred to the one that just published. Returns the number of
+    /// levels the first refit fit.
+    fn run_refit(&self, forced: bool) -> Result<usize> {
+        let (n_dirty, mut deferred) = self.refit_once(forced)?;
+        while deferred {
+            deferred = self.refit_once(true)?.1;
         }
         Ok(n_dirty)
+    }
+
+    /// One refit by the [`LiveFit`] rule (module docs): the cut under the
+    /// global lock, the fit with no lock held, the install under the lock
+    /// again, then the publish with no lock held. Skipped when neither
+    /// `forced` nor due, deferred when one is in flight; a clean cut
+    /// publishes nothing. Returns the levels fit and whether another
+    /// refit was deferred while this one was in flight.
+    fn refit_once(&self, forced: bool) -> Result<(usize, bool)> {
+        let mut g = self.global.lock();
+        if !forced && !g.fit.refit_due() {
+            return Ok((0, false));
+        }
+        if g.refit_in_flight {
+            g.refits_deferred += 1;
+            return Ok((0, false));
+        }
+        let cut = g.fit.cut();
+        let n_dirty = cut.n_dirty();
+        if n_dirty == 0 {
+            return Ok((0, false));
+        }
+        let level_counts = g.level_counts.clone();
+        let deferred_at_cut = g.refits_deferred;
+        g.refit_in_flight = true;
+        drop(g);
+        let mut flight = RefitInFlight {
+            service: self,
+            cut: Some(&cut),
+            deferred_at_cut,
+            landed: false,
+        };
+
+        let published = self.epoch.load().1;
+        let (model, table) = cut
+            .fit(
+                &self.catalog,
+                self.config.lambda,
+                &self.parallel,
+                &published.table,
+            )
+            .map_err(ServeError::Core)?;
+        drop(published);
+        let difficulty = difficulty_from_counts(&table, &level_counts)?;
+
+        let mut g = self.global.lock();
+        g.fit.install(model);
+        g.refits += 1;
+        drop(g);
+        flight.cut = None;
+        self.epoch.publish(ModelEpoch::new(table, difficulty));
+        Ok((n_dirty, flight.land()))
     }
 
     /// Reads a skill estimate for a known user. O(1) for
@@ -792,6 +874,7 @@ impl SkillService {
             pending_actions: g.fit.pending_actions(),
             epoch: self.epoch.epoch(),
             refits: g.refits,
+            refits_deferred: g.refits_deferred,
             n_shards: self.shards.len(),
             policy: g.fit.policy(),
             policy_mode: self.adaptive.map(|c| c.mode),
@@ -835,6 +918,45 @@ impl SkillService {
     /// Which shard a user's state lives in.
     fn shard(&self, user: UserId) -> usize {
         shard_of(user, self.shards.len())
+    }
+}
+
+/// Marks a refit in flight from its cut to after its publish.
+/// [`RefitInFlight::land`] — or, on an error or panic, the drop —
+/// re-takes the global lock and clears [`Global::refit_in_flight`], so
+/// the service cannot wedge with the flag set. While it still holds the
+/// cut (anything failed before the install), landing first hands the
+/// cut back with [`LiveFit::abandon`].
+///
+/// Built only after the cut's guard is dropped: landing takes the
+/// global lock.
+struct RefitInFlight<'a> {
+    service: &'a SkillService,
+    cut: Option<&'a RefitCut>,
+    /// [`Global::refits_deferred`] at the cut.
+    deferred_at_cut: u64,
+    landed: bool,
+}
+
+impl RefitInFlight<'_> {
+    /// Clears the in-flight flag; returns whether a refit was deferred
+    /// while it was set.
+    fn land(&mut self) -> bool {
+        self.landed = true;
+        let mut g = self.service.global.lock();
+        if let Some(cut) = self.cut.take() {
+            g.fit.abandon(cut);
+        }
+        g.refit_in_flight = false;
+        g.refits_deferred > self.deferred_at_cut
+    }
+}
+
+impl Drop for RefitInFlight<'_> {
+    fn drop(&mut self) {
+        if !self.landed {
+            self.land();
+        }
     }
 }
 
@@ -1010,6 +1132,88 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.refits, 1);
         assert_eq!(stats.pending_actions, 0);
+    }
+
+    #[test]
+    fn refits_due_while_one_is_in_flight_are_deferred() {
+        let (service, _) = service_and_session(RefitPolicy::EveryNActions(2), 2);
+        // Another thread's refit is between its cut and its publish.
+        service.global.lock().refit_in_flight = true;
+        for t in 0..3i64 {
+            service.ingest(Action::new(300 + t, 3, 2)).unwrap();
+        }
+        // The explicit refit returns without cutting or waiting.
+        assert_eq!(service.refit().unwrap(), 0);
+        let stats = service.stats();
+        assert_eq!(
+            stats.refits_deferred, 3,
+            "two due ingests and one explicit refit"
+        );
+        assert_eq!(stats.pending_actions, 3, "deferred actions stay pending");
+        assert_eq!((stats.refits, stats.epoch), (0, 0));
+
+        // Landing that flight clears the flag and reports the deferred
+        // requests, so its thread runs one more refit.
+        let mut flight = RefitInFlight {
+            service: &service,
+            cut: None,
+            deferred_at_cut: 0,
+            landed: false,
+        };
+        assert!(flight.land());
+        drop(flight);
+        assert!(!service.global.lock().refit_in_flight);
+        assert_eq!(service.refit().unwrap(), 1);
+        let stats = service.stats();
+        assert_eq!(
+            (stats.refits, stats.epoch, stats.pending_actions),
+            (1, 1, 0)
+        );
+        assert_eq!(stats.refits_deferred, 3);
+    }
+
+    #[test]
+    fn a_refit_that_panics_after_its_cut_leaves_the_service_usable() {
+        let (service, _) = service_and_session(RefitPolicy::Manual, 2);
+        let (twin, _) = service_and_session(RefitPolicy::Manual, 2);
+        for t in 0..5i64 {
+            let action = Action::new(300 + t, (t % 3) as UserId, (t % 3) as ItemId);
+            service.ingest(action).unwrap();
+            twin.ingest(action).unwrap();
+        }
+        // The cut step by hand, then a panic inside the fit step.
+        let mut g = service.global.lock();
+        let cut = g.fit.cut();
+        g.refit_in_flight = true;
+        drop(g);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _flight = RefitInFlight {
+                service: &service,
+                cut: Some(&cut),
+                deferred_at_cut: 0,
+                landed: false,
+            };
+            panic!("refit fit step failed");
+        }));
+        assert!(unwound.is_err());
+        let stats = service.stats();
+        assert!(!service.global.lock().refit_in_flight);
+        assert_eq!(
+            (stats.refits, stats.epoch, stats.pending_actions),
+            (0, 0, 5)
+        );
+
+        // The next refit covers the same levels and publishes the same
+        // model as one that never failed.
+        let n = service.refit().unwrap();
+        assert_eq!(n, cut.n_dirty());
+        assert_eq!(n, twin.refit().unwrap());
+        assert_eq!(
+            service.snapshot("after").unwrap().to_json().unwrap(),
+            twin.snapshot("after").unwrap().to_json().unwrap()
+        );
+        assert_eq!(*service.current_epoch().1, *twin.current_epoch().1);
+        assert_eq!(service.stats(), twin.stats());
     }
 
     #[test]

@@ -687,6 +687,46 @@ mod tests {
     }
 
     #[test]
+    fn refit_publishes_after_dropping_the_reacquired_guard() {
+        // The cut/fit/install refit: the guard taken for the cut is
+        // dropped before the fit, and the one re-taken for the install
+        // is dropped before the publish.
+        let clean = concat!(
+            "fn run_refit(&self) -> Result<usize> {\n",
+            "    let mut g = self.global.lock();\n",
+            "    let cut = g.fit.cut();\n",
+            "    drop(g);\n",
+            "    let (model, table) = cut.fit(&self.catalog)?;\n",
+            "    let mut g = self.global.lock();\n",
+            "    g.fit.install(model);\n",
+            "    drop(g);\n",
+            "    self.epoch.publish(table);\n",
+            "    Ok(1)\n",
+            "}\n",
+        );
+        assert!(run("crates/serve/src/x.rs", clean).is_empty());
+        // A `&mut Global` parameter hides the caller's guard from this
+        // lexical pass, so the refit must take its guards in its own
+        // body: then a publish under the re-acquired guard is caught.
+        let violation = concat!(
+            "fn run_refit(&self) -> Result<usize> {\n",
+            "    let mut g = self.global.lock();\n",
+            "    let cut = g.fit.cut();\n",
+            "    drop(g);\n",
+            "    let (model, table) = cut.fit(&self.catalog)?;\n",
+            "    let mut g = self.global.lock();\n",
+            "    g.fit.install(model);\n",
+            "    self.epoch.publish(table);\n",
+            "    drop(g);\n",
+            "    Ok(1)\n",
+            "}\n",
+        );
+        let diags = run("crates/serve/src/x.rs", violation);
+        assert_eq!(rules_of(&diags), ["lock-across-publish"]);
+        assert_eq!(diags[0].line, 8, "reported at the publish: {diags:?}");
+    }
+
+    #[test]
     fn raw_lock_tokens_fire_outside_the_blessed_modules() {
         let text = "fn f(&self) { let g = self.state.lock().unwrap(); }\n";
         assert_eq!(rules_of(&run("crates/serve/src/x.rs", text)), ["raw-lock"]);

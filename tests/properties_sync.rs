@@ -2,7 +2,7 @@
 //! `deterministic-sync`): every explored interleaving of concurrent
 //! [`SkillService`] traffic must (a) satisfy the runtime lock-discipline
 //! invariants the static `xtask concurrency` pass enforces lexically —
-//! shards before global, no shard guard across an epoch publish — and
+//! shards before global, no lock guard across an epoch publish — and
 //! (b) for disjoint-user operations, land bit-for-bit on the state any
 //! serialized order produces. Violations carry a `seed=… choices=…`
 //! schedule that replays the exact interleaving.
@@ -13,8 +13,10 @@
 //! deeper exploration).
 #![cfg(feature = "deterministic-sync")]
 
+use std::sync::mpsc;
 use std::sync::Arc;
 
+use upskill_core::emission::EmissionTable;
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue};
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::recommend::RecommendConfig;
@@ -23,7 +25,9 @@ use upskill_core::sync::explore::{Explorer, Run};
 use upskill_core::sync::{LockId, TracedMutex};
 use upskill_core::train::{train, TrainConfig, TrainResult};
 use upskill_core::types::{Action, ActionSequence, Dataset};
-use upskill_serve::{PolicyConfig, PolicyMode, PredictMode, ServeConfig, SkillService};
+use upskill_serve::{
+    IngestOutcome, PolicyConfig, PolicyMode, PredictMode, ServeConfig, SkillService,
+};
 
 /// Small deterministic progression dataset: six users moving from the
 /// easy item to the hard one, two skill levels.
@@ -229,8 +233,8 @@ fn inverted_acquisition_is_caught_with_replayable_schedule() {
 }
 
 // Seeded-random smoke over the full request mix — ingest bursts that
-// trigger a refit (epoch publish under the global lock, which is
-// legal), a pooled-workspace posterior prediction, recommendations,
+// trigger a refit (cut and install under the global lock, epoch publish
+// after it), a pooled-workspace posterior prediction, recommendations,
 // and the stop-the-world snapshot — across three threads. CI runs the
 // default budget; UPSKILL_SYNC_SCHEDULES=256 (or more) deepens the
 // exploration without a code change.
@@ -249,7 +253,7 @@ fn mixed_workload_random_exploration_is_clean() {
         run.thread(move || {
             s0.ingest(Action::new(100, u0, 1)).unwrap();
             // Second action crosses the EveryNActions(2) threshold: the
-            // refit publishes a fresh epoch while holding only global.
+            // refit publishes a fresh epoch while holding no lock.
             s0.ingest(Action::new(101, u0, 1)).unwrap();
         });
         run.thread(move || {
@@ -323,8 +327,8 @@ fn policy_reads_racing_an_epoch_swap_are_serializable() {
         let (pre, post) = (pre.clone(), post.clone());
         run.thread(move || {
             s0.ingest(Action::new(100, u0, 1)).unwrap();
-            // Crosses the threshold: refit + epoch publish under the
-            // global lock only.
+            // Crosses the threshold: refit + epoch publish with no
+            // lock held.
             s0.ingest(Action::new(101, u0, 1)).unwrap();
         });
         let post_for_reader = post.clone();
@@ -365,4 +369,179 @@ fn policy_reads_racing_an_epoch_swap_are_serializable() {
             .join("\n")
     );
     assert!(exploration.events > 0);
+}
+
+/// Every serialized order of two writers' ingests (each writer's own
+/// order kept): the `C(a + b, a)` interleavings at whole-request
+/// granularity.
+fn serialized_orders(a: &[Action], b: &[Action]) -> Vec<Vec<Action>> {
+    let (Some((&head_a, rest_a)), Some((&head_b, rest_b))) = (a.split_first(), b.split_first())
+    else {
+        return vec![a.iter().chain(b).copied().collect()];
+    };
+    let mut out = Vec::new();
+    for (head, tails) in [
+        (head_a, serialized_orders(rest_a, b)),
+        (head_b, serialized_orders(a, rest_b)),
+    ] {
+        out.extend(
+            tails
+                .into_iter()
+                .map(|tail| std::iter::once(head).chain(tail).collect()),
+        );
+    }
+    out
+}
+
+/// A serialized run: each action's `(level, epoch)` answer, and the
+/// snapshot at the end.
+type Reference = (Vec<(Action, (u8, u64))>, String);
+
+// Refits off the global lock: two writers on distinct shards under
+// `EveryNActions(k)`. At k = 2 whichever writer records the second (and
+// fourth) action trips a refit; at k = 1 every ingest does, so refits
+// overlap and get deferred. A refit cuts the
+// statistics under the global lock, fits with no lock held, re-takes
+// the lock to install and publishes after dropping it — so the other
+// writer's ingests can land between cut and publish, or find the refit
+// in flight. Under every explored schedule:
+// - the lock discipline holds;
+// - epochs never run backwards for a writer, the published epoch count
+//   equals `stats().refits`, and the published table is the model's;
+// - after join and a final explicit refit, the snapshot resumed through
+//   `SessionBundle::resume` fits a model bitwise equal to the service's;
+// - a schedule whose every ingest committed at the level and epoch some
+//   serialized order gives it (no ingest landed between a cut and its
+//   publish) ends byte-identical to that order's snapshot.
+#[test]
+fn refit_off_the_lock_two_writers_are_serializable_or_catch_up() {
+    // One ingest each, every ingest due: small enough to enumerate, and
+    // it holds the schedule where the second writer's ingest lands after
+    // the first refit's publish but finds it still in flight, so its
+    // refit is deferred to the first writer's thread.
+    let exhaustive = Explorer::exhaustive(4096);
+    let (schedules, matched, exhausted) = explore_two_writers(&exhaustive, 1, 1);
+    assert!(exhausted, "interleaving tree not fully enumerated");
+    assert!(matched > 0 && schedules > matched);
+    // Two ingests each, sampled.
+    let budget = Explorer::budget_from_env("UPSKILL_SYNC_SCHEDULES", 24);
+    let mut matched = 0;
+    for k in [1, 2] {
+        let sampled = Explorer::random(0x0FF_10C ^ k as u64, budget);
+        let (schedules, serializable, _) = explore_two_writers(&sampled, k, 2);
+        assert_eq!(schedules, budget);
+        matched += serializable;
+    }
+    assert!(matched > 0, "no sampled schedule was serializable");
+}
+
+/// Explores two writers with `n` ingests each under `EveryNActions(k)`;
+/// returns the number of schedules run, how many matched a serialized
+/// order, and whether the exploration was exhaustive.
+fn explore_two_writers(explorer: &Explorer, k: usize, n: usize) -> (usize, usize, bool) {
+    let (dataset, cfg, result) = fixture();
+    let users: Vec<u32> = (0..6).collect();
+    let policy = RefitPolicy::EveryNActions(k);
+    let probe = service(&dataset, cfg, &result, 4, policy);
+    let (u0, u1) = distinct_shard_pair(&probe, &users);
+    let writers = [
+        [Action::new(100, u0, 1), Action::new(101, u0, 1)][..n].to_vec(),
+        [Action::new(100, u1, 1), Action::new(101, u1, 0)][..n].to_vec(),
+    ];
+
+    let references: Vec<Reference> = serialized_orders(&writers[0], &writers[1])
+        .into_iter()
+        .map(|order| {
+            let svc = service(&dataset, cfg, &result, 4, policy);
+            let answers = order
+                .iter()
+                .map(|&a| {
+                    let o = svc.ingest(a).unwrap();
+                    (a, (o.level, o.epoch))
+                })
+                .collect();
+            (answers, svc.snapshot("sync").unwrap().to_json().unwrap())
+        })
+        .collect();
+
+    let mut matched = 0;
+    let exploration = explorer.explore(|run| {
+        let svc = service(&dataset, cfg, &result, 4, policy);
+        let (tx, rx) = mpsc::channel::<(usize, Vec<IngestOutcome>)>();
+        for (w, writer) in writers.iter().cloned().enumerate() {
+            let (svc, tx) = (Arc::clone(&svc), tx.clone());
+            run.thread(move || {
+                let outcomes = writer.iter().map(|&a| svc.ingest(a).unwrap()).collect();
+                tx.send((w, outcomes)).unwrap();
+            });
+        }
+        drop(tx);
+        run.join();
+        let mut per_writer: Vec<(usize, Vec<IngestOutcome>)> = rx.iter().collect();
+        per_writer.sort_by_key(|(w, _)| *w);
+        for (_, outcomes) in &per_writer {
+            assert!(
+                outcomes.windows(2).all(|p| p[0].epoch <= p[1].epoch),
+                "a writer saw epochs run backwards: {outcomes:?}"
+            );
+        }
+        // With nothing in flight, the last publish is the last install:
+        // the published table is the current model's.
+        let stats = svc.stats();
+        let (epoch, published) = svc.current_epoch();
+        assert_eq!(epoch, stats.refits);
+        let joined = svc.snapshot("sync").unwrap();
+        let table = EmissionTable::build(&joined.model, &joined.dataset);
+        assert!(
+            *published.table() == table,
+            "published table is not the model's"
+        );
+
+        // No ingest between a cut and its publish: every answer is what
+        // some serialized order gives, and so is the whole state.
+        let answer_of = |a: Action| {
+            let w = usize::from(a.user == u1);
+            let i = writers[w].iter().position(|&x| x == a).unwrap();
+            let o = &per_writer[w].1[i];
+            (o.level, o.epoch)
+        };
+        let json = joined.to_json().unwrap();
+        if let Some((_, expect)) = references
+            .iter()
+            .find(|(answers, _)| answers.iter().all(|&(a, ans)| answer_of(a) == ans))
+        {
+            assert_eq!(&json, expect, "serializable schedule diverged");
+            matched += 1;
+        }
+
+        // Whatever the schedule, a final refit catches the model up with
+        // every recorded action: a fresh fit of the snapshot agrees, and
+        // so does the published table.
+        svc.refit().unwrap();
+        let stats = svc.stats();
+        assert_eq!(stats.pending_actions, 0);
+        let (epoch, published) = svc.current_epoch();
+        assert_eq!(epoch, stats.refits);
+        let bundle = svc.snapshot("caught up").unwrap();
+        let ours = serde_json::to_string(&bundle.model).unwrap();
+        let session = bundle.resume().unwrap();
+        assert_eq!(serde_json::to_string(session.model()).unwrap(), ours);
+        let table = EmissionTable::build(session.model(), session.dataset());
+        assert!(
+            *published.table() == table,
+            "published table is not the model's"
+        );
+    });
+
+    assert!(
+        exploration.violations.is_empty(),
+        "lock-discipline violations:\n{}",
+        exploration
+            .violations
+            .iter()
+            .map(|v| v.to_string())
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    (exploration.schedules, matched, exploration.exhausted)
 }
