@@ -6,8 +6,7 @@
 //!    `n_items ∈ {200, 2_000, 20_000}` (the ROADMAP's 10–100× item-count
 //!    target). The two fills must agree **bitwise** at every scale; the
 //!    20k-item entry carries the 3× acceptance floor. Each entry also
-//!    times the f32 storage build ([`CompactEmissionTable`]) and records
-//!    both storage footprints.
+//!    records the table's storage footprint.
 //! 2. **Assignment sweep** (the original benchmark) — one full assignment
 //!    pass with per-action emission evaluation vs. the table-backed DP at
 //!    the acceptance workload (200 items, 500 users × 100 mean actions,
@@ -16,7 +15,7 @@
 use serde::Serialize;
 use std::time::Instant;
 use upskill_bench::{banner, write_report, Scale, TextTable};
-use upskill_core::emission::{CompactEmissionTable, EmissionTable};
+use upskill_core::emission::EmissionTable;
 use upskill_core::init::initialize_model;
 use upskill_core::parallel::{assign_all_parallel_with_table, ParallelConfig};
 use upskill_core::reference::{assign_all_direct, build_scalar};
@@ -30,12 +29,10 @@ struct FillSweepEntry {
     n_actions: usize,
     scalar_build_seconds_median: f64,
     columnar_build_seconds_median: f64,
-    f32_build_seconds_median: f64,
     speedup: f64,
     acceptance_floor: Option<f64>,
     results_bitwise_identical: bool,
     f64_table_bytes: usize,
-    f32_table_bytes: usize,
 }
 
 #[derive(Serialize)]
@@ -114,7 +111,6 @@ fn main() {
         "Items",
         "Scalar build (s)",
         "Columnar build (s)",
-        "f32 build (s)",
         "Speedup",
         "Bitwise",
     ]);
@@ -126,13 +122,10 @@ fn main() {
         let scalar = build_scalar(&model, &data.dataset);
         let columnar = EmissionTable::build(&model, &data.dataset);
         let identical = tables_bitwise_equal(&scalar, &columnar);
-        let compact = CompactEmissionTable::build(&model, &data.dataset);
         let f64_bytes = columnar.memory_bytes();
-        let f32_bytes = compact.memory_bytes();
 
         let mut scalar_times = Vec::with_capacity(repeats);
         let mut columnar_times = Vec::with_capacity(repeats);
-        let mut f32_times = Vec::with_capacity(repeats);
         let mut ratios = Vec::with_capacity(repeats);
         for _ in 0..repeats {
             let t0 = Instant::now();
@@ -147,16 +140,10 @@ fn main() {
             columnar_times.push(columnar_s);
             drop(t);
 
-            let t2 = Instant::now();
-            let t = CompactEmissionTable::build(&model, &data.dataset);
-            f32_times.push(t2.elapsed().as_secs_f64());
-            drop(t);
-
             ratios.push(scalar_s / columnar_s);
         }
         let scalar_s = median(&mut scalar_times);
         let columnar_s = median(&mut columnar_times);
-        let f32_s = median(&mut f32_times);
         let speedup = median(&mut ratios);
         let floor = if enforce && n_items == 20_000 {
             Some(3.0)
@@ -168,7 +155,6 @@ fn main() {
             format!("{n_items}"),
             format!("{scalar_s:.6}"),
             format!("{columnar_s:.6}"),
-            format!("{f32_s:.6}"),
             format!("{speedup:.2}x"),
             format!("{identical}"),
         ]);
@@ -183,12 +169,10 @@ fn main() {
             n_actions: data.dataset.n_actions(),
             scalar_build_seconds_median: scalar_s,
             columnar_build_seconds_median: columnar_s,
-            f32_build_seconds_median: f32_s,
             speedup,
             acceptance_floor: floor,
             results_bitwise_identical: identical,
             f64_table_bytes: f64_bytes,
-            f32_table_bytes: f32_bytes,
         });
     }
     fill_table.print();

@@ -283,7 +283,7 @@ pub fn assign_sequence_bruteforce(
 mod tests {
     use super::*;
     use crate::dist::{Categorical, FeatureDistribution};
-    use crate::emission::{CompactEmissionTable, EmissionTable};
+    use crate::emission::EmissionTable;
     use crate::feature::{FeatureKind, FeatureSchema, FeatureValue};
     use crate::parallel::ParallelConfig;
     use crate::types::Action;
@@ -482,43 +482,15 @@ mod tests {
     }
 
     #[test]
-    fn compact_table_assignment_matches_f64_on_separated_levels() {
-        let model = diagonal_model(4);
-        let (ds, seq) = dataset_for(4, &[0, 1, 1, 3, 2, 0, 3]);
-        let table = EmissionTable::build(&model, &ds);
-        let compact = CompactEmissionTable::from_table(&table);
-        let mut ws = AssignWorkspace::new();
-        let full = assign_items_with_table_ws(&table, &items_of(&seq), &mut ws).unwrap();
-        let small = assign_items_with_table_ws(&compact, &items_of(&seq), &mut ws).unwrap();
-        // Level probabilities are well separated (0.9 vs ~0.033), so a
-        // single f32 rounding per cell cannot flip any DP comparison.
-        assert_eq!(full.levels, small.levels);
-        let rel =
-            (full.log_likelihood - small.log_likelihood).abs() / full.log_likelihood.abs().max(1.0);
-        assert!(rel < 1e-6, "relative ll gap {rel}");
-
-        for threads in [1, 3] {
-            let config = ParallelConfig::all(threads);
-            let (a_full, ll_full) =
-                crate::parallel::assign_all_parallel_with_table(&table, &ds, &config).unwrap();
-            let (a_small, ll_small) =
-                crate::parallel::assign_all_parallel_with_table(&compact, &ds, &config).unwrap();
-            assert_eq!(a_full, a_small);
-            assert!((ll_full - ll_small).abs() / ll_full.abs().max(1.0) < 1e-6);
-        }
-    }
-
-    #[test]
     fn assignment_rejects_unknown_items_for_every_source() {
         let model = diagonal_model(2);
         let (ds, _) = dataset_for(2, &[0, 1]);
         let table = EmissionTable::build(&model, &ds);
-        let compact = CompactEmissionTable::from_table(&table);
         let direct = DirectEmissions {
             model: &model,
             dataset: &ds,
         };
-        let sources: [&dyn EmissionRows; 3] = [&table, &compact, &direct];
+        let sources: [&dyn EmissionRows; 2] = [&table, &direct];
         let mut ws = AssignWorkspace::new();
         for rows in sources {
             // An item the source does not cover is a typed error, never

@@ -44,7 +44,7 @@ use crate::types::{ActionSequence, Dataset, ItemId, SkillLevel};
 pub const DEFAULT_GAMMA_TOLERANCE: f64 = 1e-12;
 
 /// Numerically stable `log(Σ exp(x_i))`.
-fn log_sum_exp(xs: &[f64]) -> f64 {
+pub(crate) fn log_sum_exp(xs: &[f64]) -> f64 {
     let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     if !max.is_finite() {
         return max;
@@ -52,150 +52,18 @@ fn log_sum_exp(xs: &[f64]) -> f64 {
     max + xs.iter().map(|&x| (x - max).exp()).sum::<f64>().ln()
 }
 
-/// Posterior skill marginals for one sequence: `gammas[n][s-1]`.
+/// Forward–backward over the monotone stay/advance lattice, reading
+/// emissions from an [`EmissionTable`]: the one recursion behind the EM
+/// trainers, chunked EM, an EM session's seeding pass and the service's
+/// smoothed predictions.
 ///
-/// Evaluates emissions directly. When running forward–backward over many
-/// sequences against one model (as [`train_em_with_parallelism`] does
-/// every iteration),
-/// prefer [`forward_backward_with_table`].
-pub fn forward_backward(
-    model: &SkillModel,
-    transitions: &TransitionModel,
-    dataset: &Dataset,
-    sequence: &ActionSequence,
-) -> Result<(Vec<Vec<f64>>, f64)> {
-    let s_max = model.n_levels();
-    if transitions.n_levels() != s_max {
-        return Err(CoreError::LengthMismatch {
-            context: "transitions vs model levels",
-            left: transitions.n_levels(),
-            right: s_max,
-        });
-    }
-    let n = sequence.len();
-    if n == 0 {
-        return Ok((Vec::new(), 0.0));
-    }
-    let emit: Vec<Vec<f64>> = sequence
-        .actions()
-        .iter()
-        .map(|a| model.item_log_likelihoods(dataset.item_features(a.item)))
-        .collect();
-    forward_backward_rows(s_max, transitions, n, |t| emit[t].as_slice())
-}
-
-/// Forward–backward reading emissions from a precomputed [`EmissionTable`].
-///
-/// Produces exactly the same marginals and evidence as
-/// [`forward_backward`] with the model the table was built from, without
-/// the per-action `item_log_likelihoods` allocations.
-pub fn forward_backward_with_table(
-    table: &EmissionTable,
-    transitions: &TransitionModel,
-    sequence: &ActionSequence,
-) -> Result<(Vec<Vec<f64>>, f64)> {
-    let s_max = table.n_levels();
-    if transitions.n_levels() != s_max {
-        return Err(CoreError::LengthMismatch {
-            context: "transitions vs model levels",
-            left: transitions.n_levels(),
-            right: s_max,
-        });
-    }
-    let n = sequence.len();
-    if n == 0 {
-        return Ok((Vec::new(), 0.0));
-    }
-    let actions = sequence.actions();
-    for action in actions {
-        if action.item as usize >= table.n_items() {
-            return Err(CoreError::FeatureIndexOutOfBounds {
-                index: action.item as usize,
-                len: table.n_items(),
-            });
-        }
-    }
-    forward_backward_rows(s_max, transitions, n, |t| table.row(actions[t].item))
-}
-
-/// The forward–backward recursion over abstract emission rows; both the
-/// direct and table-backed entry points funnel through this implementation.
-fn forward_backward_rows<'a, F>(
-    s_max: usize,
-    transitions: &TransitionModel,
-    n: usize,
-    row_of: F,
-) -> Result<(Vec<Vec<f64>>, f64)>
-where
-    F: Fn(usize) -> &'a [f64],
-{
-    let emit: Vec<&[f64]> = (0..n).map(&row_of).collect();
-
-    // Forward (log alpha).
-    let mut alpha = vec![vec![f64::NEG_INFINITY; s_max]; n];
-    for s in 0..s_max {
-        alpha[0][s] = transitions.log_init((s + 1) as SkillLevel) + emit[0][s];
-    }
-    for t in 1..n {
-        for s in 0..s_max {
-            let stay = alpha[t - 1][s] + transitions.log_stay((s + 1) as SkillLevel);
-            let up = if s > 0 {
-                alpha[t - 1][s - 1] + transitions.log_advance(s as SkillLevel)
-            } else {
-                f64::NEG_INFINITY
-            };
-            alpha[t][s] = log_sum_exp(&[stay, up]) + emit[t][s];
-        }
-    }
-    let log_evidence = log_sum_exp(&alpha[n - 1]);
-    if !log_evidence.is_finite() {
-        return Err(CoreError::DegenerateFit {
-            distribution: "forward-backward",
-            reason: "zero total probability; enable smoothing",
-        });
-    }
-
-    // Backward (log beta).
-    let mut beta = vec![vec![0.0f64; s_max]; n];
-    for t in (0..n - 1).rev() {
-        for s in 0..s_max {
-            let stay =
-                transitions.log_stay((s + 1) as SkillLevel) + emit[t + 1][s] + beta[t + 1][s];
-            let up = if s + 1 < s_max {
-                transitions.log_advance((s + 1) as SkillLevel)
-                    + emit[t + 1][s + 1]
-                    + beta[t + 1][s + 1]
-            } else {
-                f64::NEG_INFINITY
-            };
-            beta[t][s] = log_sum_exp(&[stay, up]);
-        }
-    }
-
-    // Marginals.
-    let mut gammas = vec![vec![0.0f64; s_max]; n];
-    for t in 0..n {
-        let mut row: Vec<f64> = (0..s_max).map(|s| alpha[t][s] + beta[t][s]).collect();
-        let norm = log_sum_exp(&row);
-        for v in row.iter_mut() {
-            *v = (*v - norm).exp();
-        }
-        gammas[t] = row;
-    }
-    Ok((gammas, log_evidence))
-}
-
-/// Reusable flat buffers for table-backed forward–backward.
-///
-/// The legacy [`forward_backward_with_table`] allocates three
-/// `Vec<Vec<f64>>` lattices per sequence per iteration — hundreds of
-/// thousands of small allocations per EM pass at the acceptance
-/// workload, which dominates the E-step. The incremental path runs the
-/// identical recursion (same operation order, bitwise-identical
-/// marginals and evidence) through these buffers, resized once and
+/// The alpha, beta and gamma lattices are flat buffers, resized once and
 /// reused across every sequence of every iteration. The per-level
 /// transition log-probabilities are hoisted at construction: the
-/// transition model stays fixed for a whole EM run.
+/// transition model stays fixed for a whole EM run. The
+/// `Vec<Vec<f64>>` recursion it replaced survives as
+/// [`crate::reference::forward_backward`], its bitwise oracle (same
+/// operation order, identical marginals and evidence).
 pub struct FbWorkspace {
     /// Flat `n × s_max` forward lattice (log alpha).
     alpha: Vec<f64>,
@@ -239,7 +107,7 @@ impl FbWorkspace {
     /// Runs forward–backward for one sequence, leaving the flat posterior
     /// marginals in `self.gamma` (row-major, `seq.len() × s_max`) and
     /// returning the log evidence. Produces exactly the values of
-    /// [`forward_backward_with_table`].
+    /// [`crate::reference::forward_backward`].
     pub fn run(&mut self, table: &EmissionTable, seq: &ActionSequence) -> Result<f64> {
         let actions = seq.actions();
         self.run_rows(table, actions.len(), |t| actions[t].item)
@@ -289,7 +157,7 @@ impl FbWorkspace {
         self.gamma.clear();
         self.gamma.resize(cells, 0.0);
 
-        // Forward (log alpha); same recursion as `forward_backward_rows`.
+        // Forward (log alpha).
         let first = table.row(item_at(0));
         for ((a, &li), &e) in self.alpha[..s_max]
             .iter_mut()
@@ -725,8 +593,12 @@ mod tests {
         let ds = progression_dataset();
         let model = initialize_model(&ds, 2, 5, 0.01).unwrap();
         let trans = TransitionModel::uninformative(2).unwrap();
-        let (gammas, ev) = forward_backward(&model, &trans, &ds, &ds.sequences()[0]).unwrap();
+        let table = EmissionTable::build(&model, &ds);
+        let mut ws = FbWorkspace::new(&trans);
+        let ev = ws.run(&table, &ds.sequences()[0]).unwrap();
         assert!(ev.is_finite());
+        let gammas: Vec<&[f64]> = ws.gamma().chunks(2).collect();
+        assert_eq!(gammas.len(), 10);
         for row in &gammas {
             let sum: f64 = row.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9);
@@ -737,20 +609,30 @@ mod tests {
     }
 
     #[test]
-    fn table_backed_forward_backward_matches_direct() {
+    fn workspace_forward_backward_matches_reference() {
         let ds = progression_dataset();
         let model = initialize_model(&ds, 2, 5, 0.01).unwrap();
         let trans = TransitionModel::uninformative(2).unwrap();
         let table = EmissionTable::build(&model, &ds);
+        let mut ws = FbWorkspace::new(&trans);
         for seq in ds.sequences() {
-            let (g_direct, ev_direct) = forward_backward(&model, &trans, &ds, seq).unwrap();
-            let (g_table, ev_table) = forward_backward_with_table(&table, &trans, seq).unwrap();
-            assert_eq!(g_direct, g_table);
-            assert_eq!(ev_direct, ev_table);
+            let (g_ref, ev_ref) = crate::reference::forward_backward(&table, &trans, seq).unwrap();
+            let ev_ws = ws.run(&table, seq).unwrap();
+            assert_eq!(ev_ws.to_bits(), ev_ref.to_bits());
+            let flat_ref: Vec<u64> = g_ref.iter().flatten().map(|g| g.to_bits()).collect();
+            let flat_ws: Vec<u64> = ws.gamma().iter().map(|g| g.to_bits()).collect();
+            assert_eq!(flat_ws, flat_ref);
         }
         // Item ids outside the table are rejected, not read out of bounds.
         let rogue = ActionSequence::new(99, vec![Action::new(0, 99, 77)]).unwrap();
-        assert!(forward_backward_with_table(&table, &trans, &rogue).is_err());
+        assert!(matches!(
+            crate::reference::forward_backward(&table, &trans, &rogue),
+            Err(CoreError::FeatureIndexOutOfBounds { index: 77, .. })
+        ));
+        assert!(matches!(
+            ws.run(&table, &rogue),
+            Err(CoreError::FeatureIndexOutOfBounds { index: 77, .. })
+        ));
     }
 
     #[test]

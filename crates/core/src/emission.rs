@@ -35,10 +35,8 @@
 //! ## Emission rows
 //!
 //! The assignment DP reads scores through the [`EmissionRows`] trait.
-//! [`EmissionTable`] borrows its rows in place; [`CompactEmissionTable`]
-//! stores the same scores rounded once to `f32` (still accumulated in
-//! f64), halving the resident table, and widens a row per read; the
-//! model-direct source evaluates distributions per action.
+//! [`EmissionTable`] borrows its rows in place; the model-direct source
+//! evaluates distributions per action into workspace scratch.
 
 use std::ops::Range;
 
@@ -48,7 +46,7 @@ use crate::error::{CoreError, Result};
 use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
 use crate::parallel::ParallelConfig;
-use crate::types::{skill_level_from_index, Dataset, ItemId, SkillLevel};
+use crate::types::{skill_level_from_index, Action, Dataset, ItemId, SkillLevel};
 
 /// A source of emission rows `log P(item | s)` for the assignment DP
 /// ([`crate::assign::assign_items_with_table_ws`]).
@@ -60,9 +58,9 @@ pub trait EmissionRows {
     fn n_levels(&self) -> usize;
 
     /// The emission vector of `item` (`row[s - 1]`). `item` has already
-    /// been checked against [`EmissionRows::n_items`]. Sources storing
-    /// f64 rows borrow them in place; others fill `scratch` (`S` cells)
-    /// and return it.
+    /// been checked against [`EmissionRows::n_items`]. A stored table
+    /// borrows its row in place; a source that scores on demand fills
+    /// `scratch` (`S` cells) and returns it.
     fn emission_row<'a>(&'a self, item: ItemId, scratch: &'a mut [f64]) -> &'a [f64];
 }
 
@@ -73,6 +71,27 @@ pub trait EmissionRows {
 pub(crate) struct DirectEmissions<'a> {
     pub(crate) model: &'a SkillModel,
     pub(crate) dataset: &'a Dataset,
+}
+
+impl DirectEmissions<'_> {
+    /// The emission row of every action, `rows[t][s - 1]`. Every item is
+    /// checked against the catalog before any row is scored.
+    pub(crate) fn rows_of(&self, actions: &[Action]) -> Result<Vec<Vec<f64>>> {
+        let n_items = self.dataset.n_items();
+        if let Some(action) = actions.iter().find(|a| a.item as usize >= n_items) {
+            return Err(CoreError::FeatureIndexOutOfBounds {
+                index: action.item as usize,
+                len: n_items,
+            });
+        }
+        Ok(actions
+            .iter()
+            .map(|a| {
+                self.model
+                    .item_log_likelihoods(self.dataset.item_features(a.item))
+            })
+            .collect())
+    }
 }
 
 impl EmissionRows for DirectEmissions<'_> {
@@ -748,101 +767,6 @@ impl EmissionRows for EmissionTable {
     }
 }
 
-/// Half-width storage for the emission table.
-///
-/// Scores are computed with the full f64 columnar pipeline, then rounded
-/// once to `f32` (round-to-nearest) for storage, halving the resident
-/// table — the difference that matters at the ROADMAP's 10–100× item
-/// scale, where the f64 table stops fitting in L2. Reads widen back to
-/// f64 (exactly) before any DP accumulates them, so the only deviation
-/// from [`EmissionTable`] is the one rounding step per cell: ≤ half an
-/// f32 ulp, ~6e-8 relative. No trainer uses it: the default f64 table
-/// keeps every result bitwise identical to the direct path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompactEmissionTable {
-    n_items: usize,
-    n_levels: usize,
-    /// Row-major scores: `data[item * n_levels + (s - 1)]`.
-    data: Vec<f32>,
-}
-
-impl CompactEmissionTable {
-    /// Rounds a full-precision table to f32 storage.
-    pub fn from_table(table: &EmissionTable) -> Self {
-        CompactEmissionTable {
-            n_items: table.n_items,
-            n_levels: table.n_levels,
-            data: table.data.iter().map(|&v| v as f32).collect(),
-        }
-    }
-
-    /// Builds directly from a model and dataset — f64 accumulation
-    /// through the columnar kernels, one final rounding to f32.
-    pub fn build(model: &SkillModel, dataset: &Dataset) -> Self {
-        Self::from_table(&EmissionTable::build(model, dataset))
-    }
-
-    /// Number of items (table rows).
-    pub fn n_items(&self) -> usize {
-        self.n_items
-    }
-
-    /// Number of skill levels `S` (table columns).
-    pub fn n_levels(&self) -> usize {
-        self.n_levels
-    }
-
-    /// Widens one item row into `out` (`out[s - 1]`), returning `false`
-    /// when the item is out of range or `out` has the wrong length.
-    pub fn fill_row(&self, item: ItemId, out: &mut [f64]) -> bool {
-        let i = item as usize;
-        if i >= self.n_items || out.len() != self.n_levels {
-            return false;
-        }
-        let row = &self.data[i * self.n_levels..(i + 1) * self.n_levels];
-        for (dst, &v) in out.iter_mut().zip(row) {
-            *dst = f64::from(v);
-        }
-        true
-    }
-
-    /// `log P(item | s)` with the [`EmissionTable::log_likelihood`]
-    /// out-of-range contract.
-    pub fn log_likelihood(&self, item: ItemId, s: SkillLevel) -> f64 {
-        let level = s as usize;
-        let i = item as usize;
-        if level == 0 || level > self.n_levels || i >= self.n_items {
-            return f64::NEG_INFINITY;
-        }
-        let row = &self.data[i * self.n_levels..(i + 1) * self.n_levels];
-        row.get(level - 1)
-            .copied()
-            .map_or(f64::NEG_INFINITY, f64::from)
-    }
-
-    /// Resident bytes of the score storage — half of
-    /// [`EmissionTable::memory_bytes`] for the same shape.
-    pub fn memory_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
-    }
-}
-
-impl EmissionRows for CompactEmissionTable {
-    fn n_items(&self) -> usize {
-        self.n_items
-    }
-
-    fn n_levels(&self) -> usize {
-        self.n_levels
-    }
-
-    /// Widens the row into `scratch`.
-    fn emission_row<'a>(&'a self, item: ItemId, scratch: &'a mut [f64]) -> &'a [f64] {
-        self.fill_row(item, scratch);
-        scratch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -971,36 +895,6 @@ mod tests {
         let columnar = EmissionTable::build(&model, &ds);
         let scalar = crate::reference::build_scalar(&model, &ds);
         assert_eq!(columnar, scalar);
-    }
-
-    #[test]
-    fn compact_table_rounds_each_cell_once() {
-        let (model, ds) = mixed_setup();
-        let full = EmissionTable::build(&model, &ds);
-        let compact = CompactEmissionTable::from_table(&full);
-        assert_eq!(compact, CompactEmissionTable::build(&model, &ds));
-        assert_eq!(compact.n_items(), full.n_items());
-        assert_eq!(compact.n_levels(), full.n_levels());
-        assert_eq!(compact.memory_bytes() * 2, full.memory_bytes());
-        let mut row = vec![0.0f64; compact.n_levels()];
-        for item in 0..ds.n_items() as ItemId {
-            assert!(compact.fill_row(item, &mut row));
-            for (s0, &widened) in row.iter().enumerate() {
-                let expected = f64::from(full.row(item)[s0] as f32);
-                assert_eq!(widened.to_bits(), expected.to_bits());
-                let s = (s0 + 1) as SkillLevel;
-                assert_eq!(
-                    compact.log_likelihood(item, s).to_bits(),
-                    expected.to_bits()
-                );
-            }
-        }
-        // Out-of-range contracts mirror the f64 table.
-        assert!(!compact.fill_row(99, &mut row));
-        let mut short = vec![0.0f64; 1];
-        assert!(!compact.fill_row(0, &mut short));
-        assert_eq!(compact.log_likelihood(0, 0), f64::NEG_INFINITY);
-        assert_eq!(compact.log_likelihood(99, 1), f64::NEG_INFINITY);
     }
 
     #[test]

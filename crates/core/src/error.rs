@@ -5,6 +5,8 @@
 
 use std::fmt;
 
+use crate::types::SkillLevel;
+
 /// Convenience alias used across the crate.
 pub type Result<T, E = CoreError> = std::result::Result<T, E>;
 
@@ -122,6 +124,19 @@ pub enum CoreError {
         /// The offending users-per-chunk value.
         requested: usize,
     },
+    /// A skill-level path is not a monotone path over `1..=S`: a level
+    /// outside that range, or a step that neither stays nor advances by
+    /// one.
+    InvalidLevelPath {
+        /// Index of the user's path in the assignments.
+        user: usize,
+        /// Index of the offending action within that path.
+        position: usize,
+        /// The offending level.
+        level: SkillLevel,
+        /// Why the level is invalid at that position.
+        reason: &'static str,
+    },
     /// A runtime invariant check failed (see [`crate::invariants`]). These
     /// checks run in debug builds and under the `strict-invariants`
     /// feature; a violation means internal state was corrupted (e.g. a
@@ -192,6 +207,15 @@ impl fmt::Display for CoreError {
             CoreError::InvalidChunkSize { requested } => {
                 write!(f, "invalid chunk size {requested}: chunks must hold at least one user")
             }
+            CoreError::InvalidLevelPath {
+                user,
+                position,
+                level,
+                reason,
+            } => write!(
+                f,
+                "level path of user {user}: level {level} at action {position} {reason}"
+            ),
             CoreError::InvariantViolation { check, detail } => {
                 write!(f, "invariant violation in {check}: {detail}")
             }
@@ -232,6 +256,15 @@ mod tests {
                 "gamma MLE",
             ),
             (CoreError::ItemNeverSelected { item: 42 }, "item 42"),
+            (
+                CoreError::InvalidLevelPath {
+                    user: 4,
+                    position: 2,
+                    level: 9,
+                    reason: "is outside 1..=S",
+                },
+                "user 4: level 9 at action 2",
+            ),
             (
                 CoreError::WorkerPanicked { step: "assignment" },
                 "assignment",

@@ -20,7 +20,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::assign::SequenceAssignment;
-use crate::emission::EmissionTable;
+use crate::emission::DirectEmissions;
 use crate::error::{CoreError, Result};
 use crate::model::SkillModel;
 use crate::types::{Action, ActionSequence, Dataset, SkillLevel};
@@ -93,9 +93,9 @@ impl ForgettingConfig {
 /// Note: transition semantics are attached to the *destination* action's
 /// level: the tuple at step `t` uses the gap `t_n − t_{n−1}`.
 ///
-/// Evaluates emissions directly; use
-/// [`assign_sequence_with_forgetting_table`] to share a precomputed
-/// [`EmissionTable`] across many sequences.
+/// An item outside the dataset's catalog is a
+/// [`CoreError::FeatureIndexOutOfBounds`], raised before any emission is
+/// scored.
 pub fn assign_sequence_with_forgetting(
     model: &SkillModel,
     config: &ForgettingConfig,
@@ -103,7 +103,6 @@ pub fn assign_sequence_with_forgetting(
     sequence: &ActionSequence,
 ) -> Result<SequenceAssignment> {
     config.validate()?;
-    let s_max = model.n_levels();
     let n = sequence.len();
     if n == 0 {
         return Ok(SequenceAssignment {
@@ -112,57 +111,19 @@ pub fn assign_sequence_with_forgetting(
         });
     }
     let actions = sequence.actions();
-    let emit: Vec<Vec<f64>> = actions
-        .iter()
-        .map(|a| model.item_log_likelihoods(dataset.item_features(a.item)))
-        .collect();
-    forgetting_dp(s_max, config, actions, |t| emit[t].as_slice())
+    let emit = DirectEmissions { model, dataset }.rows_of(actions)?;
+    forgetting_dp(model.n_levels(), config, actions, &emit)
 }
 
-/// Forgetting DP reading emissions from a precomputed [`EmissionTable`].
-///
-/// Identical result to [`assign_sequence_with_forgetting`] with the model
-/// the table was built from; no per-action emission allocation.
-pub fn assign_sequence_with_forgetting_table(
-    table: &EmissionTable,
-    config: &ForgettingConfig,
-    sequence: &ActionSequence,
-) -> Result<SequenceAssignment> {
-    config.validate()?;
-    let n = sequence.len();
-    if n == 0 {
-        return Ok(SequenceAssignment {
-            levels: Vec::new(),
-            log_likelihood: 0.0,
-        });
-    }
-    let actions = sequence.actions();
-    for action in actions {
-        if action.item as usize >= table.n_items() {
-            return Err(CoreError::FeatureIndexOutOfBounds {
-                index: action.item as usize,
-                len: table.n_items(),
-            });
-        }
-    }
-    forgetting_dp(table.n_levels(), config, actions, |t| {
-        table.row(actions[t].item)
-    })
-}
-
-/// The three-predecessor (stay / advance / decay) DP over abstract emission
-/// rows; both forgetting entry points funnel through this implementation.
-fn forgetting_dp<'a, F>(
+/// The three-predecessor (stay / advance / decay) DP over the emission
+/// rows `emit[t]` of a non-empty sequence.
+fn forgetting_dp(
     s_max: usize,
     config: &ForgettingConfig,
     actions: &[Action],
-    row_of: F,
-) -> Result<SequenceAssignment>
-where
-    F: Fn(usize) -> &'a [f64],
-{
+    emit: &[Vec<f64>],
+) -> Result<SequenceAssignment> {
     let n = actions.len();
-    let emit: Vec<&[f64]> = (0..n).map(&row_of).collect();
 
     // prev[s] = best prefix score ending at level s+1.
     let mut prev: Vec<f64> = (0..s_max)
@@ -415,32 +376,19 @@ mod tests {
     }
 
     #[test]
-    fn table_backed_forgetting_matches_direct() {
-        let seq: &[(u32, i64)] = &[
-            (0, 0),
-            (1, 1),
-            (2, 2),
-            (2, 3),
-            (0, 10_003),
-            (0, 10_004),
-            (1, 10_200),
-        ];
-        let (model, ds) = diagonal_setup(3, seq);
+    fn unknown_items_are_rejected_before_any_read() {
+        let (model, ds) = diagonal_setup(3, &[(0, 0), (1, 1)]);
         let cfg = ForgettingConfig {
             halflife: 100.0,
             max_decay: 0.45,
             advance_prob: 0.3,
         };
-        let table = EmissionTable::build(&model, &ds);
-        let direct =
-            assign_sequence_with_forgetting(&model, &cfg, &ds, &ds.sequences()[0]).unwrap();
-        let tabled =
-            assign_sequence_with_forgetting_table(&table, &cfg, &ds.sequences()[0]).unwrap();
-        assert_eq!(direct.levels, tabled.levels);
-        assert_eq!(direct.log_likelihood, tabled.log_likelihood);
-        // Out-of-table items are rejected.
-        let rogue = ActionSequence::new(9, vec![Action::new(0, 9, 50)]).unwrap();
-        assert!(assign_sequence_with_forgetting_table(&table, &cfg, &rogue).is_err());
+        let rogue =
+            ActionSequence::new(9, vec![Action::new(0, 9, 0), Action::new(1, 9, 50)]).unwrap();
+        assert!(matches!(
+            assign_sequence_with_forgetting(&model, &cfg, &ds, &rogue),
+            Err(CoreError::FeatureIndexOutOfBounds { index: 50, len: 3 })
+        ));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! | [`build_scalar`] | [`EmissionTable::build`] (columnar, tiled) | bitwise |
 //! | [`assign_all_direct`] | [`assign_all_parallel`](crate::parallel::assign_all_parallel) (shared table) | bitwise |
 //! | [`train_full_rescan`] | [`train_with_parallelism`](crate::train::train_with_parallelism) (the chunk pass of [`train_chunked`](crate::chunked::train_chunked): integer `StatsGrid`, dirty-level refits) | same assignments and churn; objective to summation order |
+//! | [`forward_backward`] | [`FbWorkspace`](crate::em::FbWorkspace) (flat reused lattices, hoisted transition log-probabilities) | bitwise |
 //! | [`train_em_full`] | [`train_em_with_parallelism`](crate::em::train_em_with_parallelism) (responsibility deltas) | within the gate tolerance; bitwise equal to [`train_em_chunked`](crate::chunked::train_em_chunked) |
 //! | [`rerank_band_full_sort`] | [`rerank_band`](crate::policy::rerank_band) (bounded per-stratum top-k) | bitwise |
 //!
@@ -22,7 +23,7 @@
 use std::time::Instant;
 
 use crate::dist::FeatureDistribution;
-use crate::em::{forward_backward_with_table, EmConfig, EmResult, WeightedAcc};
+use crate::em::{log_sum_exp, EmConfig, EmResult, WeightedAcc};
 use crate::emission::{DirectEmissions, EmissionTable};
 use crate::error::{CoreError, Result};
 use crate::init::initialize_model;
@@ -32,7 +33,10 @@ use crate::parallel::{assign_all_parallel_with_table, ParallelConfig};
 use crate::policy::{policy_order, PolicyConfig, PolicyRecommendation, PolicyState, Stratum};
 use crate::recommend::LevelBand;
 use crate::train::{IterationStats, TrainConfig, TrainResult};
-use crate::types::{skill_level_from_index, Dataset, ItemId, SkillAssignments, SkillLevel};
+use crate::transition::TransitionModel;
+use crate::types::{
+    skill_level_from_index, ActionSequence, Dataset, ItemId, SkillAssignments, SkillLevel,
+};
 use crate::update::fit_model;
 
 /// Cell-by-cell emission fill: `n_items · S` calls to
@@ -143,6 +147,92 @@ fn count_changed(a: &SkillAssignments, b: &SkillAssignments) -> Result<usize> {
     Ok(total)
 }
 
+/// Forward–backward with one `Vec<Vec<f64>>` lattice per pass and the
+/// transition log-probabilities looked up per cell: posterior skill
+/// marginals `gammas[n][s-1]` and the log evidence of one sequence. The
+/// bitwise baseline of [`FbWorkspace::run`](crate::em::FbWorkspace::run).
+pub fn forward_backward(
+    table: &EmissionTable,
+    transitions: &TransitionModel,
+    sequence: &ActionSequence,
+) -> Result<(Vec<Vec<f64>>, f64)> {
+    let s_max = table.n_levels();
+    if transitions.n_levels() != s_max {
+        return Err(CoreError::LengthMismatch {
+            context: "transitions vs model levels",
+            left: transitions.n_levels(),
+            right: s_max,
+        });
+    }
+    let n = sequence.len();
+    if n == 0 {
+        return Ok((Vec::new(), 0.0));
+    }
+    let actions = sequence.actions();
+    for action in actions {
+        if action.item as usize >= table.n_items() {
+            return Err(CoreError::FeatureIndexOutOfBounds {
+                index: action.item as usize,
+                len: table.n_items(),
+            });
+        }
+    }
+    let emit: Vec<&[f64]> = actions.iter().map(|a| table.row(a.item)).collect();
+
+    // Forward (log alpha).
+    let mut alpha = vec![vec![f64::NEG_INFINITY; s_max]; n];
+    for s in 0..s_max {
+        alpha[0][s] = transitions.log_init((s + 1) as SkillLevel) + emit[0][s];
+    }
+    for t in 1..n {
+        for s in 0..s_max {
+            let stay = alpha[t - 1][s] + transitions.log_stay((s + 1) as SkillLevel);
+            let up = if s > 0 {
+                alpha[t - 1][s - 1] + transitions.log_advance(s as SkillLevel)
+            } else {
+                f64::NEG_INFINITY
+            };
+            alpha[t][s] = log_sum_exp(&[stay, up]) + emit[t][s];
+        }
+    }
+    let log_evidence = log_sum_exp(&alpha[n - 1]);
+    if !log_evidence.is_finite() {
+        return Err(CoreError::DegenerateFit {
+            distribution: "forward-backward",
+            reason: "zero total probability; enable smoothing",
+        });
+    }
+
+    // Backward (log beta).
+    let mut beta = vec![vec![0.0f64; s_max]; n];
+    for t in (0..n - 1).rev() {
+        for s in 0..s_max {
+            let stay =
+                transitions.log_stay((s + 1) as SkillLevel) + emit[t + 1][s] + beta[t + 1][s];
+            let up = if s + 1 < s_max {
+                transitions.log_advance((s + 1) as SkillLevel)
+                    + emit[t + 1][s + 1]
+                    + beta[t + 1][s + 1]
+            } else {
+                f64::NEG_INFINITY
+            };
+            beta[t][s] = log_sum_exp(&[stay, up]);
+        }
+    }
+
+    // Marginals.
+    let mut gammas = vec![vec![0.0f64; s_max]; n];
+    for t in 0..n {
+        let mut row: Vec<f64> = (0..s_max).map(|s| alpha[t][s] + beta[t][s]).collect();
+        let norm = log_sum_exp(&row);
+        for v in row.iter_mut() {
+            *v = (*v - norm).exp();
+        }
+        gammas[t] = row;
+    }
+    Ok((gammas, log_evidence))
+}
+
 /// EM without responsibility deltas, sequentially: every iteration
 /// rebuilds the emission table and folds every action's posterior row
 /// through the weighted accumulators, in action order. The bitwise
@@ -172,7 +262,7 @@ pub fn train_em_full(dataset: &Dataset, config: &EmConfig) -> Result<EmResult> {
         InvariantCtx::new().check_emission_table(&table)?;
         let mut evidence = 0.0;
         for seq in dataset.sequences() {
-            let (gammas, log_ev) = forward_backward_with_table(&table, &config.transitions, seq)?;
+            let (gammas, log_ev) = forward_backward(&table, &config.transitions, seq)?;
             evidence += log_ev;
             for (action, gamma) in seq.actions().iter().zip(&gammas) {
                 let features = dataset.item_features(action.item);

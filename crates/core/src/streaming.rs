@@ -94,7 +94,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::em::forward_backward_with_table;
+use crate::em::FbWorkspace;
 use crate::emission::EmissionTable;
 use crate::error::{CoreError, Result};
 use crate::incremental::{GridCut, SoftStatsGrid, StatsGrid};
@@ -515,10 +515,11 @@ impl StreamingSession {
             dataset.n_actions(),
             crate::em::DEFAULT_GAMMA_TOLERANCE,
         )?;
+        let mut fb = FbWorkspace::new(&transitions);
         let mut a_idx = 0usize;
         for seq in dataset.sequences() {
-            let (gammas, _) = forward_backward_with_table(&table, &transitions, seq)?;
-            for (action, gamma) in seq.actions().iter().zip(&gammas) {
+            fb.run(&table, seq)?;
+            for (action, gamma) in seq.actions().iter().zip(fb.gamma().chunks(config.n_levels)) {
                 soft_grid.update_action(a_idx, action.item, gamma)?;
                 a_idx += 1;
             }
@@ -595,28 +596,6 @@ impl StreamingSession {
             parallel,
             policy,
         )
-    }
-
-    /// Resumes a session from a chunked training run
-    /// ([`crate::chunked::train_chunked`] /
-    /// [`Trainer::fit_chunked`](crate::train::Trainer::fit_chunked)).
-    ///
-    /// A live session needs per-user committed paths, so this is the
-    /// point where the corpus is materialized: the chunk stream is folded
-    /// back into an in-memory [`Dataset`] and the (deterministic) DP
-    /// re-derives the final assignments under the trained model. Only
-    /// call this at scales where an in-memory corpus is acceptable — the
-    /// flat-memory contract necessarily ends where live ingestion begins.
-    pub fn resume_chunked<S: crate::chunked::ChunkSource + ?Sized>(
-        source: &S,
-        result: &crate::chunked::ChunkedTrainResult,
-        config: TrainConfig,
-        parallel: ParallelConfig,
-        policy: RefitPolicy,
-    ) -> Result<Self> {
-        let dataset = crate::chunked::materialize(source)?;
-        let (assignments, _) = crate::chunked::assign_chunked(source, &result.model, &parallel)?;
-        Self::new(dataset, assignments, config, parallel, policy)
     }
 
     /// Ingests one action: extends the user's committed level path, applies

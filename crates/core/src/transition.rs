@@ -13,6 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::emission::DirectEmissions;
 use crate::error::{CoreError, Result};
 use crate::model::SkillModel;
 use crate::types::{ActionSequence, Dataset, SkillAssignments, SkillLevel};
@@ -75,18 +76,19 @@ impl TransitionModel {
         self.stay.len()
     }
 
-    /// `log P(stay at s)`.
+    /// `log P(stay at s)`; `-inf` for a level outside `1..=S`.
     pub fn log_stay(&self, s: SkillLevel) -> f64 {
-        self.stay
-            .get(s as usize - 1)
+        level_index(s)
+            .and_then(|i| self.stay.get(i))
             .map(|&p| if p > 0.0 { p.ln() } else { f64::NEG_INFINITY })
             .unwrap_or(f64::NEG_INFINITY)
     }
 
-    /// `log P(advance from s to s+1)`.
+    /// `log P(advance from s to s+1)`; `-inf` for a level outside
+    /// `1..=S`.
     pub fn log_advance(&self, s: SkillLevel) -> f64 {
-        self.stay
-            .get(s as usize - 1)
+        level_index(s)
+            .and_then(|i| self.stay.get(i))
             .map(|&p| {
                 let adv = 1.0 - p;
                 if adv > 0.0 {
@@ -98,10 +100,10 @@ impl TransitionModel {
             .unwrap_or(f64::NEG_INFINITY)
     }
 
-    /// `log P(initial level = s)`.
+    /// `log P(initial level = s)`; `-inf` for a level outside `1..=S`.
     pub fn log_init(&self, s: SkillLevel) -> f64 {
-        self.init
-            .get(s as usize - 1)
+        level_index(s)
+            .and_then(|i| self.init.get(i))
             .map(|&p| if p > 0.0 { p.ln() } else { f64::NEG_INFINITY })
             .unwrap_or(f64::NEG_INFINITY)
     }
@@ -117,7 +119,16 @@ impl TransitionModel {
     }
 }
 
+/// Zero-based index of a one-based level; `None` for level 0.
+fn level_index(s: SkillLevel) -> Option<usize> {
+    (s as usize).checked_sub(1)
+}
+
 /// DP assignment including transition log-probabilities.
+///
+/// An item outside the dataset's catalog is a
+/// [`CoreError::FeatureIndexOutOfBounds`], raised before any emission is
+/// scored.
 pub fn assign_sequence_with_transitions(
     model: &SkillModel,
     transitions: &TransitionModel,
@@ -139,11 +150,7 @@ pub fn assign_sequence_with_transitions(
             log_likelihood: 0.0,
         });
     }
-    let emit: Vec<Vec<f64>> = sequence
-        .actions()
-        .iter()
-        .map(|a| model.item_log_likelihoods(dataset.item_features(a.item)))
-        .collect();
+    let emit = DirectEmissions { model, dataset }.rows_of(sequence.actions())?;
 
     let mut prev: Vec<f64> = (0..s_max)
         .map(|s| transitions.log_init((s + 1) as SkillLevel) + emit[0][s])
@@ -212,28 +219,26 @@ pub fn fit_transitions(
     let mut stay_counts = vec![0.0f64; n_levels];
     let mut advance_counts = vec![0.0f64; n_levels];
     let mut init_counts = vec![0.0f64; n_levels];
-    for seq in &assignments.per_user {
-        if let Some(&first) = seq.first() {
-            let idx = first as usize - 1;
-            if idx >= n_levels {
-                return Err(CoreError::InvalidSkillCount {
-                    requested: first as usize,
-                });
-            }
-            init_counts[idx] += 1.0;
-        }
-        for w in seq.windows(2) {
-            let (a, b) = (w[0] as usize - 1, w[1] as usize - 1);
-            if b == a {
-                stay_counts[a] += 1.0;
-            } else if b == a + 1 {
-                advance_counts[a] += 1.0;
-            } else {
-                return Err(CoreError::UnsortedSequence {
-                    user: 0,
-                    position: 0,
-                });
-            }
+    for (user, path) in assignments.per_user.iter().enumerate() {
+        let mut prev: Option<usize> = None;
+        for (position, &level) in path.iter().enumerate() {
+            let invalid = |reason| CoreError::InvalidLevelPath {
+                user,
+                position,
+                level,
+                reason,
+            };
+            let s = level_index(level)
+                .filter(|&s| s < n_levels)
+                .ok_or_else(|| invalid("is outside 1..=S"))?;
+            let count = match prev {
+                None => &mut init_counts[s],
+                Some(a) if s == a => &mut stay_counts[a],
+                Some(a) if s == a + 1 => &mut advance_counts[a],
+                Some(_) => return Err(invalid("is neither a stay nor a +1 step")),
+            };
+            *count += 1.0;
+            prev = Some(s);
         }
     }
     let stay: Vec<f64> = (0..n_levels)
@@ -359,6 +364,70 @@ mod tests {
             per_user: vec![vec![1, 3]],
         };
         assert!(fit_transitions(&a, 3, 0.01).is_err());
+        // The error names the real user and action, for jumps and drops.
+        let a = SkillAssignments {
+            per_user: vec![vec![1, 1], vec![1, 2, 2, 1]],
+        };
+        assert_eq!(
+            fit_transitions(&a, 3, 0.01),
+            Err(CoreError::InvalidLevelPath {
+                user: 1,
+                position: 3,
+                level: 1,
+                reason: "is neither a stay nor a +1 step",
+            })
+        );
+    }
+
+    #[test]
+    fn fit_transitions_range_checks_every_level() {
+        // A level above S after the first action is a typed error, not an
+        // out-of-bounds index.
+        let a = SkillAssignments {
+            per_user: vec![vec![2, 3, 4]],
+        };
+        assert_eq!(
+            fit_transitions(&a, 2, 0.01),
+            Err(CoreError::InvalidLevelPath {
+                user: 0,
+                position: 1,
+                level: 3,
+                reason: "is outside 1..=S",
+            })
+        );
+        // Level 0 is outside the range too, wherever it sits.
+        for (path, position) in [(vec![0, 1], 0), (vec![1, 1, 0], 2)] {
+            let a = SkillAssignments {
+                per_user: vec![vec![1], path],
+            };
+            assert!(matches!(
+                fit_transitions(&a, 2, 0.01),
+                Err(CoreError::InvalidLevelPath { user: 1, position: p, level: 0, .. })
+                    if p == position
+            ));
+        }
+    }
+
+    #[test]
+    fn log_accessors_treat_level_zero_as_impossible() {
+        let m = TransitionModel::uninformative(3).unwrap();
+        assert_eq!(m.log_stay(0), f64::NEG_INFINITY);
+        assert_eq!(m.log_advance(0), f64::NEG_INFINITY);
+        assert_eq!(m.log_init(0), f64::NEG_INFINITY);
+        assert_eq!(m.log_stay(4), f64::NEG_INFINITY);
+        assert!(m.log_init(1).is_finite());
+    }
+
+    #[test]
+    fn unknown_items_are_rejected_before_any_read() {
+        let (model, ds) = diagonal_setup(2);
+        let trans = TransitionModel::uninformative(2).unwrap();
+        let rogue =
+            ActionSequence::new(9, vec![Action::new(0, 9, 0), Action::new(1, 9, 50)]).unwrap();
+        assert!(matches!(
+            assign_sequence_with_transitions(&model, &trans, &ds, &rogue),
+            Err(CoreError::FeatureIndexOutOfBounds { index: 50, len: 2 })
+        ));
     }
 
     #[test]

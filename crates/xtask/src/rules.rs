@@ -19,6 +19,7 @@ pub const RULE_IDS: &[&str] = &[
     "float-eq",
     "config-literal",
     "deprecated-train-em",
+    "reference-in-production",
     "lock-order",
     "lock-across-publish",
     "raw-lock",
@@ -36,6 +37,18 @@ const HOT_FILES: &[&str] = &[
     "incremental.rs",
     "streaming.rs",
     "update.rs",
+];
+
+/// Source trees of the production crates. `reference` oracles are test
+/// and bench baselines, so naming them here is a violation; `crates/bench`
+/// is left out because its oracles are its speedup denominators.
+const PRODUCTION_SRC: &[&str] = &[
+    "crates/core/src/",
+    "crates/serve/src/",
+    "crates/cli/src/",
+    "crates/datasets/src/",
+    "crates/eval/src/",
+    "crates/ffm/src/",
 ];
 
 /// Cast targets that can silently truncate the workspace's index/level
@@ -70,6 +83,11 @@ pub fn run_all(file: &SourceFile) -> Vec<Diagnostic> {
     config_literal(file, &path, &mut out);
     if path != "crates/core/src/em.rs" {
         deprecated_train_em(file, &mut out);
+    }
+    if PRODUCTION_SRC.iter().any(|dir| path.starts_with(dir))
+        && path != "crates/core/src/reference.rs"
+    {
+        reference_in_production(file, &mut out);
     }
     crate::concurrency::run_rules(file, &mut out);
     // Nested loop spans overlap, so a single site can be visited twice.
@@ -410,6 +428,20 @@ fn deprecated_train_em(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
+// --- rule: reference-in-production -------------------------------------
+
+fn reference_in_production(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    for p in find_word_starts(&file.masked, "reference::") {
+        file.report(
+            out,
+            p,
+            "reference-in-production",
+            "`reference::` oracle named in production code; reference paths are test and bench baselines only"
+                .to_string(),
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,6 +633,37 @@ mod tests {
             "pub fn train_em() {}\nfn g() { train_em(); }\n"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn reference_in_production_rule() {
+        let bad = "fn f() { let _ = crate::reference::build_scalar(&m, &d); }\n";
+        for path in [
+            "crates/core/src/train.rs",
+            "crates/serve/src/service.rs",
+            "crates/cli/src/commands.rs",
+            "crates/datasets/src/synthetic.rs",
+            "crates/eval/src/ranking.rs",
+            "crates/ffm/src/model.rs",
+        ] {
+            assert_eq!(rules_of(&run(path, bad)), ["reference-in-production"]);
+        }
+        let import = "use upskill_core::reference::{assign_all_direct, build_scalar};\n";
+        assert_eq!(
+            rules_of(&run("crates/cli/src/main.rs", import)),
+            ["reference-in-production"]
+        );
+        // The oracles' own module, the bench crate, tests and docs are fine.
+        assert!(run("crates/core/src/reference.rs", bad).is_empty());
+        assert!(run("crates/bench/src/bin/bench_emission.rs", import).is_empty());
+        let test_only =
+            "#[cfg(test)]\nmod tests { fn f() { crate::reference::build_scalar(); } }\n";
+        assert!(run("crates/core/src/emission.rs", test_only).is_empty());
+        let doc = "/// Oracle: [`crate::reference::build_scalar`].\npub fn f() {}\n";
+        assert!(run("crates/core/src/emission.rs", doc).is_empty());
+        // Word-bounded: a module that merely ends in `reference` is not it.
+        let other = "fn f() { cross_reference::lookup(); }\n";
+        assert!(run("crates/core/src/train.rs", other).is_empty());
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Property-based tests for the shared emission table: across random
 //! schemas mixing categorical, count, and continuous (gamma + log-normal)
 //! features, the table-backed assignment and difficulty paths must agree
-//! with direct per-action evaluation, the columnar and parallel fills
-//! must agree with the scalar fill **bitwise**, and the f32 storage must
-//! stay within its documented half-ulp rounding bound.
+//! with direct per-action evaluation, and the columnar and parallel fills
+//! must agree with the scalar fill **bitwise**.
 
 use proptest::prelude::*;
 use upskill_core::assign::{assign_items_with_table_ws, assign_sequence, AssignWorkspace};
 use upskill_core::difficulty::{generation_difficulty, generation_difficulty_all, SkillPrior};
 use upskill_core::dist::{Categorical, FeatureDistribution, Gamma, LogNormal, Poisson};
-use upskill_core::emission::{CompactEmissionTable, EmissionTable};
+use upskill_core::emission::EmissionTable;
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveModel};
 use upskill_core::model::SkillModel;
 use upskill_core::parallel::{assign_all_parallel_with_table, ParallelConfig};
@@ -186,44 +185,6 @@ proptest! {
                     "parallel cell ({}, {}) diverged: {} vs {}",
                     item, s, reference, par
                 );
-            }
-        }
-    }
-
-    // The f32 storage deviates from the f64 table by at most the one
-    // documented round-to-nearest step: half an f32 ulp (~6e-8 relative)
-    // per cell, with non-finite scores preserved exactly.
-    #[test]
-    fn compact_table_stays_within_documented_f32_bound(
-        params in level_params_strategy(3),
-        item_draws in proptest::collection::vec(
-            (0u32..8, 0u64..20, 0.1f64..10.0, 0.1f64..10.0), 1..10),
-    ) {
-        let model = mixed_model(&params);
-        let ds = mixed_dataset(&item_draws, &[0]);
-        let full = EmissionTable::build(&model, &ds);
-        let compact = CompactEmissionTable::build(&model, &ds);
-        // Direct build and rounding an existing table are the same thing.
-        prop_assert_eq!(&compact, &CompactEmissionTable::from_table(&full));
-        let half_ulp = 0.5 * f32::EPSILON as f64;
-        for item in 0..ds.n_items() as u32 {
-            for s in 1..=full.n_levels() as u8 {
-                let exact = full.log_likelihood(item, s);
-                let stored = compact.log_likelihood(item, s);
-                if exact.is_finite() {
-                    // Relative half-ulp bound; the absolute term covers
-                    // scores in the f32 subnormal range around zero.
-                    prop_assert!(
-                        (stored - exact).abs() <= half_ulp * exact.abs() + 1e-37,
-                        "cell ({}, {}): {} stored as {}", item, s, exact, stored
-                    );
-                } else {
-                    prop_assert!(
-                        stored.to_bits() == exact.to_bits(),
-                        "non-finite cell ({}, {}): {} stored as {}",
-                        item, s, exact, stored
-                    );
-                }
             }
         }
     }
