@@ -122,27 +122,25 @@ fn main() {
     session.set_policy(RefitPolicy::Manual);
     session.ingest_batch(&suffix).expect("ingest");
     let levels_refit = session.refit().expect("refit");
-    let monotone = session.assignments().is_monotone();
-    let fresh_model = StatsGrid::build(session.dataset(), session.assignments(), 5)
+    let grown = session.snapshot("bench");
+    let monotone = grown.assignments.is_monotone();
+    let fresh_model = StatsGrid::build(&grown.dataset, &grown.assignments, 5)
         .expect("grid")
         .fit_model_incremental(
-            session.dataset(),
+            &grown.dataset,
             train_cfg.lambda,
             &ParallelConfig::sequential(),
             None,
         )
         .expect("fit");
     // Bitwise parameter equality shows itself as emission-table equality.
-    let refit_exact = EmissionTable::build(session.model(), session.dataset())
-        == EmissionTable::build(&fresh_model, session.dataset());
+    let refit_exact = EmissionTable::build(session.model(), &grown.dataset)
+        == EmissionTable::build(&fresh_model, &grown.dataset);
     let full_result =
         train_with_parallelism(&data.dataset, &train_cfg, &pc).expect("full retraining");
-    let streaming_ll = upskill_core::update::log_likelihood(
-        session.dataset(),
-        session.assignments(),
-        session.model(),
-    )
-    .expect("log-likelihood");
+    let streaming_ll =
+        upskill_core::update::log_likelihood(&grown.dataset, &grown.assignments, session.model())
+            .expect("log-likelihood");
     let per_action = |ll: f64| ll / data.dataset.n_actions() as f64;
 
     let mut retrain_s = Vec::with_capacity(repeats);

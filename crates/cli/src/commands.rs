@@ -458,30 +458,27 @@ fn ingest(args: &Args) -> Result<(), CliError> {
     };
 
     let levels = session.ingest_batch(&actions)?;
-    let ll = upskill_core::update::log_likelihood(
-        session.dataset(),
-        session.assignments(),
-        session.model(),
-    )?;
+    let bundle = session.snapshot("upskill ingest");
+    let ll =
+        upskill_core::update::log_likelihood(&bundle.dataset, &bundle.assignments, &bundle.model)?;
 
-    write_json(out, session.model())?;
+    write_json(out, &bundle.model)?;
     println!(
         "ingested {} actions into {} users ({} total); log-likelihood {:.1}; wrote {out}",
         levels.len(),
         session.n_users(),
-        session.dataset().n_actions(),
+        bundle.dataset.n_actions(),
         ll
     );
     if let Some(path) = args.optional("assignments-out") {
-        write_json(path, session.assignments())?;
+        write_json(path, &bundle.assignments)?;
         println!("wrote {path}");
     }
     if let Some(path) = args.optional("data-out") {
-        write_json(path, session.dataset())?;
+        write_json(path, &bundle.dataset)?;
         println!("wrote {path}");
     }
     if let Some(path) = args.optional("session-out") {
-        let bundle = session.snapshot("upskill ingest");
         let text = bundle.to_json()?;
         fs::write(path, text).map_err(|e| CliError::Io {
             op: "write",

@@ -281,4 +281,86 @@ fn invalid_datasets_are_typed_errors_not_panics() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.starts_with("error: "), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // Hostile level paths in user 3 (S = 5): a level above S, a level of
+    // 0, a path one action short, and a drop. Each error names the user
+    // and the action.
+    assert_eq!(with_level_paths(&text, &level_paths(&text)), text);
+    let n = level_paths(&text)[3].len();
+    assert!(n >= 2, "user 3 needs two actions");
+    type Edit = fn(&mut Vec<u8>);
+    let hostile: [(&str, Edit, usize); 4] = [
+        ("above", |p| p[1] = 6, 1),
+        ("zero", |p| p[1] = 0, 1),
+        (
+            "short",
+            |p| {
+                p.pop();
+            },
+            n - 1,
+        ),
+        (
+            "drop",
+            |p| {
+                p[0] = 5;
+                p[1] = 4;
+            },
+            1,
+        ),
+    ];
+    for (name, edit, action) in hostile {
+        let mut paths = level_paths(&text);
+        edit(&mut paths[3]);
+        let file = format!("sess_{name}.json");
+        std::fs::write(tmp(&file), with_level_paths(&text, &paths)).expect("write bad bundle");
+        let out = upskill(&format!("{ingest} --session @/{file}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(stderr.contains("user 3"), "{name}: {stderr}");
+        let at = format!("action {action}");
+        assert!(stderr.contains(&at), "{name}: {stderr}");
+    }
+}
+
+/// The byte range of a session bundle's level paths: the rows of
+/// `"per_user":[[…],…,[…]]`, without the outer brackets.
+fn level_paths_span(bundle: &str) -> std::ops::Range<usize> {
+    let key = "\"per_user\":[";
+    let start = bundle.find(key).expect("assignments present") + key.len();
+    let end = start + bundle[start..].find("]]").expect("paths end") + 1;
+    start..end
+}
+
+/// A session bundle's per-user level paths.
+fn level_paths(bundle: &str) -> Vec<Vec<u8>> {
+    let rows = &bundle[level_paths_span(bundle)];
+    let rows = &rows[1..rows.len() - 1];
+    rows.split("],[")
+        .map(|row| {
+            row.split(',')
+                .filter(|l| !l.is_empty())
+                .map(|l| l.parse().expect("level"))
+                .collect()
+        })
+        .collect()
+}
+
+/// The bundle with its level paths replaced by `paths`.
+fn with_level_paths(bundle: &str, paths: &[Vec<u8>]) -> String {
+    let rows: Vec<String> = paths
+        .iter()
+        .map(|p| {
+            let levels: Vec<String> = p.iter().map(u8::to_string).collect();
+            format!("[{}]", levels.join(","))
+        })
+        .collect();
+    let span = level_paths_span(bundle);
+    format!(
+        "{}{}{}",
+        &bundle[..span.start],
+        rows.join(","),
+        &bundle[span.end..]
+    )
 }

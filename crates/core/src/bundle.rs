@@ -79,14 +79,11 @@ impl ModelBundle {
         Ok(bundle)
     }
 
-    /// Internal consistency checks.
+    /// Internal consistency checks: version, model/config level
+    /// agreement, and assignments that are monotone paths over the
+    /// model's levels.
     pub fn validate(&self) -> Result<()> {
-        if self.version == 0 || self.version > BUNDLE_VERSION {
-            return Err(CoreError::NoConvergence {
-                routine: "bundle version check",
-                iterations: self.version as usize,
-            });
-        }
+        check_version("model bundle", self.version, BUNDLE_VERSION)?;
         if self.model.n_levels() != self.config.n_levels {
             return Err(CoreError::LengthMismatch {
                 context: "bundle model levels vs config",
@@ -94,22 +91,23 @@ impl ModelBundle {
                 right: self.config.n_levels,
             });
         }
-        if let Some(a) = &self.assignments {
-            if !a.is_monotone() {
-                return Err(CoreError::UnsortedSequence {
-                    user: 0,
-                    position: 0,
-                });
-            }
-            let max_level = a.iter().map(|(_, _, s)| s).max().unwrap_or(1) as usize;
-            if max_level > self.model.n_levels() {
-                return Err(CoreError::InvalidSkillCount {
-                    requested: max_level,
-                });
-            }
+        match &self.assignments {
+            Some(a) => a.check_paths(self.model.n_levels()),
+            None => Ok(()),
         }
-        Ok(())
     }
+}
+
+/// Rejects a format version outside `1..=supported`.
+fn check_version(artifact: &'static str, found: u32, supported: u32) -> Result<()> {
+    if found == 0 || found > supported {
+        return Err(CoreError::UnsupportedVersion {
+            artifact,
+            found,
+            supported,
+        });
+    }
+    Ok(())
 }
 
 /// The session bundle format version this build writes.
@@ -165,15 +163,10 @@ impl SessionBundle {
 
     /// Internal consistency checks: version, a valid dataset (see
     /// [`Dataset::validate`]; serde bypasses its constructor checks),
-    /// model/config level agreement, monotone assignments covering
-    /// exactly the dataset's users.
+    /// model/config level agreement, and one monotone path over
+    /// `1..=S` per user, one level per action.
     pub fn validate(&self) -> Result<()> {
-        if self.version == 0 || self.version > SESSION_BUNDLE_VERSION {
-            return Err(CoreError::NoConvergence {
-                routine: "session bundle version check",
-                iterations: self.version as usize,
-            });
-        }
+        check_version("session bundle", self.version, SESSION_BUNDLE_VERSION)?;
         self.dataset.validate()?;
         if self.model.n_levels() != self.config.n_levels {
             return Err(CoreError::LengthMismatch {
@@ -189,13 +182,17 @@ impl SessionBundle {
                 right: self.dataset.n_users(),
             });
         }
-        if !self.assignments.is_monotone() {
-            return Err(CoreError::UnsortedSequence {
-                user: 0,
-                position: 0,
-            });
+        let paths = self.assignments.per_user.iter();
+        for (user, (path, seq)) in paths.zip(self.dataset.sequences()).enumerate() {
+            if path.len() != seq.len() {
+                return Err(CoreError::PathLengthMismatch {
+                    user,
+                    levels: path.len(),
+                    actions: seq.len(),
+                });
+            }
         }
-        Ok(())
+        self.assignments.check_paths(self.config.n_levels)
     }
 
     /// Reconstructs a live [`StreamingSession`] from this bundle.
@@ -268,7 +265,14 @@ mod tests {
         let mut bundle = ModelBundle::from_result(&result, config, "x");
         bundle.version = BUNDLE_VERSION + 1;
         let json = serde_json::to_string(&bundle).unwrap();
-        assert!(ModelBundle::from_json(&json).is_err());
+        assert_eq!(
+            ModelBundle::from_json(&json).unwrap_err(),
+            CoreError::UnsupportedVersion {
+                artifact: "model bundle",
+                found: BUNDLE_VERSION + 1,
+                supported: BUNDLE_VERSION,
+            }
+        );
     }
 
     #[test]
@@ -280,18 +284,34 @@ mod tests {
     }
 
     #[test]
-    fn nonmonotone_assignments_rejected() {
+    fn invalid_assignment_paths_rejected() {
         let (result, config) = trained();
-        let mut bundle = ModelBundle::from_result(&result, config, "x");
-        if let Some(a) = &mut bundle.assignments {
-            if let Some(seq) = a.per_user.first_mut() {
-                if seq.len() >= 2 {
-                    seq[0] = 2;
-                    seq[1] = 1;
-                }
-            }
-        }
-        assert!(bundle.validate().is_err());
+        let bundle = ModelBundle::from_result(&result, config, "x");
+        // A drop in user 2's path, then a level of 0 in user 1's.
+        let mut drop = bundle.clone();
+        let path = &mut drop.assignments.as_mut().unwrap().per_user[2];
+        path[3] = 2;
+        path[4] = 1;
+        assert!(matches!(
+            drop.validate(),
+            Err(CoreError::InvalidLevelPath {
+                user: 2,
+                position: 4,
+                level: 1,
+                ..
+            })
+        ));
+        let mut zero = bundle;
+        zero.assignments.as_mut().unwrap().per_user[1][0] = 0;
+        assert!(matches!(
+            zero.validate(),
+            Err(CoreError::InvalidLevelPath {
+                user: 1,
+                position: 0,
+                level: 0,
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -340,9 +360,10 @@ mod tests {
         let back = SessionBundle::from_json(&json).unwrap();
         assert_eq!(back.note, "resume test");
         let resumed = back.resume().unwrap();
-        assert_eq!(resumed.assignments(), session.assignments());
+        let (ours, theirs) = (resumed.snapshot("x"), session.snapshot("x"));
+        assert_eq!(ours.assignments, theirs.assignments);
         assert_eq!(resumed.model(), session.model());
-        assert_eq!(resumed.dataset().n_actions(), session.dataset().n_actions());
+        assert_eq!(ours.dataset.n_actions(), theirs.dataset.n_actions());
         // Lifetime counters are per-process, not persisted.
         assert_eq!(resumed.total_ingested(), 0);
     }
@@ -390,7 +411,10 @@ mod tests {
         let back = SessionBundle::from_json(&old).unwrap();
         assert_eq!(back.parallel, parallel);
         let resumed = back.resume().unwrap();
-        assert_eq!(resumed.assignments(), session.assignments());
+        assert_eq!(
+            resumed.snapshot("x").assignments,
+            session.snapshot("x").assignments
+        );
         assert_eq!(resumed.model(), session.model());
     }
 
@@ -411,7 +435,14 @@ mod tests {
 
         let mut future = bundle.clone();
         future.version = SESSION_BUNDLE_VERSION + 1;
-        assert!(future.validate().is_err());
+        assert_eq!(
+            future.validate(),
+            Err(CoreError::UnsupportedVersion {
+                artifact: "session bundle",
+                found: SESSION_BUNDLE_VERSION + 1,
+                supported: SESSION_BUNDLE_VERSION,
+            })
+        );
 
         let mut wrong_levels = bundle.clone();
         wrong_levels.config.n_levels = 5;
@@ -421,10 +452,47 @@ mod tests {
         missing_user.assignments.per_user.pop();
         assert!(missing_user.validate().is_err());
 
-        let mut nonmonotone = bundle;
-        nonmonotone.assignments.per_user[0][0] = 2;
-        nonmonotone.assignments.per_user[0][1] = 1;
-        assert!(nonmonotone.validate().is_err());
+        // Every path fault names its real user and action, through JSON
+        // as `ingest --session` reads it: a level above S = 2, a level of
+        // 0, a path one action short, and a drop in user 3's path.
+        let invalid = |user, position, level, reason| {
+            Err(CoreError::InvalidLevelPath {
+                user,
+                position,
+                level,
+                reason,
+            })
+        };
+        let reparse = |edit: &dyn Fn(&mut Vec<Vec<u8>>)| {
+            let mut b = bundle.clone();
+            edit(&mut b.assignments.per_user);
+            SessionBundle::from_json(&b.to_json().unwrap()).map(|_| ())
+        };
+        assert_eq!(
+            reparse(&|p| p[1][5] = 9),
+            invalid(1, 5, 9, "is outside 1..=S")
+        );
+        assert_eq!(
+            reparse(&|p| p[2][0] = 0),
+            invalid(2, 0, 0, "is outside 1..=S")
+        );
+        assert_eq!(
+            reparse(&|p| {
+                p[1].pop();
+            }),
+            Err(CoreError::PathLengthMismatch {
+                user: 1,
+                levels: 7,
+                actions: 8,
+            })
+        );
+        assert_eq!(
+            reparse(&|p| {
+                p[3][2] = 2;
+                p[3][3] = 1;
+            }),
+            invalid(3, 3, 1, "is below the level before it")
+        );
 
         // Serde bypasses the dataset's constructor checks: move user 0's
         // first action past the rest of their sequence.

@@ -137,6 +137,26 @@ pub enum CoreError {
         /// Why the level is invalid at that position.
         reason: &'static str,
     },
+    /// A level path does not cover its user's sequence one level per
+    /// action.
+    PathLengthMismatch {
+        /// Index of the user's path in the assignments.
+        user: usize,
+        /// Number of levels in the path.
+        levels: usize,
+        /// Number of actions in the user's sequence.
+        actions: usize,
+    },
+    /// A serialized artifact carries a format version this build cannot
+    /// read.
+    UnsupportedVersion {
+        /// Which artifact was read.
+        artifact: &'static str,
+        /// The version the artifact declares.
+        found: u32,
+        /// The newest version this build reads (versions start at 1).
+        supported: u32,
+    },
     /// A runtime invariant check failed (see [`crate::invariants`]). These
     /// checks run in debug builds and under the `strict-invariants`
     /// feature; a violation means internal state was corrupted (e.g. a
@@ -216,6 +236,24 @@ impl fmt::Display for CoreError {
                 f,
                 "level path of user {user}: level {level} at action {position} {reason}"
             ),
+            CoreError::PathLengthMismatch {
+                user,
+                levels,
+                actions,
+            } => write!(
+                f,
+                "level path of user {user} has {levels} levels for {actions} actions: \
+                 they part at action {}",
+                levels.min(actions)
+            ),
+            CoreError::UnsupportedVersion {
+                artifact,
+                found,
+                supported,
+            } => write!(
+                f,
+                "{artifact} format version {found} is not supported: this build reads 1 to {supported}"
+            ),
             CoreError::InvariantViolation { check, detail } => {
                 write!(f, "invariant violation in {check}: {detail}")
             }
@@ -264,6 +302,22 @@ mod tests {
                     reason: "is outside 1..=S",
                 },
                 "user 4: level 9 at action 2",
+            ),
+            (
+                CoreError::PathLengthMismatch {
+                    user: 3,
+                    levels: 7,
+                    actions: 8,
+                },
+                "user 3 has 7 levels for 8 actions: they part at action 7",
+            ),
+            (
+                CoreError::UnsupportedVersion {
+                    artifact: "session bundle",
+                    found: 9,
+                    supported: 1,
+                },
+                "session bundle format version 9 is not supported",
             ),
             (
                 CoreError::WorkerPanicked { step: "assignment" },

@@ -108,8 +108,9 @@ impl OnlineTracker {
         self.current_level()
     }
 
-    /// Folds one emission vector into the prefix scores.
-    fn advance(&mut self, emissions: &[f64]) {
+    /// Folds one emission vector into the prefix scores. `emissions` is
+    /// a row of a table with this tracker's level count.
+    pub(crate) fn advance(&mut self, emissions: &[f64]) {
         let s_max = self.scores.len();
         if self.n_observed == 0 {
             self.scores.copy_from_slice(emissions);

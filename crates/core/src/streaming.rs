@@ -22,20 +22,22 @@
 //!    [`StatsGrid::fit_model_incremental`]), and refreshes only those
 //!    levels' [`EmissionTable`] columns.
 //!
-//! ## One live-fitting state
+//! ## One live-fitting state, one live user record
 //!
 //! Steps 2 and 3 belong to [`LiveFit`]: the statistics grid, the model,
 //! the refit policy and its [`RefitTuner`], the pending and lifetime
-//! counters, and the soft (EM) state. It has one construction pipeline
-//! ([`LiveFit::new`]), one `+1` record and one refit rule. A
-//! [`StreamingSession`] owns one next to the sequences, assignments,
-//! emission table and per-user trackers; the serving layer keeps one
-//! behind its global lock and shards the per-user state. Both therefore
+//! counters, and the soft (EM) state, with one construction pipeline
+//! ([`LiveFit::new`]), one `+1` record and one refit rule. Step 1
+//! belongs to [`LiveUser`]: one user's sequence, committed path and
+//! filtering tracker, with one construction ([`LiveUser::split`]), one
+//! ingest rule ([`LiveUser::validate`], then append or admit) and one
+//! snapshot ([`session_bundle`]). A [`StreamingSession`] owns a
+//! sequence-less catalog, its live users, the emission table and a
+//! `LiveFit`; the serving layer keeps the `LiveFit` behind its global
+//! lock and the live users in its shards. Both commit the same paths and
 //! fit the same model from the same traffic by construction. A refit
-//! reads only the feature *catalog* (schema + item tuples), never the
-//! sequences, so the serving layer can refit against a sequence-less
-//! catalog dataset.
-//!
+//! reads only the catalog (schema + item tuples), never the sequences.
+
 //! ## Cut, fit, install
 //!
 //! The refit rule runs in three steps, so its owner need not hold its
@@ -89,11 +91,12 @@
 //! [`StatsGrid`] are still maintained — they back the invariant checks and
 //! keep every accessor meaningful in both modes.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use crate::bundle::{SessionBundle, SESSION_BUNDLE_VERSION};
 use crate::em::FbWorkspace;
 use crate::emission::EmissionTable;
 use crate::error::{CoreError, Result};
@@ -421,7 +424,7 @@ impl RefitCut {
 }
 
 /// Input checks shared by every live-fit constructor: valid
-/// configurations and a monotone committed path.
+/// configurations and committed paths that are monotone over `1..=S`.
 fn check_inputs(
     assignments: &SkillAssignments,
     config: &TrainConfig,
@@ -429,40 +432,194 @@ fn check_inputs(
 ) -> Result<()> {
     config.validate()?;
     parallel.validate()?;
-    if !assignments.is_monotone() {
-        return Err(CoreError::DegenerateFit {
-            distribution: "streaming session",
-            reason: "assignments violate the monotone level constraint",
-        });
-    }
-    Ok(())
+    assignments.check_paths(config.n_levels)
 }
 
-/// A live continuation of a trained model: owns the dataset, the committed
-/// assignments, the [`EmissionTable`], one filtering [`OnlineTracker`] per
-/// user, and the [`LiveFit`] holding the statistics and the model.
+/// One user's live record: the action sequence, the committed monotone
+/// level path (one level per action) and the filtering
+/// [`OnlineTracker`]. [`StreamingSession`] keeps a `Vec` of them, the
+/// serving layer one per user in its shards (module docs).
+#[derive(Debug, Clone)]
+pub struct LiveUser {
+    sequence: ActionSequence,
+    levels: Vec<SkillLevel>,
+    tracker: OnlineTracker,
+}
+
+/// An action [`LiveUser::validate`] accepted.
+#[derive(Debug, Clone, Copy)]
+pub struct Extension<'t> {
+    /// The action's emission row, `row[s - 1]` for level `s`.
+    pub row: &'t [f64],
+    /// The level the action commits.
+    pub level: SkillLevel,
+    /// The user's previous level; `None` for a first action.
+    pub last: Option<SkillLevel>,
+}
+
+impl LiveUser {
+    /// Splits `dataset` and its committed `assignments` into the
+    /// sequence-less catalog, built through the item check of
+    /// [`Dataset::with_sequences`], and one live user per sequence in
+    /// dataset order, its tracker warmed through `table`. Sequences and
+    /// paths are moved, not copied. Rejects two sequences for one user.
+    pub fn split(
+        dataset: Dataset,
+        assignments: SkillAssignments,
+        table: &EmissionTable,
+    ) -> Result<(Dataset, Vec<LiveUser>)> {
+        let catalog = dataset.with_sequences(Vec::new())?;
+        let sequences = dataset.into_sequences();
+        if assignments.per_user.len() != sequences.len() {
+            return Err(CoreError::LengthMismatch {
+                context: "assignments vs dataset users",
+                left: assignments.per_user.len(),
+                right: sequences.len(),
+            });
+        }
+        let mut seen = HashSet::with_capacity(sequences.len());
+        let mut users = Vec::with_capacity(sequences.len());
+        for (sequence, levels) in sequences.into_iter().zip(assignments.per_user) {
+            if !seen.insert(sequence.user) {
+                return Err(CoreError::DegenerateFit {
+                    distribution: "live users",
+                    reason: "dataset contains two sequences for one user id",
+                });
+            }
+            let mut tracker = OnlineTracker::new(table.n_levels())?;
+            for action in sequence.actions() {
+                tracker.observe_item(table, action.item)?;
+            }
+            users.push(LiveUser {
+                sequence,
+                levels,
+                tracker,
+            });
+        }
+        Ok((catalog, users))
+    }
+
+    /// The validate step of the ingest rule; changes nothing. Checks that
+    /// `action` names an item of `table` and, for a known `user`, does
+    /// not move time backwards; then commits its level by
+    /// [`commit_level`] and checks the extension stays monotone.
+    pub fn validate<'t>(
+        user: Option<&LiveUser>,
+        action: &Action,
+        table: &'t EmissionTable,
+    ) -> Result<Extension<'t>> {
+        let row = table
+            .checked_row(action.item)
+            .ok_or(CoreError::FeatureIndexOutOfBounds {
+                index: action.item as usize,
+                len: table.n_items(),
+            })?;
+        let actions = user.map_or(&[][..], LiveUser::actions);
+        if actions.last().is_some_and(|prev| action.time < prev.time) {
+            return Err(CoreError::UnsortedSequence {
+                user: action.user,
+                position: actions.len(),
+            });
+        }
+        let last = user.and_then(LiveUser::committed_level);
+        let level = commit_level(row, last);
+        InvariantCtx::new().check_extension("live ingest", last, level)?;
+        Ok(Extension { row, level, last })
+    }
+
+    /// Appends a validated action to a known user.
+    pub fn append(&mut self, action: Action, ext: &Extension) -> Result<()> {
+        self.sequence.push(action)?;
+        self.levels.push(ext.level);
+        self.tracker.advance(ext.row);
+        Ok(())
+    }
+
+    /// Admits a new user with a validated first action.
+    pub fn admit(action: Action, ext: &Extension) -> Result<LiveUser> {
+        let mut live = LiveUser {
+            sequence: ActionSequence::new(action.user, Vec::new())?,
+            levels: Vec::new(),
+            tracker: OnlineTracker::new(ext.row.len())?,
+        };
+        live.append(action, ext)?;
+        Ok(live)
+    }
+
+    /// The user's id.
+    pub fn user(&self) -> UserId {
+        self.sequence.user
+    }
+
+    /// The user's actions in time order.
+    pub fn actions(&self) -> &[Action] {
+        self.sequence.actions()
+    }
+
+    /// The user's last committed level, if they have any actions.
+    pub fn committed_level(&self) -> Option<SkillLevel> {
+        self.levels.last().copied()
+    }
+
+    /// The user's filtering (tracker) level estimate.
+    pub fn filtered_level(&self) -> Result<SkillLevel> {
+        self.tracker.current_level()
+    }
+}
+
+/// The [`SessionBundle`] of a live deployment: `catalog` with the
+/// sequences and paths of `users` in admission order, and the model and
+/// policy of `fit`.
+pub fn session_bundle<'a>(
+    catalog: &Dataset,
+    users: impl IntoIterator<Item = &'a LiveUser>,
+    fit: &LiveFit,
+    config: TrainConfig,
+    parallel: ParallelConfig,
+    note: &str,
+) -> SessionBundle {
+    let (sequences, per_user) = users
+        .into_iter()
+        .map(|u| (u.sequence.clone(), u.levels.clone()))
+        .unzip();
+    SessionBundle {
+        version: SESSION_BUNDLE_VERSION,
+        dataset: catalog.with_checked_sequences(sequences),
+        model: SkillModel::clone(&fit.model),
+        assignments: SkillAssignments { per_user },
+        config,
+        parallel,
+        policy: fit.policy,
+        note: note.to_string(),
+    }
+}
+
+/// A live continuation of a trained model: owns the sequence-less item
+/// catalog, one [`LiveUser`] per user in admission order, the
+/// [`EmissionTable`], and the [`LiveFit`] holding the statistics and the
+/// model.
 ///
 /// Construct with [`StreamingSession::resume`] from a
 /// [`TrainResult`] (or [`StreamingSession::new`] from raw parts), then
 /// feed actions with [`StreamingSession::ingest`] /
 /// [`StreamingSession::ingest_batch`]. Unknown users are admitted
 /// automatically with a fresh sequence and tracker.
+/// [`StreamingSession::snapshot`] reads the grown dataset and paths back.
 #[derive(Debug, Clone)]
 pub struct StreamingSession {
-    dataset: Dataset,
-    assignments: SkillAssignments,
+    catalog: Dataset,
+    users: Vec<LiveUser>,
+    user_index: HashMap<UserId, usize>,
     config: TrainConfig,
     parallel: ParallelConfig,
     table: EmissionTable,
-    trackers: Vec<OnlineTracker>,
-    user_index: HashMap<UserId, usize>,
     fit: LiveFit,
 }
 
 impl StreamingSession {
-    /// Builds a session from a dataset and its committed assignments
-    /// ([`LiveFit::new`]), warming the per-user trackers by replaying each
-    /// sequence through the emission table.
+    /// Builds a session from a dataset and its committed assignments:
+    /// the fit ([`LiveFit::new`]), then the catalog and one warmed
+    /// [`LiveUser`] per sequence ([`LiveUser::split`]).
     pub fn new(
         dataset: Dataset,
         assignments: SkillAssignments,
@@ -542,9 +699,9 @@ impl StreamingSession {
         Self::assemble(dataset, assignments, config, parallel, table, fit)
     }
 
-    /// Completes a session around its fit and emission table: warms one
-    /// filtering [`OnlineTracker`] per user by replaying its sequence
-    /// through the table, and indexes users by id.
+    /// Completes a session around its fit and emission table: splits the
+    /// dataset into the catalog and its live users ([`LiveUser::split`])
+    /// and indexes the users by id.
     fn assemble(
         dataset: Dataset,
         assignments: SkillAssignments,
@@ -553,29 +710,19 @@ impl StreamingSession {
         table: EmissionTable,
         fit: LiveFit,
     ) -> Result<Self> {
-        let mut trackers = Vec::with_capacity(dataset.n_users());
-        let mut user_index = HashMap::with_capacity(dataset.n_users());
-        for (u, seq) in dataset.sequences().iter().enumerate() {
-            if user_index.insert(seq.user, u).is_some() {
-                return Err(CoreError::DegenerateFit {
-                    distribution: "streaming session",
-                    reason: "dataset contains two sequences for one user id",
-                });
-            }
-            let mut tracker = OnlineTracker::new(config.n_levels)?;
-            for action in seq.actions() {
-                tracker.observe_item(&table, action.item)?;
-            }
-            trackers.push(tracker);
-        }
+        let (catalog, users) = LiveUser::split(dataset, assignments, &table)?;
+        let user_index = users
+            .iter()
+            .enumerate()
+            .map(|(u, live)| (live.user(), u))
+            .collect();
         Ok(Self {
-            dataset,
-            assignments,
+            catalog,
+            users,
+            user_index,
             config,
             parallel,
             table,
-            trackers,
-            user_index,
             fit,
         })
     }
@@ -626,48 +773,21 @@ impl StreamingSession {
         Ok(levels)
     }
 
-    /// The committed-prefix forward-DP step plus bookkeeping; no refit.
+    /// The ingest rule ([`LiveUser::validate`], then append or admit)
+    /// plus the `+1` record; no refit.
     fn ingest_inner(&mut self, action: Action) -> Result<SkillLevel> {
-        let row =
-            self.table
-                .checked_row(action.item)
-                .ok_or(CoreError::FeatureIndexOutOfBounds {
-                    index: action.item as usize,
-                    len: self.table.n_items(),
-                })?;
-        let (u, is_new_user) = match self.user_index.get(&action.user) {
-            Some(&u) => (u, false),
-            None => (self.dataset.n_users(), true),
-        };
-        // Constrained extension of the committed monotone path: the prefix
-        // pins the path at the user's last level, so the DP choice is
-        // between staying and advancing one level, by emission score
-        // (ties stay). A first action takes the best level outright
-        // (ties low), matching the DP's first column.
-        let last = if is_new_user {
-            None
-        } else {
-            self.assignments.per_user[u].last().copied()
-        };
-        let level = commit_level(row, last);
-        // O(1) extension check: the committed path must stay monotone.
-        InvariantCtx::new().check_extension("streaming ingest", last, level)?;
-
-        // Mutations, fallible first so errors leave the session unchanged.
-        if is_new_user {
-            let seq = ActionSequence::new(action.user, vec![action])?;
-            self.dataset.push_sequence(seq)?;
-            self.assignments.per_user.push(Vec::new());
-            self.trackers
-                .push(OnlineTracker::new(self.config.n_levels)?);
-            self.user_index.insert(action.user, u);
-        } else {
-            self.dataset.append_action(u, action)?;
+        let known = self.user_index.get(&action.user).copied();
+        let ext = LiveUser::validate(known.and_then(|u| self.users.get(u)), &action, &self.table)?;
+        match known.and_then(|u| self.users.get_mut(u)) {
+            Some(live) => live.append(action, &ext)?,
+            None => {
+                let live = LiveUser::admit(action, &ext)?;
+                self.user_index.insert(action.user, self.users.len());
+                self.users.push(live);
+            }
         }
-        self.fit.record(action.item, level, row, last)?;
-        self.assignments.per_user[u].push(level);
-        self.trackers[u].observe_item(&self.table, action.item)?;
-        Ok(level)
+        self.fit.record(action.item, ext.level, ext.row, ext.last)?;
+        Ok(ext.level)
     }
 
     /// Refits the dirty levels now if the policy says so.
@@ -712,45 +832,42 @@ impl StreamingSession {
 
     /// The fit step of [`StreamingSession::refit`], plus the checks
     /// that need the sequences: a monotone committed path and a grid
-    /// that matches a from-scratch accumulation.
+    /// that matches a from-scratch accumulation. The checks snapshot the
+    /// users once, and only in builds where they run.
     fn fit_cut(&self, cut: &RefitCut) -> Result<(SkillModel, EmissionTable)> {
         let fitted = cut.fit(
-            &self.dataset,
+            &self.catalog,
             self.config.lambda,
             &self.parallel,
             &self.table,
         )?;
         let ctx = InvariantCtx::new();
-        ctx.check_monotone("streaming refit", &self.assignments)?;
-        ctx.check_grid(&self.fit.grid, &self.dataset, &self.assignments)?;
+        if ctx.enabled() {
+            let grown = self.snapshot("");
+            ctx.check_monotone("streaming refit", &grown.assignments)?;
+            ctx.check_grid(&self.fit.grid, &grown.dataset, &grown.assignments)?;
+        }
         Ok(fitted)
     }
 
-    /// Snapshots the session into a serializable
-    /// [`SessionBundle`](crate::bundle::SessionBundle).
+    /// Snapshots the session into a serializable [`SessionBundle`]: the
+    /// catalog with every user's sequence and committed path.
     ///
     /// Derived state (grid, emission table, trackers) is not stored;
-    /// [`SessionBundle::resume`](crate::bundle::SessionBundle::resume)
-    /// rebuilds it, so a snapshot taken with pending actions resumes
-    /// freshly refit. The soft (EM) continuation state is derived too and
-    /// is likewise not stored: a bundle always resumes in hard mode, with
-    /// the snapshot's model refit from the hard histogram.
-    pub fn snapshot(&self, note: &str) -> crate::bundle::SessionBundle {
-        crate::bundle::SessionBundle {
-            version: crate::bundle::SESSION_BUNDLE_VERSION,
-            dataset: self.dataset.clone(),
-            model: SkillModel::clone(&self.fit.model),
-            assignments: self.assignments.clone(),
-            config: self.config,
-            parallel: self.parallel,
-            policy: self.fit.policy,
-            note: note.to_string(),
-        }
-    }
-
-    /// The dataset including every ingested action.
-    pub fn dataset(&self) -> &Dataset {
-        &self.dataset
+    /// [`SessionBundle::resume`] rebuilds it, so a snapshot taken with
+    /// pending actions resumes freshly refit. The soft (EM) continuation
+    /// state is derived too and is likewise not stored: a bundle always
+    /// resumes in hard mode, with the snapshot's model refit from the
+    /// hard histogram.
+    pub fn snapshot(&self, note: &str) -> SessionBundle {
+        session_bundle(
+            &self.catalog,
+            &self.users,
+            &self.fit,
+            self.config,
+            self.parallel,
+            note,
+        )
     }
 
     /// The current model (last refit; lags the statistics between refits).
@@ -758,20 +875,9 @@ impl StreamingSession {
         &self.fit.model
     }
 
-    /// The committed per-action level assignments, including the streamed
-    /// suffix.
-    pub fn assignments(&self) -> &SkillAssignments {
-        &self.assignments
-    }
-
     /// Training hyperparameters the session refits with.
     pub fn config(&self) -> &TrainConfig {
         &self.config
-    }
-
-    /// Parallelism configuration used for refits.
-    pub fn parallel(&self) -> &ParallelConfig {
-        &self.parallel
     }
 
     /// The current refit policy.
@@ -814,20 +920,23 @@ impl StreamingSession {
 
     /// Number of users the session tracks (including streamed-in users).
     pub fn n_users(&self) -> usize {
-        self.dataset.n_users()
+        self.users.len()
+    }
+
+    /// The user's live record, if the session knows them.
+    fn user(&self, user: UserId) -> Option<&LiveUser> {
+        self.users.get(*self.user_index.get(&user)?)
     }
 
     /// The user's last committed level, if they have any actions.
     pub fn committed_level(&self, user: UserId) -> Option<SkillLevel> {
-        let &u = self.user_index.get(&user)?;
-        self.assignments.per_user[u].last().copied()
+        self.user(user)?.committed_level()
     }
 
     /// The user's filtering (tracker) level estimate — may disagree with
     /// the committed path; see the module docs on filtering vs smoothing.
     pub fn filtered_level(&self, user: UserId) -> Option<SkillLevel> {
-        let &u = self.user_index.get(&user)?;
-        self.trackers[u].current_level().ok()
+        self.user(user)?.filtered_level().ok()
     }
 }
 
@@ -965,6 +1074,13 @@ mod tests {
         Dataset::new(schema, items, sequences).unwrap()
     }
 
+    /// The session's grown dataset and committed paths, read back
+    /// through its snapshot.
+    fn grown(session: &StreamingSession) -> (Dataset, SkillAssignments) {
+        let bundle = session.snapshot("");
+        (bundle.dataset, bundle.assignments)
+    }
+
     fn trained_session(policy: RefitPolicy) -> StreamingSession {
         let ds = progression_dataset(8, 12, 3);
         let cfg = TrainConfig::new(3).with_min_init_actions(4);
@@ -1010,27 +1126,28 @@ mod tests {
                 .unwrap();
             assert!((1..=3).contains(&level));
         }
-        assert!(session.assignments().is_monotone());
+        let (dataset, assignments) = grown(&session);
+        assert!(assignments.is_monotone());
         assert_eq!(session.total_ingested(), 5);
         assert_eq!(session.pending_actions(), 0); // EveryBatch refits per ingest
-        assert_eq!(session.dataset().n_actions(), 8 * 12 + 5);
+        assert_eq!(dataset.n_actions(), 8 * 12 + 5);
 
         // The refit model must equal a from-scratch parameter fit of the
         // grown dataset under the session's assignments, bit for bit.
-        let fresh = StatsGrid::build(session.dataset(), session.assignments(), 3)
+        let fresh = StatsGrid::build(&dataset, &assignments, 3)
             .unwrap()
             .fit_model_incremental(
-                session.dataset(),
+                &dataset,
                 session.config().lambda,
                 &ParallelConfig::sequential(),
                 None,
             )
             .unwrap();
-        assert!(models_identical(session.model(), &fresh, session.dataset()));
+        assert!(models_identical(session.model(), &fresh, &dataset));
 
         // And the emission table must match a fresh build of that model.
-        let fresh_table = EmissionTable::build(session.model(), session.dataset());
-        for item in 0..session.dataset().n_items() as u32 {
+        let fresh_table = EmissionTable::build(session.model(), &dataset);
+        for item in 0..dataset.n_items() as u32 {
             for s in 1..=3u8 {
                 assert_eq!(
                     session.table.log_likelihood(item, s).to_bits(),
@@ -1050,7 +1167,7 @@ mod tests {
         assert!(session.filtered_level(42).is_some());
         // The new user's next action continues their own sequence.
         session.ingest(Action::new(1, 42, 1)).unwrap();
-        assert_eq!(session.dataset().sequences()[8].len(), 2);
+        assert_eq!(grown(&session).0.sequences()[8].len(), 2);
     }
 
     #[test]
@@ -1061,11 +1178,7 @@ mod tests {
         session.ingest(Action::new(101, 0, 2)).unwrap();
         // Not due yet: model untouched, statistics pending.
         assert_eq!(session.pending_actions(), 2);
-        assert!(models_identical(
-            session.model(),
-            &before,
-            session.dataset()
-        ));
+        assert!(models_identical(session.model(), &before, &session.catalog));
         session.ingest(Action::new(102, 0, 2)).unwrap();
         assert_eq!(session.pending_actions(), 0);
     }
@@ -1078,11 +1191,7 @@ mod tests {
             session.ingest(Action::new(100 + k, 1, 2)).unwrap();
         }
         assert_eq!(session.pending_actions(), 5);
-        assert!(models_identical(
-            session.model(),
-            &before,
-            session.dataset()
-        ));
+        assert!(models_identical(session.model(), &before, &session.catalog));
         let refit_levels = session.refit().unwrap();
         assert!(refit_levels >= 1);
         assert_eq!(session.pending_actions(), 0);
@@ -1114,7 +1223,7 @@ mod tests {
         let lambda = failed.config.lambda;
         assert!(cut
             .fit(
-                failed.dataset(),
+                &failed.catalog,
                 lambda,
                 &ParallelConfig::sequential(),
                 &wrong
@@ -1133,7 +1242,7 @@ mod tests {
         assert!(models_identical(
             failed.model(),
             clean.model(),
-            clean.dataset()
+            &clean.catalog
         ));
         assert_eq!(failed.table, clean.table);
         assert_eq!(failed.policy(), clean.policy());
@@ -1147,7 +1256,7 @@ mod tests {
         assert!(models_identical(
             failed.model(),
             clean.model(),
-            clean.dataset()
+            &clean.catalog
         ));
     }
 
@@ -1161,7 +1270,7 @@ mod tests {
         let lambda = session.config.lambda;
         let (model, table) = cut
             .fit(
-                session.dataset(),
+                &session.catalog,
                 lambda,
                 &ParallelConfig::sequential(),
                 &session.table,
@@ -1172,16 +1281,12 @@ mod tests {
         assert_eq!(session.pending_actions(), 1);
         assert!(session.refit().unwrap() >= 1);
         // Once refit, the model is the exact fit of every recorded action.
-        let fresh = StatsGrid::build(session.dataset(), session.assignments(), 3)
+        let (dataset, assignments) = grown(&session);
+        let fresh = StatsGrid::build(&dataset, &assignments, 3)
             .unwrap()
-            .fit_model_incremental(
-                session.dataset(),
-                lambda,
-                &ParallelConfig::sequential(),
-                None,
-            )
+            .fit_model_incremental(&dataset, lambda, &ParallelConfig::sequential(), None)
             .unwrap();
-        assert!(models_identical(session.model(), &fresh, session.dataset()));
+        assert!(models_identical(session.model(), &fresh, &dataset));
     }
 
     #[test]
@@ -1195,23 +1300,32 @@ mod tests {
         assert_eq!(batch_levels, single_levels);
         batched.refit().unwrap();
         single.refit().unwrap();
-        assert_eq!(batched.assignments(), single.assignments());
+        assert_eq!(grown(&batched).1, grown(&single).1);
         assert!(models_identical(
             batched.model(),
             single.model(),
-            batched.dataset()
+            &batched.catalog
         ));
     }
 
     #[test]
     fn invalid_actions_leave_session_unchanged() {
         let mut session = trained_session(RefitPolicy::EveryBatch);
-        let n_actions = session.dataset().n_actions();
+        let before = session.snapshot("x").to_json().unwrap();
         // Unknown item.
-        assert!(session.ingest(Action::new(100, 0, 99)).is_err());
+        assert!(matches!(
+            session.ingest(Action::new(100, 0, 99)),
+            Err(CoreError::FeatureIndexOutOfBounds { index: 99, len: 3 })
+        ));
         // Time regression for a known user (training data ends at t=11).
-        assert!(session.ingest(Action::new(-5, 0, 0)).is_err());
-        assert_eq!(session.dataset().n_actions(), n_actions);
+        assert_eq!(
+            session.ingest(Action::new(-5, 0, 0)),
+            Err(CoreError::UnsortedSequence {
+                user: 0,
+                position: 12
+            })
+        );
+        assert_eq!(session.snapshot("x").to_json().unwrap(), before);
         assert_eq!(session.total_ingested(), 0);
         assert_eq!(session.pending_actions(), 0);
     }
@@ -1231,7 +1345,7 @@ mod tests {
         // The old behavior hard-refit the model at construction,
         // discarding the soft fit; the soft continuation keeps it.
         assert!(models_identical(session.model(), &fitted.model, &ds));
-        assert_eq!(session.assignments(), &fitted.assignments);
+        assert_eq!(grown(&session).1, fitted.assignments);
         assert_eq!(session.pending_actions(), 0);
     }
 
@@ -1248,26 +1362,22 @@ mod tests {
             let level = session.ingest(Action::new(100 + k, 1, 2)).unwrap();
             assert!((1..=3).contains(&level));
         }
-        assert!(session.assignments().is_monotone());
+        assert!(grown(&session).1.is_monotone());
         assert_eq!(session.pending_actions(), 6);
         // Model untouched until the refit; the refit touches at least one
         // but not necessarily all levels.
-        assert!(models_identical(
-            session.model(),
-            &before,
-            session.dataset()
-        ));
+        assert!(models_identical(session.model(), &before, &session.catalog));
         let n_refit = session.refit().unwrap();
         assert!((1..=3).contains(&n_refit));
         assert_eq!(session.pending_actions(), 0);
         assert!(!models_identical(
             session.model(),
             &before,
-            session.dataset()
+            &session.catalog
         ));
         // The emission table tracks the refit model exactly.
-        let fresh_table = EmissionTable::build(session.model(), session.dataset());
-        for item in 0..session.dataset().n_items() as u32 {
+        let fresh_table = EmissionTable::build(session.model(), &session.catalog);
+        for item in 0..session.catalog.n_items() as u32 {
             for s in 1..=3u8 {
                 assert_eq!(
                     session.table.log_likelihood(item, s).to_bits(),
@@ -1291,9 +1401,9 @@ mod tests {
         assert_eq!(session.n_users(), 9);
         assert_eq!(session.committed_level(42), Some(level));
         // Invalid actions still leave the session unchanged in EM mode.
-        let n_actions = session.dataset().n_actions();
+        let before = session.snapshot("x").to_json().unwrap();
         assert!(session.ingest(Action::new(100, 0, 99)).is_err());
-        assert_eq!(session.dataset().n_actions(), n_actions);
+        assert_eq!(session.snapshot("x").to_json().unwrap(), before);
     }
 
     #[test]
@@ -1365,6 +1475,58 @@ mod tests {
             ParallelConfig::sequential(),
             RefitPolicy::Manual,
         );
-        assert!(err.is_err());
+        assert_eq!(
+            err.unwrap_err(),
+            CoreError::InvalidLevelPath {
+                user: 0,
+                position: 1,
+                level: 1,
+                reason: "is below the level before it",
+            }
+        );
+    }
+
+    #[test]
+    fn split_rejects_duplicate_users_and_bad_catalogs() {
+        let ds = progression_dataset(2, 3, 2);
+        let cfg = TrainConfig::new(2).with_min_init_actions(2);
+        let paths = SkillAssignments {
+            per_user: vec![vec![1, 1, 2]; 2],
+        };
+        let table = EmissionTable::build(&train(&ds, &cfg).unwrap().model, &ds);
+        let twice: Vec<ActionSequence> = ds
+            .sequences()
+            .iter()
+            .map(|seq| {
+                ActionSequence::new(
+                    0,
+                    seq.actions()
+                        .iter()
+                        .map(|a| Action { user: 0, ..*a })
+                        .collect(),
+                )
+                .unwrap()
+            })
+            .collect();
+        let dup = ds.with_sequences(twice).unwrap();
+        assert!(matches!(
+            LiveUser::split(dup, paths.clone(), &table),
+            Err(CoreError::DegenerateFit { .. })
+        ));
+        // A catalog tuple that bypassed construction is rejected by the
+        // split's catalog check, before any user is built.
+        let mut bad = ds.clone();
+        bad.item_table_mut()
+            .edit_rows(|rows| rows[1][0] = FeatureValue::Categorical(9));
+        assert!(matches!(
+            LiveUser::split(bad, paths.clone(), &table),
+            Err(CoreError::CategoryOutOfBounds { value: 9, .. })
+        ));
+        let (catalog, users) = LiveUser::split(ds, paths, &table).unwrap();
+        assert_eq!(catalog.n_users(), 0);
+        assert_eq!(users.len(), 2);
+        assert_eq!(users[1].user(), 1);
+        assert_eq!(users[1].committed_level(), Some(2));
+        assert_eq!(users[1].actions().len(), 3);
     }
 }

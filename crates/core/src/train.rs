@@ -731,7 +731,7 @@ mod tests {
         assert_eq!(session.n_users(), 6);
         assert_eq!(session.total_ingested(), 0);
         let direct = train(&ds, &TrainConfig::new(3).with_min_init_actions(6)).unwrap();
-        assert_eq!(session.assignments(), &direct.assignments);
+        assert_eq!(session.snapshot("").assignments, direct.assignments);
     }
 
     #[test]

@@ -196,13 +196,24 @@ impl Dataset {
     /// [`Dataset::new`] would.
     pub fn with_sequences(&self, sequences: Vec<ActionSequence>) -> Result<Self> {
         self.items.check(&self.schema)?;
-        let n_actions = count_actions(&sequences, self.n_items())?;
-        Ok(Self {
+        count_actions(&sequences, self.n_items())?;
+        Ok(self.with_checked_sequences(sequences))
+    }
+
+    /// [`Dataset::with_sequences`] without the item checks, for sequences
+    /// whose every action was checked against this item table already.
+    pub(crate) fn with_checked_sequences(&self, sequences: Vec<ActionSequence>) -> Self {
+        Self {
             schema: self.schema.clone(),
             items: self.items.clone(),
+            n_actions: sequences.iter().map(ActionSequence::len).sum(),
             sequences,
-            n_actions,
-        })
+        }
+    }
+
+    /// The sequences, moved out of the dataset.
+    pub fn into_sequences(self) -> Vec<ActionSequence> {
+        self.sequences
     }
 
     /// The feature schema shared by all items.
@@ -275,58 +286,6 @@ impl Dataset {
             support[a.item as usize] += 1;
         }
         support
-    }
-
-    /// Validates the feature tuple of one referenced item against the
-    /// schema. Construction (`Dataset::new`) already checks every item, but
-    /// a dataset deserialized from disk bypasses that path, so the
-    /// streaming ingestion methods re-check the items they touch: NaN or
-    /// infinite positive reals and kind mismatches are rejected with a
-    /// typed [`CoreError::InvalidFeatureValue`] / schema error instead of
-    /// poisoning the emission table later. (Counts cannot go negative: the
-    /// `u64` representation rejects them at the type level.)
-    fn check_item_features(&self, item: ItemId) -> Result<()> {
-        let features =
-            self.items()
-                .get(item as usize)
-                .ok_or(CoreError::FeatureIndexOutOfBounds {
-                    index: item as usize,
-                    len: self.n_items(),
-                })?;
-        self.schema.validate_item(features)
-    }
-
-    /// Appends one action to the sequence at `seq_index`, preserving every
-    /// construction-time invariant: the item must exist in the feature
-    /// table with a schema-conforming (finite, in-range) feature tuple,
-    /// the action's user must match the sequence's owner, and time must
-    /// not move backwards. The cached action count is kept in sync.
-    pub fn append_action(&mut self, seq_index: usize, action: Action) -> Result<()> {
-        self.check_item_features(action.item)?;
-        let n_users = self.sequences.len();
-        let seq = self
-            .sequences
-            .get_mut(seq_index)
-            .ok_or(CoreError::LengthMismatch {
-                context: "sequence index vs dataset users",
-                left: seq_index,
-                right: n_users,
-            })?;
-        seq.push(action)?;
-        self.n_actions += 1;
-        Ok(())
-    }
-
-    /// Appends a whole (already validated) sequence for a new user and
-    /// returns its index. Every action must reference an existing item
-    /// whose feature tuple conforms to the schema.
-    pub fn push_sequence(&mut self, sequence: ActionSequence) -> Result<usize> {
-        for a in sequence.actions() {
-            self.check_item_features(a.item)?;
-        }
-        self.n_actions += sequence.len();
-        self.sequences.push(sequence);
-        Ok(self.sequences.len() - 1)
     }
 
     /// Re-verifies every construction-time invariant on an existing
@@ -413,6 +372,32 @@ impl SkillAssignments {
         self.per_user
             .iter()
             .all(|seq| seq.windows(2).all(|w| w[0] <= w[1]))
+    }
+
+    /// Checks that every path is a monotone path over `1..=n_levels`:
+    /// each level in range and none below the one before it. The error
+    /// names the first offending level by its real user and action index.
+    pub fn check_paths(&self, n_levels: usize) -> Result<()> {
+        for (user, path) in self.per_user.iter().enumerate() {
+            let mut prev = 1;
+            for (position, &level) in path.iter().enumerate() {
+                let reason = if level == 0 || usize::from(level) > n_levels {
+                    "is outside 1..=S"
+                } else if level < prev {
+                    "is below the level before it"
+                } else {
+                    prev = level;
+                    continue;
+                };
+                return Err(CoreError::InvalidLevelPath {
+                    user,
+                    position,
+                    level,
+                    reason,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Iterates `(sequence index, action index, skill)` triples.
@@ -533,70 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn dataset_append_action_maintains_invariants() {
-        let schema = tiny_schema();
-        let items = vec![
-            vec![FeatureValue::Categorical(0)],
-            vec![FeatureValue::Categorical(1)],
-        ];
-        let s0 = ActionSequence::new(0, vec![Action::new(0, 0, 0)]).unwrap();
-        let mut ds = Dataset::new(schema, items, vec![s0]).unwrap();
-        ds.append_action(0, Action::new(1, 0, 1)).unwrap();
-        assert_eq!(ds.n_actions(), 2);
-        // Unknown item, bad sequence index, and time regression all fail
-        // without corrupting the cached count.
-        assert!(matches!(
-            ds.append_action(0, Action::new(2, 0, 9)),
-            Err(CoreError::FeatureIndexOutOfBounds { index: 9, .. })
-        ));
-        assert!(ds.append_action(3, Action::new(2, 0, 0)).is_err());
-        assert!(ds.append_action(0, Action::new(0, 0, 0)).is_err());
-        assert_eq!(ds.n_actions(), 2);
-    }
-
-    #[test]
-    fn dataset_push_sequence_adds_user() {
-        let schema = tiny_schema();
-        let items = vec![vec![FeatureValue::Categorical(0)]];
-        let s0 = ActionSequence::new(0, vec![Action::new(0, 0, 0)]).unwrap();
-        let mut ds = Dataset::new(schema, items, vec![s0]).unwrap();
-        let s1 = ActionSequence::new(9, vec![Action::new(0, 9, 0)]).unwrap();
-        assert_eq!(ds.push_sequence(s1).unwrap(), 1);
-        assert_eq!(ds.n_users(), 2);
-        assert_eq!(ds.n_actions(), 2);
-        let bad = ActionSequence::new(10, vec![Action::new(0, 10, 5)]).unwrap();
-        assert!(ds.push_sequence(bad).is_err());
-        assert_eq!(ds.n_users(), 2);
-        assert_eq!(ds.n_actions(), 2);
-    }
-
-    #[test]
-    fn ingestion_rejects_nonfinite_real_features() {
-        use crate::feature::PositiveModel;
-        let schema = FeatureSchema::new(vec![FeatureKind::Positive {
-            model: PositiveModel::Gamma,
-        }])
-        .unwrap();
-        let s0 = ActionSequence::new(0, vec![Action::new(0, 0, 0)]).unwrap();
-        let mut ds = Dataset::new(schema, vec![vec![FeatureValue::Real(2.5)]], vec![s0]).unwrap();
-        // Corrupt the item table the way a hand-edited JSON file would
-        // (serde bypasses Dataset::new, so fields arrive unchecked).
-        ds.items
-            .edit_rows(|rows| rows[0][0] = FeatureValue::Real(f64::NAN));
-        assert!(matches!(
-            ds.append_action(0, Action::new(1, 0, 0)),
-            Err(CoreError::InvalidFeatureValue { feature: 0, .. })
-        ));
-        let s1 = ActionSequence::new(1, vec![Action::new(0, 1, 0)]).unwrap();
-        assert!(matches!(
-            ds.push_sequence(s1),
-            Err(CoreError::InvalidFeatureValue { feature: 0, .. })
-        ));
-        assert_eq!(ds.n_actions(), 1);
-        assert_eq!(ds.n_users(), 1);
-    }
-
-    #[test]
     fn dataset_validate_catches_corruption() {
         let schema = tiny_schema();
         let items = vec![vec![FeatureValue::Categorical(0)]];
@@ -651,6 +572,40 @@ mod tests {
             per_user: vec![vec![1, 3, 2]],
         };
         assert!(!bad.is_monotone());
+    }
+
+    #[test]
+    fn check_paths_names_the_offending_level() {
+        let path = |per_user: Vec<Vec<SkillLevel>>| SkillAssignments { per_user }.check_paths(3);
+        assert_eq!(path(vec![vec![1, 1, 2, 3], vec![], vec![2, 2]]), Ok(()));
+        let cases = [
+            (vec![vec![1], vec![1, 4]], 1, 1, 4, "is outside 1..=S"),
+            (
+                vec![vec![1], vec![1], vec![0, 1]],
+                2,
+                0,
+                0,
+                "is outside 1..=S",
+            ),
+            (
+                vec![vec![1], vec![1], vec![1], vec![1, 3, 2]],
+                3,
+                2,
+                2,
+                "is below the level before it",
+            ),
+        ];
+        for (per_user, user, position, level, reason) in cases {
+            assert_eq!(
+                path(per_user),
+                Err(CoreError::InvalidLevelPath {
+                    user,
+                    position,
+                    level,
+                    reason
+                })
+            );
+        }
     }
 
     #[test]

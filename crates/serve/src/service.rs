@@ -6,10 +6,11 @@
 //! place into three concurrency domains, chosen so the hot read path
 //! (predict, recommend) never waits on a refit:
 //!
-//! - **Per-user state** (action history, committed level path, filtering
-//!   tracker) lives in `N` *shards*, each behind its own mutex. A user's
-//!   shard is a stable hash of their id, so two requests contend only
-//!   when they touch users that hash together.
+//! - **Per-user state** — one [`LiveUser`] (action history, committed
+//!   level path, filtering tracker) plus the adaptive [`PolicyState`] —
+//!   lives in `N` *shards*, each behind its own mutex. A user's shard is
+//!   a stable hash of their id, so two requests contend only when they
+//!   touch users that hash together.
 //! - **Model-fitting state** — one [`LiveFit`] (statistics grid, current
 //!   model, refit policy and counters) plus the running level counts —
 //!   lives behind one *global* mutex that ingestion and the two short
@@ -57,16 +58,19 @@
 //!
 //! # Bitwise equivalence with a single-owner session
 //!
-//! Driven single-threaded, a service is *bit-for-bit* the same model as a
-//! [`StreamingSession`] fed the identical traffic (see
-//! `tests/properties_serve.rs`). Both commit levels by [`commit_level`]
-//! and fit through a [`LiveFit`]: the same construction
-//! ([`LiveFit::new`]), the same `+1` record ([`LiveFit::record`]) and the
-//! same cut, fit and install, with the same tuner step. Single-threaded,
-//! nothing lands between cut and publish. A refit reads only the feature
-//! *catalog* (schema + item tuples), never the sequences, which is why
-//! the service refits against a sequence-less catalog dataset while the
-//! histories live sharded.
+//! Driven single-threaded, a service is *bit-for-bit* the same state as
+//! a [`StreamingSession`] fed the identical traffic (see
+//! `tests/properties_serve.rs`), by construction. The per-user half is
+//! the session's own [`LiveUser`]: the same split into catalog and users
+//! ([`LiveUser::split`]), the same ingest rule ([`LiveUser::validate`],
+//! then append or admit) and the same snapshot ([`session_bundle`]).
+//! The model half is the session's own [`LiveFit`]: the same
+//! construction ([`LiveFit::new`]), the same `+1` record
+//! ([`LiveFit::record`]) and the same cut, fit and install, with the
+//! same tuner step. Single-threaded, nothing lands between cut and
+//! publish. A refit reads only the feature *catalog* (schema + item
+//! tuples), never the sequences, which is why the service refits against
+//! the sequence-less catalog while the histories live sharded.
 //!
 //! [`StreamingSession`]: upskill_core::streaming::StreamingSession
 
@@ -74,14 +78,12 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use upskill_core::assign::{assign_items_with_table_ws, AssignWorkspace};
-use upskill_core::bundle::{SessionBundle, SESSION_BUNDLE_VERSION};
+use upskill_core::bundle::SessionBundle;
 use upskill_core::difficulty::prior_from_counts;
 use upskill_core::em::FbWorkspace;
 use upskill_core::emission::EmissionTable;
 use upskill_core::epoch::EpochCell;
 use upskill_core::error::CoreError;
-use upskill_core::invariants::InvariantCtx;
-use upskill_core::online::OnlineTracker;
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::policy::{
     rerank_band, PolicyConfig, PolicyMode, PolicyRecommendation, PolicyState,
@@ -90,13 +92,13 @@ use upskill_core::pool::WorkspacePool;
 use upskill_core::recommend::{
     build_level_band, recommend_from_band, LevelBand, RecommendConfig, Recommendation,
 };
-use upskill_core::streaming::{commit_level, LiveFit, RefitCut, RefitPolicy, RefitTuner};
+use upskill_core::streaming::{
+    commit_level, session_bundle, LiveFit, LiveUser, RefitCut, RefitPolicy, RefitTuner,
+};
 use upskill_core::sync::{LockId, TracedMutex};
 use upskill_core::train::{TrainConfig, TrainResult};
 use upskill_core::transition::TransitionModel;
-use upskill_core::types::{
-    Action, ActionSequence, Dataset, ItemId, SkillAssignments, SkillLevel, UserId,
-};
+use upskill_core::types::{Action, Dataset, ItemId, SkillAssignments, SkillLevel, UserId};
 
 use crate::api::{
     IngestOutcome, OutcomeNoted, PredictMode, Prediction, Request, Response, ServeStats,
@@ -206,8 +208,7 @@ impl ModelEpoch {
         if let Some(band) = cell.get() {
             return Ok(band);
         }
-        let built = build_level_band(&self.table, &self.difficulty, level, config)
-            .map_err(ServeError::Core)?;
+        let built = build_level_band(&self.table, &self.difficulty, level, config)?;
         Ok(cell.get_or_init(|| built))
     }
 }
@@ -220,17 +221,15 @@ impl PartialEq for ModelEpoch {
     }
 }
 
-/// Per-user serving state: the full action history, the committed
-/// monotone level path, the O(1) filtering tracker, and — on
+/// Per-user serving state: the user's [`LiveUser`] record (action
+/// history, committed monotone level path, filtering tracker) and — on
 /// adaptive-policy services — the per-user [`PolicyState`]. Policy
 /// state is serving-layer-only: it never enters snapshots, so the
 /// bitwise [`SessionBundle`] contract with the streaming session is
 /// untouched by enabling the policy layer.
 #[derive(Debug)]
 struct UserState {
-    actions: Vec<Action>,
-    levels: Vec<SkillLevel>,
-    tracker: OnlineTracker,
+    live: LiveUser,
     policy: Option<PolicyState>,
 }
 
@@ -310,8 +309,8 @@ impl SkillService {
         serve: ServeConfig,
     ) -> Result<Self> {
         serve.validate()?;
-        // The session's own construction pipeline, then one tracker per
-        // user warmed by replay.
+        // The session's own construction: the fit, then the catalog and
+        // one live user per sequence.
         let (fit, table) = LiveFit::new(
             &dataset,
             &assignments,
@@ -319,46 +318,23 @@ impl SkillService {
             parallel,
             serve.policy,
             serve.tuner,
-        )
-        .map_err(ServeError::Core)?;
+        )?;
+        let level_counts = assignments.level_histogram(config.n_levels);
+        let (catalog, users) = LiveUser::split(dataset, assignments, &table)?;
 
         let n_shards = serve.n_shards;
         let mut shards: Vec<Shard> = (0..n_shards).map(|_| Shard::default()).collect();
-        let mut admission = Vec::with_capacity(dataset.n_users());
-        for (u, seq) in dataset.sequences().iter().enumerate() {
-            let mut tracker = OnlineTracker::new(config.n_levels).map_err(ServeError::Core)?;
-            for action in seq.actions() {
-                tracker
-                    .observe_item(&table, action.item)
-                    .map_err(ServeError::Core)?;
-            }
-            let policy = match &serve.adaptive {
-                Some(cfg) => {
-                    Some(PolicyState::new(config.n_levels, cfg).map_err(ServeError::Core)?)
-                }
-                None => None,
-            };
-            let state = UserState {
-                actions: seq.actions().to_vec(),
-                levels: assignments.per_user[u].clone(),
-                tracker,
-                policy,
-            };
-            let shard = &mut shards[shard_of(seq.user, n_shards)];
-            if shard.users.insert(seq.user, state).is_some() {
-                return Err(ServeError::Core(CoreError::DegenerateFit {
-                    distribution: "skill service",
-                    reason: "dataset contains two sequences for one user id",
-                }));
-            }
-            admission.push(seq.user);
+        let mut admission = Vec::with_capacity(users.len());
+        for live in users {
+            let user = live.user();
+            let policy = new_policy_state(config.n_levels, &serve.adaptive)?;
+            shards[shard_of(user, n_shards)]
+                .users
+                .insert(user, UserState { live, policy });
+            admission.push(user);
         }
 
-        let level_counts = assignments.level_histogram(config.n_levels);
         let difficulty = difficulty_from_counts(&table, &level_counts)?;
-        let catalog = dataset
-            .with_sequences(Vec::new())
-            .map_err(ServeError::Core)?;
         let n_levels = config.n_levels;
         Ok(Self {
             shards: shards
@@ -402,30 +378,6 @@ impl SkillService {
         serve: ServeConfig,
     ) -> Result<Self> {
         Self::new(dataset, result.assignments.clone(), config, parallel, serve)
-    }
-
-    /// Rehydrates a service from a [`SessionBundle`] snapshot. The
-    /// bundle's stored training/parallel configuration and refit policy
-    /// win over `serve.policy` (matching [`SessionBundle::resume`]); the
-    /// rest of `serve` (shards, tuner, recommendation scoring) applies
-    /// as given.
-    pub fn from_bundle(bundle: SessionBundle, serve: ServeConfig) -> Result<Self> {
-        bundle.validate().map_err(ServeError::Core)?;
-        let SessionBundle {
-            dataset,
-            assignments,
-            config,
-            parallel,
-            policy,
-            ..
-        } = bundle;
-        Self::new(
-            dataset,
-            assignments,
-            config,
-            parallel,
-            ServeConfig { policy, ..serve },
-        )
     }
 
     /// Answers one typed [`Request`]; the enum front-end over the typed
@@ -483,71 +435,36 @@ impl SkillService {
         Ok(outcomes)
     }
 
-    /// The commitment + bookkeeping core of ingestion; no refit. All
-    /// fallible validation runs before the first mutation.
+    /// The ingest rule of the streaming session
+    /// ([`LiveUser::validate`], then append or admit) under the user's
+    /// shard lock, then the `+1` record under the global lock; no
+    /// refit. Every check runs before the first mutation.
     fn ingest_inner(&self, action: Action) -> Result<IngestOutcome> {
         let (epoch, ep) = self.epoch.load();
-        let row = ep.table.checked_row(action.item).ok_or(ServeError::Core(
-            CoreError::FeatureIndexOutOfBounds {
-                index: action.item as usize,
-                len: ep.table.n_items(),
-            },
-        ))?;
         let mut shard = self.shards[self.shard(action.user)].lock();
-        let known = shard.users.get(&action.user);
-        if let Some(state) = known {
-            if let Some(last) = state.actions.last() {
-                if action.time < last.time {
-                    return Err(ServeError::Core(CoreError::UnsortedSequence {
-                        user: action.user,
-                        position: state.actions.len(),
-                    }));
-                }
-            }
-        }
-        // Constrained extension of the committed monotone path, by the
-        // streaming session's own rule.
-        let last = known.and_then(|s| s.levels.last().copied());
-        let level = commit_level(row, last);
-        InvariantCtx::new()
-            .check_extension("serving ingest", last, level)
-            .map_err(ServeError::Core)?;
-        let is_new_user = known.is_none();
-        if is_new_user {
-            // Fallible construction before any mutation.
-            let tracker = OnlineTracker::new(self.config.n_levels).map_err(ServeError::Core)?;
-            let policy = match &self.adaptive {
-                Some(cfg) => {
-                    Some(PolicyState::new(self.config.n_levels, cfg).map_err(ServeError::Core)?)
-                }
-                None => None,
-            };
-            shard.users.insert(
-                action.user,
-                UserState {
-                    actions: Vec::new(),
-                    levels: Vec::new(),
-                    tracker,
-                    policy,
-                },
-            );
-        }
-        let state = shard
-            .users
-            .get_mut(&action.user)
-            .expect("inserted or known above");
-        state.actions.push(action);
-        state.levels.push(level);
-        state
-            .tracker
-            .observe_item(&ep.table, action.item)
-            .map_err(ServeError::Core)?;
+        let known = shard.users.get_mut(&action.user);
+        let ext = LiveUser::validate(known.as_ref().map(|s| &s.live), &action, &ep.table)?;
         // A completed (ingested) action is success evidence at the
         // item's difficulty; failures only ever arrive through
         // `record_outcome`, since a failed attempt never enters the
         // action sequence.
-        if let Some(policy) = state.policy.as_mut() {
-            policy.record(action.item, ep.difficulty[action.item as usize], true);
+        let succeed = |policy: &mut Option<PolicyState>| {
+            if let Some(policy) = policy.as_mut() {
+                policy.record(action.item, ep.difficulty[action.item as usize], true);
+            }
+        };
+        let is_new_user = known.is_none();
+        match known {
+            Some(state) => {
+                state.live.append(action, &ext)?;
+                succeed(&mut state.policy);
+            }
+            None => {
+                let live = LiveUser::admit(action, &ext)?;
+                let mut policy = new_policy_state(self.config.n_levels, &self.adaptive)?;
+                succeed(&mut policy);
+                shard.users.insert(action.user, UserState { live, policy });
+            }
         }
         drop(shard);
 
@@ -555,13 +472,11 @@ impl SkillService {
         if is_new_user {
             g.admission.push(action.user);
         }
-        g.fit
-            .record(action.item, level, row, last)
-            .map_err(ServeError::Core)?;
-        g.level_counts[level as usize - 1] += 1;
+        g.fit.record(action.item, ext.level, ext.row, ext.last)?;
+        g.level_counts[ext.level as usize - 1] += 1;
         Ok(IngestOutcome {
             user: action.user,
-            level,
+            level: ext.level,
             epoch,
         })
     }
@@ -663,31 +578,28 @@ impl SkillService {
             .users
             .get(&user)
             .ok_or(ServeError::UnknownUser { user })?;
-        let n_actions = state.actions.len();
-        if n_actions == 0 {
-            // Only reachable for a base-dataset user with an empty
-            // sequence: there is no evidence to estimate from.
-            return Err(ServeError::Core(CoreError::EmptyDataset));
-        }
+        let n_actions = state.live.actions().len();
+        // Only a base-dataset user with an empty sequence has no level:
+        // there is no evidence to estimate from.
+        let committed = state
+            .live
+            .committed_level()
+            .ok_or(ServeError::Core(CoreError::EmptyDataset))?;
         let (level, posterior) = match mode {
-            PredictMode::Committed => (*state.levels.last().expect("n_actions > 0"), None),
-            PredictMode::Filtered => (
-                state.tracker.current_level().map_err(ServeError::Core)?,
-                None,
-            ),
+            PredictMode::Committed => (committed, None),
+            PredictMode::Filtered => (state.live.filtered_level()?, None),
             PredictMode::Smoothed => {
-                let items: Vec<ItemId> = state.actions.iter().map(|a| a.item).collect();
+                let items: Vec<ItemId> = state.live.actions().iter().map(|a| a.item).collect();
                 drop(shard);
                 let mut ws = self.assign_pool.acquire();
-                let assignment = assign_items_with_table_ws(&ep.table, &items, &mut ws)
-                    .map_err(ServeError::Core)?;
+                let assignment = assign_items_with_table_ws(&ep.table, &items, &mut ws)?;
                 (*assignment.levels.last().expect("n_actions > 0"), None)
             }
             PredictMode::Posterior => {
-                let items: Vec<ItemId> = state.actions.iter().map(|a| a.item).collect();
+                let items: Vec<ItemId> = state.live.actions().iter().map(|a| a.item).collect();
                 drop(shard);
                 let mut ws = self.fb_pool.acquire();
-                ws.run_items(&ep.table, &items).map_err(ServeError::Core)?;
+                ws.run_items(&ep.table, &items)?;
                 let s = ep.table.n_levels();
                 let last_row = &ws.gamma()[(items.len() - 1) * s..items.len() * s];
                 // The most probable level, lowest on ties.
@@ -716,11 +628,11 @@ impl SkillService {
             .users
             .get(&user)
             .ok_or(ServeError::UnknownUser { user })?;
-        let level = *state
-            .levels
-            .last()
+        let level = state
+            .live
+            .committed_level()
             .ok_or(ServeError::Core(CoreError::EmptyDataset))?;
-        let seen: HashSet<ItemId> = state.actions.iter().map(|a| a.item).collect();
+        let seen: HashSet<ItemId> = state.live.actions().iter().map(|a| a.item).collect();
         drop(shard);
         let k = k.unwrap_or(self.recommend.k);
         let band = ep.band(level, &self.recommend)?;
@@ -766,11 +678,11 @@ impl SkillService {
             .users
             .get(&user)
             .ok_or(ServeError::UnknownUser { user })?;
-        let level = *state
-            .levels
-            .last()
+        let level = state
+            .live
+            .committed_level()
             .ok_or(ServeError::Core(CoreError::EmptyDataset))?;
-        let seen: HashSet<ItemId> = state.actions.iter().map(|a| a.item).collect();
+        let seen: HashSet<ItemId> = state.live.actions().iter().map(|a| a.item).collect();
         let policy = state
             .policy
             .as_ref()
@@ -832,37 +744,26 @@ impl SkillService {
     /// to [`StreamingSession::snapshot`](upskill_core::streaming::StreamingSession::snapshot) after the same traffic. Locks
     /// every shard (ascending) plus the global lock for the duration, so
     /// it is the one operation that pauses the world; resuming through
-    /// [`SessionBundle::resume`] or [`SkillService::from_bundle`]
-    /// refits pending statistics freshly.
+    /// [`SessionBundle::resume`] refits pending statistics freshly.
     pub fn snapshot(&self, note: &str) -> Result<SessionBundle> {
         let shards: Vec<_> = self.shards.iter().map(|m| m.lock()).collect();
         // lint:allow(lock-order): audited stop-the-world snapshot path — all shards ascending, then global.
         let g = self.global.lock();
-        let mut sequences = Vec::with_capacity(g.admission.len());
-        let mut per_user = Vec::with_capacity(g.admission.len());
-        for &user in &g.admission {
-            let state = shards[self.shard(user)]
+        let users = g.admission.iter().map(|user| {
+            &shards[self.shard(*user)]
                 .users
-                .get(&user)
-                .expect("admission list tracks shard insertion");
-            sequences
-                .push(ActionSequence::new(user, state.actions.clone()).map_err(ServeError::Core)?);
-            per_user.push(state.levels.clone());
-        }
-        let dataset = self
-            .catalog
-            .with_sequences(sequences)
-            .map_err(ServeError::Core)?;
-        Ok(SessionBundle {
-            version: SESSION_BUNDLE_VERSION,
-            dataset,
-            model: g.fit.model().clone(),
-            assignments: SkillAssignments { per_user },
-            config: self.config,
-            parallel: self.parallel,
-            policy: g.fit.policy(),
-            note: note.to_string(),
-        })
+                .get(user)
+                .expect("admission list tracks shard insertion")
+                .live
+        });
+        Ok(session_bundle(
+            &self.catalog,
+            users,
+            &g.fit,
+            self.config,
+            self.parallel,
+            note,
+        ))
     }
 
     /// Service-level counters; takes only the global lock.
@@ -891,21 +792,6 @@ impl SkillService {
     /// The current refit policy (auto-tuning may move its interval).
     pub fn policy(&self) -> RefitPolicy {
         self.global.lock().fit.policy()
-    }
-
-    /// Training hyperparameters refits run with.
-    pub fn config(&self) -> &TrainConfig {
-        &self.config
-    }
-
-    /// Parallelism configuration refits run with.
-    pub fn parallel(&self) -> &ParallelConfig {
-        &self.parallel
-    }
-
-    /// Number of session shards user state spreads over.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Which shard `user`'s state lives in — introspection for tests and
@@ -960,6 +846,19 @@ impl Drop for RefitInFlight<'_> {
     }
 }
 
+/// A new user's adaptive [`PolicyState`], or `None` on a static-only
+/// service.
+fn new_policy_state(
+    n_levels: usize,
+    adaptive: &Option<PolicyConfig>,
+) -> Result<Option<PolicyState>> {
+    adaptive
+        .as_ref()
+        .map(|cfg| PolicyState::new(n_levels, cfg))
+        .transpose()
+        .map_err(ServeError::Core)
+}
+
 /// Per-item generation difficulty under the empirical level prior
 /// ([`prior_from_counts`]) of the running level counts — computes exactly what
 /// [`upskill_core::difficulty::generation_difficulty_all_with_table`]
@@ -978,6 +877,7 @@ mod tests {
     use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue};
     use upskill_core::streaming::StreamingSession;
     use upskill_core::train::train;
+    use upskill_core::types::ActionSequence;
 
     /// Progression dataset mirroring the streaming-module test fixture:
     /// users move through item categories over time.

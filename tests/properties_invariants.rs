@@ -120,7 +120,7 @@ proptest! {
     // Corrupting a trained session's assignments so one user's committed
     // path decreases must be caught both by the invariant check itself
     // and by `StreamingSession::new`, which refuses to seed from a
-    // non-monotone path.
+    // non-monotone path and names the user it found it in.
     #[test]
     fn corrupted_non_monotone_session_is_rejected(
         mask in 0u8..8,
@@ -161,7 +161,11 @@ proptest! {
             pc,
             RefitPolicy::EveryBatch,
         );
-        prop_assert!(rejected.is_err(), "non-monotone seed must be rejected");
+        prop_assert!(
+            matches!(rejected, Err(CoreError::InvalidLevelPath { user: 0, .. })),
+            "non-monotone seed must be rejected at user 0, got {:?}",
+            rejected.err()
+        );
     }
 
     // A model whose gamma `scale` was tampered through the serde bypass

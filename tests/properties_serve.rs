@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 use upskill_core::emission::EmissionTable;
+use upskill_core::error::CoreError;
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveModel};
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::recommend::RecommendConfig;
@@ -123,7 +124,7 @@ fn assert_table_bitwise_equal(
     service: &SkillService,
     session: &StreamingSession,
 ) -> proptest::TestCaseResult {
-    let reference = EmissionTable::build(session.model(), session.dataset());
+    let reference = EmissionTable::build(session.model(), &session.snapshot("table").dataset);
     let (_, epoch) = service.current_epoch();
     let table = epoch.table();
     prop_assert_eq!(table.n_levels(), reference.n_levels());
@@ -212,7 +213,7 @@ proptest! {
             }
         }
 
-        for seq in session.dataset().sequences() {
+        for seq in session.snapshot("users").dataset.sequences() {
             let u = seq.user;
             let committed = service.predict(u, PredictMode::Committed).unwrap();
             prop_assert_eq!(Some(committed.level), session.committed_level(u));
@@ -298,24 +299,19 @@ proptest! {
         ).unwrap();
 
         for &action in &suffix {
-            // Unknown item: rejected before any state is touched.
+            // Unknown item: rejected before any state is touched, with
+            // the same error by the session and the service.
             let bad_item = Action::new(action.time, action.user, n_items + 7);
-            prop_assert!(matches!(
-                service.ingest(bad_item),
-                Err(ServeError::Core(
-                    upskill_core::error::CoreError::FeatureIndexOutOfBounds { .. }
-                ))
-            ));
+            let err = session.ingest(bad_item).unwrap_err();
+            prop_assert!(matches!(err, CoreError::FeatureIndexOutOfBounds { .. }));
+            prop_assert_eq!(service.ingest(bad_item).unwrap_err(), ServeError::Core(err));
             session.ingest(action).unwrap();
             service.ingest(action).unwrap();
             // Backwards time for a user who now surely has history.
             let stale = Action::new(action.time - 1_000, action.user, action.item);
-            prop_assert!(matches!(
-                service.ingest(stale),
-                Err(ServeError::Core(
-                    upskill_core::error::CoreError::UnsortedSequence { .. }
-                ))
-            ));
+            let err = session.ingest(stale).unwrap_err();
+            prop_assert!(matches!(err, CoreError::UnsortedSequence { .. }));
+            prop_assert_eq!(service.ingest(stale).unwrap_err(), ServeError::Core(err));
             // Unknown users can't be read.
             prop_assert!(matches!(
                 service.predict(9_999_999, PredictMode::Committed),
@@ -413,9 +409,7 @@ fn policy_requests_are_rejected_with_typed_errors() {
     // Outcomes name a real catalog item.
     assert!(matches!(
         adaptive.record_outcome(0, n_items + 3, false),
-        Err(ServeError::Core(
-            upskill_core::error::CoreError::FeatureIndexOutOfBounds { .. }
-        ))
+        Err(ServeError::Core(CoreError::FeatureIndexOutOfBounds { .. }))
     ));
     // None of the rejections left a trace.
     assert_eq!(
@@ -521,4 +515,54 @@ fn concurrent_disjoint_ingest_matches_serialized_replay() {
         session.snapshot("concurrent").to_json().unwrap(),
         "concurrent disjoint ingestion diverged from serialized replay"
     );
+}
+
+/// A catalog item whose category is out of range, introduced through
+/// serde (which bypasses `Dataset::new`), is rejected by the session and
+/// by the service at construction, with the same error: both build their
+/// catalog through one item check. No action names the item, so nothing
+/// but that check reads its category.
+#[test]
+fn serde_tampered_catalog_is_rejected_at_construction_by_both_owners() {
+    let draws: Vec<ItemDraw> = (0..5)
+        .map(|i| (i as u32, 2 + i as u64, 0.5 + i as f64, 1.5 + i as f64))
+        .collect();
+    // Picks are taken modulo 5: every user acts on items 0..4 only.
+    let users: Vec<Vec<usize>> = (0..4)
+        .map(|u| (0..8).map(|t| u * 35 + (u + t) % 4).collect())
+        .collect();
+    let full = build_dataset(masked_schema(7), &draws, &users);
+    let (prefix_ds, _) = split(&full);
+    let (cfg, result) = trained(&prefix_ds, 3);
+
+    // The last item's category becomes 99.
+    let json = serde_json::to_string(&prefix_ds).unwrap();
+    let key = "\"Categorical\":";
+    let at = json.rfind(key).unwrap() + key.len();
+    let digits = json[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    assert!(digits > 0, "the last item's category");
+    let tampered = format!("{}99{}", &json[..at], &json[at + digits..]);
+    let bad: Dataset = serde_json::from_str(&tampered).unwrap();
+
+    let expected = CoreError::CategoryOutOfBounds {
+        feature: 0,
+        value: 99,
+        cardinality: CARDINALITY,
+    };
+    let session = StreamingSession::resume(
+        bad.clone(),
+        &result,
+        cfg,
+        ParallelConfig::sequential(),
+        RefitPolicy::Manual,
+    );
+    assert_eq!(session.unwrap_err(), expected);
+    let service = SkillService::resume(
+        bad,
+        &result,
+        cfg,
+        ParallelConfig::sequential(),
+        ServeConfig::default(),
+    );
+    assert_eq!(service.unwrap_err(), ServeError::Core(expected));
 }

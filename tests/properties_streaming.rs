@@ -167,15 +167,16 @@ proptest! {
 
         prop_assert_eq!(levels.len(), suffix.len());
         prop_assert_eq!(session.pending_actions(), 0);
-        prop_assert_eq!(session.dataset().n_actions(), full.n_actions());
-        prop_assert!(session.assignments().is_monotone());
+        let grown = session.snapshot("fold");
+        prop_assert_eq!(grown.dataset.n_actions(), full.n_actions());
+        prop_assert!(grown.assignments.is_monotone());
         prop_assert!(levels.iter().all(|&s| 1 <= s && s as usize <= n_levels));
 
-        let fresh = StatsGrid::build(session.dataset(), session.assignments(), n_levels)
+        let fresh = StatsGrid::build(&grown.dataset, &grown.assignments, n_levels)
             .unwrap()
-            .fit_model_incremental(session.dataset(), cfg.lambda, &ParallelConfig::sequential(), None)
+            .fit_model_incremental(&grown.dataset, cfg.lambda, &ParallelConfig::sequential(), None)
             .unwrap();
-        assert_models_bitwise_equal(session.model(), &fresh, session.dataset())?;
+        assert_models_bitwise_equal(session.model(), &fresh, &grown.dataset)?;
     }
 
     // A parallel session must reproduce the sequential session exactly:
@@ -216,11 +217,12 @@ proptest! {
         let par_levels = par_session.ingest_batch(&suffix).unwrap();
 
         prop_assert_eq!(seq_levels, par_levels);
-        prop_assert_eq!(seq_session.assignments(), par_session.assignments());
+        let grown = seq_session.snapshot("seq");
+        prop_assert_eq!(&grown.assignments, &par_session.snapshot("par").assignments);
         assert_models_bitwise_equal(
             seq_session.model(),
             par_session.model(),
-            seq_session.dataset(),
+            &grown.dataset,
         )?;
     }
 }

@@ -524,9 +524,10 @@ fn explore_two_writers(explorer: &Explorer, k: usize, n: usize) -> (usize, usize
         assert_eq!(epoch, stats.refits);
         let bundle = svc.snapshot("caught up").unwrap();
         let ours = serde_json::to_string(&bundle.model).unwrap();
+        let dataset = bundle.dataset.clone();
         let session = bundle.resume().unwrap();
         assert_eq!(serde_json::to_string(session.model()).unwrap(), ours);
-        let table = EmissionTable::build(session.model(), session.dataset());
+        let table = EmissionTable::build(session.model(), &dataset);
         assert!(
             *published.table() == table,
             "published table is not the model's"
