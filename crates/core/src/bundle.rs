@@ -1,10 +1,9 @@
-//! Versioned model artifacts: a [`ModelBundle`] packages a trained model
-//! with its assignments, training configuration, and provenance metadata
-//! into one self-describing JSON document, so models written by one
-//! version of the library can be validated (and rejected with a clear
-//! error) by another. A [`SessionBundle`] does the same for a live
-//! [`StreamingSession`], carrying the dataset so ingestion can continue
-//! in a later process.
+//! Versioned session artifacts: a [`SessionBundle`] packages a live
+//! [`StreamingSession`] — its dataset, committed assignments, model,
+//! configuration and refit policy — into one self-describing JSON
+//! document, so ingestion can continue in a later process, and a bundle
+//! written by another version of the library is validated (and rejected
+//! with a clear error) before anything is rebuilt from it.
 
 use serde::{Deserialize, Serialize};
 
@@ -12,91 +11,8 @@ use crate::error::{CoreError, Result};
 use crate::model::SkillModel;
 use crate::parallel::ParallelConfig;
 use crate::streaming::{RefitPolicy, StreamingSession};
-use crate::train::{TrainConfig, TrainResult};
+use crate::train::TrainConfig;
 use crate::types::{Dataset, SkillAssignments};
-
-/// The bundle format version this build writes.
-pub const BUNDLE_VERSION: u32 = 1;
-
-/// A self-describing trained-model artifact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ModelBundle {
-    /// Format version (see [`BUNDLE_VERSION`]).
-    pub version: u32,
-    /// The trained skill model.
-    pub model: SkillModel,
-    /// Hard assignments on the training data (optional — large).
-    pub assignments: Option<SkillAssignments>,
-    /// The configuration used to train.
-    pub config: TrainConfig,
-    /// Final training log-likelihood.
-    pub log_likelihood: f64,
-    /// Number of training iterations run.
-    pub iterations: usize,
-    /// Free-form provenance note (dataset name, seed, …).
-    pub note: String,
-}
-
-impl ModelBundle {
-    /// Packages a training result.
-    pub fn from_result(result: &TrainResult, config: TrainConfig, note: &str) -> Self {
-        Self {
-            version: BUNDLE_VERSION,
-            model: result.model.clone(),
-            assignments: Some(result.assignments.clone()),
-            config,
-            log_likelihood: result.log_likelihood,
-            iterations: result.trace.len(),
-            note: note.to_string(),
-        }
-    }
-
-    /// Drops the (potentially large) assignments for a compact artifact.
-    pub fn without_assignments(mut self) -> Self {
-        self.assignments = None;
-        self
-    }
-
-    /// Serializes to JSON.
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string(self).map_err(|_| CoreError::DegenerateFit {
-            distribution: "bundle",
-            reason: "serialization failure",
-        })
-    }
-
-    /// Parses and validates a JSON bundle.
-    ///
-    /// Rejects future format versions and internally inconsistent bundles
-    /// (model/config level mismatch, non-monotone assignments).
-    pub fn from_json(json: &str) -> Result<Self> {
-        let bundle: ModelBundle =
-            serde_json::from_str(json).map_err(|_| CoreError::DegenerateFit {
-                distribution: "bundle",
-                reason: "malformed JSON or schema mismatch",
-            })?;
-        bundle.validate()?;
-        Ok(bundle)
-    }
-
-    /// Internal consistency checks: version, model/config level
-    /// agreement, and assignments that are monotone paths over the
-    /// model's levels.
-    pub fn validate(&self) -> Result<()> {
-        check_version("model bundle", self.version, BUNDLE_VERSION)?;
-        if self.model.n_levels() != self.config.n_levels {
-            return Err(CoreError::LengthMismatch {
-                context: "bundle model levels vs config",
-                left: self.model.n_levels(),
-                right: self.config.n_levels,
-            });
-        }
-        match &self.assignments {
-            Some(a) => a.check_paths(self.model.n_levels()),
-            None => Ok(()),
-        }
-    }
-}
 
 /// Rejects a format version outside `1..=supported`.
 fn check_version(artifact: &'static str, found: u32, supported: u32) -> Result<()> {
@@ -110,20 +26,17 @@ fn check_version(artifact: &'static str, found: u32, supported: u32) -> Result<(
     Ok(())
 }
 
-/// The session bundle format version this build writes.
-pub const SESSION_BUNDLE_VERSION: u32 = 1;
-
 /// A self-describing serialized [`StreamingSession`].
 ///
-/// Unlike [`ModelBundle`], a session bundle carries the full dataset —
-/// the session's derived state (statistics grid, emission table, online
-/// trackers) is *not* stored; [`SessionBundle::resume`] rebuilds it
-/// exactly from the dataset and assignments. A session snapshotted with
+/// The bundle carries the full dataset — the session's derived state
+/// (statistics grid, emission table, online trackers) is *not* stored;
+/// [`SessionBundle::resume`] rebuilds it exactly from the dataset and
+/// assignments. A session snapshotted with
 /// pending (un-refit) actions therefore comes back freshly refit: the
 /// actions themselves are never lost, only the deferral.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionBundle {
-    /// Format version (see [`SESSION_BUNDLE_VERSION`]).
+    /// Format version (see [`SessionBundle::VERSION`]).
     pub version: u32,
     /// The full dataset, including every ingested action.
     pub dataset: Dataset,
@@ -142,6 +55,9 @@ pub struct SessionBundle {
 }
 
 impl SessionBundle {
+    /// The format version this build writes.
+    pub const VERSION: u32 = 1;
+
     /// Serializes to JSON.
     pub fn to_json(&self) -> Result<String> {
         serde_json::to_string(self).map_err(|_| CoreError::DegenerateFit {
@@ -166,7 +82,7 @@ impl SessionBundle {
     /// model/config level agreement, and one monotone path over
     /// `1..=S` per user, one level per action.
     pub fn validate(&self) -> Result<()> {
-        check_version("session bundle", self.version, SESSION_BUNDLE_VERSION)?;
+        check_version("session bundle", self.version, Self::VERSION)?;
         self.dataset.validate()?;
         if self.model.n_levels() != self.config.n_levels {
             return Err(CoreError::LengthMismatch {
@@ -212,112 +128,12 @@ impl SessionBundle {
 mod tests {
     use super::*;
     use crate::feature::{FeatureKind, FeatureSchema, FeatureValue};
-    use crate::train::train;
     use crate::types::{Action, ActionSequence, Dataset};
-
-    fn trained() -> (TrainResult, TrainConfig) {
-        let schema = FeatureSchema::new(vec![FeatureKind::Categorical { cardinality: 2 }]).unwrap();
-        let items = vec![
-            vec![FeatureValue::Categorical(0)],
-            vec![FeatureValue::Categorical(1)],
-        ];
-        let sequences: Vec<ActionSequence> = (0..4u32)
-            .map(|u| {
-                ActionSequence::new(
-                    u,
-                    (0..8)
-                        .map(|t| Action::new(t, u, u32::from(t >= 4)))
-                        .collect(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let ds = Dataset::new(schema, items, sequences).unwrap();
-        let config = TrainConfig::new(2).with_min_init_actions(4);
-        (train(&ds, &config).unwrap(), config)
-    }
-
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let (result, config) = trained();
-        let bundle = ModelBundle::from_result(&result, config, "test run");
-        let json = bundle.to_json().unwrap();
-        let back = ModelBundle::from_json(&json).unwrap();
-        assert_eq!(back.version, BUNDLE_VERSION);
-        assert_eq!(back.model, result.model);
-        assert_eq!(back.assignments.as_ref().unwrap(), &result.assignments);
-        assert_eq!(back.note, "test run");
-        assert_eq!(back.iterations, result.trace.len());
-    }
-
-    #[test]
-    fn without_assignments_is_compact_and_valid() {
-        let (result, config) = trained();
-        let full = ModelBundle::from_result(&result, config, "x");
-        let slim = full.clone().without_assignments();
-        assert!(slim.to_json().unwrap().len() < full.to_json().unwrap().len());
-        assert!(ModelBundle::from_json(&slim.to_json().unwrap()).is_ok());
-    }
-
-    #[test]
-    fn future_version_rejected() {
-        let (result, config) = trained();
-        let mut bundle = ModelBundle::from_result(&result, config, "x");
-        bundle.version = BUNDLE_VERSION + 1;
-        let json = serde_json::to_string(&bundle).unwrap();
-        assert_eq!(
-            ModelBundle::from_json(&json).unwrap_err(),
-            CoreError::UnsupportedVersion {
-                artifact: "model bundle",
-                found: BUNDLE_VERSION + 1,
-                supported: BUNDLE_VERSION,
-            }
-        );
-    }
-
-    #[test]
-    fn inconsistent_levels_rejected() {
-        let (result, config) = trained();
-        let mut bundle = ModelBundle::from_result(&result, config, "x");
-        bundle.config.n_levels = 7;
-        assert!(bundle.validate().is_err());
-    }
-
-    #[test]
-    fn invalid_assignment_paths_rejected() {
-        let (result, config) = trained();
-        let bundle = ModelBundle::from_result(&result, config, "x");
-        // A drop in user 2's path, then a level of 0 in user 1's.
-        let mut drop = bundle.clone();
-        let path = &mut drop.assignments.as_mut().unwrap().per_user[2];
-        path[3] = 2;
-        path[4] = 1;
-        assert!(matches!(
-            drop.validate(),
-            Err(CoreError::InvalidLevelPath {
-                user: 2,
-                position: 4,
-                level: 1,
-                ..
-            })
-        ));
-        let mut zero = bundle;
-        zero.assignments.as_mut().unwrap().per_user[1][0] = 0;
-        assert!(matches!(
-            zero.validate(),
-            Err(CoreError::InvalidLevelPath {
-                user: 1,
-                position: 0,
-                level: 0,
-                ..
-            })
-        ));
-    }
 
     #[test]
     fn malformed_json_rejected() {
-        assert!(ModelBundle::from_json("{not json").is_err());
-        assert!(ModelBundle::from_json("{\"version\": 1}").is_err());
+        assert!(SessionBundle::from_json("{not json").is_err());
+        assert!(SessionBundle::from_json("{\"version\": 1}").is_err());
     }
 
     fn session_dataset() -> Dataset {
@@ -434,13 +250,13 @@ mod tests {
         let bundle = session.snapshot("x");
 
         let mut future = bundle.clone();
-        future.version = SESSION_BUNDLE_VERSION + 1;
+        future.version = SessionBundle::VERSION + 1;
         assert_eq!(
             future.validate(),
             Err(CoreError::UnsupportedVersion {
                 artifact: "session bundle",
-                found: SESSION_BUNDLE_VERSION + 1,
-                supported: SESSION_BUNDLE_VERSION,
+                found: SessionBundle::VERSION + 1,
+                supported: SessionBundle::VERSION,
             })
         );
 

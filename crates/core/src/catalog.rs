@@ -657,7 +657,7 @@ mod tests {
         let mut soft = SoftStatsGrid::new(S, base.n_items(), base.n_actions(), 0.0).unwrap();
         for (a, action) in base.actions().enumerate() {
             let g = (a % 7) as f64 / 7.0;
-            soft.push_action(action.item, &[g, 1.0 - g, 0.25 * g])
+            soft.update_action(a, action.item, &[g, 1.0 - g, 0.25 * g])
                 .unwrap();
         }
         let want_soft = bits(&replay_soft(&base, &soft).unwrap());

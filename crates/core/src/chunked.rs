@@ -111,7 +111,7 @@ impl DatasetChunk {
     ///
     /// Returns [`CoreError::UnsortedSequence`] when no sequence is open
     /// or the timestamp moves backwards within the open sequence.
-    pub fn push_action(&mut self, time: Timestamp, item: ItemId) -> Result<()> {
+    pub fn push(&mut self, time: Timestamp, item: ItemId) -> Result<()> {
         let Some(&user) = self.users.last() else {
             return Err(CoreError::UnsortedSequence {
                 user: 0,
@@ -296,7 +296,7 @@ impl ChunkSource for DatasetChunks<'_> {
             out.times.extend(actions.iter().map(|a| a.time));
             // A deserialized dataset skips `ActionSequence::new`, so time
             // order is checked here — once per sequence, on the contiguous
-            // copy, with the error `push_action` would give.
+            // copy, with the error `push` would give.
             if let Some(pos) = out.times[start..].windows(2).position(|w| w[1] < w[0]) {
                 return Err(CoreError::UnsortedSequence {
                     user: seq.user,
@@ -1680,18 +1680,18 @@ mod tests {
     }
 
     #[test]
-    fn push_action_rejects_backwards_time() {
+    fn push_rejects_backwards_time() {
         let mut chunk = DatasetChunk::new();
         chunk.reset(0, 0);
         chunk.begin_user(3);
-        chunk.push_action(5, 0).unwrap();
+        chunk.push(5, 0).unwrap();
         assert!(matches!(
-            chunk.push_action(2, 0),
+            chunk.push(2, 0),
             Err(CoreError::UnsortedSequence { user: 3, .. })
         ));
         // A new user may start earlier than the previous user ended.
         chunk.begin_user(4);
-        chunk.push_action(0, 1).unwrap();
+        chunk.push(0, 1).unwrap();
         assert_eq!(chunk.user_items(1), &[1]);
     }
 

@@ -468,14 +468,25 @@ impl StatsGrid {
 
     /// Cuts the dirty rows out for a refit run apart from the grid (see
     /// [`GridCut`]) and clears the dirty flags.
-    pub(crate) fn cut(&mut self) -> GridCut<u64> {
-        GridCut::take(&self.counts, &mut self.dirty, self.n_items)
+    pub(crate) fn cut(&mut self) -> GridCut {
+        let mut cells = vec![0; self.counts.len()];
+        let rows = cells
+            .chunks_mut(self.n_items.max(1))
+            .zip(self.counts.chunks(self.n_items.max(1)));
+        for ((to, from), _) in rows.zip(&self.dirty).filter(|&(_, &d)| d) {
+            to.copy_from_slice(from);
+        }
+        let dirty = self.dirty.clone();
+        self.dirty.fill(false);
+        GridCut { cells, dirty }
     }
 
     /// Marks dirty again every level `cut` carried — the undo of
     /// [`StatsGrid::cut`] for a refit that never installed its model.
-    pub(crate) fn reopen(&mut self, cut: &GridCut<u64>) {
-        reopen(&mut self.dirty, cut);
+    pub(crate) fn reopen(&mut self, cut: &GridCut) {
+        for (d, &c) in self.dirty.iter_mut().zip(&cut.dirty) {
+            *d |= c;
+        }
     }
 
     /// Debug-mode cross-check: rebuilds the histogram from scratch for
@@ -526,7 +537,7 @@ pub struct SoftStatsGrid {
     /// Gate: a posterior row is reapplied only when some level moved by
     /// more than this.
     tolerance: f64,
-    /// Levels whose weights changed since [`SoftStatsGrid::clear_dirty`].
+    /// Levels whose weights changed since the last fit.
     dirty: Vec<bool>,
 }
 
@@ -581,14 +592,9 @@ impl SoftStatsGrid {
     }
 
     /// Per-level dirty flags: `true` for levels whose weights changed
-    /// since the last [`SoftStatsGrid::clear_dirty`].
+    /// since the last [`SoftStatsGrid::fit_model_incremental`] call.
     pub fn dirty_levels(&self) -> &[bool] {
         &self.dirty
-    }
-
-    /// Marks every level clean (call after refitting the dirty rows).
-    pub fn clear_dirty(&mut self) {
-        self.dirty.fill(false);
     }
 
     /// Applies the freshly computed posterior row of action `a_idx`
@@ -650,48 +656,17 @@ impl SoftStatsGrid {
         Ok(true)
     }
 
-    /// Appends a brand-new action (e.g. one ingested by a streaming
-    /// session) on `item` with posterior row `gamma`, growing the stored
-    /// posteriors by one row and applying the full mass unconditionally —
-    /// a new action has no previous contribution to gate against.
-    pub fn push_action(&mut self, item: crate::types::ItemId, gamma: &[f64]) -> Result<()> {
-        if gamma.len() != self.n_levels {
-            return Err(CoreError::LengthMismatch {
-                context: "posterior row vs grid levels",
-                left: gamma.len(),
-                right: self.n_levels,
-            });
-        }
-        let item_idx = item as usize;
-        if item_idx >= self.n_items {
-            return Err(CoreError::FeatureIndexOutOfBounds {
-                index: item_idx,
-                len: self.n_items,
-            });
-        }
-        self.gammas.extend_from_slice(gamma);
-        let column = self.weights.iter_mut().skip(item_idx).step_by(self.n_items);
-        for ((&g, cell), flag) in gamma.iter().zip(column).zip(self.dirty.iter_mut()) {
-            if g.abs() > 0.0 {
-                *cell += g;
-                *flag = true;
-            }
-        }
-        Ok(())
-    }
-
     /// Fits a model refitting **only the levels whose responsibility mass
-    /// changed** since the last [`SoftStatsGrid::clear_dirty`], reusing
-    /// `prev`'s distributions for untouched levels — the weighted (EM)
-    /// analogue of [`StatsGrid::fit_model_incremental`], run by the same
-    /// M-step with the same worker split. Refits every level when `prev`
+    /// changed** since the last fit, reusing `prev`'s distributions for
+    /// untouched levels — the weighted (EM) analogue of
+    /// [`StatsGrid::fit_model_incremental`], run by the same M-step with
+    /// the same worker split. Refits every level when `prev`
     /// is absent or shaped differently. Clears the dirty flags on success.
     ///
     /// A weighted cell fit is a deterministic pure function of the level's
     /// weight row and `lambda`, so `prev` must be the model produced by
     /// the previous fit of *this* grid with the same `lambda` for the
-    /// reused rows to be exact (the streaming session maintains that
-    /// invariant up to its construction-time convergence tolerance).
+    /// reused rows to be exact (the EM trainer maintains that invariant).
     pub fn fit_model_incremental(
         &mut self,
         dataset: &Dataset,
@@ -703,55 +678,25 @@ impl SoftStatsGrid {
         self.dirty.fill(false);
         Ok(model)
     }
-
-    /// Cuts the dirty weight rows out for a refit run apart from the
-    /// grid (see [`GridCut`]) and clears the dirty flags. The per-action
-    /// posteriors are never copied: the M-step reads only the weights.
-    pub(crate) fn cut(&mut self) -> GridCut<f64> {
-        GridCut::take(&self.weights, &mut self.dirty, self.n_items)
-    }
-
-    /// Marks dirty again every level `cut` carried — the undo of
-    /// [`SoftStatsGrid::cut`].
-    pub(crate) fn reopen(&mut self, cut: &GridCut<f64>) {
-        reopen(&mut self.dirty, cut);
-    }
 }
 
-/// The rows one refit reads, copied out of a grid so the fit can run
-/// while the grid keeps taking deltas: the dirty level rows (clean rows
-/// stay zero and are never read) and the dirty flags, which the grid
-/// clears at the cut.
+/// The rows one refit reads, copied out of a [`StatsGrid`] so the fit
+/// can run while the grid keeps taking deltas: the dirty level rows
+/// (clean rows stay zero and are never read) and the dirty flags, which
+/// the grid clears at the cut.
 ///
 /// A fit of the cut reuses the previous model for the clean levels, so
-/// it is bitwise the [`StatsGrid::fit_model_incremental`] (or soft)
-/// fit of the grid as it stood at the cut. Deltas landing after the cut
-/// mark their levels dirty in the grid again, for the next cut.
+/// it is bitwise the [`StatsGrid::fit_model_incremental`] fit of the
+/// grid as it stood at the cut. Deltas landing after the cut mark their
+/// levels dirty in the grid again, for the next cut.
 #[derive(Debug, Clone)]
-pub(crate) struct GridCut<W> {
-    /// Level-major `S × n_items` cells; only the dirty rows are filled.
-    cells: Vec<W>,
+pub(crate) struct GridCut {
+    /// Level-major `S × n_items` counts; only the dirty rows are filled.
+    cells: Vec<u64>,
     dirty: Vec<bool>,
 }
 
-impl<W: GridCell> GridCut<W> {
-    /// Copies the rows `dirty` flags out of `cells` and clears the flags.
-    fn take(cells: &[W], dirty: &mut [bool], n_items: usize) -> Self {
-        let mut copy = vec![W::default(); cells.len()];
-        let rows = copy
-            .chunks_mut(n_items.max(1))
-            .zip(cells.chunks(n_items.max(1)));
-        for ((to, from), _) in rows.zip(dirty.iter()).filter(|&(_, &d)| d) {
-            to.copy_from_slice(from);
-        }
-        let flags = dirty.to_vec();
-        dirty.fill(false);
-        Self {
-            cells: copy,
-            dirty: flags,
-        }
-    }
-
+impl GridCut {
     /// Per-level flags: the levels this cut refits.
     pub(crate) fn dirty_levels(&self) -> &[bool] {
         &self.dirty
@@ -785,17 +730,10 @@ impl<W: GridCell> GridCut<W> {
     }
 }
 
-/// ORs a cut's dirty flags back into a grid's.
-fn reopen<W>(dirty: &mut [bool], cut: &GridCut<W>) {
-    for (d, &c) in dirty.iter_mut().zip(&cut.dirty) {
-        *d |= c;
-    }
-}
-
 /// One `(level, item)` cell of a grid and the accumulator [`fit_levels`]
 /// replays it into: a [`StatsGrid`] count pushes `k` copies of the item's
 /// values, a [`SoftStatsGrid`] mass pushes them with that weight.
-pub(crate) trait GridCell: Copy + Default + Sync {
+pub(crate) trait GridCell: Copy + Sync {
     type Acc;
     fn acc(kind: FeatureKind) -> Self::Acc;
     /// Whether the replay skips this cell.
@@ -836,7 +774,7 @@ impl GridCell for f64 {
     }
 }
 
-/// The one M-step (§IV-B, Eqs. 5–7) of both grids and of their cuts:
+/// The one M-step (§IV-B, Eqs. 5–7) of both grids and of the hard cut:
 /// refits some levels of the level-major `S × n_items` grid `cells` and
 /// keeps `prev`'s rows bit for bit for the rest. Callers clear their
 /// dirty flags on success.
@@ -1514,8 +1452,8 @@ mod tests {
         let pc = ParallelConfig::sequential();
         let model = grid.fit_model_incremental(&ds, 0.01, &pc, None).unwrap();
         grid.add_action(1, 2).unwrap();
-        let mut soft = SoftStatsGrid::new(3, ds.n_items(), 0, 0.0).unwrap();
-        soft.push_action(1, &[0.2, 0.3, 0.5]).unwrap();
+        let mut soft = SoftStatsGrid::new(3, ds.n_items(), 1, 0.0).unwrap();
+        soft.update_action(0, 1, &[0.2, 0.3, 0.5]).unwrap();
         for cfg in [ParallelConfig::sequential(), ParallelConfig::all(2)] {
             let zero = cfg.with_threads(0);
             for prev in [None, Some(&model)] {
@@ -1562,7 +1500,7 @@ mod tests {
         let mut g = SoftStatsGrid::new(2, 3, 2, 0.0).unwrap();
         g.update_action(0, 0, &[0.9, 0.1]).unwrap();
         g.update_action(1, 2, &[0.4, 0.6]).unwrap();
-        g.clear_dirty();
+        g.dirty.fill(false);
         // Moving action 0's posterior shifts only item 0's column and
         // flags both levels (each moved).
         assert!(g.update_action(0, 0, &[0.7, 0.3]).unwrap());
@@ -1576,7 +1514,7 @@ mod tests {
     fn soft_grid_gates_settled_actions() {
         let mut g = SoftStatsGrid::new(2, 2, 2, 1e-6).unwrap();
         g.update_action(0, 0, &[0.5, 0.5]).unwrap();
-        g.clear_dirty();
+        g.dirty.fill(false);
         // Movement below the gate: skipped, weights and flags untouched.
         assert!(!g.update_action(0, 0, &[0.5 + 1e-9, 0.5 - 1e-9]).unwrap());
         assert!((g.weight(0, 0) - 0.5).abs() < 1e-15);
@@ -1596,29 +1534,10 @@ mod tests {
     }
 
     #[test]
-    fn soft_grid_push_action_grows_and_applies_full_mass() {
-        let mut g = SoftStatsGrid::new(2, 3, 1, 0.0).unwrap();
-        g.update_action(0, 0, &[0.25, 0.75]).unwrap();
-        g.clear_dirty();
-        assert_eq!(g.n_actions(), 1);
-        g.push_action(2, &[0.4, 0.6]).unwrap();
-        assert_eq!(g.n_actions(), 2);
-        assert!((g.weight(0, 2) - 0.4).abs() < 1e-15);
-        assert!((g.weight(1, 2) - 0.6).abs() < 1e-15);
-        assert!(g.dirty_levels().iter().all(|&d| d));
-        // The appended row is gated like any other on later updates.
-        g.clear_dirty();
-        assert!(!g.update_action(1, 2, &[0.4, 0.6]).unwrap());
-        // Bad coordinates are rejected without growing the grid.
-        assert!(g.push_action(9, &[0.5, 0.5]).is_err());
-        assert!(g.push_action(0, &[1.0]).is_err());
-        assert_eq!(g.n_actions(), 2);
-    }
-
-    #[test]
     fn soft_grid_incremental_fit_reuses_clean_levels_bitwise() {
         let ds = build_dataset(4, 12);
-        let mut g = SoftStatsGrid::new(3, ds.n_items(), ds.n_actions(), 0.0).unwrap();
+        // One spare row for the action added below.
+        let mut g = SoftStatsGrid::new(3, ds.n_items(), ds.n_actions() + 1, 0.0).unwrap();
         // Seed every action with a level-skewed posterior.
         let mut a_idx = 0usize;
         for seq in ds.sequences() {
@@ -1633,12 +1552,13 @@ mod tests {
         let pc = ParallelConfig::sequential();
         let base = g.fit_model_incremental(&ds, 0.01, &pc, None).unwrap();
         assert!(g.dirty_levels().iter().all(|&d| !d));
-        // Touch only level 1 (zero-based 0): push mass for one action.
-        g.push_action(0, &[1.0, 0.0, 0.0]).unwrap();
+        // Touch only level 1 (zero-based 0): add mass for one action.
+        g.update_action(ds.n_actions(), 0, &[1.0, 0.0, 0.0])
+            .unwrap();
         assert_eq!(
             g.dirty_levels(),
             &[true, false, false],
-            "only the pushed level should be dirty"
+            "only the added level should be dirty"
         );
         let refit = g
             .fit_model_incremental(&ds, 0.01, &pc, Some(&base))
@@ -1668,7 +1588,8 @@ mod tests {
     #[test]
     fn soft_parallel_refit_is_bitwise_identical_to_sequential() {
         let ds = build_dataset(4, 12);
-        let mut g = SoftStatsGrid::new(3, ds.n_items(), ds.n_actions(), 0.0).unwrap();
+        // Two spare rows for the actions added below.
+        let mut g = SoftStatsGrid::new(3, ds.n_items(), ds.n_actions() + 2, 0.0).unwrap();
         let mut a_idx = 0usize;
         for seq in ds.sequences() {
             for action in seq.actions() {
@@ -1681,8 +1602,8 @@ mod tests {
         let seq = ParallelConfig::sequential();
         let base = g.fit_model_incremental(&ds, 0.01, &seq, None).unwrap();
         // A partial dirty mask (levels 1 and 3), then a full one.
-        for gamma in [[0.6, 0.0, 0.4], [0.2, 0.5, 0.3]] {
-            g.push_action(2, &gamma).unwrap();
+        for (k, gamma) in [[0.6, 0.0, 0.4], [0.2, 0.5, 0.3]].into_iter().enumerate() {
+            g.update_action(ds.n_actions() + k, 2, &gamma).unwrap();
             let dirty: Vec<bool> = gamma.iter().map(|&x| x > 0.0).collect();
             assert_eq!(g.dirty_levels(), dirty.as_slice());
             let expect = g

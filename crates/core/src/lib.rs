@@ -85,7 +85,7 @@
 //! | [`predict`] | §VI-E | item-prediction protocol |
 //! | [`baselines`] | §VI-D | Uniform & ID (Yang et al.) baselines |
 //! | [`analysis`] | §VI-C | dominance scores, per-level summaries |
-//! | [`recommend`] | Fig. 1 / §VII | upskilling recommendations & curriculum ladder |
+//! | [`recommend`] | Fig. 1 / §VII | upskilling recommendations |
 //! | [`policy`] | §VII (AdUp) | adaptive teach/motivate/hybrid re-ranking over bands |
 //! | [`online`] | — | O(F·S)-per-action incremental skill tracking |
 //! | [`streaming`] | §IV, §VI | live ingestion sessions over a trained model |
@@ -95,7 +95,7 @@
 //! | [`forgetting`] | §VII | Ebbinghaus-style skill decay in the DP |
 //! | [`transition`] | §VII | probabilistic stay/advance extension |
 //! | [`em`] | §IV-B | soft-assignment (EM) trainer for comparison |
-//! | [`bundle`] | — | versioned trained-model artifacts (JSON) |
+//! | [`bundle`] | — | versioned live-session artifacts (JSON) |
 //! | [`diagnostics`] | — | feature informativeness (KL), convergence health |
 
 #![warn(missing_docs)]

@@ -396,34 +396,6 @@ fn score_candidates(
     recs
 }
 
-/// A difficulty ladder: one recommendation batch per level from `from`
-/// up to the model's top level — a curriculum sketch in the spirit of the
-/// paper's "ranking optimized for skill improvement" direction (§VII).
-pub fn upskilling_ladder(
-    model: &SkillModel,
-    dataset: &Dataset,
-    difficulty: &[f64],
-    from: SkillLevel,
-    exclude: &dyn Fn(ItemId) -> bool,
-    config: &RecommendConfig,
-) -> Result<Vec<(SkillLevel, Vec<Recommendation>)>> {
-    if difficulty.len() != dataset.n_items() {
-        return Err(CoreError::LengthMismatch {
-            context: "difficulty vector vs items",
-            left: difficulty.len(),
-            right: dataset.n_items(),
-        });
-    }
-    // One emission table serves every rung of the ladder.
-    let table = EmissionTable::build(model, dataset);
-    let mut ladder = Vec::new();
-    for level in from..=(model.n_levels() as SkillLevel) {
-        let recs = recommend_for_level_with_table(&table, difficulty, level, exclude, config)?;
-        ladder.push((level, recs));
-    }
-    Ok(ladder)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,30 +537,6 @@ mod tests {
         // item 0 qualifies). Use level 3 instead: band [2.95, 3.15] — empty.
         let recs = recommend_for_level(&model, &ds, &difficulty, 3, &|_| false, &config).unwrap();
         assert!(recs.is_empty());
-    }
-
-    #[test]
-    fn ladder_covers_levels_up_to_top() {
-        let (model, ds, difficulty) = setup();
-        let config = RecommendConfig {
-            interest_weight: 0.2,
-            upper_slack: 1.0,
-            ..Default::default()
-        };
-        let ladder = upskilling_ladder(&model, &ds, &difficulty, 1, &|_| false, &config).unwrap();
-        assert_eq!(ladder.len(), 3);
-        assert_eq!(ladder[0].0, 1);
-        assert_eq!(ladder[2].0, 3);
-        // Mean difficulty of each rung increases.
-        let mean = |recs: &[Recommendation]| {
-            recs.iter().map(|r| r.difficulty).sum::<f64>() / recs.len().max(1) as f64
-        };
-        let nonempty: Vec<f64> = ladder
-            .iter()
-            .filter(|(_, r)| !r.is_empty())
-            .map(|(_, r)| mean(r))
-            .collect();
-        assert!(nonempty.windows(2).all(|w| w[1] >= w[0] - 1e-9));
     }
 
     #[test]

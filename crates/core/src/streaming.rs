@@ -25,29 +25,29 @@
 //! ## One live-fitting state, one live user record
 //!
 //! Steps 2 and 3 belong to [`LiveFit`]: the statistics grid, the model,
-//! the refit policy and its [`RefitTuner`], the pending and lifetime
-//! counters, and the soft (EM) state, with one construction pipeline
-//! ([`LiveFit::new`]), one `+1` record and one refit rule. Step 1
-//! belongs to [`LiveUser`]: one user's sequence, committed path and
-//! filtering tracker, with one construction ([`LiveUser::split`]), one
-//! ingest rule ([`LiveUser::validate`], then append or admit) and one
-//! snapshot ([`session_bundle`]). A [`StreamingSession`] owns a
+//! the refit policy and its [`RefitTuner`], and the pending and lifetime
+//! counters, with one construction pipeline ([`LiveFit::new`]), one `+1`
+//! record and one refit rule. It has one mode, hard counts, as in the
+//! paper's coordinate ascent (§IV-B). Step 1 belongs to [`LiveUser`]:
+//! one user's sequence, committed path and filtering tracker, with one
+//! construction ([`LiveUser::split`]), one ingest rule
+//! ([`LiveUser::validate`], then append or admit) and one snapshot
+//! ([`session_bundle`]). A [`StreamingSession`] owns a
 //! sequence-less catalog, its live users, the emission table and a
 //! `LiveFit`; the serving layer keeps the `LiveFit` behind its global
 //! lock and the live users in its shards. Both commit the same paths and
 //! fit the same model from the same traffic by construction. A refit
 //! reads only the catalog (schema + item tuples), never the sequences.
-
+//!
 //! ## Cut, fit, install
 //!
 //! The refit rule runs in three steps, so its owner need not hold its
 //! lock while the M-step runs:
 //!
-//! 1. **Cut** ([`LiveFit::cut`]) only copies: the dirty rows of the
-//!    active grid (counts, or soft weights — never the per-action
-//!    posteriors) and the model the fit reuses clean rows from. It
-//!    clears the dirty flags, resets the pending count and steps the
-//!    tuner, a pure function of the dirty count.
+//! 1. **Cut** ([`LiveFit::cut`]) only copies: the dirty count rows of
+//!    the grid and the model the fit reuses clean rows from. It clears
+//!    the dirty flags, resets the pending count and steps the tuner, a
+//!    pure function of the dirty count.
 //! 2. **Fit** ([`RefitCut::fit`]) reads only the cut and the catalog:
 //!    the dirty-level M-step, then those columns refreshed into a clone
 //!    of the current table, then the table check.
@@ -74,39 +74,21 @@
 //! fit of the concatenated dataset bit for bit (see
 //! `tests/properties_streaming.rs`). Periodically retraining from scratch
 //! and resuming a fresh session recovers the smoothing view.
-//!
-//! ## Soft (EM) continuation
-//!
-//! [`StreamingSession::resume_em`] keeps an EM-fitted model
-//! ([`Trainer::em`](crate::train::Trainer::em)) **bit for bit** instead of
-//! refitting it from hard-assignment counts, and gives its [`LiveFit`] a
-//! [`SoftStatsGrid`] of responsibility mass alongside the hard histogram:
-//! construction seeds the grid with one forward–backward smoothing pass
-//! under the converged model, each ingested action contributes its
-//! *filtering posterior* over the admissible stay/advance extension
-//! (weighted by the session's [`TransitionModel`]), and refits replay only
-//! dirty levels through the weighted M-step
-//! ([`SoftStatsGrid::fit_model_incremental`]) before refreshing exactly
-//! those emission-table columns. The committed hard path and its exact
-//! [`StatsGrid`] are still maintained — they back the invariant checks and
-//! keep every accessor meaningful in both modes.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::bundle::{SessionBundle, SESSION_BUNDLE_VERSION};
-use crate::em::FbWorkspace;
+use crate::bundle::SessionBundle;
 use crate::emission::EmissionTable;
 use crate::error::{CoreError, Result};
-use crate::incremental::{GridCut, SoftStatsGrid, StatsGrid};
+use crate::incremental::{GridCut, StatsGrid};
 use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
 use crate::online::OnlineTracker;
 use crate::parallel::ParallelConfig;
 use crate::train::{TrainConfig, TrainResult};
-use crate::transition::TransitionModel;
 use crate::types::{
     skill_level_from_index, Action, ActionSequence, Dataset, ItemId, SkillAssignments, SkillLevel,
     UserId,
@@ -188,8 +170,8 @@ impl RefitTuner {
 
 /// The model-fitting state of a live deployment and its one refit rule:
 /// the exact [`StatsGrid`], the current [`SkillModel`], the
-/// [`RefitPolicy`] and optional [`RefitTuner`], the pending and lifetime
-/// action counters, and — for EM continuations — the soft statistics.
+/// [`RefitPolicy`] and optional [`RefitTuner`], and the pending and
+/// lifetime action counters.
 ///
 /// [`StreamingSession`] owns one; the serving layer keeps one behind its
 /// global lock. The model is always the parameter fit of the statistics
@@ -208,17 +190,6 @@ pub struct LiveFit {
     pending: usize,
     /// Actions recorded over the fit's lifetime.
     total_ingested: usize,
-    /// Soft (EM) continuation state; `None` for hard-mode fits.
-    soft: Option<SoftState>,
-}
-
-/// Responsibility statistics of an EM continuation: the soft grid the
-/// refits replay, and the transition model weighting each recorded
-/// action's stay/advance posterior.
-#[derive(Debug, Clone)]
-struct SoftState {
-    grid: SoftStatsGrid,
-    transitions: TransitionModel,
 }
 
 impl LiveFit {
@@ -239,7 +210,9 @@ impl LiveFit {
         policy: RefitPolicy,
         tuner: Option<RefitTuner>,
     ) -> Result<(Self, EmissionTable)> {
-        check_inputs(assignments, &config, &parallel)?;
+        config.validate()?;
+        parallel.validate()?;
+        assignments.check_paths(config.n_levels)?;
         let mut grid =
             StatsGrid::build_with_config(dataset, assignments, config.n_levels, &parallel)?;
         let model = grid.fit_model_incremental(dataset, config.lambda, &parallel, None)?;
@@ -251,27 +224,14 @@ impl LiveFit {
             tuner,
             pending: 0,
             total_ingested: 0,
-            soft: None,
         };
         Ok((fit, table))
     }
 
     /// Records one committed action: the `+1` delta on the `(level, item)`
-    /// cell, in EM mode the action's filtering posterior over its
-    /// admissible extension (from its emission `row` and the user's
-    /// previous level `last`), and the counters.
-    pub fn record(
-        &mut self,
-        item: ItemId,
-        level: SkillLevel,
-        row: &[f64],
-        last: Option<SkillLevel>,
-    ) -> Result<()> {
+    /// cell, and the counters.
+    pub fn record(&mut self, item: ItemId, level: SkillLevel) -> Result<()> {
         self.grid.add_action(item, level)?;
-        if let Some(soft) = self.soft.as_mut() {
-            let gamma = extension_posterior(&soft.transitions, row, last, level);
-            soft.grid.push_action(item, &gamma)?;
-        }
         self.pending += 1;
         self.total_ingested += 1;
         Ok(())
@@ -288,22 +248,16 @@ impl LiveFit {
     }
 
     /// The cut step of a refit: copies out what the fit step reads —
-    /// the dirty rows of the active grid (the [`SoftStatsGrid`]'s
-    /// weights in EM mode, the exact [`StatsGrid`]'s counts otherwise)
-    /// and a handle on the current model — then clears the dirty flags,
-    /// resets the pending count and steps the tuner. The tuner steps on
-    /// clean cuts too.
+    /// the dirty count rows of the [`StatsGrid`] and a handle on the
+    /// current model — then clears the dirty flags, resets the pending
+    /// count and steps the tuner. The tuner steps on clean cuts too.
     ///
     /// Run [`RefitCut::fit`] on the result, then [`LiveFit::install`]
     /// its model, or [`LiveFit::abandon`] the cut if anything fails. A
     /// clean cut (no dirty level) needs neither.
     pub fn cut(&mut self) -> RefitCut {
-        let rows = match self.soft.as_mut() {
-            Some(soft) => CutRows::Soft(soft.grid.cut()),
-            None => CutRows::Hard(self.grid.cut()),
-        };
         let cut = RefitCut {
-            rows,
+            rows: self.grid.cut(),
             model: Arc::clone(&self.model),
             pending: self.pending,
             policy: self.policy,
@@ -331,11 +285,7 @@ impl LiveFit {
     /// of its row, fits the same bits as if the cut had never been
     /// taken.
     pub fn abandon(&mut self, cut: &RefitCut) {
-        match (&cut.rows, self.soft.as_mut()) {
-            (CutRows::Soft(rows), Some(soft)) => soft.grid.reopen(rows),
-            (CutRows::Hard(rows), _) => self.grid.reopen(rows),
-            (CutRows::Soft(_), None) => {}
-        }
+        self.grid.reopen(&cut.rows);
         self.pending += cut.pending;
         self.policy = cut.policy;
     }
@@ -368,7 +318,7 @@ impl LiveFit {
 /// lock.
 #[derive(Debug, Clone)]
 pub struct RefitCut {
-    rows: CutRows,
+    rows: GridCut,
     model: Arc<SkillModel>,
     /// The pending count and policy the cut replaced, restored by
     /// [`LiveFit::abandon`].
@@ -376,25 +326,10 @@ pub struct RefitCut {
     policy: RefitPolicy,
 }
 
-/// The active grid's cut rows: exact counts, or soft weights in EM mode.
-#[derive(Debug, Clone)]
-enum CutRows {
-    Hard(GridCut<u64>),
-    Soft(GridCut<f64>),
-}
-
 impl RefitCut {
-    /// Per-level flags: the levels this refit fits and refreshes.
-    fn dirty_levels(&self) -> &[bool] {
-        match &self.rows {
-            CutRows::Hard(rows) => rows.dirty_levels(),
-            CutRows::Soft(rows) => rows.dirty_levels(),
-        }
-    }
-
     /// Number of levels this refit fits; 0 for a clean cut.
     pub fn n_dirty(&self) -> usize {
-        self.dirty_levels().iter().filter(|&&d| d).count()
+        self.rows.dirty_levels().iter().filter(|&&d| d).count()
     }
 
     /// The fit step of a refit: fits the cut's dirty levels from
@@ -412,27 +347,14 @@ impl RefitCut {
         parallel: &ParallelConfig,
         table: &EmissionTable,
     ) -> Result<(SkillModel, EmissionTable)> {
-        let model = match &self.rows {
-            CutRows::Hard(rows) => rows.fit_model(catalog, lambda, parallel, &self.model)?,
-            CutRows::Soft(rows) => rows.fit_model(catalog, lambda, parallel, &self.model)?,
-        };
+        let model = self
+            .rows
+            .fit_model(catalog, lambda, parallel, &self.model)?;
         let mut table = table.clone();
-        table.refresh_levels(&model, catalog, self.dirty_levels())?;
+        table.refresh_levels(&model, catalog, self.rows.dirty_levels())?;
         InvariantCtx::new().check_emission_table(&table)?;
         Ok((model, table))
     }
-}
-
-/// Input checks shared by every live-fit constructor: valid
-/// configurations and committed paths that are monotone over `1..=S`.
-fn check_inputs(
-    assignments: &SkillAssignments,
-    config: &TrainConfig,
-    parallel: &ParallelConfig,
-) -> Result<()> {
-    config.validate()?;
-    parallel.validate()?;
-    assignments.check_paths(config.n_levels)
 }
 
 /// One user's live record: the action sequence, the committed monotone
@@ -453,8 +375,6 @@ pub struct Extension<'t> {
     pub row: &'t [f64],
     /// The level the action commits.
     pub level: SkillLevel,
-    /// The user's previous level; `None` for a first action.
-    pub last: Option<SkillLevel>,
 }
 
 impl LiveUser {
@@ -524,7 +444,7 @@ impl LiveUser {
         let last = user.and_then(LiveUser::committed_level);
         let level = commit_level(row, last);
         InvariantCtx::new().check_extension("live ingest", last, level)?;
-        Ok(Extension { row, level, last })
+        Ok(Extension { row, level })
     }
 
     /// Appends a validated action to a known user.
@@ -583,7 +503,7 @@ pub fn session_bundle<'a>(
         .map(|u| (u.sequence.clone(), u.levels.clone()))
         .unzip();
     SessionBundle {
-        version: SESSION_BUNDLE_VERSION,
+        version: SessionBundle::VERSION,
         dataset: catalog.with_checked_sequences(sequences),
         model: SkillModel::clone(&fit.model),
         assignments: SkillAssignments { per_user },
@@ -628,88 +548,6 @@ impl StreamingSession {
         policy: RefitPolicy,
     ) -> Result<Self> {
         let (fit, table) = LiveFit::new(&dataset, &assignments, config, parallel, policy, None)?;
-        Self::assemble(dataset, assignments, config, parallel, table, fit)
-    }
-
-    /// Builds a **soft (EM) continuation** of a trained result: the
-    /// result's model is kept bit for bit (no construction-time hard
-    /// refit), and refits replay a persistent [`SoftStatsGrid`] of
-    /// responsibility mass instead of the hard histogram.
-    ///
-    /// The soft grid is seeded with one forward–backward smoothing pass
-    /// over the dataset under the converged model and `transitions`
-    /// (the same transitions the EM trainer ran with). Because a
-    /// converged EM model is — up to the trainer's tolerance — the fixed
-    /// point of its own M-step, the seeded statistics start *clean*: the
-    /// first refit touches only the levels streamed actions move.
-    pub fn resume_em(
-        dataset: Dataset,
-        result: &TrainResult,
-        transitions: TransitionModel,
-        config: TrainConfig,
-        parallel: ParallelConfig,
-        policy: RefitPolicy,
-    ) -> Result<Self> {
-        check_inputs(&result.assignments, &config, &parallel)?;
-        if transitions.n_levels() != config.n_levels {
-            return Err(CoreError::LengthMismatch {
-                context: "transitions vs session levels",
-                left: transitions.n_levels(),
-                right: config.n_levels,
-            });
-        }
-        let assignments = result.assignments.clone();
-        // The hard histogram is still maintained — it backs the
-        // `check_grid` invariant and the committed-path bookkeeping —
-        // but the model is NOT refit from it: the EM fit survives.
-        let grid =
-            StatsGrid::build_with_config(&dataset, &assignments, config.n_levels, &parallel)?;
-        let model = result.model.clone();
-        let table = EmissionTable::build_with_config(&model, &dataset, &parallel)?;
-        let mut soft_grid = SoftStatsGrid::new(
-            config.n_levels,
-            dataset.n_items(),
-            dataset.n_actions(),
-            crate::em::DEFAULT_GAMMA_TOLERANCE,
-        )?;
-        let mut fb = FbWorkspace::new(&transitions);
-        let mut a_idx = 0usize;
-        for seq in dataset.sequences() {
-            fb.run(&table, seq)?;
-            for (action, gamma) in seq.actions().iter().zip(fb.gamma().chunks(config.n_levels)) {
-                soft_grid.update_action(a_idx, action.item, gamma)?;
-                a_idx += 1;
-            }
-        }
-        // Seeding is not a model change: start clean so only levels the
-        // streamed suffix touches ever get refit.
-        soft_grid.clear_dirty();
-        let fit = LiveFit {
-            grid,
-            model: Arc::new(model),
-            policy,
-            tuner: None,
-            pending: 0,
-            total_ingested: 0,
-            soft: Some(SoftState {
-                grid: soft_grid,
-                transitions,
-            }),
-        };
-        Self::assemble(dataset, assignments, config, parallel, table, fit)
-    }
-
-    /// Completes a session around its fit and emission table: splits the
-    /// dataset into the catalog and its live users ([`LiveUser::split`])
-    /// and indexes the users by id.
-    fn assemble(
-        dataset: Dataset,
-        assignments: SkillAssignments,
-        config: TrainConfig,
-        parallel: ParallelConfig,
-        table: EmissionTable,
-        fit: LiveFit,
-    ) -> Result<Self> {
         let (catalog, users) = LiveUser::split(dataset, assignments, &table)?;
         let user_index = users
             .iter()
@@ -728,7 +566,10 @@ impl StreamingSession {
     }
 
     /// Resumes a session from a completed training run: the dataset it was
-    /// trained on plus the [`TrainResult`]'s final assignments.
+    /// trained on plus the [`TrainResult`]'s final assignments. The model
+    /// is refit from those assignments, so an EM-trained result
+    /// ([`Trainer::em`](crate::train::Trainer::em)) continues from its
+    /// hard decode, exactly as the serving layer resumes it.
     pub fn resume(
         dataset: Dataset,
         result: &TrainResult,
@@ -786,7 +627,7 @@ impl StreamingSession {
                 self.users.push(live);
             }
         }
-        self.fit.record(action.item, ext.level, ext.row, ext.last)?;
+        self.fit.record(action.item, ext.level)?;
         Ok(ext.level)
     }
 
@@ -807,11 +648,6 @@ impl StreamingSession {
     /// policy. On error the cut is abandoned ([`LiveFit::abandon`]): the
     /// model and table are unchanged and the next refit covers the same
     /// levels.
-    ///
-    /// Hard-mode sessions refit from the exact [`StatsGrid`] histogram;
-    /// EM-resumed sessions ([`StreamingSession::resume_em`]) replay the
-    /// [`SoftStatsGrid`]'s responsibility mass through the weighted
-    /// M-step instead.
     pub fn refit(&mut self) -> Result<usize> {
         let cut = self.fit.cut();
         if cut.n_dirty() == 0 {
@@ -855,10 +691,7 @@ impl StreamingSession {
     ///
     /// Derived state (grid, emission table, trackers) is not stored;
     /// [`SessionBundle::resume`] rebuilds it, so a snapshot taken with
-    /// pending actions resumes freshly refit. The soft (EM) continuation
-    /// state is derived too and is likewise not stored: a bundle always
-    /// resumes in hard mode, with the snapshot's model refit from the
-    /// hard histogram.
+    /// pending actions resumes freshly refit.
     pub fn snapshot(&self, note: &str) -> SessionBundle {
         session_bundle(
             &self.catalog,
@@ -883,12 +716,6 @@ impl StreamingSession {
     /// The current refit policy.
     pub fn policy(&self) -> RefitPolicy {
         self.fit.policy
-    }
-
-    /// Whether this is a soft (EM) continuation
-    /// ([`StreamingSession::resume_em`]) rather than a hard-mode session.
-    pub fn is_em(&self) -> bool {
-        self.fit.soft.is_some()
     }
 
     /// Replaces the refit policy (takes effect from the next ingest).
@@ -938,56 +765,6 @@ impl StreamingSession {
     pub fn filtered_level(&self, user: UserId) -> Option<SkillLevel> {
         self.user(user)?.filtered_level().ok()
     }
-}
-
-/// Filtering posterior of one ingested action over its admissible levels:
-/// a softmax of `transition log-probability + emission score`, restricted
-/// to all levels for a user's first action (weighted by the initial
-/// distribution) or to the two-way stay/advance extension of the
-/// committed path otherwise. Degenerate rows (every admissible level
-/// scoring `-inf`) collapse to the committed level, mirroring what the
-/// hard path records.
-fn extension_posterior(
-    transitions: &TransitionModel,
-    row: &[f64],
-    last: Option<SkillLevel>,
-    committed: SkillLevel,
-) -> Vec<f64> {
-    let s_max = row.len();
-    let mut post = vec![f64::NEG_INFINITY; s_max];
-    match last {
-        None => {
-            for (s, (p, &e)) in post.iter_mut().zip(row).enumerate() {
-                *p = transitions.log_init(crate::types::skill_level_from_index(s)) + e;
-            }
-        }
-        Some(last) => {
-            let li = last as usize - 1;
-            if let (Some(p), Some(&e)) = (post.get_mut(li), row.get(li)) {
-                *p = transitions.log_stay(last) + e;
-            }
-            if let (Some(p), Some(&e)) = (post.get_mut(li + 1), row.get(li + 1)) {
-                *p = transitions.log_advance(last) + e;
-            }
-        }
-    }
-    let max = post.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if !max.is_finite() {
-        post.fill(0.0);
-        if let Some(p) = post.get_mut(committed as usize - 1) {
-            *p = 1.0;
-        }
-        return post;
-    }
-    let mut sum = 0.0;
-    for p in post.iter_mut() {
-        *p = (*p - max).exp();
-        sum += *p;
-    }
-    for p in post.iter_mut() {
-        *p /= sum;
-    }
-    post
 }
 
 /// The level a committed monotone path ending at `last` gives its next
@@ -1328,104 +1105,6 @@ mod tests {
         assert_eq!(session.snapshot("x").to_json().unwrap(), before);
         assert_eq!(session.total_ingested(), 0);
         assert_eq!(session.pending_actions(), 0);
-    }
-
-    #[test]
-    fn em_resume_preserves_em_model_bitwise() {
-        let ds = progression_dataset(8, 12, 3);
-        let trainer = crate::train::Trainer::new(3)
-            .with_min_init_actions(4)
-            .with_max_iterations(20)
-            .em();
-        let fitted = trainer.fit(&ds).unwrap();
-        let session = trainer
-            .fit_session(ds.clone(), RefitPolicy::Manual)
-            .unwrap();
-        assert!(session.is_em());
-        // The old behavior hard-refit the model at construction,
-        // discarding the soft fit; the soft continuation keeps it.
-        assert!(models_identical(session.model(), &fitted.model, &ds));
-        assert_eq!(grown(&session).1, fitted.assignments);
-        assert_eq!(session.pending_actions(), 0);
-    }
-
-    #[test]
-    fn em_session_ingests_and_soft_refits_dirty_levels() {
-        let ds = progression_dataset(8, 12, 3);
-        let trainer = crate::train::Trainer::new(3)
-            .with_min_init_actions(4)
-            .with_max_iterations(20)
-            .em();
-        let mut session = trainer.fit_session(ds, RefitPolicy::Manual).unwrap();
-        let before = session.model().clone();
-        for k in 0..6 {
-            let level = session.ingest(Action::new(100 + k, 1, 2)).unwrap();
-            assert!((1..=3).contains(&level));
-        }
-        assert!(grown(&session).1.is_monotone());
-        assert_eq!(session.pending_actions(), 6);
-        // Model untouched until the refit; the refit touches at least one
-        // but not necessarily all levels.
-        assert!(models_identical(session.model(), &before, &session.catalog));
-        let n_refit = session.refit().unwrap();
-        assert!((1..=3).contains(&n_refit));
-        assert_eq!(session.pending_actions(), 0);
-        assert!(!models_identical(
-            session.model(),
-            &before,
-            &session.catalog
-        ));
-        // The emission table tracks the refit model exactly.
-        let fresh_table = EmissionTable::build(session.model(), &session.catalog);
-        for item in 0..session.catalog.n_items() as u32 {
-            for s in 1..=3u8 {
-                assert_eq!(
-                    session.table.log_likelihood(item, s).to_bits(),
-                    fresh_table.log_likelihood(item, s).to_bits()
-                );
-            }
-        }
-        // Refitting again with nothing pending is a no-op.
-        assert_eq!(session.refit().unwrap(), 0);
-    }
-
-    #[test]
-    fn em_session_admits_unknown_users() {
-        let ds = progression_dataset(8, 12, 3);
-        let trainer = crate::train::Trainer::new(3)
-            .with_min_init_actions(4)
-            .with_max_iterations(20)
-            .em();
-        let mut session = trainer.fit_session(ds, RefitPolicy::EveryBatch).unwrap();
-        let level = session.ingest(Action::new(0, 42, 0)).unwrap();
-        assert_eq!(session.n_users(), 9);
-        assert_eq!(session.committed_level(42), Some(level));
-        // Invalid actions still leave the session unchanged in EM mode.
-        let before = session.snapshot("x").to_json().unwrap();
-        assert!(session.ingest(Action::new(100, 0, 99)).is_err());
-        assert_eq!(session.snapshot("x").to_json().unwrap(), before);
-    }
-
-    #[test]
-    fn extension_posterior_is_normalized_and_admissible() {
-        let trans = TransitionModel::uninformative(3).unwrap();
-        let row = [-1.0, -2.0, -0.5];
-        // First action: all levels admissible.
-        let first = extension_posterior(&trans, &row, None, 3);
-        assert!((first.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(first.iter().all(|&p| p > 0.0));
-        // Mid-path: only stay/advance carry mass.
-        let mid = extension_posterior(&trans, &row, Some(1), 1);
-        assert!((mid.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert_eq!(mid[2], 0.0);
-        assert!(mid[0] > 0.0 && mid[1] > 0.0);
-        // Top level: all mass stays.
-        let top = extension_posterior(&trans, &row, Some(3), 3);
-        assert_eq!(top, vec![0.0, 0.0, 1.0]);
-        // Degenerate emissions collapse to the committed level.
-        let dead = [f64::NEG_INFINITY; 3];
-        let fallback = extension_posterior(&trans, &dead, Some(2), 2);
-        assert_eq!(fallback, vec![0.0, 1.0, 0.0]);
     }
 
     #[test]

@@ -194,7 +194,7 @@ pub enum TrainMode {
 ///
 /// From the returned [`TrainResult`] a live
 /// [`StreamingSession`](crate::streaming::StreamingSession) can be resumed
-/// — or built in one step with [`Trainer::fit_session`].
+/// ([`StreamingSession::resume`](crate::streaming::StreamingSession::resume)).
 #[derive(Debug, Clone)]
 pub struct Trainer {
     config: TrainConfig,
@@ -371,47 +371,6 @@ impl Trainer {
         })
     }
 
-    /// Trains on `dataset` and immediately resumes a live
-    /// [`StreamingSession`](crate::streaming::StreamingSession) over it.
-    ///
-    /// In EM mode the session is a **soft continuation**
-    /// ([`StreamingSession::resume_em`](crate::streaming::StreamingSession::resume_em)):
-    /// the EM-fitted model is preserved bit for bit and later refits
-    /// replay responsibility mass instead of falling back to a
-    /// hard-count retrain of the soft fit.
-    pub fn fit_session(
-        &self,
-        dataset: Dataset,
-        policy: crate::streaming::RefitPolicy,
-    ) -> Result<crate::streaming::StreamingSession> {
-        let result = self.fit(&dataset)?;
-        match self.mode {
-            TrainMode::Hard => crate::streaming::StreamingSession::resume(
-                dataset,
-                &result,
-                self.config,
-                self.parallel,
-                policy,
-            ),
-            TrainMode::Em => crate::streaming::StreamingSession::resume_em(
-                dataset,
-                &result,
-                self.em_transitions()?,
-                self.config,
-                self.parallel,
-                policy,
-            ),
-        }
-    }
-
-    /// EM-mode transitions: the configured ones, else uninformative.
-    fn em_transitions(&self) -> Result<TransitionModel> {
-        match &self.transitions {
-            Some(t) => Ok(t.clone()),
-            None => TransitionModel::uninformative(self.config.n_levels),
-        }
-    }
-
     /// The EM arms' shared core: runs `run` on an [`EmConfig`] seeded
     /// from `initial` with this trainer's transitions and
     /// hyperparameters, and exposes the evidence trace as
@@ -421,7 +380,12 @@ impl Trainer {
         initial: SkillModel,
         run: impl FnOnce(&EmConfig) -> Result<EmResult>,
     ) -> Result<(EmResult, Vec<IterationStats>)> {
-        let em_cfg = EmConfig::new(initial, self.em_transitions()?)
+        // The configured transitions, else uninformative ones.
+        let transitions = match &self.transitions {
+            Some(t) => t.clone(),
+            None => TransitionModel::uninformative(self.config.n_levels)?,
+        };
+        let em_cfg = EmConfig::new(initial, transitions)
             .with_lambda(self.config.lambda)
             .with_max_iterations(self.config.max_iterations)
             .with_tolerance(self.config.tolerance);
@@ -719,35 +683,5 @@ mod tests {
         assert!((t.config().tolerance - 1e-3).abs() < 1e-15);
         assert!(t.parallel().users);
         assert_eq!(t.mode(), TrainMode::Hard);
-    }
-
-    #[test]
-    fn trainer_fit_session_resumes_streaming() {
-        let ds = progression_dataset(6, 12, 3);
-        let session = Trainer::new(3)
-            .with_min_init_actions(6)
-            .fit_session(ds.clone(), crate::streaming::RefitPolicy::EveryBatch)
-            .unwrap();
-        assert_eq!(session.n_users(), 6);
-        assert_eq!(session.total_ingested(), 0);
-        let direct = train(&ds, &TrainConfig::new(3).with_min_init_actions(6)).unwrap();
-        assert_eq!(session.snapshot("").assignments, direct.assignments);
-    }
-
-    #[test]
-    fn trainer_fit_session_dispatches_on_mode() {
-        let ds = progression_dataset(6, 12, 3);
-        let hard = Trainer::new(3)
-            .with_min_init_actions(6)
-            .fit_session(ds.clone(), crate::streaming::RefitPolicy::Manual)
-            .unwrap();
-        assert!(!hard.is_em());
-        let soft = Trainer::new(3)
-            .with_min_init_actions(6)
-            .with_max_iterations(10)
-            .em()
-            .fit_session(ds, crate::streaming::RefitPolicy::Manual)
-            .unwrap();
-        assert!(soft.is_em());
     }
 }

@@ -148,7 +148,7 @@ impl ChunkedSyntheticSource {
                 rng.gen_range(0..skill)
             };
             let item = (pool_level * self.per_level + rng.gen_range(0..self.per_level)) as ItemId;
-            out.push_action(t as i64, item)?;
+            out.push(t as i64, item)?;
             if at_level && skill + 1 < s_max && rng.gen::<f64>() < self.config.p_advance {
                 skill += 1;
             }

@@ -67,8 +67,10 @@
 //! The model half is the session's own [`LiveFit`]: the same
 //! construction ([`LiveFit::new`]), the same `+1` record
 //! ([`LiveFit::record`]) and the same cut, fit and install, with the
-//! same tuner step. Single-threaded, nothing lands between cut and
-//! publish. A refit reads only the feature *catalog* (schema + item
+//! same tuner step. A `LiveFit` has one mode, so this covers every
+//! session that can be built, an EM-trained result's included: both
+//! owners refit it from its hard decode. Single-threaded, nothing lands
+//! between cut and publish. A refit reads only the feature *catalog* (schema + item
 //! tuples), never the sequences, which is why the service refits against
 //! the sequence-less catalog while the histories live sharded.
 //!
@@ -472,7 +474,7 @@ impl SkillService {
         if is_new_user {
             g.admission.push(action.user);
         }
-        g.fit.record(action.item, ext.level, ext.row, ext.last)?;
+        g.fit.record(action.item, ext.level)?;
         g.level_counts[ext.level as usize - 1] += 1;
         Ok(IngestOutcome {
             user: action.user,

@@ -162,8 +162,9 @@ fn fit_outcomes(bad: &Dataset, initial: &SkillModel, with_table: bool) -> Vec<St
     let hard = levels(bad);
     let mut grid = StatsGrid::build(bad, &hard, S).unwrap();
     let mut soft = SoftStatsGrid::new(S, bad.n_items(), bad.n_actions(), 0.0).unwrap();
-    for action in bad.actions() {
-        soft.push_action(action.item, &[0.5, 0.25, 0.25]).unwrap();
+    for (a, action) in bad.actions().enumerate() {
+        soft.update_action(a, action.item, &[0.5, 0.25, 0.25])
+            .unwrap();
     }
     let chunks = DatasetChunks::new(bad, 4).unwrap();
     let seq = ParallelConfig::sequential();

@@ -14,7 +14,7 @@ use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveMo
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::recommend::RecommendConfig;
 use upskill_core::streaming::{RefitPolicy, RefitTuner, StreamingSession};
-use upskill_core::train::{train_with_parallelism, TrainConfig, TrainResult};
+use upskill_core::train::{train_with_parallelism, TrainConfig, TrainResult, Trainer};
 use upskill_core::types::{Action, ActionSequence, Dataset};
 use upskill_serve::{PolicyConfig, PolicyMode, PredictMode, ServeConfig, ServeError, SkillService};
 
@@ -514,6 +514,68 @@ fn concurrent_disjoint_ingest_matches_serialized_replay() {
         service.snapshot("concurrent").unwrap().to_json().unwrap(),
         session.snapshot("concurrent").to_json().unwrap(),
         "concurrent disjoint ingestion diverged from serialized replay"
+    );
+}
+
+/// An EM-trained result streams through the one live path: a session
+/// and a service resumed from it refit from its hard decode, and the
+/// same traffic (new users, tuned refits, explicit refits) leaves them
+/// in byte-identical snapshots.
+#[test]
+fn em_trained_result_streams_identically_through_session_and_service() {
+    let draws: Vec<ItemDraw> = (0..6)
+        .map(|i| (i as u32, 3 + i as u64, 0.5 + i as f64, 1.5 + i as f64))
+        .collect();
+    let users: Vec<Vec<usize>> = (0..8)
+        .map(|u| (0..12).map(|t| u * 17 + t * 5).collect())
+        .collect();
+    let full = build_dataset(masked_schema(7), &draws, &users);
+    let (prefix_ds, suffix) = split(&full);
+    let trainer = Trainer::new(3)
+        .with_min_init_actions(1)
+        .with_max_iterations(8)
+        .em();
+    let result = trainer.fit(&prefix_ds).unwrap();
+    let (cfg, pc) = (*trainer.config(), ParallelConfig::sequential());
+    let policy = RefitPolicy::EveryNActions(2);
+    let tuner = Some(RefitTuner::new(1, 1, 16).unwrap());
+
+    let service = SkillService::resume(
+        prefix_ds.clone(),
+        &result,
+        cfg,
+        pc,
+        ServeConfig {
+            n_shards: 3,
+            policy,
+            tuner,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut session = StreamingSession::resume(prefix_ds, &result, cfg, pc, policy).unwrap();
+    session.set_tuner(tuner);
+    assert_eq!(
+        service.snapshot("em").unwrap().to_json().unwrap(),
+        session.snapshot("em").to_json().unwrap(),
+        "resumed states differ before any traffic"
+    );
+
+    for (i, &action) in suffix.iter().enumerate() {
+        assert_eq!(
+            service.ingest(action).unwrap().level,
+            session.ingest(action).unwrap()
+        );
+        if i % 5 == 4 {
+            assert_eq!(service.refit().unwrap(), session.refit().unwrap());
+        }
+    }
+    assert!(session.total_ingested() > 0);
+    assert_eq!(service.policy(), session.policy());
+    assert_eq!(
+        service.snapshot("em").unwrap().to_json().unwrap(),
+        session.snapshot("em").to_json().unwrap(),
+        "an EM-trained service diverged from its session"
     );
 }
 
