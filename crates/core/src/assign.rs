@@ -50,6 +50,9 @@ pub struct AssignWorkspace {
     advanced: Vec<u64>,
     /// Emission row scratch for [`EmissionRows::emission_row`].
     row: Vec<f64>,
+    /// The fixed-level kernel's backpointers: bit `s` of `masks[t]` is
+    /// set when the best path into `(t, s)` advanced from level `s-1`.
+    masks: Vec<u8>,
 }
 
 impl AssignWorkspace {
@@ -106,14 +109,19 @@ pub fn assign_items_with_table_ws<R: EmissionRows + ?Sized>(
 /// returning a fresh vector (nothing is appended on error); returns the
 /// path log-likelihood. Lets a chunk pass keep a chunk's levels in one
 /// buffer.
+///
+/// Dispatches once per call on the level count: 2 to 8 levels run a
+/// kernel compiled for that count ([`assign_fixed`]), any other count
+/// the general loop ([`assign_items_loop`]). Both make the same
+/// comparisons and additions in the same order, so the choice moves no
+/// bit.
 pub(crate) fn assign_items_into<R: EmissionRows + ?Sized>(
     rows: &R,
     items: &[ItemId],
     ws: &mut AssignWorkspace,
     out: &mut Vec<SkillLevel>,
 ) -> Result<f64> {
-    let n = items.len();
-    if n == 0 {
+    if items.is_empty() {
         return Ok(0.0);
     }
     let n_items = rows.n_items();
@@ -125,6 +133,27 @@ pub(crate) fn assign_items_into<R: EmissionRows + ?Sized>(
             });
         }
     }
+    match rows.n_levels() {
+        2 => assign_fixed::<2, R>(rows, items, ws, out),
+        3 => assign_fixed::<3, R>(rows, items, ws, out),
+        4 => assign_fixed::<4, R>(rows, items, ws, out),
+        5 => assign_fixed::<5, R>(rows, items, ws, out),
+        6 => assign_fixed::<6, R>(rows, items, ws, out),
+        7 => assign_fixed::<7, R>(rows, items, ws, out),
+        8 => assign_fixed::<8, R>(rows, items, ws, out),
+        _ => assign_items_loop(rows, items, ws, out),
+    }
+}
+
+/// The general DP over any level count, on the bit-packed backpointer
+/// matrix. `items` is non-empty and checked against the catalog.
+pub(crate) fn assign_items_loop<R: EmissionRows + ?Sized>(
+    rows: &R,
+    items: &[ItemId],
+    ws: &mut AssignWorkspace,
+    out: &mut Vec<SkillLevel>,
+) -> Result<f64> {
+    let n = items.len();
     let s_max = rows.n_levels();
     ws.prepare(s_max, n);
     let AssignWorkspace {
@@ -132,6 +161,7 @@ pub(crate) fn assign_items_into<R: EmissionRows + ?Sized>(
         curr,
         advanced,
         row,
+        ..
     } = ws;
     let mut prev: &mut [f64] = &mut prev[..s_max];
     let mut curr: &mut [f64] = &mut curr[..s_max];
@@ -167,9 +197,32 @@ pub(crate) fn assign_items_into<R: EmissionRows + ?Sized>(
         std::mem::swap(&mut prev, &mut curr);
     }
 
-    // Terminal arg-max; ties break toward the lower level for determinism.
+    let (best_s, best_ll) = terminal(prev)?;
+
+    // Backtrack.
+    let start = out.len();
+    out.resize(start + n, 0);
+    let levels = &mut out[start..];
+    let mut s = best_s;
+    for (t, level) in levels.iter_mut().enumerate().rev() {
+        *level = skill_level_from_index(s);
+        let idx = t * s_max + s;
+        // lint:allow(hot-loop-index): bit-packed backpointer word, same
+        // bound as the forward pass.
+        if t > 0 && advanced[idx / 64] & (1u64 << (idx % 64)) != 0 {
+            s -= 1;
+        }
+    }
+    debug_assert!(levels.windows(2).all(|w| w[0] <= w[1]));
+    Ok(best_ll)
+}
+
+/// Terminal arg-max of the last DP row: the first level with the highest
+/// score, so ties break toward the lower level.
+#[inline]
+fn terminal(last: &[f64]) -> Result<(usize, f64)> {
     let (mut best_s, mut best_ll) = (0usize, f64::NEG_INFINITY);
-    for (s, &ll) in prev.iter().enumerate() {
+    for (s, &ll) in last.iter().enumerate() {
         if ll > best_ll {
             best_ll = ll;
             best_s = s;
@@ -183,18 +236,72 @@ pub(crate) fn assign_items_into<R: EmissionRows + ?Sized>(
             reason: "all paths have zero probability; enable smoothing",
         });
     }
+    Ok((best_s, best_ll))
+}
 
-    // Backtrack.
+/// The first `S` cells of an emission row, as an array.
+#[inline]
+fn fixed_row<const S: usize>(row: &[f64]) -> Result<&[f64; S]> {
+    row.get(..S)
+        .and_then(|cells| cells.try_into().ok())
+        .ok_or(CoreError::LengthMismatch {
+            context: "emission row vs level count",
+            left: row.len(),
+            right: S,
+        })
+}
+
+/// [`assign_items_loop`] for a level count known at compile time: the
+/// rolling rows are `[f64; S]` arrays the compiler keeps in registers and
+/// unrolls over, and each step's backpointers are one `u8` mask in
+/// [`AssignWorkspace`] instead of bits scattered over a packed matrix.
+/// Every comparison, addition and tie rule is the loop's, in the loop's
+/// order: stay on equality, lowest level at the end. `S ≤ 8`; `items` is
+/// non-empty and checked against the catalog.
+fn assign_fixed<const S: usize, R: EmissionRows + ?Sized>(
+    rows: &R,
+    items: &[ItemId],
+    ws: &mut AssignWorkspace,
+    out: &mut Vec<SkillLevel>,
+) -> Result<f64> {
+    let n = items.len();
+    if ws.row.len() < S {
+        ws.row.resize(S, 0.0);
+    }
+    if ws.masks.len() < n {
+        ws.masks.resize(n, 0);
+    }
+    let scratch = &mut ws.row[..S];
+    let masks = &mut ws.masks[..n];
+    let (Some((&first, rest)), Some((first_mask, rest_masks))) =
+        (items.split_first(), masks.split_first_mut())
+    else {
+        return Ok(0.0);
+    };
+    *first_mask = 0;
+    let mut prev: [f64; S] = *fixed_row(rows.emission_row(first, scratch))?;
+    for (mask, &item) in rest_masks.iter_mut().zip(rest) {
+        let emit: &[f64; S] = fixed_row(rows.emission_row(item, scratch))?;
+        let mut curr = [0.0; S];
+        let mut advanced = 0u8;
+        let mut below = f64::NEG_INFINITY;
+        for (s, (cell, (&stay, &e))) in curr.iter_mut().zip(prev.iter().zip(emit)).enumerate() {
+            let from_below = below > stay;
+            *cell = if from_below { below } else { stay } + e;
+            advanced |= u8::from(from_below) << s;
+            below = stay;
+        }
+        *mask = advanced;
+        prev = curr;
+    }
+    let (mut s, best_ll) = terminal(&prev)?;
+
     let start = out.len();
     out.resize(start + n, 0);
     let levels = &mut out[start..];
-    let mut s = best_s;
-    for (t, level) in levels.iter_mut().enumerate().rev() {
+    for (level, &mask) in levels.iter_mut().zip(masks.iter()).rev() {
         *level = skill_level_from_index(s);
-        let idx = t * s_max + s;
-        // lint:allow(hot-loop-index): bit-packed backpointer word, same
-        // bound as the forward pass.
-        if t > 0 && advanced[idx / 64] & (1u64 << (idx % 64)) != 0 {
+        if (mask >> s) & 1 != 0 {
             s -= 1;
         }
     }
@@ -509,5 +616,152 @@ mod tests {
             assign_sequence(&model, &ds, &rogue),
             Err(CoreError::FeatureIndexOutOfBounds { .. })
         ));
+    }
+
+    /// Emission rows straight from a flat `n_items × S` table.
+    struct RawRows {
+        n_levels: usize,
+        cells: Vec<f64>,
+    }
+
+    impl EmissionRows for RawRows {
+        fn n_items(&self) -> usize {
+            self.cells.len() / self.n_levels
+        }
+
+        fn n_levels(&self) -> usize {
+            self.n_levels
+        }
+
+        fn emission_row<'a>(&'a self, item: ItemId, _scratch: &'a mut [f64]) -> &'a [f64] {
+            let start = item as usize * self.n_levels;
+            &self.cells[start..start + self.n_levels]
+        }
+    }
+
+    /// Levels and log-likelihood bits of one call, or its error.
+    type Outcome = Result<(Vec<SkillLevel>, u64)>;
+
+    fn run(
+        dp: fn(&RawRows, &[ItemId], &mut AssignWorkspace, &mut Vec<SkillLevel>) -> Result<f64>,
+        rows: &RawRows,
+        items: &[ItemId],
+        ws: &mut AssignWorkspace,
+    ) -> Outcome {
+        let mut levels = vec![9];
+        let ll = dp(rows, items, ws, &mut levels)?;
+        assert_eq!(levels.remove(0), 9, "the call appends");
+        Ok((levels, ll.to_bits()))
+    }
+
+    /// Cells from a five-value palette, so equal stay and advance scores
+    /// and equal terminal scores are common, and `-inf` cells appear.
+    fn palette(code: u8) -> f64 {
+        [0.0, -1.0, -2.0, -0.5, f64::NEG_INFINITY][usize::from(code % 5)]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        // S in 1..=10 covers the loop (1), every kernel (2..=8) and the
+        // loop again (9, 10): the dispatching entry must equal the loop
+        // bit for bit, errors included, with one workspace reused across
+        // sequences of every length.
+        #[test]
+        fn fixed_level_kernels_equal_the_loop(
+            n_levels in 1usize..=10,
+            codes in proptest::collection::vec(0u8..5, 1..60),
+            seqs in proptest::collection::vec(proptest::collection::vec(0u32..6, 1..40), 1..6),
+        ) {
+            let n_items = 6usize;
+            let cells = (0..n_items * n_levels)
+                .map(|c| palette(codes[c % codes.len()]))
+                .collect();
+            let rows = RawRows { n_levels, cells };
+            let (mut ws_kernel, mut ws_loop) = (AssignWorkspace::new(), AssignWorkspace::new());
+            for items in &seqs {
+                let got = run(assign_items_into, &rows, items, &mut ws_kernel);
+                let want = run(assign_items_loop, &rows, items, &mut ws_loop);
+                proptest::prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    /// Model whose level `s` puts mass `weights[s][c] / Σ` on category
+    /// `c`, one item per category; zero weights give `-inf` cells and
+    /// repeated rows give ties.
+    fn categorical_model(weights: &[Vec<u8>]) -> (SkillModel, Dataset) {
+        let cardinality = weights[0].len();
+        let schema = FeatureSchema::new(vec![FeatureKind::Categorical {
+            cardinality: cardinality as u32,
+        }])
+        .unwrap();
+        let cells = weights
+            .iter()
+            .map(|row| {
+                let total: f64 = row.iter().map(|&w| f64::from(w)).sum();
+                let probs = row.iter().map(|&w| f64::from(w) / total).collect();
+                vec![FeatureDistribution::Categorical(
+                    Categorical::from_probs(probs).unwrap(),
+                )]
+            })
+            .collect();
+        let model = SkillModel::new(schema.clone(), weights.len(), cells).unwrap();
+        let items = (0..cardinality as u32)
+            .map(|c| vec![FeatureValue::Categorical(c)])
+            .collect();
+        let seq = ActionSequence::new(0, vec![Action::new(0, 0, 0)]).unwrap();
+        (model, Dataset::new(schema, items, vec![seq]).unwrap())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        // On short sequences every level count's DP (kernel or loop)
+        // finds the exhaustive search's optimum bit for bit, and its
+        // path scores that optimum.
+        #[test]
+        fn fixed_level_kernels_match_bruteforce(
+            n_levels in 1usize..=10,
+            weights in proptest::collection::vec(0u8..3, 4),
+            shifts in proptest::collection::vec(0usize..4, 10),
+            cats in proptest::collection::vec(0u32..4, 1..7),
+        ) {
+            // Rotations of one weight row: many levels share a row.
+            let mut base = weights.clone();
+            if base.iter().all(|&w| w == 0) {
+                base[0] = 1;
+            }
+            let rows: Vec<Vec<u8>> = (0..n_levels)
+                .map(|s| {
+                    let k = shifts[s];
+                    (0..4).map(|c| base[(c + k) % 4]).collect()
+                })
+                .collect();
+            let (model, ds) = categorical_model(&rows);
+            let actions = cats
+                .iter()
+                .enumerate()
+                .map(|(t, &c)| Action::new(t as i64, 0, c))
+                .collect();
+            let seq = ActionSequence::new(0, actions).unwrap();
+            let table = EmissionTable::build(&model, &ds);
+            let items = items_of(&seq);
+            let mut ws = AssignWorkspace::new();
+            let got = assign_items_with_table_ws(&table, &items, &mut ws);
+            let brute = assign_sequence_bruteforce(&model, &ds, &seq).unwrap();
+            match got {
+                Ok(dp) => {
+                    proptest::prop_assert_eq!(dp.log_likelihood.to_bits(), brute.log_likelihood.to_bits());
+                    let rescored = items
+                        .iter()
+                        .zip(&dp.levels)
+                        .fold(0.0, |ll, (&item, &s)| ll + table.row(item)[usize::from(s) - 1]);
+                    proptest::prop_assert_eq!(rescored.to_bits(), brute.log_likelihood.to_bits());
+                    proptest::prop_assert!(dp.levels.windows(2).all(|w| w[1] - w[0] <= 1));
+                }
+                Err(_) => proptest::prop_assert_eq!(brute.log_likelihood, f64::NEG_INFINITY),
+            }
+        }
     }
 }

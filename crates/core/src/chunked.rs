@@ -14,8 +14,8 @@
 //! The chunk pass here is the one hard-training loop ([`train_chunked`],
 //! which [`crate::train::train_with_parallelism`] runs over the dataset's
 //! chunks, copied once) and the one fan-out (`for_each_chunk`) of every
-//! decode and of [`train_em_chunked`]. Outputs are **bitwise identical**
-//! for any chunk size and worker count (pinned by
+//! decode, of initialization and of [`train_em_chunked`]. Outputs are
+//! **bitwise identical** for any chunk size and worker count (pinned by
 //! `tests/properties_scale.rs`):
 //!
 //! - Assignment always runs through one DP, generic over
@@ -34,6 +34,9 @@
 //!   next pass reads them back: churn and the grid delta come from a
 //!   merge of old and new breakpoints that visits only the actions
 //!   between moved ones, so the DP runs once per action per pass.
+//! - Initialization counts categorical features on the workers (integer,
+//!   order-free) and folds count and real sums on the calling thread in
+//!   global action order.
 //! - Soft (EM) statistics are folded through the weighted accumulators
 //!   in global action order during a sequential apply phase, mirroring
 //!   the from-scratch EM accumulation
@@ -44,13 +47,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crate::assign::{assign_items_into, AssignWorkspace};
+use crate::catalog::{flagged, Catalog, Column, FeatureSlot};
 use crate::dist::{FeatureAccumulator, FeatureDistribution};
 use crate::em::{EmConfig, EmResult, FbWorkspace, WeightedAcc};
 use crate::emission::{EmissionRows, EmissionTable};
 use crate::error::{CoreError, Result};
 use crate::feature::FeatureSchema;
 use crate::incremental::{GridDelta, StatsGrid};
-use crate::init::segment_uniform_times;
+use crate::init::segment_uniform_times_into;
 use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
 use crate::parallel::ParallelConfig;
@@ -506,17 +510,220 @@ where
 }
 
 /// Chunked analogue of [`crate::init::initialize_model`]: uniform-in-time
-/// segmentation of long sequences, streamed chunk by chunk.
+/// segmentation of long sequences, streamed chunk by chunk on one worker
+/// (the calling thread). The trainer runs the same pass on its workers.
 ///
-/// Pushes features in the same `(user, action, feature)` order as the
-/// in-memory initializer (users in corpus order, short users skipped), so
-/// the initial model is bitwise identical to
-/// `initialize_model(&materialize(source)?, ..)`.
+/// Every accumulator receives its observations in the in-memory
+/// initializer's `(user, action)` order (users in corpus order, short
+/// users skipped), so the initial model is bitwise identical to
+/// `initialize_model(&materialize(source)?, ..)`, and an invalid value
+/// fails with the error the row path meets first.
 pub fn initialize_model_chunked<S: ChunkSource + ?Sized>(
     source: &S,
     n_levels: usize,
     min_actions: usize,
     lambda: f64,
+) -> Result<SkillModel> {
+    initialize_on_workers(
+        source,
+        n_levels,
+        min_actions,
+        lambda,
+        &ParallelConfig::sequential(),
+    )
+}
+
+/// Per-worker state of the initialization pass.
+struct InitWorker {
+    chunk: DatasetChunk,
+    /// Categorical counts of every chunk this worker took, per level and
+    /// feature; the count and real cells stay empty.
+    counts: Vec<Vec<FeatureAccumulator>>,
+}
+
+/// One chunk's qualifying actions, in chunk user and action order.
+struct InitOutcome {
+    items: Vec<ItemId>,
+    /// Uniform-segmentation level of each action in `items`.
+    levels: Vec<SkillLevel>,
+}
+
+/// An empty accumulator per level and feature.
+fn accumulator_grid(schema: &FeatureSchema, n_levels: usize) -> Vec<Vec<FeatureAccumulator>> {
+    (0..n_levels)
+        .map(|_| {
+            schema
+                .kinds()
+                .iter()
+                .map(|&k| FeatureAccumulator::new(k))
+                .collect()
+        })
+        .collect()
+}
+
+/// The catalog as the initialization pass reads it: the typed columns,
+/// split by who folds them, and the items whose slots take the row path.
+struct InitColumns<'a> {
+    catalog: Catalog<'a>,
+    n_items: usize,
+    /// Items with a slot the columns do not carry typed (a poisoned item
+    /// or a guarded real); empty when there are none.
+    untyped: Vec<bool>,
+    /// `(feature, codes)` of each categorical feature: counted by the
+    /// workers.
+    categorical: Vec<(usize, &'a [u32])>,
+    /// `(feature, column)` of each count and positive-real feature:
+    /// folded by the calling thread.
+    reals: Vec<(usize, &'a Column)>,
+}
+
+impl<'a> InitColumns<'a> {
+    fn new(view: &'a Dataset) -> Self {
+        let catalog = view.catalog();
+        let columns = catalog.columns();
+        let mut untyped = columns.hard_poison().to_vec();
+        let (mut categorical, mut reals) = (Vec::new(), Vec::new());
+        for (f, column) in columns.columns().iter().enumerate() {
+            match column {
+                Column::Categorical(codes) => categorical.push((f, codes.as_slice())),
+                Column::Count { .. } => reals.push((f, column)),
+                Column::Real { guard, .. } => {
+                    if untyped.len() < guard.len() {
+                        untyped.resize(guard.len(), false);
+                    }
+                    for (u, &g) in untyped.iter_mut().zip(guard) {
+                        *u |= g;
+                    }
+                    reals.push((f, column));
+                }
+            }
+        }
+        Self {
+            catalog,
+            n_items: view.n_items(),
+            untyped,
+            categorical,
+            reals,
+        }
+    }
+
+    /// Adds one action's categorical features to its level's row of
+    /// `counts` and checks its other features, in feature order. An
+    /// untyped count or real takes the row path on the calling thread;
+    /// whether that push fails depends on the value alone, so pushing it
+    /// into a fresh accumulator here meets the same error.
+    #[inline]
+    fn count(
+        &self,
+        item: ItemId,
+        level: SkillLevel,
+        counts: &mut [Vec<FeatureAccumulator>],
+    ) -> Result<()> {
+        let i = item as usize;
+        if i >= self.n_items {
+            return Err(CoreError::FeatureIndexOutOfBounds {
+                index: i,
+                len: self.n_items,
+            });
+        }
+        let row = level_row(counts, level)?;
+        if flagged(&self.untyped, i) {
+            for (acc, slot) in row.iter_mut().zip(self.catalog.item(i)?) {
+                match (&*acc, slot) {
+                    (FeatureAccumulator::Categorical { .. }, _) => acc.push_slot(slot, 1)?,
+                    (_, FeatureSlot::Row(_)) => {
+                        FeatureAccumulator::new(acc.kind()).push_slot(slot, 1)?
+                    }
+                    _ => {}
+                }
+            }
+            return Ok(());
+        }
+        for &(f, codes) in &self.categorical {
+            if let (Some(acc), Some(&c)) = (row.get_mut(f), codes.get(i)) {
+                acc.push_slot(FeatureSlot::Categorical(c), 1)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Pushes the count and positive-real features of `items`, a run of
+    /// actions at one level, into that level's `row`, in action order.
+    /// Over a catalog whose slots are all typed, each feature's run is
+    /// one typed loop over its column with the sums held in registers
+    /// (the additions of `push_slot` at weight 1, in the same order);
+    /// otherwise every slot goes through `push_slot`, untyped ones on
+    /// the row path.
+    fn fold_run(&self, items: &[ItemId], row: &mut [FeatureAccumulator]) -> Result<()> {
+        for &(f, column) in &self.reals {
+            let Some(acc) = row.get_mut(f) else {
+                continue;
+            };
+            match (acc, column) {
+                (FeatureAccumulator::Count { sum, n }, Column::Count { ks, .. })
+                    if self.untyped.is_empty() =>
+                {
+                    let (mut s, mut m) = (*sum, *n);
+                    for &k in items.iter().filter_map(|&item| ks.get(item as usize)) {
+                        s += k;
+                        m += 1.0;
+                    }
+                    (*sum, *n) = (s, m);
+                }
+                (FeatureAccumulator::Positive { stats, .. }, Column::Real { xs, ln_xs, .. })
+                    if self.untyped.is_empty() =>
+                {
+                    let mut local = *stats;
+                    for &item in items {
+                        let i = item as usize;
+                        if let (Some(&x), Some(&ln_x)) = (xs.get(i), ln_xs.get(i)) {
+                            local.push_ln_n(x, ln_x, 1);
+                        }
+                    }
+                    *stats = local;
+                }
+                (acc, _) => {
+                    let feature = self.catalog.feature(f);
+                    for &item in items {
+                        acc.push_slot(feature.slot(item as usize), 1)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The accumulator row of `level` (1-based).
+#[inline]
+fn level_row(
+    grid: &mut [Vec<FeatureAccumulator>],
+    level: SkillLevel,
+) -> Result<&mut [FeatureAccumulator]> {
+    let requested = usize::from(level);
+    grid.get_mut(requested.wrapping_sub(1))
+        .map(Vec::as_mut_slice)
+        .ok_or(CoreError::InvalidSkillCount { requested })
+}
+
+/// [`initialize_model_chunked`] on `parallel`'s chunk workers, one chunk
+/// per worker per wave.
+///
+/// Workers load a chunk, segment its qualifying users, add the
+/// categorical features of their actions into per-worker counts (exact
+/// integers, so the order is free) and hand back the actions' items and
+/// levels. The calling thread folds the count and positive-real
+/// statistics (`f64` sums, so the order matters) in chunk, user and
+/// action order. A worker also checks every feature the calling thread
+/// will fold, in `(user, action, feature)` order, so the first error in
+/// chunk order is the one the one-worker fold meets first. Bitwise
+/// identical for any worker count.
+pub(crate) fn initialize_on_workers<S: ChunkSource + ?Sized>(
+    source: &S,
+    n_levels: usize,
+    min_actions: usize,
+    lambda: f64,
+    parallel: &ParallelConfig,
 ) -> Result<SkillModel> {
     if n_levels == 0 {
         return Err(CoreError::InvalidSkillCount { requested: 0 });
@@ -526,47 +733,84 @@ pub fn initialize_model_chunked<S: ChunkSource + ?Sized>(
     }
     let view = source.item_view();
     let schema = view.schema();
-    let catalog = view.catalog();
-    let mut grid: Vec<Vec<FeatureAccumulator>> = (0..n_levels)
-        .map(|_| {
-            schema
-                .kinds()
-                .iter()
-                .map(|&k| FeatureAccumulator::new(k))
-                .collect()
+    let columns = InitColumns::new(view);
+    let n_chunks = source.n_chunks();
+    let mut states: Vec<InitWorker> = (0..parallel.workers_for_chunks(n_chunks))
+        .map(|_| InitWorker {
+            chunk: DatasetChunk::new(),
+            counts: accumulator_grid(schema, n_levels),
         })
         .collect();
+    let mut grid = accumulator_grid(schema, n_levels);
     let mut qualifying_actions = 0usize;
-    let mut buffer = DatasetChunk::new();
-    for index in 0..source.n_chunks() {
-        let chunk = chunk_at(source, index, &mut buffer)?;
-        for u in 0..chunk.n_users() {
-            let items = chunk.user_items(u);
-            if items.len() < min_actions {
-                continue;
+    let wave = states.len();
+    for_each_chunk(
+        n_chunks,
+        wave,
+        &mut states,
+        "chunked initialization",
+        |index, state| init_chunk(source, &columns, n_levels, min_actions, index, state),
+        |outcome| {
+            qualifying_actions += outcome.items.len();
+            // Runs of one level: one accumulator row each.
+            let mut items = outcome.items.as_slice();
+            for run in outcome.levels.chunk_by(|a, b| a == b) {
+                let (head, tail) = items.split_at(run.len().min(items.len()));
+                let level = run.first().copied().unwrap_or(0);
+                columns.fold_run(head, level_row(&mut grid, level)?)?;
+                items = tail;
             }
-            qualifying_actions += items.len();
-            let levels = segment_uniform_times(chunk.user_times(u), n_levels);
-            for (&item, &level) in items.iter().zip(&levels) {
-                let slots = catalog.item(item as usize)?;
-                let row = grid
-                    .get_mut(level as usize - 1)
-                    .ok_or(CoreError::InvalidSkillCount {
-                        requested: level as usize,
-                    })?;
-                for (acc, slot) in row.iter_mut().zip(slots) {
-                    acc.push_slot(slot, 1)?;
-                }
-            }
-        }
-    }
+            Ok(())
+        },
+    )?;
     if qualifying_actions == 0 {
         return Err(CoreError::NoInitializationUsers {
             threshold: min_actions,
         });
     }
+    for state in &states {
+        for (row, counts) in grid.iter_mut().zip(&state.counts) {
+            for (acc, count) in row.iter_mut().zip(counts) {
+                if let FeatureAccumulator::Categorical { .. } = count {
+                    acc.merge(count)?;
+                }
+            }
+        }
+    }
     let cells = fit_cells(&grid, lambda)?;
     SkillModel::new(schema.clone(), n_levels, cells)
+}
+
+/// Segments one chunk's qualifying users and counts their categorical
+/// features into the worker's counts.
+fn init_chunk<S: ChunkSource + ?Sized>(
+    source: &S,
+    columns: &InitColumns<'_>,
+    n_levels: usize,
+    min_actions: usize,
+    index: usize,
+    state: &mut InitWorker,
+) -> Result<InitOutcome> {
+    let chunk = chunk_at(source, index, &mut state.chunk)?;
+    let qualifies = |u: &usize| chunk.user_items(*u).len() >= min_actions;
+    let n: usize = (0..chunk.n_users())
+        .filter(qualifies)
+        .map(|u| chunk.user_items(u).len())
+        .sum();
+    let mut out = InitOutcome {
+        items: Vec::with_capacity(n),
+        levels: Vec::with_capacity(n),
+    };
+    for u in (0..chunk.n_users()).filter(qualifies) {
+        let items = chunk.user_items(u);
+        let start = out.levels.len();
+        segment_uniform_times_into(chunk.user_times(u), n_levels, &mut out.levels);
+        for (&item, &level) in items.iter().zip(&out.levels[start..]) {
+            columns.count(item, level, &mut state.counts)?;
+        }
+        out.items.extend_from_slice(items);
+    }
+    Ok(out)
 }
 
 /// One user's monotone path as breakpoints. Eq. 4 allows only stay or +1
@@ -1120,7 +1364,7 @@ pub(crate) fn train_chunked_keeping<S: ChunkSource + ?Sized>(
     }
     let view = source.item_view();
     let (n, min, lambda) = (config.n_levels, config.min_init_actions, config.lambda);
-    let mut model = initialize_model_chunked(source, n, min, lambda)?;
+    let mut model = initialize_on_workers(source, n, min, lambda, parallel)?;
     let mut incumbent: Option<PathStore> = None;
     let mut prev_ll = f64::NEG_INFINITY;
     let mut trace = Vec::new();
@@ -1522,6 +1766,203 @@ mod tests {
             initialize_model_chunked(&chunks, 3, 10_000, 0.05).unwrap_err(),
             CoreError::NoInitializationUsers { threshold: 10_000 }
         );
+    }
+
+    /// A value of `kind` from one draw; counts above 2^53 half the time,
+    /// so their `f64` sums depend on the fold order.
+    fn mixed_value(kind: FeatureKind, draw: u64) -> FeatureValue {
+        match kind {
+            FeatureKind::Categorical { cardinality } => {
+                FeatureValue::Categorical((draw % u64::from(cardinality)) as u32)
+            }
+            FeatureKind::Count if draw.is_multiple_of(2) => {
+                FeatureValue::Count((1 << 53) + draw % (1 << 40))
+            }
+            FeatureKind::Count => FeatureValue::Count(draw % 50),
+            FeatureKind::Positive { .. } => FeatureValue::Real(0.05 + (draw % 997) as f64 / 13.0),
+        }
+    }
+
+    fn mixed_kind(code: u8) -> FeatureKind {
+        match code % 4 {
+            0 => FeatureKind::Categorical {
+                cardinality: 2 + u32::from(code / 4),
+            },
+            1 => FeatureKind::Count,
+            2 => FeatureKind::Positive {
+                model: crate::feature::PositiveModel::Gamma,
+            },
+            _ => FeatureKind::Positive {
+                model: crate::feature::PositiveModel::LogNormal,
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        // The trainer's initializer on 1, 2 and 3 workers, over chunks of
+        // 1, 3, 64 and 257 users, equals the in-memory initializer on the
+        // materialized corpus bit for bit, errors included.
+        #[test]
+        fn initialization_is_worker_count_free(
+            kinds in proptest::collection::vec(0u8..16, 1..5),
+            draws in proptest::collection::vec(0u64..u64::MAX, 1..30),
+            users in proptest::collection::vec(
+                proptest::collection::vec((0usize..1000, 0i64..4), 1..25),
+                1..40,
+            ),
+            n_levels in 1usize..6,
+            min_actions in 1usize..12,
+        ) {
+            let schema = FeatureSchema::new(kinds.iter().map(|&k| mixed_kind(k)).collect())
+                .unwrap();
+            let items: Vec<Vec<FeatureValue>> = draws
+                .iter()
+                .map(|&d| {
+                    let kinds = schema.kinds().iter().enumerate();
+                    kinds.map(|(f, &k)| mixed_value(k, d.rotate_left(f as u32 * 7))).collect()
+                })
+                .collect();
+            let sequences = users
+                .iter()
+                .enumerate()
+                .map(|(u, draws)| {
+                    let mut time = -5;
+                    let actions = draws
+                        .iter()
+                        .map(|&(pick, gap)| {
+                            time += gap;
+                            Action::new(time, u as u32, (pick % items.len()) as u32)
+                        })
+                        .collect();
+                    ActionSequence::new(u as u32, actions).unwrap()
+                })
+                .collect();
+            let ds = Dataset::new(schema, items, sequences).unwrap();
+            let bits = |m: Result<SkillModel>| m.map(|m| format!("{m:?}"));
+            let want = bits(crate::init::initialize_model(
+                &materialize(&DatasetChunks::new(&ds, 7).unwrap()).unwrap(),
+                n_levels,
+                min_actions,
+                0.01,
+            ));
+            for chunk_size in [1, 3, 64, 257] {
+                let chunks = DatasetChunks::new(&ds, chunk_size).unwrap();
+                for workers in 1..=3 {
+                    let parallel = ParallelConfig::all(workers);
+                    let got = initialize_on_workers(&chunks, n_levels, min_actions, 0.01, &parallel);
+                    assert_eq!(bits(got), want, "chunk size {chunk_size}, {workers} workers");
+                }
+            }
+        }
+    }
+
+    /// The per-action row path of the one-worker initializer before it
+    /// ran on workers: the order every error must keep.
+    fn row_path_init(ds: &Dataset, n_levels: usize, min_actions: usize) -> Result<String> {
+        let catalog = ds.catalog();
+        let mut grid = accumulator_grid(ds.schema(), n_levels);
+        let mut any = false;
+        for seq in ds.sequences().iter().filter(|s| s.len() >= min_actions) {
+            any = true;
+            let levels = crate::init::segment_uniform(seq, n_levels);
+            for (action, level) in seq.actions().iter().zip(levels) {
+                let row = &mut grid[usize::from(level) - 1];
+                for (acc, slot) in row.iter_mut().zip(catalog.item(action.item as usize)?) {
+                    acc.push_slot(slot, 1)?;
+                }
+            }
+        }
+        if !any {
+            return Err(CoreError::NoInitializationUsers {
+                threshold: min_actions,
+            });
+        }
+        let model = SkillModel::new(ds.schema().clone(), n_levels, fit_cells(&grid, 0.01)?)?;
+        Ok(format!("{model:?}"))
+    }
+
+    #[test]
+    fn initialization_errors_come_in_chunk_user_action_feature_order() {
+        let schema = FeatureSchema::new(vec![
+            FeatureKind::Categorical { cardinality: 3 },
+            FeatureKind::Positive {
+                model: crate::feature::PositiveModel::Gamma,
+            },
+            FeatureKind::Count,
+        ])
+        .unwrap();
+        let clean = |i: u32| {
+            vec![
+                FeatureValue::Categorical(i % 3),
+                FeatureValue::Real(1.5 + f64::from(i)),
+                FeatureValue::Count(u64::from(i)),
+            ]
+        };
+        // One user per template: clean, then one with each bad item, and
+        // a short one (never initialized from) holding the worst items.
+        let templates: [&[u32]; 7] = [
+            &[0, 4, 0, 4, 0],
+            &[0, 0, 1, 0, 0],
+            &[0, 2, 0, 0, 0],
+            &[0, 0, 0, 3, 0],
+            &[5, 0, 0, 0, 0],
+            &[0, 6, 0, 0, 0],
+            &[5, 6],
+        ];
+        let mut seed = 17u64;
+        for case in 0..40 {
+            let mut order: Vec<usize> = (0..templates.len()).collect();
+            for k in (1..order.len()).rev() {
+                seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                order.swap(k, (seed >> 33) as usize % (k + 1));
+            }
+            let sequences = order
+                .iter()
+                .enumerate()
+                .map(|(u, &t)| {
+                    let actions = templates[t]
+                        .iter()
+                        .enumerate()
+                        .map(|(a, &item)| Action::new(a as i64, u as u32, item))
+                        .collect();
+                    ActionSequence::new(u as u32, actions).unwrap()
+                })
+                .collect();
+            let mut ds =
+                Dataset::new(schema.clone(), (0..7).map(clean).collect(), sequences).unwrap();
+            ds.item_table_mut().edit_rows(|rows| {
+                // A guarded real.
+                rows[1][1] = FeatureValue::Real(-1.0);
+                // An out-of-range category.
+                rows[2][0] = FeatureValue::Categorical(7);
+                // A poisoned item: its count holds a real.
+                rows[3][2] = FeatureValue::Real(2.0);
+                // Two bad features: the category comes first.
+                rows[5][0] = FeatureValue::Categorical(9);
+                rows[5][1] = FeatureValue::Real(-2.0);
+                // Poisoned, with a bad real before the mismatch.
+                rows[6][1] = FeatureValue::Real(-3.0);
+                rows[6][2] = FeatureValue::Real(1.0);
+            });
+            let want = row_path_init(&ds, 2, 3);
+            assert!(want.is_err(), "case {case}");
+            for chunk_size in [1, 2, 3, 64] {
+                let chunks = DatasetChunks::new(&ds, chunk_size).unwrap();
+                for workers in 1..=3 {
+                    let got =
+                        initialize_on_workers(&chunks, 2, 3, 0.01, &ParallelConfig::all(workers))
+                            .map(|m| format!("{m:?}"));
+                    assert_eq!(
+                        got, want,
+                        "case {case}, chunk size {chunk_size}, {workers} workers"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

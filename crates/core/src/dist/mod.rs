@@ -328,7 +328,7 @@ impl FeatureAccumulator {
         }
     }
 
-    fn kind(&self) -> FeatureKind {
+    pub(crate) fn kind(&self) -> FeatureKind {
         match self {
             FeatureAccumulator::Categorical { counts } => FeatureKind::Categorical {
                 cardinality: counts.len() as u32,

@@ -576,18 +576,10 @@ impl SoftStatsGrid {
         self.n_items
     }
 
-    /// Number of actions whose posteriors the grid currently stores.
-    pub fn n_actions(&self) -> usize {
-        self.gammas.len() / self.n_levels
-    }
-
-    /// The responsibility-delta gate this grid was created with.
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-
-    /// Responsibility mass of item `item` at zero-based level `s`.
-    pub fn weight(&self, s: usize, item: usize) -> f64 {
+    /// Responsibility mass of item `item` at zero-based level `s` (read
+    /// by tests only).
+    #[cfg(test)]
+    pub(crate) fn weight(&self, s: usize, item: usize) -> f64 {
         self.weights[s * self.n_items + item]
     }
 
@@ -1480,7 +1472,7 @@ mod tests {
         let g = SoftStatsGrid::new(2, 4, 10, 1e-9).unwrap();
         assert_eq!(g.n_levels(), 2);
         assert_eq!(g.n_items(), 4);
-        assert!((g.tolerance() - 1e-9).abs() < 1e-24);
+        assert!((g.tolerance - 1e-9).abs() < 1e-24);
         assert!(g.dirty_levels().iter().all(|&d| !d));
     }
 

@@ -27,30 +27,44 @@ pub fn segment_uniform(sequence: &ActionSequence, n_levels: usize) -> Vec<SkillL
 /// rather than [`ActionSequence`] values. Identical arithmetic in
 /// identical order: bitwise-equal labels for the same timestamps.
 pub fn segment_uniform_times(times: &[Timestamp], n_levels: usize) -> Vec<SkillLevel> {
+    let mut levels = Vec::with_capacity(times.len());
+    segment_uniform_times_into(times, n_levels, &mut levels);
+    levels
+}
+
+/// [`segment_uniform_times`] appending to `out`, so a chunk pass can
+/// segment all its users into one reused buffer.
+///
+/// Offsets from the first timestamp are taken as `u64` distances
+/// (`abs_diff`), so a sequence spanning more than `i64::MAX` segments
+/// correctly instead of overflowing; for every span that fits in `i64`
+/// the distance, and so every level, is the same as the signed
+/// difference's.
+pub(crate) fn segment_uniform_times_into(
+    times: &[Timestamp],
+    n_levels: usize,
+    out: &mut Vec<SkillLevel>,
+) {
+    let (Some(&t0), Some(&t1)) = (times.first(), times.last()) else {
+        return;
+    };
     let n = times.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let t0 = times[0];
-    let t1 = times[n - 1];
     if t1 > t0 {
-        let span = (t1 - t0) as f64;
-        times
-            .iter()
-            .map(|&t| {
-                let frac = (t - t0) as f64 / span;
-                let level = (frac * n_levels as f64).floor() as usize;
-                (level.min(n_levels - 1) + 1) as SkillLevel
-            })
-            .collect()
+        let span = t1.abs_diff(t0) as f64;
+        out.extend(times.iter().map(|&t| {
+            // An action before the first (unsorted input) keeps level 1.
+            let offset = if t > t0 { t.abs_diff(t0) } else { 0 };
+            let frac = offset as f64 / span;
+            // `frac ≥ 0`, so truncation is the floor.
+            let level = (frac * n_levels as f64) as usize;
+            (level.min(n_levels - 1) + 1) as SkillLevel
+        }));
     } else {
         // Zero time span: segment by index instead.
-        (0..n)
-            .map(|idx| {
-                let level = idx * n_levels / n;
-                (level.min(n_levels - 1) + 1) as SkillLevel
-            })
-            .collect()
+        out.extend((0..n).map(|idx| {
+            let level = idx * n_levels / n;
+            (level.min(n_levels - 1) + 1) as SkillLevel
+        }));
     }
 }
 
@@ -150,6 +164,70 @@ mod tests {
                     segment_uniform_times(&times, n_levels)
                 );
             }
+        }
+    }
+
+    #[test]
+    fn segmentation_survives_spans_beyond_i64() {
+        let e18 = 1_000_000_000_000_000_000i64;
+        assert_eq!(segment_uniform_times(&[-6 * e18, 0, 6 * e18], 3), [1, 2, 3]);
+        assert_eq!(
+            segment_uniform_times(&[i64::MIN, 0, i64::MAX], 3),
+            [1, 2, 3]
+        );
+        assert_eq!(segment_uniform_times(&[i64::MIN, i64::MAX], 4), [1, 4]);
+        assert_eq!(segment_uniform_times(&[i64::MIN, i64::MIN], 2), [1, 2]);
+    }
+
+    #[test]
+    fn initializers_cover_the_whole_timestamp_range() {
+        use crate::chunked::{initialize_model_chunked, initialize_on_workers, DatasetChunks};
+        use crate::update::fit_model;
+
+        let schema = FeatureSchema::new(vec![
+            FeatureKind::Categorical { cardinality: 3 },
+            FeatureKind::Count,
+        ])
+        .unwrap();
+        let items = (0..3u32)
+            .map(|i| {
+                vec![
+                    FeatureValue::Categorical(i),
+                    FeatureValue::Count(u64::from(i)),
+                ]
+            })
+            .collect();
+        let times = [i64::MIN, i64::MIN / 2, 0, i64::MAX / 2, i64::MAX];
+        let sequences = (0..2u32)
+            .map(|u| {
+                let actions = times
+                    .iter()
+                    .enumerate()
+                    .map(|(t, &time)| Action::new(time, u, (t as u32 + u) % 3))
+                    .collect();
+                ActionSequence::new(u, actions).unwrap()
+            })
+            .collect();
+        let ds = Dataset::new(schema, items, sequences).unwrap();
+        // Offsets 0, ¼, ½, ¾ and all of the span.
+        let levels = vec![1, 1, 2, 2, 2];
+        let assignments = SkillAssignments {
+            per_user: vec![levels; 2],
+        };
+        let want = format!("{:?}", fit_model(&ds, &assignments, 2, 0.01).unwrap());
+        let got = initialize_model(&ds, 2, 1, 0.01).unwrap();
+        assert_eq!(format!("{got:?}"), want);
+        for chunk_size in [1, 2] {
+            let chunks = DatasetChunks::new(&ds, chunk_size).unwrap();
+            let got = initialize_model_chunked(&chunks, 2, 1, 0.01).unwrap();
+            assert_eq!(format!("{got:?}"), want, "chunk size {chunk_size}");
+            let parallel = crate::parallel::ParallelConfig::all(2);
+            let got = initialize_on_workers(&chunks, 2, 1, 0.01, &parallel).unwrap();
+            assert_eq!(
+                format!("{got:?}"),
+                want,
+                "chunk size {chunk_size}, 2 workers"
+            );
         }
     }
 

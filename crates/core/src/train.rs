@@ -349,11 +349,12 @@ impl Trainer {
             return crate::chunked::train_chunked(source, &self.config, &self.parallel, storage);
         }
         self.config.validate()?;
-        let initial = crate::chunked::initialize_model_chunked(
+        let initial = crate::chunked::initialize_on_workers(
             source,
             self.config.n_levels,
             self.config.min_init_actions,
             self.config.lambda,
+            &self.parallel,
         )?;
         let (em, trace) = self.fit_em(initial, |cfg| {
             crate::chunked::train_em_chunked(source, cfg, &self.parallel)

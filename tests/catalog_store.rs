@@ -4,7 +4,9 @@
 //! `Dataset::new` (a hand-edited file) still fails every fit with the
 //! typed error of the row-reading path and scores the same `-inf`.
 
-use upskill_core::chunked::{initialize_model_chunked, train_em_chunked, DatasetChunks};
+use upskill_core::chunked::{
+    initialize_model_chunked, train_chunked, train_em_chunked, AssignmentStorage, DatasetChunks,
+};
 use upskill_core::em::EmConfig;
 use upskill_core::emission::EmissionTable;
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveModel};
@@ -168,6 +170,20 @@ fn fit_outcomes(bad: &Dataset, initial: &SkillModel, with_table: bool) -> Vec<St
     }
     let chunks = DatasetChunks::new(bad, 4).unwrap();
     let seq = ParallelConfig::sequential();
+    // The trainer initializes on its two workers; its error is the
+    // one-worker initializer's, the first in (chunk, user, action,
+    // feature) order.
+    let cfg = TrainConfig::new(S)
+        .with_min_init_actions(4)
+        .with_lambda(LAMBDA);
+    for chunk_size in [1, 4] {
+        let chunks = DatasetChunks::new(bad, chunk_size).unwrap();
+        let one = initialize_model_chunked(&chunks, S, 4, LAMBDA).err();
+        let storage = AssignmentStorage::default();
+        let two = train_chunked(&chunks, &cfg, &ParallelConfig::all(2), storage).err();
+        assert!(two.is_some(), "chunk size {chunk_size}");
+        assert_eq!(two, one, "chunk size {chunk_size}");
+    }
     let mut out = vec![
         format!(
             "{:?}",
