@@ -11,24 +11,26 @@
 //! `O(S_dirty · n_items · F)` item-major replay, and refreshes only dirty
 //! emission-table columns instead of rebuilding the table. The report
 //! records medians over several runs, the speedup (median of per-repeat
-//! ratios), and a result-equality check: evidence traces within 1e-9
-//! relative per iteration and final models scoring every item within 1e-9
-//! relative (the replay sums responsibility mass in item order rather
-//! than action order, so bitwise equality is not expected).
+//! ratios) under the `em_incremental.speedup` floor, and a result-equality
+//! check: evidence traces within 1e-9 relative per iteration and final
+//! models scoring every item within 1e-9 relative (the replay sums
+//! responsibility mass in item order rather than action order, so bitwise
+//! equality is not expected).
 
 use serde::Serialize;
 use std::time::Instant;
-use upskill_bench::{banner, write_report, Scale, TextTable};
+use upskill_bench::report::{median, median_ratio, synth, Report};
+use upskill_bench::{banner, Scale, TextTable};
 use upskill_core::em::{train_em_with_parallelism, EmConfig, EmResult};
 use upskill_core::init::initialize_model;
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::reference::train_em_full;
 use upskill_core::transition::TransitionModel;
 use upskill_core::types::Dataset;
-use upskill_datasets::synthetic::{generate, SyntheticConfig};
+use upskill_datasets::synthetic::generate;
 
 #[derive(Serialize)]
-struct Report {
+struct Workload {
     scale: String,
     n_users: usize,
     n_items: usize,
@@ -38,16 +40,6 @@ struct Report {
     repeats: usize,
     em_iterations: usize,
     converged: bool,
-    full_total_seconds_median: f64,
-    incremental_total_seconds_median: f64,
-    speedup: f64,
-    acceptance_floor: Option<f64>,
-    results_identical: bool,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    samples[samples.len() / 2]
 }
 
 /// Equality of the two EM paths: trace length and convergence exactly,
@@ -78,17 +70,7 @@ fn main() {
         Scale::Quick => (50, 30.0, 3, 8),
         _ => (500, 100.0, 5, 12),
     };
-    let cfg = SyntheticConfig {
-        n_users,
-        n_items: 200,
-        n_levels: 5,
-        mean_sequence_len: mean_len,
-        p_at_level: 0.5,
-        p_advance: 0.1,
-        n_categories: 10,
-        seed: 9,
-    };
-    let data = generate(&cfg).expect("generation");
+    let data = generate(&synth(n_users, 200, mean_len, 9)).expect("generation");
     let initial = initialize_model(&data.dataset, 5, 30, 0.01).expect("init");
     let transitions = TransitionModel::uninformative(5).expect("transitions");
     let em_cfg = EmConfig::new(initial, transitions)
@@ -116,24 +98,18 @@ fn main() {
 
     let mut full_total = Vec::with_capacity(repeats);
     let mut incr_total = Vec::with_capacity(repeats);
-    let mut ratios = Vec::with_capacity(repeats);
     for _ in 0..repeats {
         let t0 = Instant::now();
         train_em_full(&data.dataset, &em_cfg).expect("full");
-        let full_s = t0.elapsed().as_secs_f64();
-        full_total.push(full_s);
+        full_total.push(t0.elapsed().as_secs_f64());
 
         let t1 = Instant::now();
         train_em_with_parallelism(&data.dataset, &em_cfg, &incremental_pc).expect("incremental");
-        let incr_s = t1.elapsed().as_secs_f64();
-        incr_total.push(incr_s);
-
-        // Back-to-back ratio per repeat cancels machine-load drift.
-        ratios.push(full_s / incr_s);
+        incr_total.push(t1.elapsed().as_secs_f64());
     }
+    let speedup = median_ratio(&full_total, &incr_total);
     let full_s = median(&mut full_total);
     let incr_s = median(&mut incr_total);
-    let speedup = median(&mut ratios);
 
     let mut out = TextTable::new(&["Path", "Train (s)"]);
     out.row(vec![
@@ -145,16 +121,17 @@ fn main() {
         format!("{incr_s:.4}"),
     ]);
     out.print();
-    println!("\nSpeedup (whole training): {speedup:.2}x (acceptance floor: 1.5x)");
-    println!("Results identical: {identical}");
-    if !identical {
-        eprintln!("ERROR: incremental EM diverged from the from-scratch path");
-        std::process::exit(1);
-    }
 
-    write_report(
+    let mut report = Report::new(scale);
+    report
+        .metric("full_total_s", full_s, "s")
+        .metric("incremental_total_s", incr_s, "s")
+        .metric("speedup", speedup, "x")
+        .floor("em_incremental.speedup", speedup, 1.5)
+        .check("results_identical", identical);
+    report.finish(
         "BENCH_em_incremental",
-        &Report {
+        &Workload {
             scale: format!("{scale:?}"),
             n_users: data.dataset.n_users(),
             n_items: data.dataset.n_items(),
@@ -164,17 +141,6 @@ fn main() {
             repeats,
             em_iterations: incr_result.evidence_trace.len(),
             converged: incr_result.converged,
-            full_total_seconds_median: full_s,
-            incremental_total_seconds_median: incr_s,
-            speedup,
-            // Enforced by `xtask bench-floors` at the acceptance workload
-            // only; quick-scale smoke runs are too noisy to gate on.
-            acceptance_floor: if matches!(scale, Scale::Quick) {
-                None
-            } else {
-                Some(1.5)
-            },
-            results_identical: identical,
         },
     );
 }

@@ -14,15 +14,15 @@
 
 use serde::Serialize;
 use std::time::Instant;
-use upskill_bench::{banner, write_report, Scale, TextTable};
+use upskill_bench::report::{median, median_ratio, synth, Report};
+use upskill_bench::{banner, Scale, TextTable};
 use upskill_core::emission::EmissionTable;
 use upskill_core::init::initialize_model;
 use upskill_core::parallel::{assign_all_parallel_with_table, ParallelConfig};
 use upskill_core::reference::{assign_all_direct, build_scalar};
-use upskill_datasets::synthetic::{generate, SyntheticConfig};
+use upskill_datasets::synthetic::generate;
 
-/// One item-count scale of the columnar-vs-scalar fill sweep. Entries
-/// with an `acceptance_floor` are enforced by `xtask bench-floors`.
+/// One item-count scale of the columnar-vs-scalar fill sweep.
 #[derive(Serialize)]
 struct FillSweepEntry {
     n_items: usize,
@@ -30,38 +30,28 @@ struct FillSweepEntry {
     scalar_build_seconds_median: f64,
     columnar_build_seconds_median: f64,
     speedup: f64,
-    acceptance_floor: Option<f64>,
-    results_bitwise_identical: bool,
     f64_table_bytes: usize,
 }
 
 #[derive(Serialize)]
-struct Report {
+struct Workload {
     scale: String,
     n_users: usize,
     n_levels: usize,
     mean_sequence_len: f64,
     repeats: usize,
     fill_sweep: Vec<FillSweepEntry>,
-    assignment: AssignmentReport,
+    assignment: AssignmentEntry,
 }
 
-/// The original direct-vs-table assignment comparison at the base scale.
+/// The direct-vs-table assignment comparison at the base scale.
 #[derive(Serialize)]
-struct AssignmentReport {
+struct AssignmentEntry {
     n_items: usize,
     n_actions: usize,
     direct_seconds_median: f64,
     table_seconds_median: f64,
     table_build_seconds_median: f64,
-    speedup: f64,
-    acceptance_floor: Option<f64>,
-    results_identical: bool,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    samples[samples.len() / 2]
 }
 
 /// Bitwise equality of two emission tables over every (item, level) cell.
@@ -76,19 +66,6 @@ fn tables_bitwise_equal(a: &EmissionTable, b: &EmissionTable) -> bool {
         })
 }
 
-fn workload(n_users: usize, n_items: usize, mean_len: f64) -> SyntheticConfig {
-    SyntheticConfig {
-        n_users,
-        n_items,
-        n_levels: 5,
-        mean_sequence_len: mean_len,
-        p_at_level: 0.5,
-        p_advance: 0.1,
-        n_categories: 10,
-        seed: 9,
-    }
-}
-
 fn main() {
     let scale = Scale::from_env();
     banner("Emission table: columnar fill sweep + assignment comparison");
@@ -98,10 +75,7 @@ fn main() {
         _ => (500, 100.0, 5),
     };
 
-    // Floors are recorded (and therefore enforced by `xtask bench-floors`)
-    // only at the Default/Paper acceptance workload; quick-scale runs are
-    // smoke tests whose timings are too noisy to gate on.
-    let enforce = !matches!(scale, Scale::Quick);
+    let mut report = Report::new(scale);
 
     // Part 1: columnar vs scalar table fill across item counts. Only the
     // 20k-item point carries an acceptance floor; the smaller scales are
@@ -115,7 +89,7 @@ fn main() {
         "Bitwise",
     ]);
     for &n_items in &[200usize, 2_000, 20_000] {
-        let data = generate(&workload(n_users, n_items, mean_len)).expect("generation");
+        let data = generate(&synth(n_users, n_items, mean_len, 9)).expect("generation");
         let model = initialize_model(&data.dataset, 5, 30, 0.01).expect("init");
 
         // Warm-up plus the bitwise identity check.
@@ -126,7 +100,6 @@ fn main() {
 
         let mut scalar_times = Vec::with_capacity(repeats);
         let mut columnar_times = Vec::with_capacity(repeats);
-        let mut ratios = Vec::with_capacity(repeats);
         for _ in 0..repeats {
             let t0 = Instant::now();
             let t = build_scalar(&model, &data.dataset);
@@ -139,17 +112,16 @@ fn main() {
             let columnar_s = t1.elapsed().as_secs_f64();
             columnar_times.push(columnar_s);
             drop(t);
-
-            ratios.push(scalar_s / columnar_s);
         }
+        let speedup = median_ratio(&scalar_times, &columnar_times);
         let scalar_s = median(&mut scalar_times);
         let columnar_s = median(&mut columnar_times);
-        let speedup = median(&mut ratios);
-        let floor = if enforce && n_items == 20_000 {
-            Some(3.0)
-        } else {
-            None
-        };
+        report
+            .metric(&format!("fill_speedup_{n_items}_items"), speedup, "x")
+            .check(&format!("fill_bitwise_{n_items}_items"), identical);
+        if n_items == 20_000 {
+            report.floor("emission.fill_speedup_20k_items", speedup, 3.0);
+        }
 
         fill_table.row(vec![
             format!("{n_items}"),
@@ -158,32 +130,19 @@ fn main() {
             format!("{speedup:.2}x"),
             format!("{identical}"),
         ]);
-        if !identical {
-            eprintln!(
-                "ERROR: columnar fill diverged bitwise from the scalar fill at {n_items} items"
-            );
-            std::process::exit(1);
-        }
         fill_sweep.push(FillSweepEntry {
             n_items,
             n_actions: data.dataset.n_actions(),
             scalar_build_seconds_median: scalar_s,
             columnar_build_seconds_median: columnar_s,
             speedup,
-            acceptance_floor: floor,
-            results_bitwise_identical: identical,
             f64_table_bytes: f64_bytes,
         });
     }
     fill_table.print();
-    let floor_entry = fill_sweep.last().expect("sweep entries");
-    println!(
-        "\nColumnar fill speedup at 20k items: {:.2}x (acceptance floor: 3x)",
-        floor_entry.speedup
-    );
 
     // Part 2: the original assignment sweep at the base workload.
-    let data = generate(&workload(n_users, 200, mean_len)).expect("generation");
+    let data = generate(&synth(n_users, 200, mean_len, 9)).expect("generation");
     let model = initialize_model(&data.dataset, 5, 30, 0.01).expect("init");
     eprintln!(
         "assignment workload: {} users, {} items, {} actions, S=5",
@@ -232,31 +191,27 @@ fn main() {
         format!("{build_s:.4}"),
     ]);
     out.print();
-    println!("\nAssignment speedup: {speedup:.1}x (acceptance floor: 3x)");
-    println!("Results identical: {identical}");
-    if !identical {
-        eprintln!("ERROR: table-backed assignment diverged from direct evaluation");
-        std::process::exit(1);
-    }
-
-    write_report(
+    report
+        .metric("assignment_direct_s", direct_s, "s")
+        .metric("assignment_table_s", table_s, "s")
+        .metric("assignment_speedup", speedup, "x")
+        .floor("emission.assignment_speedup", speedup, 3.0)
+        .check("assignment_identical", identical);
+    report.finish(
         "BENCH_emission",
-        &Report {
+        &Workload {
             scale: format!("{scale:?}"),
             n_users: data.dataset.n_users(),
             n_levels: 5,
             mean_sequence_len: mean_len,
             repeats,
             fill_sweep,
-            assignment: AssignmentReport {
+            assignment: AssignmentEntry {
                 n_items: data.dataset.n_items(),
                 n_actions: data.dataset.n_actions(),
                 direct_seconds_median: direct_s,
                 table_seconds_median: table_s,
                 table_build_seconds_median: build_s,
-                speedup,
-                acceptance_floor: if enforce { Some(3.0) } else { None },
-                results_identical: identical,
             },
         },
     );

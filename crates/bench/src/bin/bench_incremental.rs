@@ -11,20 +11,22 @@
 //! the reference re-accumulates all `|A| · F` feature pushes. The
 //! per-iteration wall times come from `IterationStats::seconds`, so the
 //! split needs no instrumented re-runs. The report records medians over
-//! several training runs, the speedups, and a result-equality check
+//! several training runs, the speedups (no floor gates them), and a
+//! result-equality check
 //! (assignments and churn must agree exactly; objectives to 1e-12
 //! relative).
 
 use serde::Serialize;
 use std::time::Instant;
-use upskill_bench::{banner, write_report, Scale, TextTable};
+use upskill_bench::report::{median, median_ratio, synth, Report};
+use upskill_bench::{banner, Scale, TextTable};
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::reference::train_full_rescan;
 use upskill_core::train::{train_with_parallelism, TrainConfig, TrainResult};
-use upskill_datasets::synthetic::{generate, SyntheticConfig};
+use upskill_datasets::synthetic::generate;
 
 #[derive(Serialize)]
-struct Report {
+struct Workload {
     scale: String,
     n_users: usize,
     n_items: usize,
@@ -34,18 +36,6 @@ struct Report {
     repeats: usize,
     iterations: usize,
     converged: bool,
-    full_total_seconds_median: f64,
-    incremental_total_seconds_median: f64,
-    full_post_first_seconds_median: f64,
-    incremental_post_first_seconds_median: f64,
-    speedup_total: f64,
-    speedup_post_first_iteration: f64,
-    results_identical: bool,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    samples[samples.len() / 2]
 }
 
 /// Seconds spent after the first iteration (where the two paths diverge).
@@ -78,17 +68,7 @@ fn main() {
         Scale::Quick => (50, 30.0, 3),
         _ => (500, 100.0, 9),
     };
-    let cfg = SyntheticConfig {
-        n_users,
-        n_items: 200,
-        n_levels: 5,
-        mean_sequence_len: mean_len,
-        p_at_level: 0.5,
-        p_advance: 0.1,
-        n_categories: 10,
-        seed: 9,
-    };
-    let data = generate(&cfg).expect("generation");
+    let data = generate(&synth(n_users, 200, mean_len, 9)).expect("generation");
     let train_cfg = TrainConfig::new(5).with_min_init_actions(30);
     let incremental_pc = ParallelConfig::sequential();
     eprintln!(
@@ -125,21 +105,8 @@ fn main() {
         incr_total.push(t1.elapsed().as_secs_f64());
         incr_post.push(post_first_seconds(&r));
     }
-    // Pair each repeat's full/incremental timings and take the median of the
-    // per-repeat ratios: the two paths run back-to-back within a repeat, so
-    // machine-load drift across the run cancels out of each ratio.
-    let mut total_ratios: Vec<f64> = full_total
-        .iter()
-        .zip(&incr_total)
-        .map(|(f, i)| f / i)
-        .collect();
-    let mut post_ratios: Vec<f64> = full_post
-        .iter()
-        .zip(&incr_post)
-        .map(|(f, i)| f / i)
-        .collect();
-    let speedup_total = median(&mut total_ratios);
-    let speedup_post = median(&mut post_ratios);
+    let speedup_total = median_ratio(&full_total, &incr_total);
+    let speedup_post = median_ratio(&full_post, &incr_post);
     let full_total_s = median(&mut full_total);
     let full_post_s = median(&mut full_post);
     let incr_total_s = median(&mut incr_total);
@@ -157,17 +124,19 @@ fn main() {
         format!("{incr_post_s:.4}"),
     ]);
     out.print();
-    println!("\nSpeedup (whole training): {speedup_total:.2}x");
-    println!("Speedup (post-first-iteration): {speedup_post:.2}x (acceptance floor: 2x)");
-    println!("Results identical: {identical}");
-    if !identical {
-        eprintln!("ERROR: incremental training diverged from the full-rescan path");
-        std::process::exit(1);
-    }
 
-    write_report(
+    let mut report = Report::new(scale);
+    report
+        .metric("full_total_s", full_total_s, "s")
+        .metric("incremental_total_s", incr_total_s, "s")
+        .metric("full_post_first_s", full_post_s, "s")
+        .metric("incremental_post_first_s", incr_post_s, "s")
+        .metric("speedup_total", speedup_total, "x")
+        .metric("speedup_post_first_iteration", speedup_post, "x")
+        .check("results_identical", identical);
+    report.finish(
         "BENCH_incremental",
-        &Report {
+        &Workload {
             scale: format!("{scale:?}"),
             n_users: data.dataset.n_users(),
             n_items: data.dataset.n_items(),
@@ -177,13 +146,6 @@ fn main() {
             repeats,
             iterations: incr_result.trace.len(),
             converged: incr_result.converged,
-            full_total_seconds_median: full_total_s,
-            incremental_total_seconds_median: incr_total_s,
-            full_post_first_seconds_median: full_post_s,
-            incremental_post_first_seconds_median: incr_post_s,
-            speedup_total,
-            speedup_post_first_iteration: speedup_post,
-            results_identical: identical,
         },
     );
 }

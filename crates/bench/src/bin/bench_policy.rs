@@ -10,25 +10,25 @@
 //! recommendation surface (static band scoring vs hybrid policy
 //! re-ranking).
 //!
-//! The headline number is `speedup` = the *minimum* over domains of
-//! `static median actions-to-target / adaptive median` — above 1.0
-//! means the adaptive policy upskills learners faster on every domain.
-//! At default/paper scale the report carries `acceptance_floor` (also
-//! enforced by `xtask bench-floors`); quick scale is the CI smoke and
-//! leaves the floor null.
+//! The headline number is the *minimum* over domains of `static median
+//! actions-to-target / adaptive median` — above 1.0 means the adaptive
+//! policy upskills learners faster on every domain. At default/paper
+//! scale it is the `policy.min_domain_speedup` floor; quick scale is the
+//! CI smoke and records no floor.
 //!
 //! Everything is seeded: the report is bitwise identical across runs
 //! and thread counts (see `tests/upskilling_eval.rs`).
 
 use serde::Serialize;
 use std::time::Instant;
-use upskill_bench::{banner, write_report, Scale, TextTable};
+use upskill_bench::report::Report;
+use upskill_bench::{banner, Scale, TextTable};
 use upskill_core::train::TrainConfig;
 use upskill_datasets::synthetic::{generate, SyntheticConfig};
 use upskill_eval::upskilling::{evaluate_upskilling, DomainReport, UpskillEvalConfig};
 
 #[derive(Serialize)]
-struct Report {
+struct Workload {
     scale: String,
     n_learners: usize,
     max_actions: usize,
@@ -36,12 +36,6 @@ struct Report {
     train_seconds_total: f64,
     eval_seconds_total: f64,
     domains: Vec<DomainReport>,
-    /// Minimum per-domain adaptive-over-static speedup (the floors
-    /// contract key: higher is better).
-    speedup: f64,
-    /// Floor on `speedup` (enforced by `xtask bench-floors`); null at
-    /// quick scale.
-    acceptance_floor: Option<f64>,
 }
 
 /// One benchmark domain: a synthetic population plus its label.
@@ -117,12 +111,6 @@ fn main() {
         .iter()
         .map(|r| r.speedup)
         .fold(f64::INFINITY, f64::min);
-    let floor = match scale {
-        Scale::Quick => None,
-        // The adaptive arm must genuinely upskill faster than the
-        // static band recommendation on *every* domain.
-        _ => Some(1.0),
-    };
 
     let mut table = TextTable::new(&["domain", "static med", "adaptive med", "speedup"]);
     for r in &reports {
@@ -136,10 +124,21 @@ fn main() {
     table.print();
     println!("\nminimum speedup over domains: {speedup:.3}");
 
+    let mut report = Report::new(scale);
+    for r in &reports {
+        report.metric(&format!("{}.speedup", r.name), r.speedup, "x");
+    }
+    // The adaptive arm must upskill faster than the static band
+    // recommendation on *every* domain.
+    report.metric("min_domain_speedup", speedup, "x").floor(
+        "policy.min_domain_speedup",
+        speedup,
+        1.0,
+    );
     let cfg = eval_config(scale, 5, threads);
-    write_report(
+    report.finish(
         "BENCH_policy",
-        &Report {
+        &Workload {
             scale: format!("{scale:?}"),
             n_learners: cfg.n_learners,
             max_actions: cfg.learner.max_actions,
@@ -147,15 +146,6 @@ fn main() {
             train_seconds_total: train_seconds,
             eval_seconds_total: eval_seconds,
             domains: reports,
-            speedup,
-            acceptance_floor: floor,
         },
     );
-
-    if let Some(floor) = floor {
-        if speedup < floor {
-            eprintln!("ERROR: adaptive speedup {speedup:.3} below floor {floor:.3}");
-            std::process::exit(1);
-        }
-    }
 }

@@ -5,11 +5,11 @@
 //! keeps the previous pass's levels as breakpoints) at a scale whose
 //! materialized corpus would not fit comfortably in memory, and records:
 //!
-//! - **throughput** (actions × iterations / wall seconds) with an
-//!   enforceable `acceptance_floor`;
-//! - **peak RSS** (`VmHWM` from `/proc/self/status`) with an enforceable
-//!   `rss_ceiling_bytes` — the flat-memory claim, checked against an
-//!   estimate of what materializing the corpus would cost;
+//! - **throughput** (actions × iterations / wall seconds) under the
+//!   `scale.throughput_actions_per_s` floor;
+//! - **peak RSS** (`VmHWM`) under the `scale.peak_rss_bytes` ceiling —
+//!   the flat-memory claim, set against an estimate of what
+//!   materializing the corpus would cost;
 //! - a **bitwise cross-check** at a small scale where the in-memory
 //!   sequential trainer is feasible: the chunked result must match it
 //!   exactly (model, log-likelihood), or the binary exits non-zero.
@@ -19,15 +19,15 @@
 
 use serde::Serialize;
 use std::time::Instant;
-use upskill_bench::{banner, write_report, Scale, TextTable};
+use upskill_bench::report::{peak_rss_bytes, synth, Report};
+use upskill_bench::{banner, Scale};
 use upskill_core::chunked::{materialize, train_chunked, AssignmentStorage, ChunkSource};
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::train::{train_with_parallelism, TrainConfig};
 use upskill_datasets::chunked::ChunkedSyntheticSource;
-use upskill_datasets::synthetic::SyntheticConfig;
 
 #[derive(Serialize)]
-struct Report {
+struct Workload {
     scale: String,
     n_users: usize,
     n_items: usize,
@@ -40,46 +40,10 @@ struct Report {
     iterations: usize,
     converged: bool,
     log_likelihood: f64,
-    train_seconds: f64,
-    throughput_actions_per_second: f64,
-    /// Floor on `throughput_actions_per_second` (enforced by
-    /// `xtask bench-floors`); null at quick scale.
-    acceptance_floor: Option<f64>,
-    peak_rss_bytes: Option<u64>,
-    /// Ceiling on `peak_rss_bytes` (enforced by `xtask bench-floors`);
-    /// null at quick scale.
-    rss_ceiling_bytes: Option<u64>,
     /// What the action columns alone would cost if materialized
     /// (time + item per action) — the number the stream never pays.
     materialized_action_bytes_estimate: u64,
     crosscheck_users: usize,
-    results_identical: bool,
-}
-
-/// High-water-mark resident set size from `/proc/self/status` (Linux);
-/// `None` elsewhere.
-fn peak_rss_bytes() -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
-}
-
-fn synth(n_users: usize, n_items: usize, mean_len: f64, seed: u64) -> SyntheticConfig {
-    SyntheticConfig {
-        n_users,
-        n_items,
-        n_levels: 5,
-        mean_sequence_len: mean_len,
-        p_at_level: 0.5,
-        p_advance: 0.1,
-        n_categories: 10,
-        seed,
-    }
 }
 
 fn main() {
@@ -144,42 +108,20 @@ fn main() {
     let peak = peak_rss_bytes();
     let corpus_bytes = result.n_actions as u64 * 12; // i64 time + u32 item
 
-    // Floors only bind at the acceptance scale: quick runs on tiny CI
-    // boxes where neither number is meaningful.
-    let (floor, ceiling) = match scale {
-        Scale::Quick => (None, None),
-        // 1M actions/s is ~10x below what a release build sustains here;
-        // 1.5 GiB is ~8x below the ~12 GiB a materialized 100M-action
-        // corpus (plus training state) would need.
-        _ => (Some(1.0e6), Some(1_610_612_736u64)),
-    };
-
-    let mut table = TextTable::new(&["metric", "value"]);
-    table.row(vec!["users".into(), format!("{}", result.n_users)]);
-    table.row(vec!["actions".into(), format!("{}", result.n_actions)]);
-    table.row(vec!["chunks".into(), format!("{}", source.n_chunks())]);
-    table.row(vec!["threads".into(), format!("{threads}")]);
-    table.row(vec!["iterations".into(), format!("{iterations}")]);
-    table.row(vec!["train (s)".into(), format!("{train_seconds:.2}")]);
-    table.row(vec![
-        "throughput (actions/s)".into(),
-        format!("{throughput:.0}"),
-    ]);
-    table.row(vec![
-        "peak RSS".into(),
-        peak.map(|b| format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0)))
-            .unwrap_or_else(|| "n/a".into()),
-    ]);
-    table.row(vec![
-        "materialized actions (est.)".into(),
-        format!("{:.1} MiB", corpus_bytes as f64 / (1024.0 * 1024.0)),
-    ]);
-    table.print();
-    println!("\nResults identical at cross-check scale: {identical}");
-
-    write_report(
+    let mut report = Report::new(scale);
+    // 1M actions/s is ~10x below what a release build sustains here;
+    // 1.5 GiB is ~8x below the ~12 GiB a materialized 100M-action corpus
+    // (plus training state) would need.
+    report
+        .metric("train_s", train_seconds, "s")
+        .metric("throughput", throughput, "actions/s")
+        .metric("peak_rss", peak / (1024.0 * 1024.0), "MiB")
+        .floor("scale.throughput_actions_per_s", throughput, 1.0e6)
+        .ceiling("scale.peak_rss_bytes", peak, 1_610_612_736.0)
+        .check("chunked_equals_in_memory", identical);
+    report.finish(
         "BENCH_scale",
-        &Report {
+        &Workload {
             scale: format!("{scale:?}"),
             n_users: result.n_users,
             n_items,
@@ -192,31 +134,8 @@ fn main() {
             iterations,
             converged: result.converged,
             log_likelihood: result.log_likelihood,
-            train_seconds,
-            throughput_actions_per_second: throughput,
-            acceptance_floor: floor,
-            peak_rss_bytes: peak,
-            rss_ceiling_bytes: ceiling,
             materialized_action_bytes_estimate: corpus_bytes,
             crosscheck_users,
-            results_identical: identical,
         },
     );
-
-    if !identical {
-        eprintln!("ERROR: chunked training diverged from the in-memory path");
-        std::process::exit(1);
-    }
-    if let (Some(floor), t) = (floor, throughput) {
-        if t < floor {
-            eprintln!("ERROR: throughput {t:.0} below floor {floor:.0}");
-            std::process::exit(1);
-        }
-    }
-    if let (Some(ceiling), Some(peak)) = (ceiling, peak) {
-        if peak > ceiling {
-            eprintln!("ERROR: peak RSS {peak} above ceiling {ceiling}");
-            std::process::exit(1);
-        }
-    }
 }

@@ -11,10 +11,9 @@
 //!
 //! Recorded per op class and overall: throughput plus p50/p95/p99 tail
 //! latencies from log-scaled histograms (16 sub-buckets per power of
-//! two: ≤ ~6% bucket width, no per-sample storage). The report carries
-//! an enforceable throughput `acceptance_floor` and a
-//! `latency_ceiling_seconds` on the overall p99 (both null at quick
-//! scale), checked by `xtask bench-floors`.
+//! two: ≤ ~6% bucket width, no per-sample storage). At default/paper
+//! scale the report carries the `serve.throughput_ops_per_s` floor and
+//! the `serve.p99_latency_s` ceiling on the overall p99.
 //!
 //! Before the load run, a small-scale **bitwise cross-check** replays
 //! identical traffic through the service and a single-owner
@@ -27,74 +26,15 @@
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
-use upskill_bench::{banner, write_report, Scale, TextTable};
+use upskill_bench::report::{peak_rss_bytes, synth, LatencyHist, Report};
+use upskill_bench::{banner, Scale};
 use upskill_core::parallel::ParallelConfig;
+use upskill_core::rng::SplitMix64;
 use upskill_core::streaming::{RefitPolicy, RefitTuner, StreamingSession};
 use upskill_core::train::{train_with_parallelism, TrainConfig};
 use upskill_core::types::{Action, ItemId, UserId};
-use upskill_datasets::synthetic::{generate, SyntheticConfig};
+use upskill_datasets::synthetic::generate;
 use upskill_serve::{PredictMode, ServeConfig, SkillService};
-
-/// Log-scaled latency histogram: 16 sub-buckets per power of two of
-/// nanoseconds — worst-case bucket width ~6%, constant memory.
-#[derive(Clone)]
-struct LatencyHist {
-    counts: Vec<u64>,
-    total: u64,
-}
-
-const SUB: usize = 16;
-
-impl LatencyHist {
-    fn new() -> Self {
-        Self {
-            counts: vec![0; 64 * SUB],
-            total: 0,
-        }
-    }
-
-    fn record_ns(&mut self, ns: u64) {
-        let idx = if ns < SUB as u64 {
-            ns as usize
-        } else {
-            let log2 = 63 - ns.leading_zeros() as usize;
-            let frac = ((ns >> (log2 - 4)) & 0xF) as usize;
-            log2 * SUB + frac
-        };
-        let last = self.counts.len() - 1;
-        self.counts[idx.min(last)] += 1;
-        self.total += 1;
-    }
-
-    fn merge(&mut self, other: &LatencyHist) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-
-    /// Upper edge of the bucket holding quantile `q`, in seconds.
-    fn quantile_seconds(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let target = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                let ns = if idx < SUB {
-                    idx as u64 + 1
-                } else {
-                    let (log2, frac) = (idx / SUB, (idx % SUB) as u64);
-                    (16 + frac + 1) << (log2 - 4)
-                };
-                return ns as f64 * 1e-9;
-            }
-        }
-        0.0
-    }
-}
 
 #[derive(Serialize)]
 struct OpLatency {
@@ -107,7 +47,7 @@ struct OpLatency {
 impl OpLatency {
     fn from_hist(h: &LatencyHist) -> Self {
         Self {
-            ops: h.total,
+            ops: h.total(),
             p50_seconds: h.quantile_seconds(0.50),
             p95_seconds: h.quantile_seconds(0.95),
             p99_seconds: h.quantile_seconds(0.99),
@@ -116,7 +56,7 @@ impl OpLatency {
 }
 
 #[derive(Serialize)]
-struct Report {
+struct Workload {
     scale: String,
     n_base_users: usize,
     n_simulated_users: usize,
@@ -126,18 +66,6 @@ struct Report {
     n_shards: usize,
     ops_total: u64,
     serve_seconds: f64,
-    /// Mixed serving operations per wall second (the key reuses the
-    /// floors contract of the other benches).
-    throughput_actions_per_second: f64,
-    /// Floor on `throughput_actions_per_second` (enforced by
-    /// `xtask bench-floors`); null at quick scale.
-    acceptance_floor: Option<f64>,
-    p50_latency_seconds: f64,
-    p95_latency_seconds: f64,
-    p99_latency_seconds: f64,
-    /// Ceiling on `p99_latency_seconds` (enforced by
-    /// `xtask bench-floors`); null at quick scale.
-    latency_ceiling_seconds: Option<f64>,
     ingest: OpLatency,
     predict: OpLatency,
     recommend: OpLatency,
@@ -145,48 +73,7 @@ struct Report {
     final_epoch: u64,
     final_refit_interval: Option<usize>,
     users_admitted_live: usize,
-    peak_rss_bytes: Option<u64>,
     crosscheck_users: usize,
-    results_identical: bool,
-}
-
-/// High-water-mark resident set size from `/proc/self/status` (Linux);
-/// `None` elsewhere.
-fn peak_rss_bytes() -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
-}
-
-/// SplitMix64: tiny deterministic per-thread traffic generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-fn synth(n_users: usize, n_items: usize, mean_len: f64, seed: u64) -> SyntheticConfig {
-    SyntheticConfig {
-        n_users,
-        n_items,
-        n_levels: 5,
-        mean_sequence_len: mean_len,
-        p_at_level: 0.5,
-        p_advance: 0.1,
-        n_categories: 10,
-        seed,
-    }
 }
 
 /// One thread's slice of the mixed workload over its disjoint user range
@@ -204,18 +91,18 @@ fn drive(
     predict_hist: &mut LatencyHist,
     recommend_hist: &mut LatencyHist,
 ) -> usize {
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut touched: Vec<UserId> = Vec::new();
     let mut seen = vec![false; (hi - lo) as usize];
     let mut clock: i64 = 1_000_000_000;
     let mut admitted = 0usize;
     for _ in 0..ops {
-        let dice = rng.next() % 100;
+        let dice = rng.next_u64() % 100;
         if dice < 65 || touched.is_empty() {
             // Ingest: mostly-new users early, warming into a mixed
             // population; the service admits unknown users live.
-            let user = lo + (rng.next() % (hi - lo) as u64) as UserId;
-            let item = (rng.next() % n_items as u64) as ItemId;
+            let user = lo + (rng.next_u64() % (hi - lo) as u64) as UserId;
+            let item = (rng.next_u64() % n_items as u64) as ItemId;
             clock += 1;
             let t0 = Instant::now();
             service
@@ -230,8 +117,8 @@ fn drive(
         } else if dice < 90 {
             // Predict a user this thread has ingested: mostly the O(1)
             // estimators, a tail of DP-backed reads from the pools.
-            let user = touched[(rng.next() % touched.len() as u64) as usize];
-            let mode = match rng.next() % 20 {
+            let user = touched[(rng.next_u64() % touched.len() as u64) as usize];
+            let mode = match rng.next_u64() % 20 {
                 0 => PredictMode::Smoothed,
                 1 => PredictMode::Posterior,
                 n if n % 2 == 0 => PredictMode::Committed,
@@ -241,7 +128,7 @@ fn drive(
             service.predict(user, mode).expect("known user");
             predict_hist.record_ns(t0.elapsed().as_nanos() as u64);
         } else {
-            let user = touched[(rng.next() % touched.len() as u64) as usize];
+            let user = touched[(rng.next_u64() % touched.len() as u64) as usize];
             let t0 = Instant::now();
             service.recommend(user, Some(10)).expect("known user");
             recommend_hist.record_ns(t0.elapsed().as_nanos() as u64);
@@ -286,16 +173,16 @@ fn crosscheck(n_users: usize, n_items: usize) -> bool {
     .expect("session");
     session.set_tuner(Some(tuner));
 
-    let mut rng = Rng(99);
+    let mut rng = SplitMix64::new(99);
     let mut clock: i64 = 1_000_000_000;
     for _ in 0..2_000u32 {
         // Half the traffic extends base users, half admits new ids.
-        let user = if rng.next().is_multiple_of(2) {
-            (rng.next() % n_users as u64) as UserId
+        let user = if rng.next_u64().is_multiple_of(2) {
+            (rng.next_u64() % n_users as u64) as UserId
         } else {
-            (n_users as u64 + rng.next() % 500) as UserId
+            (n_users as u64 + rng.next_u64() % 500) as UserId
         };
-        let item = (rng.next() % n_items as u64) as ItemId;
+        let item = (rng.next_u64() % n_items as u64) as ItemId;
         clock += 1;
         let action = Action::new(clock, user, item);
         let a = session.ingest(action).expect("session ingest");
@@ -382,8 +269,7 @@ fn main() {
             .map(|lane| {
                 let service = Arc::clone(&service);
                 scope.spawn(move || {
-                    let (mut ih, mut ph, mut rh) =
-                        (LatencyHist::new(), LatencyHist::new(), LatencyHist::new());
+                    let (mut ih, mut ph, mut rh) = Default::default();
                     let lo = lane as UserId * span;
                     let admitted = drive(
                         &service,
@@ -407,8 +293,11 @@ fn main() {
     });
     let serve_seconds = t1.elapsed().as_secs_f64();
 
-    let (mut ingest_h, mut predict_h, mut recommend_h) =
-        (LatencyHist::new(), LatencyHist::new(), LatencyHist::new());
+    let (mut ingest_h, mut predict_h, mut recommend_h) = (
+        LatencyHist::default(),
+        LatencyHist::default(),
+        LatencyHist::default(),
+    );
     let mut admitted = 0usize;
     for (ih, ph, rh, a) in &lanes {
         ingest_h.merge(ih);
@@ -416,13 +305,13 @@ fn main() {
         recommend_h.merge(rh);
         admitted += a;
     }
-    let mut all = LatencyHist::new();
+    let mut all = LatencyHist::default();
     all.merge(&ingest_h);
     all.merge(&predict_h);
     all.merge(&recommend_h);
 
     let stats = service.stats();
-    let throughput = all.total as f64 / serve_seconds.max(1e-9);
+    let throughput = all.total() as f64 / serve_seconds.max(1e-9);
     let (p50, p95, p99) = (
         all.quantile_seconds(0.50),
         all.quantile_seconds(0.95),
@@ -433,53 +322,21 @@ fn main() {
         _ => None,
     };
 
-    // Floors only bind at the acceptance scale: quick runs on tiny CI
-    // boxes where neither number is meaningful.
-    let (floor, ceiling) = match scale {
-        Scale::Quick => (None, None),
-        // 100k mixed ops/s is ~10x below what a release build sustains
-        // here; a 50 ms p99 is ~50x above the observed tail.
-        _ => (Some(1.0e5), Some(0.05)),
-    };
-
-    let mut table = TextTable::new(&["metric", "value"]);
-    table.row(vec!["simulated users".into(), format!("{n_sim_users}")]);
-    table.row(vec!["admitted live".into(), format!("{admitted}")]);
-    table.row(vec![
-        "threads / shards".into(),
-        format!("{threads} / {n_shards}"),
-    ]);
-    table.row(vec!["ops".into(), format!("{}", all.total)]);
-    table.row(vec!["serve (s)".into(), format!("{serve_seconds:.2}")]);
-    table.row(vec![
-        "throughput (ops/s)".into(),
-        format!("{throughput:.0}"),
-    ]);
-    table.row(vec![
-        "p50 / p95 / p99".into(),
-        format!(
-            "{:.1}µs / {:.1}µs / {:.1}µs",
-            p50 * 1e6,
-            p95 * 1e6,
-            p99 * 1e6
-        ),
-    ]);
-    table.row(vec![
-        "refits / epoch".into(),
-        format!("{} / {}", stats.refits, stats.epoch),
-    ]);
-    table.row(vec![
-        "refit interval (tuned)".into(),
-        final_interval
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| "n/a".into()),
-    ]);
-    table.print();
-    println!("\nResults identical at cross-check scale: {identical}");
-
-    write_report(
+    let mut report = Report::new(scale);
+    // 100k mixed ops/s is ~10x below what a release build sustains here;
+    // a 50 ms p99 is ~50x above the observed tail.
+    report
+        .metric("throughput", throughput, "ops/s")
+        .metric("p50", p50 * 1e6, "us")
+        .metric("p95", p95 * 1e6, "us")
+        .metric("p99", p99 * 1e6, "us")
+        .metric("peak_rss", peak_rss_bytes() / (1024.0 * 1024.0), "MiB")
+        .floor("serve.throughput_ops_per_s", throughput, 1.0e5)
+        .ceiling("serve.p99_latency_s", p99, 0.05)
+        .check("service_equals_session", identical);
+    report.finish(
         "BENCH_serve",
-        &Report {
+        &Workload {
             scale: format!("{scale:?}"),
             n_base_users,
             n_simulated_users: n_sim_users,
@@ -487,14 +344,8 @@ fn main() {
             n_levels: 5,
             threads,
             n_shards,
-            ops_total: all.total,
+            ops_total: all.total(),
             serve_seconds,
-            throughput_actions_per_second: throughput,
-            acceptance_floor: floor,
-            p50_latency_seconds: p50,
-            p95_latency_seconds: p95,
-            p99_latency_seconds: p99,
-            latency_ceiling_seconds: ceiling,
             ingest: OpLatency::from_hist(&ingest_h),
             predict: OpLatency::from_hist(&predict_h),
             recommend: OpLatency::from_hist(&recommend_h),
@@ -502,26 +353,7 @@ fn main() {
             final_epoch: stats.epoch,
             final_refit_interval: final_interval,
             users_admitted_live: admitted,
-            peak_rss_bytes: peak_rss_bytes(),
             crosscheck_users,
-            results_identical: identical,
         },
     );
-
-    if !identical {
-        eprintln!("ERROR: serving diverged from the single-owner session");
-        std::process::exit(1);
-    }
-    if let Some(floor) = floor {
-        if throughput < floor {
-            eprintln!("ERROR: throughput {throughput:.0} below floor {floor:.0}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(ceiling) = ceiling {
-        if p99 > ceiling {
-            eprintln!("ERROR: p99 {p99:.6}s above ceiling {ceiling:.6}s");
-            std::process::exit(1);
-        }
-    }
 }

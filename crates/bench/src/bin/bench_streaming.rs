@@ -18,17 +18,18 @@
 
 use serde::Serialize;
 use std::time::Instant;
-use upskill_bench::{banner, write_report, Scale, TextTable};
+use upskill_bench::report::{median, median_ratio, synth, Report};
+use upskill_bench::{banner, Scale, TextTable};
 use upskill_core::emission::EmissionTable;
 use upskill_core::incremental::StatsGrid;
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::streaming::{RefitPolicy, StreamingSession};
 use upskill_core::train::{train_with_parallelism, TrainConfig};
 use upskill_core::types::{Action, ActionSequence, Dataset};
-use upskill_datasets::synthetic::{generate, SyntheticConfig};
+use upskill_datasets::synthetic::generate;
 
 #[derive(Serialize)]
-struct Report {
+struct Workload {
     scale: String,
     n_users: usize,
     n_items: usize,
@@ -38,19 +39,7 @@ struct Report {
     n_suffix_actions: usize,
     prefix_fraction: f64,
     repeats: usize,
-    full_retrain_seconds_median: f64,
-    streaming_fold_seconds_median: f64,
-    speedup_fold_vs_retrain: f64,
-    refit_exact: bool,
-    assignments_monotone: bool,
     levels_refit: usize,
-    full_ll_per_action: f64,
-    streaming_ll_per_action: f64,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    samples[samples.len() / 2]
 }
 
 /// Splits each user's sequence into a 90% prefix dataset and the
@@ -83,17 +72,7 @@ fn main() {
         Scale::Quick => (50, 30.0, 20, 3),
         _ => (500, 100.0, 30, 9),
     };
-    let cfg = SyntheticConfig {
-        n_users,
-        n_items: 200,
-        n_levels: 5,
-        mean_sequence_len: mean_len,
-        p_at_level: 0.5,
-        p_advance: 0.1,
-        n_categories: 10,
-        seed: 9,
-    };
-    let data = generate(&cfg).expect("generation");
+    let data = generate(&synth(n_users, 200, mean_len, 9)).expect("generation");
     let train_cfg = TrainConfig::new(5).with_min_init_actions(min_init);
     let pc = ParallelConfig::sequential();
     let (prefix_ds, suffix) = split_prefix(&data.dataset, 0.9);
@@ -156,10 +135,7 @@ fn main() {
         s.ingest_batch(&suffix).expect("fold");
         fold_s.push(t1.elapsed().as_secs_f64());
     }
-    // Median of per-repeat ratios: the paths run back-to-back within a
-    // repeat, so machine-load drift cancels out of each ratio.
-    let mut ratios: Vec<f64> = retrain_s.iter().zip(&fold_s).map(|(f, s)| f / s).collect();
-    let speedup = median(&mut ratios);
+    let speedup = median_ratio(&retrain_s, &fold_s);
     let retrain_med = median(&mut retrain_s);
     let fold_med = median(&mut fold_s);
 
@@ -175,16 +151,23 @@ fn main() {
         format!("{:.4}", per_action(streaming_ll)),
     ]);
     out.print();
-    println!("\nSpeedup (fold vs retrain): {speedup:.2}x (acceptance floor: 5x)");
-    println!("Refit exact: {refit_exact}; assignments monotone: {monotone}");
-    if !refit_exact || !monotone {
-        eprintln!("ERROR: streaming fold diverged from the closed-form refit");
-        std::process::exit(1);
-    }
 
-    write_report(
+    let mut report = Report::new(scale);
+    report
+        .metric("full_retrain_s", retrain_med, "s")
+        .metric("streaming_fold_s", fold_med, "s")
+        .metric("speedup_fold_vs_retrain", speedup, "x")
+        .metric(
+            "full_ll_per_action",
+            per_action(full_result.log_likelihood),
+            "nats",
+        )
+        .metric("streaming_ll_per_action", per_action(streaming_ll), "nats")
+        .check("refit_exact", refit_exact)
+        .check("assignments_monotone", monotone);
+    report.finish(
         "BENCH_streaming",
-        &Report {
+        &Workload {
             scale: format!("{scale:?}"),
             n_users: data.dataset.n_users(),
             n_items: data.dataset.n_items(),
@@ -194,14 +177,7 @@ fn main() {
             n_suffix_actions: suffix.len(),
             prefix_fraction: 0.9,
             repeats,
-            full_retrain_seconds_median: retrain_med,
-            streaming_fold_seconds_median: fold_med,
-            speedup_fold_vs_retrain: speedup,
-            refit_exact,
-            assignments_monotone: monotone,
             levels_refit,
-            full_ll_per_action: per_action(full_result.log_likelihood),
-            streaming_ll_per_action: per_action(streaming_ll),
         },
     );
 }

@@ -3,11 +3,13 @@
 //! Experiment binaries and criterion benchmarks that regenerate every
 //! table and figure of the paper's evaluation (see DESIGN.md §4 for the
 //! experiment index). This library holds the shared plumbing: scale
-//! selection, text-table rendering, and JSON report output.
+//! selection, text-table rendering, JSON report output, and the typed
+//! report block of the `bench_*` binaries ([`report`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod report;
 pub mod synthetic_eval;
 
 use std::fs;
@@ -63,24 +65,24 @@ pub fn report_dir() -> PathBuf {
     }
 }
 
-/// Serializes a report as pretty JSON as `<name>.json` in [`report_dir`].
+/// Serializes a report as pretty JSON as `<name>.json` in [`report_dir`];
+/// a failure is printed as a warning.
 pub fn write_report<T: Serialize>(name: &str, value: &T) {
+    if let Err(e) = try_write_report(name, value) {
+        eprintln!("warning: {e}");
+    }
+}
+
+/// [`write_report`] that returns its failure.
+fn try_write_report<T: Serialize>(name: &str, value: &T) -> Result<(), String> {
     let dir = report_dir();
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
+    fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                println!("[report] {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize report {name}: {e}"),
-    }
+    let json = serde_json::to_string_pretty(value)
+        .map_err(|e| format!("cannot serialize report {name}: {e}"))?;
+    fs::write(&path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("[report] {}", path.display());
+    Ok(())
 }
 
 /// Minimal fixed-width text-table renderer for experiment output.

@@ -95,35 +95,6 @@ pub fn level_means(model: &SkillModel, feature: usize) -> Result<Vec<f64>> {
         .collect()
 }
 
-/// Densities/masses of a non-categorical feature evaluated on a grid, one
-/// series per skill level — the raw material for Figs. 4–6 style plots.
-pub fn level_densities(model: &SkillModel, feature: usize, grid: &[f64]) -> Result<Vec<Vec<f64>>> {
-    model
-        .levels()
-        .map(|s| {
-            let cell = model.cell(s, feature)?;
-            grid.iter()
-                .map(|&x| match cell {
-                    FeatureDistribution::Poisson(d) => {
-                        if x < 0.0 || !crate::float_cmp::is_integral(x) {
-                            Ok(0.0)
-                        } else {
-                            Ok(d.pmf(x as u64))
-                        }
-                    }
-                    FeatureDistribution::Gamma(d) => Ok(d.pdf(x)),
-                    FeatureDistribution::LogNormal(d) => Ok(d.pdf(x)),
-                    FeatureDistribution::Categorical(_) => Err(CoreError::FeatureKindMismatch {
-                        feature,
-                        expected: "count or positive",
-                        got: "categorical",
-                    }),
-                })
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,123 +166,5 @@ mod tests {
         let gamma_means = level_means(&m, 2).unwrap();
         assert_eq!(gamma_means, vec![2.0, 6.0]);
         assert!(level_means(&m, 0).is_err());
-    }
-
-    #[test]
-    fn level_densities_shapes_and_values() {
-        let m = mixed_model();
-        let grid = [0.0, 1.0, 2.0, 2.5];
-        let densities = level_densities(&m, 1, &grid).unwrap();
-        assert_eq!(densities.len(), 2);
-        assert_eq!(densities[0].len(), 4);
-        // Non-integer grid points have zero Poisson mass.
-        assert_eq!(densities[0][3], 0.0);
-        assert!(densities[0][2] > 0.0);
-        let gamma_densities = level_densities(&m, 2, &grid).unwrap();
-        assert_eq!(gamma_densities[0][0], 0.0); // pdf(0) = 0 boundary
-        assert!(level_densities(&m, 0, &grid).is_err());
-    }
-}
-
-/// Per-user progression statistics derived from hard assignments —
-/// the raw material for Q1-style interpretive analyses ("how fast do users
-/// level up?", "how many ever reach the top?").
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProgressionStats {
-    /// Number of users with at least one action.
-    pub n_users: usize,
-    /// Distribution of starting levels (`counts[s-1]`).
-    pub start_levels: Vec<usize>,
-    /// Distribution of final levels (`counts[s-1]`).
-    pub final_levels: Vec<usize>,
-    /// Users whose level increased at least once.
-    pub n_progressed: usize,
-    /// Users who reached the top level at any point.
-    pub n_reached_top: usize,
-    /// Mean number of actions taken before the first level-up, over users
-    /// who progressed at all.
-    pub mean_actions_to_first_advance: f64,
-}
-
-/// Computes [`ProgressionStats`] from assignments.
-pub fn progression_stats(
-    assignments: &crate::types::SkillAssignments,
-    n_levels: usize,
-) -> ProgressionStats {
-    let mut start_levels = vec![0usize; n_levels];
-    let mut final_levels = vec![0usize; n_levels];
-    let mut n_users = 0usize;
-    let mut n_progressed = 0usize;
-    let mut n_reached_top = 0usize;
-    let mut first_advance_sum = 0usize;
-    for seq in &assignments.per_user {
-        let (Some(&first), Some(&last)) = (seq.first(), seq.last()) else {
-            continue;
-        };
-        n_users += 1;
-        if let Some(slot) = start_levels.get_mut(first as usize - 1) {
-            *slot += 1;
-        }
-        if let Some(slot) = final_levels.get_mut(last as usize - 1) {
-            *slot += 1;
-        }
-        if seq.iter().any(|&s| s as usize == n_levels) {
-            n_reached_top += 1;
-        }
-        if let Some(pos) = seq.windows(2).position(|w| w[1] > w[0]) {
-            n_progressed += 1;
-            first_advance_sum += pos + 1;
-        }
-    }
-    ProgressionStats {
-        n_users,
-        start_levels,
-        final_levels,
-        n_progressed,
-        n_reached_top,
-        mean_actions_to_first_advance: if n_progressed > 0 {
-            first_advance_sum as f64 / n_progressed as f64
-        } else {
-            f64::NAN
-        },
-    }
-}
-
-#[cfg(test)]
-mod progression_tests {
-    use super::*;
-    use crate::types::SkillAssignments;
-
-    #[test]
-    fn stats_capture_paper_requirements() {
-        // Paper §III-A: users may start above level 1, may never reach the
-        // top, and progress at user-dependent speeds.
-        let a = SkillAssignments {
-            per_user: vec![
-                vec![1, 1, 2, 3],    // climber: 2 actions before first advance
-                vec![3, 3, 3],       // starts high, never moves
-                vec![1, 1, 1, 1, 1], // never progresses
-                vec![2, 3],          // quick: 1 action before first advance
-                vec![],              // empty (ignored)
-            ],
-        };
-        let s = progression_stats(&a, 3);
-        assert_eq!(s.n_users, 4);
-        assert_eq!(s.start_levels, vec![2, 1, 1]);
-        assert_eq!(s.final_levels, vec![1, 0, 3]);
-        assert_eq!(s.n_progressed, 2);
-        assert_eq!(s.n_reached_top, 3);
-        // First advances after 2 and 1 actions → mean 1.5.
-        assert!((s.mean_actions_to_first_advance - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn no_progression_yields_nan_mean() {
-        let a = SkillAssignments {
-            per_user: vec![vec![2, 2, 2]],
-        };
-        let s = progression_stats(&a, 3);
-        assert_eq!(s.n_progressed, 0);
-        assert!(s.mean_actions_to_first_advance.is_nan());
     }
 }

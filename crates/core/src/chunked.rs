@@ -425,12 +425,6 @@ pub fn materialize<S: ChunkSource + ?Sized>(source: &S) -> Result<Dataset> {
     view.with_sequences(sequences)
 }
 
-/// Returns the schema of a source's item view (convenience for callers
-/// generic over [`ChunkSource`]).
-pub fn source_schema<S: ChunkSource + ?Sized>(source: &S) -> &FeatureSchema {
-    source.item_view().schema()
-}
-
 /// How the chunked hard trainer remembers the previous iteration's
 /// skill assignments. Both variants select the same store: each user's
 /// path as breakpoints (`O(n_users · S)` memory, one DP per action per

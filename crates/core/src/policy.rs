@@ -381,11 +381,6 @@ impl PolicyState {
     pub fn recent_failures(&self) -> &[f64] {
         &self.recent_failures
     }
-
-    /// Total recorded attempts across all bands.
-    pub fn total_attempts(&self) -> u64 {
-        self.attempts.iter().sum()
-    }
 }
 
 /// Which stratum of the practice/review/challenge mix an item falls in
@@ -757,7 +752,6 @@ mod tests {
         state.record(60, 3.0, true);
         let lvl = state.effective_level(3, &cfg);
         assert!((lvl - 3.0).abs() < 1e-12, "window must have been reset");
-        assert_eq!(state.total_attempts(), 8);
     }
 
     #[test]

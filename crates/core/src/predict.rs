@@ -7,7 +7,6 @@
 //! true item (Acc@10 and reciprocal rank).
 
 use crate::dist::FeatureDistribution;
-use crate::emission::EmissionTable;
 use crate::error::{CoreError, Result};
 use crate::model::SkillModel;
 use crate::model_selection::nearest_skill;
@@ -93,40 +92,6 @@ pub fn rank_of_item(
         }
         let p = dist.prob(i);
         if p > p_target || (p == p_target && i < target) {
-            rank += 1;
-        }
-    }
-    Ok(rank)
-}
-
-/// The 1-based rank of `target` among all table items by the *full*
-/// emission log-likelihood `log P(i | level)` — the multi-faceted
-/// generalization of [`rank_of_item`], read from a precomputed
-/// [`EmissionTable`].
-///
-/// For a model whose only feature is the item-ID categorical this coincides
-/// with the paper's §VI-E protocol (log is monotone, so the ordering is the
-/// same); with richer schemas it ranks by the whole generative likelihood.
-/// Ties break by item ID, matching [`rank_of_item`].
-pub fn rank_of_item_by_emission(
-    table: &EmissionTable,
-    level: SkillLevel,
-    target: ItemId,
-) -> Result<usize> {
-    if target as usize >= table.n_items() {
-        return Err(CoreError::FeatureIndexOutOfBounds {
-            index: target as usize,
-            len: table.n_items(),
-        });
-    }
-    let ll_target = table.log_likelihood(target, level);
-    let mut rank = 1usize;
-    for i in 0..table.n_items() as u32 {
-        if i == target {
-            continue;
-        }
-        let ll = table.log_likelihood(i, level);
-        if ll > ll_target || (ll == ll_target && i < target) {
             rank += 1;
         }
     }
@@ -268,23 +233,6 @@ mod tests {
         assert_eq!(rank_of_item(&m, 0, 1, 3, 4).unwrap(), 4);
         // Level 2 reverses the ordering.
         assert_eq!(rank_of_item(&m, 0, 2, 3, 4).unwrap(), 1);
-    }
-
-    #[test]
-    fn emission_rank_matches_id_rank_for_id_only_models() {
-        let m = id_model(vec![vec![0.5, 0.2, 0.2, 0.1], vec![0.1, 0.2, 0.2, 0.5]]);
-        let ds = id_dataset(&[&[0, 1, 2, 3]]);
-        let table = EmissionTable::build(&m, &ds);
-        for level in 1..=2u8 {
-            for target in 0..4u32 {
-                assert_eq!(
-                    rank_of_item_by_emission(&table, level, target).unwrap(),
-                    rank_of_item(&m, 0, level, target, 4).unwrap(),
-                    "level {level} target {target}"
-                );
-            }
-        }
-        assert!(rank_of_item_by_emission(&table, 1, 99).is_err());
     }
 
     #[test]

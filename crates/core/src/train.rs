@@ -200,8 +200,6 @@ pub struct Trainer {
     config: TrainConfig,
     parallel: ParallelConfig,
     mode: TrainMode,
-    /// EM-mode transitions; `None` means uninformative.
-    transitions: Option<TransitionModel>,
 }
 
 impl Trainer {
@@ -217,7 +215,6 @@ impl Trainer {
             config,
             parallel: ParallelConfig::sequential(),
             mode: TrainMode::Hard,
-            transitions: None,
         }
     }
 
@@ -262,13 +259,6 @@ impl Trainer {
     /// transitions.
     pub fn em(mut self) -> Self {
         self.mode = TrainMode::Em;
-        self
-    }
-
-    /// Switches to EM training with explicit transition probabilities.
-    pub fn em_with_transitions(mut self, transitions: TransitionModel) -> Self {
-        self.mode = TrainMode::Em;
-        self.transitions = Some(transitions);
         self
     }
 
@@ -381,11 +371,7 @@ impl Trainer {
         initial: SkillModel,
         run: impl FnOnce(&EmConfig) -> Result<EmResult>,
     ) -> Result<(EmResult, Vec<IterationStats>)> {
-        // The configured transitions, else uninformative ones.
-        let transitions = match &self.transitions {
-            Some(t) => t.clone(),
-            None => TransitionModel::uninformative(self.config.n_levels)?,
-        };
+        let transitions = TransitionModel::uninformative(self.config.n_levels)?;
         let em_cfg = EmConfig::new(initial, transitions)
             .with_lambda(self.config.lambda)
             .with_max_iterations(self.config.max_iterations)
@@ -631,36 +617,6 @@ mod tests {
             assign_all_parallel(&built.model, &ds, &ParallelConfig::sequential()).unwrap();
         assert_eq!(decoded, built.assignments);
         assert!((ll - built.log_likelihood).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trainer_em_arms_use_configured_transitions() {
-        let ds = progression_dataset(6, 12, 3);
-        let cfg = TrainConfig::new(3)
-            .with_min_init_actions(6)
-            .with_max_iterations(6);
-        let sticky = TransitionModel::new(vec![0.95, 0.95, 1.0], vec![0.6, 0.3, 0.1]).unwrap();
-        let trainer = Trainer::from_config(cfg).em_with_transitions(sticky.clone());
-        let chunks = crate::chunked::DatasetChunks::new(&ds, 4).unwrap();
-        let chunked = trainer.fit_chunked(&chunks).unwrap();
-        // The chunked EM arm is the from-scratch loop on the same
-        // transitions and hyperparameters.
-        let initial = initialize_model(&ds, 3, 6, cfg.lambda).unwrap();
-        let em_cfg = EmConfig::new(initial.clone(), sticky)
-            .with_lambda(cfg.lambda)
-            .with_max_iterations(cfg.max_iterations)
-            .with_tolerance(cfg.tolerance);
-        let expect = crate::reference::train_em_full(&ds, &em_cfg).unwrap();
-        assert_eq!(chunked.model, expect.model);
-        let evidence: Vec<f64> = chunked.trace.iter().map(|s| s.log_likelihood).collect();
-        assert_eq!(evidence, expect.evidence_trace);
-        // The in-memory arm sees the same transitions: its first
-        // evidence (before any M-step) matches, and differs from the
-        // uninformative default's.
-        let fitted = trainer.fit(&ds).unwrap();
-        assert_eq!(fitted.trace[0].log_likelihood, expect.evidence_trace[0]);
-        let default = Trainer::from_config(cfg).em().fit(&ds).unwrap();
-        assert_ne!(default.trace[0].log_likelihood, expect.evidence_trace[0]);
     }
 
     #[test]

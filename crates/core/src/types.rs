@@ -274,11 +274,6 @@ impl Dataset {
             .flat_map(|s| s.actions().iter().copied())
     }
 
-    /// Earliest timestamp over all actions, if any.
-    pub fn earliest_time(&self) -> Option<Timestamp> {
-        self.actions().map(|a| a.time).min()
-    }
-
     /// Number of actions that select each item (`support[i]`).
     pub fn item_support(&self) -> Vec<u32> {
         let mut support = vec![0u32; self.n_items()];
@@ -498,7 +493,6 @@ mod tests {
         assert_eq!(ds.n_users(), 2);
         assert_eq!(ds.n_items(), 2);
         assert_eq!(ds.item_support(), vec![2, 2]);
-        assert_eq!(ds.earliest_time(), Some(0));
     }
 
     #[test]

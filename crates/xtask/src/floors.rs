@@ -1,26 +1,21 @@
-//! `bench-floors` task: enforce recorded acceptance floors and ceilings.
+//! `bench-floors` task: enforce the acceptance bounds recorded in the
+//! committed bench reports.
 //!
-//! The benchmark binaries write `reports/BENCH_*.json` and embed each
-//! acceptance criterion next to the measurement it gates:
+//! Every `reports/BENCH_*.json` carries a top-level `floors` array, written
+//! by the bench binaries' one report module. Each entry names a bound and
+//! records the measured `value`, the `bound` and its `kind`: `"Floor"`
+//! (the value must be at least the bound) or `"Ceiling"` (it must not
+//! exceed it).
 //!
-//! - any JSON object carrying a numeric (non-null) `acceptance_floor`
-//!   next to a numeric `speedup` (or, for the scale benchmark, a
-//!   `throughput_actions_per_second`) is an enforceable **floor** —
-//!   the measurement must be at least the floor;
-//! - any object carrying a numeric `rss_ceiling_bytes` next to a
-//!   numeric `peak_rss_bytes` is an enforceable **ceiling** — the
-//!   measurement must not exceed it (the flat-memory claim of the
-//!   out-of-core path);
-//! - any object carrying a numeric `latency_ceiling_seconds` next to a
-//!   numeric `p99_latency_seconds` is an enforceable **ceiling** — the
-//!   serving benchmark's tail-latency bound.
+//! This task reads that array from every report and fails when any value
+//! misses its bound, so a regression that slips into a committed report
+//! breaks CI even if nobody re-reads the numbers. It fails closed:
 //!
-//! This task parses every `BENCH_*.json` under the reports directory,
-//! walks the value trees, and fails when any recorded measurement falls
-//! outside its recorded bound — so a regression that slips into a
-//! committed report breaks CI even if nobody re-reads the numbers.
-//! Objects without a bound (informational sweep entries,
-//! `"acceptance_floor": null`) are ignored.
+//! - a report without a `floors` array, or with an entry lacking a
+//!   string `name` or a known `kind`, is an error, not a pass;
+//! - a `value` or `bound` that is null, missing or not finite misses its
+//!   bound (a NaN measurement is written as `null`);
+//! - a directory with no reports at all is vacuous and fails.
 //!
 //! Like the lint engine, this module is std-only: reports are flat
 //! machine-written JSON, and a ~150-line recursive-descent reader keeps
@@ -40,39 +35,31 @@ pub enum BoundKind {
     Ceiling,
 }
 
-/// One enforceable `(measurement, bound)` pair found in a report.
+/// One entry of a report's `floors` array.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FloorCheck {
     /// Report file name (e.g. `BENCH_emission.json`).
     pub file: String,
-    /// Dotted path of the owning object inside the report
-    /// (e.g. `fill_sweep[2]`); empty for the root object.
-    pub context: String,
-    /// Key of the measured value (e.g. `speedup`, `peak_rss_bytes`).
-    pub metric: String,
-    /// Recorded measurement.
+    /// Bound name (e.g. `emission.assignment_speedup`).
+    pub name: String,
+    /// Recorded measurement; NaN when null or missing.
     pub value: f64,
-    /// Recorded bound.
+    /// Recorded bound; NaN when null or missing.
     pub bound: f64,
     /// Whether the bound is a floor or a ceiling.
     pub kind: BoundKind,
 }
 
 impl FloorCheck {
-    /// Whether the recorded measurement meets the recorded bound.
+    /// Whether the recorded measurement meets the recorded bound; a
+    /// non-finite value or bound never does.
     pub fn passes(&self) -> bool {
-        match self.kind {
-            BoundKind::Floor => self.value >= self.bound,
-            BoundKind::Ceiling => self.value <= self.bound,
-        }
-    }
-
-    fn location(&self) -> String {
-        if self.context.is_empty() {
-            self.file.clone()
-        } else {
-            format!("{}: {}", self.file, self.context)
-        }
+        self.value.is_finite()
+            && self.bound.is_finite()
+            && match self.kind {
+                BoundKind::Floor => self.value >= self.bound,
+                BoundKind::Ceiling => self.value <= self.bound,
+            }
     }
 }
 
@@ -84,9 +71,9 @@ impl fmt::Display for FloorCheck {
         };
         write!(
             f,
-            "{}: {} {:.2} vs {relation} {:.2} [{}]",
-            self.location(),
-            self.metric,
+            "{}: {} {} vs {relation} {} [{}]",
+            self.file,
+            self.name,
             self.value,
             self.bound,
             if self.passes() { "ok" } else { "FAIL" }
@@ -97,14 +84,14 @@ impl fmt::Display for FloorCheck {
 /// Outcome of scanning a reports directory.
 #[derive(Debug, Default)]
 pub struct FloorReport {
-    /// Every enforceable check found, in file order.
+    /// Every recorded bound, in file order.
     pub checks: Vec<FloorCheck>,
     /// Number of `BENCH_*.json` files parsed.
     pub files_scanned: usize,
 }
 
 impl FloorReport {
-    /// The checks whose speedup is below the floor.
+    /// The checks whose value misses its bound.
     pub fn violations(&self) -> Vec<&FloorCheck> {
         self.checks.iter().filter(|c| !c.passes()).collect()
     }
@@ -117,10 +104,11 @@ impl FloorReport {
     }
 }
 
-/// Scans `<dir>/BENCH_*.json` and collects every enforceable floor check.
+/// Scans `<dir>/BENCH_*.json` and reads every report's `floors` array.
 ///
-/// Returns an error when the directory cannot be read or any report fails
-/// to parse — a malformed report is a broken pipeline, not a pass.
+/// Returns an error when the directory cannot be read, a report fails to
+/// parse, or a report has no well-formed `floors` array — a malformed
+/// report is a broken pipeline, not a pass.
 pub fn check_floors(dir: &Path) -> io::Result<FloorReport> {
     let mut files: Vec<PathBuf> = fs::read_dir(dir)?
         .collect::<io::Result<Vec<_>>>()?
@@ -142,84 +130,50 @@ pub fn check_floors(dir: &Path) -> io::Result<FloorReport> {
             .unwrap_or("<non-utf8>")
             .to_string();
         let text = fs::read_to_string(&path)?;
-        let value = parse(&text)
+        let checks = parse(&text)
+            .map_err(|e| e.to_string())
+            .and_then(|doc| read_floors(&doc, &name))
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{name}: {e}")))?;
-        collect_checks(&value, &name, String::new(), &mut report.checks);
+        report.checks.extend(checks);
         report.files_scanned += 1;
     }
     Ok(report)
 }
 
-/// Recursively collects enforceable `(measurement, bound)` pairs from
-/// `value`: `acceptance_floor` gates `speedup` (or
-/// `throughput_actions_per_second`), `rss_ceiling_bytes` caps
-/// `peak_rss_bytes`, and `latency_ceiling_seconds` caps
-/// `p99_latency_seconds`.
-fn collect_checks(value: &Json, file: &str, context: String, out: &mut Vec<FloorCheck>) {
-    match value {
-        Json::Obj(pairs) => {
-            let num = |key: &str| {
-                pairs
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .and_then(|(_, v)| match v {
-                        Json::Num(x) => Some(*x),
-                        _ => None,
-                    })
+/// Reads the top-level `floors` array of one report.
+fn read_floors(doc: &Json, file: &str) -> Result<Vec<FloorCheck>, String> {
+    let Some(Json::Arr(entries)) = doc.get("floors") else {
+        return Err("no `floors` array".to_string());
+    };
+    entries
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            let Some(Json::Str(name)) = entry.get("name") else {
+                return Err(format!("floors[{i}]: no string `name`"));
             };
-            if let Some(floor) = num("acceptance_floor") {
-                let measured = ["speedup", "throughput_actions_per_second"]
-                    .iter()
-                    .find_map(|k| num(k).map(|v| (*k, v)));
-                if let Some((metric, value)) = measured {
-                    out.push(FloorCheck {
-                        file: file.to_string(),
-                        context: context.clone(),
-                        metric: metric.to_string(),
-                        value,
-                        bound: floor,
-                        kind: BoundKind::Floor,
-                    });
+            let kind = match entry.get("kind") {
+                Some(Json::Str(k)) if k == "Floor" => BoundKind::Floor,
+                Some(Json::Str(k)) if k == "Ceiling" => BoundKind::Ceiling,
+                _ => {
+                    return Err(format!(
+                        "floors[{i}] ({name}): `kind` is not Floor or Ceiling"
+                    ))
                 }
-            }
-            if let (Some(peak), Some(ceiling)) = (num("peak_rss_bytes"), num("rss_ceiling_bytes")) {
-                out.push(FloorCheck {
-                    file: file.to_string(),
-                    context: context.clone(),
-                    metric: "peak_rss_bytes".to_string(),
-                    value: peak,
-                    bound: ceiling,
-                    kind: BoundKind::Ceiling,
-                });
-            }
-            if let (Some(p99), Some(ceiling)) =
-                (num("p99_latency_seconds"), num("latency_ceiling_seconds"))
-            {
-                out.push(FloorCheck {
-                    file: file.to_string(),
-                    context: context.clone(),
-                    metric: "p99_latency_seconds".to_string(),
-                    value: p99,
-                    bound: ceiling,
-                    kind: BoundKind::Ceiling,
-                });
-            }
-            for (key, child) in pairs {
-                let child_ctx = if context.is_empty() {
-                    key.clone()
-                } else {
-                    format!("{context}.{key}")
-                };
-                collect_checks(child, file, child_ctx, out);
-            }
-        }
-        Json::Arr(items) => {
-            for (i, child) in items.iter().enumerate() {
-                collect_checks(child, file, format!("{context}[{i}]"), out);
-            }
-        }
-        _ => {}
-    }
+            };
+            let num = |key: &str| match entry.get(key) {
+                Some(Json::Num(x)) => *x,
+                _ => f64::NAN,
+            };
+            Ok(FloorCheck {
+                file: file.to_string(),
+                name: name.clone(),
+                value: num("value"),
+                bound: num("bound"),
+                kind,
+            })
+        })
+        .collect()
 }
 
 /// Minimal JSON value tree for report scanning.
@@ -237,6 +191,16 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in source order.
     Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// The value under `key` when `self` is an object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
 }
 
 /// A parse failure with its byte offset.
@@ -475,67 +439,82 @@ mod tests {
         assert!(parse(r#"{"k": 1e}"#).is_err());
     }
 
-    #[test]
-    fn collects_only_objects_with_numeric_floor() {
-        let doc = parse(
-            r#"{
-                "speedup": 2.0, "acceptance_floor": 1.5,
-                "sweep": [
-                    {"speedup": 4.0, "acceptance_floor": null},
-                    {"speedup": 1.0, "acceptance_floor": 3.0}
-                ],
-                "nested": {"speedup": 9.0}
-            }"#,
-        )
-        .unwrap();
-        let mut checks = Vec::new();
-        collect_checks(&doc, "BENCH_x.json", String::new(), &mut checks);
-        assert_eq!(checks.len(), 2);
-        assert_eq!(checks[0].context, "");
-        assert!(checks[0].passes());
-        assert_eq!(checks[1].context, "sweep[1]");
-        assert!(!checks[1].passes());
+    fn floors_of(doc: &str) -> Result<Vec<FloorCheck>, String> {
+        read_floors(&parse(doc).unwrap(), "BENCH_x.json")
     }
 
     #[test]
-    fn collects_throughput_floors_and_rss_ceilings() {
-        let doc = parse(
+    fn reads_floors_and_ceilings_from_the_floors_array() {
+        let checks = floors_of(
             r#"{
-                "throughput_actions_per_second": 5.0e6, "acceptance_floor": 1.0e6,
-                "peak_rss_bytes": 2.0e9, "rss_ceiling_bytes": 1.5e9
+                "scale": "Default", "speedup": 0.1,
+                "floors": [
+                    {"name": "x.speedup", "value": 2.0, "bound": 1.5, "kind": "Floor"},
+                    {"name": "x.rss", "value": 2.0e9, "bound": 1.5e9, "kind": "Ceiling"}
+                ]
             }"#,
         )
         .unwrap();
-        let mut checks = Vec::new();
-        collect_checks(&doc, "BENCH_scale.json", String::new(), &mut checks);
         assert_eq!(checks.len(), 2);
-        assert_eq!(checks[0].metric, "throughput_actions_per_second");
+        assert_eq!(checks[0].name, "x.speedup");
         assert_eq!(checks[0].kind, BoundKind::Floor);
         assert!(checks[0].passes());
-        assert_eq!(checks[1].metric, "peak_rss_bytes");
         assert_eq!(checks[1].kind, BoundKind::Ceiling);
         assert!(!checks[1].passes());
+        assert!(floors_of(r#"{"floors": []}"#).unwrap().is_empty());
     }
 
     #[test]
-    fn collects_latency_ceilings() {
-        let doc = parse(
-            r#"{
-                "ok": { "p99_latency_seconds": 0.002, "latency_ceiling_seconds": 0.05 },
-                "bad": { "p99_latency_seconds": 0.09, "latency_ceiling_seconds": 0.05 },
-                "unbounded": { "p99_latency_seconds": 0.01 }
-            }"#,
+    fn a_report_without_a_floors_array_is_an_error() {
+        for doc in [
+            r#"{"speedup": 2.0, "acceptance_floor": 1.5}"#,
+            r#"{"floors": null}"#,
+            r#"{"floors": [{"value": 2.0, "bound": 1.5, "kind": "Floor"}]}"#,
+            r#"{"floors": [{"name": "x", "value": 2.0, "bound": 1.5, "kind": "floor"}]}"#,
+        ] {
+            assert!(floors_of(doc).is_err(), "{doc}");
+        }
+    }
+
+    #[test]
+    fn null_missing_or_non_finite_values_and_bounds_fail() {
+        let checks = floors_of(
+            r#"{"floors": [
+                {"name": "null_value", "value": null, "bound": 1.5, "kind": "Floor"},
+                {"name": "null_bound", "value": 2.0, "bound": null, "kind": "Ceiling"},
+                {"name": "missing_value", "bound": 1.5, "kind": "Ceiling"},
+                {"name": "inf_value", "value": 1e999, "bound": 1.5, "kind": "Floor"},
+                {"name": "inf_bound", "value": 2.0, "bound": 1e999, "kind": "Ceiling"}
+            ]}"#,
         )
         .unwrap();
-        let mut checks = Vec::new();
-        collect_checks(&doc, "BENCH_serve.json", String::new(), &mut checks);
-        assert_eq!(checks.len(), 2);
-        assert_eq!(checks[0].context, "ok");
-        assert_eq!(checks[0].metric, "p99_latency_seconds");
-        assert_eq!(checks[0].kind, BoundKind::Ceiling);
-        assert!(checks[0].passes());
-        assert_eq!(checks[1].context, "bad");
-        assert!(!checks[1].passes());
+        assert_eq!(checks.len(), 5);
+        assert!(checks.iter().all(|c| !c.passes()), "{checks:?}");
+    }
+
+    #[test]
+    fn committed_reports_carry_exactly_the_eight_gates() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../reports");
+        let report = check_floors(&dir).unwrap();
+        let mut gates: Vec<(&str, BoundKind, f64)> = report
+            .checks
+            .iter()
+            .map(|c| (c.name.as_str(), c.kind, c.bound))
+            .collect();
+        gates.sort_by(|a, b| a.0.cmp(b.0));
+        assert_eq!(
+            gates,
+            [
+                ("em_incremental.speedup", BoundKind::Floor, 1.5),
+                ("emission.assignment_speedup", BoundKind::Floor, 3.0),
+                ("emission.fill_speedup_20k_items", BoundKind::Floor, 3.0),
+                ("policy.min_domain_speedup", BoundKind::Floor, 1.0),
+                ("scale.peak_rss_bytes", BoundKind::Ceiling, 1_610_612_736.0),
+                ("scale.throughput_actions_per_s", BoundKind::Floor, 1.0e6),
+                ("serve.p99_latency_s", BoundKind::Ceiling, 0.05),
+                ("serve.throughput_ops_per_s", BoundKind::Floor, 1.0e5),
+            ]
+        );
     }
 
     #[test]
@@ -565,16 +544,13 @@ mod tests {
             std::thread::current().id()
         ));
         fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join("BENCH_ok.json"),
-            r#"{"speedup": 3.0, "acceptance_floor": 2.0}"#,
-        )
-        .unwrap();
-        fs::write(
-            dir.join("BENCH_bad.json"),
-            r#"{"speedup": 1.0, "acceptance_floor": 2.0}"#,
-        )
-        .unwrap();
+        let floor = |value: f64| {
+            format!(
+                r#"{{"floors": [{{"name": "x", "value": {value}, "bound": 2.0, "kind": "Floor"}}]}}"#
+            )
+        };
+        fs::write(dir.join("BENCH_ok.json"), floor(3.0)).unwrap();
+        fs::write(dir.join("BENCH_bad.json"), floor(1.0)).unwrap();
         fs::write(dir.join("EXP_other.json"), "not even json").unwrap();
 
         let report = check_floors(&dir).unwrap();

@@ -7,12 +7,12 @@
 //! - `concurrency` — the lock-discipline subset of the rules plus the
 //!   derived lock-order graph for the serving layer (see
 //!   [`concurrency`]).
-//! - `bench-floors` — parses `reports/BENCH_*.json` and fails when any
-//!   object recording both a numeric `speedup` and a numeric
-//!   `acceptance_floor` has `speedup < acceptance_floor`, so performance
-//!   acceptance criteria are enforced in CI, not just printed once (see
-//!   [`floors`]). A reports directory with zero parseable reports is a
-//!   failure, not a vacuous pass.
+//! - `bench-floors` — reads the typed `floors` array of every
+//!   `reports/BENCH_*.json` and fails when any recorded value misses its
+//!   floor or ceiling, so performance acceptance criteria are enforced in
+//!   CI, not just printed once (see [`floors`]). A report without a
+//!   `floors` array is an error, and a reports directory with zero
+//!   reports is a failure, not a vacuous pass.
 //!
 //! The `lint` task enforces the project's correctness conventions that
 //! rustc and clippy cannot express:

@@ -8,12 +8,12 @@
 //! - `concurrency [--root <dir>]` — run only the lock-discipline rules
 //!   (`lock-order`, `lock-across-publish`, `raw-lock`, `guard-escape`)
 //!   and print the derived lock-order graph. Same exit codes as `lint`.
-//! - `bench-floors [--reports <dir>]` — parse `reports/BENCH_*.json` and
-//!   fail when any recorded measurement falls outside its recorded bound
-//!   (`speedup`/`throughput_actions_per_second` below `acceptance_floor`,
-//!   or `peak_rss_bytes` above `rss_ceiling_bytes`). Zero parseable
-//!   reports is a failure — a gate that never measures anything must not
-//!   pass. Same exit-code convention as `lint`.
+//! - `bench-floors [--reports <dir>]` — read the `floors` array of every
+//!   `reports/BENCH_*.json` and fail when any entry's `value` misses its
+//!   `bound` (below a `Floor`, above a `Ceiling`, or null/non-finite).
+//!   Zero reports is a failure — a gate that never measures anything must
+//!   not pass. Same exit-code convention as `lint`; a report without a
+//!   `floors` array exits 2.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
