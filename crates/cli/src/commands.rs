@@ -8,6 +8,7 @@ use upskill_core::chunked::{train_chunked, AssignmentStorage, ChunkSource};
 use upskill_core::difficulty::{assignment_difficulty_all, generation_difficulty_all, SkillPrior};
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::recommend::{recommend_for_level, RecommendConfig};
+use upskill_core::rng::SplitMix64;
 use upskill_core::streaming::{RefitPolicy, RefitTuner, StreamingSession};
 use upskill_core::train::{train, TrainConfig};
 use upskill_core::types::{Action, Dataset, ItemId, SkillAssignments, UserId};
@@ -254,6 +255,11 @@ fn train_chunked_cmd(args: &Args) -> Result<(), CliError> {
     let min_init: usize = args.parse_or("min-init", 50)?;
     let lambda: f64 = args.parse_or("lambda", 0.01)?;
     let out = args.required("out")?;
+    let parallel = match threads {
+        0 | 1 => ParallelConfig::sequential(),
+        _ => ParallelConfig::all(threads),
+    };
+    parallel.validate()?;
     let synth = upskill_datasets::synthetic::SyntheticConfig {
         n_users: users,
         n_items: items,
@@ -271,11 +277,6 @@ fn train_chunked_cmd(args: &Args) -> Result<(), CliError> {
     if args.optional("max-iterations").is_some() {
         config = config.with_max_iterations(args.parse_or("max-iterations", 0)?);
     }
-    let parallel = if threads > 1 {
-        ParallelConfig::all(threads)
-    } else {
-        ParallelConfig::sequential()
-    };
     let result = train_chunked(&source, &config, &parallel, AssignmentStorage::default())?;
     write_json(out, &result.model)?;
     let total: u64 = result.level_histogram.iter().sum();
@@ -490,19 +491,6 @@ fn ingest(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// SplitMix64 — tiny deterministic traffic generator for `serve-bench`.
-struct ServeRng(u64);
-
-impl ServeRng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
 /// `p`-th percentile (by nearest-rank) of an unsorted latency sample,
 /// in seconds.
 fn percentile_seconds(samples: &mut [u64], p: f64) -> f64 {
@@ -546,6 +534,8 @@ fn serve_bench(args: &Args) -> Result<(), CliError> {
     if threads == 0 || live_users < threads {
         return Err(CliError::Usage("need 1 <= threads <= live-users".into()));
     }
+    // One client lane per thread: bounded like every worker count.
+    ParallelConfig::all(threads).validate()?;
     if refit_every == 0 {
         return Err(CliError::Usage("need refit-every >= 1".into()));
     }
@@ -590,6 +580,8 @@ fn serve_bench(args: &Args) -> Result<(), CliError> {
     let span = (live_users / threads).max(1) as UserId;
     let ops_per_thread = ops / threads as u64;
     let start = std::time::Instant::now();
+    // lint:allow(raw-spawn): concurrent client lanes of the load twin,
+    // not a split of one step's work.
     let lanes: Vec<Result<LaneSamples, CliError>> = std::thread::scope(|scope| {
         let service = &service;
         (0..threads)
@@ -597,16 +589,16 @@ fn serve_bench(args: &Args) -> Result<(), CliError> {
                 scope.spawn(move || {
                     let lo = n_base as UserId + lane as UserId * span;
                     let hi = lo + span;
-                    let mut rng = ServeRng(seed ^ (0xabcd << 16) ^ lane as u64);
+                    let mut rng = SplitMix64::new(seed ^ (0xabcd << 16) ^ lane as u64);
                     let mut touched: Vec<UserId> = Vec::new();
                     let mut seen = vec![false; span as usize];
                     let mut clock: i64 = 1_000_000_000;
                     let (mut ih, mut ph, mut rh) = (Vec::new(), Vec::new(), Vec::new());
                     for _ in 0..ops_per_thread {
-                        let dice = rng.next() % 100;
+                        let dice = rng.next_u64() % 100;
                         if dice < 65 || touched.is_empty() {
-                            let user = lo + (rng.next() % (hi - lo) as u64) as UserId;
-                            let item = (rng.next() % catalog_items as u64) as ItemId;
+                            let user = lo + (rng.next_u64() % (hi - lo) as u64) as UserId;
+                            let item = (rng.next_u64() % catalog_items as u64) as ItemId;
                             clock += 1;
                             let t0 = std::time::Instant::now();
                             service.ingest(Action::new(clock, user, item))?;
@@ -616,8 +608,8 @@ fn serve_bench(args: &Args) -> Result<(), CliError> {
                                 touched.push(user);
                             }
                         } else if dice < 90 {
-                            let user = touched[(rng.next() % touched.len() as u64) as usize];
-                            let mode = match rng.next() % 20 {
+                            let user = touched[(rng.next_u64() % touched.len() as u64) as usize];
+                            let mode = match rng.next_u64() % 20 {
                                 0 => PredictMode::Smoothed,
                                 1 => PredictMode::Posterior,
                                 n if n % 2 == 0 => PredictMode::Committed,
@@ -627,7 +619,7 @@ fn serve_bench(args: &Args) -> Result<(), CliError> {
                             service.predict(user, mode)?;
                             ph.push(t0.elapsed().as_nanos() as u64);
                         } else {
-                            let user = touched[(rng.next() % touched.len() as u64) as usize];
+                            let user = touched[(rng.next_u64() % touched.len() as u64) as usize];
                             let t0 = std::time::Instant::now();
                             service.recommend(user, Some(10))?;
                             rh.push(t0.elapsed().as_nanos() as u64);

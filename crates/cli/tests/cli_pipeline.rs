@@ -364,3 +364,53 @@ fn with_level_paths(bundle: &str, paths: &[Vec<u8>]) -> String {
         &bundle[span.end..]
     )
 }
+
+#[test]
+fn thread_counts_above_the_bound_are_typed_errors() {
+    // Every check runs before anything spawns, so no thread starts here.
+    let over = "1025";
+    let refused = |out: std::process::Output, tag: &str| {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{tag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{tag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{over} worker threads")),
+            "{tag}: {stderr}"
+        );
+        assert!(stderr.contains("1..=1024"), "{tag}: {stderr}");
+    };
+    refused(
+        upskill(&format!(
+            "train --chunked --users 40 --items 30 --threads {over} --out @/bound_model.json"
+        )),
+        "train --chunked",
+    );
+
+    let out = upskill("generate --domain synthetic --scale quick --seed 5 --out @/bound_data.json");
+    assert!(out.status.success());
+    let out = upskill(
+        "train --data @/bound_data.json --levels 3 --min-init 20 --out @/bound_model.json \
+         --assignments @/bound_assign.json",
+    );
+    assert!(out.status.success());
+    std::fs::write(
+        tmp("bound_actions.json"),
+        r#"[{"time":0,"user":4000000,"item":0}]"#,
+    )
+    .expect("write actions");
+    let ingest = "ingest --actions @/bound_actions.json --out @/bound_sess_model.json";
+    let out = upskill(&format!(
+        "{ingest} --data @/bound_data.json --model @/bound_model.json \
+         --assignments @/bound_assign.json --session-out @/bound_sess.json"
+    ));
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(tmp("bound_sess.json")).expect("read bundle");
+    let tampered = text.replace(r#""threads":1"#, &format!(r#""threads":{over}"#));
+    assert_ne!(tampered, text);
+    std::fs::write(tmp("bound_sess_tampered.json"), tampered).expect("write bundle");
+    refused(
+        upskill(&format!("{ingest} --session @/bound_sess_tampered.json")),
+        "ingest --session",
+    );
+}

@@ -77,12 +77,14 @@ impl SessionBundle {
         Ok(bundle)
     }
 
-    /// Internal consistency checks: version, a valid dataset (see
+    /// Internal consistency checks: version, a thread count the live fit
+    /// may spawn ([`ParallelConfig::validate`]), a valid dataset (see
     /// [`Dataset::validate`]; serde bypasses its constructor checks),
     /// model/config level agreement, and one monotone path over
     /// `1..=S` per user, one level per action.
     pub fn validate(&self) -> Result<()> {
         check_version("session bundle", self.version, Self::VERSION)?;
+        self.parallel.validate()?;
         self.dataset.validate()?;
         if self.model.n_levels() != self.config.n_levels {
             return Err(CoreError::LengthMismatch {
@@ -232,6 +234,29 @@ mod tests {
             session.snapshot("x").assignments
         );
         assert_eq!(resumed.model(), session.model());
+    }
+
+    #[test]
+    fn session_bundle_with_too_many_threads_is_rejected_before_any_spawn() {
+        let ds = session_dataset();
+        let config = TrainConfig::new(2).with_min_init_actions(4);
+        let result = crate::train::train(&ds, &config).unwrap();
+        let session = StreamingSession::resume(
+            ds,
+            &result,
+            config,
+            ParallelConfig::sequential(),
+            RefitPolicy::Manual,
+        )
+        .unwrap();
+        let json = session.snapshot("t").to_json().unwrap();
+        let over = crate::parallel::MAX_THREADS + 1;
+        let tampered = json.replace(r#""threads":1"#, &format!(r#""threads":{over}"#));
+        assert_ne!(tampered, json);
+        assert_eq!(
+            SessionBundle::from_json(&tampered).err(),
+            Some(CoreError::InvalidParallelism { threads: over })
+        );
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!
 //! The chunk pass here is the one hard-training loop ([`train_chunked`],
 //! which [`crate::train::train_with_parallelism`] runs over the dataset's
-//! chunks, copied once) and the one fan-out (`for_each_chunk`) of every
-//! decode, of initialization and of [`train_em_chunked`]. Outputs are
+//! chunks, copied once) and the chunk walk of every decode, of
+//! initialization and of [`train_em_chunked`], all on the library's one
+//! worker fan-out, [`crate::parallel::fan_out`]. Outputs are
 //! **bitwise identical** for any chunk size and worker count (pinned by
 //! `tests/properties_scale.rs`):
 //!
@@ -43,7 +44,6 @@
 //!   ([`crate::reference::train_em_full`]).
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crate::assign::{assign_items_into, AssignWorkspace};
@@ -57,7 +57,7 @@ use crate::incremental::{GridDelta, StatsGrid};
 use crate::init::segment_uniform_times_into;
 use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
-use crate::parallel::ParallelConfig;
+use crate::parallel::{fan_out, job_len, ParallelConfig, JOBS_PER_WORKER};
 use crate::train::{IterationStats, TrainConfig};
 use crate::types::{
     Action, ActionSequence, Dataset, ItemId, SkillAssignments, SkillLevel, Timestamp, UserId,
@@ -319,19 +319,11 @@ impl ChunkSource for DatasetChunks<'_> {
 /// chunk's buffers small, large enough to amortize its bookkeeping.
 const IN_MEMORY_CHUNK_USERS: usize = 4096;
 
-/// Chunks a pass hands each worker, so that workers which free up early
-/// take more of the chunks: sequence lengths vary widely, and one static
-/// chunk per worker would leave workers idle behind the longest.
-const CHUNKS_PER_WORKER: usize = 8;
-
 /// Users per chunk when the trainer or a decode chunks an in-memory
-/// dataset: [`CHUNKS_PER_WORKER`] chunks per worker thread, at most
+/// dataset: [`JOBS_PER_WORKER`] chunks per worker thread, at most
 /// [`IN_MEMORY_CHUNK_USERS`] users each. Chunking moves no output bit.
 pub(crate) fn in_memory_chunk_size(dataset: &Dataset, parallel: &ParallelConfig) -> usize {
-    dataset
-        .n_users()
-        .div_ceil(parallel.threads.max(1) * CHUNKS_PER_WORKER)
-        .clamp(1, IN_MEMORY_CHUNK_USERS)
+    job_len(dataset.n_users(), parallel.threads).min(IN_MEMORY_CHUNK_USERS)
 }
 
 /// An in-memory dataset copied **once** into columnar user chunks, which
@@ -737,10 +729,9 @@ pub(crate) fn initialize_on_workers<S: ChunkSource + ?Sized>(
         .collect();
     let mut grid = accumulator_grid(schema, n_levels);
     let mut qualifying_actions = 0usize;
-    let wave = states.len();
-    for_each_chunk(
+    fan_out(
         n_chunks,
-        wave,
+        states.len(),
         &mut states,
         "chunked initialization",
         |index, state| init_chunk(source, &columns, n_levels, min_actions, index, state),
@@ -995,6 +986,7 @@ impl PathStore {
 /// Per-worker reusable state for the hard assignment pass. One worker owns
 /// one chunk buffer, one DP workspace, and (when the pass maintains a
 /// [`StatsGrid`]) the grid changes of the chunks it processed.
+#[derive(Default)]
 struct WorkerState {
     chunk: DatasetChunk,
     ws: AssignWorkspace,
@@ -1019,16 +1011,9 @@ fn worker_states<S: ChunkSource + ?Sized>(
     source: &S,
     parallel: &ParallelConfig,
 ) -> Vec<WorkerState> {
-    (0..parallel.workers_for_chunks(source.n_chunks()))
-        .map(|_| WorkerState {
-            chunk: DatasetChunk::new(),
-            ws: AssignWorkspace::new(),
-            levels: Vec::new(),
-            incumbent: Vec::new(),
-            delta: None,
-            recount: None,
-            histogram: Vec::new(),
-        })
+    let n_workers = parallel.workers_for_chunks(source.n_chunks());
+    std::iter::repeat_with(WorkerState::default)
+        .take(n_workers)
         .collect()
 }
 
@@ -1173,69 +1158,8 @@ fn level_totals(grid: &StatsGrid) -> Vec<u64> {
     (0..grid.n_levels()).map(row).collect()
 }
 
-/// The one user fan-out: runs `work` on every chunk index on
-/// `states.len()` scoped workers, `wave` chunks at a time, and hands the
-/// outcomes to `apply` **in chunk order**, whatever the worker count or
-/// schedule. Inside a wave each worker takes the next unclaimed chunk as
-/// it frees up, so no worker idles while chunks remain; the wave bounds
-/// how many outcomes wait to be applied. One worker runs on the calling
-/// thread. Generic, so the DP's row source is never `dyn`.
-fn for_each_chunk<W, O>(
-    n_chunks: usize,
-    wave: usize,
-    states: &mut [W],
-    step: &'static str,
-    work: impl Fn(usize, &mut W) -> Result<O> + Sync,
-    mut apply: impl FnMut(O) -> Result<()>,
-) -> Result<()>
-where
-    W: Send,
-    O: Send,
-{
-    if let [state] = states {
-        for index in 0..n_chunks {
-            apply(work(index, state)?)?;
-        }
-        return Ok(());
-    }
-    for start in (0..n_chunks).step_by(wave.max(states.len()).max(1)) {
-        let end = n_chunks.min(start + wave.max(states.len()));
-        let next = AtomicUsize::new(start);
-        let mut outcomes: Vec<(usize, Result<O>)> = std::thread::scope(|scope| {
-            let (work, next) = (&work, &next);
-            let handles: Vec<_> = states
-                .iter_mut()
-                .map(|state| {
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            if index >= end {
-                                return done;
-                            }
-                            done.push((index, work(index, state)));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| vec![(start, Err(CoreError::WorkerPanicked { step }))])
-                })
-                .collect()
-        });
-        outcomes.sort_by_key(|&(index, _)| index);
-        for (_, outcome) in outcomes {
-            apply(outcome?)?;
-        }
-    }
-    Ok(())
-}
-
 /// One sharded assignment pass: chunks are processed by
-/// [`for_each_chunk`] on the given workers, each owning its buffers and a
+/// [`fan_out`] on the given workers, each owning its buffers and a
 /// grid delta; results are applied **in chunk order**, so the
 /// log-likelihood fold is the global user-order fold whatever the worker
 /// count.
@@ -1278,9 +1202,9 @@ where
     let mut total_ll = 0.0;
     let mut n_changed_total = 0usize;
     let mut paths = PathStore::default();
-    for_each_chunk(
+    fan_out(
         source.n_chunks(),
-        states.len() * CHUNKS_PER_WORKER,
+        states.len() * JOBS_PER_WORKER,
         states,
         "chunked assignment",
         |index, state| process_chunk(source, rows, prev, index, state),
@@ -1524,10 +1448,9 @@ pub fn train_em_chunked<S: ChunkSource + ?Sized>(
         // operation sequence.
         // One chunk per worker per wave keeps the posterior buffers at
         // `chunk_size × workers × S`.
-        let wave = states.len();
-        for_each_chunk(
+        fan_out(
             n_chunks,
-            wave,
+            states.len(),
             &mut states,
             "chunked forward-backward",
             |index, state| process_chunk_em(source, &table, n_levels, index, state),

@@ -45,7 +45,7 @@ use crate::dist::{score_kind_mismatch, FeatureDistribution};
 use crate::error::{CoreError, Result};
 use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
-use crate::parallel::ParallelConfig;
+use crate::parallel::{fan_out, Owned, ParallelConfig};
 use crate::types::{skill_level_from_index, Action, Dataset, ItemId, SkillLevel};
 
 /// A source of emission rows `log P(item | s)` for the assignment DP
@@ -392,11 +392,7 @@ impl EmissionTable {
         dataset: &Dataset,
         parallel: &ParallelConfig,
     ) -> Result<Self> {
-        let table = if parallel.users && parallel.threads > 1 {
-            Self::build_parallel(model, dataset, parallel.threads)?
-        } else {
-            Self::build(model, dataset)
-        };
+        let table = Self::build_parallel(model, dataset, parallel.user_threads())?;
         InvariantCtx::new().check_emission_table(&table)?;
         Ok(table)
     }
@@ -424,75 +420,37 @@ impl EmissionTable {
         Ok(slot.insert(table))
     }
 
-    /// Builds the table with `threads` workers stealing item chunks.
+    /// Builds the table with `threads` workers on the fan-out
+    /// ([`crate::parallel::fan_out`]).
     ///
     /// The output buffer is allocated once up front and split into
-    /// disjoint `PARALLEL_CHUNK`-row windows; workers pop windows from a
-    /// shared queue and run the columnar fill *directly into the final
+    /// disjoint `PARALLEL_CHUNK`-row windows, one job each; the worker that
+    /// claims a window runs the columnar fill *directly into the final
     /// buffer*, so there is no per-chunk row vector and no stitch copy at
     /// the end. Falls back to the sequential build when one thread (or
     /// one chunk) suffices.
     pub fn build_parallel(model: &SkillModel, dataset: &Dataset, threads: usize) -> Result<Self> {
-        if threads == 0 {
-            return Err(CoreError::InvalidParallelism { threads: 0 });
-        }
+        ParallelConfig::all(threads).validate()?;
         let n_items = dataset.n_items();
         let n_levels = model.n_levels();
         let n_chunks = n_items.div_ceil(PARALLEL_CHUNK).max(1);
         if threads <= 1 || n_chunks <= 1 || n_levels == 0 {
             return Ok(Self::build(model, dataset));
         }
-
-        let n_workers = threads.min(n_chunks);
         // Built here on first use, so workers only ever read the columns.
         let columns = dataset.catalog().columns();
         let mut data = vec![0.0f64; n_items * n_levels];
-        let worker_results: Vec<Result<()>> = {
-            // Ownership of disjoint output windows moves through the
-            // queue, so workers write concurrently without aliasing and
-            // without any unsafe code.
-            let jobs: Vec<(usize, &mut [f64])> = data
-                .chunks_mut(PARALLEL_CHUNK * n_levels)
-                .enumerate()
-                .collect();
-            let queue = std::sync::Mutex::new(jobs);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n_workers)
-                    .map(|_| {
-                        let queue = &queue;
-                        scope.spawn(move || -> Result<()> {
-                            let mut scratch: Vec<f64> = Vec::new();
-                            loop {
-                                let job = crate::sync::lock(queue).pop();
-                                let Some((chunk, window)) = job else {
-                                    return Ok(());
-                                };
-                                let start = chunk * PARALLEL_CHUNK;
-                                let end = start + window.len() / n_levels;
-                                fill_rows_columnar(
-                                    model,
-                                    columns,
-                                    start..end,
-                                    &mut scratch,
-                                    window,
-                                );
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or(Err(CoreError::WorkerPanicked {
-                            step: "emission table",
-                        }))
-                    })
-                    .collect()
-            })
+        let windows = Owned::new(data.chunks_mut(PARALLEL_CHUNK * n_levels));
+        let mut scratch = vec![Vec::new(); threads.min(n_chunks)];
+        let fill = |chunk: usize, scratch: &mut Vec<f64>| {
+            let window = windows.take(chunk)?;
+            let start = chunk * PARALLEL_CHUNK;
+            let rows = start..start + window.len() / n_levels;
+            fill_rows_columnar(model, columns, rows, scratch, window);
+            Ok(())
         };
-        for worker in worker_results {
-            worker?;
-        }
+        fan_out(n_chunks, n_chunks, &mut scratch, "emission table", fill, Ok)?;
+        drop(windows);
         Ok(EmissionTable {
             n_items,
             n_levels,

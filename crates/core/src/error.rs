@@ -106,6 +106,12 @@ pub enum CoreError {
         /// Which parallel step lost a worker.
         step: &'static str,
     },
+    /// The operating system refused to start a worker thread of a
+    /// parallel step (see [`crate::parallel::fan_out`]).
+    WorkerSpawnFailed {
+        /// Which parallel step could not start its workers.
+        step: &'static str,
+    },
     /// A numeric feature value was outside its kind's domain (NaN or
     /// infinite reals, non-positive values for positive-real features).
     /// Raised at construction and at every ingestion path so invalid
@@ -211,11 +217,17 @@ impl fmt::Display for CoreError {
                 f,
                 "item {item} never appears in the training actions; use a generation-based estimator"
             ),
-            CoreError::InvalidParallelism { threads } => {
-                write!(f, "invalid parallelism: {threads} worker threads requested")
-            }
+            CoreError::InvalidParallelism { threads } => write!(
+                f,
+                "invalid parallelism: {threads} worker threads requested \
+                 (need 1..={})",
+                crate::parallel::MAX_THREADS
+            ),
             CoreError::WorkerPanicked { step } => {
                 write!(f, "a worker thread panicked during the {step} step")
+            }
+            CoreError::WorkerSpawnFailed { step } => {
+                write!(f, "the OS refused a worker thread for the {step} step")
             }
             CoreError::InvalidFeatureValue {
                 feature,
@@ -322,6 +334,14 @@ mod tests {
             (
                 CoreError::WorkerPanicked { step: "assignment" },
                 "assignment",
+            ),
+            (
+                CoreError::WorkerSpawnFailed { step: "update" },
+                "refused a worker thread for the update step",
+            ),
+            (
+                CoreError::InvalidParallelism { threads: 1025 },
+                "1025 worker threads requested (need 1..=1024)",
             ),
             (
                 CoreError::InvalidFeatureValue {

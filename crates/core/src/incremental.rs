@@ -35,15 +35,13 @@
 //! tests and `bench_incremental`) and [`crate::reference::train_em_full`]
 //! (`bench_em_incremental`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use crate::catalog::{FeatureColumn, FeatureSlot};
 use crate::dist::{FeatureAccumulator, FeatureDistribution};
 use crate::em::WeightedAcc;
 use crate::error::{CoreError, Result};
 use crate::feature::FeatureKind;
 use crate::model::SkillModel;
-use crate::parallel::ParallelConfig;
+use crate::parallel::{fan_out, job_len, ParallelConfig};
 use crate::types::{skill_level_from_index, Dataset, SkillAssignments};
 
 /// Minimum number of users per worker before parallel build/delta paths
@@ -230,11 +228,7 @@ impl StatsGrid {
         n_levels: usize,
         config: &ParallelConfig,
     ) -> Result<Self> {
-        if config.users && config.threads > 1 {
-            Self::build_parallel(dataset, assignments, n_levels, config.threads)
-        } else {
-            Self::build(dataset, assignments, n_levels)
-        }
+        Self::build_parallel(dataset, assignments, n_levels, config.user_threads())
     }
 
     /// Applies the assignment delta `prev → next`: for every action whose
@@ -317,12 +311,14 @@ impl StatsGrid {
         })
     }
 
-    /// Runs `n_workers` scoped workers that claim users one at a time and
-    /// record each claimed user's changes into their own [`GridDelta`]
-    /// through `visit` (which returns how many actions it moved), then
-    /// adds the deltas into the grid. Integer addition is exact, so any
-    /// worker count gives the same grid. Returns the summed `visit`
-    /// counts.
+    /// Cuts users `0..n_users` into contiguous ranges, one
+    /// [`fan_out`] job each, on `n_workers` workers that each record their
+    /// jobs' changes into their own [`GridDelta`] through `visit` (which
+    /// returns how many actions it moved), then adds the deltas into the
+    /// grid. A job stops at its first error and the first error in user
+    /// order wins, leaving the grid untouched. Integer addition is exact,
+    /// so any worker count gives the same grid. Returns the summed
+    /// `visit` counts.
     fn add_user_deltas(
         &mut self,
         n_workers: usize,
@@ -330,34 +326,20 @@ impl StatsGrid {
         step: &'static str,
         visit: impl Fn(usize, &mut GridDelta) -> Result<usize> + Sync,
     ) -> Result<usize> {
-        let (n_levels, n_items) = (self.n_levels, self.n_items);
-        let (next, visit) = (&AtomicUsize::new(0), &visit);
-        let partials: Vec<Result<(usize, GridDelta)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut delta = GridDelta::new(n_levels, n_items);
-                        let mut changed = 0;
-                        loop {
-                            let u = next.fetch_add(1, Ordering::Relaxed);
-                            if u >= n_users {
-                                return Ok((changed, delta));
-                            }
-                            changed += visit(u, &mut delta)?;
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or(Err(CoreError::WorkerPanicked { step })))
-                .collect()
-        });
-        let mut changed = 0;
-        for partial in partials {
-            let (n, mut delta) = partial?;
+        let mut deltas: Vec<GridDelta> = (0..n_workers)
+            .map(|_| GridDelta::new(self.n_levels, self.n_items))
+            .collect();
+        let len = job_len(n_users, n_workers);
+        let work = |job: usize, delta: &mut GridDelta| {
+            (job * len..n_users.min(job * len + len)).try_fold(0, |n, u| Ok(n + visit(u, delta)?))
+        };
+        let (n_jobs, mut changed) = (n_users.div_ceil(len), 0);
+        fan_out(n_jobs, n_jobs, &mut deltas, step, work, |n| {
             changed += n;
-            self.add_delta(&mut delta)?;
+            Ok(())
+        })?;
+        for delta in &mut deltas {
+            self.add_delta(delta)?;
         }
         Ok(changed)
     }
@@ -371,11 +353,7 @@ impl StatsGrid {
         next: &SkillAssignments,
         config: &ParallelConfig,
     ) -> Result<usize> {
-        if config.users && config.threads > 1 {
-            self.apply_delta_parallel(dataset, prev, next, config.threads)
-        } else {
-            self.apply_delta(dataset, prev, next)
-        }
+        self.apply_delta_parallel(dataset, prev, next, config.user_threads())
     }
 
     /// Adds one newly observed action at the given level: a single `+1`
@@ -775,8 +753,10 @@ impl GridCell for f64 {
 /// level otherwise. The refit `(level, feature)` cells are independent
 /// (§IV-C), so `parallel` splits them: the refit levels go round-robin
 /// to up to `threads` level parts (`skills`), each part's features to
-/// the threads left over (`features`). A lone worker runs on the calling
-/// thread, unspawned. A worker replays each of its level rows once, in
+/// the threads left over (`features`), one [`fan_out`] job and worker per
+/// (level part, feature part); a lone part runs on the calling thread.
+/// Parts land in part order, so the first error in part order wins. A
+/// part replays each of its level rows once, in
 /// ascending item order, skipping empty cells and pushing only into the
 /// features it owns — every accumulator sees the pushes of the
 /// sequential replay, so every split gives the same bits. Values come
@@ -816,8 +796,19 @@ fn fit_levels<W: GridCell>(
         false => 1,
     };
 
-    let work = |worker: usize| -> Result<Vec<(usize, usize, FeatureDistribution)>> {
-        let (level_part, feature_part) = (worker / feature_parts, worker % feature_parts);
+    let mut grid: Vec<Vec<Option<FeatureDistribution>>> = (0..n_levels)
+        .map(|s| match prev.filter(|_| !dirty[s]) {
+            Some(prev) => Ok(prev
+                .level_row(skill_level_from_index(s))?
+                .iter()
+                .cloned()
+                .map(Some)
+                .collect()),
+            None => Ok(vec![None; n_features]),
+        })
+        .collect::<Result<_>>()?;
+    let work = |part: usize, _: &mut ()| -> Result<Vec<(usize, usize, FeatureDistribution)>> {
+        let (level_part, feature_part) = (part / feature_parts, part % feature_parts);
         let mut out = Vec::new();
         for &s in levels.iter().skip(level_part).step_by(level_parts) {
             let kinds = schema.kinds().iter().enumerate();
@@ -840,42 +831,16 @@ fn fit_levels<W: GridCell>(
         }
         Ok(out)
     };
-    let n_workers = level_parts * feature_parts;
-    let parts: Vec<Result<Vec<(usize, usize, FeatureDistribution)>>> = if n_workers == 1 {
-        vec![work(0)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|worker| scope.spawn(move || work(worker)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or(Err(CoreError::WorkerPanicked { step: "update" }))
-                })
-                .collect()
-        })
-    };
-
-    let mut grid: Vec<Vec<Option<FeatureDistribution>>> = (0..n_levels)
-        .map(|s| match prev.filter(|_| !dirty[s]) {
-            Some(prev) => Ok(prev
-                .level_row(skill_level_from_index(s))?
-                .iter()
-                .cloned()
-                .map(Some)
-                .collect()),
-            None => Ok(vec![None; n_features]),
-        })
-        .collect::<Result<_>>()?;
-    for part in parts {
-        for (s, f, dist) in part? {
+    let n_parts = level_parts * feature_parts;
+    let mut workers = vec![(); n_parts];
+    fan_out(n_parts, n_parts, &mut workers, "update", work, |part| {
+        for (s, f, dist) in part {
             if let Some(slot) = grid.get_mut(s).and_then(|row| row.get_mut(f)) {
                 *slot = Some(dist);
             }
         }
-    }
+        Ok(())
+    })?;
     let grid = grid
         .into_iter()
         .map(|row| row.into_iter().collect::<Option<Vec<_>>>())
@@ -1215,6 +1180,28 @@ mod tests {
                 .unwrap();
             assert_eq!(seq_changed, par_changed);
             assert_eq!(seq_grid, par_grid, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn parallel_grid_errors_are_the_sequential_ones() {
+        // Out-of-range levels at two users: the first in user order must
+        // win whatever the thread count or schedule.
+        let ds = build_dataset(64, 6);
+        let good = staircase_assignments(&ds, 3);
+        let mut bad = good.clone();
+        bad.per_user[3][2] = 0;
+        bad.per_user[40][1] = 9;
+        let first = Err(CoreError::InvalidSkillCount { requested: 0 });
+        assert_eq!(StatsGrid::build(&ds, &bad, 3), first);
+        let mut grid = StatsGrid::build(&ds, &good, 3).unwrap();
+        assert_eq!(grid.apply_delta(&ds, &good, &bad), first.clone().map(|_| 0));
+        for threads in 1..=4 {
+            let built = StatsGrid::build_parallel(&ds, &bad, 3, threads);
+            assert_eq!(built, first, "build, threads={threads}");
+            let mut grid = StatsGrid::build(&ds, &good, 3).unwrap();
+            let moved = grid.apply_delta_parallel(&ds, &good, &bad, threads);
+            assert_eq!(moved, first.clone().map(|_| 0), "delta, threads={threads}");
         }
     }
 

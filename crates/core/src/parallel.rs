@@ -1,4 +1,5 @@
-//! Parallel training steps (paper §IV-C).
+//! Parallel training steps (paper §IV-C) and the one worker fan-out
+//! they all run on.
 //!
 //! Three independent parallelization techniques, each toggleable so the
 //! efficiency experiments (Table XIII, Fig. 7) can measure them separately:
@@ -27,15 +28,38 @@
 //! catalog with ~9 actions per item it still ran a skill-count sweep about
 //! 4× slower than building the table.
 //!
-//! Workers are plain scoped threads with no shared mutable state, and
-//! results are merged on the calling thread in user order, so every
-//! thread count gives bitwise the sequential result.
+//! ## The fan-out
+//!
+//! [`fan_out`] is the library's one scoped-worker primitive: the chunk
+//! pass (training, decodes, initialization, chunked EM), the emission
+//! fill, the `StatsGrid` build and delta, the M-step split and the
+//! learner harness of `upskill-eval` all run on it. Workers claim
+//! numbered jobs as they free up and own only scratch and order-free
+//! integer partials; outcomes are applied on the calling thread in job
+//! order, so the first error in job order wins and every order-sensitive
+//! fold sees the sequential order. Every thread count gives bitwise the
+//! sequential result.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use crate::chunked::{decode_chunks, in_memory_chunk_size, DatasetChunks};
 use crate::emission::{EmissionRows, EmissionTable};
 use crate::error::{CoreError, Result};
 use crate::model::SkillModel;
 use crate::types::{Dataset, SkillAssignments};
+
+/// The most worker threads any configuration may ask for. Thread counts
+/// arrive from CLI flags and session bundles, so they are bounded before
+/// anything spawns; [`ParallelConfig::validate`] rejects larger counts.
+pub const MAX_THREADS: usize = 1024;
+
+/// Jobs per worker when a step cuts its work into contiguous ranges, so
+/// that workers which free up early take more of them: sequence lengths
+/// vary widely, and one static range per worker would leave workers idle
+/// behind the longest.
+pub(crate) const JOBS_PER_WORKER: usize = 8;
 
 /// Which steps run in parallel, and on how many worker threads.
 ///
@@ -61,7 +85,7 @@ pub struct ParallelConfig {
     pub skills: bool,
     /// Parallelize the update step across features.
     pub features: bool,
-    /// Number of worker threads (≥ 1).
+    /// Number of worker threads (`1..=MAX_THREADS`).
     pub threads: usize,
 }
 
@@ -110,10 +134,13 @@ impl ParallelConfig {
         self
     }
 
-    /// Validates the configuration.
+    /// Validates the configuration: `threads` must lie in
+    /// `1..=`[`MAX_THREADS`].
     pub fn validate(&self) -> Result<()> {
-        if self.threads == 0 {
-            return Err(CoreError::InvalidParallelism { threads: 0 });
+        if self.threads == 0 || self.threads > MAX_THREADS {
+            return Err(CoreError::InvalidParallelism {
+                threads: self.threads,
+            });
         }
         Ok(())
     }
@@ -123,17 +150,21 @@ impl ParallelConfig {
         (self.skills || self.features) && self.threads > 1
     }
 
-    /// Worker count for a chunked run over `n_chunks` chunks: the
-    /// configured thread count clamped to the number of chunks, never
-    /// below one. A chunk is the unit of work ownership, so spawning
-    /// more workers than chunks would only create idle threads — tiny
-    /// datasets (or one-giant-chunk configurations) run sequentially.
-    /// User-level parallelism off (`users == false`) also clamps to one.
-    pub fn workers_for_chunks(&self, n_chunks: usize) -> usize {
-        if !self.users {
-            return 1;
+    /// Workers for a user-parallel step (the chunk pass, the grid build
+    /// and delta, the emission fill): `threads` with user parallelism
+    /// on, one otherwise.
+    pub fn user_threads(&self) -> usize {
+        match self.users {
+            true => self.threads.max(1),
+            false => 1,
         }
-        self.threads.min(n_chunks).max(1)
+    }
+
+    /// Worker count for a chunked run over `n_chunks` chunks:
+    /// [`ParallelConfig::user_threads`] clamped to `1..=n_chunks`, as
+    /// more workers than chunks would only idle.
+    pub fn workers_for_chunks(&self, n_chunks: usize) -> usize {
+        self.user_threads().min(n_chunks).max(1)
     }
 }
 
@@ -141,6 +172,113 @@ impl Default for ParallelConfig {
     fn default() -> Self {
         Self::sequential()
     }
+}
+
+/// Runs `work` on every job `0..n_jobs` on `states.len()` scoped workers,
+/// `wave` jobs at a time, and hands the outcomes to `apply` **in job
+/// order**, whatever the worker count or schedule.
+///
+/// Inside a wave each worker claims the next unclaimed job as it frees
+/// up (one atomic increment), so no worker idles while jobs remain; the
+/// wave bounds how many outcomes wait to be applied. The first error in
+/// job order is returned and no later outcome is applied. A panicking
+/// job gives [`CoreError::WorkerPanicked`] with `step`, a worker the OS
+/// refuses to start [`CoreError::WorkerSpawnFailed`]. One state runs
+/// every job on the calling thread; no state, or more than
+/// [`MAX_THREADS`], is [`CoreError::InvalidParallelism`]. Generic, so
+/// the DP's row source is never `dyn`.
+pub fn fan_out<W, O, E>(
+    n_jobs: usize,
+    wave: usize,
+    states: &mut [W],
+    step: &'static str,
+    work: impl Fn(usize, &mut W) -> Result<O, E> + Sync,
+    mut apply: impl FnMut(O) -> Result<(), E>,
+) -> Result<(), E>
+where
+    W: Send,
+    O: Send,
+    E: From<CoreError> + Send,
+{
+    let panicked = || E::from(CoreError::WorkerPanicked { step });
+    if states.is_empty() || states.len() > MAX_THREADS {
+        let threads = states.len();
+        return Err(CoreError::InvalidParallelism { threads }.into());
+    }
+    if let [state] = states {
+        for index in 0..n_jobs {
+            let outcome = catch_unwind(AssertUnwindSafe(|| work(index, state)));
+            apply(outcome.unwrap_or_else(|_| Err(panicked()))?)?;
+        }
+        return Ok(());
+    }
+    let wave = wave.max(states.len());
+    for start in (0..n_jobs).step_by(wave) {
+        let end = n_jobs.min(start + wave);
+        // Relaxed: the counter only hands out indices; every outcome
+        // reaches this thread through its worker's join.
+        let next = AtomicUsize::new(start);
+        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&index| index < end);
+        let mut outcomes: Vec<(usize, Result<O, E>)> = std::thread::scope(|scope| {
+            let (work, claim) = (&work, &claim);
+            let workers: Vec<_> = (states.iter_mut())
+                .map(|state| {
+                    let run = move || -> Vec<_> {
+                        std::iter::from_fn(claim)
+                            .map(|i| (i, work(i, state)))
+                            .collect()
+                    };
+                    std::thread::Builder::new().spawn_scoped(scope, run)
+                })
+                .collect();
+            // A lost worker's error is filed under job `start`: no later
+            // job of the wave is applied.
+            let lost = |error: E| vec![(start, Err(error))];
+            (workers.into_iter())
+                .flat_map(|worker| match worker {
+                    Ok(handle) => handle.join().unwrap_or_else(|_| lost(panicked())),
+                    Err(_) => lost(CoreError::WorkerSpawnFailed { step }.into()),
+                })
+                .collect()
+        });
+        outcomes.sort_by_key(|&(index, _)| index);
+        for (_, outcome) in outcomes {
+            apply(outcome?)?;
+        }
+    }
+    Ok(())
+}
+
+/// Jobs that own their output, such as disjoint `&mut` windows of one
+/// buffer: [`fan_out`]'s claimant of index `i` takes job `i`. Only it
+/// ever locks slot `i`, so no worker waits, and no `unsafe` is needed.
+pub(crate) struct Owned<J>(Vec<Mutex<Option<J>>>);
+
+impl<J> Owned<J> {
+    pub(crate) fn new(jobs: impl IntoIterator<Item = J>) -> Self {
+        Self(jobs.into_iter().map(|job| Mutex::new(Some(job))).collect())
+    }
+
+    /// Job `index`, which only its claimant takes.
+    pub(crate) fn take(&self, index: usize) -> Result<J> {
+        let job = self
+            .0
+            .get(index)
+            .and_then(|slot| crate::sync::lock(slot).take());
+        let (left, right) = (index, self.0.len());
+        job.ok_or(CoreError::LengthMismatch {
+            context: "fan-out job index vs jobs",
+            left,
+            right,
+        })
+    }
+}
+
+/// Items per job when `n` items are cut into [`JOBS_PER_WORKER`]
+/// contiguous ranges per worker (at least one item).
+pub(crate) fn job_len(n: usize, workers: usize) -> usize {
+    n.div_ceil(workers.max(1).saturating_mul(JOBS_PER_WORKER))
+        .max(1)
 }
 
 /// Assignment step: builds the shared [`EmissionTable`] (item-parallel
@@ -244,6 +382,12 @@ mod tests {
             .validate()
             .is_err());
         assert!(ParallelConfig::all(4).validate().is_ok());
+        assert!(ParallelConfig::all(MAX_THREADS).validate().is_ok());
+        let over = MAX_THREADS + 1;
+        assert_eq!(
+            ParallelConfig::all(over).validate(),
+            Err(CoreError::InvalidParallelism { threads: over })
+        );
         assert!(!ParallelConfig::sequential().update_parallel());
         assert!(ParallelConfig::all(2).update_parallel());
     }
@@ -329,6 +473,105 @@ mod tests {
                 assign_all_parallel_with_table(&table, &ds, &cfg),
                 Err(CoreError::DegenerateFit { .. })
             ));
+        }
+    }
+
+    const WAVES: [usize; 4] = [1, 2, 3, 100];
+
+    #[test]
+    fn fan_out_applies_every_job_once_in_job_order() {
+        for workers in 1..=4 {
+            for wave in WAVES {
+                for n_jobs in [0, 1, 5, 13] {
+                    let mut runs = vec![0usize; workers];
+                    let mut applied = Vec::new();
+                    let work = |job: usize, runs: &mut usize| -> Result<usize> {
+                        *runs += 1;
+                        Ok(job)
+                    };
+                    fan_out(n_jobs, wave, &mut runs, "test", work, |job| {
+                        applied.push(job);
+                        Ok(())
+                    })
+                    .unwrap();
+                    let tag = format!("workers={workers} wave={wave} jobs={n_jobs}");
+                    assert_eq!(applied, (0..n_jobs).collect::<Vec<_>>(), "{tag}");
+                    assert_eq!(runs.iter().sum::<usize>(), n_jobs, "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_returns_the_first_error_in_job_order() {
+        for workers in 1..=4 {
+            for wave in WAVES {
+                let mut states = vec![(); workers];
+                let mut applied = Vec::new();
+                let work = |job: usize, _: &mut ()| match job {
+                    2 | 7 => Err(CoreError::InvalidSkillCount { requested: job }),
+                    _ => Ok(job),
+                };
+                let got = fan_out(10, wave, &mut states, "test", work, |job| {
+                    applied.push(job);
+                    Ok(())
+                });
+                let tag = format!("workers={workers} wave={wave}");
+                assert_eq!(
+                    got,
+                    Err(CoreError::InvalidSkillCount { requested: 2 }),
+                    "{tag}"
+                );
+                assert_eq!(applied, [0, 1], "{tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_turns_a_panicking_job_into_a_typed_error() {
+        for workers in 1..=4 {
+            for wave in WAVES {
+                let mut states = vec![(); workers];
+                let work = |job: usize, _: &mut ()| -> Result<()> {
+                    assert_ne!(job, 3, "job 3 panics on purpose");
+                    Ok(())
+                };
+                assert_eq!(
+                    fan_out(6, wave, &mut states, "exploding step", work, Ok),
+                    Err(CoreError::WorkerPanicked {
+                        step: "exploding step"
+                    }),
+                    "workers={workers} wave={wave}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_a_lone_worker_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let mut states = [Vec::new()];
+        let work = |_: usize, seen: &mut Vec<_>| -> Result<()> {
+            seen.push(std::thread::current().id());
+            Ok(())
+        };
+        fan_out(5, 2, &mut states, "test", work, Ok).unwrap();
+        assert_eq!(states[0], vec![caller; 5]);
+        // Two workers run off the calling thread.
+        let mut states = [Vec::new(), Vec::new()];
+        fan_out(5, 2, &mut states, "test", work, Ok).unwrap();
+        assert!(states.iter().flatten().all(|&id| id != caller));
+    }
+
+    #[test]
+    fn fan_out_refuses_unusable_worker_counts_before_spawning() {
+        let work = |_: usize, _: &mut ()| -> Result<()> { Ok(()) };
+        for workers in [0, MAX_THREADS + 1] {
+            let mut states = vec![(); workers];
+            assert_eq!(
+                fan_out(3, 3, &mut states, "test", work, Ok),
+                Err(CoreError::InvalidParallelism { threads: workers })
+            );
         }
     }
 

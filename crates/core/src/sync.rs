@@ -463,6 +463,8 @@ pub mod explore {
                 st.threads.len() - 1
             };
             let sched = Arc::clone(&self.sched);
+            // lint:allow(raw-spawn): the explorer's scheduler-driven test
+            // threads (feature-gated), not a split of one step's work.
             self.handles.push(std::thread::spawn(move || {
                 CTX.with(|c| {
                     *c.borrow_mut() = Some(TraceCtx {

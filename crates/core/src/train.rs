@@ -293,6 +293,7 @@ impl Trainer {
     /// so `assignments` and `log_likelihood` mean the same thing in both
     /// modes.
     pub fn fit(&self, dataset: &Dataset) -> Result<TrainResult> {
+        self.parallel.validate()?;
         if self.mode == TrainMode::Hard {
             return train_with_parallelism(dataset, &self.config, &self.parallel);
         }
@@ -334,6 +335,7 @@ impl Trainer {
         &self,
         source: &S,
     ) -> Result<crate::chunked::ChunkedTrainResult> {
+        self.parallel.validate()?;
         if self.mode == TrainMode::Hard {
             let storage = crate::chunked::AssignmentStorage::default();
             return crate::chunked::train_chunked(source, &self.config, &self.parallel, storage);
@@ -403,6 +405,7 @@ pub fn train_with_parallelism(
     config: &TrainConfig,
     parallel: &ParallelConfig,
 ) -> Result<TrainResult> {
+    parallel.validate()?;
     let chunks = ChunkedDataset::from_dataset(dataset, in_memory_chunk_size(dataset, parallel))?;
     let (result, paths) = train_chunked_keeping(&chunks, config, parallel)?;
     let user_lens = dataset.sequences().iter().map(ActionSequence::len);
@@ -597,6 +600,16 @@ mod tests {
         assert_eq!(direct.assignments, built.assignments);
         assert_eq!(direct.converged, built.converged);
         assert!((direct.log_likelihood - built.log_likelihood).abs() < 1e-12);
+    }
+
+    #[test]
+    fn trainer_rejects_thread_counts_above_the_bound() {
+        let ds = progression_dataset(6, 12, 3);
+        let over = crate::parallel::MAX_THREADS + 1;
+        let trainer = Trainer::new(3).with_min_init_actions(6).with_threads(over);
+        let refused = Err(CoreError::InvalidParallelism { threads: over });
+        assert_eq!(trainer.fit(&ds).map(|r| r.converged), refused);
+        assert_eq!(trainer.em().fit(&ds).map(|r| r.converged), refused);
     }
 
     #[test]

@@ -31,8 +31,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use upskill_core::error::CoreError;
-use upskill_core::parallel::ParallelConfig;
+use upskill_core::parallel::{fan_out, ParallelConfig};
 use upskill_core::policy::{PolicyConfig, PolicyMode};
 use upskill_core::recommend::RecommendConfig;
 use upskill_core::rng::SplitMix64;
@@ -58,8 +57,9 @@ pub struct UpskillEvalConfig {
     /// Result-list length requested per step (the learner attempts the
     /// top item).
     pub k: usize,
-    /// Worker threads for the learner population (any value produces
-    /// bitwise identical results).
+    /// Worker threads for the learner population, at most
+    /// [`upskill_core::parallel::MAX_THREADS`] (any value produces bitwise
+    /// identical results).
     pub threads: usize,
     /// The item every learner bootstraps with (one ingest to admit the
     /// user and commit a starting level); pick an easiest-level item.
@@ -237,34 +237,31 @@ impl LearnerEnv for ServiceEnv<'_> {
     }
 }
 
-/// Runs one arm's learner population against `svc`, partitioned over
-/// `threads` workers; results are ordered by learner index regardless
-/// of partitioning.
+/// Runs one arm's learner population against `svc` on the library's
+/// fan-out, one job per learner on up to `threads` workers; traces come
+/// back in learner order, the first error in learner order winning,
+/// whatever the worker count or schedule.
 fn run_arm(
     svc: &SkillService,
     arm: Arm,
     cfg: &UpskillEvalConfig,
 ) -> Result<Vec<LearnerTrace>, ServeError> {
     let n = cfg.n_learners;
-    let threads = cfg.threads.max(1).min(n.max(1));
-    let mut slots: Vec<Option<Result<LearnerTrace, ServeError>>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (c, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
-            let base = c * chunk;
-            scope.spawn(move || {
-                for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                    let i = base + off;
-                    let user = LEARNER_BASE + i as UserId;
-                    *slot = Some(simulate_one(svc, arm, user, cfg));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.unwrap_or(Err(ServeError::Core(CoreError::EmptyDataset))))
-        .collect()
+    let mut workers = vec![(); cfg.threads.clamp(1, n.max(1))];
+    let simulate = |i: usize, _: &mut ()| simulate_one(svc, arm, LEARNER_BASE + i as UserId, cfg);
+    let mut traces = Vec::with_capacity(n);
+    fan_out(
+        n,
+        n,
+        &mut workers,
+        "learner simulation",
+        simulate,
+        |trace| {
+            traces.push(trace);
+            Ok(())
+        },
+    )?;
+    Ok(traces)
 }
 
 /// One learner's full closed loop: bootstrap ingest, then simulate.
@@ -350,6 +347,8 @@ pub fn evaluate_upskilling_traced(
             detail: "need at least one simulated learner",
         });
     }
+    // Bounded before any spawn; 0 runs on the calling thread, like 1.
+    ParallelConfig::all(cfg.threads.max(1)).validate()?;
     let result = train(dataset, &cfg.train)?;
     let serve_static = ServeConfig {
         n_shards: 4,

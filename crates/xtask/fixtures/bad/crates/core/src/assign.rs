@@ -26,3 +26,10 @@ fn shim(d: &Dataset, c: &TrainConfig) {
 
 // lint:allow(no-such-rule): an unknown rule id is itself a violation.
 fn marker_target() {}
+
+fn own_pool(jobs: &[u64]) {
+    std::thread::scope(|scope| {
+        // raw-spawn: a worker pool beside the fan-out
+        scope.spawn(|| jobs.len());
+    });
+}

@@ -54,3 +54,26 @@ fn strings_and_comments() -> &'static str {
     // panic!("never fires"); x[0]; y == 0.0; train_em(d, c)
     "call .unwrap() or ParallelConfig { threads: 1 } — inert in a string"
 }
+
+fn on_the_fan_out(jobs: &[u64]) -> Result<()> {
+    // Work split into fan-out jobs; `available_parallelism` is no spawn.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut states = vec![(); threads.min(jobs.len()).max(1)];
+    fan_out(jobs.len(), jobs.len(), &mut states, "fixture", |i, _| Ok(jobs[i]), |_| Ok(()))
+}
+
+fn audited_client_lanes() {
+    // lint:allow(raw-spawn): fixture mirror of concurrent client lanes,
+    // not a split of one step's work.
+    std::thread::scope(|scope| {
+        scope.spawn(|| ());
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn tests_may_spawn() {
+        std::thread::spawn(|| ()).join().ok();
+    }
+}

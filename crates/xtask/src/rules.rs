@@ -20,6 +20,7 @@ pub const RULE_IDS: &[&str] = &[
     "config-literal",
     "deprecated-train-em",
     "reference-in-production",
+    "raw-spawn",
     "lock-order",
     "lock-across-publish",
     "raw-lock",
@@ -50,6 +51,10 @@ const PRODUCTION_SRC: &[&str] = &[
     "crates/eval/src/",
     "crates/ffm/src/",
 ];
+
+/// The home of `upskill_core::parallel::fan_out`, the one place that
+/// spawns worker threads without a marker.
+const SPAWN_HOME: &str = "crates/core/src/parallel.rs";
 
 /// Cast targets that can silently truncate the workspace's index/level
 /// domains. Widening casts (`as usize`, `as u64`, `as f64`) stay legal.
@@ -88,6 +93,9 @@ pub fn run_all(file: &SourceFile) -> Vec<Diagnostic> {
         && path != "crates/core/src/reference.rs"
     {
         reference_in_production(file, &mut out);
+        if path != SPAWN_HOME {
+            raw_spawn(file, &mut out);
+        }
     }
     crate::concurrency::run_rules(file, &mut out);
     // Nested loop spans overlap, so a single site can be visited twice.
@@ -442,6 +450,24 @@ fn reference_in_production(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
+// --- rule: raw-spawn ---------------------------------------------------
+
+fn raw_spawn(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    for token in ["thread::scope", "thread::spawn", "thread::Builder"] {
+        for p in find_word_starts(&file.masked, token) {
+            file.report(
+                out,
+                p,
+                "raw-spawn",
+                format!(
+                    "`{token}` outside the fan-out; run the work as jobs of \
+                     `upskill_core::parallel::fan_out`"
+                ),
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,6 +690,33 @@ mod tests {
         // Word-bounded: a module that merely ends in `reference` is not it.
         let other = "fn f() { cross_reference::lookup(); }\n";
         assert!(run("crates/core/src/train.rs", other).is_empty());
+    }
+
+    #[test]
+    fn raw_spawn_rule() {
+        for bad in [
+            "fn f() { std::thread::scope(|s| { s.spawn(|| ()); }); }\n",
+            "fn f() { let _ = thread::spawn(|| ()); }\n",
+            "fn f() { let _ = std::thread::Builder::new(); }\n",
+        ] {
+            for path in [
+                "crates/core/src/emission.rs",
+                "crates/eval/src/upskilling.rs",
+            ] {
+                assert_eq!(rules_of(&run(path, bad)), ["raw-spawn"], "{path}: {bad}");
+            }
+            // The fan-out's home, the bench crate and tests are exempt.
+            assert!(run("crates/core/src/parallel.rs", bad).is_empty());
+            assert!(run("crates/bench/src/bin/bench_serve.rs", bad).is_empty());
+            let test_only = format!("#[cfg(test)]\nmod tests {{ {bad} }}\n");
+            assert!(run("crates/core/src/pool.rs", &test_only).is_empty());
+        }
+        let marked = "// lint:allow(raw-spawn): client lanes, not a work split.\n\
+                      fn f() { std::thread::scope(|_| ()); }\n";
+        assert!(run("crates/cli/src/commands.rs", marked).is_empty());
+        // Word-bounded: neither `available_parallelism` nor a look-alike.
+        let ok = "fn f() { let _ = std::thread::available_parallelism(); my_thread::spawn(); }\n";
+        assert!(run("crates/cli/src/commands.rs", ok).is_empty());
     }
 
     #[test]
