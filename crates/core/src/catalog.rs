@@ -457,10 +457,9 @@ mod tests {
     use crate::emission::EmissionTable;
     use crate::feature::PositiveModel;
     use crate::incremental::{SoftStatsGrid, StatsGrid};
-    use crate::init::segment_uniform;
     use crate::model::SkillModel;
     use crate::parallel::ParallelConfig;
-    use crate::reference::build_scalar;
+    use crate::reference::{build_scalar, segment_uniform};
     use crate::types::{item_id_from_index, Action, ActionSequence, Dataset, SkillAssignments};
     use crate::update::{fit_cells, fit_model};
 

@@ -495,15 +495,18 @@ where
     Ok((SkillAssignments { per_user }, pass.total_ll))
 }
 
-/// Chunked analogue of [`crate::init::initialize_model`]: uniform-in-time
-/// segmentation of long sequences, streamed chunk by chunk on one worker
-/// (the calling thread). The trainer runs the same pass on its workers.
+/// The initializer (§IV-B): uniform-in-time segmentation of long
+/// sequences, streamed chunk by chunk on one worker (the calling
+/// thread). [`crate::init::initialize_model`] runs it over an in-memory
+/// dataset's chunks, and the trainers run the same pass on their workers.
 ///
-/// Every accumulator receives its observations in the in-memory
-/// initializer's `(user, action)` order (users in corpus order, short
-/// users skipped), so the initial model is bitwise identical to
-/// `initialize_model(&materialize(source)?, ..)`, and an invalid value
-/// fails with the error the row path meets first.
+/// Every accumulator receives its observations in the row path's
+/// `(user, action)` order (users in corpus order, short users skipped),
+/// so the initial model is bitwise identical to
+/// [`crate::reference::initialize_model_rows`] on
+/// `materialize(source)?`. An invalid value that bypassed
+/// `Dataset::new` fails with the first error in `(chunk, user, action,
+/// feature)` order.
 pub fn initialize_model_chunked<S: ChunkSource + ?Sized>(
     source: &S,
     n_levels: usize,
@@ -1663,7 +1666,7 @@ mod tests {
     #[test]
     fn chunked_init_matches_in_memory() {
         let ds = trainer_dataset();
-        let expect = crate::init::initialize_model(&ds, 3, 8, 0.05).unwrap();
+        let expect = crate::reference::initialize_model_rows(&ds, 3, 8, 0.05).unwrap();
         for chunk_size in [1, 3, 64] {
             let chunks = DatasetChunks::new(&ds, chunk_size).unwrap();
             let got = initialize_model_chunked(&chunks, 3, 8, 0.05).unwrap();
@@ -1675,13 +1678,21 @@ mod tests {
     fn chunked_init_error_cases_match() {
         let ds = trainer_dataset();
         let chunks = DatasetChunks::new(&ds, 4).unwrap();
+        let rows = |n_levels, min_actions| {
+            crate::reference::initialize_model_rows(&ds, n_levels, min_actions, 0.05)
+        };
         assert!(matches!(
             initialize_model_chunked(&chunks, 0, 1, 0.05),
             Err(CoreError::InvalidSkillCount { requested: 0 })
         ));
+        assert_eq!(initialize_model_chunked(&chunks, 0, 1, 0.05), rows(0, 1));
         assert_eq!(
             initialize_model_chunked(&chunks, 3, 10_000, 0.05).unwrap_err(),
             CoreError::NoInitializationUsers { threshold: 10_000 }
+        );
+        assert_eq!(
+            initialize_model_chunked(&chunks, 3, 10_000, 0.05),
+            rows(3, 10_000)
         );
     }
 
@@ -1758,7 +1769,7 @@ mod tests {
                 .collect();
             let ds = Dataset::new(schema, items, sequences).unwrap();
             let bits = |m: Result<SkillModel>| m.map(|m| format!("{m:?}"));
-            let want = bits(crate::init::initialize_model(
+            let want = bits(crate::reference::initialize_model_rows(
                 &materialize(&DatasetChunks::new(&ds, 7).unwrap()).unwrap(),
                 n_levels,
                 min_actions,
@@ -1783,7 +1794,7 @@ mod tests {
         let mut any = false;
         for seq in ds.sequences().iter().filter(|s| s.len() >= min_actions) {
             any = true;
-            let levels = crate::init::segment_uniform(seq, n_levels);
+            let levels = crate::reference::segment_uniform(seq, n_levels);
             for (action, level) in seq.actions().iter().zip(levels) {
                 let row = &mut grid[usize::from(level) - 1];
                 for (acc, slot) in row.iter_mut().zip(catalog.item(action.item as usize)?) {

@@ -114,11 +114,9 @@ impl EmissionRows for DirectEmissions<'_> {
     }
 }
 
-/// Minimum items per stolen work unit in [`EmissionTable::build_parallel`].
-const PARALLEL_CHUNK: usize = 64;
-
-/// Item-tile width of the cache-blocked sequential fill
-/// ([`EmissionTable::build`] and [`EmissionTable::refresh_levels`]).
+/// Item-tile width of the emission fill: the tiles [`EmissionTable::build`]
+/// and [`EmissionTable::refresh_levels`] walk, and the jobs of
+/// [`EmissionTable::build_parallel`].
 ///
 /// The fill reads the catalog's columns, gathered once per dataset (see
 /// `crate::catalog`). Per tile it touches a `tile`-item window of them
@@ -187,19 +185,21 @@ fn poisoned_rows(columns: &CatalogColumns, range: Range<usize>) -> &[bool] {
     poison
 }
 
-/// Fills `out` — item-major rows, `out[j·S + s₀]` for item
-/// `range.start + j` — from the columnar kernels.
+/// Fills the `levels`-flagged cells of `out` — item-major rows,
+/// `out[j·S + s₀]` for item `range.start + j` — from the columnar
+/// kernels; the other cells keep their values.
 ///
 /// The scratch buffer is level-major (`scratch[s₀·m + j]`), so every
 /// kernel call writes one contiguous unit-stride run of `m` cells; rows
 /// are transposed into `out` once at the end. Cells accumulate feature
 /// contributions in schema order starting from `0.0`, the exact operation
 /// order of [`SkillModel::item_log_likelihood`]'s feature sum, so f64
-/// results are bitwise identical to the scalar path.
+/// results are bitwise identical to the scalar path whatever the mask.
 fn fill_rows_columnar(
     model: &SkillModel,
     columns: &CatalogColumns,
     range: Range<usize>,
+    levels: &[bool],
     scratch: &mut Vec<f64>,
     out: &mut [f64],
 ) {
@@ -211,7 +211,8 @@ fn fill_rows_columnar(
     }
     scratch.clear();
     scratch.resize(m * n_levels, 0.0);
-    for (s0, level_out) in scratch.chunks_mut(m).enumerate() {
+    let flagged_levels = scratch.chunks_mut(m).zip(levels).enumerate();
+    for (s0, (level_out, _)) in flagged_levels.filter(|(_, (_, &on))| on) {
         match model.level_row(skill_level_from_index(s0)) {
             Ok(row) => {
                 for (dist, column) in row.iter().zip(columns.columns()) {
@@ -225,13 +226,22 @@ fn fill_rows_columnar(
     }
     let poison = poisoned_rows(columns, range);
     for (j, row) in out.chunks_mut(n_levels).enumerate() {
-        if flagged(poison, j) {
-            row.fill(f64::NEG_INFINITY);
-            continue;
+        let poisoned = flagged(poison, j);
+        let cells = row.iter_mut().zip(scratch.iter().skip(j).step_by(m));
+        for ((cell, &v), _) in cells.zip(levels).filter(|&(_, &on)| on) {
+            *cell = if poisoned { f64::NEG_INFINITY } else { v };
         }
-        for (cell, &v) in row.iter_mut().zip(scratch.iter().skip(j).step_by(m)) {
-            *cell = v;
-        }
+    }
+}
+
+/// Fills the `levels`-flagged columns of a whole table's `data`, one
+/// `ITEM_TILE` tile after another on the calling thread.
+fn fill_tiles(model: &SkillModel, columns: &CatalogColumns, levels: &[bool], data: &mut [f64]) {
+    let (n_levels, mut scratch) = (model.n_levels(), Vec::new());
+    for (tile, window) in data.chunks_mut((ITEM_TILE * n_levels).max(1)).enumerate() {
+        let start = tile * ITEM_TILE;
+        let rows = start..start + window.len() / n_levels.max(1);
+        fill_rows_columnar(model, columns, rows, levels, &mut scratch, window);
     }
 }
 
@@ -350,21 +360,10 @@ impl EmissionTable {
     /// to [`crate::reference::build_scalar`], the direct assignment path,
     /// and the pre-tiling whole-axis fill, for every tile size.
     pub fn build(model: &SkillModel, dataset: &Dataset) -> Self {
-        let n_items = dataset.n_items();
-        let n_levels = model.n_levels();
+        let (n_items, n_levels) = (dataset.n_items(), model.n_levels());
         let mut data = vec![0.0f64; n_items * n_levels];
-        let mut scratch = Vec::new();
         let columns = dataset.catalog().columns();
-        for start in (0..n_items).step_by(ITEM_TILE.max(1)) {
-            let end = (start + ITEM_TILE).min(n_items);
-            fill_rows_columnar(
-                model,
-                columns,
-                start..end,
-                &mut scratch,
-                &mut data[start * n_levels..end * n_levels],
-            );
-        }
+        fill_tiles(model, columns, &vec![true; n_levels], &mut data);
         EmissionTable {
             n_items,
             n_levels,
@@ -423,34 +422,32 @@ impl EmissionTable {
     /// Builds the table with `threads` workers on the fan-out
     /// ([`crate::parallel::fan_out`]).
     ///
-    /// The output buffer is allocated once up front and split into
-    /// disjoint `PARALLEL_CHUNK`-row windows, one job each; the worker that
-    /// claims a window runs the columnar fill *directly into the final
-    /// buffer*, so there is no per-chunk row vector and no stitch copy at
-    /// the end. Falls back to the sequential build when one thread (or
-    /// one chunk) suffices.
+    /// The output buffer is allocated once up front and split into the
+    /// `ITEM_TILE`-row tiles of [`EmissionTable::build`], one job each;
+    /// the worker that claims a tile runs the columnar fill *directly into
+    /// the final buffer*, so there is no per-tile row vector and no
+    /// stitch copy at the end. One thread runs the tiles on the calling
+    /// thread. Bitwise identical to [`EmissionTable::build`].
     pub fn build_parallel(model: &SkillModel, dataset: &Dataset, threads: usize) -> Result<Self> {
         ParallelConfig::all(threads).validate()?;
-        let n_items = dataset.n_items();
-        let n_levels = model.n_levels();
-        let n_chunks = n_items.div_ceil(PARALLEL_CHUNK).max(1);
-        if threads <= 1 || n_chunks <= 1 || n_levels == 0 {
-            return Ok(Self::build(model, dataset));
-        }
+        let (n_items, n_levels) = (dataset.n_items(), model.n_levels());
         // Built here on first use, so workers only ever read the columns.
         let columns = dataset.catalog().columns();
         let mut data = vec![0.0f64; n_items * n_levels];
-        let windows = Owned::new(data.chunks_mut(PARALLEL_CHUNK * n_levels));
-        let mut scratch = vec![Vec::new(); threads.min(n_chunks)];
-        let fill = |chunk: usize, scratch: &mut Vec<f64>| {
-            let window = windows.take(chunk)?;
-            let start = chunk * PARALLEL_CHUNK;
+        let tile_len = (ITEM_TILE * n_levels).max(1);
+        let n_tiles = data.len().div_ceil(tile_len);
+        let tiles = Owned::new(data.chunks_mut(tile_len));
+        let all_levels = vec![true; n_levels];
+        let mut scratch = vec![Vec::new(); threads.min(n_tiles).max(1)];
+        let fill = |tile: usize, scratch: &mut Vec<f64>| {
+            let window = tiles.take(tile)?;
+            let start = tile * ITEM_TILE;
             let rows = start..start + window.len() / n_levels;
-            fill_rows_columnar(model, columns, rows, scratch, window);
+            fill_rows_columnar(model, columns, rows, &all_levels, scratch, window);
             Ok(())
         };
-        fan_out(n_chunks, n_chunks, &mut scratch, "emission table", fill, Ok)?;
-        drop(windows);
+        fan_out(n_tiles, n_tiles, &mut scratch, "emission table", fill, Ok)?;
+        drop(tiles);
         Ok(EmissionTable {
             n_items,
             n_levels,
@@ -549,8 +546,9 @@ impl EmissionTable {
             items.iter().map(|&item| dataset.item_features(item)),
         );
         let mut scratch = Vec::new();
-        let mut rows = vec![0.0f64; items.len() * n_levels];
-        fill_rows_columnar(model, &gathered, 0..items.len(), &mut scratch, &mut rows);
+        let (m, all_levels) = (items.len(), vec![true; n_levels]);
+        let mut rows = vec![0.0f64; m * n_levels];
+        fill_rows_columnar(model, &gathered, 0..m, &all_levels, &mut scratch, &mut rows);
         for (&item, row) in items.iter().zip(rows.chunks(n_levels.max(1))) {
             let i = item as usize;
             self.data[i * n_levels..(i + 1) * n_levels].copy_from_slice(row);
@@ -567,7 +565,9 @@ impl EmissionTable {
     /// distributions (bitwise) everywhere else, so the table columns of
     /// untouched levels are still exact — refreshing just the refit
     /// columns costs `n_items · n_refit · F` evaluations instead of a
-    /// full `n_items · S · F` rebuild.
+    /// full `n_items · S · F` rebuild. It walks the tiles of
+    /// [`EmissionTable::build`] with the flags as the level mask, so the
+    /// refreshed cells are bitwise a fresh build's.
     pub fn refresh_levels(
         &mut self,
         model: &SkillModel,
@@ -595,43 +595,9 @@ impl EmissionTable {
                 right: self.n_levels,
             });
         }
-        if !levels.iter().any(|&d| d) || self.n_items == 0 {
-            return Ok(());
-        }
-        let n_levels = self.n_levels;
-        // Cache-blocked like `build`: evaluate each dirty level over one
-        // item tile into a tile-sized contiguous scratch column, then
-        // scatter into column `s₀` of the tile's rows. Per-cell values
-        // are independent of the tile size, so this is bitwise identical
-        // to the whole-axis refresh for every tile width.
-        let columns = dataset.catalog().columns();
-        let mut column = vec![0.0f64; ITEM_TILE.min(self.n_items)];
-        for start in (0..self.n_items).step_by(ITEM_TILE.max(1)) {
-            let end = (start + ITEM_TILE).min(self.n_items);
-            let column = &mut column[..end - start];
-            let window = &mut self.data[start * n_levels..end * n_levels];
-            let poison = poisoned_rows(columns, start..end);
-            for (s0, _) in levels.iter().enumerate().filter(|&(_, &dirty)| dirty) {
-                column.fill(0.0);
-                match model.level_row(skill_level_from_index(s0)) {
-                    Ok(row) => {
-                        for (dist, feature_column) in row.iter().zip(columns.columns()) {
-                            evaluate_column(dist, feature_column, start..end, column);
-                        }
-                    }
-                    Err(_) => column.fill(f64::NEG_INFINITY),
-                }
-                for (cell, &bad) in column.iter_mut().zip(poison) {
-                    if bad {
-                        *cell = f64::NEG_INFINITY;
-                    }
-                }
-                for (row, &v) in window.chunks_mut(n_levels).zip(column.iter()) {
-                    if let Some(cell) = row.get_mut(s0) {
-                        *cell = v;
-                    }
-                }
-            }
+        if levels.contains(&true) {
+            let columns = dataset.catalog().columns();
+            fill_tiles(model, columns, levels, &mut self.data);
         }
         Ok(())
     }
@@ -772,6 +738,88 @@ mod tests {
         }
         // Wrong flag count is an error, not a silent zip.
         assert!(table.refresh_levels(&model_b, &ds, &[true]).is_err());
+
+        // Across tile edges, with a guard-flagged real and (where a table
+        // may score one) a hard-poisoned row: for every mask at S = 3 the
+        // flagged columns of a refreshed stale table are a fresh build's
+        // bits, the others the stale build's.
+        let ds = tiled_dataset();
+        let (stale, fresh) = (tiled_model(&ds, 0.0), tiled_model(&ds, 0.5));
+        let (old, new) = (
+            EmissionTable::build(&stale, &ds),
+            EmissionTable::build(&fresh, &ds),
+        );
+        let poisoned = [1, ITEM_TILE + 1].map(|i| new.row(i as ItemId));
+        let poisoned = &poisoned[..if crate::invariants::ENABLED { 1 } else { 2 }];
+        let neg_inf = |row: &&[f64]| row.iter().all(|&v| v == f64::NEG_INFINITY);
+        assert!(poisoned.iter().all(neg_inf));
+        for mask in 0..8u8 {
+            let levels: Vec<bool> = (0..3).map(|s0| mask >> s0 & 1 == 1).collect();
+            let mut table = old.clone();
+            table.refresh_levels(&fresh, &ds, &levels).unwrap();
+            for item in 0..ds.n_items() as ItemId {
+                for (s0, &on) in levels.iter().enumerate() {
+                    let want = if on { new.row(item) } else { old.row(item) };
+                    let (got, want) = (table.row(item)[s0].to_bits(), want[s0].to_bits());
+                    assert_eq!(got, want, "mask {mask:03b}, item {item}, level {s0}");
+                }
+            }
+        }
+    }
+
+    /// `3 · ITEM_TILE + 7` items over a categorical, a count, a gamma and
+    /// a log-normal feature. Item 1 holds a non-positive real (a guard
+    /// flag); item `ITEM_TILE + 1` a real in its count slot (a hard
+    /// poison) when the invariant layer is off, as it would panic there.
+    fn tiled_dataset() -> Dataset {
+        use crate::feature::PositiveModel;
+        let schema = FeatureSchema::new(vec![
+            FeatureKind::Categorical { cardinality: 3 },
+            FeatureKind::Count,
+            FeatureKind::Positive {
+                model: PositiveModel::Gamma,
+            },
+            FeatureKind::Positive {
+                model: PositiveModel::LogNormal,
+            },
+        ])
+        .unwrap();
+        let items = (0..3 * ITEM_TILE + 7)
+            .map(|i| {
+                vec![
+                    FeatureValue::Categorical((i % 3) as u32),
+                    FeatureValue::Count((i % 11) as u64),
+                    FeatureValue::Real(0.25 + (i % 17) as f64),
+                    FeatureValue::Real(1.5 + (i % 5) as f64),
+                ]
+            })
+            .collect();
+        let seq = ActionSequence::new(0, vec![Action::new(0, 0, 0)]).unwrap();
+        let mut ds = Dataset::new(schema, items, vec![seq]).unwrap();
+        ds.item_table_mut().edit_rows(|rows| {
+            rows[1][2] = FeatureValue::Real(-1.0);
+            if !crate::invariants::ENABLED {
+                rows[ITEM_TILE + 1][1] = FeatureValue::Real(2.0);
+            }
+        });
+        ds
+    }
+
+    fn tiled_model(ds: &Dataset, shift: f64) -> SkillModel {
+        use crate::dist::{Gamma, LogNormal};
+        let cells = (0..3)
+            .map(|s| {
+                let s = s as f64;
+                let p = [0.5 - 0.1 * s, 0.3, 0.2 + 0.1 * s];
+                vec![
+                    FeatureDistribution::Categorical(Categorical::from_probs(p.to_vec()).unwrap()),
+                    FeatureDistribution::Poisson(Poisson::new(1.0 + s + shift).unwrap()),
+                    FeatureDistribution::Gamma(Gamma::new(2.0 + s, 1.5 + shift).unwrap()),
+                    FeatureDistribution::LogNormal(LogNormal::new(0.1 * s + shift, 1.0).unwrap()),
+                ]
+            })
+            .collect();
+        SkillModel::new(ds.schema().clone(), 3, cells).unwrap()
     }
 
     fn mixed_setup() -> (SkillModel, Dataset) {
@@ -883,7 +931,7 @@ mod tests {
 
     #[test]
     fn parallel_build_matches_on_many_items() {
-        // More items than one chunk so real workers engage.
+        // More items than one tile so real workers engage.
         let schema = FeatureSchema::new(vec![FeatureKind::Categorical { cardinality: 4 }]).unwrap();
         let cells = vec![
             vec![FeatureDistribution::Categorical(
@@ -894,7 +942,7 @@ mod tests {
             )],
         ];
         let model = SkillModel::new(schema.clone(), 2, cells).unwrap();
-        let n_items = 3 * super::PARALLEL_CHUNK + 7;
+        let n_items = 3 * super::ITEM_TILE + 7;
         let items: Vec<Vec<FeatureValue>> = (0..n_items)
             .map(|i| vec![FeatureValue::Categorical((i % 4) as u32)])
             .collect();

@@ -44,8 +44,8 @@ use crate::model::SkillModel;
 use crate::parallel::{fan_out, job_len, ParallelConfig};
 use crate::types::{skill_level_from_index, Dataset, SkillAssignments};
 
-/// Minimum number of users per worker before parallel build/delta paths
-/// engage; below this the coordination cost exceeds the scan cost.
+/// Minimum number of users per worker of the grid build and delta; below
+/// this the coordination cost exceeds the scan cost.
 const MIN_USERS_PER_WORKER: usize = 8;
 
 /// Persistent per-level item histogram: the exact sufficient statistics of
@@ -126,11 +126,10 @@ impl StatsGrid {
     /// rows against `prev`'s: a level is dirty iff its row changed.
     ///
     /// This recovers incremental-refit dirty tracking for a grid rebuilt
-    /// from scratch: [`StatsGrid::apply_delta`] marks levels an action
-    /// moved in or out of, which is always a superset of the rows that
-    /// actually changed — and refitting an unchanged-row level reproduces
-    /// the reused distributions bit for bit, so the two dirty sets
-    /// produce identical models.
+    /// from scratch: it marks the rows [`StatsGrid::apply_delta`] would
+    /// have marked, as a delta marks exactly the levels whose row changed
+    /// (a level an action left and another entered on the same item stays
+    /// clean).
     pub fn mark_dirty_from(&mut self, prev: &StatsGrid) -> Result<()> {
         if prev.n_levels != self.n_levels || prev.n_items != self.n_items {
             return Err(CoreError::LengthMismatch {
@@ -174,40 +173,30 @@ impl StatsGrid {
         self.counts.iter().sum()
     }
 
-    /// Builds the grid from scratch with one sequential pass over the
-    /// dataset (`O(|A|)` integer increments).
+    /// Builds the grid from scratch (`O(|A|)` integer increments):
+    /// [`StatsGrid::build_parallel`] on one worker.
     pub fn build(
         dataset: &Dataset,
         assignments: &SkillAssignments,
         n_levels: usize,
     ) -> Result<Self> {
-        let mut grid = Self::new(n_levels, dataset.n_items())?;
-        validate_shape(dataset, assignments)?;
-        for (seq, levels) in dataset.sequences().iter().zip(&assignments.per_user) {
-            for (action, &level) in seq.actions().iter().zip(levels) {
-                let s = level_index(level, n_levels)?;
-                bump(&mut grid.counts, grid.n_items, s, action.item as usize)?;
-            }
-        }
-        Ok(grid)
+        Self::build_parallel(dataset, assignments, n_levels, 1)
     }
 
     /// Builds the grid with `threads` workers over disjoint user ranges,
-    /// adding per-worker deltas by integer addition — exact, so the
-    /// result is identical to [`StatsGrid::build`] for any thread count.
+    /// adding per-worker deltas by integer addition — exact, so every
+    /// thread count gives the same grid. A bad level or item is an error
+    /// (the first in user order), and no grid is returned.
     pub fn build_parallel(
         dataset: &Dataset,
         assignments: &SkillAssignments,
         n_levels: usize,
         threads: usize,
     ) -> Result<Self> {
-        let n_workers = threads.min(dataset.n_users() / MIN_USERS_PER_WORKER).max(1);
-        if n_workers <= 1 {
-            return Self::build(dataset, assignments, n_levels);
-        }
-        validate_shape(dataset, assignments)?;
         let mut grid = Self::new(n_levels, dataset.n_items())?;
+        validate_shape(dataset, assignments)?;
         let (sequences, per_user) = (dataset.sequences(), &assignments.per_user);
+        let n_workers = user_workers(dataset, threads);
         grid.add_user_deltas(n_workers, sequences.len(), "stats build", |u, delta| {
             let (Some(seq), Some(levels)) = (sequences.get(u), per_user.get(u)) else {
                 return Ok(0);
@@ -233,50 +222,26 @@ impl StatsGrid {
 
     /// Applies the assignment delta `prev → next`: for every action whose
     /// level moved, decrements the old `(level, item)` cell and increments
-    /// the new one. Returns the number of changed actions.
+    /// the new one. Returns the number of changed actions. This is
+    /// [`StatsGrid::apply_delta_parallel`] on one worker.
     ///
     /// `prev` must be the assignment the grid currently represents;
     /// removing from an empty cell (the tell-tale of a stale grid) is an
-    /// error, as are ragged inputs.
+    /// error, as are ragged inputs and out-of-range levels. A rejected
+    /// delta leaves the grid untouched.
     pub fn apply_delta(
         &mut self,
         dataset: &Dataset,
         prev: &SkillAssignments,
         next: &SkillAssignments,
     ) -> Result<usize> {
-        validate_shape(dataset, next)?;
-        validate_delta_shape(prev, next)?;
-        let mut changed = 0usize;
-        for ((seq, prev_u), next_u) in dataset
-            .sequences()
-            .iter()
-            .zip(&prev.per_user)
-            .zip(&next.per_user)
-        {
-            if prev_u == next_u {
-                continue; // fast path: slice compare, no per-action work
-            }
-            for ((action, &old), &new) in seq.actions().iter().zip(prev_u).zip(next_u) {
-                if old == new {
-                    continue;
-                }
-                let s_old = level_index(old, self.n_levels)?;
-                let s_new = level_index(new, self.n_levels)?;
-                let item = action.item as usize;
-                decrement(&mut self.counts, self.n_items, s_old, item)?;
-                bump(&mut self.counts, self.n_items, s_new, item)?;
-                mark_dirty(&mut self.dirty, s_old);
-                mark_dirty(&mut self.dirty, s_new);
-                changed += 1;
-            }
-        }
-        Ok(changed)
+        self.apply_delta_parallel(dataset, prev, next, 1)
     }
 
     /// [`StatsGrid::apply_delta`] with `threads` workers over disjoint user
     /// ranges, adding per-worker deltas by integer addition — exact, so
-    /// the result is identical to the sequential path for any thread
-    /// count.
+    /// every thread count gives the same grid, count and dirty flags (the
+    /// levels whose row changed), and the same error.
     pub fn apply_delta_parallel(
         &mut self,
         dataset: &Dataset,
@@ -284,13 +249,10 @@ impl StatsGrid {
         next: &SkillAssignments,
         threads: usize,
     ) -> Result<usize> {
-        let n_workers = threads.min(dataset.n_users() / MIN_USERS_PER_WORKER).max(1);
-        if n_workers <= 1 {
-            return self.apply_delta(dataset, prev, next);
-        }
         validate_shape(dataset, next)?;
         validate_delta_shape(prev, next)?;
         let sequences = dataset.sequences();
+        let n_workers = user_workers(dataset, threads);
         self.add_user_deltas(n_workers, sequences.len(), "stats delta", |u, delta| {
             let (Some(seq), Some(prev_u), Some(next_u)) =
                 (sequences.get(u), prev.per_user.get(u), next.per_user.get(u))
@@ -316,9 +278,9 @@ impl StatsGrid {
     /// jobs' changes into their own [`GridDelta`] through `visit` (which
     /// returns how many actions it moved), then adds the deltas into the
     /// grid. A job stops at its first error and the first error in user
-    /// order wins, leaving the grid untouched. Integer addition is exact,
-    /// so any worker count gives the same grid. Returns the summed
-    /// `visit` counts.
+    /// order wins; an error, or deltas that would take a cell below zero,
+    /// leave the grid untouched. Integer addition is exact, so any worker
+    /// count gives the same grid. Returns the summed `visit` counts.
     fn add_user_deltas(
         &mut self,
         n_workers: usize,
@@ -338,8 +300,11 @@ impl StatsGrid {
             changed += n;
             Ok(())
         })?;
-        for delta in &mut deltas {
-            self.add_delta(delta)?;
+        if let Some((total, rest)) = deltas.split_first_mut() {
+            for delta in rest {
+                total.absorb(delta);
+            }
+            self.add_delta(total)?;
         }
         Ok(changed)
     }
@@ -382,13 +347,27 @@ impl StatsGrid {
     /// only the cells it touched — `O(changes)`, not `O(S · n_items)`. A
     /// level is marked dirty iff one of its cells changed. A shape
     /// mismatch, or a delta taking a cell below zero (removing an action
-    /// the grid never observed), is an error.
+    /// the grid never observed), is an error that changes neither the
+    /// grid, its dirty flags nor the delta: every touched cell is checked
+    /// before any is written.
     pub(crate) fn add_delta(&mut self, delta: &mut GridDelta) -> Result<()> {
         if delta.n_levels != self.n_levels || delta.n_items != self.n_items {
             return Err(CoreError::LengthMismatch {
                 context: "grid delta shape",
                 left: delta.cells.len(),
                 right: self.counts.len(),
+            });
+        }
+        let underflows = delta.touched.iter().any(|&index| {
+            let (Some(&d), Some(&cell)) = (delta.cells.get(index), self.counts.get(index)) else {
+                return false;
+            };
+            (cell as i128) + (d as i128) < 0
+        });
+        if underflows {
+            return Err(CoreError::DegenerateFit {
+                distribution: "stats grid",
+                reason: "delta removes an action the grid never observed",
             });
         }
         for index in delta.touched.drain(..) {
@@ -401,14 +380,7 @@ impl StatsGrid {
                 continue; // cancelled out, or listed twice
             }
             mark_dirty(&mut self.dirty, index / self.n_items);
-            let updated = *cell as i128 + d as i128;
-            if updated < 0 {
-                return Err(CoreError::DegenerateFit {
-                    distribution: "stats grid",
-                    reason: "delta removes an action the grid never observed",
-                });
-            }
-            *cell = updated as u64;
+            *cell = (*cell as i128 + d as i128) as u64;
         }
         Ok(())
     }
@@ -852,38 +824,6 @@ fn fit_levels<W: GridCell>(
     SkillModel::new(schema.clone(), n_levels, grid)
 }
 
-/// Increments the `(level s, item)` cell of a flat `S × n_items` grid,
-/// reporting an out-of-range coordinate instead of panicking.
-#[inline]
-fn bump(counts: &mut [u64], n_items: usize, s: usize, item: usize) -> Result<()> {
-    let cell = counts
-        .get_mut(s * n_items + item)
-        .ok_or(CoreError::FeatureIndexOutOfBounds {
-            index: item,
-            len: n_items,
-        })?;
-    *cell += 1;
-    Ok(())
-}
-
-/// Decrements the `(level s, item)` cell, failing on out-of-range
-/// coordinates *and* on removing an action the grid never observed (the
-/// tell-tale of a stale grid).
-#[inline]
-fn decrement(counts: &mut [u64], n_items: usize, s: usize, item: usize) -> Result<()> {
-    let cell = counts
-        .get_mut(s * n_items + item)
-        .ok_or(CoreError::FeatureIndexOutOfBounds {
-            index: item,
-            len: n_items,
-        })?;
-    *cell = cell.checked_sub(1).ok_or(CoreError::DegenerateFit {
-        distribution: "stats grid",
-        reason: "delta removes an action the grid never observed",
-    })?;
-    Ok(())
-}
-
 /// Signed per-cell changes to a [`StatsGrid`], accumulated apart from it
 /// (one per worker) and added with [`StatsGrid::add_delta`]. Integer
 /// addition is exact and order-free, so any split of the changes over
@@ -933,6 +873,28 @@ impl GridDelta {
         *cell += by;
         Ok(())
     }
+
+    /// Moves `other`'s changes into this delta and zeroes `other`; both
+    /// have one shape (the workers' deltas of one step).
+    fn absorb(&mut self, other: &mut GridDelta) {
+        for index in other.touched.drain(..) {
+            let (Some(from), Some(to)) = (other.cells.get_mut(index), self.cells.get_mut(index))
+            else {
+                continue;
+            };
+            let d = std::mem::take(from);
+            if d != 0 && *to == 0 {
+                self.touched.push(index);
+            }
+            *to += d;
+        }
+    }
+}
+
+/// Workers for a step over `dataset`'s users: `threads`, but no fewer
+/// than `MIN_USERS_PER_WORKER` users each, and at least one.
+fn user_workers(dataset: &Dataset, threads: usize) -> usize {
+    threads.min(dataset.n_users() / MIN_USERS_PER_WORKER).max(1)
 }
 
 /// Sets the dirty flag of level row `s` (no-op out of range; callers
@@ -1203,6 +1165,38 @@ mod tests {
             let moved = grid.apply_delta_parallel(&ds, &good, &bad, threads);
             assert_eq!(moved, first.clone().map(|_| 0), "delta, threads={threads}");
         }
+        // A rejected delta leaves counts and dirty flags as they were, at
+        // every worker count; under 16 users every count runs one worker.
+        for n_users in [64, 12] {
+            let ds = build_dataset(n_users, 6);
+            let good = staircase_assignments(&ds, 3);
+            let mut moved = good.clone();
+            for levels in &mut moved.per_user {
+                levels.fill(2);
+            }
+            let mut bad = moved.clone();
+            bad.per_user[n_users - 2][1] = 9;
+            let mut grid = StatsGrid::build(&ds, &good, 3).unwrap();
+            grid.fit_model_incremental(&ds, 0.01, &ParallelConfig::sequential(), None)
+                .unwrap();
+            for threads in 1..=4 {
+                let want = Err(CoreError::InvalidSkillCount { requested: 9 });
+                let tag = format!("{n_users} users, threads={threads}");
+                let mut got = grid.clone();
+                assert_eq!(got.apply_delta(&ds, &good, &bad), want, "{tag}");
+                assert_unchanged(&got, &grid, &tag);
+                let moved = got.apply_delta_parallel(&ds, &good, &bad, threads);
+                assert_eq!(moved, want, "{tag}");
+                assert_unchanged(&got, &grid, &tag);
+            }
+        }
+    }
+
+    /// Counts and dirty flags both as in `before` (`PartialEq` compares
+    /// the counts only).
+    fn assert_unchanged(grid: &StatsGrid, before: &StatsGrid, tag: &str) {
+        assert_eq!(grid, before, "counts, {tag}");
+        assert_eq!(grid.dirty_levels(), before.dirty_levels(), "dirty, {tag}");
     }
 
     #[test]
@@ -1237,11 +1231,16 @@ mod tests {
         // mismatches are errors.
         assert!(delta.shift(4, 1, 1).is_err());
         assert!(delta.shift(0, 4, 1).is_err());
+        // An underflow after cells that would apply writes none of them.
+        delta.shift(2, 1, 1).unwrap();
+        delta.shift(0, 3, 1).unwrap();
         delta.shift(3, 3, -1).unwrap();
+        let before = grid.clone();
         assert!(matches!(
             grid.add_delta(&mut delta),
             Err(CoreError::DegenerateFit { .. })
         ));
+        assert_unchanged(&grid, &before, "underflow");
         assert!(matches!(
             grid.add_delta(&mut GridDelta::new(2, 4)),
             Err(CoreError::LengthMismatch { .. })
@@ -1286,6 +1285,23 @@ mod tests {
             empty.apply_delta(&ds, &a, &moved),
             Err(CoreError::DegenerateFit { .. })
         ));
+        // A grid that is stale for user 1 only: user 0's valid moves come
+        // first, and none of them is written, at any worker count.
+        let mut grid = StatsGrid::build(&ds, &a, 2).unwrap();
+        grid.dirty.fill(false);
+        let before = grid.clone();
+        let (mut prev, mut next) = (a.clone(), a.clone());
+        next.per_user[0].fill(1);
+        prev.per_user[1].fill(2);
+        let underflow = |got: Result<usize>| matches!(got, Err(CoreError::DegenerateFit { .. }));
+        assert!(underflow(grid.apply_delta(&ds, &prev, &next)));
+        assert_unchanged(&grid, &before, "apply_delta");
+        for threads in 1..=4 {
+            assert!(underflow(
+                grid.apply_delta_parallel(&ds, &prev, &next, threads)
+            ));
+            assert_unchanged(&grid, &before, &format!("threads={threads}"));
+        }
     }
 
     /// Bit-exact model fingerprint: `{:?}` prints every `f64` in its

@@ -7,33 +7,19 @@
 //! contiguous groups that are uniform *in time*, label the `s`-th group
 //! with skill `s`, and fit the initial parameters from those labels.
 
-use crate::error::{CoreError, Result};
+use crate::chunked::{in_memory_chunk_size, initialize_model_chunked, DatasetChunks};
+use crate::error::Result;
 use crate::model::SkillModel;
-use crate::types::{ActionSequence, Dataset, SkillAssignments, SkillLevel, Timestamp};
-use crate::update::fit_model;
+use crate::parallel::ParallelConfig;
+use crate::types::{Dataset, SkillLevel, Timestamp};
 
-/// Uniform-in-time segmentation of one sequence into `n_levels` groups.
+/// Uniform-in-time segmentation of one user's (sorted) timestamps into
+/// `n_levels` groups, appended to `out`, so a chunk pass can segment all
+/// its users into one reused buffer.
 ///
 /// Each action gets the level of the time bucket it falls into; buckets
 /// divide `[t_first, t_last]` evenly. Degenerate spans (all actions at one
 /// instant) fall back to uniform-by-index segmentation.
-pub fn segment_uniform(sequence: &ActionSequence, n_levels: usize) -> Vec<SkillLevel> {
-    let times: Vec<Timestamp> = sequence.actions().iter().map(|a| a.time).collect();
-    segment_uniform_times(&times, n_levels)
-}
-
-/// [`segment_uniform`] over a bare (sorted) timestamp column — the form
-/// the chunked trainer uses, where sequences live as columnar slices
-/// rather than [`ActionSequence`] values. Identical arithmetic in
-/// identical order: bitwise-equal labels for the same timestamps.
-pub fn segment_uniform_times(times: &[Timestamp], n_levels: usize) -> Vec<SkillLevel> {
-    let mut levels = Vec::with_capacity(times.len());
-    segment_uniform_times_into(times, n_levels, &mut levels);
-    levels
-}
-
-/// [`segment_uniform_times`] appending to `out`, so a chunk pass can
-/// segment all its users into one reused buffer.
 ///
 /// Offsets from the first timestamp are taken as `u64` distances
 /// (`abs_diff`), so a sequence spanning more than `i64::MAX` segments
@@ -72,39 +58,35 @@ pub(crate) fn segment_uniform_times_into(
 ///
 /// Only users with at least `min_actions` actions contribute to the initial
 /// parameter fit (the paper's `U_{≥N}`); all users participate in the
-/// subsequent training iterations.
+/// subsequent training iterations. This is
+/// [`initialize_model_chunked`] over the dataset's user chunks, on the
+/// calling thread; [`crate::reference::initialize_model_rows`] is its
+/// row-path oracle. A sequence whose times go backwards (a deserialized
+/// dataset skips the sort) is [`crate::error::CoreError::UnsortedSequence`].
 pub fn initialize_model(
     dataset: &Dataset,
     n_levels: usize,
     min_actions: usize,
     lambda: f64,
 ) -> Result<SkillModel> {
-    if n_levels == 0 {
-        return Err(CoreError::InvalidSkillCount { requested: 0 });
-    }
-    if dataset.n_actions() == 0 {
-        return Err(CoreError::EmptyDataset);
-    }
-    let long = dataset.subset_users(|s| s.len() >= min_actions)?;
-    if long.n_actions() == 0 {
-        return Err(CoreError::NoInitializationUsers {
-            threshold: min_actions,
-        });
-    }
-    let per_user: Vec<Vec<SkillLevel>> = long
-        .sequences()
-        .iter()
-        .map(|s| segment_uniform(s, n_levels))
-        .collect();
-    let assignments = SkillAssignments { per_user };
-    fit_model(&long, &assignments, n_levels, lambda)
+    let chunk_size = in_memory_chunk_size(dataset, &ParallelConfig::sequential());
+    let chunks = DatasetChunks::new(dataset, chunk_size)?;
+    initialize_model_chunked(&chunks, n_levels, min_actions, lambda)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
     use crate::feature::{FeatureKind, FeatureSchema, FeatureValue};
-    use crate::types::Action;
+    use crate::reference::{initialize_model_rows, segment_uniform};
+    use crate::types::{Action, ActionSequence, SkillAssignments};
+
+    fn segment_uniform_times(times: &[Timestamp], n_levels: usize) -> Vec<SkillLevel> {
+        let mut levels = Vec::new();
+        segment_uniform_times_into(times, n_levels, &mut levels);
+        levels
+    }
 
     fn seq_with_times(times: &[i64]) -> ActionSequence {
         ActionSequence::new(0, times.iter().map(|&t| Action::new(t, 0, 0)).collect()).unwrap()
@@ -114,6 +96,7 @@ mod tests {
     fn empty_sequence_segments_empty() {
         let seq = ActionSequence::new(0, vec![]).unwrap();
         assert!(segment_uniform(&seq, 3).is_empty());
+        assert!(segment_uniform_times(&[], 3).is_empty());
     }
 
     #[test]
@@ -217,6 +200,8 @@ mod tests {
         let want = format!("{:?}", fit_model(&ds, &assignments, 2, 0.01).unwrap());
         let got = initialize_model(&ds, 2, 1, 0.01).unwrap();
         assert_eq!(format!("{got:?}"), want);
+        let rows = initialize_model_rows(&ds, 2, 1, 0.01).unwrap();
+        assert_eq!(format!("{rows:?}"), want);
         for chunk_size in [1, 2] {
             let chunks = DatasetChunks::new(&ds, chunk_size).unwrap();
             let got = initialize_model_chunked(&chunks, 2, 1, 0.01).unwrap();

@@ -39,6 +39,18 @@
 //! order, so the first error in job order wins and every order-sensitive
 //! fold sees the sequential order. Every thread count gives bitwise the
 //! sequential result.
+//!
+//! Each step has one body. One worker runs on the calling thread and
+//! spawns nothing, so a step's one-worker form is its fan-out at one
+//! worker, not a second loop: [`EmissionTable::build_parallel`] and
+//! [`EmissionTable::refresh_levels`] fill the tiles of
+//! [`EmissionTable::build`] with one masked tile body, the
+//! [`StatsGrid`](crate::incremental::StatsGrid) build and delta are their
+//! parallel forms at one worker, and
+//! [`initialize_model`](crate::init::initialize_model) is the chunk
+//! initializer on one worker. Steps that own state apply nothing until
+//! every job has succeeded, so a rejected grid build or delta leaves the
+//! grid untouched at every worker count.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

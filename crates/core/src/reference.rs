@@ -12,6 +12,7 @@
 //! | [`forward_backward`] | [`FbWorkspace`](crate::em::FbWorkspace) (flat reused lattices, hoisted transition log-probabilities) | bitwise |
 //! | [`train_em_full`] | [`train_em_with_parallelism`](crate::em::train_em_with_parallelism) (responsibility deltas) | within the gate tolerance; bitwise equal to [`train_em_chunked`](crate::chunked::train_em_chunked) |
 //! | [`rerank_band_full_sort`] | [`rerank_band`](crate::policy::rerank_band) (bounded per-stratum top-k) | bitwise |
+//! | [`initialize_model_rows`] | [`initialize_model`] (the chunk initializer) | bitwise, and the same error for a zero level count, an empty dataset or no qualifying user |
 //!
 //! They used to be runtime switches on
 //! [`ParallelConfig`](crate::parallel::ParallelConfig). None earned a
@@ -26,7 +27,7 @@ use crate::dist::FeatureDistribution;
 use crate::em::{log_sum_exp, EmConfig, EmResult, WeightedAcc};
 use crate::emission::{DirectEmissions, EmissionTable};
 use crate::error::{CoreError, Result};
-use crate::init::initialize_model;
+use crate::init::{initialize_model, segment_uniform_times_into};
 use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
 use crate::parallel::{assign_all_parallel_with_table, ParallelConfig};
@@ -36,6 +37,7 @@ use crate::train::{IterationStats, TrainConfig, TrainResult};
 use crate::transition::TransitionModel;
 use crate::types::{
     skill_level_from_index, ActionSequence, Dataset, ItemId, SkillAssignments, SkillLevel,
+    Timestamp,
 };
 use crate::update::fit_model;
 
@@ -145,6 +147,45 @@ fn count_changed(a: &SkillAssignments, b: &SkillAssignments) -> Result<usize> {
         total += x.iter().zip(y).filter(|(l, r)| l != r).count();
     }
     Ok(total)
+}
+
+/// Uniform-in-time segmentation of one sequence into `n_levels` groups:
+/// the chunk initializer's segmentation over the sequence's timestamps.
+/// An action before the first (unsorted input) keeps level 1.
+pub fn segment_uniform(sequence: &ActionSequence, n_levels: usize) -> Vec<SkillLevel> {
+    let times: Vec<Timestamp> = sequence.actions().iter().map(|a| a.time).collect();
+    let mut levels = Vec::with_capacity(times.len());
+    segment_uniform_times_into(&times, n_levels, &mut levels);
+    levels
+}
+
+/// The row-path initializer: copies out the users with at least
+/// `min_actions` actions, labels each of their sequences with
+/// [`segment_uniform`] and fits the model from those labels in action
+/// order ([`crate::update::fit_model`]). The bitwise baseline of
+/// [`initialize_model`], which folds the same labels chunk by chunk.
+pub fn initialize_model_rows(
+    dataset: &Dataset,
+    n_levels: usize,
+    min_actions: usize,
+    lambda: f64,
+) -> Result<SkillModel> {
+    if n_levels == 0 {
+        return Err(CoreError::InvalidSkillCount { requested: 0 });
+    }
+    if dataset.n_actions() == 0 {
+        return Err(CoreError::EmptyDataset);
+    }
+    let long = dataset.subset_users(|s| s.len() >= min_actions)?;
+    if long.n_actions() == 0 {
+        return Err(CoreError::NoInitializationUsers {
+            threshold: min_actions,
+        });
+    }
+    let per_user = (long.sequences().iter())
+        .map(|s| segment_uniform(s, n_levels))
+        .collect();
+    fit_model(&long, &SkillAssignments { per_user }, n_levels, lambda)
 }
 
 /// Forward–backward with one `Vec<Vec<f64>>` lattice per pass and the

@@ -25,11 +25,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::chunked::{in_memory_chunk_size, train_chunked_keeping, ChunkedDataset};
+use crate::chunked::{
+    in_memory_chunk_size, initialize_on_workers, train_chunked_keeping, ChunkedDataset,
+    DatasetChunks,
+};
 use crate::dist::DEFAULT_SMOOTHING;
 use crate::em::{EmConfig, EmResult};
 use crate::error::{CoreError, Result};
-use crate::init::initialize_model;
 use crate::model::SkillModel;
 use crate::parallel::{assign_all_parallel, ParallelConfig};
 use crate::transition::TransitionModel;
@@ -291,18 +293,22 @@ impl Trainer {
     /// unset/zero — EM has no churn notion and is not instrumented
     /// per-iteration), and the soft model is closed with one hard decode
     /// so `assignments` and `log_likelihood` mean the same thing in both
-    /// modes.
+    /// modes. The EM arm initializes as [`Trainer::fit_chunked`] does: the
+    /// chunk initializer on the configured workers, over the dataset's
+    /// user chunks.
     pub fn fit(&self, dataset: &Dataset) -> Result<TrainResult> {
         self.parallel.validate()?;
         if self.mode == TrainMode::Hard {
             return train_with_parallelism(dataset, &self.config, &self.parallel);
         }
         self.config.validate()?;
-        let initial = initialize_model(
-            dataset,
+        let chunk_size = in_memory_chunk_size(dataset, &self.parallel);
+        let initial = initialize_on_workers(
+            &DatasetChunks::new(dataset, chunk_size)?,
             self.config.n_levels,
             self.config.min_init_actions,
             self.config.lambda,
+            &self.parallel,
         )?;
         let (em, trace) = self.fit_em(initial, |cfg| {
             crate::em::train_em_with_parallelism(dataset, cfg, &self.parallel)

@@ -11,10 +11,9 @@ use upskill_core::em::EmConfig;
 use upskill_core::emission::EmissionTable;
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveModel};
 use upskill_core::incremental::{SoftStatsGrid, StatsGrid};
-use upskill_core::init::initialize_model;
 use upskill_core::model::SkillModel;
 use upskill_core::parallel::ParallelConfig;
-use upskill_core::reference::build_scalar;
+use upskill_core::reference::{build_scalar, initialize_model_rows};
 use upskill_core::streaming::{RefitPolicy, StreamingSession};
 use upskill_core::train::{train_with_parallelism, TrainConfig};
 use upskill_core::transition::TransitionModel;
@@ -194,7 +193,7 @@ fn fit_outcomes(bad: &Dataset, initial: &SkillModel, with_table: bool) -> Vec<St
             "{:?}",
             initialize_model_chunked(&chunks, S, 4, LAMBDA).err()
         ),
-        format!("{:?}", initialize_model(bad, S, 4, LAMBDA).err()),
+        format!("{:?}", initialize_model_rows(bad, S, 4, LAMBDA).err()),
         format!(
             "{:?}",
             soft.fit_model_incremental(bad, LAMBDA, &seq, None).err()
