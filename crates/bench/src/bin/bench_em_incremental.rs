@@ -1,21 +1,21 @@
-//! Incremental-EM benchmark — whole-training wall time of the
-//! responsibility-delta incremental EM path (persistent `SoftStatsGrid`,
-//! dirty-level weighted refits, column-refreshed emission table) vs. the
-//! from-scratch EM reference (`reference::train_em_full`), at the
-//! acceptance workload: 200 items, 500 users × 100 mean actions, S=5,
-//! mixed feature kinds.
+//! EM benchmark — whole-training wall time of the library's EM loop
+//! (`em::train_em_with_parallelism`: the chunk pass folding each
+//! iteration's posteriors into a fresh `S × n_items` responsibility-mass
+//! grid, refit item-major) vs. the from-scratch EM reference
+//! (`reference::train_em_full`), at the acceptance workload: 200 items,
+//! 500 users × 100 mean actions, S=5, mixed feature kinds. The report and
+//! floor keep their `incremental` names.
 //!
-//! Both paths run the identical forward–backward E-step; the incremental
-//! path replaces the `O(|A| · S · F)` per-action weighted accumulation of
-//! the M-step with `O(|A| · S)` gated responsibility deltas plus an
-//! `O(S_dirty · n_items · F)` item-major replay, and refreshes only dirty
-//! emission-table columns instead of rebuilding the table. The report
-//! records medians over several runs, the speedup (median of per-repeat
-//! ratios) under the `em_incremental.speedup` floor, and a result-equality
-//! check: evidence traces within 1e-9 relative per iteration and final
-//! models scoring every item within 1e-9 relative (the replay sums
-//! responsibility mass in item order rather than action order, so bitwise
-//! equality is not expected).
+//! Both paths run the identical forward–backward E-step; the loop
+//! replaces the `O(|A| · S · F)` per-action weighted accumulation of the
+//! M-step with `O(|A| · S)` mass additions plus an `O(S · n_items · F)`
+//! item-major replay. The report records medians over several runs, the
+//! speedup (median of per-repeat ratios) under the
+//! `em_incremental.speedup` floor, and a result-equality check: evidence
+//! traces within 1e-9 relative per iteration and final models scoring
+//! every item within 1e-9 relative (the loop sums responsibility mass
+//! per item before it meets the feature values, so bitwise equality is
+//! not expected).
 
 use serde::Serialize;
 use std::time::Instant;
@@ -64,7 +64,7 @@ fn results_identical(a: &EmResult, b: &EmResult, dataset: &Dataset) -> bool {
 
 fn main() {
     let scale = Scale::from_env();
-    banner("Incremental EM: responsibility deltas vs from-scratch accumulation");
+    banner("EM: responsibility-mass grid vs per-action accumulation");
 
     let (n_users, mean_len, repeats, max_iters) = match scale {
         Scale::Quick => (50, 30.0, 3, 8),
@@ -117,7 +117,7 @@ fn main() {
         format!("{full_s:.4}"),
     ]);
     out.row(vec![
-        "incremental (responsibility deltas)".into(),
+        "EM loop (responsibility-mass grid)".into(),
         format!("{incr_s:.4}"),
     ]);
     out.print();

@@ -456,7 +456,7 @@ mod tests {
     use crate::em::WeightedAcc;
     use crate::emission::EmissionTable;
     use crate::feature::PositiveModel;
-    use crate::incremental::{SoftStatsGrid, StatsGrid};
+    use crate::incremental::{MassGrid, StatsGrid};
     use crate::model::SkillModel;
     use crate::parallel::ParallelConfig;
     use crate::reference::{build_scalar, segment_uniform};
@@ -564,7 +564,7 @@ mod tests {
     }
 
     /// The soft M-step replayed from the item rows.
-    fn replay_soft(ds: &Dataset, grid: &SoftStatsGrid) -> Result<SkillModel> {
+    fn replay_soft(ds: &Dataset, grid: &MassGrid) -> Result<SkillModel> {
         let mut cells = Vec::new();
         for s in 0..S {
             let mut accs: Vec<WeightedAcc> = schema()
@@ -573,7 +573,7 @@ mod tests {
                 .map(|&k| WeightedAcc::new(k))
                 .collect();
             for (item, row) in ds.items().iter().enumerate() {
-                let weight = grid.weight(s, item);
+                let weight = grid.mass(s, item);
                 if weight <= 0.0 {
                     continue;
                 }
@@ -653,11 +653,10 @@ mod tests {
 
         let grid = StatsGrid::build(&base, &hard, S).unwrap();
         let want_hard = bits(&replay_hard(&base, &grid).unwrap());
-        let mut soft = SoftStatsGrid::new(S, base.n_items(), base.n_actions(), 0.0).unwrap();
+        let mut soft = MassGrid::new(S, base.n_items()).unwrap();
         for (a, action) in base.actions().enumerate() {
             let g = (a % 7) as f64 / 7.0;
-            soft.update_action(a, action.item, &[g, 1.0 - g, 0.25 * g])
-                .unwrap();
+            soft.add(action.item, &[g, 1.0 - g, 0.25 * g]).unwrap();
         }
         let want_soft = bits(&replay_soft(&base, &soft).unwrap());
         let labelled = base.sequences().iter().zip(hard.per_user.clone());
@@ -681,8 +680,7 @@ mod tests {
                 assert_eq!(bits(&got.unwrap()), want_hard, "hard fit, {state}");
             }
             for (state, ds) in variants(&make) {
-                let mut soft = soft.clone();
-                let got = soft.fit_model_incremental(&ds, LAMBDA, &parallel, None);
+                let got = soft.fit_model(&ds, LAMBDA, &parallel);
                 assert_eq!(bits(&got.unwrap()), want_soft, "soft fit, {state}");
             }
         }

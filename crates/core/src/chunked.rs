@@ -38,22 +38,21 @@
 //! - Initialization counts categorical features on the workers (integer,
 //!   order-free) and folds count and real sums on the calling thread in
 //!   global action order.
-//! - Soft (EM) statistics are folded through the weighted accumulators
-//!   in global action order during a sequential apply phase, mirroring
-//!   the from-scratch EM accumulation
-//!   ([`crate::reference::train_em_full`]).
+//! - Soft (EM) statistics are one fresh responsibility-mass grid per
+//!   iteration ([`MassGrid`]), which the calling thread folds in global
+//!   action order; the M-step is the hard grid's.
 
 use std::ops::Range;
 use std::time::Instant;
 
 use crate::assign::{assign_items_into, AssignWorkspace};
 use crate::catalog::{flagged, Catalog, Column, FeatureSlot};
-use crate::dist::{FeatureAccumulator, FeatureDistribution};
-use crate::em::{EmConfig, EmResult, FbWorkspace, WeightedAcc};
+use crate::dist::FeatureAccumulator;
+use crate::em::{EmConfig, EmResult, FbWorkspace};
 use crate::emission::{EmissionRows, EmissionTable};
 use crate::error::{CoreError, Result};
 use crate::feature::FeatureSchema;
-use crate::incremental::{GridDelta, StatsGrid};
+use crate::incremental::{GridDelta, MassGrid, StatsGrid};
 use crate::init::segment_uniform_times_into;
 use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
@@ -1395,20 +1394,19 @@ fn process_chunk_em<S: ChunkSource + ?Sized>(
     })
 }
 
-/// Chunk-at-a-time EM: the out-of-core twin of the from-scratch EM loop
-/// ([`crate::reference::train_em_full`]).
+/// The EM loop, chunk at a time; it is also
+/// [`crate::em::train_em_with_parallelism`]'s loop, over
+/// [`ChunkedDataset`].
 ///
-/// Workers run the flat-buffer forward–backward per chunk; posterior
-/// rows are folded through the weighted accumulators sequentially **in
-/// global action order** and evidences in global user order, so the
-/// evidence trace and fitted model are bitwise identical to the
-/// in-memory from-scratch EM on the materialized dataset, for any
-/// `chunk_size` and worker count. Per-wave posterior buffers are the
-/// only γ storage — memory stays bounded by `chunk_size × workers × S`,
-/// never corpus-sized (which is also why this mirrors the from-scratch
-/// loop and not the responsibility-delta incremental EM, whose
-/// [`SoftStatsGrid`](crate::incremental::SoftStatsGrid) stores one
-/// posterior row per corpus action).
+/// Workers run the flat-buffer forward–backward per chunk. The calling
+/// thread folds evidences in global user order and posterior rows into
+/// a fresh [`MassGrid`] in global action order, and the model is refit
+/// from that grid. So the evidence trace and fitted model are bitwise
+/// identical for any `chunk_size` and worker count, and agree with the
+/// per-action accumulation of [`crate::reference::train_em_full`] to
+/// rounding. Posterior rows live only in one wave's outcomes and the
+/// grid is catalog-sized, so memory stays bounded by
+/// `chunk_size × workers × S` plus `S × n_items`.
 pub fn train_em_chunked<S: ChunkSource + ?Sized>(
     source: &S,
     config: &EmConfig,
@@ -1419,9 +1417,7 @@ pub fn train_em_chunked<S: ChunkSource + ?Sized>(
         return Err(CoreError::EmptyDataset);
     }
     let view = source.item_view();
-    let catalog = view.catalog();
     let n_levels = config.initial.n_levels();
-    let schema = view.schema().clone();
     let mut model = config.initial.clone();
     let mut trace = Vec::new();
     let mut converged = false;
@@ -1435,22 +1431,12 @@ pub fn train_em_chunked<S: ChunkSource + ?Sized>(
         .collect();
 
     for _ in 0..config.max_iterations {
-        let mut grid: Vec<Vec<WeightedAcc>> = (0..n_levels)
-            .map(|_| {
-                schema
-                    .kinds()
-                    .iter()
-                    .map(|&k| WeightedAcc::new(k))
-                    .collect()
-            })
-            .collect();
         let table = EmissionTable::build_with_config(&model, view, parallel)?;
+        let mut mass = MassGrid::new(n_levels, view.n_items())?;
         let mut evidence = 0.0;
-        // Apply in chunk order: evidence folds in user order, accumulator
-        // pushes in global action order — exactly the from-scratch loop's
-        // operation sequence.
-        // One chunk per worker per wave keeps the posterior buffers at
-        // `chunk_size × workers × S`.
+        // Apply in chunk order: evidence folds in user order, mass in
+        // global action order. One chunk per worker per wave keeps the
+        // posterior buffers at `chunk_size × workers × S`.
         fan_out(
             n_chunks,
             states.len(),
@@ -1461,27 +1447,14 @@ pub fn train_em_chunked<S: ChunkSource + ?Sized>(
                 for &ev in &outcome.user_evidences {
                     evidence += ev;
                 }
-                for (item, gamma) in outcome.items.iter().zip(outcome.gammas.chunks(n_levels)) {
-                    let slots = catalog.item(*item as usize)?;
-                    for (s, &weight) in gamma.iter().enumerate() {
-                        if weight <= 0.0 {
-                            continue;
-                        }
-                        for (acc, slot) in grid[s].iter_mut().zip(slots.clone()) {
-                            acc.push_slot(slot, weight)?;
-                        }
-                    }
+                for (&item, gamma) in outcome.items.iter().zip(outcome.gammas.chunks(n_levels)) {
+                    mass.add(item, gamma)?;
                 }
                 Ok(())
             },
         )?;
         trace.push(evidence);
-
-        let cells: Vec<Vec<FeatureDistribution>> = grid
-            .iter()
-            .map(|row| row.iter().map(|acc| acc.fit(config.lambda)).collect())
-            .collect::<Result<_>>()?;
-        model = SkillModel::new(schema.clone(), n_levels, cells)?;
+        model = mass.fit_model(view, config.lambda, parallel)?;
 
         if trace.len() >= 2 {
             let prev = trace[trace.len() - 2];
@@ -1941,7 +1914,9 @@ mod tests {
         let em_cfg = EmConfig::new(initial, transitions)
             .with_lambda(0.05)
             .with_max_iterations(5);
-        let expect = crate::reference::train_em_full(&ds, &em_cfg).unwrap();
+        let expect =
+            crate::em::train_em_with_parallelism(&ds, &em_cfg, &ParallelConfig::sequential())
+                .unwrap();
         for chunk_size in [1, 5, 64] {
             for threads in [1, 3] {
                 let parallel = if threads == 1 {
@@ -1994,22 +1969,13 @@ mod tests {
             em.level_histogram.iter().sum::<u64>() as usize,
             ds.n_actions()
         );
-        // The EM decode must agree with fitting the from-scratch
-        // in-memory EM then hard decoding (both close with the same
-        // table DP).
-        let cfg = train_cfg();
-        let initial = crate::init::initialize_model(&ds, 3, 8, cfg.lambda).unwrap();
-        let transitions = crate::transition::TransitionModel::uninformative(3).unwrap();
-        let em_cfg = EmConfig::new(initial, transitions)
-            .with_lambda(cfg.lambda)
-            .with_max_iterations(cfg.max_iterations)
-            .with_tolerance(cfg.tolerance);
-        let in_mem = crate::reference::train_em_full(&ds, &em_cfg).unwrap();
-        let (_, in_mem_ll) =
-            crate::parallel::assign_all_parallel(&in_mem.model, &ds, &ParallelConfig::sequential())
-                .unwrap();
+        // The EM arm is the in-memory one's, closed with the same decode.
+        let in_mem = crate::train::Trainer::from_config(train_cfg())
+            .em()
+            .fit(&ds)
+            .unwrap();
         assert_eq!(em.model, in_mem.model);
-        assert_eq!(em.log_likelihood, in_mem_ll);
+        assert_eq!(em.log_likelihood, in_mem.log_likelihood);
     }
 
     #[test]

@@ -134,15 +134,6 @@ impl Categorical {
     pub fn probs(&self) -> &[f64] {
         &self.probs
     }
-
-    /// Mean of the category index (used by reports, not by the model).
-    pub fn mean_index(&self) -> f64 {
-        self.probs
-            .iter()
-            .enumerate()
-            .map(|(c, &p)| c as f64 * p)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -239,11 +230,5 @@ mod tests {
         for (&c, &got) in cats.iter().zip(&out) {
             assert_eq!(got.to_bits(), (0.25 + d.log_prob(c)).to_bits());
         }
-    }
-
-    #[test]
-    fn mean_index_weighted() {
-        let d = Categorical::from_probs(vec![0.0, 0.0, 1.0]).unwrap();
-        assert!((d.mean_index() - 2.0).abs() < 1e-15);
     }
 }

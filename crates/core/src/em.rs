@@ -8,40 +8,34 @@
 //! *weighted* sufficient statistics. This module exists to let the
 //! benchmarks quantify the hard-vs-soft trade-off on the same substrate.
 //!
-//! ## Responsibility-delta incremental EM
+//! ## One EM loop
 //!
-//! The loop mirrors the hard trainer's persistent-histogram
-//! optimization: a [`SoftStatsGrid`] carries the per-`(level, item)`
-//! responsibility mass across iterations, each E-step applies only the
-//! *delta* of posteriors that moved past [`EmConfig::gamma_tolerance`],
-//! the M-step replays the grid item-major (`O(S · n_items · F)` weighted
-//! pushes instead of `O(|A| · S · F)`) and refits only dirty levels, and
-//! one persistent [`EmissionTable`] is column-refreshed instead of
-//! rebuilt. The from-scratch accumulation, about 2× slower over a whole
-//! training run (`reports/BENCH_em_incremental.json`), survives only as
-//! [`crate::reference::train_em_full`]: the measurable baseline for
-//! `bench_em_incremental` and the bitwise oracle of
-//! [`crate::chunked::train_em_chunked`], which streams the same
-//! from-scratch loop because a responsibility grid stores one posterior
-//! row per corpus action.
+//! [`crate::chunked::train_em_chunked`] is the EM loop, and
+//! [`train_em_with_parallelism`] runs it over the dataset's users copied
+//! once into columnar chunks. Each iteration's E-step folds every
+//! posterior row into a fresh [`MassGrid`](crate::incremental::MassGrid)
+//! (`S × n_items` responsibility mass, never one entry per action) in
+//! global action order, and the M-step replays each level row through
+//! the weighted accumulators in the hard trainer's `fit_levels`
+//! (`O(S · n_items · F)` pushes instead of `O(|A| · S · F)`). Results are
+//! bitwise identical for any chunk size and worker count. The
+//! per-action accumulation, about 2× slower over a whole training run
+//! (`reports/BENCH_em_incremental.json`), survives only as
+//! [`crate::reference::train_em_full`]: the speedup denominator of
+//! `bench_em_incremental` and the oracle the EM checks hold the loop to
+//! within `1e-9` relative (summing an item's mass before it meets the
+//! feature values moves the last bits).
 
 use crate::catalog::FeatureSlot;
+use crate::chunked::{in_memory_chunk_size, train_em_chunked, ChunkedDataset};
 use crate::dist::{Categorical, FeatureDistribution, Gamma, LogNormal, Poisson, DEFAULT_SMOOTHING};
 use crate::emission::EmissionTable;
 use crate::error::{CoreError, Result};
 use crate::feature::{FeatureKind, FeatureValue, PositiveModel};
-use crate::incremental::SoftStatsGrid;
 use crate::model::SkillModel;
 use crate::parallel::ParallelConfig;
 use crate::transition::TransitionModel;
-use crate::types::{ActionSequence, Dataset, ItemId, SkillLevel};
-
-/// Default gate for responsibility deltas: posterior rows that move less
-/// than this between iterations keep their previous contribution. Small
-/// enough that gated error stays far below the trainer's convergence
-/// tolerance, large enough to skip actions whose posteriors have settled
-/// to machine precision.
-pub const DEFAULT_GAMMA_TOLERANCE: f64 = 1e-12;
+use crate::types::{Dataset, ItemId, SkillLevel};
 
 /// Numerically stable `log(Σ exp(x_i))`.
 pub(crate) fn log_sum_exp(xs: &[f64]) -> f64 {
@@ -54,8 +48,7 @@ pub(crate) fn log_sum_exp(xs: &[f64]) -> f64 {
 
 /// Forward–backward over the monotone stay/advance lattice, reading
 /// emissions from an [`EmissionTable`]: the one recursion behind the EM
-/// trainers, chunked EM, an EM session's seeding pass and the service's
-/// smoothed predictions.
+/// loop and the service's smoothed predictions.
 ///
 /// The alpha, beta and gamma lattices are flat buffers, resized once and
 /// reused across every sequence of every iteration. The per-level
@@ -98,37 +91,19 @@ impl FbWorkspace {
         }
     }
 
-    /// Flat posterior marginals of the last [`run`](Self::run) /
+    /// Flat posterior marginals of the last
     /// [`run_items`](Self::run_items) pass (row-major, `n × s_max`).
     pub fn gamma(&self) -> &[f64] {
         &self.gamma
     }
 
-    /// Runs forward–backward for one sequence, leaving the flat posterior
-    /// marginals in `self.gamma` (row-major, `seq.len() × s_max`) and
-    /// returning the log evidence. Produces exactly the values of
-    /// [`crate::reference::forward_backward`].
-    pub fn run(&mut self, table: &EmissionTable, seq: &ActionSequence) -> Result<f64> {
-        let actions = seq.actions();
-        self.run_rows(table, actions.len(), |t| actions[t].item)
-    }
-
-    /// Item-slice twin of [`run`](Self::run) for columnar chunk storage
-    /// (no [`ActionSequence`] wrappers). Identical recursion, identical
-    /// operation order: bitwise-equal marginals and evidence for the same
-    /// item sequence.
+    /// Runs forward–backward over one user's item sequence (a columnar
+    /// chunk's slice), leaving the flat posterior marginals in
+    /// `self.gamma` (row-major, `items.len() × s_max`) and returning the
+    /// log evidence. Produces exactly the values of
+    /// [`crate::reference::forward_backward`] on the same items.
     pub fn run_items(&mut self, table: &EmissionTable, items: &[ItemId]) -> Result<f64> {
-        self.run_rows(table, items.len(), |t| items[t])
-    }
-
-    /// Shared forward–backward core over `item_at(0..n)`.
-    fn run_rows(
-        &mut self,
-        table: &EmissionTable,
-        n: usize,
-        item_at: impl Fn(usize) -> ItemId,
-    ) -> Result<f64> {
-        let s_max = self.log_stay.len();
+        let (n, s_max) = (items.len(), self.log_stay.len());
         if table.n_levels() != s_max {
             return Err(CoreError::LengthMismatch {
                 context: "transitions vs model levels",
@@ -140,8 +115,8 @@ impl FbWorkspace {
             self.gamma.clear();
             return Ok(0.0);
         }
-        for t in 0..n {
-            let item = item_at(t) as usize;
+        for &item in items {
+            let item = item as usize;
             if item >= table.n_items() {
                 return Err(CoreError::FeatureIndexOutOfBounds {
                     index: item,
@@ -158,7 +133,7 @@ impl FbWorkspace {
         self.gamma.resize(cells, 0.0);
 
         // Forward (log alpha).
-        let first = table.row(item_at(0));
+        let first = table.row(items[0]);
         for ((a, &li), &e) in self.alpha[..s_max]
             .iter_mut()
             .zip(&self.log_init)
@@ -167,7 +142,7 @@ impl FbWorkspace {
             *a = li + e;
         }
         for t in 1..n {
-            let emit = table.row(item_at(t));
+            let emit = table.row(items[t]);
             let (prev, curr) = self.alpha.split_at_mut(t * s_max);
             let prev = &prev[(t - 1) * s_max..];
             let curr = &mut curr[..s_max];
@@ -191,7 +166,7 @@ impl FbWorkspace {
 
         // Backward (log beta).
         for t in (0..n - 1).rev() {
-            let emit = table.row(item_at(t + 1));
+            let emit = table.row(items[t + 1]);
             let (curr, next) = self.beta.split_at_mut((t + 1) * s_max);
             let curr = &mut curr[t * s_max..];
             let next = &next[..s_max];
@@ -225,8 +200,9 @@ impl FbWorkspace {
     }
 }
 
-/// Weighted per-cell statistics for the M-step (also replayed by
-/// [`SoftStatsGrid::fit_model_incremental`]).
+/// Weighted per-cell statistics for the M-step: a
+/// [`MassGrid`](crate::incremental::MassGrid) level row is replayed
+/// through them, one push per item.
 pub(crate) enum WeightedAcc {
     Categorical {
         weights: Vec<f64>,
@@ -417,12 +393,6 @@ pub struct EmConfig {
     pub max_iterations: usize,
     /// Stop when the relative evidence improvement drops below this.
     pub tolerance: f64,
-    /// Responsibility-delta gate for the incremental path (default
-    /// [`DEFAULT_GAMMA_TOLERANCE`]): an action's posterior row is
-    /// reapplied to the [`SoftStatsGrid`] only when some level moved by
-    /// more than this. `0.0` applies every change (exact up to summation
-    /// order); the from-scratch paths ignore it.
-    pub gamma_tolerance: f64,
 }
 
 impl EmConfig {
@@ -434,7 +404,6 @@ impl EmConfig {
             lambda: DEFAULT_SMOOTHING,
             max_iterations: 100,
             tolerance: 1e-8,
-            gamma_tolerance: DEFAULT_GAMMA_TOLERANCE,
         }
     }
 
@@ -455,99 +424,26 @@ impl EmConfig {
         self.tolerance = tolerance;
         self
     }
-
-    /// Overrides the responsibility-delta gate of the incremental path.
-    pub fn with_gamma_tolerance(mut self, gamma_tolerance: f64) -> Self {
-        self.gamma_tolerance = gamma_tolerance;
-        self
-    }
 }
 
 /// Trains a skill model by EM with soft assignments, with the same
 /// `(dataset, config, parallel)` argument order as
-/// [`crate::train::train_with_parallelism`] — the responsibility-delta
-/// loop of the module docs.
+/// [`crate::train::train_with_parallelism`].
 ///
-/// Parallelism applies to the initial emission-table build (the
-/// `users`/`threads` flags) and to the M-step, which splits the dirty
-/// levels' cells per `skills`/`features`/`threads`
-/// ([`SoftStatsGrid::fit_model_incremental`]). The E-step and the
-/// responsibility deltas run sequentially on the calling thread. Both
-/// parallel steps are bitwise identical to their sequential runs, so
-/// results are identical for any configuration.
-/// Relative to [`crate::reference::train_em_full`] the E-step is
-/// identical (same forward–backward over the same table values), so the
-/// evidence trace differs only through the slightly different models the
-/// gated M-step produces — bounded by `gamma_tolerance` per action per
-/// level.
+/// This is [`train_em_chunked`] over the dataset copied once into
+/// columnar chunks: workers run forward–backward per chunk (the
+/// `users`/`threads` flags), the emission build and the M-step split per
+/// `parallel`, and the responsibility mass folds on the calling thread
+/// in action order. Every configuration gives bitwise the sequential
+/// result.
 pub fn train_em_with_parallelism(
     dataset: &Dataset,
     config: &EmConfig,
     parallel: &ParallelConfig,
 ) -> Result<EmResult> {
     parallel.validate()?;
-    if dataset.n_actions() == 0 {
-        return Err(CoreError::EmptyDataset);
-    }
-    let n_levels = config.initial.n_levels();
-    let mut model = config.initial.clone();
-    let mut trace = Vec::new();
-    let mut converged = false;
-
-    // One persistent emission table for the whole run; after the first
-    // build only the columns of refit (dirty) levels are recomputed.
-    let mut table = EmissionTable::build_with_config(&model, dataset, parallel)?;
-
-    let mut grid = SoftStatsGrid::new(
-        n_levels,
-        dataset.n_items(),
-        dataset.n_actions(),
-        config.gamma_tolerance,
-    )?;
-
-    // Flat forward–backward buffers reused across every sequence of every
-    // iteration, with per-level transition log-probabilities hoisted once
-    // for the whole run (the transition model is fixed under this EM).
-    let mut workspace = FbWorkspace::new(&config.transitions);
-
-    for _ in 0..config.max_iterations {
-        // E-step: forward–backward per sequence, then apply only the
-        // responsibility deltas of actions whose posterior moved.
-        let mut evidence = 0.0;
-        let mut action_idx = 0usize;
-        for seq in dataset.sequences() {
-            evidence += workspace.run(&table, seq)?;
-            for (action, gamma) in seq.actions().iter().zip(workspace.gamma.chunks(n_levels)) {
-                grid.update_action(action_idx, action.item, gamma)?;
-                action_idx += 1;
-            }
-        }
-        trace.push(evidence);
-
-        // M-step: replay only dirty levels through the weighted
-        // accumulators — O(S_dirty · n_items · F); clean levels keep their
-        // previous distributions bit for bit. The fit clears the dirty
-        // flags, so capture them first: they are exactly the emission
-        // columns to refresh.
-        let dirty = grid.dirty_levels().to_vec();
-        model = grid.fit_model_incremental(dataset, config.lambda, parallel, Some(&model))?;
-        table.refresh_levels(&model, dataset, &dirty)?;
-        crate::invariants::InvariantCtx::new().check_emission_table(&table)?;
-
-        if trace.len() >= 2 {
-            let prev = trace[trace.len() - 2];
-            let curr = trace[trace.len() - 1];
-            if (curr - prev).abs() <= config.tolerance * prev.abs().max(1.0) {
-                converged = true;
-                break;
-            }
-        }
-    }
-    Ok(EmResult {
-        model,
-        evidence_trace: trace,
-        converged,
-    })
+    let chunks = ChunkedDataset::from_dataset(dataset, in_memory_chunk_size(dataset, parallel))?;
+    train_em_chunked(&chunks, config, parallel)
 }
 
 #[cfg(test)]
@@ -588,6 +484,10 @@ mod tests {
         assert!((big - (1000.0 + 2.0f64.ln())).abs() < 1e-9);
     }
 
+    fn items(seq: &ActionSequence) -> Vec<ItemId> {
+        seq.actions().iter().map(|a| a.item).collect()
+    }
+
     #[test]
     fn forward_backward_marginals_normalize() {
         let ds = progression_dataset();
@@ -595,7 +495,7 @@ mod tests {
         let trans = TransitionModel::uninformative(2).unwrap();
         let table = EmissionTable::build(&model, &ds);
         let mut ws = FbWorkspace::new(&trans);
-        let ev = ws.run(&table, &ds.sequences()[0]).unwrap();
+        let ev = ws.run_items(&table, &items(&ds.sequences()[0])).unwrap();
         assert!(ev.is_finite());
         let gammas: Vec<&[f64]> = ws.gamma().chunks(2).collect();
         assert_eq!(gammas.len(), 10);
@@ -617,7 +517,7 @@ mod tests {
         let mut ws = FbWorkspace::new(&trans);
         for seq in ds.sequences() {
             let (g_ref, ev_ref) = crate::reference::forward_backward(&table, &trans, seq).unwrap();
-            let ev_ws = ws.run(&table, seq).unwrap();
+            let ev_ws = ws.run_items(&table, &items(seq)).unwrap();
             assert_eq!(ev_ws.to_bits(), ev_ref.to_bits());
             let flat_ref: Vec<u64> = g_ref.iter().flatten().map(|g| g.to_bits()).collect();
             let flat_ws: Vec<u64> = ws.gamma().iter().map(|g| g.to_bits()).collect();
@@ -630,7 +530,7 @@ mod tests {
             Err(CoreError::FeatureIndexOutOfBounds { index: 77, .. })
         ));
         assert!(matches!(
-            ws.run(&table, &rogue),
+            ws.run_items(&table, &items(&rogue)),
             Err(CoreError::FeatureIndexOutOfBounds { index: 77, .. })
         ));
     }
@@ -755,25 +655,29 @@ mod tests {
     }
 
     #[test]
-    fn incremental_em_matches_full_em() {
+    fn em_matches_full_em() {
         let ds = progression_dataset();
         let initial = initialize_model(&ds, 2, 5, 0.01).unwrap();
         let trans = TransitionModel::uninformative(2).unwrap();
         let cfg = EmConfig::new(initial, trans)
             .with_max_iterations(25)
             .with_tolerance(1e-9);
-        let incremental =
-            train_em_with_parallelism(&ds, &cfg, &ParallelConfig::sequential()).unwrap();
+        let em = train_em_with_parallelism(&ds, &cfg, &ParallelConfig::sequential()).unwrap();
         let full = crate::reference::train_em_full(&ds, &cfg).unwrap();
-        assert_eq!(incremental.converged, full.converged);
+        assert_eq!(em.converged, full.converged);
         assert_eq!(
-            incremental.evidence_trace.len(),
+            em.evidence_trace.len(),
             full.evidence_trace.len(),
-            "incremental {:?} vs full {:?}",
-            incremental.evidence_trace,
+            "em {:?} vs full {:?}",
+            em.evidence_trace,
             full.evidence_trace
         );
-        for (a, b) in incremental.evidence_trace.iter().zip(&full.evidence_trace) {
+        // The first E-step reads the same table: bitwise.
+        assert_eq!(
+            em.evidence_trace[0].to_bits(),
+            full.evidence_trace[0].to_bits()
+        );
+        for (a, b) in em.evidence_trace.iter().zip(&full.evidence_trace) {
             assert!(
                 (a - b).abs() <= 1e-9 * b.abs().max(1.0),
                 "evidence diverged: {a} vs {b}"
@@ -782,35 +686,13 @@ mod tests {
         // The fitted models score every item near-identically.
         for (item, features) in ds.items().iter().enumerate() {
             for s in 1..=2u8 {
-                let a = incremental.model.item_log_likelihood(features, s);
+                let a = em.model.item_log_likelihood(features, s);
                 let b = full.model.item_log_likelihood(features, s);
                 assert!(
                     (a - b).abs() <= 1e-9 * b.abs().max(1.0),
                     "item {item} level {s}: {a} vs {b}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn incremental_em_with_zero_gate_matches_tightly() {
-        let ds = progression_dataset();
-        let initial = initialize_model(&ds, 2, 5, 0.01).unwrap();
-        let trans = TransitionModel::uninformative(2).unwrap();
-        let cfg = EmConfig::new(initial, trans)
-            .with_max_iterations(15)
-            .with_tolerance(1e-9)
-            .with_gamma_tolerance(0.0);
-        let incremental =
-            train_em_with_parallelism(&ds, &cfg, &ParallelConfig::sequential()).unwrap();
-        let full = crate::reference::train_em_full(&ds, &cfg).unwrap();
-        // With a zero gate the weights equal the full sums up to
-        // summation order; traces stay within tight relative tolerance.
-        for (a, b) in incremental.evidence_trace.iter().zip(&full.evidence_trace) {
-            assert!(
-                (a - b).abs() <= 1e-11 * b.abs().max(1.0),
-                "evidence diverged: {a} vs {b}"
-            );
         }
     }
 }

@@ -19,12 +19,6 @@ pub fn is_neg_infinity(x: f64) -> bool {
     x == f64::NEG_INFINITY
 }
 
-/// Exactly `+inf`. NaN returns `false`.
-#[inline]
-pub fn is_pos_infinity(x: f64) -> bool {
-    x == f64::INFINITY
-}
-
 /// Exactly zero (positive or negative zero). Used for count/weight
 /// guards where the value is an exact sum of integers or was never
 /// touched; a tolerance would mask accumulator corruption.
@@ -40,13 +34,6 @@ pub fn is_integral(x: f64) -> bool {
     x.is_finite() && x.fract() == 0.0
 }
 
-/// Absolute-tolerance approximate equality. The caller owns the
-/// tolerance; there is deliberately no default.
-#[inline]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,8 +44,6 @@ mod tests {
         assert!(!is_neg_infinity(f64::INFINITY));
         assert!(!is_neg_infinity(f64::NAN));
         assert!(!is_neg_infinity(-1e308));
-        assert!(is_pos_infinity(f64::INFINITY));
-        assert!(!is_pos_infinity(f64::NAN));
     }
 
     #[test]
@@ -71,11 +56,5 @@ mod tests {
         assert!(!is_integral(2.5));
         assert!(!is_integral(f64::NAN));
         assert!(!is_integral(f64::INFINITY));
-    }
-
-    #[test]
-    fn approx_eq_uses_caller_tolerance() {
-        assert!(approx_eq(1.0, 1.0 + 1e-12, 1e-9));
-        assert!(!approx_eq(1.0, 1.1, 1e-9));
     }
 }

@@ -9,17 +9,17 @@
 //! built once, then maintained by per-action deltas (`−1` on the old
 //! level, `+1` on the new) only where the assigned level moved —
 //! `O(n_changed)` integer updates instead of an `O(|A| · F)` rescan.
-//! [`SoftStatsGrid`] is the EM analogue: a real *responsibility mass*
-//! `Σ γ(a, s)` per cell, maintained by tolerance-gated posterior deltas.
+//! [`MassGrid`] is the EM analogue: one iteration's real *responsibility
+//! mass* `Σ γ(a, s)` per cell, folded fresh every iteration.
 //!
-//! Both grids track which levels their deltas touched and share one
-//! M-step, `fit_levels`: it replays each dirty level row through the
-//! accumulators in ascending item order (`O(n_items · F)` pushes per
-//! level, independent of `|A|`), reuses the previous model's rows for
-//! clean levels, and splits the refit cells over workers per
-//! [`ParallelConfig`]'s `skills`/`features`/`threads` (§IV-C). A cell fit
-//! is a pure function of its row and the smoothing constant, so reuse
-//! and every split are bitwise exact.
+//! Both grids share one M-step, `fit_levels`: it replays each level row
+//! through the accumulators in ascending item order (`O(n_items · F)`
+//! pushes per level, independent of `|A|`), and splits the refit cells
+//! over workers per [`ParallelConfig`]'s `skills`/`features`/`threads`
+//! (§IV-C). The hard grid tracks which levels its deltas touched, and
+//! its fit reuses the previous model's rows for the clean ones. A cell
+//! fit is a pure function of its row and the smoothing constant, so
+//! reuse and every split are bitwise exact.
 //!
 //! ## Exactness
 //!
@@ -30,8 +30,11 @@
 //! action-order [`crate::update::fit_model`], the fitted cells are
 //! bitwise identical for the integer-summation families (categorical,
 //! Poisson) and agree to summation-order rounding for gamma/log-normal.
-//! The action-order trainers survive as oracles and speedup denominators
-//! only: [`crate::reference::train_full_rescan`] (checked by the property
+//! A mass cell sums an item's weights before they meet its feature
+//! values, so a weighted fit agrees with the action-order one to
+//! rounding in every family. The action-order trainers survive as
+//! oracles and speedup denominators only:
+//! [`crate::reference::train_full_rescan`] (checked by the property
 //! tests and `bench_incremental`) and [`crate::reference::train_em_full`]
 //! (`bench_em_incremental`).
 
@@ -455,101 +458,42 @@ impl StatsGrid {
     }
 }
 
-/// Persistent per-level soft responsibility mass: the EM analogue of
-/// [`StatsGrid`].
+/// One EM iteration's responsibility mass: the weighted sufficient
+/// statistics of the soft M-step, the EM analogue of [`StatsGrid`].
 ///
-/// `weights[s · n_items + i]` holds `Σ_a γ(a, s)` over all actions `a`
-/// whose item is `i` — the exact weighted sufficient statistics of the EM
-/// M-step, in incrementally-updatable form. Alongside the weights the grid
-/// stores every action's last applied posterior row (`gammas[a · S + s]`),
-/// so after each E-step an action contributes only the *delta*
-/// `γ_new − γ_old` to its item's cells, and only when some level moved by
-/// more than the gate `tolerance` — actions whose posteriors have settled
-/// cost one comparison instead of `S · F` accumulator pushes. Levels whose
-/// weights changed are flagged dirty so the M-step refits only those rows
-/// (replayed item-major, `O(S · n_items · F)` pushes independent of
-/// `|A|`) and the emission table refreshes only those columns.
-///
-/// With `tolerance = 0` every changed posterior is applied and each weight
-/// equals the full-EM sum up to floating-point summation order; a positive
-/// gate trades a bounded weight error (`≤ tolerance` per gated action per
-/// level) for skipping settled actions. Deltas are applied sequentially on
-/// the calling thread, so the grid is deterministic and independent of
-/// worker-thread count.
+/// `mass[s · n_items + i]` holds `Σ_a γ(a, s)` over the actions `a` on
+/// item `i`. An action's feature values depend only on its item, so the
+/// M-step replays each level row through the weighted accumulators once
+/// (`O(S · n_items · F)` pushes, independent of `|A|`) in the same
+/// `fit_levels` the hard grid uses. The grid is catalog-sized and
+/// fresh every iteration: it keeps no per-action state. Rows added in
+/// one order give one set of bits, so the EM loop
+/// ([`crate::chunked::train_em_chunked`]) adds them on the calling
+/// thread in global action order.
 #[derive(Debug, Clone)]
-pub struct SoftStatsGrid {
+pub struct MassGrid {
     n_levels: usize,
     n_items: usize,
-    /// Level-major responsibility mass per item.
-    weights: Vec<f64>,
-    /// Last applied posterior row per action, action-major.
-    gammas: Vec<f64>,
-    /// Gate: a posterior row is reapplied only when some level moved by
-    /// more than this.
-    tolerance: f64,
-    /// Levels whose weights changed since the last fit.
-    dirty: Vec<bool>,
+    mass: Vec<f64>,
 }
 
-impl SoftStatsGrid {
-    /// Creates an all-zero grid covering `n_actions` actions.
-    ///
-    /// Every stored posterior starts at zero, so the first E-step applies
-    /// each action's full posterior row and marks every level dirty.
-    pub fn new(n_levels: usize, n_items: usize, n_actions: usize, tolerance: f64) -> Result<Self> {
+impl MassGrid {
+    /// An all-zero grid.
+    pub fn new(n_levels: usize, n_items: usize) -> Result<Self> {
         if n_levels == 0 {
             return Err(CoreError::InvalidSkillCount { requested: 0 });
-        }
-        if !tolerance.is_finite() || tolerance < 0.0 {
-            return Err(CoreError::InvalidProbability {
-                context: "responsibility delta tolerance",
-                value: tolerance,
-            });
         }
         Ok(Self {
             n_levels,
             n_items,
-            weights: vec![0.0; n_levels * n_items],
-            gammas: vec![0.0; n_actions * n_levels],
-            tolerance,
-            dirty: vec![false; n_levels],
+            mass: vec![0.0; n_levels * n_items],
         })
     }
 
-    /// Number of skill levels `S`.
-    pub fn n_levels(&self) -> usize {
-        self.n_levels
-    }
-
-    /// Number of items the grid covers.
-    pub fn n_items(&self) -> usize {
-        self.n_items
-    }
-
-    /// Responsibility mass of item `item` at zero-based level `s` (read
-    /// by tests only).
-    #[cfg(test)]
-    pub(crate) fn weight(&self, s: usize, item: usize) -> f64 {
-        self.weights[s * self.n_items + item]
-    }
-
-    /// Per-level dirty flags: `true` for levels whose weights changed
-    /// since the last [`SoftStatsGrid::fit_model_incremental`] call.
-    pub fn dirty_levels(&self) -> &[bool] {
-        &self.dirty
-    }
-
-    /// Applies the freshly computed posterior row of action `a_idx`
-    /// (its global index in dataset order) on `item`.
-    ///
-    /// Returns `Ok(true)` when the row moved past the gate and its deltas
-    /// were applied, `Ok(false)` when the action was skipped as settled.
-    pub fn update_action(
-        &mut self,
-        a_idx: usize,
-        item: crate::types::ItemId,
-        gamma: &[f64],
-    ) -> Result<bool> {
+    /// Adds one action's posterior row `gamma` (one weight per level) to
+    /// the cells of its `item`. A row of the wrong length or an item
+    /// outside the grid is an error that adds nothing.
+    pub fn add(&mut self, item: crate::types::ItemId, gamma: &[f64]) -> Result<()> {
         if gamma.len() != self.n_levels {
             return Err(CoreError::LengthMismatch {
                 context: "posterior row vs grid levels",
@@ -557,68 +501,40 @@ impl SoftStatsGrid {
                 right: self.n_levels,
             });
         }
-        let item_idx = item as usize;
-        if item_idx >= self.n_items {
+        let item = item as usize;
+        if item >= self.n_items {
             return Err(CoreError::FeatureIndexOutOfBounds {
-                index: item_idx,
+                index: item,
                 len: self.n_items,
             });
         }
-        let n_actions = self.gammas.len() / self.n_levels;
-        let start = a_idx * self.n_levels;
-        let stored = self.gammas.get_mut(start..start + self.n_levels).ok_or(
-            CoreError::FeatureIndexOutOfBounds {
-                index: a_idx,
-                len: n_actions,
-            },
-        )?;
-        let moved = stored
-            .iter()
-            .zip(gamma)
-            .any(|(&old, &new)| (new - old).abs() > self.tolerance);
-        if !moved {
-            return Ok(false);
+        // The item's cells across levels form a stride-`n_items` column.
+        let column = self.mass.iter_mut().skip(item).step_by(self.n_items);
+        for (cell, &weight) in column.zip(gamma) {
+            *cell += weight;
         }
-        // The item's weight cells across levels form a stride-`n_items`
-        // column of the level-major grid.
-        let column = self.weights.iter_mut().skip(item_idx).step_by(self.n_items);
-        for (((old, &new), cell), flag) in stored
-            .iter_mut()
-            .zip(gamma)
-            .zip(column)
-            .zip(self.dirty.iter_mut())
-        {
-            let delta = new - *old;
-            if delta.abs() > 0.0 {
-                *cell += delta;
-                *flag = true;
-            }
-            *old = new;
-        }
-        Ok(true)
+        Ok(())
     }
 
-    /// Fits a model refitting **only the levels whose responsibility mass
-    /// changed** since the last fit, reusing `prev`'s distributions for
-    /// untouched levels — the weighted (EM) analogue of
-    /// [`StatsGrid::fit_model_incremental`], run by the same M-step with
-    /// the same worker split. Refits every level when `prev`
-    /// is absent or shaped differently. Clears the dirty flags on success.
-    ///
-    /// A weighted cell fit is a deterministic pure function of the level's
-    /// weight row and `lambda`, so `prev` must be the model produced by
-    /// the previous fit of *this* grid with the same `lambda` for the
-    /// reused rows to be exact (the EM trainer maintains that invariant).
-    pub fn fit_model_incremental(
-        &mut self,
+    /// Responsibility mass of `item` at zero-based level `s` (read by
+    /// tests only).
+    #[cfg(test)]
+    pub(crate) fn mass(&self, s: usize, item: usize) -> f64 {
+        self.mass[s * self.n_items + item]
+    }
+
+    /// Fits every level from its mass row (the one M-step, with the
+    /// `skills`/`features`/`threads` split of `parallel`; every split
+    /// gives the same bits). `threads == 0` is
+    /// [`CoreError::InvalidParallelism`].
+    pub fn fit_model(
+        &self,
         dataset: &Dataset,
         lambda: f64,
         parallel: &ParallelConfig,
-        prev: Option<&SkillModel>,
     ) -> Result<SkillModel> {
-        let model = fit_levels(&self.weights, &self.dirty, dataset, lambda, parallel, prev)?;
-        self.dirty.fill(false);
-        Ok(model)
+        let all = vec![true; self.n_levels];
+        fit_levels(&self.mass, &all, dataset, lambda, parallel, None)
     }
 }
 
@@ -674,7 +590,7 @@ impl GridCut {
 
 /// One `(level, item)` cell of a grid and the accumulator [`fit_levels`]
 /// replays it into: a [`StatsGrid`] count pushes `k` copies of the item's
-/// values, a [`SoftStatsGrid`] mass pushes them with that weight.
+/// values, a [`MassGrid`] mass pushes them with that weight.
 pub(crate) trait GridCell: Copy + Sync {
     type Acc;
     fn acc(kind: FeatureKind) -> Self::Acc;
@@ -1447,8 +1363,8 @@ mod tests {
         let pc = ParallelConfig::sequential();
         let model = grid.fit_model_incremental(&ds, 0.01, &pc, None).unwrap();
         grid.add_action(1, 2).unwrap();
-        let mut soft = SoftStatsGrid::new(3, ds.n_items(), 1, 0.0).unwrap();
-        soft.update_action(0, 1, &[0.2, 0.3, 0.5]).unwrap();
+        let mut mass = MassGrid::new(3, ds.n_items()).unwrap();
+        mass.add(1, &[0.2, 0.3, 0.5]).unwrap();
         for cfg in [ParallelConfig::sequential(), ParallelConfig::all(2)] {
             let zero = cfg.with_threads(0);
             for prev in [None, Some(&model)] {
@@ -1456,161 +1372,59 @@ mod tests {
                     grid.fit_model_incremental(&ds, 0.01, &zero, prev),
                     Err(CoreError::InvalidParallelism { threads: 0 })
                 ));
-                assert!(matches!(
-                    soft.fit_model_incremental(&ds, 0.01, &zero, prev),
-                    Err(CoreError::InvalidParallelism { threads: 0 })
-                ));
             }
+            assert!(matches!(
+                mass.fit_model(&ds, 0.01, &zero),
+                Err(CoreError::InvalidParallelism { threads: 0 })
+            ));
         }
         // A failed fit leaves the dirty flags for the next attempt.
         assert_eq!(grid.dirty_levels(), &[false, true, false]);
-        assert!(soft.dirty_levels().iter().all(|&d| d));
     }
 
     #[test]
-    fn soft_grid_validates_construction() {
-        assert!(SoftStatsGrid::new(0, 4, 10, 0.0).is_err());
-        assert!(SoftStatsGrid::new(2, 4, 10, -1e-3).is_err());
-        assert!(SoftStatsGrid::new(2, 4, 10, f64::NAN).is_err());
-        let g = SoftStatsGrid::new(2, 4, 10, 1e-9).unwrap();
-        assert_eq!(g.n_levels(), 2);
-        assert_eq!(g.n_items(), 4);
-        assert!((g.tolerance - 1e-9).abs() < 1e-24);
-        assert!(g.dirty_levels().iter().all(|&d| !d));
+    fn mass_grid_adds_rows_to_their_item_column() {
+        assert!(MassGrid::new(0, 4).is_err());
+        let mut g = MassGrid::new(3, 2).unwrap();
+        g.add(1, &[0.2, 0.3, 0.5]).unwrap();
+        g.add(1, &[0.5, 0.25, 0.25]).unwrap();
+        g.add(0, &[1.0, 0.0, 0.0]).unwrap();
+        let cells: Vec<f64> = (0..3).flat_map(|s| [g.mass(s, 0), g.mass(s, 1)]).collect();
+        assert_eq!(cells, [1.0, 0.2 + 0.5, 0.0, 0.3 + 0.25, 0.0, 0.5 + 0.25]);
+        // A short row or an item outside the grid adds nothing.
+        let before = g.mass.clone();
+        assert!(matches!(
+            g.add(0, &[1.0]),
+            Err(CoreError::LengthMismatch { .. })
+        ));
+        assert!(matches!(
+            g.add(9, &[0.5, 0.25, 0.25]),
+            Err(CoreError::FeatureIndexOutOfBounds { index: 9, len: 2 })
+        ));
+        assert_eq!(g.mass, before);
     }
 
     #[test]
-    fn soft_grid_applies_full_row_on_first_update() {
-        let mut g = SoftStatsGrid::new(3, 2, 4, 0.0).unwrap();
-        assert!(g.update_action(0, 1, &[0.2, 0.3, 0.5]).unwrap());
-        assert!((g.weight(0, 1) - 0.2).abs() < 1e-15);
-        assert!((g.weight(1, 1) - 0.3).abs() < 1e-15);
-        assert!((g.weight(2, 1) - 0.5).abs() < 1e-15);
-        assert!((g.weight(0, 0)).abs() < 1e-15);
-        assert!(g.dirty_levels().iter().all(|&d| d));
-    }
-
-    #[test]
-    fn soft_grid_delta_restores_mass_and_tracks_dirty_levels() {
-        let mut g = SoftStatsGrid::new(2, 3, 2, 0.0).unwrap();
-        g.update_action(0, 0, &[0.9, 0.1]).unwrap();
-        g.update_action(1, 2, &[0.4, 0.6]).unwrap();
-        g.dirty.fill(false);
-        // Moving action 0's posterior shifts only item 0's column and
-        // flags both levels (each moved).
-        assert!(g.update_action(0, 0, &[0.7, 0.3]).unwrap());
-        assert!((g.weight(0, 0) - 0.7).abs() < 1e-15);
-        assert!((g.weight(1, 0) - 0.3).abs() < 1e-15);
-        assert!((g.weight(0, 2) - 0.4).abs() < 1e-15);
-        assert!(g.dirty_levels().iter().all(|&d| d));
-    }
-
-    #[test]
-    fn soft_grid_gates_settled_actions() {
-        let mut g = SoftStatsGrid::new(2, 2, 2, 1e-6).unwrap();
-        g.update_action(0, 0, &[0.5, 0.5]).unwrap();
-        g.dirty.fill(false);
-        // Movement below the gate: skipped, weights and flags untouched.
-        assert!(!g.update_action(0, 0, &[0.5 + 1e-9, 0.5 - 1e-9]).unwrap());
-        assert!((g.weight(0, 0) - 0.5).abs() < 1e-15);
-        assert!(g.dirty_levels().iter().all(|&d| !d));
-        // Movement past the gate: applied.
-        assert!(g.update_action(0, 0, &[0.6, 0.4]).unwrap());
-        assert!((g.weight(0, 0) - 0.6).abs() < 1e-15);
-        assert!(g.dirty_levels().iter().all(|&d| d));
-    }
-
-    #[test]
-    fn soft_grid_rejects_bad_coordinates() {
-        let mut g = SoftStatsGrid::new(2, 2, 2, 0.0).unwrap();
-        assert!(g.update_action(0, 0, &[1.0]).is_err());
-        assert!(g.update_action(0, 9, &[0.5, 0.5]).is_err());
-        assert!(g.update_action(7, 0, &[0.5, 0.5]).is_err());
-    }
-
-    #[test]
-    fn soft_grid_incremental_fit_reuses_clean_levels_bitwise() {
+    fn mass_fit_is_bitwise_identical_across_splits() {
         let ds = build_dataset(4, 12);
-        // One spare row for the action added below.
-        let mut g = SoftStatsGrid::new(3, ds.n_items(), ds.n_actions() + 1, 0.0).unwrap();
-        // Seed every action with a level-skewed posterior.
-        let mut a_idx = 0usize;
-        for seq in ds.sequences() {
-            for action in seq.actions() {
-                let tilt = (action.item % 3) as usize;
-                let mut gamma = vec![0.2, 0.2, 0.2];
-                gamma[tilt] += 0.4;
-                g.update_action(a_idx, action.item, &gamma).unwrap();
-                a_idx += 1;
-            }
+        let mut g = MassGrid::new(3, ds.n_items()).unwrap();
+        for action in ds.actions() {
+            let mut gamma = vec![0.1, 0.2, 0.3];
+            gamma[(action.item % 3) as usize] += 0.4;
+            g.add(action.item, &gamma).unwrap();
         }
-        let pc = ParallelConfig::sequential();
-        let base = g.fit_model_incremental(&ds, 0.01, &pc, None).unwrap();
-        assert!(g.dirty_levels().iter().all(|&d| !d));
-        // Touch only level 1 (zero-based 0): add mass for one action.
-        g.update_action(ds.n_actions(), 0, &[1.0, 0.0, 0.0])
-            .unwrap();
-        assert_eq!(
-            g.dirty_levels(),
-            &[true, false, false],
-            "only the added level should be dirty"
-        );
-        let refit = g
-            .fit_model_incremental(&ds, 0.01, &pc, Some(&base))
-            .unwrap();
-        // Clean levels are reused bit for bit; the dirty one moved.
-        for (features, _) in ds.items().iter().zip(0..) {
-            for s in 2..=3u8 {
-                assert_eq!(
-                    base.item_log_likelihood(features, s).to_bits(),
-                    refit.item_log_likelihood(features, s).to_bits()
-                );
-            }
+        // A level with no mass at all falls back like an empty hard row.
+        let mut empty_level = MassGrid::new(3, ds.n_items()).unwrap();
+        for action in ds.actions() {
+            empty_level.add(action.item, &[0.6, 0.0, 0.4]).unwrap();
         }
-        // And the dirty level's refit equals a full from-scratch fit.
-        let mut fresh = g.clone();
-        let scratch = fresh.fit_model_incremental(&ds, 0.01, &pc, None).unwrap();
-        for (features, _) in ds.items().iter().zip(0..) {
-            for s in 1..=3u8 {
-                assert_eq!(
-                    scratch.item_log_likelihood(features, s).to_bits(),
-                    refit.item_log_likelihood(features, s).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn soft_parallel_refit_is_bitwise_identical_to_sequential() {
-        let ds = build_dataset(4, 12);
-        // Two spare rows for the actions added below.
-        let mut g = SoftStatsGrid::new(3, ds.n_items(), ds.n_actions() + 2, 0.0).unwrap();
-        let mut a_idx = 0usize;
-        for seq in ds.sequences() {
-            for action in seq.actions() {
-                let mut gamma = vec![0.1, 0.2, 0.3];
-                gamma[(action.item % 3) as usize] += 0.4;
-                g.update_action(a_idx, action.item, &gamma).unwrap();
-                a_idx += 1;
-            }
-        }
-        let seq = ParallelConfig::sequential();
-        let base = g.fit_model_incremental(&ds, 0.01, &seq, None).unwrap();
-        // A partial dirty mask (levels 1 and 3), then a full one.
-        for (k, gamma) in [[0.6, 0.0, 0.4], [0.2, 0.5, 0.3]].into_iter().enumerate() {
-            g.update_action(ds.n_actions() + k, 2, &gamma).unwrap();
-            let dirty: Vec<bool> = gamma.iter().map(|&x| x > 0.0).collect();
-            assert_eq!(g.dirty_levels(), dirty.as_slice());
-            let expect = g
-                .clone()
-                .fit_model_incremental(&ds, 0.01, &seq, Some(&base))
+        for grid in [g, empty_level] {
+            let expect = grid
+                .fit_model(&ds, 0.01, &ParallelConfig::sequential())
                 .unwrap();
             for cfg in update_configs() {
-                let model = g
-                    .clone()
-                    .fit_model_incremental(&ds, 0.01, &cfg, Some(&base))
-                    .unwrap();
-                assert_eq!(bits(&model), bits(&expect), "{cfg:?} dirty={dirty:?}");
+                let model = grid.fit_model(&ds, 0.01, &cfg).unwrap();
+                assert_eq!(bits(&model), bits(&expect), "{cfg:?}");
             }
         }
     }

@@ -18,7 +18,7 @@
 //! [`crate::incremental`], which both
 //! [`StatsGrid::fit_model_incremental`](crate::incremental::StatsGrid::fit_model_incremental)
 //! and
-//! [`SoftStatsGrid::fit_model_incremental`](crate::incremental::SoftStatsGrid::fit_model_incremental)
+//! [`MassGrid::fit_model`](crate::incremental::MassGrid::fit_model)
 //! run: it splits only the cells being refit, so a refit of one dirty
 //! level still spreads its features over the workers.
 //! The shared emission table and the incremental statistics are always on:
@@ -31,7 +31,7 @@
 //! ## The fan-out
 //!
 //! [`fan_out`] is the library's one scoped-worker primitive: the chunk
-//! pass (training, decodes, initialization, chunked EM), the emission
+//! pass (training, decodes, initialization, EM), the emission
 //! fill, the `StatsGrid` build and delta, the M-step split and the
 //! learner harness of `upskill-eval` all run on it. Workers claim
 //! numbered jobs as they free up and own only scratch and order-free

@@ -10,7 +10,7 @@
 //! | [`assign_all_direct`] | [`assign_all_parallel`](crate::parallel::assign_all_parallel) (shared table) | bitwise |
 //! | [`train_full_rescan`] | [`train_with_parallelism`](crate::train::train_with_parallelism) (the chunk pass of [`train_chunked`](crate::chunked::train_chunked): integer `StatsGrid`, dirty-level refits) | same assignments and churn; objective to summation order |
 //! | [`forward_backward`] | [`FbWorkspace`](crate::em::FbWorkspace) (flat reused lattices, hoisted transition log-probabilities) | bitwise |
-//! | [`train_em_full`] | [`train_em_with_parallelism`](crate::em::train_em_with_parallelism) (responsibility deltas) | within the gate tolerance; bitwise equal to [`train_em_chunked`](crate::chunked::train_em_chunked) |
+//! | [`train_em_full`] | [`train_em_with_parallelism`](crate::em::train_em_with_parallelism) (the loop of [`train_em_chunked`](crate::chunked::train_em_chunked): a fresh responsibility-mass grid per iteration, item-major refits) | first evidence bitwise; final evidence and item scores within `1e-9` relative |
 //! | [`rerank_band_full_sort`] | [`rerank_band`](crate::policy::rerank_band) (bounded per-stratum top-k) | bitwise |
 //! | [`initialize_model_rows`] | [`initialize_model`] (the chunk initializer) | bitwise, and the same error for a zero level count, an empty dataset or no qualifying user |
 //!
@@ -191,7 +191,8 @@ pub fn initialize_model_rows(
 /// Forward–backward with one `Vec<Vec<f64>>` lattice per pass and the
 /// transition log-probabilities looked up per cell: posterior skill
 /// marginals `gammas[n][s-1]` and the log evidence of one sequence. The
-/// bitwise baseline of [`FbWorkspace::run`](crate::em::FbWorkspace::run).
+/// bitwise baseline of
+/// [`FbWorkspace::run_items`](crate::em::FbWorkspace::run_items).
 pub fn forward_backward(
     table: &EmissionTable,
     transitions: &TransitionModel,
@@ -274,10 +275,12 @@ pub fn forward_backward(
     Ok((gammas, log_evidence))
 }
 
-/// EM without responsibility deltas, sequentially: every iteration
-/// rebuilds the emission table and folds every action's posterior row
-/// through the weighted accumulators, in action order. The bitwise
-/// baseline of [`train_em_chunked`](crate::chunked::train_em_chunked).
+/// EM without a mass grid, sequentially: every iteration rebuilds the
+/// emission table and folds every action's posterior row through the
+/// weighted accumulators, in action order. The speedup denominator of
+/// `bench_em_incremental` and the oracle
+/// [`train_em_chunked`](crate::chunked::train_em_chunked) agrees with to
+/// rounding.
 pub fn train_em_full(dataset: &Dataset, config: &EmConfig) -> Result<EmResult> {
     if dataset.n_actions() == 0 {
         return Err(CoreError::EmptyDataset);

@@ -26,14 +26,14 @@
 use serde::{Deserialize, Serialize};
 
 use crate::chunked::{
-    in_memory_chunk_size, initialize_on_workers, train_chunked_keeping, ChunkedDataset,
-    DatasetChunks,
+    assign_chunked, in_memory_chunk_size, initialize_on_workers, level_histogram_chunked,
+    train_chunked_keeping, train_em_chunked, ChunkSource, ChunkedDataset, ChunkedTrainResult,
 };
 use crate::dist::DEFAULT_SMOOTHING;
 use crate::em::{EmConfig, EmResult};
 use crate::error::{CoreError, Result};
 use crate::model::SkillModel;
-use crate::parallel::{assign_all_parallel, ParallelConfig};
+use crate::parallel::ParallelConfig;
 use crate::transition::TransitionModel;
 use crate::types::{ActionSequence, Dataset, SkillAssignments, SkillLevel};
 
@@ -293,28 +293,18 @@ impl Trainer {
     /// unset/zero — EM has no churn notion and is not instrumented
     /// per-iteration), and the soft model is closed with one hard decode
     /// so `assignments` and `log_likelihood` mean the same thing in both
-    /// modes. The EM arm initializes as [`Trainer::fit_chunked`] does: the
-    /// chunk initializer on the configured workers, over the dataset's
-    /// user chunks.
+    /// modes. The EM arm is [`Trainer::fit_chunked`]'s over the dataset's
+    /// users copied once into columnar chunks, decoding the assignments
+    /// where that counts levels; every chunk size gives the same bits.
     pub fn fit(&self, dataset: &Dataset) -> Result<TrainResult> {
         self.parallel.validate()?;
         if self.mode == TrainMode::Hard {
             return train_with_parallelism(dataset, &self.config, &self.parallel);
         }
-        self.config.validate()?;
         let chunk_size = in_memory_chunk_size(dataset, &self.parallel);
-        let initial = initialize_on_workers(
-            &DatasetChunks::new(dataset, chunk_size)?,
-            self.config.n_levels,
-            self.config.min_init_actions,
-            self.config.lambda,
-            &self.parallel,
-        )?;
-        let (em, trace) = self.fit_em(initial, |cfg| {
-            crate::em::train_em_with_parallelism(dataset, cfg, &self.parallel)
-        })?;
-        let (assignments, log_likelihood) =
-            assign_all_parallel(&em.model, dataset, &self.parallel)?;
+        let chunks = ChunkedDataset::from_dataset(dataset, chunk_size)?;
+        let (em, trace) = self.fit_em(&chunks)?;
+        let (assignments, log_likelihood) = assign_chunked(&chunks, &em.model, &self.parallel)?;
         Ok(TrainResult {
             model: em.model,
             assignments,
@@ -324,42 +314,26 @@ impl Trainer {
         })
     }
 
-    /// Trains chunk-at-a-time from any [`crate::chunked::ChunkSource`] —
-    /// the out-of-core
+    /// Trains chunk-at-a-time from any [`ChunkSource`] — the out-of-core
     /// entry point ([`crate::chunked`]).
     ///
     /// In hard mode this is [`crate::chunked::train_chunked`]; in EM mode
-    /// the chunked initializer feeds
-    /// [`crate::chunked::train_em_chunked`] and the soft fit is closed
-    /// with one streamed hard decode, mirroring [`Trainer::fit`]'s EM
-    /// arm. Hard mode is bitwise identical to the in-memory trainer on
-    /// the materialized dataset, EM mode to
-    /// [`crate::reference::train_em_full`] plus the same decode, and peak
-    /// memory stays bounded by `chunk_size × workers` plus the hard
-    /// trainer's `O(n_users · S)` breakpoint store.
-    pub fn fit_chunked<S: crate::chunked::ChunkSource + ?Sized>(
-        &self,
-        source: &S,
-    ) -> Result<crate::chunked::ChunkedTrainResult> {
+    /// the chunked initializer feeds [`train_em_chunked`] and the soft fit
+    /// is closed with one streamed hard decode that counts actions per
+    /// level. Both modes are bitwise identical to [`Trainer::fit`] on the
+    /// materialized dataset, and peak memory stays bounded by
+    /// `chunk_size × workers` plus the hard trainer's `O(n_users · S)`
+    /// breakpoint store.
+    pub fn fit_chunked<S: ChunkSource + ?Sized>(&self, source: &S) -> Result<ChunkedTrainResult> {
         self.parallel.validate()?;
         if self.mode == TrainMode::Hard {
             let storage = crate::chunked::AssignmentStorage::default();
             return crate::chunked::train_chunked(source, &self.config, &self.parallel, storage);
         }
-        self.config.validate()?;
-        let initial = crate::chunked::initialize_on_workers(
-            source,
-            self.config.n_levels,
-            self.config.min_init_actions,
-            self.config.lambda,
-            &self.parallel,
-        )?;
-        let (em, trace) = self.fit_em(initial, |cfg| {
-            crate::chunked::train_em_chunked(source, cfg, &self.parallel)
-        })?;
+        let (em, trace) = self.fit_em(source)?;
         let (level_histogram, log_likelihood) =
-            crate::chunked::level_histogram_chunked(source, &em.model, &self.parallel)?;
-        Ok(crate::chunked::ChunkedTrainResult {
+            level_histogram_chunked(source, &em.model, &self.parallel)?;
+        Ok(ChunkedTrainResult {
             model: em.model,
             log_likelihood,
             trace,
@@ -370,21 +344,23 @@ impl Trainer {
         })
     }
 
-    /// The EM arms' shared core: runs `run` on an [`EmConfig`] seeded
-    /// from `initial` with this trainer's transitions and
-    /// hyperparameters, and exposes the evidence trace as
+    /// The EM arms' shared core: the chunk initializer on the configured
+    /// workers, then [`train_em_chunked`] with uninformative transitions
+    /// and this trainer's hyperparameters, with the evidence trace as
     /// [`IterationStats`] (no churn, no per-iteration timing).
-    fn fit_em(
+    fn fit_em<S: ChunkSource + ?Sized>(
         &self,
-        initial: SkillModel,
-        run: impl FnOnce(&EmConfig) -> Result<EmResult>,
+        source: &S,
     ) -> Result<(EmResult, Vec<IterationStats>)> {
-        let transitions = TransitionModel::uninformative(self.config.n_levels)?;
-        let em_cfg = EmConfig::new(initial, transitions)
-            .with_lambda(self.config.lambda)
-            .with_max_iterations(self.config.max_iterations)
-            .with_tolerance(self.config.tolerance);
-        let em = run(&em_cfg)?;
+        let config = &self.config;
+        config.validate()?;
+        let (n, min, lambda) = (config.n_levels, config.min_init_actions, config.lambda);
+        let initial = initialize_on_workers(source, n, min, lambda, &self.parallel)?;
+        let em_cfg = EmConfig::new(initial, TransitionModel::uninformative(n)?)
+            .with_lambda(lambda)
+            .with_max_iterations(config.max_iterations)
+            .with_tolerance(config.tolerance);
+        let em = train_em_chunked(source, &em_cfg, &self.parallel)?;
         let trace = em
             .evidence_trace
             .iter()
@@ -633,7 +609,8 @@ mod tests {
         assert!(built.trace.iter().all(|s| s.n_changed.is_none()));
         // The hard decode's path log-likelihood is what's reported.
         let (decoded, ll) =
-            assign_all_parallel(&built.model, &ds, &ParallelConfig::sequential()).unwrap();
+            crate::parallel::assign_all_parallel(&built.model, &ds, &ParallelConfig::sequential())
+                .unwrap();
         assert_eq!(decoded, built.assignments);
         assert!((ll - built.log_likelihood).abs() < 1e-12);
     }

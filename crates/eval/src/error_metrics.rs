@@ -31,16 +31,6 @@ pub fn mae(pred: &[f64], truth: &[f64]) -> Result<f64, EvalError> {
         / n)
 }
 
-/// Per-pair squared errors (input to significance tests on SE).
-pub fn squared_errors(pred: &[f64], truth: &[f64]) -> Result<Vec<f64>, EvalError> {
-    check(pred, truth)?;
-    Ok(pred
-        .iter()
-        .zip(truth)
-        .map(|(&p, &t)| (p - t) * (p - t))
-        .collect())
-}
-
 fn check(pred: &[f64], truth: &[f64]) -> Result<(), EvalError> {
     if pred.len() != truth.len() {
         return Err(EvalError::LengthMismatch {
@@ -87,11 +77,5 @@ mod tests {
         assert!(rmse(&[], &[]).is_err());
         assert!(rmse(&[1.0], &[1.0, 2.0]).is_err());
         assert!(mae(&[f64::INFINITY], &[0.0]).is_err());
-    }
-
-    #[test]
-    fn squared_errors_elementwise() {
-        let se = squared_errors(&[1.0, 4.0], &[0.0, 2.0]).unwrap();
-        assert_eq!(se, vec![1.0, 4.0]);
     }
 }

@@ -27,8 +27,6 @@
 //! [`RefitPolicy::Manual`], so partitioning learners across threads
 //! cannot change any trace.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use upskill_core::parallel::{fan_out, ParallelConfig};
@@ -396,20 +394,6 @@ pub fn evaluate_upskilling_traced(
         speedup,
     };
     Ok((report, static_traces, adaptive_traces))
-}
-
-/// Per-level attempt histogram of a trace population — a diagnostic
-/// for tuning learner/policy parameters.
-pub fn attempts_by_skill(traces: &[LearnerTrace]) -> HashMap<SkillLevel, usize> {
-    let mut h = HashMap::new();
-    for t in traces {
-        let mut skill = t.start;
-        for s in &t.steps {
-            *h.entry(skill).or_insert(0) += 1;
-            skill = s.skill_after;
-        }
-    }
-    h
 }
 
 #[cfg(test)]

@@ -225,14 +225,15 @@ impl PartialEq for ModelEpoch {
 
 /// Per-user serving state: the user's [`LiveUser`] record (action
 /// history, committed monotone level path, filtering tracker) and — on
-/// adaptive-policy services — the per-user [`PolicyState`]. Policy
+/// adaptive-policy services — the per-user [`PolicyState`], boxed so a
+/// non-adaptive service pays one null pointer per user for it. Policy
 /// state is serving-layer-only: it never enters snapshots, so the
 /// bitwise [`SessionBundle`] contract with the streaming session is
 /// untouched by enabling the policy layer.
 #[derive(Debug)]
 struct UserState {
     live: LiveUser,
-    policy: Option<PolicyState>,
+    policy: Option<Box<PolicyState>>,
 }
 
 /// One mutex-guarded slice of the user population.
@@ -450,7 +451,7 @@ impl SkillService {
         // item's difficulty; failures only ever arrive through
         // `record_outcome`, since a failed attempt never enters the
         // action sequence.
-        let succeed = |policy: &mut Option<PolicyState>| {
+        let succeed = |policy: &mut Option<Box<PolicyState>>| {
             if let Some(policy) = policy.as_mut() {
                 policy.record(action.item, ep.difficulty[action.item as usize], true);
             }
@@ -687,7 +688,7 @@ impl SkillService {
         let seen: HashSet<ItemId> = state.live.actions().iter().map(|a| a.item).collect();
         let policy = state
             .policy
-            .as_ref()
+            .as_deref()
             .expect("adaptive services build policy state for every user")
             .clone();
         drop(shard);
@@ -853,10 +854,10 @@ impl Drop for RefitInFlight<'_> {
 fn new_policy_state(
     n_levels: usize,
     adaptive: &Option<PolicyConfig>,
-) -> Result<Option<PolicyState>> {
+) -> Result<Option<Box<PolicyState>>> {
     adaptive
         .as_ref()
-        .map(|cfg| PolicyState::new(n_levels, cfg))
+        .map(|cfg| PolicyState::new(n_levels, cfg).map(Box::new))
         .transpose()
         .map_err(ServeError::Core)
 }
@@ -880,6 +881,12 @@ mod tests {
     use upskill_core::streaming::StreamingSession;
     use upskill_core::train::train;
     use upskill_core::types::ActionSequence;
+
+    #[test]
+    fn policy_state_costs_a_non_adaptive_user_one_pointer() {
+        let limit = std::mem::size_of::<LiveUser>() + std::mem::size_of::<usize>();
+        assert!(std::mem::size_of::<UserState>() <= limit);
+    }
 
     /// Progression dataset mirroring the streaming-module test fixture:
     /// users move through item categories over time.

@@ -431,7 +431,8 @@ fn deprecated_train_em(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             out,
             p,
             "deprecated-train-em",
-            "deprecated `train_em` shim; use `run_em` or the `Trainer` builder".to_string(),
+            "deprecated `train_em` shim; use `Trainer::em()` or `train_em_with_parallelism`"
+                .to_string(),
         );
     }
 }
@@ -646,10 +647,11 @@ mod tests {
     #[test]
     fn deprecated_train_em_rule() {
         let bad = "fn f() { let _ = train_em(&d, &c); }\n";
-        assert_eq!(
-            rules_of(&run("crates/core/src/train.rs", bad)),
-            ["deprecated-train-em"]
-        );
+        let diags = run("crates/core/src/train.rs", bad);
+        assert_eq!(rules_of(&diags), ["deprecated-train-em"]);
+        // The message names entry points that exist.
+        assert!(diags[0].message.contains("`Trainer::em()`"));
+        assert!(diags[0].message.contains("`train_em_with_parallelism`"));
         // The richer entry points share the prefix but are fine, and the
         // shim's own module (definition + its tests) is exempt.
         let ok = "fn f() { let _ = train_em_with_parallelism(&d, &c, &p); }\n";

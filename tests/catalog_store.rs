@@ -10,7 +10,7 @@ use upskill_core::chunked::{
 use upskill_core::em::EmConfig;
 use upskill_core::emission::EmissionTable;
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveModel};
-use upskill_core::incremental::{SoftStatsGrid, StatsGrid};
+use upskill_core::incremental::{MassGrid, StatsGrid};
 use upskill_core::model::SkillModel;
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::reference::{build_scalar, initialize_model_rows};
@@ -162,10 +162,9 @@ fn corrupted(ds: &Dataset, f: usize, value: FeatureValue) -> Dataset {
 fn fit_outcomes(bad: &Dataset, initial: &SkillModel, with_table: bool) -> Vec<String> {
     let hard = levels(bad);
     let mut grid = StatsGrid::build(bad, &hard, S).unwrap();
-    let mut soft = SoftStatsGrid::new(S, bad.n_items(), bad.n_actions(), 0.0).unwrap();
-    for (a, action) in bad.actions().enumerate() {
-        soft.update_action(a, action.item, &[0.5, 0.25, 0.25])
-            .unwrap();
+    let mut soft = MassGrid::new(S, bad.n_items()).unwrap();
+    for action in bad.actions() {
+        soft.add(action.item, &[0.5, 0.25, 0.25]).unwrap();
     }
     let chunks = DatasetChunks::new(bad, 4).unwrap();
     let seq = ParallelConfig::sequential();
@@ -194,10 +193,7 @@ fn fit_outcomes(bad: &Dataset, initial: &SkillModel, with_table: bool) -> Vec<St
             initialize_model_chunked(&chunks, S, 4, LAMBDA).err()
         ),
         format!("{:?}", initialize_model_rows(bad, S, 4, LAMBDA).err()),
-        format!(
-            "{:?}",
-            soft.fit_model_incremental(bad, LAMBDA, &seq, None).err()
-        ),
+        format!("{:?}", soft.fit_model(bad, LAMBDA, &seq).err()),
     ];
     if with_table {
         let transitions = TransitionModel::new(vec![0.8; S], vec![1.0 / S as f64; S]).unwrap();

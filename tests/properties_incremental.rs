@@ -1,7 +1,7 @@
 //! Property-based tests for the incremental training subsystem: a
 //! randomly churned [`StatsGrid`] must stay cell-for-cell equal to a
 //! from-scratch accumulation, and incremental vs. full training — hard
-//! (Viterbi) *and* soft (responsibility-delta EM) — must produce
+//! (Viterbi) *and* soft (the responsibility-mass EM loop) — must produce
 //! identical results across random schemas, skill counts, and thread
 //! counts.
 
@@ -309,15 +309,15 @@ proptest! {
         );
     }
 
-    // Responsibility-delta incremental EM and the from-scratch reference
-    // EM agree across random schemas, skill counts, and thread counts, with
-    // the default responsibility gate and with the gate disabled:
+    // The EM loop and the from-scratch reference EM agree across random
+    // schemas, skill counts, and thread counts:
     //
     // - The first iteration's evidence is **bitwise** equal — both paths
     //   run forward–backward against the identical initial table, so any
     //   deviation here is an E-step bug, not floating-point drift.
-    // - Later iterations differ only by M-step summation order
-    //   (item-major replay vs. action-major scan), normally ulps. On
+    // - Later iterations differ only by M-step summation order (an
+    //   item's mass is summed before it meets the feature values, where
+    //   the reference pushes action by action), normally ulps. On
     //   adversarial random data an ulp-level difference can briefly push
     //   one trajectory across an M-step branch boundary (e.g. a fit
     //   guard), producing a one-iteration spike that EM's contraction
@@ -336,61 +336,55 @@ proptest! {
         let ds = build_dataset(masked_schema(mask), &item_draws, &users);
         let initial = initialize_model(&ds, n_levels, 1, 0.01).unwrap();
         let transitions = TransitionModel::uninformative(n_levels).unwrap();
-        let base = ParallelConfig::all(threads);
+        let cfg = EmConfig::new(initial, transitions)
+            .with_max_iterations(10)
+            .with_tolerance(1e-9);
+        let incremental = train_em_with_parallelism(&ds, &cfg, &ParallelConfig::all(threads)).unwrap();
+        let full = train_em_full(&ds, &cfg).unwrap();
 
-        for gamma_tolerance in [0.0, 1e-12] {
-            let cfg = EmConfig::new(initial.clone(), transitions.clone())
-                .with_max_iterations(10)
-                .with_tolerance(1e-9)
-                .with_gamma_tolerance(gamma_tolerance);
-            let incremental = train_em_with_parallelism(&ds, &cfg, &base).unwrap();
-            let full = train_em_full(&ds, &cfg).unwrap();
-
-            prop_assert_eq!(incremental.converged, full.converged);
-            prop_assert_eq!(
-                incremental.evidence_trace.len(),
-                full.evidence_trace.len()
-            );
-            prop_assert!(
-                incremental.evidence_trace[0].to_bits()
-                    == full.evidence_trace[0].to_bits(),
-                "gate {}: first-iteration evidence not bitwise: {} vs {}",
-                gamma_tolerance, incremental.evidence_trace[0], full.evidence_trace[0]
-            );
-            for (i, (a, b)) in incremental
-                .evidence_trace
-                .iter()
-                .zip(&full.evidence_trace)
-                .enumerate()
-            {
-                let scale = a.abs().max(b.abs()).max(1.0);
-                prop_assert!(
-                    (a - b).abs() <= 1e-4 * scale,
-                    "gate {}: iteration {} evidence {} vs {}",
-                    gamma_tolerance, i, a, b
-                );
-            }
-            let (a, b) = (
-                incremental.evidence_trace[incremental.evidence_trace.len() - 1],
-                full.evidence_trace[full.evidence_trace.len() - 1],
-            );
+        prop_assert_eq!(incremental.converged, full.converged);
+        prop_assert_eq!(
+            incremental.evidence_trace.len(),
+            full.evidence_trace.len()
+        );
+        prop_assert!(
+            incremental.evidence_trace[0].to_bits() == full.evidence_trace[0].to_bits(),
+            "first-iteration evidence not bitwise: {} vs {}",
+            incremental.evidence_trace[0], full.evidence_trace[0]
+        );
+        for (i, (a, b)) in incremental
+            .evidence_trace
+            .iter()
+            .zip(&full.evidence_trace)
+            .enumerate()
+        {
             let scale = a.abs().max(b.abs()).max(1.0);
             prop_assert!(
-                (a - b).abs() <= 1e-9 * scale,
-                "gate {}: final evidence {} vs {}", gamma_tolerance, a, b
+                (a - b).abs() <= 1e-4 * scale,
+                "iteration {} evidence {} vs {}",
+                i, a, b
             );
-            for item in 0..ds.n_items() as u32 {
-                let features = ds.item_features(item);
-                for s in 1..=n_levels as u8 {
-                    let a = incremental.model.item_log_likelihood(features, s);
-                    let b = full.model.item_log_likelihood(features, s);
-                    let scale = a.abs().max(b.abs()).max(1.0);
-                    prop_assert!(
-                        (a - b).abs() <= 1e-9 * scale,
-                        "gate {}: item {} level {}: {} vs {}",
-                        gamma_tolerance, item, s, a, b
-                    );
-                }
+        }
+        let (a, b) = (
+            incremental.evidence_trace[incremental.evidence_trace.len() - 1],
+            full.evidence_trace[full.evidence_trace.len() - 1],
+        );
+        let scale = a.abs().max(b.abs()).max(1.0);
+        prop_assert!(
+            (a - b).abs() <= 1e-9 * scale,
+            "final evidence {} vs {}", a, b
+        );
+        for item in 0..ds.n_items() as u32 {
+            let features = ds.item_features(item);
+            for s in 1..=n_levels as u8 {
+                let a = incremental.model.item_log_likelihood(features, s);
+                let b = full.model.item_log_likelihood(features, s);
+                let scale = a.abs().max(b.abs()).max(1.0);
+                prop_assert!(
+                    (a - b).abs() <= 1e-9 * scale,
+                    "item {} level {}: {} vs {}",
+                    item, s, a, b
+                );
             }
         }
     }

@@ -10,12 +10,14 @@ use proptest::prelude::*;
 use upskill_core::chunked::{
     assign_chunked, train_chunked, train_em_chunked, AssignmentStorage, DatasetChunks,
 };
-use upskill_core::em::EmConfig;
+use upskill_core::em::{train_em_with_parallelism, EmConfig};
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveModel};
 use upskill_core::init::initialize_model;
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::reference::train_em_full;
-use upskill_core::train::{train_with_parallelism, TrainConfig, TrainResult};
+use upskill_core::train::{
+    train_with_parallelism, IterationStats, TrainConfig, TrainResult, Trainer,
+};
 use upskill_core::transition::TransitionModel;
 use upskill_core::types::{Action, ActionSequence, Dataset};
 
@@ -158,9 +160,13 @@ proptest! {
         }
     }
 
-    // Chunked EM — every chunk size, sequential and parallel waves —
-    // reproduces the from-scratch in-memory EM bit for bit: model,
-    // evidence trace, and convergence flag.
+    // The EM loop — one-user, 7-user, 64-user and one giant chunk, on
+    // 1..=4 threads — reproduces the sequential in-memory run bit for
+    // bit: model, evidence trace, and convergence flag. It agrees with
+    // the per-action from-scratch EM (`train_em_full`) to 1e-9 relative:
+    // the same iteration count and convergence, the first evidence
+    // bitwise (both read the initial table), the last evidence and every
+    // item score within the bound.
     #[test]
     fn chunked_em_training_matches_in_memory(
         mask in 0u8..8,
@@ -168,8 +174,6 @@ proptest! {
             (0u32..8, 0u64..20, 0.1f64..10.0, 0.1f64..10.0), 3..8),
         users in users_strategy(5, 12),
         n_levels in 2usize..4,
-        mid_chunk in 2usize..7,
-        threads in 1usize..4,
     ) {
         let ds = build_dataset(masked_schema(mask), &item_draws, &users);
         let initial = initialize_model(&ds, n_levels, 1, 0.01).unwrap();
@@ -177,31 +181,82 @@ proptest! {
         let cfg = EmConfig::new(initial, transitions)
             .with_max_iterations(6)
             .with_tolerance(1e-9);
-        // The chunked E-step mirrors the from-scratch (non-incremental)
-        // in-memory reference; that is the bitwise baseline.
-        let expect = train_em_full(&ds, &cfg).unwrap();
-        let parallel = ParallelConfig::all(threads);
+        let expect = train_em_with_parallelism(&ds, &cfg, &ParallelConfig::sequential()).unwrap();
+        let bits = |trace: &[f64]| trace.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
 
-        for chunk_size in [1, mid_chunk, ds.n_users()] {
-            let source = DatasetChunks::new(&ds, chunk_size).unwrap();
-            let got = train_em_chunked(&source, &cfg, &parallel).unwrap();
-            prop_assert_eq!(&got.model, &expect.model);
-            prop_assert_eq!(got.converged, expect.converged);
-            prop_assert_eq!(
-                got.evidence_trace.len(),
-                expect.evidence_trace.len()
-            );
-            for (i, (a, b)) in got
-                .evidence_trace
-                .iter()
-                .zip(&expect.evidence_trace)
-                .enumerate()
-            {
-                prop_assert!(
-                    a.to_bits() == b.to_bits(),
-                    "chunk {}: iteration {} evidence {} vs {}",
-                    chunk_size, i, a, b
-                );
+        for threads in 1..=4 {
+            let parallel = ParallelConfig::all(threads);
+            for chunk_size in [1, 7, 64, ds.n_users()] {
+                let source = DatasetChunks::new(&ds, chunk_size).unwrap();
+                let got = train_em_chunked(&source, &cfg, &parallel).unwrap();
+                prop_assert_eq!(&got.model, &expect.model);
+                prop_assert_eq!(got.converged, expect.converged);
+                prop_assert_eq!(bits(&got.evidence_trace), bits(&expect.evidence_trace));
+            }
+        }
+
+        let full = train_em_full(&ds, &cfg).unwrap();
+        let within = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+        prop_assert_eq!(expect.converged, full.converged);
+        prop_assert_eq!(expect.evidence_trace.len(), full.evidence_trace.len());
+        prop_assert_eq!(expect.evidence_trace[0].to_bits(), full.evidence_trace[0].to_bits());
+        let (a, b) = (expect.evidence_trace.last().unwrap(), full.evidence_trace.last().unwrap());
+        prop_assert!(within(*a, *b), "final evidence {} vs {}", a, b);
+        for item in 0..ds.n_items() as u32 {
+            let features = ds.item_features(item);
+            for s in 1..=n_levels as u8 {
+                let a = expect.model.item_log_likelihood(features, s);
+                let b = full.model.item_log_likelihood(features, s);
+                prop_assert!(within(a, b), "item {} level {}: {} vs {}", item, s, a, b);
+            }
+        }
+    }
+
+    // `Trainer::em().fit` and `fit_chunked` are one trainer: on every
+    // chunking (one-user, 7-user and one giant chunk) and 1..=4 threads
+    // the chunked fit gives bitwise the sequential in-memory fit's model,
+    // evidence trace, convergence and closing objective, and its level
+    // histogram counts the in-memory fit's assignments.
+    #[test]
+    fn trainer_em_fit_matches_fit_chunked(
+        mask in 0u8..8,
+        item_draws in proptest::collection::vec(
+            (0u32..8, 0u64..20, 0.1f64..10.0, 0.1f64..10.0), 3..8),
+        users in users_strategy(10, 12),
+        n_levels in 2usize..4,
+    ) {
+        let ds = build_dataset(masked_schema(mask), &item_draws, &users);
+        let trainer = Trainer::new(n_levels)
+            .with_min_init_actions(1)
+            .with_max_iterations(6)
+            .em();
+        let expect = trainer.fit(&ds).unwrap();
+        let histogram: Vec<u64> = expect
+            .assignments
+            .level_histogram(n_levels)
+            .iter()
+            .map(|&c| c as u64)
+            .collect();
+        let trace = |t: &[IterationStats]| {
+            t.iter().map(|s| (s.log_likelihood.to_bits(), s.n_changed)).collect::<Vec<_>>()
+        };
+
+        for threads in 1..=4 {
+            let trainer = trainer.clone().with_threads(threads);
+            let in_memory = trainer.fit(&ds).unwrap();
+            prop_assert_eq!(&in_memory.model, &expect.model);
+            prop_assert_eq!(&in_memory.assignments, &expect.assignments);
+            prop_assert_eq!(trace(&in_memory.trace), trace(&expect.trace));
+            prop_assert_eq!(in_memory.converged, expect.converged);
+            prop_assert_eq!(in_memory.log_likelihood.to_bits(), expect.log_likelihood.to_bits());
+            for chunk_size in [1, 7, ds.n_users()] {
+                let source = DatasetChunks::new(&ds, chunk_size).unwrap();
+                let got = trainer.fit_chunked(&source).unwrap();
+                prop_assert_eq!(&got.model, &expect.model);
+                prop_assert_eq!(got.converged, expect.converged);
+                prop_assert_eq!(trace(&got.trace), trace(&expect.trace));
+                prop_assert_eq!(got.log_likelihood.to_bits(), expect.log_likelihood.to_bits());
+                prop_assert_eq!(&got.level_histogram, &histogram);
             }
         }
     }
