@@ -13,7 +13,7 @@ fn samples(n: usize) -> Vec<f64> {
 
 fn bench_scoring(c: &mut Criterion) {
     let mut group = c.benchmark_group("dist/log_likelihood");
-    let cat = Categorical::fit_from_counts(&vec![3u64; 1000], 0.01).expect("fit");
+    let cat = Categorical::fit_from_counts(&vec![3.0; 1000], 0.01).expect("fit");
     let poi = Poisson::new(6.5).expect("poisson");
     let gam = Gamma::new(3.0, 1.5).expect("gamma");
     let lgn = LogNormal::new(1.0, 0.6).expect("lognormal");
@@ -34,7 +34,7 @@ fn bench_scoring(c: &mut Criterion) {
 
 fn bench_fitting(c: &mut Criterion) {
     let mut group = c.benchmark_group("dist/fit");
-    let counts: Vec<u64> = (0..5000).map(|i| (i % 13) as u64).collect();
+    let counts: Vec<f64> = (0..5000).map(|i| (i % 13) as f64).collect();
     let xs = samples(5000);
     let ks: Vec<u64> = (0..5000u64).map(|i| i % 23).collect();
     group.bench_function("categorical_5000", |b| {

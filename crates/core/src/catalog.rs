@@ -353,8 +353,10 @@ pub(crate) enum FeatureSlot<'a> {
 
 impl FeatureSlot<'_> {
     /// The typed slot of a row value, with the transforms the columns
-    /// cache computed here. `ln x` is taken unchecked, as the row path
-    /// takes it.
+    /// cache computed here. `ln x` is taken unchecked: a positive real
+    /// reaches a positive-real accumulator through
+    /// [`SufficientStats::push_n`](crate::dist::SufficientStats::push_n),
+    /// which checks it first.
     #[inline]
     pub(crate) fn of(value: &FeatureValue) -> FeatureSlot<'static> {
         match *value {
@@ -453,7 +455,6 @@ mod tests {
     use super::*;
     use crate::chunked::{initialize_model_chunked, DatasetChunks};
     use crate::dist::FeatureAccumulator;
-    use crate::em::WeightedAcc;
     use crate::emission::EmissionTable;
     use crate::feature::PositiveModel;
     use crate::incremental::{MassGrid, StatsGrid};
@@ -540,8 +541,9 @@ mod tests {
         SkillModel::new(schema(), S, cells)
     }
 
-    /// The hard M-step replayed from the item rows.
-    fn replay_hard(ds: &Dataset, grid: &StatsGrid) -> Result<SkillModel> {
+    /// An M-step replayed from the item rows: `weight(s, item)` is the
+    /// weight of the item's values at level `s + 1`.
+    fn replay_rows(ds: &Dataset, weight: impl Fn(usize, usize) -> f64) -> Result<SkillModel> {
         let mut cells = Vec::new();
         for s in 0..S {
             let mut accs: Vec<FeatureAccumulator> = schema()
@@ -550,12 +552,12 @@ mod tests {
                 .map(|&k| FeatureAccumulator::new(k))
                 .collect();
             for (item, row) in ds.items().iter().enumerate() {
-                let count = grid.count(s, item);
-                if count == 0 {
+                let w = weight(s, item);
+                if w <= 0.0 {
                     continue;
                 }
                 for (acc, value) in accs.iter_mut().zip(row) {
-                    acc.push_n(value, count)?;
+                    acc.push_n(value, w)?;
                 }
             }
             cells.push(accs.iter().map(|a| a.fit(LAMBDA)).collect::<Result<_>>()?);
@@ -563,27 +565,14 @@ mod tests {
         model_from(cells)
     }
 
+    /// The hard M-step replayed from the item rows.
+    fn replay_hard(ds: &Dataset, grid: &StatsGrid) -> Result<SkillModel> {
+        replay_rows(ds, |s, item| grid.count(s, item) as f64)
+    }
+
     /// The soft M-step replayed from the item rows.
     fn replay_soft(ds: &Dataset, grid: &MassGrid) -> Result<SkillModel> {
-        let mut cells = Vec::new();
-        for s in 0..S {
-            let mut accs: Vec<WeightedAcc> = schema()
-                .kinds()
-                .iter()
-                .map(|&k| WeightedAcc::new(k))
-                .collect();
-            for (item, row) in ds.items().iter().enumerate() {
-                let weight = grid.mass(s, item);
-                if weight <= 0.0 {
-                    continue;
-                }
-                for (acc, value) in accs.iter_mut().zip(row) {
-                    acc.push(value, weight)?;
-                }
-            }
-            cells.push(accs.iter().map(|a| a.fit(LAMBDA)).collect::<Result<_>>()?);
-        }
-        model_from(cells)
+        replay_rows(ds, |s, item| grid.mass(s, item))
     }
 
     /// Per-action pushes of `levels` over `sequences`, read from the rows.

@@ -618,9 +618,9 @@ impl<'a> InitColumns<'a> {
         if flagged(&self.untyped, i) {
             for (acc, slot) in row.iter_mut().zip(self.catalog.item(i)?) {
                 match (&*acc, slot) {
-                    (FeatureAccumulator::Categorical { .. }, _) => acc.push_slot(slot, 1)?,
+                    (FeatureAccumulator::Categorical { .. }, _) => acc.push_slot(slot, 1.0)?,
                     (_, FeatureSlot::Row(_)) => {
-                        FeatureAccumulator::new(acc.kind()).push_slot(slot, 1)?
+                        FeatureAccumulator::new(acc.kind()).push_slot(slot, 1.0)?
                     }
                     _ => {}
                 }
@@ -629,7 +629,7 @@ impl<'a> InitColumns<'a> {
         }
         for &(f, codes) in &self.categorical {
             if let (Some(acc), Some(&c)) = (row.get_mut(f), codes.get(i)) {
-                acc.push_slot(FeatureSlot::Categorical(c), 1)?;
+                acc.push_slot(FeatureSlot::Categorical(c), 1.0)?;
             }
         }
         Ok(())
@@ -665,7 +665,7 @@ impl<'a> InitColumns<'a> {
                     for &item in items {
                         let i = item as usize;
                         if let (Some(&x), Some(&ln_x)) = (xs.get(i), ln_xs.get(i)) {
-                            local.push_ln_n(x, ln_x, 1);
+                            local.push_ln_n(x, ln_x, 1.0);
                         }
                     }
                     *stats = local;
@@ -673,7 +673,7 @@ impl<'a> InitColumns<'a> {
                 (acc, _) => {
                     let feature = self.catalog.feature(f);
                     for &item in items {
-                        acc.push_slot(feature.slot(item as usize), 1)?;
+                        acc.push_slot(feature.slot(item as usize), 1.0)?;
                     }
                 }
             }
@@ -698,9 +698,9 @@ fn level_row(
 /// per worker per wave.
 ///
 /// Workers load a chunk, segment its qualifying users, add the
-/// categorical features of their actions into per-worker counts (exact
-/// integers, so the order is free) and hand back the actions' items and
-/// levels. The calling thread folds the count and positive-real
+/// categorical features of their actions into per-worker counts (sums
+/// of whole weights, exact in any order) and hand back the actions' items
+/// and levels. The calling thread folds the count and positive-real
 /// statistics (`f64` sums, so the order matters) in chunk, user and
 /// action order. A worker also checks every feature the calling thread
 /// will fold, in `(user, action, feature)` order, so the first error in
@@ -1771,7 +1771,7 @@ mod tests {
             for (action, level) in seq.actions().iter().zip(levels) {
                 let row = &mut grid[usize::from(level) - 1];
                 for (acc, slot) in row.iter_mut().zip(catalog.item(action.item as usize)?) {
-                    acc.push_slot(slot, 1)?;
+                    acc.push_slot(slot, 1.0)?;
                 }
             }
         }

@@ -60,9 +60,25 @@ impl Categorical {
 
     /// Fits the smoothed MLE (Eq. 6) from per-category counts.
     ///
-    /// `lambda` is the additive pseudo-count; `lambda = 0` yields the raw
-    /// MLE (and `-inf` log-probabilities for unseen categories).
-    pub fn fit_from_counts(counts: &[u64], lambda: f64) -> Result<Self> {
+    /// A count is any finite non-negative weight: whole action counts on
+    /// the hard path, responsibility mass under EM. `lambda` is the
+    /// additive pseudo-count; `lambda = 0` yields the raw MLE (and `-inf`
+    /// log-probabilities for unseen categories).
+    pub fn fit_from_counts(counts: &[f64], lambda: f64) -> Result<Self> {
+        if let Some(&bad) = counts.iter().find(|c| !c.is_finite() || **c < 0.0) {
+            return Err(CoreError::InvalidProbability {
+                context: "categorical count",
+                value: bad,
+            });
+        }
+        Self::fit_with_total(counts, counts.iter().sum(), lambda)
+    }
+
+    /// [`Categorical::fit_from_counts`] over counts the caller has
+    /// already checked and summed into `total` (the accumulator keeps a
+    /// running total). Sums of whole counts are exact in any order, so the
+    /// hard path's cells keep their bits whoever sums them.
+    pub(crate) fn fit_with_total(counts: &[f64], total: f64, lambda: f64) -> Result<Self> {
         if counts.is_empty() {
             return Err(CoreError::DegenerateFit {
                 distribution: "categorical",
@@ -75,25 +91,21 @@ impl Categorical {
                 value: lambda,
             });
         }
-        let total: u64 = counts.iter().sum();
-        let denom = lambda * counts.len() as f64 + total as f64;
+        let denom = lambda * counts.len() as f64 + total;
         if denom <= 0.0 {
             return Err(CoreError::DegenerateFit {
                 distribution: "categorical",
                 reason: "no observations and no smoothing",
             });
         }
-        let probs: Vec<f64> = counts
-            .iter()
-            .map(|&c| (lambda + c as f64) / denom)
-            .collect();
+        let probs: Vec<f64> = counts.iter().map(|&c| (lambda + c) / denom).collect();
         let log_probs = probs.iter().map(|&p| p.ln()).collect();
         Ok(Self { probs, log_probs })
     }
 
     /// Uniform distribution over `cardinality` categories.
     pub fn uniform(cardinality: u32) -> Result<Self> {
-        Self::fit_from_counts(&vec![0u64; cardinality as usize], 1.0)
+        Self::fit_from_counts(&vec![0.0; cardinality as usize], 1.0)
     }
 
     /// Number of categories.
@@ -143,30 +155,37 @@ mod tests {
     #[test]
     fn fit_matches_closed_form() {
         // counts = [3, 1, 0], λ = 0.01, C = 3, total = 4
-        let d = Categorical::fit_from_counts(&[3, 1, 0], 0.01).unwrap();
+        let d = Categorical::fit_from_counts(&[3.0, 1.0, 0.0], 0.01).unwrap();
         let denom = 0.01 * 3.0 + 4.0;
         assert!((d.prob(0) - 3.01 / denom).abs() < 1e-15);
         assert!((d.prob(1) - 1.01 / denom).abs() < 1e-15);
         assert!((d.prob(2) - 0.01 / denom).abs() < 1e-15);
+        // Responsibility mass: the same closed form, not renormalized.
+        let mass = [0.3, 1.45, 0.0];
+        let d = Categorical::fit_from_counts(&mass, 0.01).unwrap();
+        let denom = 0.01 * 3.0 + (0.3 + 1.45);
+        for (c, &w) in mass.iter().enumerate() {
+            assert_eq!(d.prob(c as u32).to_bits(), ((0.01 + w) / denom).to_bits());
+        }
     }
 
     #[test]
     fn probabilities_sum_to_one() {
-        let d = Categorical::fit_from_counts(&[5, 0, 2, 7, 0, 1], 0.01).unwrap();
+        let d = Categorical::fit_from_counts(&[5.0, 0.0, 2.0, 7.0, 0.0, 1.0], 0.01).unwrap();
         let sum: f64 = d.probs().iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn smoothing_avoids_zero_frequency() {
-        let d = Categorical::fit_from_counts(&[10, 0], 0.01).unwrap();
+        let d = Categorical::fit_from_counts(&[10.0, 0.0], 0.01).unwrap();
         assert!(d.prob(1) > 0.0);
         assert!(d.log_prob(1).is_finite());
     }
 
     #[test]
     fn unsmoothed_unseen_category_is_neg_inf() {
-        let d = Categorical::fit_from_counts(&[10, 0], 0.0).unwrap();
+        let d = Categorical::fit_from_counts(&[10.0, 0.0], 0.0).unwrap();
         assert_eq!(d.prob(1), 0.0);
         assert_eq!(d.log_prob(1), f64::NEG_INFINITY);
     }
@@ -196,22 +215,38 @@ mod tests {
 
     #[test]
     fn fit_rejects_bad_lambda() {
-        assert!(Categorical::fit_from_counts(&[1, 2], -0.5).is_err());
-        assert!(Categorical::fit_from_counts(&[1, 2], f64::NAN).is_err());
+        assert!(Categorical::fit_from_counts(&[1.0, 2.0], -0.5).is_err());
+        assert!(Categorical::fit_from_counts(&[1.0, 2.0], f64::NAN).is_err());
     }
 
     #[test]
     fn empty_counts_without_smoothing_rejected() {
-        assert!(Categorical::fit_from_counts(&[0, 0, 0], 0.0).is_err());
+        assert!(Categorical::fit_from_counts(&[0.0, 0.0, 0.0], 0.0).is_err());
+    }
+
+    #[test]
+    fn fit_rejects_negative_and_non_finite_counts() {
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let got = Categorical::fit_from_counts(&[1.0, bad], 0.01);
+            assert!(
+                matches!(
+                    got,
+                    Err(CoreError::InvalidProbability {
+                        context: "categorical count",
+                        ..
+                    })
+                ),
+                "{bad}: {got:?}"
+            );
+        }
     }
 
     #[test]
     fn mle_maximizes_likelihood_among_neighbors() {
         // The unsmoothed MLE should beat small perturbations of itself.
-        let counts = [7u64, 2, 1];
+        let counts = [7.0, 2.0, 1.0];
         let d = Categorical::fit_from_counts(&counts, 0.0).unwrap();
-        let ll =
-            |p: &[f64]| -> f64 { counts.iter().zip(p).map(|(&c, &p)| c as f64 * p.ln()).sum() };
+        let ll = |p: &[f64]| -> f64 { counts.iter().zip(p).map(|(&c, &p)| c * p.ln()).sum() };
         let best = ll(d.probs());
         let mut perturbed = d.probs().to_vec();
         perturbed[0] -= 0.05;
@@ -221,7 +256,7 @@ mod tests {
 
     #[test]
     fn batch_matches_scalar_bitwise() {
-        let d = Categorical::fit_from_counts(&[5, 0, 2, 7], 0.01).unwrap();
+        let d = Categorical::fit_from_counts(&[5.0, 0.0, 2.0, 7.0], 0.01).unwrap();
         // Includes an out-of-range category: the batch lookup must share
         // the scalar `-inf` fallback.
         let cats = [0u32, 3, 2, 99, 1, 0];

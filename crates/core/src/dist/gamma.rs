@@ -12,6 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::dist::check_weight;
 use crate::dist::special::{digamma, ln_gamma, trigamma};
 use crate::error::{CoreError, Result};
 
@@ -173,15 +174,13 @@ impl Gamma {
 }
 
 /// Sufficient statistics for gamma and log-normal fitting:
-/// `Σx`, `Σ ln x`, `Σx²`, `Σ(ln x)²`, `n`.
+/// `Σx`, `Σ ln x`, `Σx²`, `Σ(ln x)²`, `n`, each weighted.
 ///
-/// The statistics are plain sums, so the accumulator supports exact
-/// weighted insertion ([`SufficientStats::push_n`]) and removal
-/// ([`SufficientStats::remove`]) in real arithmetic; in floating point a
-/// remove-then-re-add round trip can differ from never having pushed by
-/// summation-order ulps (the incremental trainer sidesteps this by keeping
-/// integer item histograms and re-deriving these sums in a canonical
-/// order — see `upskill_core::incremental`).
+/// A weight is a whole count of repeated observations on the hard path
+/// and a fractional responsibility under EM; both fits read only the
+/// weighted means, so one accumulator serves both. The accumulator only
+/// grows: the trainers refit from their grids (`upskill_core::incremental`)
+/// instead of removing observations.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SufficientStats {
     sum: f64,
@@ -194,59 +193,32 @@ pub struct SufficientStats {
 impl SufficientStats {
     /// Accumulates one positive observation with unit weight.
     pub fn push(&mut self, x: f64) -> Result<()> {
-        self.push_n(x, 1)
+        self.push_n(x, 1.0)
     }
 
-    /// Accumulates `n` copies of one positive observation in O(1).
-    pub fn push_n(&mut self, x: f64, n: u64) -> Result<()> {
+    /// Accumulates one positive observation with a finite non-negative
+    /// `weight` in O(1).
+    pub fn push_n(&mut self, x: f64, weight: f64) -> Result<()> {
         if !x.is_finite() || x <= 0.0 {
             return Err(CoreError::InvalidProbability {
                 context: "gamma sample",
                 value: x,
             });
         }
-        self.push_ln_n(x, x.ln(), n);
+        check_weight(weight)?;
+        self.push_ln_n(x, x.ln(), weight);
         Ok(())
     }
 
-    /// [`SufficientStats::push_n`] for a valid `x` whose `ln x` the
-    /// caller already holds (the catalog's column store caches it).
-    pub(crate) fn push_ln_n(&mut self, x: f64, lx: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let w = n as f64;
-        self.sum += w * x;
-        self.sum_ln += w * lx;
-        self.sum_sq += w * x * x;
-        self.sum_ln_sq += w * lx * lx;
-        self.count += w;
-    }
-
-    /// Removes one previously pushed observation (the inverse of
-    /// [`SufficientStats::push`]). Errors when the accumulator is empty or
-    /// the value is invalid; it cannot detect a value that was never
-    /// pushed — callers own that invariant.
-    pub fn remove(&mut self, x: f64) -> Result<()> {
-        if !x.is_finite() || x <= 0.0 {
-            return Err(CoreError::InvalidProbability {
-                context: "gamma sample",
-                value: x,
-            });
-        }
-        if self.count < 1.0 {
-            return Err(CoreError::DegenerateFit {
-                distribution: "gamma",
-                reason: "remove from an empty accumulator",
-            });
-        }
-        let lx = x.ln();
-        self.sum -= x;
-        self.sum_ln -= lx;
-        self.sum_sq -= x * x;
-        self.sum_ln_sq -= lx * lx;
-        self.count -= 1.0;
-        Ok(())
+    /// [`SufficientStats::push_n`] for a valid `x` and `weight` whose
+    /// `ln x` the caller already holds (the catalog's column store caches
+    /// it).
+    pub(crate) fn push_ln_n(&mut self, x: f64, lx: f64, weight: f64) {
+        self.sum += weight * x;
+        self.sum_ln += weight * lx;
+        self.sum_sq += weight * x * x;
+        self.sum_ln_sq += weight * lx * lx;
+        self.count += weight;
     }
 
     /// Builds statistics from a slice of samples.
@@ -264,7 +236,7 @@ impl SufficientStats {
         Ok(stats)
     }
 
-    /// Number of accumulated observations.
+    /// Total weight of the accumulated observations.
     pub fn count(&self) -> f64 {
         self.count
     }

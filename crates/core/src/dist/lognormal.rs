@@ -63,12 +63,13 @@ impl LogNormal {
 
     /// Closed-form MLE from pre-accumulated sufficient statistics — the
     /// same `mean`/`variance of ln x` estimator as [`LogNormal::fit`], so
-    /// streaming accumulation and slice fitting agree.
+    /// streaming accumulation and slice fitting agree. Any positive total
+    /// weight fits, fractional responsibility mass included.
     pub fn fit_from_stats(stats: &crate::dist::SufficientStats) -> Result<Self> {
-        if stats.count() < 1.0 {
+        if stats.count() <= 0.0 {
             return Err(CoreError::DegenerateFit {
                 distribution: "lognormal",
-                reason: "no samples",
+                reason: "no observation weight",
             });
         }
         Self::new(stats.mean_ln(), stats.variance_ln().sqrt().max(MIN_SIGMA))
@@ -208,6 +209,17 @@ mod tests {
         let d = LogNormal::new(1.0, 0.5).unwrap();
         assert!((d.median() - 1.0f64.exp()).abs() < 1e-12);
         assert!((d.mean() - (1.0f64 + 0.125).exp()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fit_from_stats_takes_any_positive_weight() {
+        let mut stats = crate::dist::SufficientStats::default();
+        assert!(LogNormal::fit_from_stats(&stats).is_err());
+        stats.push_n(2.0, 0.2).unwrap();
+        stats.push_n(8.0, 0.1).unwrap();
+        let d = LogNormal::fit_from_stats(&stats).unwrap();
+        let mu = (0.2 * 2.0f64.ln() + 0.1 * 8.0f64.ln()) / (0.2 + 0.1);
+        assert!((d.mu() - mu).abs() < 1e-12, "{} vs {mu}", d.mu());
     }
 
     #[test]

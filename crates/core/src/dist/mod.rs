@@ -4,7 +4,9 @@
 //! [`FeatureDistribution`]; the [`FeatureAccumulator`] is its streaming
 //! counterpart used by the parameter-update step (Eq. 5–7) to collect
 //! sufficient statistics per skill level without materializing sample
-//! vectors.
+//! vectors. Its observations carry real weights, so the hard trainers'
+//! action counts and EM's responsibility mass run the same fits, and no
+//! MLE is written outside this module.
 
 pub mod categorical;
 pub mod gamma;
@@ -100,19 +102,38 @@ impl FeatureDistribution {
     }
 }
 
-/// Streaming sufficient statistics for one (feature, skill) cell.
+/// Rejects a weight that is negative or not finite: every accumulator
+/// weight is a whole action count or a responsibility mass.
+pub(crate) fn check_weight(weight: f64) -> Result<()> {
+    if !weight.is_finite() || weight < 0.0 {
+        return Err(CoreError::InvalidProbability {
+            context: "accumulator weight",
+            value: weight,
+        });
+    }
+    Ok(())
+}
+
+/// Streaming sufficient statistics for one (feature, skill) cell: the one
+/// accumulator behind every M-step.
+///
+/// Observations carry real weights. The hard trainers push whole action
+/// counts, whose sums are exact in any order below 2⁵³; EM pushes
+/// responsibility mass. Both then run the same closed-form fit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum FeatureAccumulator {
-    /// Per-category counts.
+    /// Per-category weight sums.
     Categorical {
-        /// `counts[c]` = number of observations of category `c`.
-        counts: Vec<u64>,
+        /// `weights[c]` = total weight of observations of category `c`.
+        weights: Vec<f64>,
+        /// Running sum of `weights`, added in push order.
+        total: f64,
     },
-    /// Sum and count for the Poisson mean.
+    /// Weighted sum and total weight for the Poisson mean.
     Count {
-        /// Sum of observed counts.
+        /// Weighted sum of observed counts.
         sum: f64,
-        /// Number of observations.
+        /// Total observation weight.
         n: f64,
     },
     /// Gamma/log-normal sufficient statistics (`Σx`, `Σ ln x`, `Σx²`,
@@ -130,7 +151,8 @@ impl FeatureAccumulator {
     pub fn new(kind: FeatureKind) -> Self {
         match kind {
             FeatureKind::Categorical { cardinality } => FeatureAccumulator::Categorical {
-                counts: vec![0; cardinality as usize],
+                weights: vec![0.0; cardinality as usize],
+                total: 0.0,
             },
             FeatureKind::Count => FeatureAccumulator::Count { sum: 0.0, n: 0.0 },
             FeatureKind::Positive { model } => FeatureAccumulator::Positive {
@@ -142,37 +164,41 @@ impl FeatureAccumulator {
 
     /// Adds one observation.
     pub fn push(&mut self, value: &FeatureValue) -> Result<()> {
-        self.push_n(value, 1)
+        self.push_n(value, 1.0)
     }
 
-    /// Adds `weight` copies of one observation in O(1).
+    /// Adds one observation with a finite non-negative `weight` in O(1).
     ///
-    /// `push_n(v, k)` leaves integer statistics (categorical counts, count
-    /// sums and `n`) in exactly the state `k` repeated [`push`]es would;
+    /// A whole `weight` `k` leaves the categorical weights, the count sums
+    /// and every `n` in exactly the state `k` repeated [`push`]es would;
     /// continuous sums use one fused `k·x` product per statistic. The
-    /// incremental trainer's grid fit relies on this to replay an item
-    /// histogram without walking every action.
+    /// grid fits rely on this to replay an item histogram, or an item's
+    /// responsibility mass, without walking every action.
     ///
     /// [`push`]: FeatureAccumulator::push
-    pub fn push_n(&mut self, value: &FeatureValue, weight: u64) -> Result<()> {
+    pub fn push_n(&mut self, value: &FeatureValue, weight: f64) -> Result<()> {
         match (&mut *self, value) {
             (FeatureAccumulator::Positive { stats, .. }, FeatureValue::Real(x)) => {
                 stats.push_n(*x, weight)
             }
-            _ => self.push_slot(FeatureSlot::of(value), weight),
+            _ => {
+                check_weight(weight)?;
+                self.push_slot(FeatureSlot::of(value), weight)
+            }
         }
     }
 
     /// [`FeatureAccumulator::push_n`] of one catalog slot: the one
-    /// arithmetic body both the row path and the column path run. A
-    /// [`FeatureSlot::Row`] goes through `push_n`, so it returns the
-    /// row path's error.
-    pub(crate) fn push_slot(&mut self, slot: FeatureSlot<'_>, weight: u64) -> Result<()> {
+    /// arithmetic body the row path and the column path run. `weight`
+    /// must be finite and non-negative (a grid count or mass). A
+    /// [`FeatureSlot::Row`] goes through `push_n`, so it returns the row
+    /// path's error.
+    pub(crate) fn push_slot(&mut self, slot: FeatureSlot<'_>, weight: f64) -> Result<()> {
         match (self, slot) {
             (acc, FeatureSlot::Row(value)) => value.map_or(Ok(()), |v| acc.push_n(v, weight)),
-            (FeatureAccumulator::Categorical { counts }, FeatureSlot::Categorical(c)) => {
-                let cardinality = counts.len() as u32;
-                let cell = counts
+            (FeatureAccumulator::Categorical { weights, total }, FeatureSlot::Categorical(c)) => {
+                let cardinality = weights.len() as u32;
+                let cell = weights
                     .get_mut(c as usize)
                     .ok_or(CoreError::CategoryOutOfBounds {
                         feature: usize::MAX,
@@ -180,11 +206,12 @@ impl FeatureAccumulator {
                         cardinality,
                     })?;
                 *cell += weight;
+                *total += weight;
                 Ok(())
             }
             (FeatureAccumulator::Count { sum, n }, FeatureSlot::Count(k)) => {
-                *sum += weight as f64 * k;
-                *n += weight as f64;
+                *sum += weight * k;
+                *n += weight;
                 Ok(())
             }
             (FeatureAccumulator::Positive { stats, .. }, FeatureSlot::Real { x, ln_x }) => {
@@ -199,73 +226,27 @@ impl FeatureAccumulator {
         }
     }
 
-    /// Removes one previously pushed observation — the exact inverse of
-    /// [`FeatureAccumulator::push`] for the integer-statistic families
-    /// (categorical counts, Poisson sums over integers). For the
-    /// continuous `Positive` family the subtraction is exact in real
-    /// arithmetic but a remove/re-add round trip can drift by
-    /// summation-order ulps; see `upskill_core::incremental` for the
-    /// order-free alternative used in training.
-    ///
-    /// Errors on kind mismatches and on removing from an empty cell (the
-    /// closest detectable proxy for "value was never pushed").
-    pub fn remove(&mut self, value: &FeatureValue) -> Result<()> {
-        match (self, value) {
-            (FeatureAccumulator::Categorical { counts }, FeatureValue::Categorical(c)) => {
-                let idx = *c as usize;
-                if idx >= counts.len() {
-                    return Err(CoreError::CategoryOutOfBounds {
-                        feature: usize::MAX,
-                        value: *c,
-                        cardinality: counts.len() as u32,
-                    });
-                }
-                if counts[idx] == 0 {
-                    return Err(CoreError::DegenerateFit {
-                        distribution: "categorical",
-                        reason: "remove of a category with zero count",
-                    });
-                }
-                counts[idx] -= 1;
-                Ok(())
-            }
-            (FeatureAccumulator::Count { sum, n }, FeatureValue::Count(k)) => {
-                if *n < 1.0 {
-                    return Err(CoreError::DegenerateFit {
-                        distribution: "poisson",
-                        reason: "remove from an empty accumulator",
-                    });
-                }
-                *sum -= *k as f64;
-                *n -= 1.0;
-                Ok(())
-            }
-            (FeatureAccumulator::Positive { stats, .. }, FeatureValue::Real(x)) => stats.remove(*x),
-            (acc, value) => Err(CoreError::FeatureKindMismatch {
-                feature: usize::MAX,
-                expected: acc.kind_name(),
-                got: value.name(),
-            }),
-        }
-    }
-
     /// Merges another accumulator of the same variant into this one.
     pub fn merge(&mut self, other: &FeatureAccumulator) -> Result<()> {
         match (self, other) {
             (
-                FeatureAccumulator::Categorical { counts },
-                FeatureAccumulator::Categorical { counts: o },
+                FeatureAccumulator::Categorical { weights, total },
+                FeatureAccumulator::Categorical {
+                    weights: o,
+                    total: ot,
+                },
             ) => {
-                if counts.len() != o.len() {
+                if weights.len() != o.len() {
                     return Err(CoreError::LengthMismatch {
                         context: "categorical accumulator merge",
-                        left: counts.len(),
+                        left: weights.len(),
                         right: o.len(),
                     });
                 }
-                for (a, b) in counts.iter_mut().zip(o) {
+                for (a, b) in weights.iter_mut().zip(o) {
                     *a += b;
                 }
+                *total += ot;
                 Ok(())
             }
             (
@@ -291,10 +272,10 @@ impl FeatureAccumulator {
         }
     }
 
-    /// Number of accumulated observations.
+    /// Total weight of the accumulated observations.
     pub fn n_observations(&self) -> f64 {
         match self {
-            FeatureAccumulator::Categorical { counts } => counts.iter().sum::<u64>() as f64,
+            FeatureAccumulator::Categorical { total, .. } => *total,
             FeatureAccumulator::Count { n, .. } => *n,
             FeatureAccumulator::Positive { stats, .. } => stats.count(),
         }
@@ -309,9 +290,11 @@ impl FeatureAccumulator {
             return FeatureDistribution::fallback(self.kind());
         }
         match self {
-            FeatureAccumulator::Categorical { counts } => Ok(FeatureDistribution::Categorical(
-                Categorical::fit_from_counts(counts, lambda)?,
-            )),
+            FeatureAccumulator::Categorical { weights, total } => {
+                Ok(FeatureDistribution::Categorical(
+                    Categorical::fit_with_total(weights, *total, lambda)?,
+                ))
+            }
             FeatureAccumulator::Count { sum, n } => Ok(FeatureDistribution::Poisson(
                 Poisson::fit_from_moments(*sum, *n)?,
             )),
@@ -330,8 +313,8 @@ impl FeatureAccumulator {
 
     pub(crate) fn kind(&self) -> FeatureKind {
         match self {
-            FeatureAccumulator::Categorical { counts } => FeatureKind::Categorical {
-                cardinality: counts.len() as u32,
+            FeatureAccumulator::Categorical { weights, .. } => FeatureKind::Categorical {
+                cardinality: weights.len() as u32,
             },
             FeatureAccumulator::Count { .. } => FeatureKind::Count,
             FeatureAccumulator::Positive { model, .. } => FeatureKind::Positive { model: *model },
@@ -497,10 +480,11 @@ mod tests {
         b.push(&FeatureValue::Categorical(2)).unwrap();
         b.push(&FeatureValue::Categorical(2)).unwrap();
         a.merge(&b).unwrap();
-        let FeatureAccumulator::Categorical { counts } = &a else {
+        let FeatureAccumulator::Categorical { weights, total } = &a else {
             panic!()
         };
-        assert_eq!(counts, &vec![1, 0, 2]);
+        assert_eq!(weights, &vec![1.0, 0.0, 2.0]);
+        assert_eq!(total.to_bits(), 3.0f64.to_bits());
     }
 
     #[test]
@@ -549,7 +533,7 @@ mod tests {
             let mut weighted = FeatureAccumulator::new(kind);
             let mut repeated = FeatureAccumulator::new(kind);
             for value in probe_values(kind) {
-                weighted.push_n(&value, 3).unwrap();
+                weighted.push_n(&value, 3.0).unwrap();
                 for _ in 0..3 {
                     repeated.push(&value).unwrap();
                 }
@@ -569,32 +553,24 @@ mod tests {
     }
 
     #[test]
-    fn remove_exactly_inverts_push_on_every_variant() {
+    fn push_n_rejects_negative_and_non_finite_weights() {
         for kind in all_kinds() {
-            let values = probe_values(kind);
-            let mut acc = FeatureAccumulator::new(kind);
-            for value in &values {
-                acc.push(value).unwrap();
+            let value = &probe_values(kind)[0];
+            for bad in [-1.0, f64::NAN, f64::INFINITY] {
+                let mut acc = FeatureAccumulator::new(kind);
+                let got = acc.push_n(value, bad);
+                assert!(
+                    matches!(
+                        got,
+                        Err(CoreError::InvalidProbability {
+                            context: "accumulator weight",
+                            ..
+                        })
+                    ),
+                    "{kind:?} {bad}: {got:?}"
+                );
+                assert_eq!(acc, FeatureAccumulator::new(kind), "{kind:?} {bad}");
             }
-            let reference = acc.clone();
-            // Push then remove an extra observation: statistics must come
-            // back exactly (integer counters and compensated f64 sums).
-            acc.push(&values[2]).unwrap();
-            acc.remove(&values[2]).unwrap();
-            assert_eq!(acc.n_observations(), reference.n_observations(), "{kind:?}");
-            let probe = &values[1];
-            let a = acc.fit(0.01).unwrap().log_likelihood(probe);
-            let b = reference.fit(0.01).unwrap().log_likelihood(probe);
-            assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn remove_from_empty_accumulator_is_an_error() {
-        for kind in all_kinds() {
-            let mut acc = FeatureAccumulator::new(kind);
-            let value = probe_values(kind).remove(0);
-            assert!(acc.remove(&value).is_err(), "{kind:?}");
         }
     }
 }

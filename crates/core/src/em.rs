@@ -5,8 +5,10 @@
 //! The E-step runs forward–backward over the monotone stay/advance lattice
 //! with an explicit [`TransitionModel`], producing per-action posterior
 //! marginals `γ(n, s)`; the M-step refits every distribution from
-//! *weighted* sufficient statistics. This module exists to let the
-//! benchmarks quantify the hard-vs-soft trade-off on the same substrate.
+//! *weighted* sufficient statistics, through the same
+//! [`FeatureAccumulator`](crate::dist::FeatureAccumulator) and fits as the
+//! hard trainer. This module exists to let the benchmarks quantify the
+//! hard-vs-soft trade-off on the same substrate.
 //!
 //! ## One EM loop
 //!
@@ -15,9 +17,10 @@
 //! once into columnar chunks. Each iteration's E-step folds every
 //! posterior row into a fresh [`MassGrid`](crate::incremental::MassGrid)
 //! (`S × n_items` responsibility mass, never one entry per action) in
-//! global action order, and the M-step replays each level row through
-//! the weighted accumulators in the hard trainer's `fit_levels`
-//! (`O(S · n_items · F)` pushes instead of `O(|A| · S · F)`). Results are
+//! global action order, and the M-step is the hard trainer's
+//! `fit_levels`: it replays each level row through the one accumulator,
+//! each item's mass as its weight (`O(S · n_items · F)` pushes instead
+//! of `O(|A| · S · F)`). Results are
 //! bitwise identical for any chunk size and worker count. The
 //! per-action accumulation, about 2× slower over a whole training run
 //! (`reports/BENCH_em_incremental.json`), survives only as
@@ -26,12 +29,10 @@
 //! within `1e-9` relative (summing an item's mass before it meets the
 //! feature values moves the last bits).
 
-use crate::catalog::FeatureSlot;
 use crate::chunked::{in_memory_chunk_size, train_em_chunked, ChunkedDataset};
-use crate::dist::{Categorical, FeatureDistribution, Gamma, LogNormal, Poisson, DEFAULT_SMOOTHING};
+use crate::dist::DEFAULT_SMOOTHING;
 use crate::emission::EmissionTable;
 use crate::error::{CoreError, Result};
-use crate::feature::{FeatureKind, FeatureValue, PositiveModel};
 use crate::model::SkillModel;
 use crate::parallel::ParallelConfig;
 use crate::transition::TransitionModel;
@@ -200,168 +201,6 @@ impl FbWorkspace {
     }
 }
 
-/// Weighted per-cell statistics for the M-step: a
-/// [`MassGrid`](crate::incremental::MassGrid) level row is replayed
-/// through them, one push per item.
-pub(crate) enum WeightedAcc {
-    Categorical {
-        weights: Vec<f64>,
-    },
-    Count {
-        sum: f64,
-        weight: f64,
-    },
-    Positive {
-        model: PositiveModel,
-        w: f64,
-        wx: f64,
-        wlnx: f64,
-        wlnx2: f64,
-    },
-}
-
-impl WeightedAcc {
-    pub(crate) fn new(kind: FeatureKind) -> Self {
-        match kind {
-            FeatureKind::Categorical { cardinality } => WeightedAcc::Categorical {
-                weights: vec![0.0; cardinality as usize],
-            },
-            FeatureKind::Count => WeightedAcc::Count {
-                sum: 0.0,
-                weight: 0.0,
-            },
-            FeatureKind::Positive { model } => WeightedAcc::Positive {
-                model,
-                w: 0.0,
-                wx: 0.0,
-                wlnx: 0.0,
-                wlnx2: 0.0,
-            },
-        }
-    }
-
-    /// Adds one observation with `weight`; `ln x` is taken unchecked.
-    pub(crate) fn push(&mut self, value: &FeatureValue, weight: f64) -> Result<()> {
-        self.push_slot(FeatureSlot::of(value), weight)
-    }
-
-    /// [`WeightedAcc::push`] of one catalog slot: the one arithmetic
-    /// body both the row path and the column path run. A
-    /// [`FeatureSlot::Row`] goes through `push`.
-    pub(crate) fn push_slot(&mut self, slot: FeatureSlot<'_>, weight: f64) -> Result<()> {
-        match (self, slot) {
-            (acc, FeatureSlot::Row(value)) => value.map_or(Ok(()), |v| acc.push(v, weight)),
-            (WeightedAcc::Categorical { weights }, FeatureSlot::Categorical(c)) => {
-                let cardinality = weights.len() as u32;
-                let cell = weights
-                    .get_mut(c as usize)
-                    .ok_or(CoreError::CategoryOutOfBounds {
-                        feature: usize::MAX,
-                        value: c,
-                        cardinality,
-                    })?;
-                *cell += weight;
-                Ok(())
-            }
-            (WeightedAcc::Count { sum, weight: w }, FeatureSlot::Count(k)) => {
-                *sum += weight * k;
-                *w += weight;
-                Ok(())
-            }
-            (
-                WeightedAcc::Positive {
-                    w, wx, wlnx, wlnx2, ..
-                },
-                FeatureSlot::Real { x, ln_x: lx },
-            ) => {
-                *w += weight;
-                *wx += weight * x;
-                *wlnx += weight * lx;
-                *wlnx2 += weight * lx * lx;
-                Ok(())
-            }
-            _ => Err(CoreError::FeatureKindMismatch {
-                feature: usize::MAX,
-                expected: "matching",
-                got: "mismatched",
-            }),
-        }
-    }
-
-    pub(crate) fn fit(&self, lambda: f64) -> Result<FeatureDistribution> {
-        match self {
-            WeightedAcc::Categorical { weights } => {
-                let total: f64 = weights.iter().sum();
-                let denom = total + lambda * weights.len() as f64;
-                if denom <= 0.0 {
-                    return FeatureDistribution::fallback(FeatureKind::Categorical {
-                        cardinality: weights.len() as u32,
-                    });
-                }
-                let probs: Vec<f64> = weights.iter().map(|&w| (w + lambda) / denom).collect();
-                Ok(FeatureDistribution::Categorical(Categorical::from_probs(
-                    probs,
-                )?))
-            }
-            WeightedAcc::Count { sum, weight } => {
-                if *weight <= 0.0 {
-                    return FeatureDistribution::fallback(FeatureKind::Count);
-                }
-                Ok(FeatureDistribution::Poisson(Poisson::new(
-                    (sum / weight).max(crate::dist::poisson::MIN_RATE),
-                )?))
-            }
-            WeightedAcc::Positive {
-                model,
-                w,
-                wx,
-                wlnx,
-                wlnx2,
-            } => {
-                if *w <= 0.0 {
-                    return FeatureDistribution::fallback(FeatureKind::Positive { model: *model });
-                }
-                match model {
-                    PositiveModel::Gamma => {
-                        let m = wx / w;
-                        let mean_ln = wlnx / w;
-                        let s = (m.ln() - mean_ln).max(0.0);
-                        if s < 1e-12 {
-                            let shape = 1e6;
-                            return Ok(FeatureDistribution::Gamma(Gamma::new(shape, m / shape)?));
-                        }
-                        // Same generalized-Newton iteration as the unweighted fit.
-                        let mut k = (3.0 - s + ((s - 3.0).powi(2) + 24.0 * s).sqrt()) / (12.0 * s);
-                        for _ in 0..200 {
-                            let num = m.ln() - mean_ln + k.ln() - crate::dist::special::digamma(k);
-                            let den = k * k * (1.0 / k - crate::dist::special::trigamma(k));
-                            let inv = 1.0 / k + num / den;
-                            if !inv.is_finite() || inv <= 0.0 {
-                                break;
-                            }
-                            let k_new = 1.0 / inv;
-                            let delta = (k_new - k).abs() / k.max(1.0);
-                            k = k_new;
-                            if delta < 1e-10 {
-                                break;
-                            }
-                        }
-                        Ok(FeatureDistribution::Gamma(Gamma::new(k, m / k)?))
-                    }
-                    PositiveModel::LogNormal => {
-                        let mu = wlnx / w;
-                        let var = (wlnx2 / w - mu * mu).max(0.0);
-                        Ok(FeatureDistribution::LogNormal(LogNormal::new(
-                            mu,
-                            var.sqrt().max(1e-6),
-                        )?))
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Result of EM training.
 #[derive(Debug, Clone)]
 pub struct EmResult {
@@ -449,7 +288,8 @@ pub fn train_em_with_parallelism(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feature::{FeatureKind, FeatureSchema};
+    use crate::dist::{FeatureDistribution, Poisson};
+    use crate::feature::{FeatureKind, FeatureSchema, FeatureValue};
     use crate::init::initialize_model;
     use crate::types::{Action, ActionSequence};
 

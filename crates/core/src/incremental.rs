@@ -13,8 +13,10 @@
 //! mass* `Σ γ(a, s)` per cell, folded fresh every iteration.
 //!
 //! Both grids share one M-step, `fit_levels`: it replays each level row
-//! through the accumulators in ascending item order (`O(n_items · F)`
-//! pushes per level, independent of `|A|`), and splits the refit cells
+//! through one [`FeatureAccumulator`] per feature in ascending item
+//! order, each item's values pushed with its cell as the weight (a count
+//! as a whole number, a mass as it is; `O(n_items · F)` pushes per
+//! level, independent of `|A|`), and splits the refit cells
 //! over workers per [`ParallelConfig`]'s `skills`/`features`/`threads`
 //! (§IV-C). The hard grid tracks which levels its deltas touched, and
 //! its fit reuses the previous model's rows for the clean ones. A cell
@@ -32,17 +34,17 @@
 //! Poisson) and agree to summation-order rounding for gamma/log-normal.
 //! A mass cell sums an item's weights before they meet its feature
 //! values, so a weighted fit agrees with the action-order one to
-//! rounding in every family. The action-order trainers survive as
+//! rounding in every family. Both grids run the same accumulator and
+//! fits, so a mass grid holding whole counts fits a count grid's model
+//! bit for bit. The action-order trainers survive as
 //! oracles and speedup denominators only:
 //! [`crate::reference::train_full_rescan`] (checked by the property
 //! tests and `bench_incremental`) and [`crate::reference::train_em_full`]
 //! (`bench_em_incremental`).
 
-use crate::catalog::{FeatureColumn, FeatureSlot};
+use crate::catalog::FeatureColumn;
 use crate::dist::{FeatureAccumulator, FeatureDistribution};
-use crate::em::WeightedAcc;
 use crate::error::{CoreError, Result};
-use crate::feature::FeatureKind;
 use crate::model::SkillModel;
 use crate::parallel::{fan_out, job_len, ParallelConfig};
 use crate::types::{skill_level_from_index, Dataset, SkillAssignments};
@@ -414,7 +416,15 @@ impl StatsGrid {
         parallel: &ParallelConfig,
         prev: Option<&SkillModel>,
     ) -> Result<SkillModel> {
-        let model = fit_levels(&self.counts, &self.dirty, dataset, lambda, parallel, prev)?;
+        let model = fit_levels(
+            &self.counts,
+            count_weight,
+            &self.dirty,
+            dataset,
+            lambda,
+            parallel,
+            prev,
+        )?;
         self.dirty.fill(false);
         Ok(model)
     }
@@ -463,9 +473,12 @@ impl StatsGrid {
 ///
 /// `mass[s · n_items + i]` holds `Σ_a γ(a, s)` over the actions `a` on
 /// item `i`. An action's feature values depend only on its item, so the
-/// M-step replays each level row through the weighted accumulators once
-/// (`O(S · n_items · F)` pushes, independent of `|A|`) in the same
-/// `fit_levels` the hard grid uses. The grid is catalog-sized and
+/// M-step replays each level row once, each item's mass as the weight of
+/// its values (`O(S · n_items · F)` pushes, independent of `|A|`), in the
+/// same `fit_levels`, accumulator and fits the hard grid uses; a level
+/// with any positive mass fits, even one under one action's worth.
+/// Invalid item values fail the fit with the hard path's typed errors.
+/// The grid is catalog-sized and
 /// fresh every iteration: it keeps no per-action state. Rows added in
 /// one order give one set of bits, so the EM loop
 /// ([`crate::chunked::train_em_chunked`]) adds them on the calling
@@ -534,7 +547,15 @@ impl MassGrid {
         parallel: &ParallelConfig,
     ) -> Result<SkillModel> {
         let all = vec![true; self.n_levels];
-        fit_levels(&self.mass, &all, dataset, lambda, parallel, None)
+        fit_levels(
+            &self.mass,
+            |mass| mass,
+            &all,
+            dataset,
+            lambda,
+            parallel,
+            None,
+        )
     }
 }
 
@@ -579,6 +600,7 @@ impl GridCut {
         }
         fit_levels(
             &self.cells,
+            count_weight,
             &self.dirty,
             dataset,
             lambda,
@@ -588,54 +610,17 @@ impl GridCut {
     }
 }
 
-/// One `(level, item)` cell of a grid and the accumulator [`fit_levels`]
-/// replays it into: a [`StatsGrid`] count pushes `k` copies of the item's
-/// values, a [`MassGrid`] mass pushes them with that weight.
-pub(crate) trait GridCell: Copy + Sync {
-    type Acc;
-    fn acc(kind: FeatureKind) -> Self::Acc;
-    /// Whether the replay skips this cell.
-    fn is_empty(self) -> bool;
-    fn push(self, acc: &mut Self::Acc, slot: FeatureSlot<'_>) -> Result<()>;
-    fn fit(acc: &Self::Acc, lambda: f64) -> Result<FeatureDistribution>;
-}
-
-impl GridCell for u64 {
-    type Acc = FeatureAccumulator;
-    fn acc(kind: FeatureKind) -> FeatureAccumulator {
-        FeatureAccumulator::new(kind)
-    }
-    fn is_empty(self) -> bool {
-        self == 0
-    }
-    fn push(self, acc: &mut FeatureAccumulator, slot: FeatureSlot<'_>) -> Result<()> {
-        acc.push_slot(slot, self)
-    }
-    fn fit(acc: &FeatureAccumulator, lambda: f64) -> Result<FeatureDistribution> {
-        acc.fit(lambda)
-    }
-}
-
-impl GridCell for f64 {
-    type Acc = WeightedAcc;
-    fn acc(kind: FeatureKind) -> WeightedAcc {
-        WeightedAcc::new(kind)
-    }
-    fn is_empty(self) -> bool {
-        self <= 0.0
-    }
-    fn push(self, acc: &mut WeightedAcc, slot: FeatureSlot<'_>) -> Result<()> {
-        acc.push_slot(slot, self)
-    }
-    fn fit(acc: &WeightedAcc, lambda: f64) -> Result<FeatureDistribution> {
-        acc.fit(lambda)
-    }
+/// A [`StatsGrid`] count as an accumulator weight.
+fn count_weight(count: u64) -> f64 {
+    count as f64
 }
 
 /// The one M-step (§IV-B, Eqs. 5–7) of both grids and of the hard cut:
 /// refits some levels of the level-major `S × n_items` grid `cells` and
-/// keeps `prev`'s rows bit for bit for the rest. Callers clear their
-/// dirty flags on success.
+/// keeps `prev`'s rows bit for bit for the rest. `weight` reads a cell as
+/// the weight its item's values are pushed with: a count as `count as
+/// f64` (exact below 2⁵³), a mass as it is. Callers clear their dirty
+/// flags on success.
 ///
 /// It refits the `dirty` levels when `prev` has the grid's shape, every
 /// level otherwise. The refit `(level, feature)` cells are independent
@@ -651,8 +636,9 @@ impl GridCell for f64 {
 /// from the owned features' catalog columns, read beside the level row
 /// (`ln x` and the widened counts are computed once per catalog, not
 /// once per cell and fit).
-fn fit_levels<W: GridCell>(
+fn fit_levels<W: Copy + Sync>(
     cells: &[W],
+    weight: impl Fn(W) -> f64 + Sync,
     dirty: &[bool],
     dataset: &Dataset,
     lambda: f64,
@@ -700,21 +686,22 @@ fn fit_levels<W: GridCell>(
         let mut out = Vec::new();
         for &s in levels.iter().skip(level_part).step_by(level_parts) {
             let kinds = schema.kinds().iter().enumerate();
-            let mut accs: Vec<(FeatureColumn<'_>, W::Acc)> = kinds
+            let mut accs: Vec<(FeatureColumn<'_>, FeatureAccumulator)> = kinds
                 .skip(feature_part)
                 .step_by(feature_parts)
-                .map(|(f, &kind)| (catalog.feature(f), W::acc(kind)))
+                .map(|(f, &kind)| (catalog.feature(f), FeatureAccumulator::new(kind)))
                 .collect();
-            for (item, &weight) in cells[s * n_items..(s + 1) * n_items].iter().enumerate() {
-                if weight.is_empty() {
+            for (item, &cell) in cells[s * n_items..(s + 1) * n_items].iter().enumerate() {
+                let w = weight(cell);
+                if w <= 0.0 {
                     continue;
                 }
                 for (column, acc) in accs.iter_mut() {
-                    weight.push(acc, column.slot(item))?;
+                    acc.push_slot(column.slot(item), w)?;
                 }
             }
             for (column, acc) in &accs {
-                out.push((s, column.index(), W::fit(acc, lambda)?));
+                out.push((s, column.index(), acc.fit(lambda)?));
             }
         }
         Ok(out)
@@ -1427,5 +1414,114 @@ mod tests {
                 assert_eq!(bits(&model), bits(&expect), "{cfg:?}");
             }
         }
+    }
+
+    /// One feature of every family: a categorical whose last category no
+    /// item carries, a count, a gamma and a log-normal.
+    fn four_family_dataset(n_users: usize, len: usize) -> Dataset {
+        use crate::feature::PositiveModel;
+        let schema = FeatureSchema::new(vec![
+            FeatureKind::Categorical { cardinality: 5 },
+            FeatureKind::Count,
+            FeatureKind::Positive {
+                model: PositiveModel::Gamma,
+            },
+            FeatureKind::Positive {
+                model: PositiveModel::LogNormal,
+            },
+        ])
+        .unwrap();
+        let items: Vec<Vec<FeatureValue>> = (0..6u32)
+            .map(|i| {
+                let x = 0.3 + f64::from(i) * 1.7;
+                vec![
+                    FeatureValue::Categorical(i % 4),
+                    FeatureValue::Count(u64::from(i * 5 % 7)),
+                    FeatureValue::Real(x),
+                    FeatureValue::Real(1.0 / x),
+                ]
+            })
+            .collect();
+        let sequences: Vec<ActionSequence> = (0..n_users as u32)
+            .map(|u| {
+                let actions: Vec<Action> = (0..len)
+                    .map(|t| Action::new(t as i64, u, (t as u32 * 7 + u * 3) % 6))
+                    .collect();
+                ActionSequence::new(u, actions).unwrap()
+            })
+            .collect();
+        Dataset::new(schema, items, sequences).unwrap()
+    }
+
+    #[test]
+    fn mass_grid_of_whole_counts_fits_the_hard_bits() {
+        // One accumulator and one set of fits: a mass grid holding a
+        // count grid's whole counts fits the count grid's model bit for
+        // bit, at every split.
+        let ds = four_family_dataset(7, 11);
+        let a = staircase_assignments(&ds, 3);
+        let counts = StatsGrid::build(&ds, &a, 3).unwrap();
+        let mut mass = MassGrid::new(3, ds.n_items()).unwrap();
+        for (seq, levels) in ds.sequences().iter().zip(&a.per_user) {
+            for (action, &level) in seq.actions().iter().zip(levels) {
+                let mut row = [0.0; 3];
+                row[usize::from(level) - 1] = 1.0;
+                mass.add(action.item, &row).unwrap();
+            }
+        }
+        let seq = ParallelConfig::sequential();
+        let want = bits(
+            &counts
+                .clone()
+                .fit_model_incremental(&ds, 0.01, &seq, None)
+                .unwrap(),
+        );
+        for cfg in update_configs() {
+            let hard = counts.clone().fit_model_incremental(&ds, 0.01, &cfg, None);
+            assert_eq!(bits(&hard.unwrap()), want, "hard {cfg:?}");
+            let soft = mass.fit_model(&ds, 0.01, &cfg).unwrap();
+            assert_eq!(bits(&soft), want, "soft {cfg:?}");
+        }
+    }
+
+    #[test]
+    fn a_level_with_less_than_one_action_of_mass_fits() {
+        let ds = four_family_dataset(1, 3);
+        let mut mass = MassGrid::new(3, ds.n_items()).unwrap();
+        let level_3 = [0.05, 0.1, 0.15];
+        for (action, &w) in ds.actions().zip(&level_3) {
+            mass.add(action.item, &[0.5, 0.5 - w, w]).unwrap();
+        }
+        let model = mass
+            .fit_model(&ds, 0.01, &ParallelConfig::sequential())
+            .unwrap();
+        // The weighted means of x and ln x over the level's 0.3 of mass.
+        let xs: Vec<f64> = ds
+            .actions()
+            .map(|a| match ds.item_features(a.item)[2] {
+                FeatureValue::Real(x) => x,
+                _ => unreachable!(),
+            })
+            .collect();
+        let total: f64 = level_3.iter().sum();
+        assert!((total - 0.3).abs() < 1e-15);
+        let mean = |f: fn(f64) -> f64| -> f64 {
+            xs.iter()
+                .zip(&level_3)
+                .map(|(&x, &w)| w * f(x))
+                .sum::<f64>()
+                / total
+        };
+        let row = model.level_row(3).unwrap();
+        let FeatureDistribution::Gamma(g) = &row[2] else {
+            panic!("{:?}", row[2])
+        };
+        assert!((g.mean() - mean(|x| x)).abs() < 1e-12, "{g:?}");
+        assert!(g.shape() < 1e6, "fitted, not clamped: {g:?}");
+        let FeatureDistribution::LogNormal(l) = &row[3] else {
+            panic!("{:?}", row[3])
+        };
+        // The log-normal column holds 1/x, so its log-mean is −mean(ln x).
+        assert!((l.mu() + mean(f64::ln)).abs() < 1e-12, "{l:?}");
     }
 }

@@ -23,8 +23,8 @@
 
 use std::time::Instant;
 
-use crate::dist::FeatureDistribution;
-use crate::em::{log_sum_exp, EmConfig, EmResult, WeightedAcc};
+use crate::dist::{FeatureAccumulator, FeatureDistribution};
+use crate::em::{log_sum_exp, EmConfig, EmResult};
 use crate::emission::{DirectEmissions, EmissionTable};
 use crate::error::{CoreError, Result};
 use crate::init::{initialize_model, segment_uniform_times_into};
@@ -276,8 +276,8 @@ pub fn forward_backward(
 }
 
 /// EM without a mass grid, sequentially: every iteration rebuilds the
-/// emission table and folds every action's posterior row through the
-/// weighted accumulators, in action order. The speedup denominator of
+/// emission table and pushes every action's features into each level's
+/// accumulators with its posterior weight, in action order. The speedup denominator of
 /// `bench_em_incremental` and the oracle
 /// [`train_em_chunked`](crate::chunked::train_em_chunked) agrees with to
 /// rounding.
@@ -293,12 +293,12 @@ pub fn train_em_full(dataset: &Dataset, config: &EmConfig) -> Result<EmResult> {
 
     for _ in 0..config.max_iterations {
         // E-step: accumulate weighted stats over all sequences.
-        let mut grid: Vec<Vec<WeightedAcc>> = (0..n_levels)
+        let mut grid: Vec<Vec<FeatureAccumulator>> = (0..n_levels)
             .map(|_| {
                 schema
                     .kinds()
                     .iter()
-                    .map(|&k| WeightedAcc::new(k))
+                    .map(|&k| FeatureAccumulator::new(k))
                     .collect()
             })
             .collect();
@@ -315,7 +315,7 @@ pub fn train_em_full(dataset: &Dataset, config: &EmConfig) -> Result<EmResult> {
                         continue;
                     }
                     for (acc, value) in grid[s].iter_mut().zip(features) {
-                        acc.push(value, weight)?;
+                        acc.push_n(value, weight)?;
                     }
                 }
             }

@@ -54,7 +54,7 @@ pub fn accumulate(
                     requested: s as usize,
                 })?;
             for (acc, slot) in row.iter_mut().zip(catalog.item(action.item as usize)?) {
-                acc.push_slot(slot, 1)?;
+                acc.push_slot(slot, 1.0)?;
             }
         }
     }
@@ -147,14 +147,14 @@ mod tests {
         };
         let grid = accumulate(&ds, &assignments, 2).unwrap();
         // Level 1 saw two category-0 items; level 2 two category-1 items.
-        let FeatureAccumulator::Categorical { counts } = &grid[0][0] else {
+        let FeatureAccumulator::Categorical { weights, .. } = &grid[0][0] else {
             panic!()
         };
-        assert_eq!(counts, &vec![2, 0]);
-        let FeatureAccumulator::Categorical { counts } = &grid[1][0] else {
+        assert_eq!(weights, &vec![2.0, 0.0]);
+        let FeatureAccumulator::Categorical { weights, .. } = &grid[1][0] else {
             panic!()
         };
-        assert_eq!(counts, &vec![0, 2]);
+        assert_eq!(weights, &vec![0.0, 2.0]);
         // Count feature means.
         let FeatureAccumulator::Count { sum, n } = &grid[0][1] else {
             panic!()

@@ -21,6 +21,7 @@ pub const RULE_IDS: &[&str] = &[
     "deprecated-train-em",
     "reference-in-production",
     "raw-spawn",
+    "fit-outside-dist",
     "lock-order",
     "lock-across-publish",
     "raw-lock",
@@ -55,6 +56,14 @@ const PRODUCTION_SRC: &[&str] = &[
 /// The home of `upskill_core::parallel::fan_out`, the one place that
 /// spawns worker threads without a marker.
 const SPAWN_HOME: &str = "crates/core/src/parallel.rs";
+
+/// The home of the feature distributions and their fits, the one place
+/// that sets a fitted family's parameters.
+const DIST_HOME: &str = "crates/core/src/dist/";
+
+/// Constructors of the fitted families. Their parameters come from the
+/// fits under [`DIST_HOME`]; a call elsewhere is a second copy of an MLE.
+const DIST_CONSTRUCTORS: &[&str] = &["Gamma::new", "LogNormal::new", "Poisson::new"];
 
 /// Cast targets that can silently truncate the workspace's index/level
 /// domains. Widening casts (`as usize`, `as u64`, `as f64`) stay legal.
@@ -96,6 +105,9 @@ pub fn run_all(file: &SourceFile) -> Vec<Diagnostic> {
         if path != SPAWN_HOME {
             raw_spawn(file, &mut out);
         }
+    }
+    if PRODUCTION_SRC.iter().any(|dir| path.starts_with(dir)) && !path.starts_with(DIST_HOME) {
+        fit_outside_dist(file, &mut out);
     }
     crate::concurrency::run_rules(file, &mut out);
     // Nested loop spans overlap, so a single site can be visited twice.
@@ -469,6 +481,28 @@ fn raw_spawn(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
+// --- rule: fit-outside-dist ---------------------------------------------
+
+fn fit_outside_dist(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    let bytes = file.masked.as_bytes();
+    for token in DIST_CONSTRUCTORS {
+        for p in find_word_starts(&file.masked, token) {
+            if bytes.get(p + token.len()).is_some_and(|&b| is_ident(b)) {
+                continue;
+            }
+            file.report(
+                out,
+                p,
+                "fit-outside-dist",
+                format!(
+                    "`{token}` outside `{DIST_HOME}`; fit through \
+                     `upskill_core::dist::FeatureAccumulator` or the family's own fit"
+                ),
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -719,6 +753,39 @@ mod tests {
         // Word-bounded: neither `available_parallelism` nor a look-alike.
         let ok = "fn f() { let _ = std::thread::available_parallelism(); my_thread::spawn(); }\n";
         assert!(run("crates/cli/src/commands.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn fit_outside_dist_rule() {
+        for bad in [
+            "fn f(s: f64, w: f64) -> Result<Poisson> { Poisson::new(s / w) }\n",
+            "fn f(k: f64, m: f64) -> Result<Gamma> { crate::dist::Gamma::new(k, m / k) }\n",
+            "fn f(v: &[f64]) -> Vec<Result<LogNormal>> { v.iter().map(|&m| LogNormal::new(m, 1.0)).collect() }\n",
+            "fn f(r: &[f64]) { let _: Vec<_> = r.iter().copied().map(Poisson::new).collect(); }\n",
+        ] {
+            for path in [
+                "crates/core/src/em.rs",
+                "crates/core/src/reference.rs",
+                "crates/serve/src/service.rs",
+                "crates/datasets/src/synthetic.rs",
+            ] {
+                assert_eq!(
+                    rules_of(&run(path, bad)),
+                    ["fit-outside-dist"],
+                    "{path}: {bad}"
+                );
+            }
+            // The fits' home, the bench crate and tests are exempt.
+            assert!(run("crates/core/src/dist/mod.rs", bad).is_empty());
+            assert!(run("crates/core/src/dist/gamma.rs", bad).is_empty());
+            assert!(run("crates/bench/src/bin/bench_emission.rs", bad).is_empty());
+            let test_only = format!("#[cfg(test)]\nmod tests {{ {bad} }}\n");
+            assert!(run("crates/core/src/model.rs", &test_only).is_empty());
+        }
+        // The families' fits, and look-alike names, are fine.
+        let ok = "fn f(s: f64, n: f64) { let _ = Poisson::fit_from_moments(s, n); \
+                  let _ = MyGamma::new(1.0); let _ = Poisson::new_table(); }\n";
+        assert!(run("crates/core/src/em.rs", ok).is_empty());
     }
 
     #[test]

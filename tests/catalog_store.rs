@@ -258,20 +258,18 @@ fn invalid_values_fail_every_fit_as_the_row_path_does() {
     let init_category = "Some(CategoryOutOfBounds { feature: 0, value: 7, cardinality: 4 })";
     let init_kind =
         "Some(FeatureKindMismatch { feature: 1, expected: \"count\", got: \"positive real\" })";
-    let soft_kind = "Some(FeatureKindMismatch { feature: 18446744073709551615, \
-                     expected: \"matching\", got: \"mismatched\" })";
     // The corrupted item scores `-inf` at every level, so no path
     // through it has mass.
     let em = "Some(DegenerateFit { distribution: \"forward-backward\", \
               reason: \"zero total probability; enable smoothing\" })";
-    // A non-positive real is not a weighted-statistics error: its cell
-    // fits from NaN sums, as before.
-    assert_eq!(got[0], [gamma, gamma, gamma, init_gamma, "None", em]);
+    // The soft fit pushes mass through the hard fits' accumulator, so it
+    // returns their errors too.
+    assert_eq!(got[0], [gamma, gamma, gamma, init_gamma, gamma, em]);
     assert_eq!(
         got[1],
         [category, category, category, init_category, category, em]
     );
-    let mut want_kind = vec![kind, kind, kind, init_kind, soft_kind];
+    let mut want_kind = vec![kind, kind, kind, init_kind, kind];
     if !upskill_core::invariants::ENABLED {
         want_kind.push(em);
     }

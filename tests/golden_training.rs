@@ -9,7 +9,10 @@
 //! with `--levels 5 --min-init 20`. The EM pin was re-recorded when the
 //! EM loop became the chunk pass folding a responsibility-mass grid: the
 //! iteration count and first evidence held, and the last evidence became
-//! the from-scratch `reference::train_em_full`'s.
+//! the from-scratch `reference::train_em_full`'s. It was re-recorded again
+//! when the EM M-step moved onto the hard fits' accumulator, whose
+//! categorical fit does not renormalize: the iteration count and first
+//! evidence held, and the last evidence moved by one ulp.
 
 use upskill_core::em::{train_em_with_parallelism, EmConfig};
 use upskill_core::init::initialize_model;
@@ -89,10 +92,10 @@ fn quick_seed7_em_training_is_pinned() {
     let trace: Vec<u64> = result.evidence_trace.iter().map(|e| e.to_bits()).collect();
     assert_eq!(trace.len(), 53);
     assert_eq!(trace[0], 0xc10433abbbd905d5);
-    assert_eq!(trace[52], 0xc102e9a74f4c4709);
+    assert_eq!(trace[52], 0xc102e9a74f4c470a);
     let trace_digest = fnv1a(trace.iter().flat_map(|b| b.to_le_bytes()));
-    assert_eq!(trace_digest, 0x34fa569a1a8426fb);
+    assert_eq!(trace_digest, 0x7a9666c8a458da27);
     assert!(result.converged);
     let json = serde_json::to_string(&result.model).expect("model json");
-    assert_eq!(fnv1a(json.bytes()), 0xa5b33e709d45cb09);
+    assert_eq!(fnv1a(json.bytes()), 0x7fd6b62b787fdb5b);
 }

@@ -74,7 +74,8 @@ proptest! {
         delta in 0.001f64..0.2,
     ) {
         prop_assume!(counts.iter().sum::<u64>() > 0);
-        let fitted = Categorical::fit_from_counts(&counts, 0.0).unwrap();
+        let weights: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
+        let fitted = Categorical::fit_from_counts(&weights, 0.0).unwrap();
         let ll = |p: &[f64]| -> f64 {
             counts
                 .iter()
