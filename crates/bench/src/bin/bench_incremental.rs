@@ -15,15 +15,159 @@
 //! result-equality check
 //! (assignments and churn must agree exactly; objectives to 1e-12
 //! relative).
+//!
+//! A second, catalog-sized case times the M-step alone: a fully dirty
+//! S = 5 refit over the `select-s` benchmark's synthetic catalog (200k
+//! items drawn, about 120k after compaction). A counting global
+//! allocator gives the heap bytes each refit allocates: the trainers'
+//! in-place `StatsGrid::refit` (held by the
+//! `incremental.refit_heap_bytes` ceiling) and, for comparison, the
+//! copying `fit_model_incremental`, which fits the dirty levels into
+//! fresh buffers.
 
 use serde::Serialize;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use upskill_bench::report::{median, median_ratio, synth, Report};
 use upskill_bench::{banner, Scale, TextTable};
+use upskill_core::incremental::StatsGrid;
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::reference::train_full_rescan;
 use upskill_core::train::{train_with_parallelism, TrainConfig, TrainResult};
+use upskill_core::types::{Dataset, SkillAssignments};
 use upskill_datasets::synthetic::generate;
+
+/// The system allocator, counting the bytes it hands out.
+struct Counting;
+
+/// Bytes allocated since the process started (frees are not subtracted;
+/// a `realloc` counts its new size).
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments to `System` unchanged and
+// returns its result; the counter has no effect on the allocation.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f`, returning its output, the heap bytes it allocated and its
+/// wall time in seconds.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, f64) {
+    let before = ALLOCATED.load(Ordering::Relaxed);
+    let t0 = Instant::now();
+    let out = f();
+    let seconds = t0.elapsed().as_secs_f64();
+    (out, ALLOCATED.load(Ordering::Relaxed) - before, seconds)
+}
+
+/// Heap bytes one refit may allocate at the catalog-sized case: the
+/// refit writes into the model's buffers, so only per-level scratch
+/// (small accumulators and the part lists) is left.
+const REFIT_HEAP_CEILING: f64 = 1_048_576.0;
+
+#[derive(Serialize)]
+struct CatalogRefit {
+    n_users: usize,
+    n_items: usize,
+    n_levels: usize,
+    n_actions: usize,
+    repeats: usize,
+}
+
+/// Each user's actions split evenly over the five levels, in order.
+fn staircase(dataset: &Dataset, n_levels: usize) -> SkillAssignments {
+    let per_user = (dataset.sequences().iter())
+        .map(|seq| {
+            let len = seq.len().max(1);
+            (0..seq.len())
+                .map(|t| (t * n_levels / len + 1) as u8)
+                .collect()
+        })
+        .collect();
+    SkillAssignments { per_user }
+}
+
+/// The catalog-sized M-step: median heap bytes and seconds of a fully
+/// dirty refit, in place and into fresh buffers, and whether the two
+/// fit the same bits.
+struct RefitCosts {
+    workload: CatalogRefit,
+    in_place_bytes: f64,
+    in_place_s: f64,
+    fresh_bytes: f64,
+    fresh_s: f64,
+    identical: bool,
+}
+
+fn catalog_refit(scale: Scale) -> RefitCosts {
+    const S: usize = 5;
+    let (n_users, n_items, repeats) = match scale {
+        Scale::Quick => (300, 2_000, 3),
+        _ => (20_000, 200_000, 9),
+    };
+    let data = generate(&synth(n_users, n_items, 10.0, 500)).expect("generation");
+    let ds = &data.dataset;
+    let lambda = TrainConfig::new(S).lambda;
+    let seq = ParallelConfig::sequential();
+    let mut grid = StatsGrid::build(ds, &staircase(ds, S), S).expect("grid");
+    let empty = StatsGrid::new(S, ds.n_items()).expect("empty grid");
+    let mut model = grid
+        .fit_model_incremental(ds, lambda, &seq, None)
+        .expect("first fit");
+    let (mut in_place, mut fresh) = (Vec::new(), Vec::new());
+    let mut identical = true;
+    for _ in 0..repeats {
+        // Every level with an action differs from the empty grid.
+        grid.mark_dirty_from(&empty).expect("dirty");
+        let copy_from = model.clone();
+        let mut copying = grid.clone();
+        let (fit, bytes, s) =
+            measured(|| copying.fit_model_incremental(ds, lambda, &seq, Some(&copy_from)));
+        fresh.push((bytes as f64, s));
+        let (refit, bytes, s) = measured(|| grid.refit(ds, lambda, &seq, &mut model));
+        in_place.push((bytes as f64, s));
+        refit.expect("in-place refit");
+        identical &= fit.expect("copying refit") == model;
+    }
+    let column = |costs: &[(f64, f64)], pick: fn(&(f64, f64)) -> f64| {
+        median(&mut costs.iter().map(pick).collect::<Vec<_>>())
+    };
+    RefitCosts {
+        workload: CatalogRefit {
+            n_users: ds.n_users(),
+            n_items: ds.n_items(),
+            n_levels: S,
+            n_actions: ds.n_actions(),
+            repeats,
+        },
+        in_place_bytes: column(&in_place, |c| c.0),
+        in_place_s: column(&in_place, |c| c.1),
+        fresh_bytes: column(&fresh, |c| c.0),
+        fresh_s: column(&fresh, |c| c.1),
+        identical,
+    }
+}
 
 #[derive(Serialize)]
 struct Workload {
@@ -36,6 +180,7 @@ struct Workload {
     repeats: usize,
     iterations: usize,
     converged: bool,
+    catalog_refit: CatalogRefit,
 }
 
 /// Seconds spent after the first iteration (where the two paths diverge).
@@ -125,6 +270,20 @@ fn main() {
     ]);
     out.print();
 
+    let refit = catalog_refit(scale);
+    let mut out = TextTable::new(&["Catalog-sized refit", "Heap (bytes)", "Time (s)"]);
+    out.row(vec![
+        "into fresh buffers (fit_model_incremental)".into(),
+        format!("{:.0}", refit.fresh_bytes),
+        format!("{:.4}", refit.fresh_s),
+    ]);
+    out.row(vec![
+        "in place (StatsGrid::refit)".into(),
+        format!("{:.0}", refit.in_place_bytes),
+        format!("{:.4}", refit.in_place_s),
+    ]);
+    out.print();
+
     let mut report = Report::new(scale);
     report
         .metric("full_total_s", full_total_s, "s")
@@ -133,7 +292,17 @@ fn main() {
         .metric("incremental_post_first_s", incr_post_s, "s")
         .metric("speedup_total", speedup_total, "x")
         .metric("speedup_post_first_iteration", speedup_post, "x")
-        .check("results_identical", identical);
+        .metric("refit_heap_bytes", refit.in_place_bytes, "B")
+        .metric("refit_s", refit.in_place_s, "s")
+        .metric("fresh_fit_heap_bytes", refit.fresh_bytes, "B")
+        .metric("fresh_fit_s", refit.fresh_s, "s")
+        .ceiling(
+            "incremental.refit_heap_bytes",
+            refit.in_place_bytes,
+            REFIT_HEAP_CEILING,
+        )
+        .check("results_identical", identical)
+        .check("refit_matches_fresh_fit", refit.identical);
     report.finish(
         "BENCH_incremental",
         &Workload {
@@ -146,6 +315,7 @@ fn main() {
             repeats,
             iterations: incr_result.trace.len(),
             converged: incr_result.converged,
+            catalog_refit: refit.workload,
         },
     );
 }

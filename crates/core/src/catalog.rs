@@ -18,6 +18,13 @@
 //! value, so every accumulator returns exactly the error the row path
 //! returns.
 //!
+//! The columns also flag the item-ID feature once, when they are built:
+//! a categorical column over exactly the catalog's categories whose value
+//! is its item index for every item, in a catalog with no poisoned item.
+//! For such a column a level's per-item statistics *are* its per-category
+//! counts, so the M-step fits it straight from the grid row
+//! ([`FeatureColumn::is_item_id`]).
+//!
 //! Serialization emits and reads the rows array only: a dataset's JSON
 //! does not depend on whether its columns were built.
 
@@ -270,6 +277,8 @@ pub(crate) fn mask_range(mask: &[bool], range: Range<usize>) -> &[bool] {
 /// flagged item: a clean catalog pays nothing for them.
 pub(crate) struct CatalogColumns {
     columns: Vec<Column>,
+    /// Per column: whether it is an item-ID column (module docs).
+    item_ids: Vec<bool>,
     /// Items whose tuple failed schema dispatch (a kind mismatch or a
     /// missing value) — dead for rows [`Dataset::new`] checked. Their
     /// emission rows score `-inf` at every level. Ends at the last such
@@ -307,8 +316,12 @@ impl CatalogColumns {
                 }
             }
         }
+        let item_ids = (columns.iter().zip(schema.kinds()))
+            .map(|(column, &kind)| hard_poison.is_empty() && numbers_items(column, kind, n_rows))
+            .collect();
         Self {
             columns,
+            item_ids,
             hard_poison,
             mismatch,
         }
@@ -328,6 +341,19 @@ impl CatalogColumns {
     /// [`CatalogColumns::hard_poison`].
     pub(crate) fn mismatch(&self) -> (&'static str, &'static str) {
         self.mismatch.unwrap_or(("matching", "mismatched"))
+    }
+}
+
+/// Whether `column` is categorical over exactly `n_rows` categories and
+/// holds its item index at every item.
+fn numbers_items(column: &Column, kind: FeatureKind, n_rows: usize) -> bool {
+    match (column, kind) {
+        (Column::Categorical(cats), FeatureKind::Categorical { cardinality }) => {
+            cardinality as usize == n_rows
+                && cats.len() == n_rows
+                && cats.iter().enumerate().all(|(i, &c)| c as usize == i)
+        }
+        _ => false,
     }
 }
 
@@ -414,6 +440,7 @@ impl<'a> Catalog<'a> {
         FeatureColumn {
             f,
             column: self.columns.columns.get(f),
+            item_id: self.columns.item_ids.get(f).copied().unwrap_or(false),
             rows: self.rows,
             poison: &self.columns.hard_poison,
         }
@@ -426,14 +453,16 @@ impl<'a> Catalog<'a> {
 pub(crate) struct FeatureColumn<'a> {
     f: usize,
     column: Option<&'a Column>,
+    item_id: bool,
     rows: &'a [Vec<FeatureValue>],
     poison: &'a [bool],
 }
 
 impl<'a> FeatureColumn<'a> {
-    /// The feature's index in the schema.
-    pub(crate) fn index(self) -> usize {
-        self.f
+    /// Whether this is an item-ID column (module docs): item `i`'s slot
+    /// is category `i`, for every item of the catalog and no other.
+    pub(crate) fn is_item_id(self) -> bool {
+        self.item_id
     }
 
     /// The slot of item `i`: typed from the column, or the row value
@@ -795,6 +824,29 @@ mod tests {
                 assert!(guard.is_empty());
             }
         }
+    }
+
+    #[test]
+    fn item_id_columns_are_flagged_once_per_catalog() {
+        let draw = |c: u32| (c, 3, 1.5, 2.5);
+        let users = [vec![(0, 0)]];
+        let flags = |ds: &Dataset| -> Vec<bool> {
+            (0..4)
+                .map(|f| ds.catalog().feature(f).is_item_id())
+                .collect()
+        };
+        let identity = dataset(&[draw(0), draw(1), draw(2), draw(3)], &users);
+        assert_eq!(flags(&identity), [true, false, false, false]);
+        let reversed = dataset(&[draw(3), draw(2), draw(1), draw(0)], &users);
+        assert_eq!(flags(&reversed), [false; 4]);
+        // Three items of a four-category column: not one category each.
+        let fewer = dataset(&[draw(0), draw(1), draw(2)], &users);
+        assert_eq!(flags(&fewer), [false; 4]);
+        let mut poisoned = identity.clone();
+        poisoned
+            .item_table_mut()
+            .edit_rows(|rows| rows[2].truncate(1));
+        assert_eq!(flags(&poisoned), [false; 4]);
     }
 
     #[test]

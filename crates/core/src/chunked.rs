@@ -41,6 +41,8 @@
 //! - Soft (EM) statistics are one fresh responsibility-mass grid per
 //!   iteration ([`MassGrid`]), which the calling thread folds in global
 //!   action order; the M-step is the hard grid's.
+//! - Both trainers hold one model and refit it in place every iteration
+//!   ([`StatsGrid::refit`], [`MassGrid::refit`]).
 
 use std::ops::Range;
 use std::time::Instant;
@@ -1248,8 +1250,9 @@ where
 /// [`crate::train::train_with_parallelism`]'s loop, over [`DatasetChunks`].
 ///
 /// Every stage streams the corpus through fixed-size chunks. Besides
-/// `chunk_size × workers` of chunk buffers and the `n_items × S`
-/// emission table and grid, the only state is the previous pass's levels
+/// `chunk_size × workers` of chunk buffers, the `n_items × S` emission
+/// table and grid and the one model (refit in place each iteration by
+/// [`StatsGrid::refit`]), the only state is the previous pass's levels
 /// as breakpoints, `O(n_users · S)` — never one entry per action.
 /// `storage` selects nothing: see [`AssignmentStorage`].
 ///
@@ -1308,7 +1311,7 @@ pub(crate) fn train_chunked_keeping<S: ChunkSource + ?Sized>(
         // out leave a row clean, which is bitwise harmless: an unchanged
         // row refits to the distributions it already has).
         refit_levels = grid.dirty_levels().to_vec();
-        model = grid.fit_model_incremental(view, config.lambda, parallel, Some(&model))?;
+        grid.refit(view, config.lambda, parallel, &mut model)?;
         trace.push(IterationStats {
             iteration,
             log_likelihood: ll,
@@ -1401,7 +1404,8 @@ fn process_chunk_em<S: ChunkSource + ?Sized>(
 /// Workers run the flat-buffer forward–backward per chunk. The calling
 /// thread folds evidences in global user order and posterior rows into
 /// a fresh [`MassGrid`] in global action order, and the model is refit
-/// from that grid. So the evidence trace and fitted model are bitwise
+/// from that grid in place ([`MassGrid::refit`]). So the evidence trace
+/// and fitted model are bitwise
 /// identical for any `chunk_size` and worker count, and agree with the
 /// per-action accumulation of [`crate::reference::train_em_full`] to
 /// rounding. Posterior rows live only in one wave's outcomes and the
@@ -1454,7 +1458,7 @@ pub fn train_em_chunked<S: ChunkSource + ?Sized>(
             },
         )?;
         trace.push(evidence);
-        model = mass.fit_model(view, config.lambda, parallel)?;
+        mass.refit(view, config.lambda, parallel, &mut model)?;
 
         if trace.len() >= 2 {
             let prev = trace[trace.len() - 2];

@@ -7,6 +7,15 @@
 //! ```text
 //! θ_fc(s) = (λ + count(c)) / (λ·C + total)
 //! ```
+//!
+//! Every fit runs one body, `Categorical::refit`, which writes into the
+//! distribution's own buffers: a refit of a catalog-sized cell (the
+//! item-ID feature, `C` = the catalog) allocates nothing once the buffers
+//! have the right length. Whole counts below a small bound repeat across
+//! a sparse cell (most items have 0, 1 or 2 actions at a level), so their
+//! `(λ + c) / denom` and its `ln` are computed once per fit and gathered.
+//! The memoised value is computed from the same inputs by the same
+//! operations, so the bits do not depend on the memo.
 
 use serde::{Deserialize, Serialize};
 
@@ -14,6 +23,9 @@ use crate::error::{CoreError, Result};
 
 /// Default pseudo-count, following Shin et al. (paper §IV-B).
 pub const DEFAULT_SMOOTHING: f64 = 0.01;
+
+/// Whole counts `0..MEMO_COUNTS` share one probability and `ln` per fit.
+const MEMO_COUNTS: usize = 64;
 
 /// A categorical distribution over `0..cardinality` with log-probabilities
 /// cached for fast scoring.
@@ -71,15 +83,37 @@ impl Categorical {
                 value: bad,
             });
         }
-        Self::fit_with_total(counts, counts.iter().sum(), lambda)
+        let mut fit = Self::empty();
+        fit.refit(counts.iter().copied(), counts.iter().sum(), lambda)?;
+        Ok(fit)
     }
 
-    /// [`Categorical::fit_from_counts`] over counts the caller has
-    /// already checked and summed into `total` (the accumulator keeps a
-    /// running total). Sums of whole counts are exact in any order, so the
-    /// hard path's cells keep their bits whoever sums them.
-    pub(crate) fn fit_with_total(counts: &[f64], total: f64, lambda: f64) -> Result<Self> {
-        if counts.is_empty() {
+    /// A categorical with no categories and no buffers: a cell for a fit
+    /// to refit into. It scores `-inf` everywhere and is never handed out
+    /// unfitted.
+    pub(crate) fn empty() -> Self {
+        Self {
+            probs: Vec::new(),
+            log_probs: Vec::new(),
+        }
+    }
+
+    /// Refits Eq. 6 into this distribution's buffers from checked
+    /// `counts` and their `total`: the one body of every categorical fit.
+    ///
+    /// Buffers of the counts' length are overwritten; others are
+    /// emptied and regrown. A whole count below the memo bound computes
+    /// `(λ + c) / denom` and its `ln` once per fit; any other count
+    /// (EM's fractional masses) computes them itself, after one cast
+    /// compare. On error the buffers are left as they were.
+    pub(crate) fn refit(
+        &mut self,
+        counts: impl ExactSizeIterator<Item = f64>,
+        total: f64,
+        lambda: f64,
+    ) -> Result<()> {
+        let n = counts.len();
+        if n == 0 {
             return Err(CoreError::DegenerateFit {
                 distribution: "categorical",
                 reason: "zero categories",
@@ -91,21 +125,53 @@ impl Categorical {
                 value: lambda,
             });
         }
-        let denom = lambda * counts.len() as f64 + total;
+        let denom = lambda * n as f64 + total;
         if denom <= 0.0 {
             return Err(CoreError::DegenerateFit {
                 distribution: "categorical",
                 reason: "no observations and no smoothing",
             });
         }
-        let probs: Vec<f64> = counts.iter().map(|&c| (lambda + c) / denom).collect();
-        let log_probs = probs.iter().map(|&p| p.ln()).collect();
-        Ok(Self { probs, log_probs })
+        for buffer in [&mut self.probs, &mut self.log_probs] {
+            if buffer.len() != n {
+                buffer.clear();
+                buffer.resize(n, 0.0);
+            }
+        }
+        let fit = |c: f64| {
+            let p = (lambda + c) / denom;
+            (p, p.ln())
+        };
+        // NaN marks a slot not yet computed: `p` is never NaN for a
+        // finite whole count, and a NaN slot is only recomputed.
+        let mut memo = [(f64::NAN, f64::NAN); MEMO_COUNTS];
+        let cells = self.probs.iter_mut().zip(self.log_probs.iter_mut());
+        for ((p, log_p), c) in cells.zip(counts) {
+            let whole = c as usize;
+            (*p, *log_p) = match memo.get_mut(whole) {
+                Some(slot) if (whole as f64).to_bits() == c.to_bits() => {
+                    if slot.0.is_nan() {
+                        *slot = fit(c);
+                    }
+                    *slot
+                }
+                _ => fit(c),
+            };
+        }
+        Ok(())
     }
 
     /// Uniform distribution over `cardinality` categories.
     pub fn uniform(cardinality: u32) -> Result<Self> {
-        Self::fit_from_counts(&vec![0.0; cardinality as usize], 1.0)
+        let mut uniform = Self::empty();
+        uniform.refit_uniform(cardinality as usize)?;
+        Ok(uniform)
+    }
+
+    /// Refits the uniform distribution over `n` categories into this
+    /// distribution's buffers: Eq. 6 of all-zero counts with `λ = 1`.
+    pub(crate) fn refit_uniform(&mut self, n: usize) -> Result<()> {
+        self.refit((0..n).map(|_| 0.0), 0.0, 1.0)
     }
 
     /// Number of categories.

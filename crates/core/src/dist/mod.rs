@@ -286,29 +286,37 @@ impl FeatureAccumulator {
     /// log-normal). Falls back to [`FeatureDistribution::fallback`] when the
     /// cell received no observations.
     pub fn fit(&self, lambda: f64) -> Result<FeatureDistribution> {
-        if crate::float_cmp::is_zero(self.n_observations()) {
-            return FeatureDistribution::fallback(self.kind());
-        }
-        match self {
+        let mut fit = FeatureDistribution::Categorical(Categorical::empty());
+        self.refit(lambda, &mut fit)?;
+        Ok(fit)
+    }
+
+    /// [`FeatureAccumulator::fit`] into `cell`: a categorical refits into
+    /// the buffers `cell` already holds (see [`refit_categorical`]),
+    /// every other family replaces it. On error `cell` keeps what it
+    /// held, or an empty categorical where a categorical fit met another
+    /// family.
+    pub(crate) fn refit(&self, lambda: f64, cell: &mut FeatureDistribution) -> Result<()> {
+        *cell = match self {
             FeatureAccumulator::Categorical { weights, total } => {
-                Ok(FeatureDistribution::Categorical(
-                    Categorical::fit_with_total(weights, *total, lambda)?,
-                ))
+                return refit_categorical(cell, weights.iter().copied(), *total, lambda);
             }
-            FeatureAccumulator::Count { sum, n } => Ok(FeatureDistribution::Poisson(
-                Poisson::fit_from_moments(*sum, *n)?,
-            )),
+            _ if crate::float_cmp::is_zero(self.n_observations()) => {
+                FeatureDistribution::fallback(self.kind())?
+            }
+            FeatureAccumulator::Count { sum, n } => {
+                FeatureDistribution::Poisson(Poisson::fit_from_moments(*sum, *n)?)
+            }
             FeatureAccumulator::Positive {
                 model: PositiveModel::Gamma,
                 stats,
-            } => Ok(FeatureDistribution::Gamma(Gamma::fit_from_stats(stats)?)),
+            } => FeatureDistribution::Gamma(Gamma::fit_from_stats(stats)?),
             FeatureAccumulator::Positive {
                 model: PositiveModel::LogNormal,
                 stats,
-            } => Ok(FeatureDistribution::LogNormal(LogNormal::fit_from_stats(
-                stats,
-            )?)),
-        }
+            } => FeatureDistribution::LogNormal(LogNormal::fit_from_stats(stats)?),
+        };
+        Ok(())
     }
 
     pub(crate) fn kind(&self) -> FeatureKind {
@@ -324,6 +332,30 @@ impl FeatureAccumulator {
     fn kind_name(&self) -> &'static str {
         self.kind().name()
     }
+}
+
+/// Refits Eq. 6 into `cell` from checked category `counts` and their
+/// `total`, in the buffers of the categorical `cell` holds (any other
+/// family is replaced by an empty categorical first). A zero `total` fits
+/// the uniform [`FeatureDistribution::fallback`]. The accumulator's cells
+/// and the item-ID column's grid rows both fit here.
+pub(crate) fn refit_categorical(
+    cell: &mut FeatureDistribution,
+    counts: impl ExactSizeIterator<Item = f64>,
+    total: f64,
+    lambda: f64,
+) -> Result<()> {
+    let empty = FeatureDistribution::Categorical(Categorical::empty());
+    let mut fit = match std::mem::replace(cell, empty) {
+        FeatureDistribution::Categorical(fit) => fit,
+        _ => Categorical::empty(),
+    };
+    let refit = match crate::float_cmp::is_zero(total) {
+        true => fit.refit_uniform(counts.len()),
+        false => fit.refit(counts, total, lambda),
+    };
+    *cell = FeatureDistribution::Categorical(fit);
+    refit
 }
 
 #[cfg(test)]

@@ -18,10 +18,21 @@
 //! as a whole number, a mass as it is; `O(n_items · F)` pushes per
 //! level, independent of `|A|`), and splits the refit cells
 //! over workers per [`ParallelConfig`]'s `skills`/`features`/`threads`
-//! (§IV-C). The hard grid tracks which levels its deltas touched, and
-//! its fit reuses the previous model's rows for the clean ones. A cell
-//! fit is a pure function of its row and the smoothing constant, so
-//! reuse and every split are bitwise exact.
+//! (§IV-C). The item-ID feature of the paper's multi-faceted model has
+//! one category per item, so its level row *is* its count vector: a
+//! column the catalog flags as an item-ID column gets no accumulator, and
+//! its categorical fits straight from the row. The hard grid tracks which
+//! levels its deltas touched, and its fit keeps the previous model's
+//! rows for the clean ones. A cell fit is a pure function of its row and
+//! the smoothing constant, so reuse and every split are bitwise exact.
+//!
+//! The fit writes into a model's own cells. The trainers hand their one
+//! model to [`StatsGrid::refit`] / [`MassGrid::refit`], which refit the
+//! dirty cells in place: a categorical cell overwrites its buffers, so a
+//! catalog-sized refit allocates no parameter buffer and no second model
+//! is ever alive. [`StatsGrid::fit_model_incremental`] and the serving
+//! cut (`GridCut`) keep the previous model: they copy its clean levels
+//! into a new one and fit the dirty levels into fresh buffers.
 //!
 //! ## Exactness
 //!
@@ -42,11 +53,12 @@
 //! tests and `bench_incremental`) and [`crate::reference::train_em_full`]
 //! (`bench_em_incremental`).
 
-use crate::catalog::FeatureColumn;
-use crate::dist::{FeatureAccumulator, FeatureDistribution};
+use crate::catalog::{Catalog, FeatureColumn};
+use crate::dist::{refit_categorical, FeatureAccumulator, FeatureDistribution};
 use crate::error::{CoreError, Result};
+use crate::feature::{FeatureKind, FeatureSchema};
 use crate::model::SkillModel;
-use crate::parallel::{fan_out, job_len, ParallelConfig};
+use crate::parallel::{fan_out, job_len, Owned, ParallelConfig};
 use crate::types::{skill_level_from_index, Dataset, SkillAssignments};
 
 /// Minimum number of users per worker of the grid build and delta; below
@@ -397,18 +409,47 @@ impl StatsGrid {
         &self.dirty
     }
 
-    /// Fits a model refitting **only the levels whose histogram changed**
-    /// since the last incremental fit, reusing `prev`'s distributions for
-    /// untouched levels. A cell fit is a deterministic pure function of
-    /// its histogram row and `lambda`, so the reused rows are bitwise
-    /// identical to what a refit would produce — `prev` must therefore be
-    /// the model produced by the previous fit of *this* grid with the
-    /// same `lambda` (the trainer maintains exactly that invariant).
-    /// Refits every level when `prev` is absent or shaped differently.
-    /// The refit `(level, feature)` cells are split over workers by the
+    /// Refits, in `model`'s own buffers, **only the levels whose
+    /// histogram changed** since the last fit, and keeps the other
+    /// levels' cells as they are. A cell fit is a deterministic pure
+    /// function of its histogram row and `lambda`, so the kept rows are
+    /// bitwise identical to what a refit would produce — `model` must
+    /// therefore be the model of the previous fit of *this* grid with the
+    /// same `lambda` (the trainer maintains exactly that invariant). A
+    /// model of another level or feature count is replaced by a full
+    /// refit. A refit cell writes into the buffers it already holds, so a
+    /// refit of an unchanged shape allocates no parameter buffer. The
+    /// refit `(level, feature)` cells are split over workers by the
     /// `skills`/`features`/`threads` partition of `parallel` (module
     /// docs); every split gives the same bits. Clears the dirty flags on
-    /// success; `threads == 0` is [`CoreError::InvalidParallelism`].
+    /// success; `threads == 0` is [`CoreError::InvalidParallelism`]. On
+    /// error the dirty flags stay and `model` is left partly refit.
+    pub fn refit(
+        &mut self,
+        dataset: &Dataset,
+        lambda: f64,
+        parallel: &ParallelConfig,
+        model: &mut SkillModel,
+    ) -> Result<()> {
+        let levels = ready(model, dataset.schema(), &self.dirty)?;
+        let grid = self.counts.as_slice();
+        fit_levels(
+            grid,
+            count_weight,
+            &levels,
+            dataset,
+            lambda,
+            parallel,
+            model,
+        )?;
+        self.dirty.fill(false);
+        Ok(())
+    }
+
+    /// [`StatsGrid::refit`] into a new model holding copies of `prev`'s
+    /// clean levels (every level is refit when `prev` is absent or shaped
+    /// differently); `prev` itself is left as it is. Only the clean
+    /// levels are copied: the dirty ones are fit into fresh buffers.
     pub fn fit_model_incremental(
         &mut self,
         dataset: &Dataset,
@@ -416,14 +457,16 @@ impl StatsGrid {
         parallel: &ParallelConfig,
         prev: Option<&SkillModel>,
     ) -> Result<SkillModel> {
-        let model = fit_levels(
-            &self.counts,
+        let (mut model, levels) = keep_clean(prev, &self.dirty, dataset.schema())?;
+        let grid = self.counts.as_slice();
+        fit_levels(
+            grid,
             count_weight,
-            &self.dirty,
+            &levels,
             dataset,
             lambda,
             parallel,
-            prev,
+            &mut model,
         )?;
         self.dirty.fill(false);
         Ok(model)
@@ -546,15 +589,30 @@ impl MassGrid {
         lambda: f64,
         parallel: &ParallelConfig,
     ) -> Result<SkillModel> {
-        let all = vec![true; self.n_levels];
+        let mut model = SkillModel::unfitted(dataset.schema().clone(), self.n_levels)?;
+        self.refit(dataset, lambda, parallel, &mut model)?;
+        Ok(model)
+    }
+
+    /// [`MassGrid::fit_model`] into `model`'s own buffers: every level
+    /// is refit, and a model of another level or feature count is
+    /// replaced. On error `model` is left partly refit.
+    pub fn refit(
+        &self,
+        dataset: &Dataset,
+        lambda: f64,
+        parallel: &ParallelConfig,
+        model: &mut SkillModel,
+    ) -> Result<()> {
+        let levels = ready(model, dataset.schema(), &vec![true; self.n_levels])?;
         fit_levels(
             &self.mass,
             |mass| mass,
-            &all,
+            &levels,
             dataset,
             lambda,
             parallel,
-            None,
+            model,
         )
     }
 }
@@ -598,15 +656,18 @@ impl GridCut {
                 reason: "previous model is shaped unlike the grid; a cut holds only dirty rows",
             });
         }
+        let (mut model, levels) = keep_clean(Some(prev), &self.dirty, dataset.schema())?;
+        let grid = self.cells.as_slice();
         fit_levels(
-            &self.cells,
+            grid,
             count_weight,
-            &self.dirty,
+            &levels,
             dataset,
             lambda,
             parallel,
-            Some(prev),
-        )
+            &mut model,
+        )?;
+        Ok(model)
     }
 }
 
@@ -615,38 +676,74 @@ fn count_weight(count: u64) -> f64 {
     count as f64
 }
 
+/// Readies `model` for a refit of the `dirty` levels over `schema`: a
+/// model with the grid's level and feature counts keeps its cells and
+/// takes `schema`; any other is replaced by an unfitted one. Returns the
+/// levels to refit: `dirty`, or every level of a replaced model.
+fn ready(model: &mut SkillModel, schema: &FeatureSchema, dirty: &[bool]) -> Result<Vec<bool>> {
+    if model.n_levels() == dirty.len() && model.n_features() == schema.len() {
+        model.adopt_schema(schema);
+        return Ok(dirty.to_vec());
+    }
+    *model = SkillModel::unfitted(schema.clone(), dirty.len())?;
+    Ok(vec![true; dirty.len()])
+}
+
+/// An unfitted model over `schema` holding copies of `prev`'s clean
+/// levels, and the levels left to refit: the `dirty` ones, or every
+/// level when `prev` is absent or has another level or feature count.
+fn keep_clean(
+    prev: Option<&SkillModel>,
+    dirty: &[bool],
+    schema: &FeatureSchema,
+) -> Result<(SkillModel, Vec<bool>)> {
+    let mut model = SkillModel::unfitted(schema.clone(), dirty.len())?;
+    let prev = prev.filter(|m| m.n_levels() == dirty.len() && m.n_features() == schema.len());
+    let Some(prev) = prev else {
+        return Ok((model, vec![true; dirty.len()]));
+    };
+    let rows = model.rows_mut().iter_mut().zip(dirty).enumerate();
+    for (s, (row, _)) in rows.filter(|(_, (_, &d))| !d) {
+        row.clone_from_slice(prev.level_row(skill_level_from_index(s))?);
+    }
+    Ok((model, dirty.to_vec()))
+}
+
 /// The one M-step (§IV-B, Eqs. 5–7) of both grids and of the hard cut:
-/// refits some levels of the level-major `S × n_items` grid `cells` and
-/// keeps `prev`'s rows bit for bit for the rest. `weight` reads a cell as
-/// the weight its item's values are pushed with: a count as `count as
-/// f64` (exact below 2⁵³), a mass as it is. Callers clear their dirty
-/// flags on success.
+/// refits the flagged `levels` of the level-major `S × n_items` grid
+/// `cells` into `model`'s own cells, which must have the grid's shape
+/// (`ready` / `keep_clean`), and leaves the other levels alone. `weight`
+/// reads a cell as the weight its item's values are pushed with: a count
+/// as `count as f64` (exact below 2⁵³), a mass as it is. Callers clear
+/// their dirty flags on success; on error `model` is left partly refit.
 ///
-/// It refits the `dirty` levels when `prev` has the grid's shape, every
-/// level otherwise. The refit `(level, feature)` cells are independent
-/// (§IV-C), so `parallel` splits them: the refit levels go round-robin
-/// to up to `threads` level parts (`skills`), each part's features to
-/// the threads left over (`features`), one [`fan_out`] job and worker per
-/// (level part, feature part); a lone part runs on the calling thread.
-/// Parts land in part order, so the first error in part order wins. A
-/// part replays each of its level rows once, in
-/// ascending item order, skipping empty cells and pushing only into the
-/// features it owns — every accumulator sees the pushes of the
-/// sequential replay, so every split gives the same bits. Values come
-/// from the owned features' catalog columns, read beside the level row
-/// (`ln x` and the widened counts are computed once per catalog, not
-/// once per cell and fit).
+/// The refit `(level, feature)` cells are independent (§IV-C), so
+/// `parallel` splits them: the refit levels go round-robin to up to
+/// `threads` level parts (`skills`), each part's features to the threads
+/// left over (`features`), one [`fan_out`] job and worker per (level
+/// part, feature part), each owning its cells of `model`; a lone part
+/// runs on the calling thread. The first error in part order wins.
+///
+/// A part replays each of its level rows once, in ascending item order,
+/// skipping empty cells and pushing only into the features it owns —
+/// every accumulator sees the pushes of the sequential replay, so every
+/// split gives the same bits. Values come from the owned features'
+/// catalog columns, read beside the level row (`ln x` and the widened
+/// counts are computed once per catalog, not once per cell and fit). An
+/// item-ID column (see [`crate::catalog`]) needs no accumulator: its
+/// per-category counts are the level row itself, which its categorical
+/// fit reads in place, its total summed in the accumulator's item order.
 fn fit_levels<W: Copy + Sync>(
     cells: &[W],
     weight: impl Fn(W) -> f64 + Sync,
-    dirty: &[bool],
+    levels: &[bool],
     dataset: &Dataset,
     lambda: f64,
     parallel: &ParallelConfig,
-    prev: Option<&SkillModel>,
-) -> Result<SkillModel> {
+    model: &mut SkillModel,
+) -> Result<()> {
     parallel.validate()?;
-    let (schema, n_items, n_levels) = (dataset.schema(), dataset.n_items(), dirty.len());
+    let (n_items, n_levels) = (dataset.n_items(), levels.len());
     if cells.len() != n_levels * n_items {
         return Err(CoreError::LengthMismatch {
             context: "stats grid cells vs levels × dataset items",
@@ -654,15 +751,12 @@ fn fit_levels<W: Copy + Sync>(
             right: n_levels * n_items,
         });
     }
-    let n_features = schema.len();
-    let catalog = dataset.catalog();
-    let prev = prev.filter(|m| m.n_levels() == n_levels && m.n_features() == n_features);
-    let levels: Vec<usize> = (0..n_levels)
-        .filter(|&s| prev.is_none() || dirty[s])
-        .collect();
-    let split = parallel.update_parallel() && !levels.is_empty();
+    let (kinds, catalog) = (dataset.schema().kinds(), dataset.catalog());
+    let n_features = kinds.len();
+    let n_refit = levels.iter().filter(|&&l| l).count();
+    let split = parallel.update_parallel() && n_refit > 0;
     let level_parts = match split && parallel.skills {
-        true => parallel.threads.min(levels.len()),
+        true => parallel.threads.min(n_refit),
         false => 1,
     };
     let feature_parts = match split && parallel.features {
@@ -670,61 +764,84 @@ fn fit_levels<W: Copy + Sync>(
         false => 1,
     };
 
-    let mut grid: Vec<Vec<Option<FeatureDistribution>>> = (0..n_levels)
-        .map(|s| match prev.filter(|_| !dirty[s]) {
-            Some(prev) => Ok(prev
-                .level_row(skill_level_from_index(s))?
-                .iter()
-                .cloned()
-                .map(Some)
-                .collect()),
-            None => Ok(vec![None; n_features]),
-        })
-        .collect::<Result<_>>()?;
-    let work = |part: usize, _: &mut ()| -> Result<Vec<(usize, usize, FeatureDistribution)>> {
-        let (level_part, feature_part) = (part / feature_parts, part % feature_parts);
-        let mut out = Vec::new();
-        for &s in levels.iter().skip(level_part).step_by(level_parts) {
-            let kinds = schema.kinds().iter().enumerate();
-            let mut accs: Vec<(FeatureColumn<'_>, FeatureAccumulator)> = kinds
-                .skip(feature_part)
-                .step_by(feature_parts)
-                .map(|(f, &kind)| (catalog.feature(f), FeatureAccumulator::new(kind)))
-                .collect();
-            for (item, &cell) in cells[s * n_items..(s + 1) * n_items].iter().enumerate() {
-                let w = weight(cell);
-                if w <= 0.0 {
-                    continue;
-                }
-                for (column, acc) in accs.iter_mut() {
-                    acc.push_slot(column.slot(item), w)?;
-                }
-            }
-            for (column, acc) in &accs {
-                out.push((s, column.index(), acc.fit(lambda)?));
+    // Each part owns its cells of the model: per refit level, in level
+    // order, the `(feature, cell)`s of its features.
+    let n_parts = level_parts * feature_parts;
+    let mut parts: Vec<Vec<Level<'_>>> = (0..n_parts).map(|_| Vec::new()).collect();
+    let rows = model.rows_mut().iter_mut().enumerate().zip(levels);
+    for (rank, (s, row)) in rows.filter(|&(_, &l)| l).map(|(row, _)| row).enumerate() {
+        let first = (rank % level_parts) * feature_parts;
+        for (f, cell) in row.iter_mut().enumerate() {
+            let Some(part) = parts.get_mut(first + f % feature_parts) else {
+                continue; // every part index is below `n_parts`
+            };
+            match part.last_mut() {
+                Some((level, owned)) if *level == s => owned.push((f, cell)),
+                _ => part.push((s, vec![(f, cell)])),
             }
         }
-        Ok(out)
-    };
-    let n_parts = level_parts * feature_parts;
-    let mut workers = vec![(); n_parts];
-    fan_out(n_parts, n_parts, &mut workers, "update", work, |part| {
-        for (s, f, dist) in part {
-            if let Some(slot) = grid.get_mut(s).and_then(|row| row.get_mut(f)) {
-                *slot = Some(dist);
-            }
+    }
+    let parts = Owned::new(parts);
+    let work = |part: usize, _: &mut ()| -> Result<()> {
+        for (s, owned) in parts.take(part)? {
+            let row = cells.get(s * n_items..(s + 1) * n_items).unwrap_or(&[]);
+            refit_level(row, &weight, owned, catalog, kinds, lambda)?;
         }
         Ok(())
-    })?;
-    let grid = grid
-        .into_iter()
-        .map(|row| row.into_iter().collect::<Option<Vec<_>>>())
-        .collect::<Option<Vec<_>>>()
-        .ok_or(CoreError::DegenerateFit {
-            distribution: "update",
-            reason: "unowned cell in partition",
-        })?;
-    SkillModel::new(schema.clone(), n_levels, grid)
+    };
+    let mut workers = vec![(); n_parts];
+    fan_out(n_parts, n_parts, &mut workers, "update", work, Ok)
+}
+
+/// One level's cells of one M-step part: the level index and the
+/// `(feature, cell)`s the part refits there.
+type Level<'m> = (usize, Vec<(usize, &'m mut FeatureDistribution)>);
+
+/// Refits the `owned` cells of one level from its grid `row`: one
+/// ascending-item replay into an accumulator per owned feature, except
+/// an item-ID column, which fits straight from the row. Cells fit in
+/// feature order, so the first failing feature's error wins.
+fn refit_level<W: Copy>(
+    row: &[W],
+    weight: &impl Fn(W) -> f64,
+    owned: Vec<(usize, &mut FeatureDistribution)>,
+    catalog: Catalog<'_>,
+    kinds: &[FeatureKind],
+    lambda: f64,
+) -> Result<()> {
+    let mut accs: Vec<(FeatureColumn<'_>, FeatureAccumulator)> = (owned.iter())
+        .filter_map(|&(f, _)| Some((catalog.feature(f), *kinds.get(f)?)))
+        .filter(|(column, _)| !column.is_item_id())
+        .map(|(column, kind)| (column, FeatureAccumulator::new(kind)))
+        .collect();
+    if !accs.is_empty() {
+        for (item, &cell) in row.iter().enumerate() {
+            let w = weight(cell);
+            if w <= 0.0 {
+                continue;
+            }
+            for (column, acc) in accs.iter_mut() {
+                acc.push_slot(column.slot(item), w)?;
+            }
+        }
+    }
+    // An item's count as the replay leaves it: a skipped (non-positive)
+    // weight counts nothing. Adding a `+0.0` to the running total leaves
+    // its bits, so summing every item gives the replay's total.
+    let count = |&cell: &W| match weight(cell) {
+        w if w <= 0.0 => 0.0,
+        w => w,
+    };
+    let mut accs = accs.into_iter();
+    for (f, cell) in owned {
+        if catalog.feature(f).is_item_id() {
+            let total = row.iter().map(count).fold(0.0, |total, w| total + w);
+            refit_categorical(cell, row.iter().map(count), total, lambda)?;
+        } else if let Some((_, acc)) = accs.next() {
+            acc.refit(lambda, cell)?;
+        }
+    }
+    Ok(())
 }
 
 /// Signed per-cell changes to a [`StatsGrid`], accumulated apart from it

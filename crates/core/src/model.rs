@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::dist::FeatureDistribution;
+use crate::dist::{Categorical, FeatureDistribution};
 use crate::emission::RowPosterior;
 use crate::error::{CoreError, Result};
 use crate::feature::{FeatureSchema, FeatureValue};
@@ -56,6 +56,28 @@ impl SkillModel {
             n_levels,
             cells,
         })
+    }
+
+    /// A model of `n_levels` levels over `schema` whose every cell is an
+    /// empty placeholder, for an M-step to refit into (it allocates no
+    /// parameter buffers). Not a usable model until every cell is refit.
+    pub(crate) fn unfitted(schema: FeatureSchema, n_levels: usize) -> Result<Self> {
+        let placeholder = FeatureDistribution::Categorical(Categorical::empty());
+        let row = vec![placeholder; schema.len()];
+        Self::new(schema, n_levels, vec![row; n_levels])
+    }
+
+    /// The cells, level-major, for an M-step refitting them in place.
+    pub(crate) fn rows_mut(&mut self) -> &mut [Vec<FeatureDistribution>] {
+        &mut self.cells
+    }
+
+    /// Takes `schema` as the model's schema; it must have the model's
+    /// feature count (an M-step's output carries the dataset's schema).
+    pub(crate) fn adopt_schema(&mut self, schema: &FeatureSchema) {
+        if self.schema != *schema && schema.len() == self.schema.len() {
+            self.schema = schema.clone();
+        }
     }
 
     /// The feature schema this model was trained on.
@@ -145,7 +167,7 @@ impl SkillModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{Categorical, Poisson};
+    use crate::dist::Poisson;
     use crate::feature::FeatureKind;
 
     fn two_level_model() -> SkillModel {

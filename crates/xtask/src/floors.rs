@@ -493,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn committed_reports_carry_exactly_the_eight_gates() {
+    fn committed_reports_carry_exactly_the_nine_gates() {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../reports");
         let report = check_floors(&dir).unwrap();
         let mut gates: Vec<(&str, BoundKind, f64)> = report
@@ -508,6 +508,11 @@ mod tests {
                 ("em_incremental.speedup", BoundKind::Floor, 1.5),
                 ("emission.assignment_speedup", BoundKind::Floor, 3.0),
                 ("emission.fill_speedup_20k_items", BoundKind::Floor, 3.0),
+                (
+                    "incremental.refit_heap_bytes",
+                    BoundKind::Ceiling,
+                    1_048_576.0
+                ),
                 ("policy.min_domain_speedup", BoundKind::Floor, 1.0),
                 ("scale.peak_rss_bytes", BoundKind::Ceiling, 1_610_612_736.0),
                 ("scale.throughput_actions_per_s", BoundKind::Floor, 1.0e6),

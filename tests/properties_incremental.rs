@@ -7,10 +7,10 @@
 
 use proptest::prelude::*;
 use upskill_core::dist::special::digamma;
-use upskill_core::dist::FeatureDistribution;
+use upskill_core::dist::{Categorical, FeatureDistribution};
 use upskill_core::em::{train_em_with_parallelism, EmConfig};
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveModel};
-use upskill_core::incremental::StatsGrid;
+use upskill_core::incremental::{MassGrid, StatsGrid};
 use upskill_core::init::initialize_model;
 use upskill_core::model::SkillModel;
 use upskill_core::parallel::ParallelConfig;
@@ -385,6 +385,317 @@ proptest! {
                     "item {} level {}: {} vs {}",
                     item, s, a, b
                 );
+            }
+        }
+    }
+}
+
+// --- In-place refit ----------------------------------------------------
+//
+// The trainers refit their one model in place: every refit cell writes
+// into the buffers it already holds, and an item-ID column fits straight
+// from the grid row. Whatever the buffers held before — another grid's
+// fit, another catalog's, or nothing — the refit model must be bitwise
+// the fresh fit, and its ID cells the closed form of Eq. 6.
+
+/// How the categorical column of [`id_dataset`] numbers the items.
+#[derive(Debug, Clone, Copy)]
+enum IdColumn {
+    /// Item `i` is category `i` of `n_items`: the item-ID column.
+    Identity,
+    /// Item `i` is category `n_items − 1 − i`.
+    Reversed,
+    /// The identity, in a catalog whose item `n_items / 2` lost its
+    /// other features (a hand-edited file): a poisoned catalog.
+    Poisoned,
+    /// Item `i` is category `i` of `n_items + 2`.
+    Wider,
+}
+
+/// The smoothing constants of the in-place properties: none, the
+/// default and heavy.
+const LAMBDAS: [f64; 3] = [0.0, 0.01, 1.0];
+
+const ID_COLUMNS: [IdColumn; 4] = [
+    IdColumn::Identity,
+    IdColumn::Reversed,
+    IdColumn::Poisoned,
+    IdColumn::Wider,
+];
+
+/// `n_items` items of (categorical per `column`, count, gamma), one user
+/// walking them.
+fn id_dataset(n_items: usize, column: IdColumn) -> Dataset {
+    let cardinality = match column {
+        IdColumn::Wider => n_items + 2,
+        _ => n_items,
+    };
+    let schema = FeatureSchema::new(vec![
+        FeatureKind::Categorical {
+            cardinality: cardinality as u32,
+        },
+        FeatureKind::Count,
+        FeatureKind::Positive {
+            model: PositiveModel::Gamma,
+        },
+    ])
+    .unwrap();
+    let items = (0..n_items)
+        .map(|i| {
+            let category = match column {
+                IdColumn::Reversed => n_items - 1 - i,
+                _ => i,
+            };
+            vec![
+                FeatureValue::Categorical(category as u32),
+                FeatureValue::Count((i as u64 * 7) % 5),
+                FeatureValue::Real(0.5 + i as f64 * 0.75),
+            ]
+        })
+        .collect();
+    let walk = (0..n_items)
+        .map(|i| Action::new(i as i64, 0, i as u32))
+        .collect();
+    let ds = Dataset::new(schema, items, vec![ActionSequence::new(0, walk).unwrap()]).unwrap();
+    match column {
+        IdColumn::Poisoned => truncated(&ds, n_items / 2),
+        _ => ds,
+    }
+}
+
+/// `ds` with item `item`'s row cut to its first feature in the JSON,
+/// bypassing `Dataset::new`.
+fn truncated(ds: &Dataset, item: usize) -> Dataset {
+    let mut tree = serde_json::to_value(ds).unwrap();
+    let serde_json::Value::Object(fields) = &mut tree else {
+        panic!("dataset is an object")
+    };
+    let (_, items) = fields.iter_mut().find(|(k, _)| k == "items").unwrap();
+    let serde_json::Value::Array(rows) = items else {
+        panic!("items is an array")
+    };
+    let serde_json::Value::Array(row) = &mut rows[item] else {
+        panic!("an item is an array")
+    };
+    row.truncate(1);
+    serde_json::from_value(&tree).unwrap()
+}
+
+/// Every split shape of the update step: sequential, skills-only,
+/// features-only and both, over several thread counts.
+fn update_configs() -> Vec<ParallelConfig> {
+    let mut configs = vec![ParallelConfig::sequential()];
+    for (skills, features) in [(true, false), (false, true), (true, true)] {
+        for threads in [2, 3, 6] {
+            configs.push(
+                ParallelConfig::sequential()
+                    .with_skills(skills)
+                    .with_features(features)
+                    .with_threads(threads),
+            );
+        }
+    }
+    configs
+}
+
+/// A fit's outcome as text: the model's bits, or the error.
+fn outcome(fit: Result<&SkillModel, &upskill_core::error::CoreError>) -> String {
+    match fit {
+        Ok(model) => bits(model),
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+/// (item pick, level pick, count): `count` actions of one item at one
+/// level.
+type CountDraw = (usize, usize, u64);
+
+/// A count grid of `draws`, plus `big`'s counts scaled by 2⁵⁰ (so cells
+/// reach 7·2⁵⁰, just under 2⁵³, and level totals pass it). Every level
+/// is dirty.
+fn count_grid(
+    n_levels: usize,
+    n_items: usize,
+    draws: &[CountDraw],
+    big: &[CountDraw],
+) -> StatsGrid {
+    let mut grid = StatsGrid::new(n_levels, n_items).unwrap();
+    add_counts(&mut grid, big);
+    for _ in 0..50 {
+        let copy = grid.clone();
+        grid.merge(&copy).unwrap();
+    }
+    add_counts(&mut grid, draws);
+    grid
+}
+
+/// Adds `draws`' actions to `grid`, marking their levels dirty.
+fn add_counts(grid: &mut StatsGrid, draws: &[CountDraw]) {
+    let (n_levels, n_items) = (grid.n_levels(), grid.n_items());
+    for &(item, level, count) in draws {
+        for _ in 0..count {
+            let level = (level % n_levels + 1) as u8;
+            grid.add_action((item % n_items) as u32, level).unwrap();
+        }
+    }
+}
+
+/// Models whose buffers a refit must not read: a fit of another grid
+/// over the same catalog (same buffer lengths, stale values), a fit
+/// over a larger catalog (other lengths) and a model with one more
+/// level (another shape, replaced).
+fn stale_models(n_levels: usize, n_items: usize, column: IdColumn) -> Vec<SkillModel> {
+    let seq = ParallelConfig::sequential();
+    let mut out = Vec::new();
+    for (levels, items) in [
+        (n_levels, n_items),
+        (n_levels, n_items + 3),
+        (n_levels + 1, n_items),
+    ] {
+        let ds = id_dataset(items, column);
+        let draws: Vec<CountDraw> = (0..items)
+            .map(|i| (i * 5 + 1, i, 1 + i as u64 % 3))
+            .collect();
+        let mut grid = count_grid(levels, items, &draws, &[]);
+        out.push(grid.fit_model_incremental(&ds, 0.5, &seq, None).unwrap());
+    }
+    out
+}
+
+/// Checks the ID column's cell at every level of `model` against the
+/// closed form of Eq. 6 over `row(s)`: `(λ + c) / (λ·K + total)` and its
+/// `ln` per category, summed in category order — the uniform fallback
+/// for a level with no count — and against `Categorical::fit_from_counts`.
+fn assert_id_cells(
+    model: &SkillModel,
+    lambda: f64,
+    row: impl Fn(usize) -> Vec<f64>,
+) -> proptest::TestCaseResult {
+    for s in 0..model.n_levels() {
+        let FeatureDistribution::Categorical(cell) = model.cell(s as u8 + 1, 0).unwrap() else {
+            panic!("the ID cell is categorical")
+        };
+        let counts = row(s);
+        let total = counts.iter().fold(0.0, |t, &c| t + c);
+        let k = counts.len() as f64;
+        let (lambda, denom) = match total > 0.0 {
+            true => (lambda, lambda * k + total),
+            false => (1.0, k),
+        };
+        for (c, &count) in counts.iter().enumerate() {
+            let p = (lambda + count) / denom;
+            let got = (
+                cell.prob(c as u32).to_bits(),
+                cell.log_prob(c as u32).to_bits(),
+            );
+            prop_assert!(
+                got == (p.to_bits(), p.ln().to_bits()),
+                "level {} category {}",
+                s,
+                c
+            );
+        }
+        if total > 0.0 {
+            let oracle = Categorical::fit_from_counts(&counts, lambda).unwrap();
+            prop_assert!(&oracle == cell, "level {}: fit_from_counts differs", s);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // The in-place refit of a count grid (`StatsGrid::refit`) equals a
+    // fresh `fit_model_incremental(.., None)` bit for bit, whatever the
+    // model's buffers held, under every update-step split, for every
+    // shape of ID column, for λ ∈ {0, 0.01, 1} and counts across the memo
+    // bound and near 2⁵³. So does a dirty-level refit after a churn. An
+    // item-ID column's cells are Eq. 6's closed form.
+    #[test]
+    fn in_place_refit_is_bitwise_a_fresh_fit(
+        n_items in 2usize..24,
+        n_levels in 2usize..5,
+        column in 0usize..4,
+        lambda in 0usize..3,
+        draws in proptest::collection::vec((0usize..1000, 0usize..8, 1u64..100), 0..30),
+        big in proptest::collection::vec((0usize..1000, 0usize..8, 1u64..8), 0..4),
+        churn in proptest::collection::vec((0usize..1000, 0usize..8, 1u64..3), 1..5),
+    ) {
+        let (column, lambda) = (ID_COLUMNS[column], LAMBDAS[lambda]);
+        let ds = id_dataset(n_items, column);
+        let seq = ParallelConfig::sequential();
+        let grid = count_grid(n_levels, n_items, &draws, &big);
+        let want = grid.clone().fit_model_incremental(&ds, lambda, &seq, None);
+        if let (Ok(model), IdColumn::Identity | IdColumn::Poisoned) = (&want, column) {
+            let row = |s: usize| (0..n_items).map(|i| grid.count(s, i) as f64).collect();
+            assert_id_cells(model, lambda, row)?;
+        }
+        let want = outcome(want.as_ref());
+        let mut churned = grid.clone();
+        add_counts(&mut churned, &churn);
+        let want_churned = churned.clone().fit_model_incremental(&ds, lambda, &seq, None);
+        let want_churned = outcome(want_churned.as_ref());
+        for cfg in update_configs() {
+            for mut model in stale_models(n_levels, n_items, column) {
+                let mut g = grid.clone();
+                let got = outcome(g.refit(&ds, lambda, &cfg, &mut model).map(|()| &model).as_ref().copied());
+                prop_assert!(got == want, "{:?} {:?}: {} vs {}", column, cfg, got, want);
+                if g.dirty_levels().iter().any(|&d| d) {
+                    continue; // the fit failed, as the fresh one did
+                }
+                // Only the churned levels are dirty now: the refit keeps
+                // the others, and must still equal a full fresh fit.
+                add_counts(&mut g, &churn);
+                let got = outcome(g.refit(&ds, lambda, &cfg, &mut model).map(|()| &model).as_ref().copied());
+                prop_assert!(got == want_churned, "churn {:?} {:?}: {} vs {}", column, cfg, got, want_churned);
+            }
+        }
+    }
+
+    // The in-place refit of a responsibility-mass grid
+    // (`MassGrid::refit`) equals a fresh `MassGrid::fit_model` bit for
+    // bit, whatever the model's buffers held, under every split: whole
+    // and fractional masses, and a level whose row is empty (the
+    // fallback). An item-ID column's cells are Eq. 6's closed form.
+    #[test]
+    fn in_place_mass_refit_is_bitwise_a_fresh_fit(
+        n_items in 2usize..24,
+        n_levels in 2usize..5,
+        column in 0usize..4,
+        lambda in 0usize..3,
+        draws in proptest::collection::vec((0usize..1000, 0usize..8, 0usize..3), 1..30),
+        empty_level in 0usize..8,
+    ) {
+        let (column, lambda) = (ID_COLUMNS[column], LAMBDAS[lambda]);
+        let ds = id_dataset(n_items, column);
+        let empty_level = empty_level % n_levels;
+        let mut mass = MassGrid::new(n_levels, n_items).unwrap();
+        // The grid's cells, added in the grid's order.
+        let mut rows = vec![vec![0.0f64; n_items]; n_levels];
+        for &(item, level, kind) in &draws {
+            let item = item % n_items;
+            let mut gamma = match kind {
+                0 => (0..n_levels).map(|s| f64::from(u8::from(s == level % n_levels))).collect(),
+                1 => (0..n_levels).map(|s| (s + 1) as f64 / 7.0 + 0.013 * level as f64).collect(),
+                _ => vec![3.0; n_levels],
+            };
+            gamma[empty_level] = 0.0;
+            mass.add(item as u32, &gamma).unwrap();
+            for (row, &g) in rows.iter_mut().zip(&gamma) {
+                row[item] += g;
+            }
+        }
+        let seq = ParallelConfig::sequential();
+        let want = mass.fit_model(&ds, lambda, &seq);
+        if let (Ok(model), IdColumn::Identity | IdColumn::Poisoned) = (&want, column) {
+            assert_id_cells(model, lambda, |s| rows[s].clone())?;
+        }
+        let want = outcome(want.as_ref());
+        for cfg in update_configs() {
+            for mut model in stale_models(n_levels, n_items, column) {
+                let got = outcome(mass.refit(&ds, lambda, &cfg, &mut model).map(|()| &model).as_ref().copied());
+                prop_assert!(got == want, "{:?} {:?}: {} vs {}", column, cfg, got, want);
             }
         }
     }
