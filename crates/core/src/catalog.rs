@@ -663,7 +663,7 @@ mod tests {
 
     /// Every column reader against its row-reading replay, bit for bit,
     /// on datasets in every column-store state.
-    fn check_all(items: &[ItemDraw], users: &[UserDraw], flags: &[bool], picks: &[usize]) {
+    fn check_all(items: &[ItemDraw], users: &[UserDraw], flags: &[bool]) {
         let make = || dataset(items, users);
         let base = make();
         let hard = assignments(users, 0);
@@ -723,15 +723,6 @@ mod tests {
             t.refresh_levels(&model, ds, flags).unwrap();
             t
         };
-        let refreshed_items = |ds: &Dataset| {
-            let mut t = build_scalar(&model_b, ds);
-            let ids: Vec<_> = picks
-                .iter()
-                .map(|&p| item_id_from_index(p % ds.n_items()))
-                .collect();
-            t.refresh_items(&model, ds, &ids).unwrap();
-            (t, ids)
-        };
         for (state, ds) in variants(&make) {
             assert_tables_eq(&EmissionTable::build(&model, &ds), &scalar, state);
         }
@@ -748,23 +739,6 @@ mod tests {
                     let (g, w) = (got.row(item)[s0], want.row(item)[s0]);
                     assert_eq!(g.to_bits(), w.to_bits(), "refresh_levels, {state}");
                 }
-            }
-        }
-        for (state, ds) in variants(&make) {
-            let (got, ids) = refreshed_items(&ds);
-            for item in 0..ds.n_items() {
-                let item = item_id_from_index(item);
-                let want = if ids.contains(&item) {
-                    &scalar
-                } else {
-                    &scalar_b
-                };
-                let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(got.row(item)),
-                    bits(want.row(item)),
-                    "refresh_items, {state}"
-                );
             }
         }
     }
@@ -784,10 +758,9 @@ mod tests {
                 1..10,
             ),
             flags in proptest::collection::vec(0..2u8, S),
-            picks in proptest::collection::vec(0..1000usize, 0..6),
         ) {
             let flags: Vec<bool> = flags.iter().map(|&f| f == 1).collect();
-            check_all(&items, &users, &flags, &picks);
+            check_all(&items, &users, &flags);
         }
     }
 
@@ -808,7 +781,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        check_all(&items, &users, &[true, false, true], &[1, 4096, 2047, 2048]);
+        check_all(&items, &users, &[true, false, true]);
     }
 
     #[test]

@@ -331,9 +331,9 @@ pub(crate) fn expected_of(post: &[f64]) -> f64 {
 ///
 /// Build it once per training iteration (the table is a pure function of
 /// the current model parameters and the item feature matrix) and share it
-/// across every sequence. After an online or forgetting-path model update
-/// that only touches some items, refresh just those rows with
-/// [`EmissionTable::refresh_items`] instead of rebuilding.
+/// across every sequence. After a refit that touches only some levels,
+/// refresh just those columns with [`EmissionTable::refresh_levels`]
+/// instead of rebuilding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmissionTable {
     n_items: usize,
@@ -497,63 +497,6 @@ impl EmissionTable {
             Some(row) => row[level - 1],
             None => f64::NEG_INFINITY,
         }
-    }
-
-    /// Incremental invalidation: recomputes only the rows of `items`.
-    ///
-    /// Online and forgetting paths that re-fit a handful of item-touching
-    /// distributions can keep the rest of the table warm. The model and
-    /// dataset must have the shapes the table was built with; a stale item
-    /// id is reported, not silently skipped.
-    pub fn refresh_items(
-        &mut self,
-        model: &SkillModel,
-        dataset: &Dataset,
-        items: &[ItemId],
-    ) -> Result<()> {
-        if model.n_levels() != self.n_levels {
-            return Err(CoreError::LengthMismatch {
-                context: "emission table levels vs model levels",
-                left: self.n_levels,
-                right: model.n_levels(),
-            });
-        }
-        if dataset.n_items() != self.n_items {
-            return Err(CoreError::LengthMismatch {
-                context: "emission table items vs dataset items",
-                left: self.n_items,
-                right: dataset.n_items(),
-            });
-        }
-        // Validate every id before touching any row so a stale id cannot
-        // leave the table half-refreshed.
-        for &item in items {
-            let i = item as usize;
-            if i >= self.n_items {
-                return Err(CoreError::FeatureIndexOutOfBounds {
-                    index: i,
-                    len: self.n_items,
-                });
-            }
-        }
-        if items.is_empty() {
-            return Ok(());
-        }
-        let n_levels = self.n_levels;
-        // A handful of rows: gather just those, not the catalog.
-        let gathered = CatalogColumns::gather(
-            dataset.schema(),
-            items.iter().map(|&item| dataset.item_features(item)),
-        );
-        let mut scratch = Vec::new();
-        let (m, all_levels) = (items.len(), vec![true; n_levels]);
-        let mut rows = vec![0.0f64; m * n_levels];
-        fill_rows_columnar(model, &gathered, 0..m, &all_levels, &mut scratch, &mut rows);
-        for (&item, row) in items.iter().zip(rows.chunks(n_levels.max(1))) {
-            let i = item as usize;
-            self.data[i * n_levels..(i + 1) * n_levels].copy_from_slice(row);
-        }
-        Ok(())
     }
 
     /// Incremental invalidation by *level*: recomputes column `s` of every
@@ -1064,22 +1007,5 @@ mod tests {
         assert!(msg.contains("item 1") && msg.contains("level 2"), "{msg}");
         table.data[3] = f64::INFINITY;
         assert!(table.verify_finite().is_err());
-    }
-
-    #[test]
-    fn refresh_items_updates_only_requested_rows() {
-        let (model, ds) = mixed_setup();
-        let mut table = EmissionTable::build(&model, &ds);
-        // Perturb two rows, then refresh one of them.
-        let s = table.n_levels();
-        table.data[0] = 123.0;
-        table.data[s] = 456.0; // item 1, level 1
-        table.refresh_items(&model, &ds, &[0]).unwrap();
-        let fresh = EmissionTable::build(&model, &ds);
-        assert_eq!(table.row(0), fresh.row(0));
-        assert_eq!(table.row(1)[0], 456.0);
-        table.refresh_items(&model, &ds, &[1]).unwrap();
-        assert_eq!(table, fresh);
-        assert!(table.refresh_items(&model, &ds, &[9]).is_err());
     }
 }

@@ -26,13 +26,14 @@
 //! rows for the clean ones. A cell fit is a pure function of its row and
 //! the smoothing constant, so reuse and every split are bitwise exact.
 //!
-//! The fit writes into a model's own cells. The trainers hand their one
-//! model to [`StatsGrid::refit`] / [`MassGrid::refit`], which refit the
-//! dirty cells in place: a categorical cell overwrites its buffers, so a
-//! catalog-sized refit allocates no parameter buffer and no second model
-//! is ever alive. [`StatsGrid::fit_model_incremental`] and the serving
-//! cut (`GridCut`) keep the previous model: they copy its clean levels
-//! into a new one and fit the dirty levels into fresh buffers.
+//! The fit takes one row per level (`None` keeps the level) and writes
+//! into a model's own cells: a categorical cell overwrites its buffers,
+//! so a catalog-sized refit allocates no parameter buffer. Every fit is
+//! such an in-place refit of a model its caller owns. The trainers hand
+//! their one model to [`StatsGrid::refit`] / [`MassGrid::refit`];
+//! [`StatsGrid::fit_model_incremental`] refits a clone of the previous
+//! model; the serving cut (`GridCut`) copies out only the dirty rows and
+//! refits a clone of the model it was cut against.
 //!
 //! ## Exactness
 //!
@@ -59,7 +60,7 @@ use crate::error::{CoreError, Result};
 use crate::feature::{FeatureKind, FeatureSchema};
 use crate::model::SkillModel;
 use crate::parallel::{fan_out, job_len, Owned, ParallelConfig};
-use crate::types::{skill_level_from_index, Dataset, SkillAssignments};
+use crate::types::{Dataset, SkillAssignments};
 
 /// Minimum number of users per worker of the grid build and delta; below
 /// this the coordination cost exceeds the scan cost.
@@ -78,7 +79,7 @@ pub struct StatsGrid {
     n_items: usize,
     counts: Vec<u64>,
     /// Levels whose histogram changed since the last incremental fit;
-    /// all-true until [`StatsGrid::fit_model_incremental`] first runs.
+    /// all-true until the grid's first fit.
     dirty: Vec<bool>,
 }
 
@@ -403,8 +404,9 @@ impl StatsGrid {
     }
 
     /// Per-level dirty flags: `true` for levels whose histogram changed
-    /// since the last [`StatsGrid::fit_model_incremental`] call (all
-    /// `true` on a freshly built grid).
+    /// since the last fit ([`StatsGrid::refit`] or
+    /// [`StatsGrid::fit_model_incremental`]) or cut (all `true` on a
+    /// freshly built grid).
     pub fn dirty_levels(&self) -> &[bool] {
         &self.dirty
     }
@@ -431,25 +433,12 @@ impl StatsGrid {
         parallel: &ParallelConfig,
         model: &mut SkillModel,
     ) -> Result<()> {
-        let levels = ready(model, dataset.schema(), &self.dirty)?;
-        let grid = self.counts.as_slice();
-        fit_levels(
-            grid,
-            count_weight,
-            &levels,
-            dataset,
-            lambda,
-            parallel,
-            model,
-        )?;
-        self.dirty.fill(false);
-        Ok(())
+        self.refit_rows(false, dataset, lambda, parallel, model)
     }
 
-    /// [`StatsGrid::refit`] into a new model holding copies of `prev`'s
-    /// clean levels (every level is refit when `prev` is absent or shaped
-    /// differently); `prev` itself is left as it is. Only the clean
-    /// levels are copied: the dirty ones are fit into fresh buffers.
+    /// [`StatsGrid::refit`] of a clone of `prev`, or of an unfitted model
+    /// with every level refit when `prev` is absent; `prev` itself is
+    /// left as it is.
     pub fn fit_model_incremental(
         &mut self,
         dataset: &Dataset,
@@ -457,34 +446,48 @@ impl StatsGrid {
         parallel: &ParallelConfig,
         prev: Option<&SkillModel>,
     ) -> Result<SkillModel> {
-        let (mut model, levels) = keep_clean(prev, &self.dirty, dataset.schema())?;
-        let grid = self.counts.as_slice();
-        fit_levels(
-            grid,
-            count_weight,
-            &levels,
-            dataset,
-            lambda,
-            parallel,
-            &mut model,
-        )?;
-        self.dirty.fill(false);
+        let mut model = match prev {
+            Some(prev) => prev.clone(),
+            None => SkillModel::unfitted(dataset.schema().clone(), self.n_levels)?,
+        };
+        self.refit_rows(prev.is_none(), dataset, lambda, parallel, &mut model)?;
         Ok(model)
+    }
+
+    /// The body of [`StatsGrid::refit`]: refits the dirty levels, or every
+    /// level when `every` is set or `model` is replaced, then clears the
+    /// dirty flags.
+    fn refit_rows(
+        &mut self,
+        every: bool,
+        dataset: &Dataset,
+        lambda: f64,
+        parallel: &ParallelConfig,
+        model: &mut SkillModel,
+    ) -> Result<()> {
+        let every = !ready(model, dataset.schema(), self.n_levels)? || every;
+        let rows: Vec<Option<&[u64]>> = (self.dirty.iter().enumerate())
+            .map(|(s, &dirty)| (every || dirty).then(|| level_row(&self.counts, self.n_items, s)))
+            .collect();
+        fit_levels(&rows, count_weight, dataset, lambda, parallel, model)?;
+        self.dirty.fill(false);
+        Ok(())
     }
 
     /// Cuts the dirty rows out for a refit run apart from the grid (see
     /// [`GridCut`]) and clears the dirty flags.
     pub(crate) fn cut(&mut self) -> GridCut {
-        let mut cells = vec![0; self.counts.len()];
-        let rows = cells
-            .chunks_mut(self.n_items.max(1))
-            .zip(self.counts.chunks(self.n_items.max(1)));
-        for ((to, from), _) in rows.zip(&self.dirty).filter(|&(_, &d)| d) {
-            to.copy_from_slice(from);
+        let n_dirty = self.dirty.iter().filter(|&&d| d).count();
+        let mut cells = Vec::with_capacity(n_dirty * self.n_items);
+        for (s, _) in self.dirty.iter().enumerate().filter(|&(_, &d)| d) {
+            cells.extend_from_slice(level_row(&self.counts, self.n_items, s));
         }
-        let dirty = self.dirty.clone();
-        self.dirty.fill(false);
-        GridCut { cells, dirty }
+        let dirty = std::mem::replace(&mut self.dirty, vec![false; self.n_levels]);
+        GridCut {
+            n_items: self.n_items,
+            cells,
+            dirty,
+        }
     }
 
     /// Marks dirty again every level `cut` carried — the undo of
@@ -604,31 +607,27 @@ impl MassGrid {
         parallel: &ParallelConfig,
         model: &mut SkillModel,
     ) -> Result<()> {
-        let levels = ready(model, dataset.schema(), &vec![true; self.n_levels])?;
-        fit_levels(
-            &self.mass,
-            |mass| mass,
-            &levels,
-            dataset,
-            lambda,
-            parallel,
-            model,
-        )
+        ready(model, dataset.schema(), self.n_levels)?;
+        let rows: Vec<Option<&[f64]>> = (0..self.n_levels)
+            .map(|s| Some(level_row(&self.mass, self.n_items, s)))
+            .collect();
+        fit_levels(&rows, |mass| mass, dataset, lambda, parallel, model)
     }
 }
 
 /// The rows one refit reads, copied out of a [`StatsGrid`] so the fit
-/// can run while the grid keeps taking deltas: the dirty level rows
-/// (clean rows stay zero and are never read) and the dirty flags, which
-/// the grid clears at the cut.
+/// can run while the grid keeps taking deltas: the dirty level rows only,
+/// packed in level order (`n_dirty × n_items` counts), and the dirty
+/// flags, which the grid clears at the cut.
 ///
-/// A fit of the cut reuses the previous model for the clean levels, so
-/// it is bitwise the [`StatsGrid::fit_model_incremental`] fit of the
-/// grid as it stood at the cut. Deltas landing after the cut mark their
-/// levels dirty in the grid again, for the next cut.
+/// A refit of the cut into the previous model keeps that model's clean
+/// levels, so it is bitwise the [`StatsGrid::fit_model_incremental`] fit
+/// of the grid as it stood at the cut. Deltas landing after the cut mark
+/// their levels dirty in the grid again, for the next cut.
 #[derive(Debug, Clone)]
 pub(crate) struct GridCut {
-    /// Level-major `S × n_items` counts; only the dirty rows are filled.
+    n_items: usize,
+    /// The dirty rows, level-major in level order.
     cells: Vec<u64>,
     dirty: Vec<bool>,
 }
@@ -639,35 +638,30 @@ impl GridCut {
         &self.dirty
     }
 
-    /// Fits the cut's dirty levels and keeps `prev`'s rows for the rest
-    /// (the one M-step, `fit_levels`). `prev` must be the model the grid
-    /// was last fit to: the cut holds no clean rows, so a `prev` of
-    /// another shape is an error instead of a full refit.
-    pub(crate) fn fit_model(
+    /// Refits the cut's dirty levels into `model`'s own buffers and keeps
+    /// its other levels (the one M-step, `fit_levels`). `model` must be
+    /// the model the grid was last fit to: the cut holds no clean rows, so
+    /// a model of another level or feature count is an error instead of a
+    /// full refit. On error `model` is left partly refit.
+    pub(crate) fn refit(
         &self,
         dataset: &Dataset,
         lambda: f64,
         parallel: &ParallelConfig,
-        prev: &SkillModel,
-    ) -> Result<SkillModel> {
-        if prev.n_levels() != self.dirty.len() || prev.n_features() != dataset.schema().len() {
+        model: &mut SkillModel,
+    ) -> Result<()> {
+        if !shaped(model, dataset.schema(), self.dirty.len()) {
             return Err(CoreError::DegenerateFit {
                 distribution: "refit cut",
                 reason: "previous model is shaped unlike the grid; a cut holds only dirty rows",
             });
         }
-        let (mut model, levels) = keep_clean(Some(prev), &self.dirty, dataset.schema())?;
-        let grid = self.cells.as_slice();
-        fit_levels(
-            grid,
-            count_weight,
-            &levels,
-            dataset,
-            lambda,
-            parallel,
-            &mut model,
-        )?;
-        Ok(model)
+        model.adopt_schema(dataset.schema());
+        let mut packed = (0..).map(|k| level_row(&self.cells, self.n_items, k));
+        let rows: Vec<Option<&[u64]>> = (self.dirty.iter())
+            .map(|&dirty| if dirty { packed.next() } else { None })
+            .collect();
+        fit_levels(&rows, count_weight, dataset, lambda, parallel, model)
     }
 }
 
@@ -676,45 +670,36 @@ fn count_weight(count: u64) -> f64 {
     count as f64
 }
 
-/// Readies `model` for a refit of the `dirty` levels over `schema`: a
-/// model with the grid's level and feature counts keeps its cells and
-/// takes `schema`; any other is replaced by an unfitted one. Returns the
-/// levels to refit: `dirty`, or every level of a replaced model.
-fn ready(model: &mut SkillModel, schema: &FeatureSchema, dirty: &[bool]) -> Result<Vec<bool>> {
-    if model.n_levels() == dirty.len() && model.n_features() == schema.len() {
+/// Readies `model` for a refit over `schema` with `n_levels` levels: a
+/// model of that shape keeps its cells and takes `schema`, any other is
+/// replaced by an unfitted one. Returns whether the cells were kept.
+fn ready(model: &mut SkillModel, schema: &FeatureSchema, n_levels: usize) -> Result<bool> {
+    if shaped(model, schema, n_levels) {
         model.adopt_schema(schema);
-        return Ok(dirty.to_vec());
+        return Ok(true);
     }
-    *model = SkillModel::unfitted(schema.clone(), dirty.len())?;
-    Ok(vec![true; dirty.len()])
+    *model = SkillModel::unfitted(schema.clone(), n_levels)?;
+    Ok(false)
 }
 
-/// An unfitted model over `schema` holding copies of `prev`'s clean
-/// levels, and the levels left to refit: the `dirty` ones, or every
-/// level when `prev` is absent or has another level or feature count.
-fn keep_clean(
-    prev: Option<&SkillModel>,
-    dirty: &[bool],
-    schema: &FeatureSchema,
-) -> Result<(SkillModel, Vec<bool>)> {
-    let mut model = SkillModel::unfitted(schema.clone(), dirty.len())?;
-    let prev = prev.filter(|m| m.n_levels() == dirty.len() && m.n_features() == schema.len());
-    let Some(prev) = prev else {
-        return Ok((model, vec![true; dirty.len()]));
-    };
-    let rows = model.rows_mut().iter_mut().zip(dirty).enumerate();
-    for (s, (row, _)) in rows.filter(|(_, (_, &d))| !d) {
-        row.clone_from_slice(prev.level_row(skill_level_from_index(s))?);
-    }
-    Ok((model, dirty.to_vec()))
+/// Whether `model` has `n_levels` levels and `schema`'s feature count.
+fn shaped(model: &SkillModel, schema: &FeatureSchema, n_levels: usize) -> bool {
+    model.n_levels() == n_levels && model.n_features() == schema.len()
+}
+
+/// Level `s`'s row of the level-major grid `cells` of `n_items` columns;
+/// empty past the last row.
+fn level_row<W>(cells: &[W], n_items: usize, s: usize) -> &[W] {
+    cells.get(s * n_items..(s + 1) * n_items).unwrap_or(&[])
 }
 
 /// The one M-step (§IV-B, Eqs. 5–7) of both grids and of the hard cut:
-/// refits the flagged `levels` of the level-major `S × n_items` grid
-/// `cells` into `model`'s own cells, which must have the grid's shape
-/// (`ready` / `keep_clean`), and leaves the other levels alone. `weight`
-/// reads a cell as the weight its item's values are pushed with: a count
-/// as `count as f64` (exact below 2⁵³), a mass as it is. Callers clear
+/// refits each level of `model` that `rows` gives a grid row, one
+/// `n_items` row per level (`None` keeps the level's cells), in `model`'s
+/// own cells. A row count other than the model's level count, or a row
+/// of another length than the catalog, is a typed error. `weight` reads
+/// a cell as the weight its item's values are pushed with: a count as
+/// `count as f64` (exact below 2⁵³), a mass as it is. Callers clear
 /// their dirty flags on success; on error `model` is left partly refit.
 ///
 /// The refit `(level, feature)` cells are independent (§IV-C), so
@@ -734,26 +719,32 @@ fn keep_clean(
 /// per-category counts are the level row itself, which its categorical
 /// fit reads in place, its total summed in the accumulator's item order.
 fn fit_levels<W: Copy + Sync>(
-    cells: &[W],
+    rows: &[Option<&[W]>],
     weight: impl Fn(W) -> f64 + Sync,
-    levels: &[bool],
     dataset: &Dataset,
     lambda: f64,
     parallel: &ParallelConfig,
     model: &mut SkillModel,
 ) -> Result<()> {
     parallel.validate()?;
-    let (n_items, n_levels) = (dataset.n_items(), levels.len());
-    if cells.len() != n_levels * n_items {
+    if rows.len() != model.n_levels() {
         return Err(CoreError::LengthMismatch {
-            context: "stats grid cells vs levels × dataset items",
-            left: cells.len(),
-            right: n_levels * n_items,
+            context: "grid rows vs model levels",
+            left: rows.len(),
+            right: model.n_levels(),
+        });
+    }
+    let n_items = dataset.n_items();
+    if let Some(row) = rows.iter().flatten().find(|row| row.len() != n_items) {
+        return Err(CoreError::LengthMismatch {
+            context: "grid row vs dataset items",
+            left: row.len(),
+            right: n_items,
         });
     }
     let (kinds, catalog) = (dataset.schema().kinds(), dataset.catalog());
     let n_features = kinds.len();
-    let n_refit = levels.iter().filter(|&&l| l).count();
+    let n_refit = rows.iter().flatten().count();
     let split = parallel.update_parallel() && n_refit > 0;
     let level_parts = match split && parallel.skills {
         true => parallel.threads.min(n_refit),
@@ -765,26 +756,26 @@ fn fit_levels<W: Copy + Sync>(
     };
 
     // Each part owns its cells of the model: per refit level, in level
-    // order, the `(feature, cell)`s of its features.
+    // order, its row and the `(feature, cell)`s of its features.
     let n_parts = level_parts * feature_parts;
-    let mut parts: Vec<Vec<Level<'_>>> = (0..n_parts).map(|_| Vec::new()).collect();
-    let rows = model.rows_mut().iter_mut().enumerate().zip(levels);
-    for (rank, (s, row)) in rows.filter(|&(_, &l)| l).map(|(row, _)| row).enumerate() {
+    let mut parts: Vec<Vec<Level<'_, W>>> = (0..n_parts).map(|_| Vec::new()).collect();
+    let refit = model.rows_mut().iter_mut().zip(rows).enumerate();
+    let refit = refit.filter_map(|(s, (cells, row))| Some((s, cells, (*row)?)));
+    for (rank, (s, cells, row)) in refit.enumerate() {
         let first = (rank % level_parts) * feature_parts;
-        for (f, cell) in row.iter_mut().enumerate() {
+        for (f, cell) in cells.iter_mut().enumerate() {
             let Some(part) = parts.get_mut(first + f % feature_parts) else {
                 continue; // every part index is below `n_parts`
             };
             match part.last_mut() {
-                Some((level, owned)) if *level == s => owned.push((f, cell)),
-                _ => part.push((s, vec![(f, cell)])),
+                Some((level, _, owned)) if *level == s => owned.push((f, cell)),
+                _ => part.push((s, row, vec![(f, cell)])),
             }
         }
     }
     let parts = Owned::new(parts);
     let work = |part: usize, _: &mut ()| -> Result<()> {
-        for (s, owned) in parts.take(part)? {
-            let row = cells.get(s * n_items..(s + 1) * n_items).unwrap_or(&[]);
+        for (_, row, owned) in parts.take(part)? {
             refit_level(row, &weight, owned, catalog, kinds, lambda)?;
         }
         Ok(())
@@ -793,9 +784,9 @@ fn fit_levels<W: Copy + Sync>(
     fan_out(n_parts, n_parts, &mut workers, "update", work, Ok)
 }
 
-/// One level's cells of one M-step part: the level index and the
-/// `(feature, cell)`s the part refits there.
-type Level<'m> = (usize, Vec<(usize, &'m mut FeatureDistribution)>);
+/// One level's cells of one M-step part: the level index, its grid row
+/// and the `(feature, cell)`s the part refits there.
+type Level<'m, W> = (usize, &'m [W], Vec<(usize, &'m mut FeatureDistribution)>);
 
 /// Refits the `owned` cells of one level from its grid `row`: one
 /// ascending-item replay into an accumulator per owned feature, except
@@ -983,7 +974,7 @@ fn validate_delta_shape(prev: &SkillAssignments, next: &SkillAssignments) -> Res
 mod tests {
     use super::*;
     use crate::feature::{FeatureKind, FeatureSchema, FeatureValue};
-    use crate::types::{Action, ActionSequence};
+    use crate::types::{Action, ActionSequence, ItemId, SkillLevel};
 
     fn build_dataset(n_users: usize, len: usize) -> Dataset {
         let schema = FeatureSchema::new(vec![
@@ -1457,6 +1448,62 @@ mod tests {
                 assert!(g.dirty_levels().iter().all(|&d| !d));
             }
         }
+    }
+
+    #[test]
+    fn a_cut_holds_its_dirty_rows_and_refits_the_incremental_bits() {
+        let ds = build_dataset(6, 10);
+        let a = staircase_assignments(&ds, 3);
+        let seq = ParallelConfig::sequential();
+        let mut fitted = StatsGrid::build(&ds, &a, 3).unwrap();
+        let base = fitted.fit_model_incremental(&ds, 0.01, &seq, None).unwrap();
+        for subset in 1..8u8 {
+            // One new action on item `s` at every level `s` of the subset.
+            let mut grid = fitted.clone();
+            let levels: Vec<bool> = (0..3).map(|s| subset >> s & 1 == 1).collect();
+            for (s, _) in levels.iter().enumerate().filter(|(_, &d)| d) {
+                grid.add_action(s as ItemId, s as SkillLevel + 1).unwrap();
+            }
+            let want = grid
+                .clone()
+                .fit_model_incremental(&ds, 0.01, &seq, Some(&base))
+                .unwrap();
+            let cut = grid.cut();
+            assert_eq!(cut.dirty_levels(), &levels[..], "subset {subset:03b}");
+            assert!(grid.dirty_levels().iter().all(|&d| !d));
+            let k = levels.iter().filter(|&&d| d).count();
+            assert_eq!(cut.cells.len(), k * ds.n_items(), "subset {subset:03b}");
+            for cfg in update_configs() {
+                let mut model = base.clone();
+                cut.refit(&ds, 0.01, &cfg, &mut model).unwrap();
+                assert_eq!(bits(&model), bits(&want), "subset {subset:03b}, {cfg:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn missing_and_misshapen_rows_are_typed_errors() {
+        let ds = build_dataset(4, 8);
+        let a = staircase_assignments(&ds, 3);
+        let seq = ParallelConfig::sequential();
+        let mut grid = StatsGrid::build(&ds, &a, 3).unwrap();
+        let mut model = grid.fit_model_incremental(&ds, 0.01, &seq, None).unwrap();
+        let row = level_row(&grid.counts, grid.n_items, 0);
+        // A level without a row, and a row of another length than the
+        // catalog, fit nothing.
+        for rows in [vec![Some(row), None], vec![Some(&row[1..]), None, None]] {
+            assert!(matches!(
+                fit_levels(&rows, count_weight, &ds, 0.01, &seq, &mut model),
+                Err(CoreError::LengthMismatch { .. })
+            ));
+        }
+        // So is a grid refit against a catalog of another item count.
+        let mut small = ds.clone();
+        small.item_table_mut().edit_rows(|rows| rows.truncate(3));
+        assert!(matches!(
+            grid.fit_model_incremental(&small, 0.01, &seq, None),
+            Err(CoreError::LengthMismatch { .. })
+        ));
     }
 
     #[test]

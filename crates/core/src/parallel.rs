@@ -15,12 +15,11 @@
 //!    disjoint feature sets.
 //!
 //! The update-step partition lives in the one M-step of
-//! [`crate::incremental`], which both
-//! [`StatsGrid::fit_model_incremental`](crate::incremental::StatsGrid::fit_model_incremental)
-//! and
-//! [`MassGrid::fit_model`](crate::incremental::MassGrid::fit_model)
-//! run: it splits only the cells being refit, so a refit of one dirty
-//! level still spreads its features over the workers.
+//! [`crate::incremental`], which
+//! [`StatsGrid::refit`](crate::incremental::StatsGrid::refit),
+//! [`MassGrid::refit`](crate::incremental::MassGrid::refit) and the
+//! serving cut all run: it splits only the cells being refit, so a refit
+//! of one dirty level still spreads its features over the workers.
 //! The shared emission table and the incremental statistics are always on:
 //! their from-scratch baselines (per-action emissions, full-rescan update)
 //! live in [`crate::reference`] as oracles and speedup denominators only.

@@ -17,10 +17,10 @@
 //!    ([`LiveFit::record`]), so the sufficient statistics stay bit-exact
 //!    with a from-scratch accumulation at all times.
 //! 3. **Dirty-level refits** — a refit (run per the [`RefitPolicy`])
-//!    refits only the levels whose histogram changed, reuses the
-//!    previous model rows elsewhere (the M-step of
-//!    [`StatsGrid::fit_model_incremental`]), and refreshes only those
-//!    levels' [`EmissionTable`] columns.
+//!    refits only the levels whose histogram changed, in place in a
+//!    clone of the previous model, whose rows it keeps elsewhere (the
+//!    M-step of [`StatsGrid::refit`]), and refreshes only those levels'
+//!    [`EmissionTable`] columns.
 //!
 //! ## One live-fitting state, one live user record
 //!
@@ -45,12 +45,14 @@
 //! lock while the M-step runs:
 //!
 //! 1. **Cut** ([`LiveFit::cut`]) only copies: the dirty count rows of
-//!    the grid and the model the fit reuses clean rows from. It clears
-//!    the dirty flags, resets the pending count and steps the tuner, a
-//!    pure function of the dirty count.
+//!    the grid (`n_dirty × n_items` counts) and a handle on the model the
+//!    fit keeps clean rows from. It clears the dirty flags, resets the
+//!    pending count and steps the tuner, a pure function of the dirty
+//!    count.
 //! 2. **Fit** ([`RefitCut::fit`]) reads only the cut and the catalog:
-//!    the dirty-level M-step, then those columns refreshed into a clone
-//!    of the current table, then the table check.
+//!    the dirty levels refit in place in a clone of the cut's model,
+//!    then those columns refreshed into a clone of the current table,
+//!    then the table check.
 //! 3. **Install** ([`LiveFit::install`]) stores the new model. A refit
 //!    that fails after its cut instead hands the cut to
 //!    [`LiveFit::abandon`], which marks its levels dirty again and
@@ -332,14 +334,15 @@ impl RefitCut {
         self.rows.dirty_levels().iter().filter(|&&d| d).count()
     }
 
-    /// The fit step of a refit: fits the cut's dirty levels from
-    /// `catalog` (only its schema and item tuples are read), with the
-    /// refit cells split over workers per `parallel` — bitwise the
-    /// sequential fit for every split — and keeps the cut model's rows
-    /// elsewhere. Then refreshes exactly the dirty columns of a clone of
-    /// `table`, which must be the table of the cut's model, and checks
-    /// the result. Returns the new model and table; touches no shared
-    /// state.
+    /// The fit step of a refit: refits the cut's dirty levels from
+    /// `catalog` (only its schema and item tuples are read) in place in
+    /// a clone of the cut's model, which keeps its rows elsewhere, with
+    /// the refit cells split over workers per `parallel` — bitwise the
+    /// sequential fit for every split. Then refreshes exactly the dirty
+    /// columns of a clone of `table`, which must be the table of the
+    /// cut's model, and checks the result. Returns the new model and
+    /// table; touches no shared state. A cut model of another level or
+    /// feature count than the grid is a typed "refit cut" error.
     pub fn fit(
         &self,
         catalog: &Dataset,
@@ -347,9 +350,8 @@ impl RefitCut {
         parallel: &ParallelConfig,
         table: &EmissionTable,
     ) -> Result<(SkillModel, EmissionTable)> {
-        let model = self
-            .rows
-            .fit_model(catalog, lambda, parallel, &self.model)?;
+        let mut model = SkillModel::clone(&self.model);
+        self.rows.refit(catalog, lambda, parallel, &mut model)?;
         let mut table = table.clone();
         table.refresh_levels(&model, catalog, self.rows.dirty_levels())?;
         InvariantCtx::new().check_emission_table(&table)?;
@@ -981,60 +983,80 @@ mod tests {
         let actions: Vec<Action> = (0..6)
             .map(|k| Action::new(100 + k, (k % 3) as UserId, (k % 3) as ItemId))
             .collect();
-        let mut failed = trained_session(RefitPolicy::EveryNActions(4));
-        failed.set_tuner(Some(RefitTuner::new(1, 1, 64).unwrap()));
-        let mut clean = failed.clone();
-        // Below the interval, so neither session refits on its own.
-        for &a in &actions[..3] {
-            failed.ingest(a).unwrap();
-            clean.ingest(a).unwrap();
+        let mut base = trained_session(RefitPolicy::EveryNActions(4));
+        base.set_tuner(Some(RefitTuner::new(1, 1, 64).unwrap()));
+        let wrong_table = EmissionTable::build(base.model(), &progression_dataset(2, 3, 2));
+        let count = FeatureSchema::new(vec![FeatureKind::Count]).unwrap();
+        let schema = base.catalog.schema().clone();
+        // Models the cut holds no rows for: another level count, another
+        // feature count.
+        let reshaped = [
+            SkillModel::unfitted(schema, 2).unwrap(),
+            SkillModel::unfitted(count, 3).unwrap(),
+        ];
+        for case in 0..=reshaped.len() {
+            let mut failed = base.clone();
+            let mut clean = base.clone();
+            // Below the interval, so neither session refits on its own.
+            for &a in &actions[..3] {
+                failed.ingest(a).unwrap();
+                clean.ingest(a).unwrap();
+            }
+            let policy = failed.policy();
+
+            // A refit that fails after its cut, with a typed error, and
+            // the cut is handed back: fitting against a table of the
+            // wrong shape, or into a model of another shape.
+            let mut cut = failed.fit.cut();
+            assert!(cut.n_dirty() >= 1);
+            assert_eq!(failed.pending_actions(), 0);
+            let lambda = failed.config.lambda;
+            let seq = ParallelConfig::sequential();
+            match reshaped.get(case) {
+                None => assert!(cut
+                    .fit(&failed.catalog, lambda, &seq, &wrong_table)
+                    .is_err()),
+                Some(model) => {
+                    cut.model = Arc::new(model.clone());
+                    assert!(matches!(
+                        cut.fit(&failed.catalog, lambda, &seq, &failed.table),
+                        Err(CoreError::DegenerateFit {
+                            distribution: "refit cut",
+                            ..
+                        })
+                    ));
+                }
+            }
+            failed.fit.abandon(&cut);
+            assert_eq!(failed.pending_actions(), 3);
+            assert_eq!(failed.policy(), policy);
+
+            // The next refit covers the same levels and fits the same
+            // bits as a refit that never failed.
+            let n_failed = failed.refit().unwrap();
+            let n_clean = clean.refit().unwrap();
+            assert_eq!(n_failed, cut.n_dirty());
+            assert_eq!(n_failed, n_clean);
+            assert!(models_identical(
+                failed.model(),
+                clean.model(),
+                &clean.catalog
+            ));
+            assert_eq!(failed.table, clean.table);
+            assert_eq!(failed.policy(), clean.policy());
+            assert_eq!(failed.pending_actions(), 0);
+
+            // And the two stay in step afterwards.
+            for &a in &actions[3..] {
+                assert_eq!(failed.ingest(a).unwrap(), clean.ingest(a).unwrap());
+            }
+            assert_eq!(failed.refit().unwrap(), clean.refit().unwrap());
+            assert!(models_identical(
+                failed.model(),
+                clean.model(),
+                &clean.catalog
+            ));
         }
-        let policy = failed.policy();
-
-        // A refit that fails after its cut: fitting against a table of
-        // the wrong shape is a typed error, and the cut is handed back.
-        let cut = failed.fit.cut();
-        assert!(cut.n_dirty() >= 1);
-        assert_eq!(failed.pending_actions(), 0);
-        let wrong = EmissionTable::build(failed.model(), &progression_dataset(2, 3, 2));
-        let lambda = failed.config.lambda;
-        assert!(cut
-            .fit(
-                &failed.catalog,
-                lambda,
-                &ParallelConfig::sequential(),
-                &wrong
-            )
-            .is_err());
-        failed.fit.abandon(&cut);
-        assert_eq!(failed.pending_actions(), 3);
-        assert_eq!(failed.policy(), policy);
-
-        // The next refit covers the same levels and fits the same bits
-        // as a refit that never failed.
-        let n_failed = failed.refit().unwrap();
-        let n_clean = clean.refit().unwrap();
-        assert_eq!(n_failed, cut.n_dirty());
-        assert_eq!(n_failed, n_clean);
-        assert!(models_identical(
-            failed.model(),
-            clean.model(),
-            &clean.catalog
-        ));
-        assert_eq!(failed.table, clean.table);
-        assert_eq!(failed.policy(), clean.policy());
-        assert_eq!(failed.pending_actions(), 0);
-
-        // And the two stay in step afterwards.
-        for &a in &actions[3..] {
-            assert_eq!(failed.ingest(a).unwrap(), clean.ingest(a).unwrap());
-        }
-        assert_eq!(failed.refit().unwrap(), clean.refit().unwrap());
-        assert!(models_identical(
-            failed.model(),
-            clean.model(),
-            &clean.catalog
-        ));
     }
 
     #[test]

@@ -33,10 +33,10 @@
 //! 1. **Cut**, under the global lock, only copies: [`LiveFit::cut`]
 //!    takes the dirty grid rows and resets the pending count and the
 //!    tuner; the running level counts are copied beside it.
-//! 2. **Fit**, with no lock held: [`RefitCut::fit`] runs the dirty-level
-//!    M-step and refreshes those columns into a clone of the published
-//!    table, then the difficulty vector is rebuilt from the cut's level
-//!    counts.
+//! 2. **Fit**, with no lock held: [`RefitCut::fit`] refits the dirty
+//!    levels in a clone of the cut's model and refreshes those columns
+//!    into a clone of the published table, then the difficulty vector is
+//!    rebuilt from the cut's level counts.
 //! 3. **Install** re-takes the global lock only to store the model and
 //!    count the refit, drops it, then publishes the new [`ModelEpoch`].
 //!

@@ -20,10 +20,6 @@ fn config() -> ParallelConfig {
     ParallelConfig { threads: 4 } // config-literal
 }
 
-fn shim(d: &Dataset, c: &TrainConfig) {
-    let _ = train_em(d, c); // deprecated-train-em
-}
-
 // lint:allow(no-such-rule): an unknown rule id is itself a violation.
 fn marker_target() {}
 

@@ -45,13 +45,8 @@ fn borrow(c: &ParallelConfig) -> &ParallelConfig {
     c
 }
 
-fn richer_entry(d: &Dataset, c: &TrainConfig, p: &ParallelConfig) {
-    // Shares a prefix with the deprecated shim, but is the blessed API.
-    let _ = train_em_with_parallelism(d, c, p);
-}
-
 fn strings_and_comments() -> &'static str {
-    // panic!("never fires"); x[0]; y == 0.0; train_em(d, c)
+    // panic!("never fires"); x[0]; y == 0.0
     "call .unwrap() or ParallelConfig { threads: 1 } — inert in a string"
 }
 

@@ -24,7 +24,6 @@
 //! | `hot-loop-cast`      | truncating `as` casts inside those same loops            |
 //! | `float-eq`           | `==`/`!=` on floats outside approved comparison helpers  |
 //! | `config-literal`     | struct-literal `ParallelConfig`/`EmConfig` outside their builders |
-//! | `deprecated-train-em`| calls to the deprecated `train_em` shim                  |
 //! | `reference-in-production` | `reference::` oracles named in production crates' non-test code |
 //! | `raw-spawn`          | `thread::scope`/`thread::spawn`/`thread::Builder` in production crates outside the fan-out (`parallel.rs`) |
 //! | `fit-outside-dist`   | `Gamma::new`/`LogNormal::new`/`Poisson::new` in production crates outside the fits' home (`core/src/dist/`) |

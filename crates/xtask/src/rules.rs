@@ -18,7 +18,6 @@ pub const RULE_IDS: &[&str] = &[
     "hot-loop-cast",
     "float-eq",
     "config-literal",
-    "deprecated-train-em",
     "reference-in-production",
     "raw-spawn",
     "fit-outside-dist",
@@ -95,9 +94,6 @@ pub fn run_all(file: &SourceFile) -> Vec<Diagnostic> {
         float_eq(file, &mut out);
     }
     config_literal(file, &path, &mut out);
-    if path != "crates/core/src/em.rs" {
-        deprecated_train_em(file, &mut out);
-    }
     if PRODUCTION_SRC.iter().any(|dir| path.starts_with(dir))
         && path != "crates/core/src/reference.rs"
     {
@@ -435,20 +431,6 @@ fn config_literal(file: &SourceFile, path: &str, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// --- rule: deprecated-train-em ------------------------------------------
-
-fn deprecated_train_em(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for p in find_word_starts(&file.masked, "train_em(") {
-        file.report(
-            out,
-            p,
-            "deprecated-train-em",
-            "deprecated `train_em` shim; use `Trainer::em()` or `train_em_with_parallelism`"
-                .to_string(),
-        );
-    }
-}
-
 // --- rule: reference-in-production -------------------------------------
 
 fn reference_in_production(file: &SourceFile, out: &mut Vec<Diagnostic>) {
@@ -679,25 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_train_em_rule() {
-        let bad = "fn f() { let _ = train_em(&d, &c); }\n";
-        let diags = run("crates/core/src/train.rs", bad);
-        assert_eq!(rules_of(&diags), ["deprecated-train-em"]);
-        // The message names entry points that exist.
-        assert!(diags[0].message.contains("`Trainer::em()`"));
-        assert!(diags[0].message.contains("`train_em_with_parallelism`"));
-        // The richer entry points share the prefix but are fine, and the
-        // shim's own module (definition + its tests) is exempt.
-        let ok = "fn f() { let _ = train_em_with_parallelism(&d, &c, &p); }\n";
-        assert!(run("crates/core/src/train.rs", ok).is_empty());
-        assert!(run(
-            "crates/core/src/em.rs",
-            "pub fn train_em() {}\nfn g() { train_em(); }\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
     fn reference_in_production_rule() {
         let bad = "fn f() { let _ = crate::reference::build_scalar(&m, &d); }\n";
         for path in [
@@ -792,7 +755,7 @@ mod tests {
     fn tokens_in_strings_and_comments_never_fire() {
         let text = concat!(
             "fn f() {\n",
-            "    let msg = \"call .unwrap() or train_em( or x == 0.0\";\n",
+            "    let msg = \"call .unwrap() or x == 0.0\";\n",
             "    // commented: panic!(\"x\"); v[i]; x == 1.0\n",
             "    let _ = msg;\n",
             "}\n",
