@@ -20,21 +20,81 @@
 //! `StreamingSession`: the snapshot JSON must match byte for byte, or
 //! the binary exits non-zero.
 //!
+//! Then, also before the load run, a single-threaded **admission phase**
+//! measures what one admitted user costs: on a second service over the
+//! same base model (manual refits, so only the per-user records grow),
+//! it ingests one action each for `N` new users and reports the growth
+//! per user of the resident set (`VmRSS`, which counts allocator
+//! rounding and the shard maps' spare buckets) and of the live heap (a
+//! counting `#[global_allocator]`, switched on for this phase only). The
+//! RSS figure is held by the `serve.bytes_per_admitted_user` ceiling. The
+//! report's `peak_rss` covers the whole run, this phase included.
+//!
 //! Scales: `UPSKILL_SCALE=quick` is the CI smoke (10k users);
 //! default/paper drive ≥ 1M simulated users.
 
 use serde::Serialize;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use upskill_bench::report::{peak_rss_bytes, synth, LatencyHist, Report};
+use upskill_bench::report::{peak_rss_bytes, rss_bytes, synth, LatencyHist, Report};
 use upskill_bench::{banner, Scale};
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::rng::SplitMix64;
 use upskill_core::streaming::{RefitPolicy, RefitTuner, StreamingSession};
-use upskill_core::train::{train_with_parallelism, TrainConfig};
-use upskill_core::types::{Action, ItemId, UserId};
+use upskill_core::train::{train_with_parallelism, TrainConfig, TrainResult};
+use upskill_core::types::{Action, Dataset, ItemId, UserId};
 use upskill_datasets::synthetic::generate;
 use upskill_serve::{PredictMode, ServeConfig, SkillService};
+
+/// The system allocator, counting the bytes live on the heap while
+/// [`COUNTING`] is set.
+struct Counting;
+
+/// Whether allocations are being counted (only during the admission
+/// phase, so the mixed load's threads share no counter).
+static COUNTING: AtomicBool = AtomicBool::new(false);
+
+/// Heap bytes allocated minus bytes freed while counting was on.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+
+fn count(delta: i64) {
+    if COUNTING.load(Ordering::Relaxed) {
+        LIVE.fetch_add(delta, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments to `System` unchanged and
+// returns its result; the counter has no effect on the allocation.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as i64);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as i64);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-(layout.size() as i64));
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Bytes one admitted one-action user may add to the resident set: the
+/// live record, its history and scores, and its shard-map bucket.
+const BYTES_PER_USER_CEILING: f64 = 180.0;
 
 #[derive(Serialize)]
 struct OpLatency {
@@ -74,6 +134,67 @@ struct Workload {
     final_refit_interval: Option<usize>,
     users_admitted_live: usize,
     crosscheck_users: usize,
+    admission: Admission,
+}
+
+/// The single-threaded admission phase: what one new one-action user
+/// costs the service.
+#[derive(Serialize)]
+struct Admission {
+    users: usize,
+    seconds: f64,
+    rss_bytes_per_user: f64,
+    heap_bytes_per_user: f64,
+}
+
+/// Admits `n_users` new users with one action each, single-threaded, into
+/// a fresh manual-refit service over `dataset` and `result`, and measures
+/// the growth per user of the resident set and the live heap.
+fn admission(
+    dataset: Dataset,
+    result: &TrainResult,
+    train_cfg: TrainConfig,
+    first_user: UserId,
+    n_users: usize,
+) -> Admission {
+    let n_items = dataset.n_items() as u64;
+    let service = SkillService::resume(
+        dataset,
+        result,
+        train_cfg,
+        ParallelConfig::sequential(),
+        ServeConfig {
+            policy: RefitPolicy::Manual,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("admission service");
+    let mut rng = SplitMix64::new(7);
+    let actions: Vec<Action> = (0..n_users as UserId)
+        .map(|u| {
+            let item = (rng.next_u64() % n_items) as ItemId;
+            Action::new(2_000_000_000, first_user + u, item)
+        })
+        .collect();
+    let rss_before = rss_bytes();
+    COUNTING.store(true, Ordering::Relaxed);
+    let t0 = Instant::now();
+    for &action in &actions {
+        service.ingest(action).expect("valid admission");
+    }
+    let seconds = t0.elapsed().as_secs_f64();
+    COUNTING.store(false, Ordering::Relaxed);
+    let rss_after = rss_bytes();
+    assert_eq!(
+        service.stats().n_users,
+        n_users + result.assignments.per_user.len()
+    );
+    Admission {
+        users: n_users,
+        seconds,
+        rss_bytes_per_user: (rss_after - rss_before) / n_users as f64,
+        heap_bytes_per_user: LIVE.load(Ordering::Relaxed) as f64 / n_users as f64,
+    }
 }
 
 /// One thread's slice of the mixed workload over its disjoint user range
@@ -203,9 +324,9 @@ fn main() {
 
     // quick = the CI smoke; default/paper = the million-tenant
     // acceptance workload.
-    let (n_sim_users, n_base_users, n_items, ops_total) = match scale {
-        Scale::Quick => (10_000usize, 2_000usize, 2_000usize, 200_000u64),
-        _ => (1_000_000, 50_000, 20_000, 4_000_000),
+    let (n_sim_users, n_base_users, n_items, ops_total, n_admitted) = match scale {
+        Scale::Quick => (10_000usize, 2_000usize, 2_000usize, 200_000u64, 20_000usize),
+        _ => (1_000_000, 50_000, 20_000, 4_000_000, 400_000),
     };
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -235,6 +356,20 @@ fn main() {
         t0.elapsed().as_secs_f64(),
         base.dataset.n_users(),
         base.dataset.n_actions()
+    );
+
+    // What one admitted user costs, measured alone: new ids above the
+    // load's range, on a service dropped before the load starts.
+    let admitted_alone = admission(
+        base.dataset.clone(),
+        &result,
+        train_cfg,
+        n_sim_users as UserId,
+        n_admitted,
+    );
+    eprintln!(
+        "admission of {} one-action users: {:.0} B/user resident, {:.0} B/user heap",
+        admitted_alone.users, admitted_alone.rss_bytes_per_user, admitted_alone.heap_bytes_per_user
     );
 
     // The refit cadence scales with traffic so the epoch swaps keep
@@ -331,8 +466,23 @@ fn main() {
         .metric("p95", p95 * 1e6, "us")
         .metric("p99", p99 * 1e6, "us")
         .metric("peak_rss", peak_rss_bytes() / (1024.0 * 1024.0), "MiB")
+        .metric(
+            "bytes_per_admitted_user",
+            admitted_alone.rss_bytes_per_user,
+            "B",
+        )
+        .metric(
+            "heap_bytes_per_admitted_user",
+            admitted_alone.heap_bytes_per_user,
+            "B",
+        )
         .floor("serve.throughput_ops_per_s", throughput, 1.0e5)
         .ceiling("serve.p99_latency_s", p99, 0.05)
+        .ceiling(
+            "serve.bytes_per_admitted_user",
+            admitted_alone.rss_bytes_per_user,
+            BYTES_PER_USER_CEILING,
+        )
         .check("service_equals_session", identical);
     report.finish(
         "BENCH_serve",
@@ -354,6 +504,7 @@ fn main() {
             final_refit_interval: final_interval,
             users_admitted_live: admitted,
             crosscheck_users,
+            admission: admitted_alone,
         },
     );
 }

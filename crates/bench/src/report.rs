@@ -248,10 +248,21 @@ pub fn median_ratio(baseline: &[f64], optimized: &[f64]) -> f64 {
 /// High-water-mark resident set size in bytes (`VmHWM` in
 /// `/proc/self/status`); NaN off Linux, which misses any bound.
 pub fn peak_rss_bytes() -> f64 {
+    status_bytes("VmHWM:")
+}
+
+/// Current resident set size in bytes (`VmRSS` in `/proc/self/status`);
+/// NaN off Linux, which misses any bound.
+pub fn rss_bytes() -> f64 {
+    status_bytes("VmRSS:")
+}
+
+/// A `kB` field of `/proc/self/status` in bytes; NaN when unreadable.
+fn status_bytes(field: &str) -> f64 {
     let kb = std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|text| {
-            let kb = text.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            let kb = text.lines().find_map(|l| l.strip_prefix(field))?;
             kb.trim().trim_end_matches("kB").trim().parse::<u64>().ok()
         });
     kb.map_or(f64::NAN, |kb| (kb * 1024) as f64)

@@ -804,20 +804,23 @@ fn init_chunk<S: ChunkSource + ?Sized>(
 
 /// One user's monotone path as breakpoints. Eq. 4 allows only stay or +1
 /// between consecutive actions, so the path is its first level plus the
-/// positions where it advances.
+/// positions where it advances. The live users of [`crate::streaming`]
+/// keep their paths this way too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Path<'a> {
+pub(crate) struct Path<'a> {
     /// Actions on the path.
-    len: usize,
+    pub(crate) len: usize,
     /// Level of the first action (0 for an empty path).
-    start: SkillLevel,
+    pub(crate) start: SkillLevel,
     /// Ascending positions `t` in `1..len` with `level[t] = level[t − 1] + 1`.
-    advances: &'a [u32],
+    /// (A live user's path resumed from a bundle may climb more than one
+    /// level at `t`; `t` then repeats once per level.)
+    pub(crate) advances: &'a [u32],
 }
 
 impl Path<'_> {
     /// Appends the path's per-action levels to `out`.
-    fn expand_into(self, out: &mut Vec<SkillLevel>) {
+    pub(crate) fn expand_into(self, out: &mut Vec<SkillLevel>) {
         let (mut level, mut from) = (self.start, 0);
         for &t in self.advances {
             out.resize(out.len() + (t as usize - from), level);
@@ -825,6 +828,15 @@ impl Path<'_> {
         }
         out.resize(out.len() + (self.len - from), level);
     }
+}
+
+/// `len` as a position on a stored path, which counts actions in `u32`.
+pub(crate) fn path_position(len: usize) -> Result<u32> {
+    u32::try_from(len).map_err(|_| CoreError::LengthMismatch {
+        context: "sequence length vs stored path limit",
+        left: len,
+        right: u32::MAX as usize,
+    })
 }
 
 /// Walks the breakpoints of two paths over the same actions in step and
@@ -881,11 +893,7 @@ impl ChunkPaths {
     /// DP's paths are). Each advance is found by binary search over the
     /// sorted levels, so the cost is `O(S · log len)`, not `O(len)`.
     fn push(&mut self, levels: &[SkillLevel]) -> Result<()> {
-        let len = u32::try_from(levels.len()).map_err(|_| CoreError::LengthMismatch {
-            context: "sequence length vs stored path limit",
-            left: levels.len(),
-            right: u32::MAX as usize,
-        })?;
+        let len = path_position(levels.len())?;
         let before = self.advances.len();
         let mut from = 0;
         while let Some(&level) = levels.get(from) {

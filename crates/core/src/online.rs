@@ -110,24 +110,8 @@ impl OnlineTracker {
 
     /// Folds one emission vector into the prefix scores. `emissions` is
     /// a row of a table with this tracker's level count.
-    pub(crate) fn advance(&mut self, emissions: &[f64]) {
-        let s_max = self.scores.len();
-        if self.n_observed == 0 {
-            self.scores.copy_from_slice(emissions);
-        } else {
-            // In-place right-to-left update: scores[s] = max(scores[s],
-            // scores[s-1]) + emit[s]. Right-to-left keeps scores[s-1]
-            // un-updated when read.
-            for s in (0..s_max).rev() {
-                let stay = self.scores[s];
-                let up = if s > 0 {
-                    self.scores[s - 1]
-                } else {
-                    f64::NEG_INFINITY
-                };
-                self.scores[s] = stay.max(up) + emissions[s];
-            }
-        }
+    fn advance(&mut self, emissions: &[f64]) {
+        fold_prefix_scores(&mut self.scores, emissions, self.n_observed == 0);
         self.n_observed += 1;
     }
 
@@ -136,20 +120,7 @@ impl OnlineTracker {
         if self.n_observed == 0 {
             return Err(CoreError::EmptyDataset);
         }
-        let (mut best, mut best_score) = (0usize, f64::NEG_INFINITY);
-        for (s, &score) in self.scores.iter().enumerate() {
-            if score > best_score {
-                best_score = score;
-                best = s;
-            }
-        }
-        if crate::float_cmp::is_neg_infinity(best_score) {
-            return Err(CoreError::DegenerateFit {
-                distribution: "online tracker",
-                reason: "all paths impossible; enable smoothing",
-            });
-        }
-        Ok((best + 1) as SkillLevel)
+        best_prefix_level(&self.scores)
     }
 
     /// Raw per-level prefix scores (log-likelihoods).
@@ -171,6 +142,51 @@ impl OnlineTracker {
         let total: f64 = exps.iter().sum();
         exps.into_iter().map(|e| e / total).collect()
     }
+}
+
+/// Folds one emission row into the prefix scores of the monotone
+/// paths: `scores[s - 1]`, the best log-likelihood of any path over the
+/// prefix ending at level `s`, becomes the row itself on the `first`
+/// action and `max(stay, advance) + row[s - 1]` after it. `emissions`
+/// has the scores' length. The one filtering step of [`OnlineTracker`]
+/// and of the live users of [`crate::streaming`].
+pub(crate) fn fold_prefix_scores(scores: &mut [f64], emissions: &[f64], first: bool) {
+    if first {
+        scores.copy_from_slice(emissions);
+        return;
+    }
+    // In-place right-to-left update: scores[s] = max(scores[s],
+    // scores[s-1]) + emit[s]. Right-to-left keeps scores[s-1]
+    // un-updated when read.
+    for s in (0..scores.len()).rev() {
+        let stay = scores[s];
+        let up = if s > 0 {
+            scores[s - 1]
+        } else {
+            f64::NEG_INFINITY
+        };
+        scores[s] = stay.max(up) + emissions[s];
+    }
+}
+
+/// The level whose prefix score is best (ties break low), for scores
+/// that have folded at least one action; an error when every path is
+/// impossible.
+pub(crate) fn best_prefix_level(scores: &[f64]) -> Result<SkillLevel> {
+    let (mut best, mut best_score) = (0usize, f64::NEG_INFINITY);
+    for (s, &score) in scores.iter().enumerate() {
+        if score > best_score {
+            best_score = score;
+            best = s;
+        }
+    }
+    if crate::float_cmp::is_neg_infinity(best_score) {
+        return Err(CoreError::DegenerateFit {
+            distribution: "online tracker",
+            reason: "all paths impossible; enable smoothing",
+        });
+    }
+    Ok((best + 1) as SkillLevel)
 }
 
 #[cfg(test)]

@@ -29,8 +29,9 @@
 //! counters, with one construction pipeline ([`LiveFit::new`]), one `+1`
 //! record and one refit rule. It has one mode, hard counts, as in the
 //! paper's coordinate ascent (§IV-B). Step 1 belongs to [`LiveUser`]:
-//! one user's sequence, committed path and filtering tracker, with one
-//! construction ([`LiveUser::split`]), one ingest rule
+//! one user's compact record of action history, committed path (as
+//! breakpoints) and filtering scores, filed under the user's id by its
+//! owner, with one construction ([`LiveUser::split`]), one ingest rule
 //! ([`LiveUser::validate`], then append or admit) and one snapshot
 //! ([`session_bundle`]). A [`StreamingSession`] owns a
 //! sequence-less catalog, its live users, the emission table and a
@@ -83,17 +84,18 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::bundle::SessionBundle;
+use crate::chunked::{path_position, Path};
 use crate::emission::EmissionTable;
 use crate::error::{CoreError, Result};
 use crate::incremental::{GridCut, StatsGrid};
 use crate::invariants::InvariantCtx;
 use crate::model::SkillModel;
-use crate::online::OnlineTracker;
+use crate::online::{best_prefix_level, fold_prefix_scores};
 use crate::parallel::ParallelConfig;
 use crate::train::{TrainConfig, TrainResult};
 use crate::types::{
     skill_level_from_index, Action, ActionSequence, Dataset, ItemId, SkillAssignments, SkillLevel,
-    UserId,
+    Timestamp, UserId,
 };
 
 /// When a [`LiveFit`] refits model parameters from its accumulated
@@ -359,15 +361,53 @@ impl RefitCut {
     }
 }
 
-/// One user's live record: the action sequence, the committed monotone
-/// level path (one level per action) and the filtering
-/// [`OnlineTracker`]. [`StreamingSession`] keeps a `Vec` of them, the
-/// serving layer one per user in its shards (module docs).
+/// One user's live record, kept compact because a deployment holds one
+/// per admitted user: the action history, the committed monotone level
+/// path and the filtering scores. [`StreamingSession`] keeps a `Vec` of
+/// them, the serving layer one per user in its shards (module docs).
+///
+/// No field repeats another. The user id is the key the owner files the
+/// record under, so the history stores only each action's time and item
+/// (12 bytes), in a boxed slice sized exactly to one action on admission
+/// and doubled from there; its length sits beside the first level, so
+/// the record is 56 bytes. The path is stored as breakpoints, the way the
+/// trainer stores its paths: the first level plus the ascending positions
+/// where the path advances, so a user who never advanced allocates
+/// nothing for it and the committed level is the first level plus the
+/// number of advances. The filtering scores are those of an
+/// [`crate::online::OnlineTracker`] whose observed count is the history
+/// length. [`session_bundle`] expands all of it back to sequences and
+/// per-action levels.
 #[derive(Debug, Clone)]
 pub struct LiveUser {
-    sequence: ActionSequence,
-    levels: Vec<SkillLevel>,
-    tracker: OnlineTracker,
+    /// Time and item of every action in time order, in the first `len`
+    /// slots; the slots after them are spare capacity.
+    steps: Box<[Step]>,
+    /// Number of actions.
+    len: u32,
+    /// `scores[s - 1]`: the best log-likelihood of a monotone path over
+    /// the history ending at level `s`.
+    scores: Box<[f64]>,
+    /// Ascending positions where the path advances one level; a position
+    /// repeats once per level when a path given to [`LiveUser::split`]
+    /// climbs more than one level at once.
+    advances: Box<[u32]>,
+    /// Level of the first action, 0 while the history is empty.
+    start: SkillLevel,
+}
+
+/// One action of a [`LiveUser`]'s history, without the user id. Packed,
+/// so a step costs 12 bytes, not 16; fields are only read by value.
+#[derive(Debug, Clone, Copy)]
+#[repr(packed(4))]
+struct Step {
+    time: Timestamp,
+    item: ItemId,
+}
+
+impl Step {
+    /// What a spare slot of a history holds.
+    const SPARE: Step = Step { time: 0, item: 0 };
 }
 
 /// An action [`LiveUser::validate`] accepted.
@@ -383,13 +423,15 @@ impl LiveUser {
     /// Splits `dataset` and its committed `assignments` into the
     /// sequence-less catalog, built through the item check of
     /// [`Dataset::with_sequences`], and one live user per sequence in
-    /// dataset order, its tracker warmed through `table`. Sequences and
-    /// paths are moved, not copied. Rejects two sequences for one user.
+    /// dataset order, with its id, its path encoded as breakpoints and
+    /// its filtering scores warmed through `table`. Rejects two
+    /// sequences for one user, and a path that is not monotone over
+    /// `1..=S` or does not cover its sequence.
     pub fn split(
         dataset: Dataset,
         assignments: SkillAssignments,
         table: &EmissionTable,
-    ) -> Result<(Dataset, Vec<LiveUser>)> {
+    ) -> Result<(Dataset, Vec<(UserId, LiveUser)>)> {
         let catalog = dataset.with_sequences(Vec::new())?;
         let sequences = dataset.into_sequences();
         if assignments.per_user.len() != sequences.len() {
@@ -399,8 +441,10 @@ impl LiveUser {
                 right: sequences.len(),
             });
         }
+        assignments.check_paths(table.n_levels())?;
         let mut seen = HashSet::with_capacity(sequences.len());
         let mut users = Vec::with_capacity(sequences.len());
+        // Each sequence and path is dropped as soon as it is encoded.
         for (sequence, levels) in sequences.into_iter().zip(assignments.per_user) {
             if !seen.insert(sequence.user) {
                 return Err(CoreError::DegenerateFit {
@@ -408,17 +452,60 @@ impl LiveUser {
                     reason: "dataset contains two sequences for one user id",
                 });
             }
-            let mut tracker = OnlineTracker::new(table.n_levels())?;
-            for action in sequence.actions() {
-                tracker.observe_item(table, action.item)?;
-            }
-            users.push(LiveUser {
-                sequence,
-                levels,
-                tracker,
-            });
+            users.push((sequence.user, LiveUser::warm(&sequence, &levels, table)?));
         }
         Ok((catalog, users))
+    }
+
+    /// One user of [`LiveUser::split`]: `levels` (a checked monotone
+    /// path) as breakpoints, and the scores folded over `sequence`.
+    fn warm(
+        sequence: &ActionSequence,
+        levels: &[SkillLevel],
+        table: &EmissionTable,
+    ) -> Result<LiveUser> {
+        let actions = sequence.actions();
+        if levels.len() != actions.len() {
+            return Err(CoreError::LengthMismatch {
+                context: "level path vs sequence length",
+                left: levels.len(),
+                right: actions.len(),
+            });
+        }
+        let len = path_position(actions.len())?;
+        let mut scores = vec![0.0; table.n_levels()].into_boxed_slice();
+        for (t, action) in actions.iter().enumerate() {
+            let row = table
+                .checked_row(action.item)
+                .ok_or(CoreError::FeatureIndexOutOfBounds {
+                    index: action.item as usize,
+                    len: table.n_items(),
+                })?;
+            fold_prefix_scores(&mut scores, row, t == 0);
+        }
+        // One position per level climbed: the path is checked monotone.
+        let climbed = match (levels.first(), levels.last()) {
+            (Some(&first), Some(&last)) => usize::from(last - first),
+            _ => 0,
+        };
+        let mut advances = Vec::with_capacity(climbed);
+        advances.extend(
+            (levels.windows(2).zip(1u32..))
+                .flat_map(|(pair, t)| std::iter::repeat_n(t, usize::from(pair[1] - pair[0]))),
+        );
+        Ok(LiveUser {
+            steps: actions
+                .iter()
+                .map(|a| Step {
+                    time: a.time,
+                    item: a.item,
+                })
+                .collect(),
+            len,
+            scores,
+            advances: advances.into_boxed_slice(),
+            start: levels.first().copied().unwrap_or(0),
+        })
     }
 
     /// The validate step of the ingest rule; changes nothing. Checks that
@@ -436,12 +523,17 @@ impl LiveUser {
                 index: action.item as usize,
                 len: table.n_items(),
             })?;
-        let actions = user.map_or(&[][..], LiveUser::actions);
-        if actions.last().is_some_and(|prev| action.time < prev.time) {
-            return Err(CoreError::UnsortedSequence {
-                user: action.user,
-                position: actions.len(),
-            });
+        if let Some(live) = user {
+            if live
+                .history()
+                .last()
+                .is_some_and(|prev| action.time < prev.time)
+            {
+                return Err(CoreError::UnsortedSequence {
+                    user: action.user,
+                    position: live.n_actions(),
+                });
+            }
         }
         let last = user.and_then(LiveUser::committed_level);
         let level = commit_level(row, last);
@@ -449,52 +541,128 @@ impl LiveUser {
         Ok(Extension { row, level })
     }
 
-    /// Appends a validated action to a known user.
+    /// Appends a validated action's time and item to a known user: the
+    /// history step, an advance breakpoint if the level rose, and the
+    /// filtering scores. The action's user id is the owner's key and is
+    /// not stored. Changes nothing on error.
     pub fn append(&mut self, action: Action, ext: &Extension) -> Result<()> {
-        self.sequence.push(action)?;
-        self.levels.push(ext.level);
-        self.tracker.advance(ext.row);
+        let at = self.len;
+        let len = path_position(self.n_actions() + 1)?;
+        let climb = match self.committed_level() {
+            Some(last) if ext.level < last => {
+                return Err(CoreError::InvalidLevelPath {
+                    user: action.user as usize,
+                    position: self.n_actions(),
+                    level: ext.level,
+                    reason: "is below the level before it",
+                })
+            }
+            Some(last) => usize::from(ext.level - last),
+            None => 0,
+        };
+        if climb > 0 {
+            self.advances = (self.advances.iter().copied())
+                .chain(std::iter::repeat_n(at, climb))
+                .collect();
+        }
+        let first = at == 0;
+        if first {
+            self.start = ext.level;
+        }
+        if self.n_actions() == self.steps.len() {
+            // Exactly one step on admission, then doubling: most
+            // admitted users act once, and a `Vec`'s first allocation
+            // holds four.
+            let mut grown = std::mem::take(&mut self.steps).into_vec();
+            let capacity = (2 * grown.len()).max(1);
+            grown.reserve_exact(capacity - grown.len());
+            grown.resize(capacity, Step::SPARE);
+            self.steps = grown.into_boxed_slice();
+        }
+        self.steps[self.n_actions()] = Step {
+            time: action.time,
+            item: action.item,
+        };
+        self.len = len;
+        fold_prefix_scores(&mut self.scores, ext.row, first);
         Ok(())
     }
 
     /// Admits a new user with a validated first action.
     pub fn admit(action: Action, ext: &Extension) -> Result<LiveUser> {
+        if ext.row.is_empty() {
+            return Err(CoreError::InvalidSkillCount { requested: 0 });
+        }
         let mut live = LiveUser {
-            sequence: ActionSequence::new(action.user, Vec::new())?,
-            levels: Vec::new(),
-            tracker: OnlineTracker::new(ext.row.len())?,
+            steps: Box::default(),
+            len: 0,
+            scores: vec![0.0; ext.row.len()].into_boxed_slice(),
+            advances: Box::default(),
+            start: 0,
         };
         live.append(action, ext)?;
         Ok(live)
     }
 
-    /// The user's id.
-    pub fn user(&self) -> UserId {
-        self.sequence.user
+    /// Number of actions in the user's history.
+    pub fn n_actions(&self) -> usize {
+        self.len as usize
     }
 
-    /// The user's actions in time order.
-    pub fn actions(&self) -> &[Action] {
-        self.sequence.actions()
+    /// The user's actions, in time order.
+    fn history(&self) -> &[Step] {
+        &self.steps[..self.n_actions()]
     }
 
-    /// The user's last committed level, if they have any actions.
+    /// The items of the user's actions, in time order.
+    pub fn items(&self) -> impl ExactSizeIterator<Item = ItemId> + '_ {
+        self.history().iter().map(|step| step.item)
+    }
+
+    /// The user's last committed level, if they have any actions: the
+    /// first level plus one per advance.
     pub fn committed_level(&self) -> Option<SkillLevel> {
-        self.levels.last().copied()
+        // At most S - 1 <= 254 advances above a first level in 1..=S.
+        let climbed = self.advances.len() as SkillLevel;
+        (self.len > 0).then_some(self.start + climbed)
     }
 
     /// The user's filtering (tracker) level estimate.
     pub fn filtered_level(&self) -> Result<SkillLevel> {
-        self.tracker.current_level()
+        if self.len == 0 {
+            return Err(CoreError::EmptyDataset);
+        }
+        best_prefix_level(&self.scores)
+    }
+
+    /// The user's history as `user`'s action sequence.
+    fn sequence(&self, user: UserId) -> ActionSequence {
+        let actions = (self.history().iter())
+            .map(|step| Action::new(step.time, user, step.item))
+            .collect();
+        ActionSequence::from_checked(user, actions)
+    }
+
+    /// The committed level of every action, expanded from the
+    /// breakpoints.
+    fn levels(&self) -> Vec<SkillLevel> {
+        let mut levels = Vec::with_capacity(self.n_actions());
+        Path {
+            len: self.n_actions(),
+            start: self.start,
+            advances: &self.advances,
+        }
+        .expand_into(&mut levels);
+        levels
     }
 }
 
 /// The [`SessionBundle`] of a live deployment: `catalog` with the
-/// sequences and paths of `users` in admission order, and the model and
-/// policy of `fit`.
+/// sequences and expanded paths of `users` (each with its id) in
+/// admission order, and the model and policy of `fit`.
 pub fn session_bundle<'a>(
     catalog: &Dataset,
-    users: impl IntoIterator<Item = &'a LiveUser>,
+    users: impl IntoIterator<Item = (UserId, &'a LiveUser)>,
     fit: &LiveFit,
     config: TrainConfig,
     parallel: ParallelConfig,
@@ -502,7 +670,7 @@ pub fn session_bundle<'a>(
 ) -> SessionBundle {
     let (sequences, per_user) = users
         .into_iter()
-        .map(|u| (u.sequence.clone(), u.levels.clone()))
+        .map(|(user, live)| (live.sequence(user), live.levels()))
         .unzip();
     SessionBundle {
         version: SessionBundle::VERSION,
@@ -517,7 +685,7 @@ pub fn session_bundle<'a>(
 }
 
 /// A live continuation of a trained model: owns the sequence-less item
-/// catalog, one [`LiveUser`] per user in admission order, the
+/// catalog, one [`LiveUser`] per user (with its id) in admission order, the
 /// [`EmissionTable`], and the [`LiveFit`] holding the statistics and the
 /// model.
 ///
@@ -530,7 +698,7 @@ pub fn session_bundle<'a>(
 #[derive(Debug, Clone)]
 pub struct StreamingSession {
     catalog: Dataset,
-    users: Vec<LiveUser>,
+    users: Vec<(UserId, LiveUser)>,
     user_index: HashMap<UserId, usize>,
     config: TrainConfig,
     parallel: ParallelConfig,
@@ -554,7 +722,7 @@ impl StreamingSession {
         let user_index = users
             .iter()
             .enumerate()
-            .map(|(u, live)| (live.user(), u))
+            .map(|(u, (user, _))| (*user, u))
             .collect();
         Ok(Self {
             catalog,
@@ -620,13 +788,17 @@ impl StreamingSession {
     /// plus the `+1` record; no refit.
     fn ingest_inner(&mut self, action: Action) -> Result<SkillLevel> {
         let known = self.user_index.get(&action.user).copied();
-        let ext = LiveUser::validate(known.and_then(|u| self.users.get(u)), &action, &self.table)?;
+        let ext = LiveUser::validate(
+            known.and_then(|u| self.users.get(u)).map(|(_, live)| live),
+            &action,
+            &self.table,
+        )?;
         match known.and_then(|u| self.users.get_mut(u)) {
-            Some(live) => live.append(action, &ext)?,
+            Some((_, live)) => live.append(action, &ext)?,
             None => {
                 let live = LiveUser::admit(action, &ext)?;
                 self.user_index.insert(action.user, self.users.len());
-                self.users.push(live);
+                self.users.push((action.user, live));
             }
         }
         self.fit.record(action.item, ext.level)?;
@@ -697,7 +869,7 @@ impl StreamingSession {
     pub fn snapshot(&self, note: &str) -> SessionBundle {
         session_bundle(
             &self.catalog,
-            &self.users,
+            self.users.iter().map(|(user, live)| (*user, live)),
             &self.fit,
             self.config,
             self.parallel,
@@ -754,7 +926,9 @@ impl StreamingSession {
 
     /// The user's live record, if the session knows them.
     fn user(&self, user: UserId) -> Option<&LiveUser> {
-        self.users.get(*self.user_index.get(&user)?)
+        self.users
+            .get(*self.user_index.get(&user)?)
+            .map(|(_, live)| live)
     }
 
     /// The user's last committed level, if they have any actions.
@@ -804,6 +978,7 @@ fn argmax_low(row: &[f64]) -> usize {
 mod tests {
     use super::*;
     use crate::feature::{FeatureKind, FeatureSchema, FeatureValue};
+    use crate::online::OnlineTracker;
     use crate::train::train;
 
     #[test]
@@ -1226,8 +1401,129 @@ mod tests {
         let (catalog, users) = LiveUser::split(ds, paths, &table).unwrap();
         assert_eq!(catalog.n_users(), 0);
         assert_eq!(users.len(), 2);
-        assert_eq!(users[1].user(), 1);
-        assert_eq!(users[1].committed_level(), Some(2));
-        assert_eq!(users[1].actions().len(), 3);
+        assert_eq!(users[1].0, 1);
+        assert_eq!(users[1].1.committed_level(), Some(2));
+        assert_eq!(users[1].1.n_actions(), 3);
+    }
+
+    /// A monotone path over `climbs.len()` actions from `start`: the
+    /// action at `t > 0` climbs `climbs[t]` levels, up to `n_levels`.
+    fn monotone_path(n_levels: SkillLevel, start: SkillLevel, climbs: &[u8]) -> Vec<SkillLevel> {
+        let mut level = start.min(n_levels);
+        let step = |(t, &climb): (usize, &u8)| {
+            if t > 0 {
+                level = (level + climb).min(n_levels);
+            }
+            level
+        };
+        climbs.iter().enumerate().map(step).collect()
+    }
+
+    /// One user of the round-trip property: `(item, time)` per action
+    /// and the path.
+    type Case = (Vec<(ItemId, Timestamp)>, Vec<SkillLevel>);
+
+    proptest::proptest! {
+        #[test]
+        fn split_then_bundle_round_trips_random_monotone_paths(
+            random in proptest::collection::vec(
+                (
+                    1..=4 as SkillLevel,
+                    proptest::collection::vec((0..4 as ItemId, 0..3i64, 0..3u8), 0..10),
+                ),
+                0..8,
+            ),
+        ) {
+            let n_levels = 4;
+            let fixture = progression_dataset(8, 12, 4);
+            let cfg = TrainConfig::new(4).with_min_init_actions(4);
+            let result = train(&fixture, &cfg).unwrap();
+            let seq = ParallelConfig::sequential();
+            let (fit, table) = LiveFit::new(
+                &fixture,
+                &result.assignments,
+                cfg,
+                seq,
+                RefitPolicy::Manual,
+                None,
+            )
+            .unwrap();
+            // Edge paths first: one action, never advancing, an advance
+            // at position 1, one at the last action, paths reaching S,
+            // an empty history and a climb of two levels at once.
+            let edges: [&[SkillLevel]; 8] = [
+                &[2],
+                &[1, 1, 1, 1],
+                &[1, 2, 2, 2],
+                &[3, 3, 3, 4],
+                &[1, 2, 3, 4],
+                &[4, 4],
+                &[],
+                &[1, 3, 3],
+            ];
+            let mut cases: Vec<Case> = (edges.iter())
+                .map(|path| {
+                    let actions = (0..path.len()).map(|t| (t as ItemId % 4, t as i64)).collect();
+                    (actions, path.to_vec())
+                })
+                .collect();
+            for (start, actions) in &random {
+                let climbs: Vec<u8> = actions.iter().map(|a| a.2).collect();
+                let mut time = 0;
+                let steps = (actions.iter())
+                    .map(|&(item, dt, _)| {
+                        time += dt;
+                        (item, time)
+                    })
+                    .collect();
+                cases.push((steps, monotone_path(n_levels, *start, &climbs)));
+            }
+            let sequences = (cases.iter().zip(0..))
+                .map(|((steps, _), user)| {
+                    let actions = steps.iter().map(|&(item, t)| Action::new(t, user, item));
+                    ActionSequence::new(user, actions.collect()).unwrap()
+                })
+                .collect();
+            let dataset = fixture.with_sequences(sequences).unwrap();
+            let paths = SkillAssignments {
+                per_user: cases.into_iter().map(|(_, path)| path).collect(),
+            };
+            let expected = SessionBundle {
+                version: SessionBundle::VERSION,
+                dataset: dataset.clone(),
+                model: fit.model().clone(),
+                assignments: paths.clone(),
+                config: cfg,
+                parallel: seq,
+                policy: fit.policy(),
+                note: "round trip".to_string(),
+            };
+
+            let (catalog, users) = LiveUser::split(dataset.clone(), paths.clone(), &table).unwrap();
+            for ((user, live), (sequence, path)) in
+                users.iter().zip(dataset.sequences().iter().zip(&paths.per_user))
+            {
+                proptest::prop_assert_eq!(*user, sequence.user);
+                proptest::prop_assert_eq!(live.n_actions(), path.len());
+                proptest::prop_assert!(live.items().eq(sequence.actions().iter().map(|a| a.item)));
+                proptest::prop_assert_eq!(live.committed_level(), path.last().copied());
+                // The warmed scores are a tracker's over the same actions.
+                let mut tracker = OnlineTracker::new(n_levels.into()).unwrap();
+                for action in sequence.actions() {
+                    tracker.observe_item(&table, action.item).unwrap();
+                }
+                proptest::prop_assert_eq!(live.filtered_level(), tracker.current_level());
+            }
+            let bundle = session_bundle(
+                &catalog,
+                users.iter().map(|(user, live)| (*user, live)),
+                &fit,
+                cfg,
+                seq,
+                "round trip",
+            );
+            proptest::prop_assert_eq!(&bundle.assignments, &paths);
+            proptest::prop_assert_eq!(bundle.to_json().unwrap(), expected.to_json().unwrap());
+        }
     }
 }

@@ -101,6 +101,12 @@ impl ActionSequence {
         Ok(Self { user, actions })
     }
 
+    /// A sequence of `actions` already known to be `user`'s and in time
+    /// order, without re-checking them.
+    pub(crate) fn from_checked(user: UserId, actions: Vec<Action>) -> Self {
+        Self { user, actions }
+    }
+
     /// Builds a sequence, sorting the actions by time first (stable).
     pub fn from_unsorted(user: UserId, mut actions: Vec<Action>) -> Result<Self> {
         actions.sort_by_key(|a| a.time);

@@ -58,6 +58,17 @@ pub enum ServeError {
         /// Why it was rejected.
         detail: &'static str,
     },
+    /// A known user's record lacks a part the service keeps for every
+    /// user: a shard record for a user of the admission list, or the
+    /// policy state of an adaptive service. Construction and ingest keep
+    /// these in step, so this reports a broken service invariant, not a
+    /// bad request.
+    MissingUserState {
+        /// The user whose record is incomplete.
+        user: UserId,
+        /// The missing part.
+        what: &'static str,
+    },
     /// The model layer rejected the request: unknown item, a known
     /// user's time moving backwards, degenerate statistics, and so on.
     Core(CoreError),
@@ -95,6 +106,12 @@ impl fmt::Display for ServeError {
             }
             ServeError::BadRequest { what, detail } => {
                 write!(f, "bad request parameter ({what}): {detail}")
+            }
+            ServeError::MissingUserState { user, what } => {
+                write!(
+                    f,
+                    "user {user} has no {what}: the service state is inconsistent"
+                )
             }
             ServeError::Core(e) => write!(f, "{e}"),
         }

@@ -7,7 +7,8 @@
 //! (predict, recommend) never waits on a refit:
 //!
 //! - **Per-user state** — one [`LiveUser`] (action history, committed
-//!   level path, filtering tracker) plus the adaptive [`PolicyState`] —
+//!   level path as breakpoints, filtering scores) plus the adaptive
+//!   [`PolicyState`], keyed by user id —
 //!   lives in `N` *shards*, each behind its own mutex. A user's shard is
 //!   a stable hash of their id, so two requests contend only when they
 //!   touch users that hash together.
@@ -224,12 +225,12 @@ impl PartialEq for ModelEpoch {
 }
 
 /// Per-user serving state: the user's [`LiveUser`] record (action
-/// history, committed monotone level path, filtering tracker) and — on
-/// adaptive-policy services — the per-user [`PolicyState`], boxed so a
-/// non-adaptive service pays one null pointer per user for it. Policy
-/// state is serving-layer-only: it never enters snapshots, so the
-/// bitwise [`SessionBundle`] contract with the streaming session is
-/// untouched by enabling the policy layer.
+/// history, committed monotone level path, filtering scores; 56 bytes
+/// plus its heap) and — on adaptive-policy services — the per-user
+/// [`PolicyState`], boxed so a non-adaptive service pays one null
+/// pointer per user for it. Policy state is serving-layer-only: it
+/// never enters snapshots, so the bitwise [`SessionBundle`] contract
+/// with the streaming session is untouched by enabling the policy layer.
 #[derive(Debug)]
 struct UserState {
     live: LiveUser,
@@ -328,8 +329,7 @@ impl SkillService {
         let n_shards = serve.n_shards;
         let mut shards: Vec<Shard> = (0..n_shards).map(|_| Shard::default()).collect();
         let mut admission = Vec::with_capacity(users.len());
-        for live in users {
-            let user = live.user();
+        for (user, live) in users {
             let policy = new_policy_state(config.n_levels, &serve.adaptive)?;
             shards[shard_of(user, n_shards)]
                 .users
@@ -338,7 +338,7 @@ impl SkillService {
         }
 
         let difficulty = difficulty_from_counts(&table, &level_counts)?;
-        let n_levels = config.n_levels;
+        let transitions = TransitionModel::uninformative(config.n_levels)?;
         Ok(Self {
             shards: shards
                 .into_iter()
@@ -363,11 +363,7 @@ impl SkillService {
             recommend: serve.recommend,
             adaptive: serve.adaptive,
             assign_pool: WorkspacePool::new(AssignWorkspace::new),
-            fb_pool: WorkspacePool::new(move || {
-                let transitions = TransitionModel::uninformative(n_levels)
-                    .expect("n_levels validated at construction");
-                FbWorkspace::new(&transitions)
-            }),
+            fb_pool: WorkspacePool::new(move || FbWorkspace::new(&transitions)),
         })
     }
 
@@ -581,7 +577,7 @@ impl SkillService {
             .users
             .get(&user)
             .ok_or(ServeError::UnknownUser { user })?;
-        let n_actions = state.live.actions().len();
+        let n_actions = state.live.n_actions();
         // Only a base-dataset user with an empty sequence has no level:
         // there is no evidence to estimate from.
         let committed = state
@@ -592,14 +588,15 @@ impl SkillService {
             PredictMode::Committed => (committed, None),
             PredictMode::Filtered => (state.live.filtered_level()?, None),
             PredictMode::Smoothed => {
-                let items: Vec<ItemId> = state.live.actions().iter().map(|a| a.item).collect();
+                let items: Vec<ItemId> = state.live.items().collect();
                 drop(shard);
                 let mut ws = self.assign_pool.acquire();
                 let assignment = assign_items_with_table_ws(&ep.table, &items, &mut ws)?;
-                (*assignment.levels.last().expect("n_actions > 0"), None)
+                let last = assignment.levels.last().copied();
+                (last.ok_or(ServeError::Core(CoreError::EmptyDataset))?, None)
             }
             PredictMode::Posterior => {
-                let items: Vec<ItemId> = state.live.actions().iter().map(|a| a.item).collect();
+                let items: Vec<ItemId> = state.live.items().collect();
                 drop(shard);
                 let mut ws = self.fb_pool.acquire();
                 ws.run_items(&ep.table, &items)?;
@@ -635,11 +632,14 @@ impl SkillService {
             .live
             .committed_level()
             .ok_or(ServeError::Core(CoreError::EmptyDataset))?;
-        let seen: HashSet<ItemId> = state.live.actions().iter().map(|a| a.item).collect();
+        let mut seen: Vec<ItemId> = state.live.items().collect();
         drop(shard);
+        seen.sort_unstable();
+        seen.dedup();
         let k = k.unwrap_or(self.recommend.k);
         let band = ep.band(level, &self.recommend)?;
-        recommend_from_band(band, &|item| seen.contains(&item), k).map_err(ServeError::Core)
+        let exclude = |item| seen.binary_search(&item).is_ok();
+        recommend_from_band(band, &exclude, k).map_err(ServeError::Core)
     }
 
     /// Adaptive (policy re-ranked) recommendations for a known user:
@@ -685,11 +685,14 @@ impl SkillService {
             .live
             .committed_level()
             .ok_or(ServeError::Core(CoreError::EmptyDataset))?;
-        let seen: HashSet<ItemId> = state.live.actions().iter().map(|a| a.item).collect();
+        let seen: HashSet<ItemId> = state.live.items().collect();
         let policy = state
             .policy
             .as_deref()
-            .expect("adaptive services build policy state for every user")
+            .ok_or(ServeError::MissingUserState {
+                user,
+                what: "policy state",
+            })?
             .clone();
         drop(shard);
         let band = ep.band(level, &self.recommend)?;
@@ -729,10 +732,10 @@ impl SkillService {
             .users
             .get_mut(&user)
             .ok_or(ServeError::UnknownUser { user })?;
-        let policy = state
-            .policy
-            .as_mut()
-            .expect("adaptive services build policy state for every user");
+        let policy = state.policy.as_mut().ok_or(ServeError::MissingUserState {
+            user,
+            what: "policy state",
+        })?;
         policy.record(item, difficulty, correct);
         Ok(OutcomeNoted {
             user,
@@ -752,13 +755,16 @@ impl SkillService {
         let shards: Vec<_> = self.shards.iter().map(|m| m.lock()).collect();
         // lint:allow(lock-order): audited stop-the-world snapshot path — all shards ascending, then global.
         let g = self.global.lock();
-        let users = g.admission.iter().map(|user| {
-            &shards[self.shard(*user)]
-                .users
-                .get(user)
-                .expect("admission list tracks shard insertion")
-                .live
-        });
+        let users = (g.admission.iter())
+            .map(|&user| {
+                let state = shards[self.shard(user)].users.get(&user);
+                let state = state.ok_or(ServeError::MissingUserState {
+                    user,
+                    what: "shard record",
+                })?;
+                Ok((user, &state.live))
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(session_bundle(
             &self.catalog,
             users,
@@ -884,8 +890,9 @@ mod tests {
 
     #[test]
     fn policy_state_costs_a_non_adaptive_user_one_pointer() {
-        let limit = std::mem::size_of::<LiveUser>() + std::mem::size_of::<usize>();
-        assert!(std::mem::size_of::<UserState>() <= limit);
+        // A 56-byte live record plus the boxed policy state's pointer:
+        // with its key, a 72-byte shard-map bucket.
+        assert!(std::mem::size_of::<UserState>() <= 64);
     }
 
     /// Progression dataset mirroring the streaming-module test fixture:

@@ -1,6 +1,8 @@
 //! Lint fixture: one seeded lock-discipline violation per concurrency
-//! rule. This file is NOT part of any crate — the engine tests point the
-//! scanner at `fixtures/bad` as if it were a workspace root.
+//! rule, and a panicking lookup (`core-panic` covers the serving layer).
+//! This file is NOT part of any crate — the engine tests point the
+//! scanner at `fixtures/bad` as if it were a workspace root. (The
+//! `raw-lock` line's `.unwrap()` trips `core-panic` as well.)
 
 fn shard_then_global(&self) {
     let shard = self.shards[0].lock();
@@ -32,4 +34,8 @@ fn leaked_guard(&self) -> MutexGuard<'_, u64> {
 
 struct GuardCache<'a> {
     held: MutexGuard<'a, u64>, // guard-escape: stored in a field
+}
+
+fn admitted_record(&self, user: u32) -> &UserState {
+    self.users.get(&user).expect("admitted") // core-panic: a missing record panics
 }

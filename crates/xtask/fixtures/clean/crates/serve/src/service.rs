@@ -1,7 +1,8 @@
 //! Lint fixture mirror: the same shapes as the bad fixture, written with
 //! the documented lock protocol — drop-before-global, the audited
 //! all-shards snapshot marker, blessed helper acquisitions, and guard
-//! types in non-escaping positions. Must stay completely quiet.
+//! types in non-escaping positions, and a lookup that returns a typed
+//! error instead of panicking. Must stay completely quiet.
 
 fn shard_then_global(&self) {
     let shard = self.shards[0].lock();
@@ -42,4 +43,11 @@ fn borrowed_guard_is_not_an_escape(g: &MutexGuard<'_, u64>) -> u64 {
 fn local_annotation_is_not_an_escape(&self) {
     let held: Vec<MutexGuard<'_, u64>> = Vec::new();
     let _ = held;
+}
+
+fn admitted_record(&self, user: u32) -> Result<&UserState> {
+    self.users.get(&user).ok_or(ServeError::MissingUserState {
+        user,
+        what: "shard record",
+    })
 }

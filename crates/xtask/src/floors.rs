@@ -493,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn committed_reports_carry_exactly_the_nine_gates() {
+    fn committed_reports_carry_exactly_the_ten_gates() {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../reports");
         let report = check_floors(&dir).unwrap();
         let mut gates: Vec<(&str, BoundKind, f64)> = report
@@ -516,6 +516,7 @@ mod tests {
                 ("policy.min_domain_speedup", BoundKind::Floor, 1.0),
                 ("scale.peak_rss_bytes", BoundKind::Ceiling, 1_610_612_736.0),
                 ("scale.throughput_actions_per_s", BoundKind::Floor, 1.0e6),
+                ("serve.bytes_per_admitted_user", BoundKind::Ceiling, 180.0),
                 ("serve.p99_latency_s", BoundKind::Ceiling, 0.05),
                 ("serve.throughput_ops_per_s", BoundKind::Floor, 1.0e5),
             ]

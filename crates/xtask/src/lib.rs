@@ -19,7 +19,7 @@
 //!
 //! | rule id              | what it forbids                                          |
 //! |----------------------|----------------------------------------------------------|
-//! | `core-panic`         | `unwrap`/`expect`/`panic!`/`todo!` in `upskill-core` non-test code |
+//! | `core-panic`         | `unwrap`/`expect`/`panic!`/`todo!` in `upskill-core` and `upskill-serve` non-test code |
 //! | `hot-loop-index`     | `[idx]` indexing inside DP/accumulator hot loops         |
 //! | `hot-loop-cast`      | truncating `as` casts inside those same loops            |
 //! | `float-eq`           | `==`/`!=` on floats outside approved comparison helpers  |

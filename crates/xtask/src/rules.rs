@@ -40,6 +40,10 @@ const HOT_FILES: &[&str] = &[
     "update.rs",
 ];
 
+/// Source trees whose non-test code must not panic: the model library and
+/// the serving layer, where a rejected input is a typed error.
+const PANIC_FREE_SRC: &[&str] = &["crates/core/src/", "crates/serve/src/"];
+
 /// Source trees of the production crates. `reference` oracles are test
 /// and bench baselines, so naming them here is a violation; `crates/bench`
 /// is left out because its oracles are its speedup denominators.
@@ -84,7 +88,7 @@ pub fn run_all(file: &SourceFile) -> Vec<Diagnostic> {
     let path = normalize(&file.path);
     let name = file_name(&path);
 
-    if path.starts_with("crates/core/src/") && name != "float_cmp.rs" {
+    if PANIC_FREE_SRC.iter().any(|dir| path.starts_with(dir)) && name != "float_cmp.rs" {
         core_panic(file, &mut out);
     }
     if path.starts_with("crates/core/src/") && HOT_FILES.contains(&name) {
@@ -174,7 +178,8 @@ fn core_panic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 p,
                 "core-panic",
                 format!(
-                    "`{shown}` in upskill-core non-test code; return a typed CoreError instead"
+                    "`{shown}` in upskill-core or upskill-serve non-test code; \
+                     return a typed error instead"
                 ),
             );
         }
@@ -499,15 +504,15 @@ mod tests {
     }
 
     #[test]
-    fn core_panic_fires_only_in_core_non_test_code() {
+    fn core_panic_fires_only_in_core_and_serve_non_test_code() {
         let text = "fn f(x: Option<u8>) { x.unwrap(); }\n";
-        assert_eq!(
-            rules_of(&run("crates/core/src/model.rs", text)),
-            ["core-panic"]
-        );
+        for path in ["crates/core/src/model.rs", "crates/serve/src/service.rs"] {
+            assert_eq!(rules_of(&run(path, text)), ["core-panic"]);
+        }
         assert!(run("crates/cli/src/commands.rs", text).is_empty());
         let test_text = "#[cfg(test)]\nmod tests { fn f(x: Option<u8>) { x.unwrap(); } }\n";
         assert!(run("crates/core/src/model.rs", test_text).is_empty());
+        assert!(run("crates/serve/src/service.rs", test_text).is_empty());
     }
 
     #[test]
