@@ -1,6 +1,7 @@
 //! Qualitative model analysis (paper §VI-C, Tables II–V, Figs. 4–6).
 //!
-//! - [`dominance_scores`] — for a categorical feature, the difference in
+//! - [`top_skilled`] / [`top_unskilled`] — the categories with the largest
+//!   and smallest dominance score: for a categorical feature, the difference in
 //!   generation probability between the highest and lowest skill level,
 //!   `P_f(x | θ_f(S)) − P_f(x | θ_f(1))`: positive values are dominated by
 //!   skilled users, negative by novices (the McAuley–Leskovec measure the
@@ -22,7 +23,7 @@ pub struct DominanceEntry {
 }
 
 /// Dominance scores for every value of a categorical feature.
-pub fn dominance_scores(model: &SkillModel, feature: usize) -> Result<Vec<DominanceEntry>> {
+pub(crate) fn dominance_scores(model: &SkillModel, feature: usize) -> Result<Vec<DominanceEntry>> {
     let lowest = model.cell(1, feature)?;
     let highest = model.cell(model.n_levels() as u8, feature)?;
     let (FeatureDistribution::Categorical(lo), FeatureDistribution::Categorical(hi)) =
@@ -75,7 +76,7 @@ pub fn top_unskilled(model: &SkillModel, feature: usize, k: usize) -> Result<Vec
 
 /// Mean of a count or positive feature at each skill level
 /// (`result[s-1]`). Errors for categorical features (use
-/// [`dominance_scores`] there instead).
+/// [`top_skilled`] there instead).
 pub fn level_means(model: &SkillModel, feature: usize) -> Result<Vec<f64>> {
     model
         .levels()

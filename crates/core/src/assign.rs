@@ -22,6 +22,7 @@ use crate::types::{skill_level_from_index, ActionSequence, Dataset, ItemId, Skil
 
 /// Result of assigning one sequence: the per-action levels and the path
 /// log-likelihood.
+// lint:allow(unused-pub): returned by `assign_sequence` and `assign_items_with_table_ws`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SequenceAssignment {
     /// Skill level of each action, monotone non-decreasing.

@@ -17,7 +17,7 @@ use crate::update::fit_model;
 
 /// Equal-length (index-based) segmentation of a sequence of length `n` into
 /// `n_levels` groups — the Uniform baseline's assignment rule.
-pub fn segment_equal_length(n: usize, n_levels: usize) -> Vec<SkillLevel> {
+pub(crate) fn segment_equal_length(n: usize, n_levels: usize) -> Vec<SkillLevel> {
     (0..n)
         .map(|idx| {
             let level = idx * n_levels / n.max(1);

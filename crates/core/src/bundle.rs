@@ -36,7 +36,7 @@ fn check_version(artifact: &'static str, found: u32, supported: u32) -> Result<(
 /// actions themselves are never lost, only the deferral.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionBundle {
-    /// Format version (see [`SessionBundle::VERSION`]).
+    /// Format version (see `SessionBundle::VERSION`).
     pub version: u32,
     /// The full dataset, including every ingested action.
     pub dataset: Dataset,
@@ -56,7 +56,7 @@ pub struct SessionBundle {
 
 impl SessionBundle {
     /// The format version this build writes.
-    pub const VERSION: u32 = 1;
+    pub(crate) const VERSION: u32 = 1;
 
     /// Serializes to JSON.
     pub fn to_json(&self) -> Result<String> {

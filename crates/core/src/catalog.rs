@@ -490,7 +490,7 @@ mod tests {
     use crate::model::SkillModel;
     use crate::parallel::ParallelConfig;
     use crate::reference::{build_scalar, segment_uniform};
-    use crate::types::{item_id_from_index, Action, ActionSequence, Dataset, SkillAssignments};
+    use crate::types::{Action, ActionSequence, Dataset, ItemId, SkillAssignments};
     use crate::update::{fit_cells, fit_model};
 
     const LAMBDA: f64 = 0.01;
@@ -540,7 +540,7 @@ mod tests {
                     .iter()
                     .enumerate()
                     .map(|(t, &(pick, _))| {
-                        Action::new(t as i64, user, item_id_from_index(pick % items.len()))
+                        Action::new(t as i64, user, (pick % items.len()) as ItemId)
                     })
                     .collect();
                 ActionSequence::new(user, actions).unwrap()
@@ -622,7 +622,7 @@ mod tests {
             for (action, level) in seq.actions().iter().zip(levels) {
                 let row = &mut grid[level as usize - 1];
                 for (acc, value) in row.iter_mut().zip(ds.item_features(action.item)) {
-                    acc.push(value)?;
+                    acc.push_n(value, 1.0)?;
                 }
             }
         }
@@ -654,7 +654,7 @@ mod tests {
     fn assert_tables_eq(got: &EmissionTable, want: &EmissionTable, what: &str) {
         assert_eq!(got.n_items(), want.n_items(), "{what}");
         for item in 0..want.n_items() {
-            let item = item_id_from_index(item);
+            let item = item as ItemId;
             let (g, w) = (got.row(item), want.row(item));
             let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(g), bits(w), "{what}: item {item}");
@@ -733,7 +733,7 @@ mod tests {
         for (state, ds) in variants(&make) {
             let got = refreshed_levels(&ds);
             for item in 0..ds.n_items() {
-                let item = item_id_from_index(item);
+                let item = item as ItemId;
                 for (s0, &dirty) in flags.iter().enumerate() {
                     let want = if dirty { &scalar } else { &scalar_b };
                     let (g, w) = (got.row(item)[s0], want.row(item)[s0]);

@@ -6,7 +6,7 @@
 //! stream of fixed-size **user-partition chunks** in a columnar layout
 //! ([`DatasetChunk`]), produced on demand by any [`ChunkSource`]. Both
 //! the in-memory dataset ([`DatasetChunks`]) and its once-copied columnar
-//! form ([`ChunkedDataset`]) implement the trait, as does the
+//! form (`ChunkedDataset`) implement the trait, as does the
 //! generate-and-fold synthetic source in `upskill-datasets`; training
 //! memory is bounded by `chunk_size × workers`, independent of the
 //! number of users.
@@ -145,11 +145,6 @@ impl DatasetChunk {
         self.index
     }
 
-    /// Global index of the chunk's first user.
-    pub fn user_offset(&self) -> usize {
-        self.user_offset
-    }
-
     /// Number of user sequences in the chunk.
     pub fn n_users(&self) -> usize {
         self.users.len()
@@ -171,7 +166,7 @@ impl DatasetChunk {
     }
 
     /// Timestamp column of the `u`-th sequence of the chunk.
-    pub fn user_times(&self, u: usize) -> &[Timestamp] {
+    pub(crate) fn user_times(&self, u: usize) -> &[Timestamp] {
         &self.times[self.offsets[u]..self.offsets[u + 1]]
     }
 
@@ -334,7 +329,7 @@ pub(crate) fn in_memory_chunk_size(dataset: &Dataset, parallel: &ParallelConfig)
 /// sequences (12 bytes per action) for the life of the value; the item
 /// view is the borrowed dataset.
 #[derive(Debug, Clone)]
-pub struct ChunkedDataset<'a> {
+pub(crate) struct ChunkedDataset<'a> {
     dataset: &'a Dataset,
     chunk_size: usize,
     chunks: Vec<DatasetChunk>,
@@ -343,7 +338,7 @@ pub struct ChunkedDataset<'a> {
 impl<'a> ChunkedDataset<'a> {
     /// Copies `dataset` into `chunk_size`-user chunks through
     /// [`DatasetChunks::load_chunk`], so it gets the same time-order check.
-    pub fn from_dataset(dataset: &'a Dataset, chunk_size: usize) -> Result<Self> {
+    pub(crate) fn from_dataset(dataset: &'a Dataset, chunk_size: usize) -> Result<Self> {
         let source = DatasetChunks::new(dataset, chunk_size)?;
         let chunks = (0..source.n_chunks())
             .map(|index| {
@@ -440,6 +435,7 @@ pub enum AssignmentStorage {
 /// would defeat the flat-memory contract); the per-level action counts
 /// summarize them, and [`assign_chunked`] re-derives the full
 /// assignments when a caller accepts corpus-sized output.
+// lint:allow(unused-pub): returned by `train_chunked` and `Trainer::fit_chunked`.
 #[derive(Debug, Clone)]
 pub struct ChunkedTrainResult {
     /// The fitted model.
@@ -1407,7 +1403,7 @@ fn process_chunk_em<S: ChunkSource + ?Sized>(
 
 /// The EM loop, chunk at a time; it is also
 /// [`crate::em::train_em_with_parallelism`]'s loop, over
-/// [`ChunkedDataset`].
+/// `ChunkedDataset`.
 ///
 /// Workers run the flat-buffer forward–backward per chunk. The calling
 /// thread folds evidences in global user order and posterior rows into
@@ -1487,7 +1483,7 @@ pub fn train_em_chunked<S: ChunkSource + ?Sized>(
 /// Streams one hard decode of `source` under `model`, returning the
 /// per-level action counts and user-order total log-likelihood without
 /// ever materializing corpus-sized assignments.
-pub fn level_histogram_chunked<S: ChunkSource + ?Sized>(
+pub(crate) fn level_histogram_chunked<S: ChunkSource + ?Sized>(
     source: &S,
     model: &SkillModel,
     parallel: &ParallelConfig,
@@ -1546,7 +1542,7 @@ mod tests {
             for i in 0..chunks.n_chunks() {
                 chunks.load_chunk(i, &mut buf).unwrap();
                 assert_eq!(buf.index(), i);
-                assert_eq!(buf.user_offset(), i * chunk_size);
+                assert_eq!(buf.user_offset, i * chunk_size);
                 seen_users += buf.n_users();
                 seen_actions += buf.n_actions();
             }
@@ -1568,7 +1564,7 @@ mod tests {
                 adapter.load_chunk(i, &mut a).unwrap();
                 owned.load_chunk(i, &mut b).unwrap();
                 for c in [&b, owned.loaded_chunk(i).unwrap()] {
-                    assert_eq!((c.index(), c.user_offset()), (a.index(), a.user_offset()));
+                    assert_eq!((c.index(), c.user_offset), (a.index(), a.user_offset));
                     assert_eq!((c.users(), c.items()), (a.users(), a.items()));
                     assert_eq!((&c.offsets, &c.times), (&a.offsets, &a.times));
                 }

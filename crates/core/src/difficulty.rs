@@ -3,8 +3,8 @@
 //! Both estimators reuse a trained skill model, under the assumption that
 //! users usually select items within their skill capacity:
 //!
-//! - [`assignment_difficulty`] (Eq. 8) — the mean assigned skill of the
-//!   users who selected the item. Intuitive, but undefined for unseen items
+//! - [`assignment_difficulty_all`] (Eq. 8) — the mean assigned skill of
+//!   the users who selected each item. Intuitive, but undefined for unseen items
 //!   and noisy for rare ones.
 //! - [`generation_difficulty`] (Eq. 9–10) — the posterior-expected skill
 //!   level of the item under the generative model, with a
@@ -17,7 +17,7 @@ use crate::emission::{expected_of, EmissionTable};
 use crate::error::{CoreError, Result};
 use crate::feature::FeatureValue;
 use crate::model::SkillModel;
-use crate::types::{Dataset, ItemId, SkillAssignments};
+use crate::types::{Dataset, SkillAssignments};
 
 /// Which skill prior `P(s)` the generation-based estimator uses (§V-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,22 +61,6 @@ pub fn assignment_difficulty_all(
         .zip(count)
         .map(|(s, c)| if c > 0 { Some(s / c as f64) } else { None })
         .collect())
-}
-
-/// Difficulty of one item via the assignment-based estimator (Eq. 8).
-///
-/// Errors with [`CoreError::ItemNeverSelected`] for unseen items — the
-/// drawback §V-B motivates the generation-based estimator with.
-pub fn assignment_difficulty(
-    dataset: &Dataset,
-    assignments: &SkillAssignments,
-    item: ItemId,
-) -> Result<f64> {
-    let all = assignment_difficulty_all(dataset, assignments)?;
-    all.get(item as usize)
-        .copied()
-        .flatten()
-        .ok_or(CoreError::ItemNeverSelected { item })
 }
 
 /// The empirical skill prior: the fraction of actions assigned each level.
@@ -147,7 +131,7 @@ pub fn generation_difficulty_all(
 /// [`EmissionTable`] — e.g. the one the final training iteration built.
 /// One [`EmissionTable::expected_levels`] pass: the shared row-posterior
 /// kernel takes `ln P(s)` once and reuses one row buffer for every item.
-pub fn generation_difficulty_all_with_table(
+pub(crate) fn generation_difficulty_all_with_table(
     table: &EmissionTable,
     prior: SkillPrior,
     assignments: Option<&SkillAssignments>,
@@ -207,30 +191,20 @@ mod tests {
     #[test]
     fn assignment_difficulty_is_mean_skill() {
         let (ds, a, _) = two_level_setup();
-        // Item 0 selected twice at level 1 → 1.0; item 1 at levels 2 and 2 → 2.0.
-        assert!((assignment_difficulty(&ds, &a, 0).unwrap() - 1.0).abs() < 1e-12);
-        assert!((assignment_difficulty(&ds, &a, 1).unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn assignment_difficulty_mixed_levels_averages() {
-        let (ds, _, _) = two_level_setup();
-        let a = SkillAssignments {
+        // Item 0 selected twice at level 1 → 1.0; item 1 at levels 2 and 2
+        // → 2.0; item 2 is never selected.
+        assert_eq!(
+            assignment_difficulty_all(&ds, &a).unwrap(),
+            [Some(1.0), Some(2.0), None]
+        );
+        // Item 1 selected at levels 1 and 2 → 1.5.
+        let mixed = SkillAssignments {
             per_user: vec![vec![1, 1, 1], vec![2]],
         };
-        // Item 1 selected at levels 1 and 2 → 1.5.
-        assert!((assignment_difficulty(&ds, &a, 1).unwrap() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unseen_item_errors_for_assignment_estimator() {
-        let (ds, a, _) = two_level_setup();
-        assert!(matches!(
-            assignment_difficulty(&ds, &a, 2),
-            Err(CoreError::ItemNeverSelected { item: 2 })
-        ));
-        let all = assignment_difficulty_all(&ds, &a).unwrap();
-        assert!(all[2].is_none());
+        assert_eq!(
+            assignment_difficulty_all(&ds, &mixed).unwrap()[1],
+            Some(1.5)
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::{CoreError, Result};
 
 /// Default pseudo-count, following Shin et al. (paper §IV-B).
-pub const DEFAULT_SMOOTHING: f64 = 0.01;
+pub(crate) const DEFAULT_SMOOTHING: f64 = 0.01;
 
 /// Whole counts `0..MEMO_COUNTS` share one probability and `ln` per fit.
 const MEMO_COUNTS: usize = 64;
@@ -201,7 +201,7 @@ impl Categorical {
     /// contribution is bitwise identical to [`Categorical::log_prob`];
     /// hoisting the table borrow out of the loop keeps the lookup base in
     /// a register and lets the compiler vectorize the gather.
-    pub fn log_prob_batch(&self, cats: &[u32], out: &mut [f64]) {
+    pub(crate) fn log_prob_batch(&self, cats: &[u32], out: &mut [f64]) {
         let table = &self.log_probs;
         for (acc, &c) in out.iter_mut().zip(cats) {
             *acc += table.get(c as usize).copied().unwrap_or(f64::NEG_INFINITY);

@@ -65,7 +65,7 @@ impl Gamma {
     }
 
     /// Fit from pre-accumulated sufficient statistics.
-    pub fn fit_from_stats(stats: &SufficientStats) -> Result<Self> {
+    pub(crate) fn fit_from_stats(stats: &SufficientStats) -> Result<Self> {
         let m = stats.mean();
         let mean_ln = stats.mean_ln();
         // s = ln m − mean(ln x) ≥ 0 by Jensen; 0 only for constant samples.
@@ -135,11 +135,6 @@ impl Gamma {
         self.shape * self.scale
     }
 
-    /// Variance `kθ²`.
-    pub fn variance(&self) -> f64 {
-        self.shape * self.scale * self.scale
-    }
-
     /// Log-density at `x > 0` (`-inf` for `x ≤ 0`).
     pub fn log_pdf(&self, x: f64) -> f64 {
         if x <= 0.0 || !x.is_finite() {
@@ -158,18 +153,13 @@ impl Gamma {
     /// `(k−1)·ln x − x/θ + log_norm` in exactly the scalar operation
     /// order, so the result is bitwise identical to [`Gamma::log_pdf`] on
     /// valid samples.
-    pub fn log_pdf_batch(&self, xs: &[f64], ln_xs: &[f64], out: &mut [f64]) {
+    pub(crate) fn log_pdf_batch(&self, xs: &[f64], ln_xs: &[f64], out: &mut [f64]) {
         let a = self.shape - 1.0;
         let scale = self.scale;
         let log_norm = self.log_norm;
         for ((acc, &x), &lx) in out.iter_mut().zip(xs).zip(ln_xs) {
             *acc += a * lx - x / scale + log_norm;
         }
-    }
-
-    /// Density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        self.log_pdf(x).exp()
     }
 }
 
@@ -182,7 +172,7 @@ impl Gamma {
 /// grows: the trainers refit from their grids (`upskill_core::incremental`)
 /// instead of removing observations.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct SufficientStats {
+pub(crate) struct SufficientStats {
     sum: f64,
     sum_ln: f64,
     sum_sq: f64,
@@ -198,7 +188,7 @@ impl SufficientStats {
 
     /// Accumulates one positive observation with a finite non-negative
     /// `weight` in O(1).
-    pub fn push_n(&mut self, x: f64, weight: f64) -> Result<()> {
+    pub(crate) fn push_n(&mut self, x: f64, weight: f64) -> Result<()> {
         if !x.is_finite() || x <= 0.0 {
             return Err(CoreError::InvalidProbability {
                 context: "gamma sample",
@@ -222,7 +212,7 @@ impl SufficientStats {
     }
 
     /// Builds statistics from a slice of samples.
-    pub fn from_samples(samples: &[f64]) -> Result<Self> {
+    pub(crate) fn from_samples(samples: &[f64]) -> Result<Self> {
         if samples.is_empty() {
             return Err(CoreError::DegenerateFit {
                 distribution: "gamma",
@@ -247,18 +237,18 @@ impl SufficientStats {
     }
 
     /// Mean of `ln x`.
-    pub fn mean_ln(&self) -> f64 {
+    pub(crate) fn mean_ln(&self) -> f64 {
         self.sum_ln / self.count
     }
 
     /// Biased sample variance.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         let m = self.mean();
         (self.sum_sq / self.count - m * m).max(0.0)
     }
 
     /// Biased sample variance of `ln x` (the log-normal `σ²` MLE).
-    pub fn variance_ln(&self) -> f64 {
+    pub(crate) fn variance_ln(&self) -> f64 {
         let m = self.mean_ln();
         (self.sum_ln_sq / self.count - m * m).max(0.0)
     }
@@ -291,7 +281,7 @@ mod tests {
         let g = Gamma::new(1.0, 2.0).unwrap();
         for &x in &[0.1, 1.0, 5.0] {
             let want = (-x / 2.0f64).exp() / 2.0;
-            assert!((g.pdf(x) - want).abs() < 1e-12);
+            assert!((g.log_pdf(x).exp() - want).abs() < 1e-12);
         }
     }
 
@@ -325,7 +315,7 @@ mod tests {
         for i in 0..=n {
             let x = lo + i as f64 * h;
             let w = if i == 0 || i == n { 0.5 } else { 1.0 };
-            total += w * g.pdf(x);
+            total += w * g.log_pdf(x).exp();
         }
         total *= h;
         assert!((total - 1.0).abs() < 1e-4, "integral was {total}");
@@ -373,7 +363,7 @@ mod tests {
         let g = Gamma::fit(&[2.0, 2.0, 2.0, 2.0]).unwrap();
         assert!((g.mean() - 2.0).abs() < 1e-9);
         assert!(g.log_pdf(2.0).is_finite());
-        assert!(g.variance() < 1e-3);
+        assert!(g.shape() * g.scale() * g.scale() < 1e-3);
     }
 
     #[test]
@@ -403,9 +393,8 @@ mod tests {
     }
 
     #[test]
-    fn mean_variance_formulas() {
+    fn mean_formula() {
         let g = Gamma::new(2.5, 3.0).unwrap();
         assert!((g.mean() - 7.5).abs() < 1e-12);
-        assert!((g.variance() - 22.5).abs() < 1e-12);
     }
 }

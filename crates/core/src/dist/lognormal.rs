@@ -65,7 +65,7 @@ impl LogNormal {
     /// same `mean`/`variance of ln x` estimator as [`LogNormal::fit`], so
     /// streaming accumulation and slice fitting agree. Any positive total
     /// weight fits, fractional responsibility mass included.
-    pub fn fit_from_stats(stats: &crate::dist::SufficientStats) -> Result<Self> {
+    pub(crate) fn fit_from_stats(stats: &crate::dist::gamma::SufficientStats) -> Result<Self> {
         if stats.count() <= 0.0 {
             return Err(CoreError::DegenerateFit {
                 distribution: "lognormal",
@@ -114,7 +114,7 @@ impl LogNormal {
     /// constant are hoisted out of the loop. Each contribution keeps the
     /// scalar operation order, so the result is bitwise identical to
     /// [`LogNormal::log_pdf`] on valid samples.
-    pub fn log_pdf_batch(&self, ln_xs: &[f64], out: &mut [f64]) {
+    pub(crate) fn log_pdf_batch(&self, ln_xs: &[f64], out: &mut [f64]) {
         let mu = self.mu;
         let sigma = self.sigma;
         let ln_sigma = self.sigma.ln();
@@ -123,11 +123,6 @@ impl LogNormal {
             let z = (lx - mu) / sigma;
             *acc += -lx - ln_sigma - half_ln_two_pi - 0.5 * z * z;
         }
-    }
-
-    /// Density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        self.log_pdf(x).exp()
     }
 }
 
@@ -179,7 +174,7 @@ mod tests {
         for i in 0..=n {
             let x = lo + i as f64 * h;
             let w = if i == 0 || i == n { 0.5 } else { 1.0 };
-            total += w * d.pdf(x);
+            total += w * d.log_pdf(x).exp();
         }
         total *= h;
         assert!((total - 1.0).abs() < 1e-3, "integral was {total}");
@@ -213,7 +208,7 @@ mod tests {
 
     #[test]
     fn fit_from_stats_takes_any_positive_weight() {
-        let mut stats = crate::dist::SufficientStats::default();
+        let mut stats = crate::dist::gamma::SufficientStats::default();
         assert!(LogNormal::fit_from_stats(&stats).is_err());
         stats.push_n(2.0, 0.2).unwrap();
         stats.push_n(8.0, 0.1).unwrap();

@@ -1,7 +1,7 @@
 //! Generative distributions for item features (§IV-A of the paper).
 //!
 //! Each (feature, skill level) cell of the model holds one
-//! [`FeatureDistribution`]; the [`FeatureAccumulator`] is its streaming
+//! [`FeatureDistribution`]; the `FeatureAccumulator` is its streaming
 //! counterpart used by the parameter-update step (Eq. 5–7) to collect
 //! sufficient statistics per skill level without materializing sample
 //! vectors. Its observations carry real weights, so the hard trainers'
@@ -16,8 +16,9 @@ pub mod special;
 
 use serde::{Deserialize, Serialize};
 
-pub use categorical::{Categorical, DEFAULT_SMOOTHING};
-pub use gamma::{Gamma, SufficientStats};
+pub use categorical::Categorical;
+pub use gamma::Gamma;
+use gamma::SufficientStats;
 pub use lognormal::LogNormal;
 pub use poisson::Poisson;
 
@@ -75,7 +76,7 @@ impl FeatureDistribution {
     }
 
     /// Short name of the distribution family, for diagnostics.
-    pub fn kind_name(&self) -> &'static str {
+    pub(crate) fn kind_name(&self) -> &'static str {
         match self {
             FeatureDistribution::Categorical(_) => "categorical",
             FeatureDistribution::Poisson(_) => "poisson",
@@ -121,7 +122,7 @@ pub(crate) fn check_weight(weight: f64) -> Result<()> {
 /// counts, whose sums are exact in any order below 2⁵³; EM pushes
 /// responsibility mass. Both then run the same closed-form fit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum FeatureAccumulator {
+pub(crate) enum FeatureAccumulator {
     /// Per-category weight sums.
     Categorical {
         /// `weights[c]` = total weight of observations of category `c`.
@@ -162,21 +163,14 @@ impl FeatureAccumulator {
         }
     }
 
-    /// Adds one observation.
-    pub fn push(&mut self, value: &FeatureValue) -> Result<()> {
-        self.push_n(value, 1.0)
-    }
-
     /// Adds one observation with a finite non-negative `weight` in O(1).
     ///
     /// A whole `weight` `k` leaves the categorical weights, the count sums
-    /// and every `n` in exactly the state `k` repeated [`push`]es would;
+    /// and every `n` in exactly the state `k` unit-weight pushes would;
     /// continuous sums use one fused `k·x` product per statistic. The
     /// grid fits rely on this to replay an item histogram, or an item's
     /// responsibility mass, without walking every action.
-    ///
-    /// [`push`]: FeatureAccumulator::push
-    pub fn push_n(&mut self, value: &FeatureValue, weight: f64) -> Result<()> {
+    pub(crate) fn push_n(&mut self, value: &FeatureValue, weight: f64) -> Result<()> {
         match (&mut *self, value) {
             (FeatureAccumulator::Positive { stats, .. }, FeatureValue::Real(x)) => {
                 stats.push_n(*x, weight)
@@ -273,7 +267,7 @@ impl FeatureAccumulator {
     }
 
     /// Total weight of the accumulated observations.
-    pub fn n_observations(&self) -> f64 {
+    pub(crate) fn n_observations(&self) -> f64 {
         match self {
             FeatureAccumulator::Categorical { total, .. } => *total,
             FeatureAccumulator::Count { n, .. } => *n,
@@ -417,7 +411,7 @@ mod tests {
     fn accumulator_roundtrip_categorical() {
         let mut acc = FeatureAccumulator::new(FeatureKind::Categorical { cardinality: 3 });
         for &c in &[0u32, 0, 1, 2, 2, 2] {
-            acc.push(&FeatureValue::Categorical(c)).unwrap();
+            acc.push_n(&FeatureValue::Categorical(c), 1.0).unwrap();
         }
         assert_eq!(acc.n_observations(), 6.0);
         let FeatureDistribution::Categorical(d) = acc.fit(0.0).unwrap() else {
@@ -431,7 +425,7 @@ mod tests {
     fn accumulator_roundtrip_count() {
         let mut acc = FeatureAccumulator::new(FeatureKind::Count);
         for &k in &[2u64, 4, 6] {
-            acc.push(&FeatureValue::Count(k)).unwrap();
+            acc.push_n(&FeatureValue::Count(k), 1.0).unwrap();
         }
         let FeatureDistribution::Poisson(d) = acc.fit(0.01).unwrap() else {
             panic!("wrong variant")
@@ -445,7 +439,7 @@ mod tests {
             model: PositiveModel::Gamma,
         });
         for &x in &[1.0, 2.0, 3.0, 4.0, 2.5, 1.5] {
-            acc.push(&FeatureValue::Real(x)).unwrap();
+            acc.push_n(&FeatureValue::Real(x), 1.0).unwrap();
         }
         let FeatureDistribution::Gamma(d) = acc.fit(0.01).unwrap() else {
             panic!("wrong variant")
@@ -459,7 +453,7 @@ mod tests {
             model: PositiveModel::LogNormal,
         });
         for &x in &[1.0, std::f64::consts::E] {
-            acc.push(&FeatureValue::Real(x)).unwrap();
+            acc.push_n(&FeatureValue::Real(x), 1.0).unwrap();
         }
         let FeatureDistribution::LogNormal(d) = acc.fit(0.01).unwrap() else {
             panic!("wrong variant")
@@ -492,15 +486,15 @@ mod tests {
     }
 
     #[test]
-    fn push_rejects_kind_mismatch() {
+    fn push_n_rejects_kind_mismatch() {
         let mut acc = FeatureAccumulator::new(FeatureKind::Count);
-        assert!(acc.push(&FeatureValue::Real(1.0)).is_err());
+        assert!(acc.push_n(&FeatureValue::Real(1.0), 1.0).is_err());
     }
 
     #[test]
-    fn push_rejects_out_of_range_category() {
+    fn push_n_rejects_out_of_range_category() {
         let mut acc = FeatureAccumulator::new(FeatureKind::Categorical { cardinality: 2 });
-        assert!(acc.push(&FeatureValue::Categorical(2)).is_err());
+        assert!(acc.push_n(&FeatureValue::Categorical(2), 1.0).is_err());
     }
 
     #[test]
@@ -508,9 +502,9 @@ mod tests {
         let kind = FeatureKind::Categorical { cardinality: 3 };
         let mut a = FeatureAccumulator::new(kind);
         let mut b = FeatureAccumulator::new(kind);
-        a.push(&FeatureValue::Categorical(0)).unwrap();
-        b.push(&FeatureValue::Categorical(2)).unwrap();
-        b.push(&FeatureValue::Categorical(2)).unwrap();
+        a.push_n(&FeatureValue::Categorical(0), 1.0).unwrap();
+        b.push_n(&FeatureValue::Categorical(2), 1.0).unwrap();
+        b.push_n(&FeatureValue::Categorical(2), 1.0).unwrap();
         a.merge(&b).unwrap();
         let FeatureAccumulator::Categorical { weights, total } = &a else {
             panic!()
@@ -560,14 +554,14 @@ mod tests {
     }
 
     #[test]
-    fn push_n_equals_repeated_push_on_every_variant() {
+    fn push_n_equals_repeated_unit_pushes_on_every_variant() {
         for kind in all_kinds() {
             let mut weighted = FeatureAccumulator::new(kind);
             let mut repeated = FeatureAccumulator::new(kind);
             for value in probe_values(kind) {
                 weighted.push_n(&value, 3.0).unwrap();
                 for _ in 0..3 {
-                    repeated.push(&value).unwrap();
+                    repeated.push_n(&value, 1.0).unwrap();
                 }
             }
             assert_eq!(

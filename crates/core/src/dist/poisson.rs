@@ -11,7 +11,7 @@ use crate::error::{CoreError, Result};
 /// Lower bound on the fitted rate so that `log_pmf` stays finite even when a
 /// skill level only observed zeros. Plays the same smoothing role as the
 /// categorical pseudo-count.
-pub const MIN_RATE: f64 = 1e-9;
+pub(crate) const MIN_RATE: f64 = 1e-9;
 
 /// A Poisson distribution with rate `λ > 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -35,7 +35,7 @@ impl Poisson {
         })
     }
 
-    /// Closed-form MLE (Eq. 7): the sample mean, floored at [`MIN_RATE`].
+    /// Closed-form MLE (Eq. 7): the sample mean, floored at `MIN_RATE`.
     pub fn fit(samples: &[u64]) -> Result<Self> {
         if samples.is_empty() {
             return Err(CoreError::DegenerateFit {
@@ -49,7 +49,7 @@ impl Poisson {
 
     /// Weighted MLE from a sum and a count (used by the trainer, which
     /// accumulates sufficient statistics instead of materializing samples).
-    pub fn fit_from_moments(sum: f64, count: f64) -> Result<Self> {
+    pub(crate) fn fit_from_moments(sum: f64, count: f64) -> Result<Self> {
         if count <= 0.0 {
             return Err(CoreError::DegenerateFit {
                 distribution: "poisson",
@@ -83,7 +83,7 @@ impl Poisson {
     /// loop constants. Each contribution evaluates
     /// `k·ln λ − λ − ln k!` in exactly the scalar operation order, so the
     /// result is bitwise identical to [`Poisson::log_pmf`].
-    pub fn log_pmf_batch(&self, ks: &[f64], ln_facts: &[f64], out: &mut [f64]) {
+    pub(crate) fn log_pmf_batch(&self, ks: &[f64], ln_facts: &[f64], out: &mut [f64]) {
         let rate = self.rate;
         let ln_rate = self.ln_rate;
         for ((acc, &kf), &lf) in out.iter_mut().zip(ks).zip(ln_facts) {

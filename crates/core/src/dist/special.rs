@@ -3,8 +3,8 @@
 //! Self-contained implementations (no external math crates):
 //! - [`ln_gamma`] — Lanczos approximation, ~15 significant digits;
 //! - [`digamma`] — recurrence + asymptotic series;
-//! - [`trigamma`] — recurrence + asymptotic series;
-//! - [`ln_factorial`] — prefix table for small `n`, `ln_gamma` beyond.
+//! - `trigamma` — recurrence + asymptotic series;
+//! - `ln_factorial` — prefix table for small `n`, `ln_gamma` beyond.
 
 use std::sync::OnceLock;
 
@@ -64,7 +64,7 @@ pub fn digamma(x: f64) -> f64 {
 }
 
 /// Trigamma function ψ′(x), for `x > 0`.
-pub fn trigamma(x: f64) -> f64 {
+pub(crate) fn trigamma(x: f64) -> f64 {
     debug_assert!(x > 0.0, "trigamma requires x > 0, got {x}");
     let mut x = x;
     let mut acc = 0.0;
@@ -105,7 +105,7 @@ fn fill_ln_fact_table() -> [f64; LN_FACT_LEN] {
 }
 
 /// `ln(n!)`: a prefix-table read for `n < 32`, `ln_gamma(n + 1)` beyond.
-pub fn ln_factorial(n: u64) -> f64 {
+pub(crate) fn ln_factorial(n: u64) -> f64 {
     match usize::try_from(n).ok().and_then(|i| ln_fact_table().get(i)) {
         Some(&v) => v,
         None => ln_gamma(n as f64 + 1.0),

@@ -6,7 +6,7 @@
 //! with an explicit [`TransitionModel`], producing per-action posterior
 //! marginals `γ(n, s)`; the M-step refits every distribution from
 //! *weighted* sufficient statistics, through the same
-//! [`FeatureAccumulator`](crate::dist::FeatureAccumulator) and fits as the
+//! `dist::FeatureAccumulator` and fits as the
 //! hard trainer. This module exists to let the benchmarks quantify the
 //! hard-vs-soft trade-off on the same substrate.
 //!
@@ -30,7 +30,7 @@
 //! feature values moves the last bits).
 
 use crate::chunked::{in_memory_chunk_size, train_em_chunked, ChunkedDataset};
-use crate::dist::DEFAULT_SMOOTHING;
+use crate::dist::categorical::DEFAULT_SMOOTHING;
 use crate::emission::EmissionTable;
 use crate::error::{CoreError, Result};
 use crate::model::SkillModel;
@@ -56,7 +56,7 @@ pub(crate) fn log_sum_exp(xs: &[f64]) -> f64 {
 /// transition log-probabilities are hoisted at construction: the
 /// transition model stays fixed for a whole EM run. The
 /// `Vec<Vec<f64>>` recursion it replaced survives as
-/// [`crate::reference::forward_backward`], its bitwise oracle (same
+/// `reference::forward_backward`, its bitwise oracle (same
 /// operation order, identical marginals and evidence).
 pub struct FbWorkspace {
     /// Flat `n × s_max` forward lattice (log alpha).
@@ -102,7 +102,7 @@ impl FbWorkspace {
     /// chunk's slice), leaving the flat posterior marginals in
     /// `self.gamma` (row-major, `items.len() × s_max`) and returning the
     /// log evidence. Produces exactly the values of
-    /// [`crate::reference::forward_backward`] on the same items.
+    /// `reference::forward_backward` on the same items.
     pub fn run_items(&mut self, table: &EmissionTable, items: &[ItemId]) -> Result<f64> {
         let (n, s_max) = (items.len(), self.log_stay.len());
         if table.n_levels() != s_max {

@@ -50,6 +50,8 @@ use crate::types::{skill_level_from_index, Action, Dataset, ItemId, SkillLevel};
 
 /// A source of emission rows `log P(item | s)` for the assignment DP
 /// ([`crate::assign::assign_items_with_table_ws`]).
+// lint:allow(unused-pub): the row bound of `assign_items_with_table_ws` and
+// `assign_all_parallel_with_table`.
 pub trait EmissionRows {
     /// Number of items with a row.
     fn n_items(&self) -> usize;
@@ -468,7 +470,7 @@ impl EmissionTable {
     /// The emission vector of one item at all levels (`row[s - 1]`).
     ///
     /// # Panics
-    /// Panics if `item` is out of range; use [`EmissionTable::checked_row`]
+    /// Panics if `item` is out of range; use `EmissionTable::checked_row`
     /// when the item id is not already dataset-validated.
     #[inline]
     pub fn row(&self, item: ItemId) -> &[f64] {
@@ -477,7 +479,7 @@ impl EmissionTable {
     }
 
     /// Bounds-checked variant of [`EmissionTable::row`].
-    pub fn checked_row(&self, item: ItemId) -> Option<&[f64]> {
+    pub(crate) fn checked_row(&self, item: ItemId) -> Option<&[f64]> {
         let i = item as usize;
         if i >= self.n_items {
             return None;
@@ -552,7 +554,7 @@ impl EmissionTable {
     /// The invariant layer ([`crate::invariants::InvariantCtx`]) calls
     /// this after every build and refresh, so corrupted parameters or a
     /// poisoned dataset are caught before any DP reads the table.
-    pub fn verify_finite(&self) -> Result<()> {
+    pub(crate) fn verify_finite(&self) -> Result<()> {
         let n_levels = self.n_levels;
         for (idx, &v) in self.data.iter().enumerate() {
             if v.is_nan() || (v.is_infinite() && v.is_sign_positive()) {

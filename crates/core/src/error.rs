@@ -89,12 +89,6 @@ pub enum CoreError {
         /// Length of the right operand.
         right: usize,
     },
-    /// Difficulty was requested for an item that never occurs in the data
-    /// (only the assignment-based estimator can fail this way).
-    ItemNeverSelected {
-        /// The item in question.
-        item: u32,
-    },
     /// Thread pool configuration was unusable (e.g. zero threads).
     InvalidParallelism {
         /// Requested worker count.
@@ -213,10 +207,6 @@ impl fmt::Display for CoreError {
             CoreError::LengthMismatch { context, left, right } => {
                 write!(f, "length mismatch in {context}: {left} vs {right}")
             }
-            CoreError::ItemNeverSelected { item } => write!(
-                f,
-                "item {item} never appears in the training actions; use a generation-based estimator"
-            ),
             CoreError::InvalidParallelism { threads } => write!(
                 f,
                 "invalid parallelism: {threads} worker threads requested \
@@ -305,7 +295,6 @@ mod tests {
                 },
                 "gamma MLE",
             ),
-            (CoreError::ItemNeverSelected { item: 42 }, "item 42"),
             (
                 CoreError::InvalidLevelPath {
                     user: 4,

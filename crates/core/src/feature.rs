@@ -154,7 +154,7 @@ impl FeatureSchema {
     }
 
     /// Validates that an item's feature tuple conforms to this schema.
-    pub fn validate_item(&self, features: &[FeatureValue]) -> Result<()> {
+    pub(crate) fn validate_item(&self, features: &[FeatureValue]) -> Result<()> {
         if features.len() != self.kinds.len() {
             return Err(CoreError::LengthMismatch {
                 context: "item features vs schema",
@@ -197,7 +197,7 @@ impl FeatureSchema {
 
     /// A schema consisting of a single categorical feature over item IDs —
     /// the representation used by the ID baseline (Yang et al. 2014).
-    pub fn id_only(n_items: u32) -> Result<Self> {
+    pub(crate) fn id_only(n_items: u32) -> Result<Self> {
         Self::with_names(
             vec![FeatureKind::Categorical {
                 cardinality: n_items,

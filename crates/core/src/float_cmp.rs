@@ -4,9 +4,9 @@
 //! (`xtask lint`, rule `float-eq`) because most call sites actually want a
 //! tolerance and bit-exact comparison is a silent bug when they do. The
 //! few comparisons that *are* intentionally exact — sentinel checks
-//! against `-inf`, zero-count guards, integrality tests — go through the
-//! named helpers in this module so the intent is visible and the lint can
-//! allowlist one file instead of dozens of sites.
+//! against `-inf`, zero-count guards, rank ties, integrality tests — go
+//! through the named helpers in this module so the intent is visible and
+//! the lint can allowlist one file instead of dozens of sites.
 //!
 //! Every helper is `#[inline]` and compiles to the same instruction the
 //! raw comparison would; there is no cost to routing through them.
@@ -15,7 +15,7 @@
 /// impossible emission. NaN is *not* `-inf` (the comparison is `false`),
 /// matching IEEE semantics the DP relies on.
 #[inline]
-pub fn is_neg_infinity(x: f64) -> bool {
+pub(crate) fn is_neg_infinity(x: f64) -> bool {
     x == f64::NEG_INFINITY
 }
 
@@ -25,6 +25,14 @@ pub fn is_neg_infinity(x: f64) -> bool {
 #[inline]
 pub fn is_zero(x: f64) -> bool {
     x == 0.0
+}
+
+/// IEEE equality (`NaN != NaN`, `-0.0 == 0.0`). Used for tie detection
+/// in rank statistics, where the inputs are finite scores and "tie" means
+/// exactly equal.
+#[inline]
+pub fn exact_eq(a: f64, b: f64) -> bool {
+    a == b
 }
 
 /// Whether `x` has no fractional part (e.g. `3.0`, `-2.0`). NaN and
@@ -47,10 +55,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_and_integrality() {
+    fn zero_equality_and_integrality() {
         assert!(is_zero(0.0));
         assert!(is_zero(-0.0));
         assert!(!is_zero(f64::MIN_POSITIVE));
+        assert!(!is_zero(1e-300));
+        assert!(exact_eq(1.5, 1.5));
+        assert!(exact_eq(-0.0, 0.0));
+        assert!(!exact_eq(f64::NAN, f64::NAN));
         assert!(is_integral(3.0));
         assert!(is_integral(-2.0));
         assert!(!is_integral(2.5));

@@ -62,7 +62,7 @@ impl ForgettingConfig {
     }
 
     /// Decay probability for a gap of `delta` time units.
-    pub fn decay_prob(&self, delta: i64) -> f64 {
+    pub(crate) fn decay_prob(&self, delta: i64) -> f64 {
         if delta <= 0 {
             return 0.0;
         }

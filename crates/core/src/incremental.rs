@@ -13,7 +13,7 @@
 //! mass* `Σ γ(a, s)` per cell, folded fresh every iteration.
 //!
 //! Both grids share one M-step, `fit_levels`: it replays each level row
-//! through one [`FeatureAccumulator`] per feature in ascending item
+//! through one `FeatureAccumulator` per feature in ascending item
 //! order, each item's values pushed with its cell as the weight (a count
 //! as a whole number, a mass as it is; `O(n_items · F)` pushes per
 //! level, independent of `|A|`), and splits the refit cells

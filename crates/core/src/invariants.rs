@@ -23,17 +23,17 @@
 //! |---|---|
 //! | [`InvariantCtx::check_emission_table`] | `O(n_items · S)` scan |
 //! | [`InvariantCtx::check_monotone`] | `O(Σ_u · A_u )` scan |
-//! | [`InvariantCtx::check_sequence_monotone`] | `O( A_u )` scan |
-//! | [`InvariantCtx::check_extension`] | `O(1)` |
-//! | [`InvariantCtx::check_ll_non_decreasing`] | `O(1)` |
-//! | [`InvariantCtx::check_sequence_optimal`] | `O( A_u )` rescore |
-//! | [`InvariantCtx::check_grid`] | full grid rebuild + compare |
+//! | `InvariantCtx::check_sequence_monotone` | `O( A_u )` scan |
+//! | `InvariantCtx::check_extension` | `O(1)` |
+//! | `InvariantCtx::check_ll_non_decreasing` | `O(1)` |
+//! | `InvariantCtx::check_sequence_optimal` | `O( A_u )` rescore |
+//! | `InvariantCtx::check_grid` | full grid rebuild + compare |
 //! | `InvariantCtx::check_grid_recount` | `O(S · n_items)` compare per worker |
 //!
 //! Training runs the per-sequence checks for every user in its chunk
 //! pass ([`crate::chunked`]), and after each pass checks its
 //! delta-maintained grid against a recount of the new levels
-//! (`InvariantCtx::check_grid_recount`); [`InvariantCtx::check_grid`]
+//! (`InvariantCtx::check_grid_recount`); `InvariantCtx::check_grid`
 //! guards the streaming session's incrementally maintained grid.
 //!
 //! [`StatsGrid`] refits carry no float
@@ -80,7 +80,7 @@ impl InvariantCtx {
     }
 
     /// Whether checks are active in this build.
-    pub const fn enabled(&self) -> bool {
+    pub(crate) const fn enabled(&self) -> bool {
         ENABLED
     }
 
@@ -124,7 +124,7 @@ impl InvariantCtx {
     }
 
     /// Rejects a single non-monotone per-action level path.
-    pub fn check_sequence_monotone(
+    pub(crate) fn check_sequence_monotone(
         &self,
         check: &'static str,
         levels: &[SkillLevel],
@@ -151,7 +151,7 @@ impl InvariantCtx {
     /// O(1) check that appending `new_level` after `prev_last` keeps a
     /// streaming path monotone. `prev_last = None` (empty path) always
     /// passes.
-    pub fn check_extension(
+    pub(crate) fn check_extension(
         &self,
         check: &'static str,
         prev_last: Option<SkillLevel>,
@@ -176,7 +176,7 @@ impl InvariantCtx {
     /// `debug_assertions`-only) grid drift check, now gated with the rest
     /// of the invariant layer so `strict-invariants` release builds run
     /// it too.
-    pub fn check_grid(
+    pub(crate) fn check_grid(
         &self,
         grid: &StatsGrid,
         dataset: &Dataset,
@@ -231,7 +231,12 @@ impl InvariantCtx {
     /// (`1e-6 · max(1, |prev|)`) absorbs rounding. Non-finite `prev`
     /// (e.g. an incumbent stranded on a now-forbidden `-inf` cell) skips
     /// the comparison; NaN `curr` always fails.
-    pub fn check_ll_non_decreasing(&self, check: &'static str, prev: f64, curr: f64) -> Result<()> {
+    pub(crate) fn check_ll_non_decreasing(
+        &self,
+        check: &'static str,
+        prev: f64,
+        curr: f64,
+    ) -> Result<()> {
         if !ENABLED {
             return Ok(());
         }
@@ -265,7 +270,7 @@ impl InvariantCtx {
     /// NaN score fails. An incumbent that scores `-inf` (stranded on a
     /// now-forbidden cell) always passes; one whose length, items or
     /// levels do not fit `rows` is itself a violation.
-    pub fn check_sequence_optimal<R: EmissionRows + ?Sized>(
+    pub(crate) fn check_sequence_optimal<R: EmissionRows + ?Sized>(
         &self,
         check: &'static str,
         rows: &R,

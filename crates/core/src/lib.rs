@@ -96,7 +96,6 @@
 //! | [`transition`] | §VII | probabilistic stay/advance extension |
 //! | [`em`] | §IV-B | soft-assignment (EM) trainer for comparison |
 //! | [`bundle`] | — | versioned live-session artifacts (JSON) |
-//! | [`diagnostics`] | — | feature informativeness (KL), convergence health |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -107,7 +106,6 @@ pub mod baselines;
 pub mod bundle;
 mod catalog;
 pub mod chunked;
-pub mod diagnostics;
 pub mod difficulty;
 pub mod dist;
 pub mod em;
@@ -140,17 +138,16 @@ pub mod types;
 pub mod update;
 
 pub use chunked::{
-    assign_chunked, initialize_model_chunked, level_histogram_chunked, materialize, train_chunked,
-    train_em_chunked, AssignmentStorage, ChunkSource, ChunkedDataset, ChunkedTrainResult,
-    DatasetChunk, DatasetChunks,
+    assign_chunked, initialize_model_chunked, materialize, train_chunked, train_em_chunked,
+    AssignmentStorage, ChunkSource, DatasetChunk, DatasetChunks,
 };
 pub use emission::EmissionTable;
 pub use epoch::EpochCell;
 pub use error::{CoreError, Result};
 pub use invariants::InvariantCtx;
 pub use model::SkillModel;
-pub use pool::{PoolGuard, WorkspacePool};
+pub use pool::WorkspacePool;
 pub use streaming::{RefitPolicy, RefitTuner, StreamingSession};
-pub use sync::{LockId, TracedGuard, TracedMutex};
+pub use sync::{LockId, TracedMutex};
 pub use train::{train, train_with_parallelism, TrainConfig, TrainResult, Trainer};
 pub use types::{Action, ActionSequence, Dataset, SkillAssignments};

@@ -132,7 +132,7 @@ impl SkillModel {
     }
 
     /// Log-likelihoods of one item at every skill level (`result[s-1]`).
-    pub fn item_log_likelihoods(&self, features: &[FeatureValue]) -> Vec<f64> {
+    pub(crate) fn item_log_likelihoods(&self, features: &[FeatureValue]) -> Vec<f64> {
         (1..=self.n_levels)
             .map(|s| self.item_log_likelihood(features, s as SkillLevel))
             .collect()
@@ -154,7 +154,7 @@ impl SkillModel {
     }
 
     /// Convenience: the distribution row for a level (all features).
-    pub fn level_row(&self, s: SkillLevel) -> Result<&[FeatureDistribution]> {
+    pub(crate) fn level_row(&self, s: SkillLevel) -> Result<&[FeatureDistribution]> {
         self.cells
             .get(s as usize - 1)
             .map(Vec::as_slice)

@@ -17,6 +17,7 @@ use crate::types::{Action, ActionSequence, Dataset, SkillAssignments, SkillLevel
 
 /// A train/test split of action sequences. Test actions keep their user so
 /// skill levels can be transferred from the user's training timeline.
+// lint:allow(unused-pub): returned by `split_actions`, taken by `heldout_log_likelihood`.
 #[derive(Debug, Clone)]
 pub struct ActionSplit {
     /// The training dataset (same items/schema, test actions removed).
@@ -141,6 +142,7 @@ pub fn heldout_log_likelihood(
 }
 
 /// One candidate's result in the skill-count sweep.
+// lint:allow(unused-pub): returned by `sweep_skill_counts`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SkillCountCandidate {
     /// Number of skill levels evaluated.

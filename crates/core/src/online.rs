@@ -9,11 +9,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::emission::EmissionTable;
 use crate::error::{CoreError, Result};
 use crate::feature::FeatureValue;
 use crate::model::SkillModel;
-use crate::types::{ItemId, SkillLevel};
+use crate::types::SkillLevel;
 
 /// Incremental skill estimator for a single user.
 ///
@@ -66,11 +65,6 @@ impl OnlineTracker {
         })
     }
 
-    /// Number of actions observed so far.
-    pub fn n_observed(&self) -> usize {
-        self.n_observed
-    }
-
     /// Feeds one action's item features; returns the current MAP level.
     pub fn observe(&mut self, model: &SkillModel, features: &[FeatureValue]) -> Result<SkillLevel> {
         if model.n_levels() != self.scores.len() {
@@ -85,29 +79,6 @@ impl OnlineTracker {
         self.current_level()
     }
 
-    /// Feeds one action by item id, reading emissions from a precomputed
-    /// [`EmissionTable`] — no per-action allocation or distribution
-    /// evaluation, so a deployed tracker costs `O(S)` per action between
-    /// table refreshes. Identical result to [`OnlineTracker::observe`] with
-    /// the model the table was built from.
-    pub fn observe_item(&mut self, table: &EmissionTable, item: ItemId) -> Result<SkillLevel> {
-        if table.n_levels() != self.scores.len() {
-            return Err(CoreError::LengthMismatch {
-                context: "tracker levels vs table levels",
-                left: self.scores.len(),
-                right: table.n_levels(),
-            });
-        }
-        let row = table
-            .checked_row(item)
-            .ok_or(CoreError::FeatureIndexOutOfBounds {
-                index: item as usize,
-                len: table.n_items(),
-            })?;
-        self.advance(row);
-        self.current_level()
-    }
-
     /// Folds one emission vector into the prefix scores. `emissions` is
     /// a row of a table with this tracker's level count.
     fn advance(&mut self, emissions: &[f64]) {
@@ -116,7 +87,7 @@ impl OnlineTracker {
     }
 
     /// The current maximum-likelihood level (ties break low).
-    pub fn current_level(&self) -> Result<SkillLevel> {
+    pub(crate) fn current_level(&self) -> Result<SkillLevel> {
         if self.n_observed == 0 {
             return Err(CoreError::EmptyDataset);
         }
@@ -235,7 +206,7 @@ mod tests {
         // Filtering levels are monotone here and end at the top.
         assert_eq!(*levels.last().unwrap(), 3);
         assert!(levels.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(t.n_observed(), 6);
+        assert_eq!(t.n_observed, 6);
     }
 
     #[test]
@@ -284,31 +255,6 @@ mod tests {
         let w = t.level_weights();
         assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(w[2] > w[0] && w[2] > w[1]);
-    }
-
-    #[test]
-    fn observe_item_matches_observe() {
-        let model = diagonal_model(3);
-        let schema = FeatureSchema::new(vec![FeatureKind::Categorical { cardinality: 3 }]).unwrap();
-        let items: Vec<Vec<FeatureValue>> = (0..3u32)
-            .map(|c| vec![FeatureValue::Categorical(c)])
-            .collect();
-        let seq = ActionSequence::new(0, vec![Action::new(0, 0, 0)]).unwrap();
-        let ds = Dataset::new(schema, items, vec![seq]).unwrap();
-        let table = EmissionTable::build(&model, &ds);
-        let mut by_features = OnlineTracker::new(3).unwrap();
-        let mut by_item = OnlineTracker::new(3).unwrap();
-        for item in [0u32, 0, 1, 2, 2, 1] {
-            let a = by_features
-                .observe(&model, &[FeatureValue::Categorical(item)])
-                .unwrap();
-            let b = by_item.observe_item(&table, item).unwrap();
-            assert_eq!(a, b);
-            assert_eq!(by_features.level_scores(), by_item.level_scores());
-        }
-        assert!(by_item.observe_item(&table, 42).is_err());
-        let mut wrong_size = OnlineTracker::new(4).unwrap();
-        assert!(wrong_size.observe_item(&table, 0).is_err());
     }
 
     #[test]

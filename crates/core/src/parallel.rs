@@ -64,7 +64,7 @@ use crate::types::{Dataset, SkillAssignments};
 /// The most worker threads any configuration may ask for. Thread counts
 /// arrive from CLI flags and session bundles, so they are bounded before
 /// anything spawns; [`ParallelConfig::validate`] rejects larger counts.
-pub const MAX_THREADS: usize = 1024;
+pub(crate) const MAX_THREADS: usize = 1024;
 
 /// Jobs per worker when a step cuts its work into contiguous ranges, so
 /// that workers which free up early take more of them: sequence lengths
@@ -146,7 +146,7 @@ impl ParallelConfig {
     }
 
     /// Validates the configuration: `threads` must lie in
-    /// `1..=`[`MAX_THREADS`].
+    /// `1..=MAX_THREADS`.
     pub fn validate(&self) -> Result<()> {
         if self.threads == 0 || self.threads > MAX_THREADS {
             return Err(CoreError::InvalidParallelism {
@@ -157,14 +157,14 @@ impl ParallelConfig {
     }
 
     /// Whether any update-step parallelism is enabled.
-    pub fn update_parallel(&self) -> bool {
+    pub(crate) fn update_parallel(&self) -> bool {
         (self.skills || self.features) && self.threads > 1
     }
 
     /// Workers for a user-parallel step (the chunk pass, the grid build
     /// and delta, the emission fill): `threads` with user parallelism
     /// on, one otherwise.
-    pub fn user_threads(&self) -> usize {
+    pub(crate) fn user_threads(&self) -> usize {
         match self.users {
             true => self.threads.max(1),
             false => 1,
@@ -172,7 +172,7 @@ impl ParallelConfig {
     }
 
     /// Worker count for a chunked run over `n_chunks` chunks:
-    /// [`ParallelConfig::user_threads`] clamped to `1..=n_chunks`, as
+    /// `ParallelConfig::user_threads` clamped to `1..=n_chunks`, as
     /// more workers than chunks would only idle.
     pub fn workers_for_chunks(&self, n_chunks: usize) -> usize {
         self.user_threads().min(n_chunks).max(1)
@@ -196,7 +196,7 @@ impl Default for ParallelConfig {
 /// job gives [`CoreError::WorkerPanicked`] with `step`, a worker the OS
 /// refuses to start [`CoreError::WorkerSpawnFailed`]. One state runs
 /// every job on the calling thread; no state, or more than
-/// [`MAX_THREADS`], is [`CoreError::InvalidParallelism`]. Generic, so
+/// `MAX_THREADS`, is [`CoreError::InvalidParallelism`]. Generic, so
 /// the DP's row source is never `dyn`.
 pub fn fan_out<W, O, E>(
     n_jobs: usize,

@@ -342,7 +342,7 @@ impl PolicyState {
     /// The effective level the policy scores against: the committed
     /// estimate nudged by the NCC evidence at its band, clamped to
     /// `[1, S]`.
-    pub fn effective_level(&self, committed: SkillLevel, config: &PolicyConfig) -> f64 {
+    pub(crate) fn effective_level(&self, committed: SkillLevel, config: &PolicyConfig) -> f64 {
         let s = committed as f64;
         let b = self.band_index(s);
         let w = &self.ncc[b];
@@ -363,7 +363,7 @@ impl PolicyState {
     }
 
     /// Laplace-smoothed success rate at the band `difficulty` falls in.
-    pub fn success_rate(&self, difficulty: f64) -> f64 {
+    pub(crate) fn success_rate(&self, difficulty: f64) -> f64 {
         self.band_rate(self.band_index(difficulty))
     }
 
@@ -378,13 +378,14 @@ impl PolicyState {
     }
 
     /// Recently failed difficulties, oldest first.
-    pub fn recent_failures(&self) -> &[f64] {
+    pub(crate) fn recent_failures(&self) -> &[f64] {
         &self.recent_failures
     }
 }
 
 /// Which stratum of the practice/review/challenge mix an item falls in
 /// relative to the user's effective level.
+// lint:allow(unused-pub): the type of `PolicyRecommendation::stratum`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Stratum {
     /// Below the effective level by more than the practice half-width.

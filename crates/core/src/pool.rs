@@ -68,6 +68,7 @@ impl<T> WorkspacePool<T> {
 
 /// RAII handle to a pooled workspace; dereferences to the workspace and
 /// returns it to the pool on drop.
+// lint:allow(unused-pub): returned by `WorkspacePool::acquire`.
 #[derive(Debug)]
 pub struct PoolGuard<'a, T> {
     pool: &'a WorkspacePool<T>,

@@ -69,7 +69,7 @@ pub fn holdout_split(dataset: &Dataset, position: HoldoutPosition) -> Result<Pre
 /// `id_feature` is the index of the categorical item-ID feature in the
 /// model's schema. Ties are broken by item ID (deterministic, matching a
 /// stable descending sort).
-pub fn rank_of_item(
+pub(crate) fn rank_of_item(
     model: &SkillModel,
     id_feature: usize,
     level: SkillLevel,
@@ -130,6 +130,7 @@ pub fn top_items_for_level(
 }
 
 /// One prediction outcome: the rank of the true item.
+// lint:allow(unused-pub): returned by `evaluate_item_prediction`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictionOutcome {
     /// The held-out action's user (training-sequence index).

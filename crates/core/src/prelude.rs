@@ -17,8 +17,7 @@
 pub use crate::assign::AssignWorkspace;
 pub use crate::bundle::SessionBundle;
 pub use crate::chunked::{
-    train_chunked, train_em_chunked, AssignmentStorage, ChunkSource, ChunkedDataset,
-    ChunkedTrainResult, DatasetChunk, DatasetChunks,
+    train_chunked, train_em_chunked, AssignmentStorage, ChunkSource, DatasetChunk, DatasetChunks,
 };
 pub use crate::difficulty::SkillPrior;
 pub use crate::em::{train_em_with_parallelism, EmConfig, FbWorkspace};
@@ -31,7 +30,7 @@ pub use crate::model::SkillModel;
 pub use crate::online::OnlineTracker;
 pub use crate::parallel::ParallelConfig;
 pub use crate::policy::{MixQuota, PolicyConfig, PolicyMode, PolicyRecommendation, PolicyState};
-pub use crate::pool::{PoolGuard, WorkspacePool};
+pub use crate::pool::WorkspacePool;
 pub use crate::recommend::{LevelBand, RecommendConfig, Recommendation};
 pub use crate::streaming::{RefitPolicy, RefitTuner, StreamingSession};
 pub use crate::train::{train, train_with_parallelism, TrainConfig, TrainResult, Trainer};

@@ -9,7 +9,7 @@
 //! | [`build_scalar`] | [`EmissionTable::build`] (columnar, tiled) | bitwise |
 //! | [`assign_all_direct`] | [`assign_all_parallel`](crate::parallel::assign_all_parallel) (shared table) | bitwise |
 //! | [`train_full_rescan`] | [`train_with_parallelism`](crate::train::train_with_parallelism) (the chunk pass of [`train_chunked`](crate::chunked::train_chunked): integer `StatsGrid`, dirty-level refits) | same assignments and churn; objective to summation order |
-//! | [`forward_backward`] | [`FbWorkspace`](crate::em::FbWorkspace) (flat reused lattices, hoisted transition log-probabilities) | bitwise |
+//! | `forward_backward` | [`FbWorkspace`](crate::em::FbWorkspace) (flat reused lattices, hoisted transition log-probabilities) | bitwise |
 //! | [`train_em_full`] | [`train_em_with_parallelism`](crate::em::train_em_with_parallelism) (the loop of [`train_em_chunked`](crate::chunked::train_em_chunked): a fresh responsibility-mass grid per iteration, item-major refits) | first evidence bitwise; final evidence and item scores within `1e-9` relative |
 //! | [`rerank_band_full_sort`] | [`rerank_band`](crate::policy::rerank_band) (bounded per-stratum top-k) | bitwise |
 //! | [`initialize_model_rows`] | [`initialize_model`] (the chunk initializer) | bitwise, and the same error for a zero level count, an empty dataset or no qualifying user |
@@ -152,7 +152,7 @@ fn count_changed(a: &SkillAssignments, b: &SkillAssignments) -> Result<usize> {
 /// Uniform-in-time segmentation of one sequence into `n_levels` groups:
 /// the chunk initializer's segmentation over the sequence's timestamps.
 /// An action before the first (unsorted input) keeps level 1.
-pub fn segment_uniform(sequence: &ActionSequence, n_levels: usize) -> Vec<SkillLevel> {
+pub(crate) fn segment_uniform(sequence: &ActionSequence, n_levels: usize) -> Vec<SkillLevel> {
     let times: Vec<Timestamp> = sequence.actions().iter().map(|a| a.time).collect();
     let mut levels = Vec::with_capacity(times.len());
     segment_uniform_times_into(&times, n_levels, &mut levels);
@@ -161,7 +161,7 @@ pub fn segment_uniform(sequence: &ActionSequence, n_levels: usize) -> Vec<SkillL
 
 /// The row-path initializer: copies out the users with at least
 /// `min_actions` actions, labels each of their sequences with
-/// [`segment_uniform`] and fits the model from those labels in action
+/// `segment_uniform` and fits the model from those labels in action
 /// order ([`crate::update::fit_model`]). The bitwise baseline of
 /// [`initialize_model`], which folds the same labels chunk by chunk.
 pub fn initialize_model_rows(
@@ -193,7 +193,7 @@ pub fn initialize_model_rows(
 /// marginals `gammas[n][s-1]` and the log evidence of one sequence. The
 /// bitwise baseline of
 /// [`FbWorkspace::run_items`](crate::em::FbWorkspace::run_items).
-pub fn forward_backward(
+pub(crate) fn forward_backward(
     table: &EmissionTable,
     transitions: &TransitionModel,
     sequence: &ActionSequence,

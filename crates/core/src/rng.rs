@@ -33,7 +33,7 @@ impl SplitMix64 {
 
     /// Uniform integer in `0..bound` (`bound > 0`), via rejection-free
     /// multiply-shift; bias is negligible for the bounds used here.
-    pub fn next_below(&mut self, bound: usize) -> usize {
+    pub(crate) fn next_below(&mut self, bound: usize) -> usize {
         debug_assert!(bound > 0);
         ((self.next_u64() as u128 * bound as u128) >> 64) as usize
     }

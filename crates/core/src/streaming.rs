@@ -160,7 +160,7 @@ impl RefitTuner {
     /// The next refit interval given the interval that just elapsed and
     /// the number of dirty levels its refit touched. Deterministic:
     /// halve above target, double below, clamp to the configured range.
-    pub fn next_interval(&self, current: usize, dirty_levels: usize) -> usize {
+    pub(crate) fn next_interval(&self, current: usize, dirty_levels: usize) -> usize {
         let current = current.clamp(self.min_actions, self.max_actions);
         if dirty_levels > self.target_dirty_levels {
             (current / 2).max(self.min_actions)
@@ -399,7 +399,7 @@ pub struct LiveUser {
 /// One action of a [`LiveUser`]'s history, without the user id. Packed,
 /// so a step costs 12 bytes, not 16; fields are only read by value.
 #[derive(Debug, Clone, Copy)]
-#[repr(packed(4))]
+#[repr(Rust, packed(4))]
 struct Step {
     time: Timestamp,
     item: ItemId,
@@ -411,6 +411,7 @@ impl Step {
 }
 
 /// An action [`LiveUser::validate`] accepted.
+// lint:allow(unused-pub): taken by `LiveUser::{validate, append, admit}`.
 #[derive(Debug, Clone, Copy)]
 pub struct Extension<'t> {
     /// The action's emission row, `row[s - 1]` for level `s`.
@@ -422,7 +423,7 @@ pub struct Extension<'t> {
 impl LiveUser {
     /// Splits `dataset` and its committed `assignments` into the
     /// sequence-less catalog, built through the item check of
-    /// [`Dataset::with_sequences`], and one live user per sequence in
+    /// `Dataset::with_sequences`, and one live user per sequence in
     /// dataset order, with its id, its path encoded as breakpoints and
     /// its filtering scores warmed through `table`. Rejects two
     /// sequences for one user, and a path that is not monotone over
@@ -1510,7 +1511,9 @@ mod tests {
                 // The warmed scores are a tracker's over the same actions.
                 let mut tracker = OnlineTracker::new(n_levels.into()).unwrap();
                 for action in sequence.actions() {
-                    tracker.observe_item(&table, action.item).unwrap();
+                    tracker
+                        .observe(fit.model(), dataset.item_features(action.item))
+                        .unwrap();
                 }
                 proptest::prop_assert_eq!(live.filtered_level(), tracker.current_level());
             }

@@ -121,6 +121,7 @@ impl<T> TracedMutex<T> {
 
 /// RAII guard for a [`TracedMutex`]; releases the lock (and, under an
 /// active exploration, reports the release to the scheduler) on drop.
+// lint:allow(unused-pub): returned by `TracedMutex::lock`.
 pub struct TracedGuard<'a, T> {
     inner: MutexGuard<'a, T>,
     #[cfg(feature = "deterministic-sync")]
@@ -171,7 +172,7 @@ pub mod explore {
 
     /// One recorded synchronization event within a single schedule.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub enum Event {
+    pub(crate) enum Event {
         /// Thread `thread` acquired `lock`.
         Acquire {
             /// Index of the acquiring thread within the run.
@@ -215,6 +216,7 @@ pub mod explore {
     /// A replayable schedule: the RNG seed the run was started with plus
     /// the full sequence of scheduler choices it made. Feeding it back
     /// through [`Explorer::replay`] reproduces the interleaving exactly.
+    // lint:allow(unused-pub): taken by `Explorer::replay` (`deterministic-sync`).
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct Schedule {
         /// Seed of the run (scrambles random choices past the recorded
@@ -232,6 +234,7 @@ pub mod explore {
     }
 
     /// An invariant violation observed during one explored schedule.
+    // lint:allow(unused-pub): the type of `Exploration::violations` (`deterministic-sync`).
     #[derive(Debug, Clone)]
     pub struct Violation {
         /// The violated rule (`lock-order`, `lock-across-publish`,
@@ -257,6 +260,7 @@ pub mod explore {
     }
 
     /// Aggregate result of [`Explorer::explore`].
+    // lint:allow(unused-pub): returned by `Explorer::{explore, replay}` (`deterministic-sync`).
     #[derive(Debug)]
     pub struct Exploration {
         /// Number of schedules actually run.
@@ -541,7 +545,7 @@ pub mod explore {
     /// [`super::TracedGuard`] so the release is reported to the same
     /// scheduler that granted the acquisition.
     #[derive(Clone)]
-    pub struct TraceCtx {
+    pub(crate) struct TraceCtx {
         sched: Arc<Scheduler>,
         tid: usize,
     }

@@ -29,7 +29,7 @@ use crate::chunked::{
     assign_chunked, in_memory_chunk_size, initialize_on_workers, level_histogram_chunked,
     train_chunked_keeping, train_em_chunked, ChunkSource, ChunkedDataset, ChunkedTrainResult,
 };
-use crate::dist::DEFAULT_SMOOTHING;
+use crate::dist::categorical::DEFAULT_SMOOTHING;
 use crate::em::{EmConfig, EmResult};
 use crate::error::{CoreError, Result};
 use crate::model::SkillModel;
@@ -156,6 +156,7 @@ pub fn train(dataset: &Dataset, config: &TrainConfig) -> Result<TrainResult> {
 }
 
 /// Assignment mode of the [`Trainer`].
+// lint:allow(unused-pub): returned by `Trainer::mode`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrainMode {
     /// Hard assignments: alternate the monotone Viterbi DP with
@@ -173,7 +174,6 @@ pub enum TrainMode {
 /// hyperparameters set through `with_*` methods.
 ///
 /// ```
-/// use upskill_core::parallel::ParallelConfig;
 /// use upskill_core::train::Trainer;
 /// # use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue};
 /// # use upskill_core::types::{Action, ActionSequence, Dataset};
@@ -188,7 +188,7 @@ pub enum TrainMode {
 /// # let dataset = Dataset::new(schema, items, sequences)?;
 /// let result = Trainer::new(2)
 ///     .with_min_init_actions(4)
-///     .with_parallelism(ParallelConfig::all(2))
+///     .with_threads(2)
 ///     .fit(&dataset)?;
 /// assert!(result.assignments.is_monotone());
 /// # Ok::<(), upskill_core::error::CoreError>(())
@@ -212,7 +212,7 @@ impl Trainer {
     }
 
     /// Wraps an existing [`TrainConfig`].
-    pub fn from_config(config: TrainConfig) -> Self {
+    pub(crate) fn from_config(config: TrainConfig) -> Self {
         Self {
             config,
             parallel: ParallelConfig::sequential(),
@@ -241,12 +241,6 @@ impl Trainer {
     /// Overrides the convergence tolerance.
     pub fn with_tolerance(mut self, tolerance: f64) -> Self {
         self.config = self.config.with_tolerance(tolerance);
-        self
-    }
-
-    /// Replaces the parallelism configuration wholesale.
-    pub fn with_parallelism(mut self, parallel: ParallelConfig) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -622,11 +616,7 @@ mod tests {
             .with_min_init_actions(7)
             .with_max_iterations(3)
             .with_tolerance(1e-3)
-            .with_parallelism(
-                ParallelConfig::sequential()
-                    .with_users(true)
-                    .with_threads(2),
-            )
+            .with_threads(2)
             .em()
             .hard();
         assert_eq!(t.config().n_levels, 4);

@@ -77,7 +77,7 @@ impl TransitionModel {
     }
 
     /// `log P(stay at s)`; `-inf` for a level outside `1..=S`.
-    pub fn log_stay(&self, s: SkillLevel) -> f64 {
+    pub(crate) fn log_stay(&self, s: SkillLevel) -> f64 {
         level_index(s)
             .and_then(|i| self.stay.get(i))
             .map(|&p| if p > 0.0 { p.ln() } else { f64::NEG_INFINITY })
@@ -86,7 +86,7 @@ impl TransitionModel {
 
     /// `log P(advance from s to s+1)`; `-inf` for a level outside
     /// `1..=S`.
-    pub fn log_advance(&self, s: SkillLevel) -> f64 {
+    pub(crate) fn log_advance(&self, s: SkillLevel) -> f64 {
         level_index(s)
             .and_then(|i| self.stay.get(i))
             .map(|&p| {
@@ -101,7 +101,7 @@ impl TransitionModel {
     }
 
     /// `log P(initial level = s)`; `-inf` for a level outside `1..=S`.
-    pub fn log_init(&self, s: SkillLevel) -> f64 {
+    pub(crate) fn log_init(&self, s: SkillLevel) -> f64 {
         level_index(s)
             .and_then(|i| self.init.get(i))
             .map(|&p| if p > 0.0 { p.ln() } else { f64::NEG_INFINITY })

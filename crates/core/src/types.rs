@@ -23,7 +23,7 @@ pub type ItemId = u32;
 
 /// Event timestamp. Only the *order* matters to the model; any monotone
 /// clock (seconds, logical counters) works.
-pub type Timestamp = i64;
+pub(crate) type Timestamp = i64;
 
 /// A skill level in `1..=S` as defined in the paper (Definition 1).
 pub type SkillLevel = u8;
@@ -36,22 +36,9 @@ pub type SkillLevel = u8;
 /// by [`TrainConfig::validate`](crate::train::TrainConfig::validate), so
 /// the cast cannot truncate; the debug assertion pins that reasoning.
 #[inline]
-pub fn skill_level_from_index(index: usize) -> SkillLevel {
+pub(crate) fn skill_level_from_index(index: usize) -> SkillLevel {
     debug_assert!(index < SkillLevel::MAX as usize);
     (index + 1) as SkillLevel
-}
-
-/// Converts a zero-based item-table index into an [`ItemId`].
-///
-/// Companion of [`skill_level_from_index`] for the item axis: hot loops
-/// enumerate the item table with `usize` positions and need an `ItemId`
-/// to call feature lookups. Dataset construction keeps the item table
-/// within `ItemId` range (actions address items through `u32` ids), so
-/// the cast cannot truncate; the debug assertion pins that reasoning.
-#[inline]
-pub fn item_id_from_index(index: usize) -> ItemId {
-    debug_assert!(index <= ItemId::MAX as usize);
-    index as ItemId
 }
 
 /// One user action: at time `t`, user `u` selected item `i`.
@@ -158,7 +145,7 @@ impl ActionSequence {
 /// - every item's feature tuple matches the [`FeatureSchema`].
 ///
 /// The item table never changes once built. It is shared, not copied,
-/// by the datasets [`Dataset::with_sequences`] derives (and by clones),
+/// by the datasets `Dataset::with_sequences` derives (and by clones),
 /// together with its typed feature columns, which are gathered once on
 /// first use. Serialization writes the item rows only.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -200,7 +187,7 @@ impl Dataset {
     /// checked once per table, so a table that bypassed
     /// [`Dataset::new`] (deserialized) reports the same error here as
     /// [`Dataset::new`] would.
-    pub fn with_sequences(&self, sequences: Vec<ActionSequence>) -> Result<Self> {
+    pub(crate) fn with_sequences(&self, sequences: Vec<ActionSequence>) -> Result<Self> {
         self.items.check(&self.schema)?;
         count_actions(&sequences, self.n_items())?;
         Ok(self.with_checked_sequences(sequences))
@@ -218,7 +205,7 @@ impl Dataset {
     }
 
     /// The sequences, moved out of the dataset.
-    pub fn into_sequences(self) -> Vec<ActionSequence> {
+    pub(crate) fn into_sequences(self) -> Vec<ActionSequence> {
         self.sequences
     }
 
@@ -325,7 +312,7 @@ impl Dataset {
     }
 
     /// Splits off a view with only the selected users, sharing the item
-    /// table and schema ([`Dataset::with_sequences`]). Used by the
+    /// table and schema (`Dataset::with_sequences`). Used by the
     /// initialization step, which trains on long sequences only.
     pub fn subset_users(&self, keep: impl Fn(&ActionSequence) -> bool) -> Result<Self> {
         let sequences: Vec<ActionSequence> =
@@ -378,7 +365,7 @@ impl SkillAssignments {
     /// Checks that every path is a monotone path over `1..=n_levels`:
     /// each level in range and none below the one before it. The error
     /// names the first offending level by its real user and action index.
-    pub fn check_paths(&self, n_levels: usize) -> Result<()> {
+    pub(crate) fn check_paths(&self, n_levels: usize) -> Result<()> {
         for (user, path) in self.per_user.iter().enumerate() {
             let mut prev = 1;
             for (position, &level) in path.iter().enumerate() {

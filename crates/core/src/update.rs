@@ -15,7 +15,7 @@ use crate::types::{Dataset, SkillAssignments};
 /// Accumulates per-(skill, feature) sufficient statistics over the dataset.
 ///
 /// Returns a grid `acc[s-1][f]`.
-pub fn accumulate(
+pub(crate) fn accumulate(
     dataset: &Dataset,
     assignments: &SkillAssignments,
     n_levels: usize,
@@ -77,7 +77,7 @@ pub fn fit_model(
 }
 
 /// Fits every cell of an accumulator grid.
-pub fn fit_cells(
+pub(crate) fn fit_cells(
     grid: &[Vec<FeatureAccumulator>],
     lambda: f64,
 ) -> Result<Vec<Vec<FeatureDistribution>>> {

@@ -6,8 +6,8 @@
 //! count rather than the naive `O(n²)` pair scan; the naive version is kept
 //! as [`kendall_tau_naive`] for the ablation bench and cross-checking.
 
-use crate::float_cmp::{exact_eq, is_zero};
 use crate::EvalError;
+use upskill_core::float_cmp::{exact_eq, is_zero};
 
 /// Pearson product-moment correlation coefficient.
 ///

@@ -14,7 +14,6 @@
 pub mod bootstrap;
 pub mod correlation;
 pub mod error_metrics;
-pub mod float_cmp;
 pub mod goodness;
 pub mod ranking;
 pub mod significance;

@@ -40,7 +40,7 @@ pub fn wilcoxon_signed_rank(a: &[f64], b: &[f64]) -> Result<WilcoxonResult, Eval
         .iter()
         .zip(b)
         .map(|(&x, &y)| x - y)
-        .filter(|&d| !crate::float_cmp::is_zero(d))
+        .filter(|&d| !upskill_core::float_cmp::is_zero(d))
         .collect();
     let n = diffs.len();
     if n < 5 {

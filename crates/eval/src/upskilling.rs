@@ -56,7 +56,7 @@ pub struct UpskillEvalConfig {
     /// top item).
     pub k: usize,
     /// Worker threads for the learner population, at most
-    /// [`upskill_core::parallel::MAX_THREADS`] (any value produces bitwise
+    /// 1,024, the library's worker-thread bound (any value produces bitwise
     /// identical results).
     pub threads: usize,
     /// The item every learner bootstraps with (one ingest to admit the

@@ -41,6 +41,7 @@ pub enum PredictMode {
 }
 
 /// One serving request.
+// lint:allow(unused-pub): taken by `SkillService::handle`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Ingest one action (unknown users are admitted), then refit if the
@@ -114,6 +115,7 @@ pub struct IngestOutcome {
 }
 
 /// Acknowledgement of a recorded policy outcome.
+// lint:allow(unused-pub): returned by `SkillService::record_outcome`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OutcomeNoted {
     /// Whose policy state was updated.
@@ -127,6 +129,7 @@ pub struct OutcomeNoted {
 }
 
 /// The answer to a predict request.
+// lint:allow(unused-pub): returned by `SkillService::predict`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Prediction {
     /// The queried user.
@@ -177,6 +180,7 @@ pub struct ServeStats {
 ///
 /// (No `PartialEq`: [`SessionBundle`] deliberately doesn't implement
 /// it — bundle equality is defined on the serialized form.)
+// lint:allow(unused-pub): returned by `SkillService::handle`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Response {
     /// Answer to [`Request::Ingest`].

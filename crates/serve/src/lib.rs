@@ -5,7 +5,7 @@
 //! (`&mut self`) continuation of a trained model; this crate is its
 //! serving twin for the paper's live deployment (§VI): one
 //! [`SkillService`] shared across request threads answers typed
-//! [`Request`]s — ingest, predict, recommend, snapshot, stats — from many
+//! [`Request`](api::Request)s — ingest, predict, recommend, snapshot, stats — from many
 //! tenants at once, without a network dependency and without giving up
 //! the session's exactness guarantees:
 //!
@@ -74,11 +74,9 @@ pub mod api;
 pub mod error;
 pub mod service;
 
-pub use api::{
-    IngestOutcome, OutcomeNoted, PredictMode, Prediction, Request, Response, ServeStats,
-};
+pub use api::{IngestOutcome, PredictMode, ServeStats};
 pub use error::{Result, ServeError};
-pub use service::{ModelEpoch, ServeConfig, SkillService};
+pub use service::{ServeConfig, SkillService};
 
 // Convenience re-exports: the adaptive policy vocabulary the serving
 // API speaks ([`Request::RecommendPolicy`], [`ServeConfig::adaptive`]).

@@ -169,6 +169,7 @@ impl ServeConfig {
 /// that level filters the cached candidates instead of rescanning,
 /// with bitwise-identical output (see
 /// [`recommend_from_band`]).
+// lint:allow(unused-pub): returned by `SkillService::current_epoch`.
 #[derive(Debug, Clone)]
 pub struct ModelEpoch {
     table: EmissionTable,

@@ -12,6 +12,10 @@ fn assign(model: &SkillModel, dataset: &Dataset) -> Result<(SkillAssignments, f6
     assign_all_parallel(model, dataset, &ParallelConfig::sequential())
 }
 
+fn fit(sum: f64, weight: f64) -> Result<()> {
+    upskill_core::em::weighted_fit(sum, weight).map(drop)
+}
+
 #[cfg(test)]
 mod tests {
     use upskill_core::reference::assign_all_direct;

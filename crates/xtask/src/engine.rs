@@ -1,12 +1,13 @@
 //! Walks the workspace and runs every rule on every first-party source
 //! file.
 //!
-//! Only `crates/*/src/**/*.rs` is scanned: that is where all first-party
-//! library and binary code lives. Integration tests, benches, examples,
-//! and the vendored dependency stubs are intentionally out of scope — the
-//! rules target production code paths.
+//! Only `crates/*/src/**/*.rs` is linted: that is where all first-party
+//! library and binary code lives. Integration tests, benches, examples
+//! and `benchmark/src` are read only as the outside uses that the
+//! cross-file `unused-pub` rule looks for; the vendored dependency stubs
+//! are out of scope.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -38,25 +39,32 @@ pub struct ConcurrencyReport {
 
 /// Lints every `crates/*/src/**/*.rs` file under `root`.
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
-    let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    for entry in fs::read_dir(&crates_dir)? {
-        let src = entry?.path().join("src");
-        if src.is_dir() {
-            collect_rs_files(&src, &mut files)?;
-        }
-    }
-    files.sort();
+    let linted = parse_tree(root, &crate_dirs(root, "src")?)?;
+    let mut outside_dirs = crate_dirs(root, "tests")?;
+    outside_dirs.extend(crate_dirs(root, "benches")?);
+    outside_dirs.extend(["tests", "examples", "benchmark/src"].map(|d| root.join(d)));
+    let outside = parse_tree(root, &outside_dirs)?;
     let mut diagnostics = Vec::new();
-    let files_scanned = files.len();
-    for path in files {
-        let text = fs::read_to_string(&path)?;
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-        diagnostics.extend(rules::run_all(&SourceFile::from_source(&rel, &text)));
+    for file in &linted {
+        diagnostics.extend(rules::run_all(file));
+    }
+    // `unused-pub` is cross-file: an item's uses are every identifier
+    // token outside its own crate's `src/`.
+    for home in rules::SURFACE_SRC {
+        let outside_home = |f: &&SourceFile| !rules::normalize(&f.path).starts_with(home);
+        let tokens: HashSet<&str> = linted
+            .iter()
+            .chain(&outside)
+            .filter(outside_home)
+            .flat_map(|f| rules::ident_tokens(&f.masked))
+            .collect();
+        for file in linted.iter().filter(|f| !outside_home(f)) {
+            rules::unused_pub(file, &tokens, &mut diagnostics);
+        }
     }
     diagnostics.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(LintReport {
-        files_scanned,
+        files_scanned: linted.len(),
         diagnostics,
     })
 }
@@ -64,37 +72,56 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
 /// Runs only the lock-discipline rules over the same file set as
 /// [`lint_workspace`], and aggregates the lock-order graph.
 pub fn concurrency_workspace(root: &Path) -> io::Result<ConcurrencyReport> {
-    let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    for entry in fs::read_dir(&crates_dir)? {
-        let src = entry?.path().join("src");
-        if src.is_dir() {
-            collect_rs_files(&src, &mut files)?;
-        }
-    }
-    files.sort();
-    let files_scanned = files.len();
+    let files = parse_tree(root, &crate_dirs(root, "src")?)?;
     let mut diagnostics = Vec::new();
     let mut graph = BTreeSet::new();
-    for path in files {
-        let text = fs::read_to_string(&path)?;
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-        let file = SourceFile::from_source(&rel, &text);
-        concurrency::run_rules(&file, &mut diagnostics);
-        graph.extend(concurrency::lock_order_graph(&file));
+    for file in &files {
+        concurrency::run_rules(file, &mut diagnostics);
+        graph.extend(concurrency::lock_order_graph(file));
     }
     diagnostics.sort_by(|a, b| {
         (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))
     });
     diagnostics.dedup();
     Ok(ConcurrencyReport {
-        files_scanned,
+        files_scanned: files.len(),
         diagnostics,
         graph,
     })
 }
 
+/// `<root>/crates/*/<sub>`, one path per crate directory.
+fn crate_dirs(root: &Path, sub: &str) -> io::Result<Vec<PathBuf>> {
+    fs::read_dir(root.join("crates"))?
+        .map(|entry| Ok(entry?.path().join(sub)))
+        .collect()
+}
+
+/// Every `.rs` file under `dirs` (a missing directory has none), parsed
+/// with its `root`-relative path, in path order.
+fn parse_tree(root: &Path, dirs: &[PathBuf]) -> io::Result<Vec<SourceFile>> {
+    let mut paths = Vec::new();
+    for dir in dirs {
+        collect_rs_files(dir, &mut paths)?;
+    }
+    paths.sort();
+    paths
+        .iter()
+        .map(|path| {
+            let text = fs::read_to_string(path)?;
+            Ok(SourceFile::from_source(
+                path.strip_prefix(root).unwrap_or(path),
+                &text,
+            ))
+        })
+        .collect()
+}
+
+/// Appends every `.rs` file under `dir` (none if `dir` does not exist).
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {
@@ -127,6 +154,7 @@ mod tests {
     #[test]
     fn seeded_fixture_trips_every_rule() {
         let report = lint_workspace(&fixture_root("bad")).unwrap();
+        assert_eq!(report.diagnostics.len(), 18, "{:#?}", report.diagnostics);
         let fired: std::collections::BTreeSet<&str> =
             report.diagnostics.iter().map(|d| d.rule).collect();
         for rule in rules::RULE_IDS {

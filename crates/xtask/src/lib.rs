@@ -27,6 +27,7 @@
 //! | `reference-in-production` | `reference::` oracles named in production crates' non-test code |
 //! | `raw-spawn`          | `thread::scope`/`thread::spawn`/`thread::Builder` in production crates outside the fan-out (`parallel.rs`) |
 //! | `fit-outside-dist`   | `Gamma::new`/`LogNormal::new`/`Poisson::new` in production crates outside the fits' home (`core/src/dist/`) |
+//! | `unused-pub`         | a bare `pub` item of `upskill-core`/`upskill-serve` that no file outside its crate names |
 //! | `lock-order`         | global lock acquired while a shard guard is live (or vice versa) |
 //! | `lock-across-publish`| a lock guard lexically live across an `EpochCell::publish` |
 //! | `raw-lock`           | bare `.lock().unwrap()`-style acquisitions outside the blessed helpers |

@@ -6,6 +6,7 @@
 //! findings (the markers themselves are validated by the `lint-marker`
 //! rule).
 
+use std::collections::HashSet;
 use std::path::Path;
 
 use crate::source::{match_brace, SourceFile};
@@ -21,6 +22,7 @@ pub const RULE_IDS: &[&str] = &[
     "reference-in-production",
     "raw-spawn",
     "fit-outside-dist",
+    "unused-pub",
     "lock-order",
     "lock-across-publish",
     "raw-lock",
@@ -67,6 +69,13 @@ const DIST_HOME: &str = "crates/core/src/dist/";
 /// Constructors of the fitted families. Their parameters come from the
 /// fits under [`DIST_HOME`]; a call elsewhere is a second copy of an MLE.
 const DIST_CONSTRUCTORS: &[&str] = &["Gamma::new", "LogNormal::new", "Poisson::new"];
+
+/// Source trees whose `pub` items must each have a use outside their own
+/// crate (see [`unused_pub`]).
+pub(crate) const SURFACE_SRC: &[&str] = &["crates/core/src/", "crates/serve/src/"];
+
+/// Item keywords whose bare `pub` declarations [`unused_pub`] audits.
+const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
 
 /// Cast targets that can silently truncate the workspace's index/level
 /// domains. Widening casts (`as usize`, `as u64`, `as f64`) stay legal.
@@ -490,6 +499,82 @@ fn fit_outside_dist(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
+// --- rule: unused-pub ---------------------------------------------------
+
+/// Every identifier token of a masked text (comments and literals are
+/// already blank, so a doc example is not a use).
+pub(crate) fn ident_tokens(masked: &str) -> impl Iterator<Item = &str> {
+    masked
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|t| t.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
+}
+
+/// Flags a bare `pub` item in non-test code whose name is not among
+/// `outside`, the identifier tokens of every file outside the item's
+/// crate. Such an item is crate-private in all but name, and rustc's
+/// `dead_code` lint cannot see it. A marker keeps an item `pub` that is
+/// named only through a used item's signature; a marker on an item that
+/// does have an outside use is flagged too, so the audited set cannot go
+/// stale.
+pub(crate) fn unused_pub(file: &SourceFile, outside: &HashSet<&str>, out: &mut Vec<Diagnostic>) {
+    const RULE: &str = "unused-pub";
+    let masked = &file.masked;
+    let targets = file.marker_targets(RULE);
+    let mut heads = Vec::new();
+    for p in find_word_starts(masked, "pub") {
+        let rest = &masked[p + 3..];
+        if !rest.starts_with(char::is_whitespace) || file.in_test(p) {
+            continue; // `pub(crate)`, `public`, or test code
+        }
+        let mut words = ident_tokens(rest);
+        let (mut kw, mut name) = (words.next().unwrap_or(""), words.next());
+        if (kw, name) == ("const", Some("fn")) {
+            (kw, name) = ("fn", words.next());
+        }
+        let Some(name) = name.filter(|_| ITEM_KEYWORDS.contains(&kw)) else {
+            continue; // a field, `pub use` or `pub mod`
+        };
+        let line = file.line_of(p);
+        // The item's attributes and doc comment (blank once masked) belong
+        // to it, so a marker above them covers it.
+        let mut first = line;
+        while first > 1 && {
+            let above = file.line_text(first - 1).trim_start();
+            above.is_empty() || above.starts_with("#[")
+        } {
+            first -= 1;
+        }
+        let head = first..=line;
+        let marked = targets.iter().any(|t| head.contains(t));
+        heads.push(head);
+        match (outside.contains(name), marked) {
+            (false, false) => out.push(file.diagnostic(
+                line,
+                RULE,
+                format!(
+                    "`pub {kw} {name}` is named by no file outside its crate; make it \
+                     `pub(crate)` or private"
+                ),
+            )),
+            (true, true) => out.push(file.diagnostic(
+                line,
+                RULE,
+                format!("`pub {kw} {name}` has an outside use; remove its `{RULE}` marker"),
+            )),
+            _ => {}
+        }
+    }
+    for &target in &targets {
+        if !heads.iter().any(|head| head.contains(&target)) {
+            out.push(file.diagnostic(
+                target,
+                RULE,
+                format!("`{RULE}` marker on a line that declares no bare `pub` item"),
+            ));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -754,6 +839,55 @@ mod tests {
         let ok = "fn f(s: f64, n: f64) { let _ = Poisson::fit_from_moments(s, n); \
                   let _ = MyGamma::new(1.0); let _ = Poisson::new_table(); }\n";
         assert!(run("crates/core/src/em.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn unused_pub_rule() {
+        let unused = |text: &str, outside: &str| {
+            let file = SourceFile::from_source(Path::new("crates/core/src/model.rs"), text);
+            let other = SourceFile::from_source(Path::new("tests/use.rs"), outside);
+            let mut out = file.marker_diags.clone();
+            unused_pub(&file, &ident_tokens(&other.masked).collect(), &mut out);
+            out
+        };
+        let items = concat!(
+            "pub fn fit(x: f64) -> Fit { Fit(x) }\n",
+            "pub const fn zero() -> u8 { 0 }\n",
+            "pub struct Fit(pub f64);\n",
+        );
+        let lines = |d: Vec<Diagnostic>| d.iter().map(|d| d.line).collect::<Vec<_>>();
+        // Flagged with no outside use; a doc or string mention is no use.
+        assert_eq!(lines(unused(items, "")), [1, 2, 3]);
+        assert_eq!(
+            lines(unused(items, "/// fit zero Fit\nlet s = \"fit\";")),
+            [1, 2, 3]
+        );
+        // Clean with an outside use.
+        assert!(unused(items, "use core::model::{fit, zero}; let f: Fit;").is_empty());
+        // Clean with a marker; a marker on a used item is flagged.
+        let marked = concat!(
+            "pub fn fit(x: f64) -> Fit { Fit(x) }\n",
+            "// lint:allow(unused-pub): returned by `fit`.\n",
+            "/// A fit.\n",
+            "#[derive(Debug)]\n",
+            "pub struct Fit(pub f64);\n",
+        );
+        assert!(unused(marked, "fit(1.0)").is_empty());
+        let stale = unused(marked, "let f: Fit = fit(1.0);");
+        assert_eq!(lines(stale.clone()), [5]);
+        assert!(stale[0].message.contains("remove its"), "{stale:?}");
+        // A marker that covers no bare `pub` item is flagged too.
+        let orphan = "// lint:allow(unused-pub): nothing here.\npub(crate) fn f() {}\n";
+        assert_eq!(lines(unused(orphan, "")), [2]);
+        // `pub(crate)`, `pub use`, `pub mod`, fields and test code are ignored.
+        let ignored = concat!(
+            "pub(crate) fn f() {}\n",
+            "pub use crate::x::Y;\n",
+            "pub mod inner;\n",
+            "struct S { pub field: u8 }\n",
+            "#[cfg(test)]\nmod tests { pub fn helper() {} }\n",
+        );
+        assert!(unused(ignored, "").is_empty());
     }
 
     #[test]

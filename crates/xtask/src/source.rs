@@ -108,15 +108,35 @@ impl SourceFile {
             return;
         }
         let line = self.line_of(offset);
-        if self.is_suppressed(rule, line) {
-            return;
+        if !self.is_suppressed(rule, line) {
+            out.push(self.diagnostic(line, rule, message));
         }
-        out.push(Diagnostic {
+    }
+
+    /// A diagnostic at `line` of this file, with no exemption applied.
+    pub(crate) fn diagnostic(
+        &self,
+        line: usize,
+        rule: &'static str,
+        message: String,
+    ) -> Diagnostic {
+        Diagnostic {
             path: self.path.clone(),
             line,
             rule,
             message,
-        });
+        }
+    }
+
+    /// The code lines that `rule`'s single-line markers cover.
+    pub(crate) fn marker_targets(&self, rule: &str) -> Vec<usize> {
+        self.markers
+            .iter()
+            .filter_map(|m| match m {
+                Marker::Line { rule: r, line } if r == rule => self.next_code_line(*line),
+                _ => None,
+            })
+            .collect()
     }
 
     fn collect_markers(&mut self, comments: &[(usize, String)]) {
