@@ -458,8 +458,10 @@ fn main() {
     };
 
     let mut report = Report::new(scale);
-    // 100k mixed ops/s is ~10x below what a release build sustains here;
-    // a 50 ms p99 is ~50x above the observed tail.
+    // On 2 cores this load sustains 1.01-1.15M ops/s at a p99 of
+    // 2.4-2.7 us (4 runs). The floor and the ceiling sit at about half
+    // and four times those, wider than the host's run-to-run spread
+    // (0.85-1.18M ops/s and 2.4-3.1 us seen over the same code).
     report
         .metric("throughput", throughput, "ops/s")
         .metric("p50", p50 * 1e6, "us")
@@ -476,8 +478,8 @@ fn main() {
             admitted_alone.heap_bytes_per_user,
             "B",
         )
-        .floor("serve.throughput_ops_per_s", throughput, 1.0e5)
-        .ceiling("serve.p99_latency_s", p99, 0.05)
+        .floor("serve.throughput_ops_per_s", throughput, 5.0e5)
+        .ceiling("serve.p99_latency_s", p99, 1.0e-5)
         .ceiling(
             "serve.bytes_per_admitted_user",
             admitted_alone.rss_bytes_per_user,

@@ -23,14 +23,16 @@
 //! With `deterministic-sync` enabled, `explore::Explorer` runs a
 //! closure once per *schedule*: spawned threads (`explore::Run::thread`)
 //! are driven by a cooperative scheduler that allows exactly one thread
-//! to run between *schedule points* (lock acquisitions and epoch
-//! publishes). The scheduler enumerates schedules bounded-exhaustively
-//! (DFS over the choice tree) or samples them from a seeded RNG, records
+//! to run between *schedule points* (lock acquisitions, epoch
+//! publishes and `TracedFlag` reads). The scheduler enumerates schedules
+//! bounded-exhaustively (DFS over the choice tree) or samples them from
+//! a seeded RNG, records
 //! every acquisition/release/publish event, checks the serving lock
 //! protocol at runtime (shard-before-global order, no lock guard across
 //! an epoch publish, stale-epoch reads via vector-clock happens-before),
 //! and attaches a replayable `explore::Schedule` to every violation.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Acquires a `std::sync::Mutex`, recovering from poisoning.
@@ -42,6 +44,64 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// sections are single container operations.
 pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A value on cache lines of its own: 128-byte aligned (and so padded
+/// to a multiple of 128 bytes), which covers both the 64-byte line and
+/// the adjacent-line prefetch pair of current x86 cores. Wrap state that
+/// one core writes often and other cores write rarely — a shard's lock,
+/// an epoch read slot — so its neighbours' writes never invalidate it.
+#[derive(Debug)]
+#[repr(align(128))]
+pub struct CacheAligned<T>(pub T);
+
+impl<T> std::ops::Deref for CacheAligned<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// A boolean mirror of lock-guarded state, readable without the lock.
+///
+/// Writers call [`TracedFlag::set`] only while holding the lock that
+/// guards the mirrored state, right after changing it; readers call
+/// [`TracedFlag::get`] with no lock held. Relaxed ordering suffices:
+/// a thread reads its own writes, a reader that acquired the lock after
+/// a writer released it sees that writer's value, and any other value it
+/// reads is one that a lock holder wrote, so a reader acting on a stale
+/// value must re-check under the lock. `set` stores only on a change,
+/// so a flag that seldom flips stays a read-shared cache line.
+///
+/// Under the `deterministic-sync` feature a read by an explored thread
+/// is a schedule point, so the explorer can run other threads between a
+/// lock release and the check that follows it.
+#[derive(Debug)]
+pub struct TracedFlag {
+    value: AtomicBool,
+}
+
+impl TracedFlag {
+    /// A flag holding `value`.
+    pub fn new(value: bool) -> Self {
+        Self {
+            value: AtomicBool::new(value),
+        }
+    }
+
+    /// The flag's current value (a schedule point under exploration).
+    pub fn get(&self) -> bool {
+        #[cfg(feature = "deterministic-sync")]
+        explore::on_flag_read();
+        self.value.load(Ordering::Relaxed)
+    }
+
+    /// Sets the flag; call only under the lock guarding what it mirrors.
+    pub fn set(&self, value: bool) {
+        if self.value.load(Ordering::Relaxed) != value {
+            self.value.store(value, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Identity of an ordered lock in the serving layer's lock hierarchy.
@@ -211,6 +271,11 @@ pub mod explore {
             /// Index of the releasing thread within the run.
             thread: usize,
         },
+        /// Thread `thread` read a `TracedFlag`.
+        FlagRead {
+            /// Index of the reading thread within the run.
+            thread: usize,
+        },
     }
 
     /// A replayable schedule: the RNG seed the run was started with plus
@@ -272,6 +337,8 @@ pub mod explore {
         pub violations: Vec<Violation>,
         /// Total synchronization events recorded across all schedules.
         pub events: usize,
+        /// Acquisitions of each ordered lock, summed over all schedules.
+        pub acquisitions: BTreeMap<LockId, usize>,
     }
 
     enum Style {
@@ -334,6 +401,7 @@ pub mod explore {
                 exhausted: false,
                 violations: Vec::new(),
                 events: 0,
+                acquisitions: BTreeMap::new(),
             };
             match self.style {
                 Style::Exhaustive => {
@@ -379,6 +447,7 @@ pub mod explore {
                 exhausted: false,
                 violations: Vec::new(),
                 events: 0,
+                acquisitions: BTreeMap::new(),
             };
             let done = run_once(schedule.seed, schedule.choices.clone(), false, &mut body);
             collect(&mut out, &done);
@@ -389,6 +458,9 @@ pub mod explore {
     fn collect(out: &mut Exploration, done: &RunOutcome) {
         out.schedules += 1;
         out.events += done.events;
+        for (&lock, &n) in &done.acquisitions {
+            *out.acquisitions.entry(lock).or_default() += n;
+        }
         let schedule = Schedule {
             seed: done.seed,
             choices: done.trace.iter().map(|&(_, k)| k).collect(),
@@ -410,6 +482,7 @@ pub mod explore {
         trace: Vec<(usize, usize)>,
         violations: Vec<(&'static str, usize, String)>,
         events: usize,
+        acquisitions: BTreeMap<LockId, usize>,
     }
 
     fn run_once<F: FnMut(&mut Run)>(
@@ -437,11 +510,18 @@ pub mod explore {
             std::panic::resume_unwind(payload);
         }
         let st = super::lock(&sched.state);
+        let mut acquisitions = BTreeMap::new();
+        for event in &st.events {
+            if let Event::Acquire { lock, .. } = event {
+                *acquisitions.entry(*lock).or_default() += 1;
+            }
+        }
         RunOutcome {
             seed,
             trace: st.choices.clone(),
             violations: st.violations.clone(),
             events: st.events.len(),
+            acquisitions,
         }
     }
 
@@ -455,8 +535,9 @@ pub mod explore {
     impl Run {
         /// Spawns a scheduler-driven thread. The closure starts parked
         /// and only ever runs while the scheduler grants it the run
-        /// token; every ordered-lock acquisition and epoch publish
-        /// inside it is a schedule point. All threads of a run must be
+        /// token; every ordered-lock acquisition, epoch publish and
+        /// `TracedFlag` read inside it is a schedule point. All threads
+        /// of a run must be
         /// spawned before [`Run::join`] is called.
         pub fn thread(&mut self, f: impl FnOnce() + Send + 'static) {
             let tid = {
@@ -850,6 +931,17 @@ pub mod explore {
         });
     }
 
+    /// Called by [`super::TracedFlag::get`]: a schedule point, so other
+    /// threads can run between the lock release that precedes a check
+    /// and the check itself.
+    pub(crate) fn on_flag_read() {
+        let Some(ctx) = current_ctx() else { return };
+        schedule_point(&ctx.sched, ctx.tid, None);
+        let mut st = super::lock(&ctx.sched.state);
+        tick(&mut st, ctx.tid);
+        st.events.push(Event::FlagRead { thread: ctx.tid });
+    }
+
     /// Called by `WorkspacePool` on workspace checkout/return (recorded
     /// for event traces; not a schedule point — the pool never blocks).
     pub(crate) fn on_pool_event(acquire: bool) {
@@ -918,7 +1010,7 @@ mod explore_tests {
     use std::sync::Arc;
 
     use super::explore::{Explorer, Run};
-    use super::{LockId, TracedMutex};
+    use super::{LockId, TracedFlag, TracedMutex};
     use crate::epoch::EpochCell;
 
     #[test]
@@ -1021,7 +1113,7 @@ mod explore_tests {
     fn publish_under_shard_guard_is_caught() {
         let report = Explorer::exhaustive(10).explore(|run| {
             let shard = Arc::new(TracedMutex::new(LockId::Shard(0), ()));
-            let cell = Arc::new(EpochCell::new(0u8));
+            let cell = Arc::new(EpochCell::new(0u8, 1));
             run.thread(move || {
                 let s = shard.lock();
                 cell.publish(1);
@@ -1037,7 +1129,7 @@ mod explore_tests {
     fn publish_under_global_guard_is_caught() {
         let report = Explorer::exhaustive(10).explore(|run| {
             let global = Arc::new(TracedMutex::new(LockId::Global, ()));
-            let cell = Arc::new(EpochCell::new(0u8));
+            let cell = Arc::new(EpochCell::new(0u8, 1));
             run.thread(move || {
                 let g = global.lock();
                 cell.publish(1);
@@ -1052,7 +1144,7 @@ mod explore_tests {
     #[test]
     fn publish_and_load_across_threads_is_clean() {
         let report = Explorer::exhaustive(100).explore(|run| {
-            let cell = Arc::new(EpochCell::new(0u8));
+            let cell = Arc::new(EpochCell::new(0u8, 1));
             let reader = Arc::clone(&cell);
             run.thread(move || {
                 cell.publish(1);
@@ -1067,6 +1159,59 @@ mod explore_tests {
         assert!(report.violations.is_empty());
         // Publish + load events recorded in every schedule.
         assert!(report.events >= 2 * report.schedules);
+    }
+
+    #[test]
+    fn publish_against_loads_on_two_slots_is_clean() {
+        let report = Explorer::exhaustive(1000).explore(|run| {
+            let cell = Arc::new(EpochCell::new(0u8, 2));
+            let writer = Arc::clone(&cell);
+            run.thread(move || {
+                writer.publish(1);
+            });
+            for slot in 0..2 {
+                let reader = Arc::clone(&cell);
+                run.thread(move || {
+                    let (first, value) = reader.load_at(slot);
+                    assert_eq!(first, u64::from(***value));
+                    // Crossing to the other slot never goes back in time.
+                    let (second, value) = reader.load_at(slot + 1);
+                    assert_eq!(second, u64::from(***value));
+                    assert!(second >= first);
+                });
+            }
+            run.join();
+            assert_eq!(cell.load_at(0).0, 1);
+            assert_eq!(cell.load_at(1).0, 1);
+        });
+        assert!(report.exhausted);
+        assert!(report.violations.is_empty());
+        // One publish and four loads recorded in every schedule.
+        assert!(report.events >= 5 * report.schedules);
+    }
+
+    #[test]
+    fn flag_reads_are_schedule_points() {
+        let report = Explorer::exhaustive(100).explore(|run| {
+            let flag = Arc::new(TracedFlag::new(false));
+            let m = Arc::new(TracedMutex::new(LockId::Global, ()));
+            let (f, g) = (Arc::clone(&flag), Arc::clone(&m));
+            run.thread(move || {
+                let guard = g.lock();
+                f.set(true);
+                drop(guard);
+            });
+            run.thread(move || {
+                let _ = flag.get();
+            });
+            run.join();
+        });
+        // The read lands before the acquisition or after it: two
+        // schedule points each (start gate, then the lock or the read),
+        // C(4, 2) = 6 interleavings.
+        assert_eq!(report.schedules, 6);
+        assert!(report.exhausted);
+        assert_eq!(report.acquisitions.get(&LockId::Global), Some(&6));
     }
 
     #[test]

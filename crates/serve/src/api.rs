@@ -1,21 +1,15 @@
-//! The typed request/response surface of the serving layer.
+//! The typed answers of the serving layer.
 //!
-//! Every operation the [`SkillService`](crate::SkillService) supports is
-//! expressible as a [`Request`] value answered by exactly one [`Response`]
-//! variant (or a typed [`ServeError`](crate::ServeError)). The
-//! enum-dispatch [`SkillService::handle`](crate::SkillService::handle)
-//! front-end and the direct typed methods (`ingest`, `predict`, …) share
-//! one implementation, so embedders can pick whichever shape fits —
-//! including serializing requests across a process boundary: everything
-//! here derives serde.
+//! Each [`SkillService`](crate::SkillService) method (`ingest`,
+//! `predict`, `record_outcome`, `stats`, …) answers with one of these
+//! values or a typed [`ServeError`](crate::ServeError). Everything here
+//! derives serde, so answers can cross a process boundary as they are.
 
 use serde::{Deserialize, Serialize};
 
-use upskill_core::bundle::SessionBundle;
-use upskill_core::policy::{PolicyMode, PolicyRecommendation};
-use upskill_core::recommend::Recommendation;
+use upskill_core::policy::PolicyMode;
 use upskill_core::streaming::RefitPolicy;
-use upskill_core::types::{Action, ItemId, SkillLevel, UserId};
+use upskill_core::types::{ItemId, SkillLevel, UserId};
 
 /// Which estimate a predict request should read; see the module docs of
 /// [`upskill_core::streaming`] on filtering vs smoothing.
@@ -38,69 +32,6 @@ pub enum PredictMode {
     /// the last action's full level distribution. O(history × levels),
     /// served from a pooled [`FbWorkspace`](upskill_core::em::FbWorkspace).
     Posterior,
-}
-
-/// One serving request.
-// lint:allow(unused-pub): taken by `SkillService::handle`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Request {
-    /// Ingest one action (unknown users are admitted), then refit if the
-    /// policy says so — the serving twin of
-    /// [`StreamingSession::ingest`](upskill_core::streaming::StreamingSession::ingest).
-    Ingest(Action),
-    /// Ingest a batch, deferring any policy-driven refit to the end.
-    /// Fails fast: actions before the offending one stay ingested.
-    IngestBatch(Vec<Action>),
-    /// Read a skill estimate for a known user.
-    Predict {
-        /// Whose skill to estimate.
-        user: UserId,
-        /// Which estimator to read.
-        mode: PredictMode,
-    },
-    /// Upskilling recommendations for a known user at their committed
-    /// level, excluding items they already selected.
-    Recommend {
-        /// Who to recommend for.
-        user: UserId,
-        /// Overrides the configured result-list length when set.
-        k: Option<usize>,
-    },
-    /// Adaptive (policy re-ranked) recommendations for a known user —
-    /// the [`Request::Recommend`] variant that carries the policy mode
-    /// through the serve envelope. The mode must match the service's
-    /// configured [`PolicyConfig`](upskill_core::policy::PolicyConfig)
-    /// or the request is rejected with
-    /// [`ServeError::PolicyModeMismatch`](crate::ServeError::PolicyModeMismatch).
-    RecommendPolicy {
-        /// Who to recommend for.
-        user: UserId,
-        /// Overrides the configured result-list length when set.
-        k: Option<usize>,
-        /// The teach/motivate/hybrid mode the client expects.
-        mode: PolicyMode,
-    },
-    /// Record an externally observed outcome (e.g. the user attempted
-    /// the item and failed) into the user's adaptive policy state.
-    /// Completed actions are recorded as successes automatically on
-    /// ingest; this request exists mainly to feed *failures*, which
-    /// never enter the action sequence.
-    RecordOutcome {
-        /// Whose policy state to update.
-        user: UserId,
-        /// The attempted item.
-        item: ItemId,
-        /// Whether the attempt succeeded.
-        correct: bool,
-    },
-    /// A consistent, versioned snapshot of the whole service state as a
-    /// [`SessionBundle`].
-    Snapshot {
-        /// Free-form provenance note stored in the bundle.
-        note: String,
-    },
-    /// Service-level counters.
-    Stats,
 }
 
 /// The outcome of ingesting one action.
@@ -174,29 +105,4 @@ pub struct ServeStats {
     pub pooled_assign_workspaces: usize,
     /// Forward–backward workspaces parked in the pool.
     pub pooled_fb_workspaces: usize,
-}
-
-/// One serving response; variants correspond one-to-one to [`Request`].
-///
-/// (No `PartialEq`: [`SessionBundle`] deliberately doesn't implement
-/// it — bundle equality is defined on the serialized form.)
-// lint:allow(unused-pub): returned by `SkillService::handle`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum Response {
-    /// Answer to [`Request::Ingest`].
-    Ingested(IngestOutcome),
-    /// Answer to [`Request::IngestBatch`], in input order.
-    IngestedBatch(Vec<IngestOutcome>),
-    /// Answer to [`Request::Predict`].
-    Prediction(Prediction),
-    /// Answer to [`Request::Recommend`], best first.
-    Recommendations(Vec<Recommendation>),
-    /// Answer to [`Request::RecommendPolicy`], best first.
-    PolicyRecommendations(Vec<PolicyRecommendation>),
-    /// Answer to [`Request::RecordOutcome`].
-    OutcomeRecorded(OutcomeNoted),
-    /// Answer to [`Request::Snapshot`].
-    Snapshot(Box<SessionBundle>),
-    /// Answer to [`Request::Stats`].
-    Stats(ServeStats),
 }

@@ -5,7 +5,7 @@
 //! (`&mut self`) continuation of a trained model; this crate is its
 //! serving twin for the paper's live deployment (§VI): one
 //! [`SkillService`] shared across request threads answers typed
-//! [`Request`](api::Request)s — ingest, predict, recommend, snapshot, stats — from many
+//! requests — ingest, predict, recommend, snapshot, stats — from many
 //! tenants at once, without a network dependency and without giving up
 //! the session's exactness guarantees:
 //!
@@ -13,10 +13,11 @@
 //!   shards by a stable user hash, so concurrent users rarely contend.
 //! - **Epoch-swapped model** — the emission table (plus derived item
 //!   difficulty) is published through an
-//!   [`EpochCell`](upskill_core::epoch::EpochCell): reads are lock-free
-//!   `Arc` clones, and dirty-level refits build the replacement off to
-//!   the side and publish atomically, so predictions never block on
-//!   refits (and never observe a half-updated table).
+//!   [`EpochCell`](upskill_core::epoch::EpochCell) with one read slot per
+//!   shard: a read clones its slot's handle and writes no line another
+//!   shard's reads write, and dirty-level refits build the replacement
+//!   off to the side and publish atomically, so predictions never block
+//!   on refits (and never observe a half-updated table).
 //! - **Pooled workspaces** — the DP scratch buffers behind
 //!   smoothed/posterior predictions are reused across requests via
 //!   [`WorkspacePool`](upskill_core::pool::WorkspacePool).
@@ -79,5 +80,5 @@ pub use error::{Result, ServeError};
 pub use service::{ServeConfig, SkillService};
 
 // Convenience re-exports: the adaptive policy vocabulary the serving
-// API speaks ([`Request::RecommendPolicy`], [`ServeConfig::adaptive`]).
+// API speaks (`SkillService::recommend_policy`, `ServeConfig::adaptive`).
 pub use upskill_core::policy::{PolicyConfig, PolicyMode, PolicyRecommendation, PolicyState};

@@ -11,16 +11,23 @@
 //!   [`PolicyState`], keyed by user id —
 //!   lives in `N` *shards*, each behind its own mutex. A user's shard is
 //!   a stable hash of their id, so two requests contend only when they
-//!   touch users that hash together.
+//!   touch users that hash together. Each shard mutex sits on cache
+//!   lines of its own ([`CacheAligned`]), so locking one shard never
+//!   invalidates a neighbour's line.
 //! - **Model-fitting state** — one [`LiveFit`] (statistics grid, current
 //!   model, refit policy and counters) plus the running level counts —
 //!   lives behind one *global* mutex that ingestion and the two short
-//!   steps of a refit take.
+//!   steps of a refit take. A flag beside it mirrors
+//!   [`LiveFit::refit_due`], so an ingest takes the global lock once to
+//!   record its action and a second time only when a refit is due.
 //! - **The read-mostly model** (the [`EmissionTable`] plus the per-item
-//!   difficulty vector) lives in an [`EpochCell`]: readers clone an `Arc`
-//!   to the current epoch and compute against it lock-free; a refit
-//!   publishes a replacement atomically. A prediction in flight keeps its
-//!   epoch alive through the `Arc` even if a refit publishes mid-request.
+//!   difficulty vector) lives in an [`EpochCell`] with one *read slot*
+//!   per shard: a request clones its user's slot's handle on the current
+//!   epoch and computes against it with no lock held; a refit publishes a
+//!   replacement to every slot atomically. Requests on different shards
+//!   therefore write no common cache line on the read path. A prediction
+//!   in flight keeps its epoch alive through the handle even if a refit
+//!   publishes mid-request.
 //!
 //! Lock order is `shard (ascending index) → global`; refits take only the
 //! global lock; reads take only their one shard. No code path acquires
@@ -28,8 +35,13 @@
 //!
 //! # Refits: cut, fit, install
 //!
-//! A refit runs on the thread whose ingest tripped it (or that called
-//! [`SkillService::refit`]) in the three steps of the [`LiveFit`] rule:
+//! A due refit runs on the first ingesting thread that checks the flag
+//! after the record that made it due — usually that record's own
+//! thread, but another writer whose check comes first runs it instead —
+//! or on the thread that called [`SkillService::refit`]. The check reads
+//! the flag without the lock, and the refit re-checks under the lock, so
+//! two threads that both see the flag run one refit between them. A
+//! refit runs in the three steps of the [`LiveFit`] rule:
 //!
 //! 1. **Cut**, under the global lock, only copies: [`LiveFit::cut`]
 //!    takes the dirty grid rows and resets the pending count and the
@@ -98,14 +110,12 @@ use upskill_core::recommend::{
 use upskill_core::streaming::{
     commit_level, session_bundle, LiveFit, LiveUser, RefitCut, RefitPolicy, RefitTuner,
 };
-use upskill_core::sync::{LockId, TracedMutex};
+use upskill_core::sync::{CacheAligned, LockId, TracedFlag, TracedMutex};
 use upskill_core::train::{TrainConfig, TrainResult};
 use upskill_core::transition::TransitionModel;
 use upskill_core::types::{Action, Dataset, ItemId, SkillAssignments, SkillLevel, UserId};
 
-use crate::api::{
-    IngestOutcome, OutcomeNoted, PredictMode, Prediction, Request, Response, ServeStats,
-};
+use crate::api::{IngestOutcome, OutcomeNoted, PredictMode, Prediction, ServeStats};
 use crate::error::{Result, ServeError};
 
 /// Serving-layer configuration.
@@ -114,6 +124,7 @@ pub struct ServeConfig {
     /// How many mutex-guarded session shards user state spreads over.
     /// More shards means less contention between users that act
     /// concurrently; one shard serializes everything (useful in tests).
+    /// The published model has one read slot per shard.
     pub n_shards: usize,
     /// When ingestion triggers a dirty-level refit.
     pub policy: RefitPolicy,
@@ -125,7 +136,8 @@ pub struct ServeConfig {
     /// Adaptive policy layer (teach/motivate/hybrid re-ranking over
     /// the cached bands). `None` serves the static recommender only;
     /// `Some` additionally tracks per-user [`PolicyState`] and answers
-    /// [`Request::RecommendPolicy`] / [`Request::RecordOutcome`].
+    /// [`SkillService::recommend_policy`] /
+    /// [`SkillService::record_outcome`].
     pub adaptive: Option<PolicyConfig>,
 }
 
@@ -279,8 +291,16 @@ struct Global {
 /// across request threads behind an `Arc`.
 #[derive(Debug)]
 pub struct SkillService {
-    shards: Vec<TracedMutex<Shard>>,
+    /// Each shard's mutex on cache lines of its own, so requests on
+    /// neighbouring shards never write a common line.
+    shards: Vec<CacheAligned<TracedMutex<Shard>>>,
     global: TracedMutex<Global>,
+    /// [`LiveFit::refit_due`] of the global state, mirrored under the
+    /// global lock wherever it can change (the record, the cut, an
+    /// abandoned cut), so an ingest checks for a due refit without
+    /// taking the lock a second time.
+    refit_due: CacheAligned<TracedFlag>,
+    /// One read slot per shard: a request reads through its user's.
     epoch: EpochCell<ModelEpoch>,
     /// Sequence-less dataset (schema + item feature tuples) backing
     /// refits; see the module docs on why sequences never enter refits.
@@ -340,11 +360,12 @@ impl SkillService {
 
         let difficulty = difficulty_from_counts(&table, &level_counts)?;
         let transitions = TransitionModel::uninformative(config.n_levels)?;
+        let refit_due = CacheAligned(TracedFlag::new(fit.refit_due()));
         Ok(Self {
             shards: shards
                 .into_iter()
                 .enumerate()
-                .map(|(i, s)| TracedMutex::new(LockId::Shard(i as u32), s))
+                .map(|(i, s)| CacheAligned(TracedMutex::new(LockId::Shard(i as u32), s)))
                 .collect(),
             global: TracedMutex::new(
                 LockId::Global,
@@ -357,7 +378,8 @@ impl SkillService {
                     admission,
                 },
             ),
-            epoch: EpochCell::new(ModelEpoch::new(table, difficulty)),
+            refit_due,
+            epoch: EpochCell::new(ModelEpoch::new(table, difficulty), n_shards),
             catalog,
             config,
             parallel,
@@ -378,35 +400,6 @@ impl SkillService {
         serve: ServeConfig,
     ) -> Result<Self> {
         Self::new(dataset, result.assignments.clone(), config, parallel, serve)
-    }
-
-    /// Answers one typed [`Request`]; the enum front-end over the typed
-    /// methods, e.g. for callers that deserialize requests.
-    pub fn handle(&self, request: Request) -> Result<Response> {
-        match request {
-            Request::Ingest(action) => self.ingest(action).map(Response::Ingested),
-            Request::IngestBatch(actions) => {
-                self.ingest_batch(&actions).map(Response::IngestedBatch)
-            }
-            Request::Predict { user, mode } => self.predict(user, mode).map(Response::Prediction),
-            Request::Recommend { user, k } => {
-                self.recommend(user, k).map(Response::Recommendations)
-            }
-            Request::RecommendPolicy { user, k, mode } => self
-                .recommend_policy(user, k, mode)
-                .map(Response::PolicyRecommendations),
-            Request::RecordOutcome {
-                user,
-                item,
-                correct,
-            } => self
-                .record_outcome(user, item, correct)
-                .map(Response::OutcomeRecorded),
-            Request::Snapshot { note } => self
-                .snapshot(&note)
-                .map(|b| Response::Snapshot(Box::new(b))),
-            Request::Stats => Ok(Response::Stats(self.stats())),
-        }
     }
 
     /// Ingests one action — the serving twin of
@@ -440,8 +433,9 @@ impl SkillService {
     /// shard lock, then the `+1` record under the global lock; no
     /// refit. Every check runs before the first mutation.
     fn ingest_inner(&self, action: Action) -> Result<IngestOutcome> {
-        let (epoch, ep) = self.epoch.load();
-        let mut shard = self.shards[self.shard(action.user)].lock();
+        let slot = self.shard(action.user);
+        let (epoch, ep) = self.epoch.load_at(slot);
+        let mut shard = self.shards[slot].lock();
         let known = shard.users.get_mut(&action.user);
         let ext = LiveUser::validate(known.as_ref().map(|s| &s.live), &action, &ep.table)?;
         // A completed (ingested) action is success evidence at the
@@ -474,6 +468,7 @@ impl SkillService {
         }
         g.fit.record(action.item, ext.level)?;
         g.level_counts[ext.level as usize - 1] += 1;
+        self.mirror_refit_due(&g);
         Ok(IngestOutcome {
             user: action.user,
             level: ext.level,
@@ -481,9 +476,22 @@ impl SkillService {
         })
     }
 
-    /// Refits the dirty levels now if the policy says so.
+    /// Refits the dirty levels now if the policy says so. Reads the
+    /// mirrored flag without the global lock, so an ingest with no refit
+    /// due takes that lock once; [`SkillService::refit_once`] re-checks
+    /// under the lock.
     fn refit_per_policy(&self) -> Result<usize> {
+        if !self.refit_due.get() {
+            return Ok(0);
+        }
         self.run_refit(false)
+    }
+
+    /// Mirrors [`LiveFit::refit_due`] into the lock-free flag; called
+    /// with the global lock held, after each change to the fit's pending
+    /// count or policy.
+    fn mirror_refit_due(&self, g: &Global) {
+        self.refit_due.set(g.fit.refit_due());
     }
 
     /// Refits model parameters from the accumulated statistics now,
@@ -529,6 +537,7 @@ impl SkillService {
             return Ok((0, false));
         }
         let cut = g.fit.cut();
+        self.mirror_refit_due(&g);
         let n_dirty = cut.n_dirty();
         if n_dirty == 0 {
             return Ok((0, false));
@@ -572,8 +581,9 @@ impl SkillService {
     /// takes the global lock, so predictions proceed concurrently with
     /// refits against the last published epoch.
     pub fn predict(&self, user: UserId, mode: PredictMode) -> Result<Prediction> {
-        let (epoch, ep) = self.epoch.load();
-        let shard = self.shards[self.shard(user)].lock();
+        let slot = self.shard(user);
+        let (epoch, ep) = self.epoch.load_at(slot);
+        let shard = self.shards[slot].lock();
         let state = shard
             .users
             .get(&user)
@@ -623,8 +633,9 @@ impl SkillService {
     /// filters the epoch's cached per-level [`LevelBand`] instead of
     /// rescanning the catalog (identical output, amortized scan).
     pub fn recommend(&self, user: UserId, k: Option<usize>) -> Result<Vec<Recommendation>> {
-        let (_, ep) = self.epoch.load();
-        let shard = self.shards[self.shard(user)].lock();
+        let slot = self.shard(user);
+        let (_, ep) = self.epoch.load_at(slot);
+        let shard = self.shards[slot].lock();
         let state = shard
             .users
             .get(&user)
@@ -676,8 +687,9 @@ impl SkillService {
                 detail: "result-list length must be positive",
             });
         }
-        let (_, ep) = self.epoch.load();
-        let shard = self.shards[self.shard(user)].lock();
+        let slot = self.shard(user);
+        let (_, ep) = self.epoch.load_at(slot);
+        let shard = self.shards[slot].lock();
         let state = shard
             .users
             .get(&user)
@@ -721,14 +733,15 @@ impl SkillService {
         if self.adaptive.is_none() {
             return Err(ServeError::PolicyDisabled);
         }
-        let (epoch, ep) = self.epoch.load();
+        let slot = self.shard(user);
+        let (epoch, ep) = self.epoch.load_at(slot);
         let difficulty = *ep.difficulty.get(item as usize).ok_or(ServeError::Core(
             CoreError::FeatureIndexOutOfBounds {
                 index: item as usize,
                 len: ep.difficulty.len(),
             },
         ))?;
-        let mut shard = self.shards[self.shard(user)].lock();
+        let mut shard = self.shards[slot].lock();
         let state = shard
             .users
             .get_mut(&user)
@@ -842,6 +855,7 @@ impl RefitInFlight<'_> {
         let mut g = self.service.global.lock();
         if let Some(cut) = self.cut.take() {
             g.fit.abandon(cut);
+            self.service.mirror_refit_due(&g);
         }
         g.refit_in_flight = false;
         g.refits_deferred > self.deferred_at_cut
@@ -988,6 +1002,31 @@ mod tests {
     }
 
     #[test]
+    fn ingest_batch_answers_each_action_and_refits_once_at_its_end() {
+        let (service, mut session) = service_and_session(RefitPolicy::EveryBatch, 2);
+        let actions = [Action::new(601, 1, 1), Action::new(602, 2, 2)];
+        let outcomes = service.ingest_batch(&actions).unwrap();
+        let levels = session.ingest_batch(&actions).unwrap();
+        assert_eq!(outcomes.len(), 2);
+        for ((outcome, action), level) in outcomes.iter().zip(&actions).zip(levels) {
+            // Both scored against the epoch before the batch's refit.
+            assert_eq!(
+                (outcome.user, outcome.level, outcome.epoch),
+                (action.user, level, 0)
+            );
+        }
+        let stats = service.stats();
+        assert_eq!(
+            (stats.refits, stats.epoch, stats.pending_actions),
+            (1, 1, 0)
+        );
+        assert_eq!(
+            service.snapshot("batch").unwrap().to_json().unwrap(),
+            session.snapshot("batch").to_json().unwrap()
+        );
+    }
+
+    #[test]
     fn snapshot_round_trips_through_session_bundle() {
         let (service, mut session) = service_and_session(RefitPolicy::EveryNActions(7), 3);
         for t in 0..25i64 {
@@ -1087,6 +1126,69 @@ mod tests {
             (1, 1, 0)
         );
         assert_eq!(stats.refits_deferred, 3);
+    }
+
+    #[test]
+    fn a_refit_made_due_by_one_writer_runs_on_the_next_writer_to_check() {
+        let (service, _) = service_and_session(RefitPolicy::EveryNActions(1), 2);
+        let (twin, _) = service_and_session(RefitPolicy::EveryNActions(1), 2);
+        let (a, b) = (Action::new(300, 3, 2), Action::new(300, 4, 1));
+        // Writer A records, and the record makes a refit due; A has not
+        // checked the flag yet.
+        service.ingest_inner(a).unwrap();
+        assert!(service.refit_due.get());
+        // Writer B's ingest, on another thread: its check finds the
+        // flag set and runs the refit, covering both records.
+        std::thread::scope(|scope| {
+            scope.spawn(|| service.ingest(b).unwrap()).join().unwrap();
+        });
+        let stats = service.stats();
+        assert_eq!(
+            (stats.refits, stats.epoch, stats.pending_actions),
+            (1, 1, 0)
+        );
+        assert!(!service.refit_due.get());
+        // A's own check then finds nothing due.
+        assert_eq!(service.refit_per_policy().unwrap(), 0);
+        assert_eq!(service.stats(), stats);
+        // The same state as both actions in one batch: one refit after
+        // both records.
+        twin.ingest_batch(&[a, b]).unwrap();
+        assert_eq!(
+            service.snapshot("flag").unwrap().to_json().unwrap(),
+            twin.snapshot("flag").unwrap().to_json().unwrap()
+        );
+        assert_eq!(*service.current_epoch().1, *twin.current_epoch().1);
+    }
+
+    #[cfg(feature = "deterministic-sync")]
+    #[test]
+    fn an_ingest_with_no_refit_due_takes_the_global_lock_once() {
+        use upskill_core::sync::explore::Explorer;
+        // Per ingest under `EveryNActions(2)`: the first records only;
+        // the second records, finds the flag set and refits (cut,
+        // install, land: three more holds).
+        let (service, _) = service_and_session(RefitPolicy::EveryNActions(2), 2);
+        let service = Arc::new(service);
+        for (t, global) in [(0, 1), (1, 4), (2, 1)] {
+            let svc = Arc::clone(&service);
+            let report = Explorer::exhaustive(1).explore(move |run| {
+                let svc = Arc::clone(&svc);
+                run.thread(move || {
+                    svc.ingest(Action::new(300 + t, 3, 2)).unwrap();
+                });
+                run.join();
+            });
+            assert!(report.exhausted && report.violations.is_empty());
+            assert_eq!(report.acquisitions.get(&LockId::Global), Some(&global));
+            assert_eq!(
+                report
+                    .acquisitions
+                    .get(&LockId::Shard(service.shard(3) as u32)),
+                Some(&1)
+            );
+        }
+        assert_eq!(service.stats().refits, 1);
     }
 
     #[test]
@@ -1298,7 +1400,16 @@ mod tests {
         assert!(before.iter().all(|r| r.item != 1));
         // A recorded failure on completed item 1 reopens it for retry
         // (and shifts the ranking through the gap/NCC evidence).
-        service.record_outcome(77, 1, false).unwrap();
+        let noted = service.record_outcome(77, 1, false).unwrap();
+        assert_eq!(
+            noted,
+            OutcomeNoted {
+                user: 77,
+                item: 1,
+                correct: false,
+                epoch: 0,
+            }
+        );
         let after = service
             .recommend_policy(77, Some(3), PolicyMode::Hybrid)
             .unwrap();
@@ -1370,81 +1481,6 @@ mod tests {
             service.record_outcome(0, 999, false),
             Err(ServeError::Core(CoreError::FeatureIndexOutOfBounds { .. }))
         ));
-    }
-
-    #[test]
-    fn handle_dispatches_every_request_variant() {
-        let (service, _) = service_and_session(RefitPolicy::EveryBatch, 2);
-        let r = service
-            .handle(Request::Ingest(Action::new(600, 1, 1)))
-            .unwrap();
-        assert!(matches!(r, Response::Ingested(_)));
-        let r = service
-            .handle(Request::IngestBatch(vec![
-                Action::new(601, 1, 1),
-                Action::new(602, 2, 2),
-            ]))
-            .unwrap();
-        assert!(matches!(r, Response::IngestedBatch(ref v) if v.len() == 2));
-        let r = service
-            .handle(Request::Predict {
-                user: 1,
-                mode: PredictMode::Committed,
-            })
-            .unwrap();
-        assert!(matches!(r, Response::Prediction(_)));
-        let r = service
-            .handle(Request::Recommend { user: 1, k: None })
-            .unwrap();
-        assert!(matches!(r, Response::Recommendations(_)));
-        // Policy variants on a policy-disabled service: typed refusal
-        // through the same dispatch path.
-        let r = service.handle(Request::RecommendPolicy {
-            user: 1,
-            k: None,
-            mode: PolicyMode::Hybrid,
-        });
-        assert!(matches!(r, Err(ServeError::PolicyDisabled)));
-        let r = service.handle(Request::RecordOutcome {
-            user: 1,
-            item: 1,
-            correct: false,
-        });
-        assert!(matches!(r, Err(ServeError::PolicyDisabled)));
-        // And on an adaptive service they answer.
-        let adaptive = adaptive_service(PolicyConfig::hybrid());
-        let r = adaptive
-            .handle(Request::RecommendPolicy {
-                user: 1,
-                k: Some(2),
-                mode: PolicyMode::Hybrid,
-            })
-            .unwrap();
-        assert!(matches!(r, Response::PolicyRecommendations(_)));
-        let r = adaptive
-            .handle(Request::RecordOutcome {
-                user: 1,
-                item: 1,
-                correct: false,
-            })
-            .unwrap();
-        assert!(matches!(
-            r,
-            Response::OutcomeRecorded(OutcomeNoted {
-                user: 1,
-                item: 1,
-                correct: false,
-                ..
-            })
-        ));
-        let r = service
-            .handle(Request::Snapshot {
-                note: "via handle".into(),
-            })
-            .unwrap();
-        assert!(matches!(r, Response::Snapshot(_)));
-        let r = service.handle(Request::Stats).unwrap();
-        assert!(matches!(r, Response::Stats(_)));
     }
 
     #[test]

@@ -517,8 +517,8 @@ mod tests {
                 ("scale.peak_rss_bytes", BoundKind::Ceiling, 1_610_612_736.0),
                 ("scale.throughput_actions_per_s", BoundKind::Floor, 1.0e6),
                 ("serve.bytes_per_admitted_user", BoundKind::Ceiling, 180.0),
-                ("serve.p99_latency_s", BoundKind::Ceiling, 0.05),
-                ("serve.throughput_ops_per_s", BoundKind::Floor, 1.0e5),
+                ("serve.p99_latency_s", BoundKind::Ceiling, 1.0e-5),
+                ("serve.throughput_ops_per_s", BoundKind::Floor, 5.0e5),
             ]
         );
     }
