@@ -1,5 +1,7 @@
 //! Runs every experiment binary in sequence, regenerating all tables and
-//! figures into `reports/`. Respects `UPSKILL_SCALE`.
+//! figures into `reports/`. Respects `UPSKILL_SCALE`. The experiments are
+//! its sibling binaries: when one is missing it names each absent one and
+//! exits 1 before running any.
 
 use std::process::Command;
 
@@ -27,10 +29,25 @@ const EXPERIMENTS: &[&str] = &[
 fn main() {
     let self_path = std::env::current_exe().expect("own path");
     let bin_dir = self_path.parent().expect("bin dir").to_path_buf();
+    let bin = |exp: &str| bin_dir.join(format!("{exp}{}", std::env::consts::EXE_SUFFIX));
+    // Check every sibling before launching any, so a partial build fails
+    // at once instead of after the experiments that did build.
+    let missing: Vec<_> = EXPERIMENTS
+        .iter()
+        .map(|exp| bin(exp))
+        .filter(|path| !path.is_file())
+        .collect();
+    if !missing.is_empty() {
+        for path in &missing {
+            eprintln!("missing binary: {}", path.display());
+        }
+        eprintln!("build them with `cargo build --release -p upskill-bench --bins`");
+        std::process::exit(1);
+    }
     let mut failures = Vec::new();
     for exp in EXPERIMENTS {
         println!("\n################ {exp} ################");
-        let status = Command::new(bin_dir.join(exp)).status();
+        let status = Command::new(bin(exp)).status();
         match status {
             Ok(s) if s.success() => {}
             Ok(s) => {

@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 use upskill_core::bundle::SessionBundle;
 use upskill_core::chunked::{train_chunked, AssignmentStorage, ChunkSource};
 use upskill_core::difficulty::{assignment_difficulty_all, generation_difficulty_all, SkillPrior};
+use upskill_core::error::CoreError;
 use upskill_core::parallel::ParallelConfig;
 use upskill_core::recommend::{recommend_for_level, RecommendConfig};
 use upskill_core::rng::SplitMix64;
@@ -632,7 +633,9 @@ fn serve_bench(args: &Args) -> Result<(), CliError> {
             .into_iter()
             .map(|h| {
                 h.join()
-                    .unwrap_or_else(|_| panic!("serve-bench worker panicked"))
+                    .unwrap_or(Err(CliError::Core(CoreError::WorkerPanicked {
+                        step: "serve-bench client lane",
+                    })))
             })
             .collect()
     });

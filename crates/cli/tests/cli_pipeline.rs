@@ -118,6 +118,30 @@ fn full_pipeline_runs() {
     );
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("difficulty"), "{text}");
+
+    // A level outside the model's 1..=5 is a typed error, not an empty list.
+    for level in ["0", "6"] {
+        let out = bin()
+            .args([
+                "recommend",
+                "--data",
+                data.to_str().unwrap(),
+                "--model",
+                model.to_str().unwrap(),
+                "--difficulty",
+                difficulty.to_str().unwrap(),
+                "--level",
+                level,
+            ])
+            .output()
+            .expect("recommend out of range");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "level {level}: {stderr}");
+        assert!(
+            stderr.contains(&format!("invalid skill count {level}")),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]

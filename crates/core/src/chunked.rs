@@ -435,13 +435,12 @@ pub enum AssignmentStorage {
 /// would defeat the flat-memory contract); the per-level action counts
 /// summarize them, and [`assign_chunked`] re-derives the full
 /// assignments when a caller accepts corpus-sized output.
-// lint:allow(unused-pub): returned by `train_chunked` and `Trainer::fit_chunked`.
+// lint:allow(unused-pub): returned by `train_chunked`.
 #[derive(Debug, Clone)]
 pub struct ChunkedTrainResult {
     /// The fitted model.
     pub model: crate::model::SkillModel,
-    /// Final objective value (total log-likelihood, or log-evidence for
-    /// the EM mode).
+    /// Final objective value (total log-likelihood).
     pub log_likelihood: f64,
     /// Per-iteration statistics, identical to the in-memory trace.
     pub trace: Vec<crate::train::IterationStats>,
@@ -1008,9 +1007,6 @@ struct WorkerState {
     /// Per cell: actions now there — the invariant layer's recount of the
     /// grid (only when checks are compiled in).
     recount: Option<GridDelta>,
-    /// Actions per level, counted when no grid is maintained (a grid
-    /// holds the same totals).
-    histogram: Vec<u64>,
 }
 
 /// One state per worker a pass over `source` runs on; a trainer keeps
@@ -1043,8 +1039,7 @@ struct ChunkOutcome {
 /// With a grid delta in `state`, the chunk's grid changes go into it: on
 /// the first pass every action, afterwards only the actions whose level
 /// moved off the incumbent in `prev` — the churn, which falls fast, so
-/// later passes touch few cells. Without one, actions are counted per
-/// level.
+/// later passes touch few cells.
 fn process_chunk<S, R>(
     source: &S,
     rows: &R,
@@ -1064,7 +1059,6 @@ where
         incumbent,
         delta,
         recount,
-        histogram,
     } = state;
     let chunk = chunk_at(source, chunk_index, chunk)?;
     let mut user_lls = Vec::with_capacity(chunk.n_users());
@@ -1079,11 +1073,6 @@ where
         ctx.check_sequence_monotone("chunked training assignment", new)?;
         paths.push(new)?;
         user_lls.push(ll);
-    }
-    if delta.is_none() {
-        levels
-            .iter()
-            .for_each(|&level| histogram[level as usize - 1] += 1);
     }
     if let Some(r) = recount.as_mut() {
         for (&item, &now) in chunk.items().iter().zip(levels.iter()) {
@@ -1154,8 +1143,6 @@ struct PassResult {
     total_ll: f64,
     /// Total churn vs. the previous iteration (`None` on the first pass).
     n_changed: Option<usize>,
-    /// Actions per level, when the pass maintained no grid.
-    histogram: Vec<u64>,
     /// The new levels, as breakpoints.
     paths: PathStore,
 }
@@ -1174,7 +1161,7 @@ fn level_totals(grid: &StatsGrid) -> Vec<u64> {
 ///
 /// With a `grid` — empty on the first pass, holding the incumbent levels
 /// `prev` after — the pass moves it to the new levels; without one it
-/// counts actions per level into [`PassResult::histogram`].
+/// only decodes.
 fn run_assignment_pass<S, R>(
     source: &S,
     rows: &R,
@@ -1203,8 +1190,6 @@ where
             }
             None => (state.delta, state.recount) = (None, None),
         }
-        state.histogram.clear();
-        state.histogram.resize(n_levels, 0);
     }
 
     let mut total_ll = 0.0;
@@ -1228,12 +1213,8 @@ where
         },
     )?;
 
-    // Add up the per-worker partials. Integer counts: order-free, exact.
-    let mut histogram = vec![0u64; n_levels];
+    // Add up the per-worker deltas. Integer counts: order-free, exact.
     for state in states.iter_mut() {
-        for (h, &p) in histogram.iter_mut().zip(&state.histogram) {
-            *h += p;
-        }
         if let (Some(g), Some(delta)) = (grid.as_deref_mut(), state.delta.as_mut()) {
             g.add_delta(delta)?;
         }
@@ -1245,7 +1226,6 @@ where
     Ok(PassResult {
         total_ll,
         n_changed: prev.map(|_| n_changed_total),
-        histogram,
         paths,
     })
 }
@@ -1478,21 +1458,6 @@ pub fn train_em_chunked<S: ChunkSource + ?Sized>(
         evidence_trace: trace,
         converged,
     })
-}
-
-/// Streams one hard decode of `source` under `model`, returning the
-/// per-level action counts and user-order total log-likelihood without
-/// ever materializing corpus-sized assignments.
-pub(crate) fn level_histogram_chunked<S: ChunkSource + ?Sized>(
-    source: &S,
-    model: &SkillModel,
-    parallel: &ParallelConfig,
-) -> Result<(Vec<u64>, f64)> {
-    parallel.validate()?;
-    let table = EmissionTable::build_with_config(model, source.item_view(), parallel)?;
-    let mut states = worker_states(source, parallel);
-    let pass = run_assignment_pass(source, &table, None, &mut states, None)?;
-    Ok((pass.histogram, pass.total_ll))
 }
 
 #[cfg(test)]
@@ -1954,36 +1919,6 @@ mod tests {
             assign_chunked(&chunks, &result.model, &ParallelConfig::sequential()).unwrap();
         assert_eq!(assignments, result.assignments);
         assert_eq!(ll, result.log_likelihood);
-        let (histogram, hll) =
-            level_histogram_chunked(&chunks, &result.model, &ParallelConfig::sequential()).unwrap();
-        assert_eq!(hll, ll);
-        let total: u64 = histogram.iter().sum();
-        assert_eq!(total as usize, ds.n_actions());
-    }
-
-    #[test]
-    fn trainer_builder_dispatches_chunked_modes() {
-        let ds = trainer_dataset();
-        let chunks = DatasetChunks::new(&ds, 4).unwrap();
-        let hard = crate::train::Trainer::from_config(train_cfg())
-            .fit_chunked(&chunks)
-            .unwrap();
-        assert_eq!(hard.n_users, ds.n_users());
-        let em = crate::train::Trainer::from_config(train_cfg())
-            .em()
-            .fit_chunked(&chunks)
-            .unwrap();
-        assert_eq!(
-            em.level_histogram.iter().sum::<u64>() as usize,
-            ds.n_actions()
-        );
-        // The EM arm is the in-memory one's, closed with the same decode.
-        let in_mem = crate::train::Trainer::from_config(train_cfg())
-            .em()
-            .fit(&ds)
-            .unwrap();
-        assert_eq!(em.model, in_mem.model);
-        assert_eq!(em.log_likelihood, in_mem.log_likelihood);
     }
 
     #[test]

@@ -192,29 +192,35 @@ impl StatsGrid {
     }
 
     /// Builds the grid from scratch (`O(|A|)` integer increments):
-    /// [`StatsGrid::build_parallel`] on one worker.
+    /// [`StatsGrid::build_with_config`] on one worker.
     pub fn build(
         dataset: &Dataset,
         assignments: &SkillAssignments,
         n_levels: usize,
     ) -> Result<Self> {
-        Self::build_parallel(dataset, assignments, n_levels, 1)
+        Self::build_with_config(
+            dataset,
+            assignments,
+            n_levels,
+            &ParallelConfig::sequential(),
+        )
     }
 
-    /// Builds the grid with `threads` workers over disjoint user ranges,
-    /// adding per-worker deltas by integer addition — exact, so every
-    /// thread count gives the same grid. A bad level or item is an error
-    /// (the first in user order), and no grid is returned.
-    pub fn build_parallel(
+    /// Builds the grid on `config`'s user-parallel workers
+    /// ([`ParallelConfig::users`]) over disjoint user ranges, adding
+    /// per-worker deltas by integer addition — exact, so every thread
+    /// count gives the same grid. A bad level or item is an error (the
+    /// first in user order), and no grid is returned.
+    pub fn build_with_config(
         dataset: &Dataset,
         assignments: &SkillAssignments,
         n_levels: usize,
-        threads: usize,
+        config: &ParallelConfig,
     ) -> Result<Self> {
         let mut grid = Self::new(n_levels, dataset.n_items())?;
         validate_shape(dataset, assignments)?;
         let (sequences, per_user) = (dataset.sequences(), &assignments.per_user);
-        let n_workers = user_workers(dataset, threads);
+        let n_workers = user_workers(dataset, config);
         grid.add_user_deltas(n_workers, sequences.len(), "stats build", |u, delta| {
             let (Some(seq), Some(levels)) = (sequences.get(u), per_user.get(u)) else {
                 return Ok(0);
@@ -227,21 +233,10 @@ impl StatsGrid {
         Ok(grid)
     }
 
-    /// Builds sequentially or in parallel per `config` (user-parallel work,
-    /// so it follows the `users` flag).
-    pub fn build_with_config(
-        dataset: &Dataset,
-        assignments: &SkillAssignments,
-        n_levels: usize,
-        config: &ParallelConfig,
-    ) -> Result<Self> {
-        Self::build_parallel(dataset, assignments, n_levels, config.user_threads())
-    }
-
     /// Applies the assignment delta `prev → next`: for every action whose
     /// level moved, decrements the old `(level, item)` cell and increments
     /// the new one. Returns the number of changed actions. This is
-    /// [`StatsGrid::apply_delta_parallel`] on one worker.
+    /// [`StatsGrid::apply_delta_with_config`] on one worker.
     ///
     /// `prev` must be the assignment the grid currently represents;
     /// removing from an empty cell (the tell-tale of a stale grid) is an
@@ -253,24 +248,24 @@ impl StatsGrid {
         prev: &SkillAssignments,
         next: &SkillAssignments,
     ) -> Result<usize> {
-        self.apply_delta_parallel(dataset, prev, next, 1)
+        self.apply_delta_with_config(dataset, prev, next, &ParallelConfig::sequential())
     }
 
-    /// [`StatsGrid::apply_delta`] with `threads` workers over disjoint user
-    /// ranges, adding per-worker deltas by integer addition — exact, so
-    /// every thread count gives the same grid, count and dirty flags (the
-    /// levels whose row changed), and the same error.
-    pub fn apply_delta_parallel(
+    /// [`StatsGrid::apply_delta`] on `config`'s user-parallel workers over
+    /// disjoint user ranges, adding per-worker deltas by integer addition
+    /// — exact, so every thread count gives the same grid, count and
+    /// dirty flags (the levels whose row changed), and the same error.
+    pub fn apply_delta_with_config(
         &mut self,
         dataset: &Dataset,
         prev: &SkillAssignments,
         next: &SkillAssignments,
-        threads: usize,
+        config: &ParallelConfig,
     ) -> Result<usize> {
         validate_shape(dataset, next)?;
         validate_delta_shape(prev, next)?;
         let sequences = dataset.sequences();
-        let n_workers = user_workers(dataset, threads);
+        let n_workers = user_workers(dataset, config);
         self.add_user_deltas(n_workers, sequences.len(), "stats delta", |u, delta| {
             let (Some(seq), Some(prev_u), Some(next_u)) =
                 (sequences.get(u), prev.per_user.get(u), next.per_user.get(u))
@@ -325,18 +320,6 @@ impl StatsGrid {
             self.add_delta(total)?;
         }
         Ok(changed)
-    }
-
-    /// [`StatsGrid::apply_delta`] dispatched per `config` (follows the
-    /// `users` flag, like the build).
-    pub fn apply_delta_with_config(
-        &mut self,
-        dataset: &Dataset,
-        prev: &SkillAssignments,
-        next: &SkillAssignments,
-        config: &ParallelConfig,
-    ) -> Result<usize> {
-        self.apply_delta_parallel(dataset, prev, next, config.user_threads())
     }
 
     /// Adds one newly observed action at the given level: a single `+1`
@@ -902,9 +885,10 @@ impl GridDelta {
     }
 }
 
-/// Workers for a step over `dataset`'s users: `threads`, but no fewer
-/// than `MIN_USERS_PER_WORKER` users each, and at least one.
-fn user_workers(dataset: &Dataset, threads: usize) -> usize {
+/// Workers for a step over `dataset`'s users: `config`'s user threads,
+/// but no fewer than `MIN_USERS_PER_WORKER` users each, and at least one.
+fn user_workers(dataset: &Dataset, config: &ParallelConfig) -> usize {
+    let threads = config.user_threads();
     threads.min(dataset.n_users() / MIN_USERS_PER_WORKER).max(1)
 }
 
@@ -1092,12 +1076,13 @@ mod tests {
     }
 
     #[test]
-    fn build_parallel_matches_sequential() {
+    fn build_with_config_matches_sequential() {
         let ds = build_dataset(40, 12);
         let a = staircase_assignments(&ds, 4);
         let seq_grid = StatsGrid::build(&ds, &a, 4).unwrap();
         for threads in [2, 3, 5] {
-            let par = StatsGrid::build_parallel(&ds, &a, 4, threads).unwrap();
+            let par =
+                StatsGrid::build_with_config(&ds, &a, 4, &ParallelConfig::all(threads)).unwrap();
             assert_eq!(seq_grid, par, "threads={threads}");
         }
     }
@@ -1149,7 +1134,7 @@ mod tests {
         for threads in [2, 4] {
             let mut par_grid = StatsGrid::build(&ds, &before, 3).unwrap();
             let par_changed = par_grid
-                .apply_delta_parallel(&ds, &before, &after, threads)
+                .apply_delta_with_config(&ds, &before, &after, &ParallelConfig::all(threads))
                 .unwrap();
             assert_eq!(seq_changed, par_changed);
             assert_eq!(seq_grid, par_grid, "threads={threads}");
@@ -1170,10 +1155,11 @@ mod tests {
         let mut grid = StatsGrid::build(&ds, &good, 3).unwrap();
         assert_eq!(grid.apply_delta(&ds, &good, &bad), first.clone().map(|_| 0));
         for threads in 1..=4 {
-            let built = StatsGrid::build_parallel(&ds, &bad, 3, threads);
+            let built = StatsGrid::build_with_config(&ds, &bad, 3, &ParallelConfig::all(threads));
             assert_eq!(built, first, "build, threads={threads}");
             let mut grid = StatsGrid::build(&ds, &good, 3).unwrap();
-            let moved = grid.apply_delta_parallel(&ds, &good, &bad, threads);
+            let moved =
+                grid.apply_delta_with_config(&ds, &good, &bad, &ParallelConfig::all(threads));
             assert_eq!(moved, first.clone().map(|_| 0), "delta, threads={threads}");
         }
         // A rejected delta leaves counts and dirty flags as they were, at
@@ -1196,7 +1182,8 @@ mod tests {
                 let mut got = grid.clone();
                 assert_eq!(got.apply_delta(&ds, &good, &bad), want, "{tag}");
                 assert_unchanged(&got, &grid, &tag);
-                let moved = got.apply_delta_parallel(&ds, &good, &bad, threads);
+                let moved =
+                    got.apply_delta_with_config(&ds, &good, &bad, &ParallelConfig::all(threads));
                 assert_eq!(moved, want, "{tag}");
                 assert_unchanged(&got, &grid, &tag);
             }
@@ -1308,9 +1295,12 @@ mod tests {
         assert!(underflow(grid.apply_delta(&ds, &prev, &next)));
         assert_unchanged(&grid, &before, "apply_delta");
         for threads in 1..=4 {
-            assert!(underflow(
-                grid.apply_delta_parallel(&ds, &prev, &next, threads)
-            ));
+            assert!(underflow(grid.apply_delta_with_config(
+                &ds,
+                &prev,
+                &next,
+                &ParallelConfig::all(threads)
+            )));
             assert_unchanged(&grid, &before, &format!("threads={threads}"));
         }
     }

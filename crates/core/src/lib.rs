@@ -149,5 +149,5 @@ pub use model::SkillModel;
 pub use pool::WorkspacePool;
 pub use streaming::{RefitPolicy, RefitTuner, StreamingSession};
 pub use sync::{LockId, TracedMutex};
-pub use train::{train, train_with_parallelism, TrainConfig, TrainResult, Trainer};
+pub use train::{train, train_with_parallelism, TrainConfig, TrainResult};
 pub use types::{Action, ActionSequence, Dataset, SkillAssignments};

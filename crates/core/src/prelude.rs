@@ -1,8 +1,8 @@
 //! One-stop import for the common surface of `upskill-core`.
 //!
 //! Pulls in the types needed for the standard workflow — describe items
-//! ([`FeatureSchema`]), assemble a [`Dataset`], train with [`Trainer`] (or
-//! the [`train`] free functions, or [`train_chunked`] when the corpus does
+//! ([`FeatureSchema`]), assemble a [`Dataset`], train with [`train`] or
+//! [`train_with_parallelism`] (or [`train_chunked`] when the corpus does
 //! not fit in memory), then estimate difficulty ([`SkillPrior`]), track
 //! users online ([`OnlineTracker`]), keep folding in fresh actions with a
 //! [`StreamingSession`], snapshot it as a [`SessionBundle`], and serve it
@@ -33,5 +33,5 @@ pub use crate::policy::{MixQuota, PolicyConfig, PolicyMode, PolicyRecommendation
 pub use crate::pool::WorkspacePool;
 pub use crate::recommend::{LevelBand, RecommendConfig, Recommendation};
 pub use crate::streaming::{RefitPolicy, RefitTuner, StreamingSession};
-pub use crate::train::{train, train_with_parallelism, TrainConfig, TrainResult, Trainer};
+pub use crate::train::{train, train_with_parallelism, TrainConfig, TrainResult};
 pub use crate::types::{Action, ActionSequence, Dataset, SkillAssignments};

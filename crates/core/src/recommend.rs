@@ -93,6 +93,7 @@ pub struct Recommendation {
 /// [`crate::difficulty::generation_difficulty_all`]); `exclude` marks items
 /// the user already consumed. Returns at most `config.k` items sorted by
 /// descending score; may return fewer if the difficulty band is sparse.
+/// A `level` outside `1..=S` is an [`CoreError::InvalidSkillCount`].
 pub fn recommend_for_level(
     model: &SkillModel,
     dataset: &Dataset,
@@ -101,6 +102,7 @@ pub fn recommend_for_level(
     exclude: &dyn Fn(ItemId) -> bool,
     config: &RecommendConfig,
 ) -> Result<Vec<Recommendation>> {
+    check_level(level, model.n_levels())?;
     if difficulty.len() != dataset.n_items() {
         return Err(CoreError::LengthMismatch {
             context: "difficulty vector vs items",
@@ -115,7 +117,8 @@ pub fn recommend_for_level(
 
 /// [`recommend_for_level`] with the interest signal read from a precomputed
 /// [`EmissionTable`] row instead of fresh distribution evaluations —
-/// identical output for a table built from the same model and dataset.
+/// identical output for a table built from the same model and dataset,
+/// and the same error for a `level` outside `1..=S`.
 pub fn recommend_for_level_with_table(
     table: &EmissionTable,
     difficulty: &[f64],
@@ -123,6 +126,7 @@ pub fn recommend_for_level_with_table(
     exclude: &dyn Fn(ItemId) -> bool,
     config: &RecommendConfig,
 ) -> Result<Vec<Recommendation>> {
+    check_level(level, table.n_levels())?;
     if difficulty.len() != table.n_items() {
         return Err(CoreError::LengthMismatch {
             context: "difficulty vector vs items",
@@ -133,6 +137,16 @@ pub fn recommend_for_level_with_table(
     recommend_with_interest(difficulty, level, exclude, config, &|item| {
         table.log_likelihood(item, level)
     })
+}
+
+/// Rejects a `level` outside `1..=n_levels`: its band would be empty.
+fn check_level(level: SkillLevel, n_levels: usize) -> Result<()> {
+    if level == 0 || level as usize > n_levels {
+        return Err(CoreError::InvalidSkillCount {
+            requested: level as usize,
+        });
+    }
+    Ok(())
 }
 
 /// One band candidate: `(item, difficulty, fit, log P(item | level))`.
@@ -209,13 +223,15 @@ impl LevelBand {
 /// Builds the [`LevelBand`] for `level` from a precomputed
 /// [`EmissionTable`] — one full scan-and-rank over the items,
 /// amortized across every subsequent [`recommend_from_band`] query
-/// against it.
+/// against it. A `level` outside `1..=S` is an
+/// [`CoreError::InvalidSkillCount`].
 pub fn build_level_band(
     table: &EmissionTable,
     difficulty: &[f64],
     level: SkillLevel,
     config: &RecommendConfig,
 ) -> Result<LevelBand> {
+    check_level(level, table.n_levels())?;
     if difficulty.len() != table.n_items() {
         return Err(CoreError::LengthMismatch {
             context: "difficulty vector vs items",
@@ -616,6 +632,25 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::LengthMismatch { .. }));
+    }
+
+    #[test]
+    fn out_of_range_levels_are_rejected() {
+        let (model, ds, difficulty) = setup();
+        let table = EmissionTable::build(&model, &ds);
+        let config = RecommendConfig::default();
+        for level in [0, model.n_levels() as SkillLevel + 1] {
+            let want = CoreError::InvalidSkillCount {
+                requested: level as usize,
+            };
+            let direct = recommend_for_level(&model, &ds, &difficulty, level, &|_| false, &config);
+            assert_eq!(direct.unwrap_err(), want, "level {level}");
+            let tabled =
+                recommend_for_level_with_table(&table, &difficulty, level, &|_| false, &config);
+            assert_eq!(tabled.unwrap_err(), want, "level {level}");
+            let band = build_level_band(&table, &difficulty, level, &config);
+            assert_eq!(band.unwrap_err(), want, "level {level}");
+        }
     }
 
     #[test]

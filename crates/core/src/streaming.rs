@@ -738,9 +738,10 @@ impl StreamingSession {
 
     /// Resumes a session from a completed training run: the dataset it was
     /// trained on plus the [`TrainResult`]'s final assignments. The model
-    /// is refit from those assignments, so an EM-trained result
-    /// ([`Trainer::em`](crate::train::Trainer::em)) continues from its
-    /// hard decode, exactly as the serving layer resumes it.
+    /// is refit from those assignments, so an EM-trained result (an
+    /// [`crate::em::EmResult`] model closed with one hard decode by
+    /// [`crate::parallel::assign_all_parallel`]) continues from that
+    /// decode, exactly as the serving layer resumes it.
     pub fn resume(
         dataset: Dataset,
         result: &TrainResult,

@@ -25,16 +25,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::chunked::{
-    assign_chunked, in_memory_chunk_size, initialize_on_workers, level_histogram_chunked,
-    train_chunked_keeping, train_em_chunked, ChunkSource, ChunkedDataset, ChunkedTrainResult,
-};
+use crate::chunked::{in_memory_chunk_size, train_chunked_keeping, ChunkedDataset};
 use crate::dist::categorical::DEFAULT_SMOOTHING;
-use crate::em::{EmConfig, EmResult};
 use crate::error::{CoreError, Result};
 use crate::model::SkillModel;
 use crate::parallel::ParallelConfig;
-use crate::transition::TransitionModel;
 use crate::types::{ActionSequence, Dataset, SkillAssignments, SkillLevel};
 
 /// Training hyperparameters.
@@ -153,221 +148,6 @@ pub struct TrainResult {
 /// Trains a skill model on a dataset (sequential execution).
 pub fn train(dataset: &Dataset, config: &TrainConfig) -> Result<TrainResult> {
     train_with_parallelism(dataset, config, &ParallelConfig::sequential())
-}
-
-/// Assignment mode of the [`Trainer`].
-// lint:allow(unused-pub): returned by `Trainer::mode`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrainMode {
-    /// Hard assignments: alternate the monotone Viterbi DP with
-    /// closed-form updates (the paper's trainer; [`train_with_parallelism`]).
-    #[default]
-    Hard,
-    /// Soft assignments: forward–backward EM over the stay/advance lattice
-    /// ([`crate::em::train_em_with_parallelism`]), closed with one hard
-    /// decode so the result is interchangeable with the hard mode's.
-    Em,
-}
-
-/// Unified training entry point: one builder covering [`train`],
-/// [`train_with_parallelism`], and the EM trainer, with parallelism and
-/// hyperparameters set through `with_*` methods.
-///
-/// ```
-/// use upskill_core::train::Trainer;
-/// # use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue};
-/// # use upskill_core::types::{Action, ActionSequence, Dataset};
-/// # let schema = FeatureSchema::new(vec![FeatureKind::Categorical { cardinality: 2 }])?;
-/// # let items = vec![vec![FeatureValue::Categorical(0)], vec![FeatureValue::Categorical(1)]];
-/// # let sequences: Vec<ActionSequence> = (0..4)
-/// #     .map(|u| {
-/// #         let actions = (0..8).map(|t| Action::new(t, u, u32::from(t >= 4))).collect();
-/// #         ActionSequence::new(u, actions)
-/// #     })
-/// #     .collect::<Result<_, _>>()?;
-/// # let dataset = Dataset::new(schema, items, sequences)?;
-/// let result = Trainer::new(2)
-///     .with_min_init_actions(4)
-///     .with_threads(2)
-///     .fit(&dataset)?;
-/// assert!(result.assignments.is_monotone());
-/// # Ok::<(), upskill_core::error::CoreError>(())
-/// ```
-///
-/// From the returned [`TrainResult`] a live
-/// [`StreamingSession`](crate::streaming::StreamingSession) can be resumed
-/// ([`StreamingSession::resume`](crate::streaming::StreamingSession::resume)).
-#[derive(Debug, Clone)]
-pub struct Trainer {
-    config: TrainConfig,
-    parallel: ParallelConfig,
-    mode: TrainMode,
-}
-
-impl Trainer {
-    /// A hard-assignment, sequential trainer with paper defaults for `S`
-    /// skill levels.
-    pub fn new(n_levels: usize) -> Self {
-        Self::from_config(TrainConfig::new(n_levels))
-    }
-
-    /// Wraps an existing [`TrainConfig`].
-    pub(crate) fn from_config(config: TrainConfig) -> Self {
-        Self {
-            config,
-            parallel: ParallelConfig::sequential(),
-            mode: TrainMode::Hard,
-        }
-    }
-
-    /// Overrides the smoothing pseudo-count `λ`.
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        self.config = self.config.with_lambda(lambda);
-        self
-    }
-
-    /// Overrides the initialization length threshold.
-    pub fn with_min_init_actions(mut self, n: usize) -> Self {
-        self.config = self.config.with_min_init_actions(n);
-        self
-    }
-
-    /// Overrides the iteration cap.
-    pub fn with_max_iterations(mut self, n: usize) -> Self {
-        self.config = self.config.with_max_iterations(n);
-        self
-    }
-
-    /// Overrides the convergence tolerance.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.config = self.config.with_tolerance(tolerance);
-        self
-    }
-
-    /// Shorthand for [`ParallelConfig::all`]: every parallel technique on
-    /// `threads` workers.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.parallel = ParallelConfig::all(threads);
-        self
-    }
-
-    /// Switches to soft-assignment (EM) training with uninformative
-    /// transitions.
-    pub fn em(mut self) -> Self {
-        self.mode = TrainMode::Em;
-        self
-    }
-
-    /// Switches (back) to hard-assignment training.
-    pub fn hard(mut self) -> Self {
-        self.mode = TrainMode::Hard;
-        self
-    }
-
-    /// The effective training hyperparameters.
-    pub fn config(&self) -> &TrainConfig {
-        &self.config
-    }
-
-    /// The effective parallelism configuration.
-    pub fn parallel(&self) -> &ParallelConfig {
-        &self.parallel
-    }
-
-    /// The effective assignment mode.
-    pub fn mode(&self) -> TrainMode {
-        self.mode
-    }
-
-    /// Trains on `dataset` and returns a uniform [`TrainResult`] whatever
-    /// the mode.
-    ///
-    /// In EM mode the evidence trace is exposed through
-    /// [`IterationStats::log_likelihood`] (with `n_changed` and `seconds`
-    /// unset/zero — EM has no churn notion and is not instrumented
-    /// per-iteration), and the soft model is closed with one hard decode
-    /// so `assignments` and `log_likelihood` mean the same thing in both
-    /// modes. The EM arm is [`Trainer::fit_chunked`]'s over the dataset's
-    /// users copied once into columnar chunks, decoding the assignments
-    /// where that counts levels; every chunk size gives the same bits.
-    pub fn fit(&self, dataset: &Dataset) -> Result<TrainResult> {
-        self.parallel.validate()?;
-        if self.mode == TrainMode::Hard {
-            return train_with_parallelism(dataset, &self.config, &self.parallel);
-        }
-        let chunk_size = in_memory_chunk_size(dataset, &self.parallel);
-        let chunks = ChunkedDataset::from_dataset(dataset, chunk_size)?;
-        let (em, trace) = self.fit_em(&chunks)?;
-        let (assignments, log_likelihood) = assign_chunked(&chunks, &em.model, &self.parallel)?;
-        Ok(TrainResult {
-            model: em.model,
-            assignments,
-            log_likelihood,
-            trace,
-            converged: em.converged,
-        })
-    }
-
-    /// Trains chunk-at-a-time from any [`ChunkSource`] — the out-of-core
-    /// entry point ([`crate::chunked`]).
-    ///
-    /// In hard mode this is [`crate::chunked::train_chunked`]; in EM mode
-    /// the chunked initializer feeds [`train_em_chunked`] and the soft fit
-    /// is closed with one streamed hard decode that counts actions per
-    /// level. Both modes are bitwise identical to [`Trainer::fit`] on the
-    /// materialized dataset, and peak memory stays bounded by
-    /// `chunk_size × workers` plus the hard trainer's `O(n_users · S)`
-    /// breakpoint store.
-    pub fn fit_chunked<S: ChunkSource + ?Sized>(&self, source: &S) -> Result<ChunkedTrainResult> {
-        self.parallel.validate()?;
-        if self.mode == TrainMode::Hard {
-            let storage = crate::chunked::AssignmentStorage::default();
-            return crate::chunked::train_chunked(source, &self.config, &self.parallel, storage);
-        }
-        let (em, trace) = self.fit_em(source)?;
-        let (level_histogram, log_likelihood) =
-            level_histogram_chunked(source, &em.model, &self.parallel)?;
-        Ok(ChunkedTrainResult {
-            model: em.model,
-            log_likelihood,
-            trace,
-            converged: em.converged,
-            level_histogram,
-            n_users: source.n_users(),
-            n_actions: source.n_actions(),
-        })
-    }
-
-    /// The EM arms' shared core: the chunk initializer on the configured
-    /// workers, then [`train_em_chunked`] with uninformative transitions
-    /// and this trainer's hyperparameters, with the evidence trace as
-    /// [`IterationStats`] (no churn, no per-iteration timing).
-    fn fit_em<S: ChunkSource + ?Sized>(
-        &self,
-        source: &S,
-    ) -> Result<(EmResult, Vec<IterationStats>)> {
-        let config = &self.config;
-        config.validate()?;
-        let (n, min, lambda) = (config.n_levels, config.min_init_actions, config.lambda);
-        let initial = initialize_on_workers(source, n, min, lambda, &self.parallel)?;
-        let em_cfg = EmConfig::new(initial, TransitionModel::uninformative(n)?)
-            .with_lambda(lambda)
-            .with_max_iterations(config.max_iterations)
-            .with_tolerance(config.tolerance);
-        let em = train_em_chunked(source, &em_cfg, &self.parallel)?;
-        let trace = em
-            .evidence_trace
-            .iter()
-            .enumerate()
-            .map(|(i, &ev)| IterationStats {
-                iteration: i + 1,
-                log_likelihood: ev,
-                n_changed: None,
-                seconds: 0.0,
-            })
-            .collect();
-        Ok((em, trace))
-    }
 }
 
 /// Trains a skill model with explicit parallelization flags (§IV-C).
@@ -568,63 +348,24 @@ mod tests {
     }
 
     #[test]
-    fn trainer_hard_mode_matches_free_function() {
-        let ds = progression_dataset(6, 12, 3);
-        let cfg = TrainConfig::new(3).with_min_init_actions(6);
-        let direct = train_with_parallelism(&ds, &cfg, &ParallelConfig::all(2)).unwrap();
-        let built = Trainer::from_config(cfg).with_threads(2).fit(&ds).unwrap();
-        assert_eq!(direct.assignments, built.assignments);
-        assert_eq!(direct.converged, built.converged);
-        assert!((direct.log_likelihood - built.log_likelihood).abs() < 1e-12);
-    }
-
-    #[test]
     fn trainer_rejects_thread_counts_above_the_bound() {
         let ds = progression_dataset(6, 12, 3);
         let over = crate::parallel::MAX_THREADS + 1;
-        let trainer = Trainer::new(3).with_min_init_actions(6).with_threads(over);
+        let parallel = ParallelConfig::all(over);
         let refused = Err(CoreError::InvalidParallelism { threads: over });
-        assert_eq!(trainer.fit(&ds).map(|r| r.converged), refused);
-        assert_eq!(trainer.em().fit(&ds).map(|r| r.converged), refused);
-    }
-
-    #[test]
-    fn trainer_em_mode_yields_uniform_result() {
-        let ds = progression_dataset(6, 12, 3);
-        let built = Trainer::new(3)
-            .with_min_init_actions(6)
-            .with_max_iterations(10)
-            .em()
-            .fit(&ds)
-            .unwrap();
-        assert!(built.assignments.is_monotone());
-        assert_eq!(built.assignments.per_user.len(), 6);
-        assert!(!built.trace.is_empty());
-        assert!(built.trace.iter().all(|s| s.n_changed.is_none()));
-        // The hard decode's path log-likelihood is what's reported.
-        let (decoded, ll) =
-            crate::parallel::assign_all_parallel(&built.model, &ds, &ParallelConfig::sequential())
-                .unwrap();
-        assert_eq!(decoded, built.assignments);
-        assert!((ll - built.log_likelihood).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trainer_builders_compose() {
-        let t = Trainer::new(4)
-            .with_lambda(0.5)
-            .with_min_init_actions(7)
-            .with_max_iterations(3)
-            .with_tolerance(1e-3)
-            .with_threads(2)
-            .em()
-            .hard();
-        assert_eq!(t.config().n_levels, 4);
-        assert!((t.config().lambda - 0.5).abs() < 1e-15);
-        assert_eq!(t.config().min_init_actions, 7);
-        assert_eq!(t.config().max_iterations, 3);
-        assert!((t.config().tolerance - 1e-3).abs() < 1e-15);
-        assert!(t.parallel().users);
-        assert_eq!(t.mode(), TrainMode::Hard);
+        let cfg = TrainConfig::new(3).with_min_init_actions(6);
+        let hard = train_with_parallelism(&ds, &cfg, &parallel);
+        assert_eq!(hard.map(|r| r.converged), refused);
+        let chunks = crate::chunked::DatasetChunks::new(&ds, 4).unwrap();
+        let storage = crate::chunked::AssignmentStorage::default();
+        let chunked = crate::chunked::train_chunked(&chunks, &cfg, &parallel, storage);
+        assert_eq!(chunked.map(|r| r.converged), refused);
+        let initial = crate::init::initialize_model(&ds, 3, 6, cfg.lambda).unwrap();
+        let transitions = crate::transition::TransitionModel::uninformative(3).unwrap();
+        let em_cfg = crate::em::EmConfig::new(initial, transitions);
+        let em = crate::em::train_em_with_parallelism(&ds, &em_cfg, &parallel);
+        assert_eq!(em.map(|r| r.converged), refused);
+        let em_chunked = crate::chunked::train_em_chunked(&chunks, &em_cfg, &parallel);
+        assert_eq!(em_chunked.map(|r| r.converged), refused);
     }
 }

@@ -239,7 +239,7 @@ proptest! {
             for threads in [2usize, 3] {
                 let mut par = grid.clone();
                 let changed = par
-                    .apply_delta_parallel(&ds, &current, &next, threads)
+                    .apply_delta_with_config(&ds, &current, &next, &ParallelConfig::all(threads))
                     .unwrap();
                 prop_assert_eq!(changed, expected_changed);
                 let mut seq = grid.clone();

@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 use upskill_core::dist::{Categorical, FeatureDistribution};
 use upskill_core::emission::EmissionTable;
+use upskill_core::error::CoreError;
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue};
 use upskill_core::model::SkillModel;
 use upskill_core::recommend::{
@@ -178,5 +179,26 @@ proptest! {
         assert_bitwise_equal(&full, &banded)?;
         prop_assert!(banded.len() <= k_query);
         prop_assert!(recommend_from_band(&band, &none, 0).is_err());
+    }
+
+    // A level outside `1..=S` has no band: the band build and the full
+    // scan both refuse it with the same typed error, whatever `S`.
+    #[test]
+    fn levels_outside_the_model_are_rejected_by_both_paths(
+        categories in proptest::collection::vec(0u32..8, 3..8),
+        raw_weights in proptest::collection::vec(
+            proptest::collection::vec(0.05f64..10.0, 4), 2..9),
+        raw_difficulty in proptest::collection::vec(0.2f64..5.0, 8),
+        level in 0u8..=255,
+    ) {
+        let (table, n_items, n_levels) = table_from_draws(&categories, &raw_weights);
+        prop_assume!(level == 0 || usize::from(level) > n_levels);
+        let difficulty: Vec<f64> = raw_difficulty[..n_items].to_vec();
+        let config = RecommendConfig::default();
+        let want = CoreError::InvalidSkillCount { requested: usize::from(level) };
+        let band = build_level_band(&table, &difficulty, level, &config);
+        prop_assert_eq!(band.unwrap_err(), want.clone());
+        let full = recommend_for_level_with_table(&table, &difficulty, level, &|_| false, &config);
+        prop_assert_eq!(full.unwrap_err(), want);
     }
 }

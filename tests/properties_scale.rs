@@ -13,11 +13,9 @@ use upskill_core::chunked::{
 use upskill_core::em::{train_em_with_parallelism, EmConfig};
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveModel};
 use upskill_core::init::initialize_model;
-use upskill_core::parallel::ParallelConfig;
+use upskill_core::parallel::{assign_all_parallel, ParallelConfig};
 use upskill_core::reference::train_em_full;
-use upskill_core::train::{
-    train_with_parallelism, IterationStats, TrainConfig, TrainResult, Trainer,
-};
+use upskill_core::train::{train_with_parallelism, TrainConfig, TrainResult};
 use upskill_core::transition::TransitionModel;
 use upskill_core::types::{Action, ActionSequence, Dataset};
 
@@ -212,11 +210,11 @@ proptest! {
         }
     }
 
-    // `Trainer::em().fit` and `fit_chunked` are one trainer: on every
-    // chunking (one-user, 7-user and one giant chunk) and 1..=4 threads
-    // the chunked fit gives bitwise the sequential in-memory fit's model,
-    // evidence trace, convergence and closing objective, and its level
-    // histogram counts the in-memory fit's assignments.
+    // The EM trainer's two spellings, in memory and chunked, closed with
+    // one hard decode each: on every chunking (one-user, 7-user and one
+    // giant chunk) and 1..=4 threads they give bitwise the sequential
+    // in-memory fit's model, evidence trace and convergence, and the
+    // decode gives its assignments and closing objective.
     #[test]
     fn trainer_em_fit_matches_fit_chunked(
         mask in 0u8..8,
@@ -226,37 +224,39 @@ proptest! {
         n_levels in 2usize..4,
     ) {
         let ds = build_dataset(masked_schema(mask), &item_draws, &users);
-        let trainer = Trainer::new(n_levels)
+        let train_cfg = TrainConfig::new(n_levels)
             .with_min_init_actions(1)
-            .with_max_iterations(6)
-            .em();
-        let expect = trainer.fit(&ds).unwrap();
-        let histogram: Vec<u64> = expect
-            .assignments
-            .level_histogram(n_levels)
-            .iter()
-            .map(|&c| c as u64)
-            .collect();
-        let trace = |t: &[IterationStats]| {
-            t.iter().map(|s| (s.log_likelihood.to_bits(), s.n_changed)).collect::<Vec<_>>()
-        };
+            .with_max_iterations(6);
+        let initial =
+            initialize_model(&ds, n_levels, train_cfg.min_init_actions, train_cfg.lambda).unwrap();
+        let cfg = EmConfig::new(initial, TransitionModel::uninformative(n_levels).unwrap())
+            .with_lambda(train_cfg.lambda)
+            .with_max_iterations(train_cfg.max_iterations)
+            .with_tolerance(train_cfg.tolerance);
+        let sequential = ParallelConfig::sequential();
+        let expect = train_em_with_parallelism(&ds, &cfg, &sequential).unwrap();
+        let (expect_assignments, expect_ll) =
+            assign_all_parallel(&expect.model, &ds, &sequential).unwrap();
+        let bits = |trace: &[f64]| trace.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
 
         for threads in 1..=4 {
-            let trainer = trainer.clone().with_threads(threads);
-            let in_memory = trainer.fit(&ds).unwrap();
+            let parallel = ParallelConfig::all(threads);
+            let in_memory = train_em_with_parallelism(&ds, &cfg, &parallel).unwrap();
             prop_assert_eq!(&in_memory.model, &expect.model);
-            prop_assert_eq!(&in_memory.assignments, &expect.assignments);
-            prop_assert_eq!(trace(&in_memory.trace), trace(&expect.trace));
             prop_assert_eq!(in_memory.converged, expect.converged);
-            prop_assert_eq!(in_memory.log_likelihood.to_bits(), expect.log_likelihood.to_bits());
+            prop_assert_eq!(bits(&in_memory.evidence_trace), bits(&expect.evidence_trace));
+            let (assignments, ll) = assign_all_parallel(&in_memory.model, &ds, &parallel).unwrap();
+            prop_assert_eq!(&assignments, &expect_assignments);
+            prop_assert_eq!(ll.to_bits(), expect_ll.to_bits());
             for chunk_size in [1, 7, ds.n_users()] {
                 let source = DatasetChunks::new(&ds, chunk_size).unwrap();
-                let got = trainer.fit_chunked(&source).unwrap();
+                let got = train_em_chunked(&source, &cfg, &parallel).unwrap();
                 prop_assert_eq!(&got.model, &expect.model);
                 prop_assert_eq!(got.converged, expect.converged);
-                prop_assert_eq!(trace(&got.trace), trace(&expect.trace));
-                prop_assert_eq!(got.log_likelihood.to_bits(), expect.log_likelihood.to_bits());
-                prop_assert_eq!(&got.level_histogram, &histogram);
+                prop_assert_eq!(bits(&got.evidence_trace), bits(&expect.evidence_trace));
+                let (assignments, ll) = assign_chunked(&source, &got.model, &parallel).unwrap();
+                prop_assert_eq!(&assignments, &expect_assignments);
+                prop_assert_eq!(ll.to_bits(), expect_ll.to_bits());
             }
         }
     }

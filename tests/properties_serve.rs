@@ -8,13 +8,16 @@
 //! land in the same state as any serialized order of the same actions.
 
 use proptest::prelude::*;
+use upskill_core::em::{train_em_with_parallelism, EmConfig};
 use upskill_core::emission::EmissionTable;
 use upskill_core::error::CoreError;
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveModel};
-use upskill_core::parallel::ParallelConfig;
+use upskill_core::init::initialize_model;
+use upskill_core::parallel::{assign_all_parallel, ParallelConfig};
 use upskill_core::recommend::RecommendConfig;
 use upskill_core::streaming::{RefitPolicy, RefitTuner, StreamingSession};
-use upskill_core::train::{train_with_parallelism, TrainConfig, TrainResult, Trainer};
+use upskill_core::train::{train_with_parallelism, TrainConfig, TrainResult};
+use upskill_core::transition::TransitionModel;
 use upskill_core::types::{Action, ActionSequence, Dataset};
 use upskill_serve::{PolicyConfig, PolicyMode, PredictMode, ServeConfig, ServeError, SkillService};
 
@@ -531,12 +534,26 @@ fn em_trained_result_streams_identically_through_session_and_service() {
         .collect();
     let full = build_dataset(masked_schema(7), &draws, &users);
     let (prefix_ds, suffix) = split(&full);
-    let trainer = Trainer::new(3)
+    let cfg = TrainConfig::new(3)
         .with_min_init_actions(1)
-        .with_max_iterations(8)
-        .em();
-    let result = trainer.fit(&prefix_ds).unwrap();
-    let (cfg, pc) = (*trainer.config(), ParallelConfig::sequential());
+        .with_max_iterations(8);
+    let pc = ParallelConfig::sequential();
+    let initial = initialize_model(&prefix_ds, 3, cfg.min_init_actions, cfg.lambda).unwrap();
+    let em_cfg = EmConfig::new(initial, TransitionModel::uninformative(3).unwrap())
+        .with_lambda(cfg.lambda)
+        .with_max_iterations(cfg.max_iterations)
+        .with_tolerance(cfg.tolerance);
+    let em = train_em_with_parallelism(&prefix_ds, &em_cfg, &pc).unwrap();
+    // Close the soft fit with one hard decode: the session and service
+    // refit from these assignments.
+    let (assignments, log_likelihood) = assign_all_parallel(&em.model, &prefix_ds, &pc).unwrap();
+    let result = TrainResult {
+        model: em.model,
+        assignments,
+        log_likelihood,
+        trace: Vec::new(),
+        converged: em.converged,
+    };
     let policy = RefitPolicy::EveryNActions(2);
     let tuner = Some(RefitTuner::new(1, 1, 16).unwrap());
 
